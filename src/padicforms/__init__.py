@@ -76,7 +76,6 @@ from .weights import (
     IwasawaTruncation,
     WeightPoint,
     interpolate_iwasawa,
-    iwasawa_specialize,
     w_coordinate,
 )
 

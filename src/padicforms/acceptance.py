@@ -422,9 +422,7 @@ def criterion_10(seed: int = 0) -> CriterionResult:
                 continue
             rows = operator_matrix(basis, lambda f: hecke_tp(f, k, p))
             mat = PadicMatrix.from_rows(rows, p, 4)
-            r_source = ordinary_projector(mat).rank
-            r_dual = ordinary_projector(mat.transpose()).rank
-            if r_source != r_dual:
+            if not rank_duality_check(mat)["equal"]:
                 ok = False
                 details.append(f"rank duality FAILS at (k,p)=({k},{p})")
     for (k, p) in ((4, 5), (12, 5)):

@@ -211,7 +211,14 @@ def _spectrum_core(
     certify_below: Optional[Fraction],
 ):
     """q-expansion-operator matrix and polygon, raising the working
-    modulus until the polygon certifies through the requested bound."""
+    modulus until the polygon certifies through the requested bound.
+
+    This is the library's one certify-by-raising-m loop.  With bound b
+    it starts at m_work = max(m, floor(b) + 3), steps by max(4, floor(b))
+    and gives up with ``PrecisionError`` past the cap
+    m + floor(b) * max(D, 2) + 16, D the Katz dimension.  Without a bound
+    it runs once at m.  The Katz basis is built once for all steps.
+    """
     basis = katz_basis(k, p, twist_depth, qprec)
     d = basis.dimension
     bound = None if certify_below is None else Fraction(certify_below)
@@ -246,6 +253,14 @@ def slope_spectrum(
     cross-checked to sit exactly inf{1,k} above the normalized one, and
     for k >= 2 the classical oracle is attached with a per-slope-class
     verdict below the classicality threshold k-1.
+
+    With ``certify_below`` = b the working modulus is raised until the
+    q-expansion polygon certifies every slope below b: from
+    max(m, floor(b) + 3) in steps of max(4, floor(b)), up to the cap
+    m + floor(b) * max(D, 2) + 16 (D the Katz dimension), past which
+    ``PrecisionError`` is raised.  Every certified spectrum in the
+    library, the theta probe's included, goes through this one rule.
+    The checks above run once, at the final modulus.
     """
     _check_even(k)
     basis, matrix, series, qpoly, m_work = _spectrum_core(

@@ -12,7 +12,10 @@ f -> sum a_{np} q^n on both sides, where the chain
 U_p^naive . theta^(k-1) = p^(k-1) theta^(k-1) . U_p^naive gives the
 shift.  theta^(k-1) kills the constants, which only live at source
 weight 0 (k = 2); that class is excluded and reported rather than
-counted.
+counted.  Both polygons come from ``coleman.slope_spectrum`` certified
+through fixed bounds, so the probe raises the working modulus by the
+one loop and cap rule of ``slope_spectrum``; it takes no twist-depth or
+bound parameters.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .charseries import char_series, newton_polygon
+from .charseries import char_series
 from .coleman import katz_basis, slope_spectrum, up_matrix
-from .errors import ConfigError, PrecisionError, VerificationError
+from .errors import ConfigError, PrecisionError
 from .linalg import invert_unimodular, ordinary_projector
 from .padic import PadicMatrix
 
@@ -94,15 +97,14 @@ def transpose_charseries_equal(matrix: PadicMatrix) -> bool:
     return char_series(matrix).coeffs == char_series(matrix.transpose()).coeffs
 
 
-def rank_duality_check(matrix: PadicMatrix, projector_m: int = 5) -> dict:
+def rank_duality_check(matrix: PadicMatrix) -> dict:
     """rank e(U_p) = rank e(F) with F the transposed operator.
 
-    Both projectors are computed by the factorial iteration at a
-    reduced modulus (the rank of an idempotent is stable under
-    reduction), so this stays cheap on large matrices.
+    Both projectors are computed by the factorial iteration with the
+    matrix reduced to modulus p^min(m, 5) (the rank of an idempotent is
+    stable under reduction), so this stays cheap on large matrices.
     """
-    m_use = min(projector_m, matrix.m)
-    reduced = matrix.reduce(m_use)
+    reduced = matrix.reduce(min(5, matrix.m))
     r_source = ordinary_projector(reduced).rank
     r_dual = ordinary_projector(reduced.transpose()).rank
     return {"rank_source": r_source, "rank_dual": r_dual, "equal": r_source == r_dual}
@@ -133,49 +135,26 @@ class ThetaProbeReport:
         )
 
 
-def _certified_qexp_polygon(k: int, p: int, twist_depth: int, m: int, bound: Fraction):
-    """q-expansion-operator polygon certified through ``bound``."""
-    report = slope_spectrum(k, p, twist_depth, m, classical=False)
-    poly = report.qexp_polygon
-    m_work = report.m_working
-    while not poly.certifies_through(bound):
-        if m_work > m + 120:
-            raise PrecisionError(
-                f"weight-{k} q-slopes below {bound} not certified "
-                f"(indeterminate at modulus {p}^{m_work})"
-            )
-        m_work += max(4, int(bound))
-        report = slope_spectrum(k, p, twist_depth, m_work, classical=False)
-        poly = report.qexp_polygon
-    return poly
-
-
-def theta_probe(
-    k: int,
-    p: int,
-    m: int,
-    twist_depth_source: Optional[int] = None,
-    twist_depth_target: Optional[int] = None,
-    source_bound: Fraction = Fraction(4),
-) -> ThetaProbeReport:
+def theta_probe(k: int, p: int, m: int) -> ThetaProbeReport:
     """Check that weight 2-k slopes reappear at weight k shifted by k-1.
 
     Slopes here are those of the q-expansion operator sum a_{np} q^n on
-    the Katz models of both weights; the comparison runs over source
-    slopes below ``source_bound`` with both polygons certified far
-    enough, and the negative control re-runs the containment with the
-    wrong shift k.
+    the Katz models of both weights, each taken from ``slope_spectrum``
+    certified through its bound: source slopes below 4, target slopes
+    below 4 + k + 1, which covers both the images s + k - 1 and the
+    negative control s + k.  Twist depths are the least giving Katz
+    dimension 6 (source) and 8 (target).
     """
     if k < 2:
         raise ConfigError("theta probe needs k >= 2")
     shift = k - 1
-    bound = Fraction(source_bound)
-    if twist_depth_source is None:
-        twist_depth_source = _default_depth(2 - k, p, 6)
-    if twist_depth_target is None:
-        twist_depth_target = _default_depth(k, p, 8)
-    src_poly = _certified_qexp_polygon(2 - k, p, twist_depth_source, m, bound)
-    tgt_poly = _certified_qexp_polygon(k, p, twist_depth_target, m, bound + k + 1)
+    bound = Fraction(4)
+    src_poly = slope_spectrum(
+        2 - k, p, _default_depth(2 - k, p, 6), m, certify_below=bound, classical=False
+    ).qexp_polygon
+    tgt_poly = slope_spectrum(
+        k, p, _default_depth(k, p, 8), m, certify_below=bound + k + 1, classical=False
+    ).qexp_polygon
     source = [s for s in src_poly.slope_multiset() if s < bound]
     target = tgt_poly.slope_multiset()
 

@@ -198,12 +198,15 @@ def unit_root_of_stabilization(t_p: int, k: int, p: int, m: int) -> int:
     """Unit root of x^2 - t_p x + p^(k-1) mod p^m, by Hensel iteration.
 
     This is the U_p eigenvalue of the ordinary p-stabilization of an
-    eigenform with T_p eigenvalue t_p (a unit).
+    eigenform with T_p eigenvalue t_p (a unit).  A root congruent to
+    t_p needs p | p^(k-1), so k >= 2 is required.
     """
+    if k < 2:
+        raise ValueError(f"the unit root needs weight k >= 2, got {k}")
     modulus = p**m
     if t_p % p == 0:
         raise ValueError("t_p must be a unit for an ordinary stabilization")
-    c = pow(p, k - 1, modulus) if k >= 1 else pow(p, k - 1, modulus)
+    c = pow(p, k - 1, modulus)
     x = t_p % modulus
     for _ in range(m.bit_length() + 2):
         fx = (x * x - t_p * x + c) % modulus

@@ -95,11 +95,6 @@ class IwasawaTruncation:
         return self.evaluate_at_w(w_coordinate(k, self.p, self.m))
 
 
-def iwasawa_specialize(truncation: IwasawaTruncation, k: int) -> PadicScalar:
-    """Evaluate an Iwasawa truncation at the classical weight k."""
-    return truncation.specialize(k)
-
-
 def interpolate_iwasawa(
     samples: Sequence[Tuple[int, int]],
     p: int,

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +168,26 @@ def test_acceptance_subset_command(capsys):
     assert "criterion 2" in err
     code, _, _ = run_cli(capsys, "acceptance", "--criteria", "11")
     assert code == EXIT_CONFIG
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# Byte-exact stdout of fixed CLI runs: behaviour is "the same" across a
+# refactor exactly when these files still match.  Each file name encodes
+# the arguments of the run that produced it.
+GOLDEN_RUNS = {
+    "duality_k4_p5_I8_m8.json": ["duality", "--k", "4", "--p", "5", "--I", "8", "--m", "8"],
+    "duality_k2_p7_I6_m6.json": ["duality", "--k", "2", "--p", "7", "--I", "6", "--m", "6"],
+    "slopes_p5_k4_I12_m8.json": ["slopes", "--p", "5", "--k", "4", "--I", "12", "--m", "8"],
+    "classicality_k12_p5_I30_m10.json": [
+        "classicality", "--k", "12", "--p", "5", "--I", "30", "--m", "10",
+    ],
+    "charseries_k0_p5_I2_m6.json": ["charseries", "--k", "0", "--p", "5", "--I", "2", "--m", "6"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_outputs(capsys, name):
+    code, out, _ = run_cli(capsys, *GOLDEN_RUNS[name])
+    assert code == EXIT_OK
+    assert out.encode() == (GOLDEN_DIR / name).read_bytes()

@@ -1,8 +1,9 @@
 import random
-from fractions import Fraction
 
 import pytest
 
+from padicforms import coleman
+from padicforms.acceptance import THETA_CONFIGS
 from padicforms.charseries import char_series
 from padicforms.coleman import katz_basis, up_matrix
 from padicforms.duality import (
@@ -69,23 +70,40 @@ def test_rank_duality_on_ordinary_blocks():
     assert res["equal"] and res["rank_source"] == 1
 
 
-def test_theta_probe_weight4():
-    probe = theta_probe(4, 5, m=10)
+# (source -> target q-slope, flag) for every class of each acceptance
+# configuration; "kernel" marks the constants killed by theta at k = 2
+THETA_CLASSES = {
+    (2, 5): ((0, 1, "kernel"), (1, 2, "present")),
+    (4, 5): ((0, 3, "present"), (2, 5, "present")),
+    (4, 7): ((0, 3, "present"), (1, 4, "present"), (3, 6, "present")),
+}
+
+
+@pytest.mark.parametrize("k,p", THETA_CONFIGS)
+def test_theta_probe(monkeypatch, k, p):
+    calls = []
+    real_katz_basis = coleman.katz_basis
+
+    def counting_katz_basis(*args, **kwargs):
+        calls.append(args)
+        return real_katz_basis(*args, **kwargs)
+
+    monkeypatch.setattr(coleman, "katz_basis", counting_katz_basis)
+    probe = theta_probe(k, p, m=10)
+    # one Katz basis per side: the certification loop reuses it
+    assert len(calls) == 2
     assert probe.passed
-    assert probe.shift == 3
-    sources = [c.source_qslope for c in probe.classes]
-    assert Fraction(0) in sources and Fraction(2) in sources
+    assert probe.shift == k - 1
     assert not probe.control_contained
-    assert not any(c.kernel_excluded for c in probe.classes)
-
-
-def test_theta_probe_weight2_kernel_exclusion():
-    probe = theta_probe(2, 5, m=10)
-    assert probe.passed
-    kernel = [c for c in probe.classes if c.kernel_excluded]
-    assert len(kernel) == 1 and kernel[0].source_qslope == 0
-    lifted = [c for c in probe.classes if c.present]
-    assert lifted  # the non-constant classes do lift
+    classes = tuple(
+        (
+            c.source_qslope,
+            c.target_qslope,
+            "kernel" if c.kernel_excluded else ("present" if c.present else "missing"),
+        )
+        for c in probe.classes
+    )
+    assert classes == THETA_CLASSES[(k, p)]
 
 
 def test_theta_probe_validation():

@@ -101,6 +101,10 @@ def test_unit_root():
     assert root % 11 == 534612 % 11
     with pytest.raises(ValueError):
         unit_root_of_stabilization(4830, 12, 5, 4)
+    # an ordinary root needs p | p^(k-1); smaller weights are rejected up front
+    for k in (1, 0, -2):
+        with pytest.raises(ValueError, match="k >= 2"):
+            unit_root_of_stabilization(126, k, 5, 6)
 
 
 def test_fit_family_eisenstein():

@@ -6,7 +6,6 @@ from padicforms.weights import (
     WeightPoint,
     congruence_table,
     interpolate_iwasawa,
-    iwasawa_specialize,
     w_coordinate,
 )
 
@@ -34,7 +33,7 @@ def test_weight_point_validation():
 def test_specialize_constant_and_linear():
     const = IwasawaTruncation(5, 0, (7,), 4)
     for k in (0, 4, 8, 20):
-        assert int(iwasawa_specialize(const, k)) == 7
+        assert int(const.specialize(k)) == 7
     linear = IwasawaTruncation(5, 0, (0, 1), 4)  # the polynomial w
     assert int(linear.specialize(0)) == 0
     assert int(linear.specialize(4)) == 1295 % 625
