@@ -1,6 +1,6 @@
 """Exact p-adic spectral theory of Hecke operators on q-expansion models.
 
-Scalars and matrices over Z/p^m with honest precision tracking, Hecke
+Matrices over Z/p^m with honest precision tracking, Hecke
 operators with exact p-power normalizations, ordinary projectors and
 Hida families, overconvergent U_p slope spectra with classicality
 comparisons, local eigencurve data over weight discs, and the
@@ -70,7 +70,7 @@ from .linalg import (
     ordinary_projector,
     solve_in_basis,
 )
-from .padic import PadicMatrix, PadicScalar
+from .padic import PadicMatrix
 from .qexp import ModRing, QSeries, ZZ
 from .weights import (
     IwasawaTruncation,

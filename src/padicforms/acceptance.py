@@ -258,7 +258,7 @@ def criterion_5(seed: int = 0) -> CriterionResult:
     details.append("a_2 congruences hold mod 5^m for k = k' mod 4*5^(m-1), m <= 3")
     # the fitted polynomial predicts a held-out weight to the disc distance
     fit2 = family.fitted[2][family.keys[0]]
-    predicted = int(fit2.specialize(24))
+    predicted = fit2.specialize(24)
     if (predicted - (1 + 2**23)) % 5**2 != 0:
         ok = False
         details.append("fitted a_2 fails the held-out weight 24")
@@ -379,7 +379,7 @@ def criterion_9(seed: int = 0) -> CriterionResult:
         )
         prec = min(e_bound, predicted.m)
         good = all(
-            (int(a) - int(b)) % p**prec == 0
+            (a - b) % p**prec == 0
             for a, b in zip(predicted.coeffs, direct.coeffs)
         )
         ok = ok and good

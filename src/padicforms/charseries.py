@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .padic import PadicMatrix, PadicScalar, val_p
+from .padic import PadicMatrix, _check_pm, val_p
 
 
 def charpoly_reversed(rows: Sequence[Sequence[int]], modulus: Optional[int] = None) -> List[int]:
@@ -69,54 +69,38 @@ def charpoly_reversed(rows: Sequence[Sequence[int]], modulus: Optional[int] = No
 class CharSeries:
     """det(1 - T.U) as a polynomial of degree <= D over Z/p^m.
 
-    ``reliable_degree`` marks how far the coefficients are meaningful
-    as data about the operator being modelled; for the exact series of
-    a concrete matrix it is the full degree.
+    ``coeffs`` are plain ints, reduced mod p^m on construction.
     """
 
     coeffs: tuple
-    reliable_degree: int
+    p: int
+    m: int
 
     def __post_init__(self) -> None:
+        _check_pm(self.p, self.m)
         if not self.coeffs:
             raise ValueError("characteristic series needs at least c_0")
-        if int(self.coeffs[0]) != 1:
+        modulus = self.p**self.m
+        coeffs = tuple(c % modulus for c in self.coeffs)
+        if coeffs[0] != 1:
             raise ValueError("c_0 must be exactly 1")
-        if not 0 <= self.reliable_degree <= self.degree:
-            raise ValueError("reliable_degree out of range")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def p(self) -> int:
-        return self.coeffs[0].p
-
-    @property
-    def m(self) -> int:
-        return self.coeffs[0].m
-
-    @classmethod
-    def from_matrix(cls, matrix: PadicMatrix, reliable_degree: Optional[int] = None) -> "CharSeries":
-        ints = charpoly_reversed(matrix.rows, matrix.modulus)
-        coeffs = tuple(PadicScalar(c, matrix.p, matrix.m) for c in ints)
-        if reliable_degree is None:
-            reliable_degree = len(ints) - 1
-        return cls(coeffs, reliable_degree)
-
     def valuation_points(self) -> List[Tuple[int, Optional[int]]]:
         """(index, valuation) pairs; None marks a saturated coefficient."""
-        pts: List[Tuple[int, Optional[int]]] = []
-        for j, c in enumerate(self.coeffs[: self.reliable_degree + 1]):
-            v = c.valuation()
-            pts.append((j, None if v >= self.m else v))
-        return pts
+        return [
+            (j, None if c == 0 else val_p(c, self.p)) for j, c in enumerate(self.coeffs)
+        ]
 
 
-def char_series(matrix: PadicMatrix, reliable_degree: Optional[int] = None) -> CharSeries:
+def char_series(matrix: PadicMatrix) -> CharSeries:
     """Characteristic series of U: coefficients of det(I - T.U)."""
-    return CharSeries.from_matrix(matrix, reliable_degree)
+    coeffs = charpoly_reversed(matrix.rows, matrix.modulus)
+    return CharSeries(tuple(coeffs), matrix.p, matrix.m)
 
 
 ALL_SATURATED = "all-coefficients-saturated"

@@ -73,6 +73,10 @@ class JobConfig:
     def validate(self) -> None:
         if self.p is not None and not is_prime(self.p):
             raise ConfigError(f"--p {self.p} is not prime")
+        if self.k is not None and self.k % 2 != 0:
+            raise ConfigError(f"--k {self.k} is odd: odd-weight level-1 spaces are empty")
+        if self.command == "basis" and (self.p is None) != (self.m is None):
+            raise ConfigError("basis: --p and --m must be given together")
         if self.m is not None and self.m < 1:
             raise ConfigError("--m must be >= 1")
         if self.twist_depth is not None and self.twist_depth < 0:

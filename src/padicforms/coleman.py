@@ -33,7 +33,7 @@ from .forms import SUPPORTED_PRIMES, basis_dimension, eisenstein, miller_basis
 from .hecke import up, up_naive
 from .hida import tp_matrix
 from .linalg import solve_in_basis
-from .padic import PadicMatrix, PadicScalar, is_prime
+from .padic import PadicMatrix, is_prime
 from .qexp import ModRing, QSeries
 
 
@@ -280,7 +280,7 @@ def slope_spectrum(
     naive_matrix = up_matrix(basis, m_work, normalization="naive")
     naive_series = char_series(naive_matrix)
     expected = _scaled_series(series, 1, p, m_work)
-    naive_checked = naive_series.coeffs == expected.coeffs
+    naive_checked = naive_series == expected
     if not naive_checked:
         raise VerificationError("naive U_p char series fails the p-scaling relation")
     naive_poly = shift_polygon(qpoly, 1)
@@ -311,11 +311,8 @@ def slope_spectrum(
 
 
 def _scaled_series(series: CharSeries, shift: int, p: int, m: int) -> CharSeries:
-    coeffs = tuple(
-        PadicScalar(int(c) * p ** (shift * j), p, m)
-        for j, c in enumerate(series.coeffs)
-    )
-    return CharSeries(coeffs, series.reliable_degree)
+    coeffs = tuple(c * p ** (shift * j) for j, c in enumerate(series.coeffs))
+    return CharSeries(coeffs, p, m)
 
 
 def _slope_class_verdicts(poly, classical_slopes, threshold, m_requested) -> List[dict]:

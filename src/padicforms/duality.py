@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence
 from .charseries import char_series
 from .coleman import katz_basis, slope_spectrum, up_matrix
 from .errors import ConfigError, PrecisionError
+from .forms import basis_dimension
 from .linalg import invert_unimodular, ordinary_projector
 from .padic import PadicMatrix
 
@@ -199,8 +200,6 @@ def theta_probe(k: int, p: int, m: int) -> ThetaProbeReport:
 
 
 def _default_depth(k: int, p: int, min_dim: int) -> int:
-    from .forms import basis_dimension
-
     depth = 0
     while basis_dimension(k + depth * (p - 1)) < min_dim:
         depth += 1

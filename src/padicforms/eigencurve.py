@@ -19,7 +19,6 @@ from .charseries import CharSeries, NewtonPolygon, char_series, newton_polygon
 from .coleman import katz_basis, up_matrix
 from .errors import ConfigError, PrecisionError, VerificationError
 from .forms import SUPPORTED_PRIMES, basis_dimension
-from .padic import PadicScalar
 from .weights import IwasawaTruncation, interpolate_iwasawa, w_coordinate
 
 
@@ -67,7 +66,6 @@ class TwoVarCharSeries:
     qprec: int
     coeffs: tuple
     samples: tuple  # ((k, CharSeries), ...)
-    reliable_degree: int
 
     @property
     def degree(self) -> int:
@@ -80,11 +78,9 @@ class TwoVarCharSeries:
                 f"weight {k} not on component {self.disc.component}"
             )
         m_eff = min(c.m for c in self.coeffs)
-        p = self.disc.p
-        scalars = tuple(
-            PadicScalar(int(c.specialize(k)), p, m_eff) for c in self.coeffs
+        return CharSeries(
+            tuple(c.specialize(k) for c in self.coeffs), self.disc.p, m_eff
         )
-        return CharSeries(scalars, self.reliable_degree)
 
     def is_sample(self, k: int) -> bool:
         return k in self.disc.sample_weights
@@ -121,11 +117,10 @@ def two_var_charseries(
         IwasawaTruncation(p, disc.component, (1,), disc.m)
     ]
     for j in range(1, d_total + 1):
-        samples = [(k, int(series.coeffs[j])) for k, series in per_weight]
+        samples = [(k, series.coeffs[j]) for k, series in per_weight]
         fit = interpolate_iwasawa(samples, p, disc.m, disc.component)
         for k, value in samples:
-            got = int(fit.specialize(k))
-            if got != value % p**fit.m:
+            if fit.specialize(k) != value % p**fit.m:
                 raise VerificationError(
                     f"re-specialization residual at coefficient {j}, weight {k}"
                 )
@@ -137,7 +132,6 @@ def two_var_charseries(
         qprec=qprec_used,
         coeffs=tuple(coeffs),
         samples=tuple(per_weight),
-        reliable_degree=d_total,
     )
 
 

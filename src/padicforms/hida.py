@@ -10,10 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .charseries import charpoly_reversed
 from .errors import ConfigError, PrecisionError, VerificationError
 from .forms import SUPPORTED_PRIMES, SpaceBasis, basis_dimension, miller_basis
 from .hecke import hecke_tp
-from .linalg import echelon_mod_p, in_row_span_mod_p, ordinary_projector
+from .linalg import echelon_mod_p, in_row_span_mod_p, ordinary_projector, solve_in_basis
 from .padic import PadicMatrix, is_prime, val_p
 from .qexp import ModRing, QSeries, ZZ
 from .weights import IwasawaTruncation, congruence_table, interpolate_iwasawa
@@ -251,8 +252,6 @@ def _restrict_to_image(op_mat: PadicMatrix, image_cols: List[Tuple[int, ...]], p
     ``image_cols`` are columns spanning im(e) whose restriction to
     ``pivot_rows`` is unimodular; commuting operators preserve the span.
     """
-    from .linalg import solve_in_basis
-
     r = len(image_cols)
     modulus = p**m
     images = []
@@ -291,13 +290,7 @@ def _poly_roots_mod_p(coeffs: Sequence[int], p: int) -> Dict[int, int]:
                 acc = (acc * r + c) % p
             if acc != 0:
                 break
-            # synthetic division by (x - r)
-            out = []
-            carry = 0
-            for c in work[:-1]:
-                carry = (carry * r + c) % p
-                out.append(carry)
-            work = out
+            work = _divide_out_root(work, r, 1, p)
             roots[r] = roots.get(r, 0) + 1
     return roots
 
@@ -327,8 +320,6 @@ def _split_ordinary_systems(
 ):
     """Split the ordinary block into rank-1 eigensystems where mod-p
     eigenvalues separate; inseparable parts are reported unsplit."""
-    from .charseries import charpoly_reversed
-
     proj = ordinary_projector(op_mats[p])
     e = proj.idempotent
     r = proj.rank
@@ -412,7 +403,7 @@ def _evaluate_poly(mat: PadicMatrix, mon_desc: Sequence[int], p: int, m: int) ->
 
 
 def _restrict_operators_to_subblock(restricted, idem, p, m):
-    rank = int(idem.trace())
+    rank = idem.trace()
     chosen, pivot_rows = _independent_columns(idem, rank, p)
     return {
         ell: _restrict_to_image(mat, chosen, pivot_rows, p, m)
@@ -520,8 +511,7 @@ def fit_family(
             samples = [(k, eigen_data[k][ell][idx]) for k in weights]
             fit = interpolate_iwasawa(samples, p, m, component % (p - 1))
             for k, value in samples:
-                observed = fit.specialize(k)
-                if observed.residue != value % p**fit.m:
+                if fit.specialize(k) != value % p**fit.m:
                     raise VerificationError(
                         f"fitted a_{ell} fails to reproduce the weight-{k} sample"
                     )

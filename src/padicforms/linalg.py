@@ -220,7 +220,7 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: int = 4096) -> Proje
         raise VerificationError(
             f"ordinary projector did not stabilize within {max_iterations} factorial steps"
         )
-    rank = int(idem.trace())
+    rank = idem.trace()
     if rank > idem.size:
         raise VerificationError("idempotent trace exceeds matrix size")
     # The image of an idempotent over the local ring Z/p^m is free, so

@@ -1,8 +1,9 @@
-"""Exact scalars and dense square matrices over Z/p^m.
+"""Exact dense square matrices over Z/p^m.
 
 Everything is plain integer arithmetic reduced modulo p^m; there is no
-floating point anywhere.  Valuations are saturated at the precision
-exponent: ``valuation(0) = m`` means "at least m", not "equals m".
+floating point anywhere.  Values mod p^m are plain reduced ints, and
+their valuations are saturated at the precision exponent: a zero
+residue has valuation m, meaning "at least m", not "equals m".
 
 All values are immutable after construction, so they can be shared
 freely between threads.
@@ -50,84 +51,6 @@ def val_p(x: int, p: int, saturate: Optional[int] = None) -> int:
         if saturate is not None and v >= saturate:
             return saturate
     return v
-
-
-@dataclass(frozen=True)
-class PadicScalar:
-    """An element of Z/p^m, stored as its reduced residue."""
-
-    residue: int
-    p: int
-    m: int
-
-    def __post_init__(self) -> None:
-        _check_pm(self.p, self.m)
-        object.__setattr__(self, "residue", self.residue % self.p**self.m)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.m
-
-    def valuation(self) -> int:
-        """v_p of the residue, saturated at m (so valuation(0) = m)."""
-        return val_p(self.residue, self.p, saturate=self.m)
-
-    def is_unit(self) -> bool:
-        return self.residue % self.p != 0
-
-    def is_zero(self) -> bool:
-        return self.residue == 0
-
-    def _lift(self, other: "PadicScalar | int") -> int:
-        if isinstance(other, PadicScalar):
-            if (other.p, other.m) != (self.p, self.m):
-                raise ValueError(
-                    f"scalar mismatch: Z/{self.p}^{self.m} vs Z/{other.p}^{other.m}"
-                )
-            return other.residue
-        return int(other)
-
-    def __add__(self, other: "PadicScalar | int") -> "PadicScalar":
-        return PadicScalar(self.residue + self._lift(other), self.p, self.m)
-
-    def __sub__(self, other: "PadicScalar | int") -> "PadicScalar":
-        return PadicScalar(self.residue - self._lift(other), self.p, self.m)
-
-    def __mul__(self, other: "PadicScalar | int") -> "PadicScalar":
-        return PadicScalar(self.residue * self._lift(other), self.p, self.m)
-
-    def __neg__(self) -> "PadicScalar":
-        return PadicScalar(-self.residue, self.p, self.m)
-
-    def inverse(self) -> "PadicScalar":
-        if not self.is_unit():
-            raise ZeroDivisionError(
-                f"{self.residue} is not a unit mod {self.p}^{self.m}"
-            )
-        return PadicScalar(pow(self.residue, -1, self.modulus), self.p, self.m)
-
-    def exact_divide_by_p_power(self, j: int) -> "PadicScalar":
-        """Divide by p^j; the result lives in Z/p^(m-j).
-
-        This is the only precision-losing scalar operation.
-        """
-        from .errors import PrecisionError
-
-        if j < 0 or j >= self.m:
-            raise PrecisionError(f"cannot divide by p^{j} at precision {self.m}")
-        if self.residue % self.p**j != 0:
-            raise PrecisionError(
-                f"{self.residue} is not divisible by {self.p}^{j} mod {self.p}^{self.m}"
-            )
-        return PadicScalar(self.residue // self.p**j, self.p, self.m - j)
-
-    def reduce(self, m_new: int) -> "PadicScalar":
-        if m_new > self.m:
-            raise ValueError("cannot increase precision by reduction")
-        return PadicScalar(self.residue, self.p, m_new)
-
-    def __int__(self) -> int:
-        return self.residue
 
 
 @dataclass(frozen=True)
@@ -179,9 +102,6 @@ class PadicMatrix:
     @property
     def modulus(self) -> int:
         return self.p**self.m
-
-    def entry(self, i: int, j: int) -> PadicScalar:
-        return PadicScalar(self.rows[i][j], self.p, self.m)
 
     def _check_compatible(self, other: "PadicMatrix") -> None:
         if (other.p, other.m) != (self.p, self.m):
@@ -275,10 +195,9 @@ class PadicMatrix:
             self.basis_tag,
         )
 
-    def trace(self) -> PadicScalar:
-        return PadicScalar(
-            sum(self.rows[i][i] for i in range(self.size)), self.p, self.m
-        )
+    def trace(self) -> int:
+        """Sum of the diagonal, reduced mod p^m."""
+        return sum(self.rows[i][i] for i in range(self.size)) % self.modulus
 
     def reduce(self, m_new: int) -> "PadicMatrix":
         if m_new > self.m:

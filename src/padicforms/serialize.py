@@ -59,7 +59,7 @@ def charseries_json(series: CharSeries) -> Dict[str, Any]:
     return {
         "p": num(series.p),
         "m": num(series.m),
-        "reliable_degree": num(series.reliable_degree),
+        "reliable_degree": num(series.degree),
         "coeffs": [num(c) for c in series.coeffs],
     }
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import PrecisionError, VerificationError
-from .padic import PadicScalar, _check_pm, val_p
+from .padic import _check_pm, val_p
 
 
 def w_coordinate(k: int, p: int, m: int) -> int:
@@ -62,7 +62,7 @@ class IwasawaTruncation:
     """A polynomial in the disc coordinate w, over Z/p^m.
 
     Specializing at a classical weight k on the same component gives a
-    scalar mod p^m.
+    residue mod p^m, as a plain int in [0, p^m).
     """
 
     p: int
@@ -80,14 +80,14 @@ class IwasawaTruncation:
     def degree(self) -> int:
         return len(self.poly_coeffs) - 1
 
-    def evaluate_at_w(self, w: int) -> PadicScalar:
+    def evaluate_at_w(self, w: int) -> int:
         modulus = self.p**self.m
         acc = 0
         for c in reversed(self.poly_coeffs):
             acc = (acc * w + c) % modulus
-        return PadicScalar(acc, self.p, self.m)
+        return acc
 
-    def specialize(self, k: int) -> PadicScalar:
+    def specialize(self, k: int) -> int:
         if k % (self.p - 1) != self.component:
             raise ValueError(
                 f"weight {k} is not on component {self.component} mod {self.p - 1}"

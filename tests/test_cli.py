@@ -132,6 +132,17 @@ def test_config_errors_exit_2(capsys):
         capsys, "slopes", "--p", "5", "--k", "4", "--I", "2", "--Q", "5", "--m", "8"
     )
     assert code == EXIT_CONFIG and "p*D" in err
+    for argv in (
+        ["basis", "--k", "5"],
+        ["tp-matrix", "--k", "5", "--p", "5"],
+        ["ordinary-rank", "--k", "5", "--p", "5"],
+        ["control-check", "--k", "5", "--p", "5", "--n", "1"],
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG and "odd" in err
+    for argv in (["basis", "--k", "12", "--p", "5"], ["basis", "--k", "12", "--m", "3"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG and "--p and --m" in err
 
 
 def test_unknown_flags_rejected():

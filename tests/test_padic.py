@@ -1,43 +1,6 @@
 import pytest
 
-from padicforms.errors import PrecisionError
-from padicforms.padic import PadicMatrix, PadicScalar, val_p
-
-
-def test_scalar_reduction_and_valuation():
-    x = PadicScalar(630, 5, 3)
-    assert x.residue == 630 % 125
-    assert x.valuation() == 1
-    assert PadicScalar(0, 5, 3).valuation() == 3
-    assert PadicScalar(125, 5, 3).valuation() == 3  # saturated: 125 = 0 mod 5^3
-    assert PadicScalar(3, 7, 2).valuation() == 0
-
-
-def test_scalar_arithmetic():
-    a = PadicScalar(7, 5, 3)
-    b = PadicScalar(120, 5, 3)
-    assert (a + b).residue == 127 % 125
-    assert (a * b).residue == (7 * 120) % 125
-    assert (-a).residue == 125 - 7
-    assert (a - b).residue == (7 - 120) % 125
-    assert int(a.inverse() * a) == 1
-
-
-def test_scalar_exact_division():
-    x = PadicScalar(50, 5, 3)
-    y = x.exact_divide_by_p_power(2)
-    assert (y.residue, y.m) == (2, 1)
-    with pytest.raises(PrecisionError):
-        PadicScalar(7, 5, 3).exact_divide_by_p_power(1)
-
-
-def test_scalar_ring_mismatch():
-    with pytest.raises(ValueError):
-        PadicScalar(1, 5, 3) + PadicScalar(1, 5, 2)
-    with pytest.raises(ValueError):
-        PadicScalar(1, 4, 3)  # p not prime
-    with pytest.raises(ValueError):
-        PadicScalar(1, 5, 0)
+from padicforms.padic import PadicMatrix, val_p
 
 
 def test_val_p():
@@ -45,6 +8,10 @@ def test_val_p():
     assert val_p(-250, 5) == 3
     assert val_p(12, 5) == 0
     assert val_p(0, 5, saturate=6) == 6
+    assert val_p(630, 5, saturate=3) == 1
+    assert val_p(125, 5, saturate=3) == 3  # saturated: 125 = 0 mod 5^3
+    assert val_p(625, 5, saturate=3) == 3  # true valuation 4, capped at 3
+    assert val_p(3, 7, saturate=2) == 0
     with pytest.raises(ValueError):
         val_p(0, 5)
 
@@ -55,7 +22,8 @@ def test_matrix_basics():
     assert (a @ b).rows == a.rows
     assert (a + (-a)).is_zero()
     assert (a - a).is_zero()
-    assert int(a.trace()) == 5
+    assert a.trace() == 5
+    assert PadicMatrix.from_rows([[100, 0], [0, 30]], 5, 3).trace() == 5  # 130 mod 125
     assert a.transpose().rows == ((1, 3), (2, 4))
     assert (a**0).rows == b.rows
     assert (a**3).rows == (a @ a @ a).rows
