@@ -23,7 +23,7 @@ from .duality import (
 )
 from .eigencurve import WeightDisc, local_piece_report, two_var_charseries
 from .forms import delta, eisenstein, miller_basis
-from .hecke import frobenius, hecke_tp, up, up_naive
+from .hecke import frobenius, hecke_tp, up
 from .hida import (
     control_check_h0,
     fit_family,

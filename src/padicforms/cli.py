@@ -23,7 +23,7 @@ from .coleman import classicality_check, katz_basis, slope_spectrum, up_matrix
 from .duality import charseries_duality_check
 from .eigencurve import WeightDisc, local_piece_report, two_var_charseries
 from .errors import ConfigError, PrecisionError, VerificationError
-from .forms import SUPPORTED_PRIMES, basis_dimension, miller_basis
+from .forms import basis_dimension, miller_basis
 from .hida import (
     control_check_h0,
     control_check_h0_weight2,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .charseries import (
     CharSeries,
@@ -29,7 +29,7 @@ from .charseries import (
     newton_polygon_exact,
 )
 from .errors import ConfigError, PrecisionError, VerificationError
-from .forms import SUPPORTED_PRIMES, basis_dimension, eisenstein, miller_basis
+from .forms import SUPPORTED_PRIMES, MillerPowers, basis_dimension, eisenstein, miller_rows
 from .hecke import up, up_naive
 from .hida import tp_matrix
 from .linalg import solve_in_basis
@@ -92,6 +92,10 @@ def katz_basis(k: int, p: int, twist_depth: int, qprec: Optional[int] = None) ->
     Block sizes are the jumps of the dimension ladder
     dim M_{k + i(p-1)}; q-precision defaults to p*(D+4) and must be at
     least p*D so that one U_p application still determines coordinates.
+    Each rung builds only its new Miller rows j >= dim M_{k + (i-1)(p-1)},
+    from the monomials with Delta^c, c >= j, whose E4 and Delta powers
+    come from one table shared by every rung; no full Miller basis is
+    built.
     """
     if p not in SUPPORTED_PRIMES:
         raise ConfigError(f"p must be one of {SUPPORTED_PRIMES}, got {p}")
@@ -109,14 +113,11 @@ def katz_basis(k: int, p: int, twist_depth: int, qprec: Optional[int] = None) ->
         raise PrecisionError(
             f"q-precision {qprec} below p*D = {p * max(total, 1)}"
         )
+    powers = MillerPowers(qprec)
     blocks = []
     prev = 0
     for i, d in enumerate(dims):
-        if d == prev:
-            blocks.append(())
-            continue
-        forms = miller_basis(k + i * (p - 1), qprec).forms
-        blocks.append(tuple(forms[prev:d]))
+        blocks.append(miller_rows(k + i * (p - 1), prev, powers))
         prev = d
     return KatzBasis(p, k, twist_depth, qprec, tuple(blocks))
 
@@ -140,6 +141,14 @@ def up_matrix(basis: KatzBasis, m: int, normalization: str = "weight") -> PadicM
     assembled by applying the chosen operator and solving in the basis,
     with the effective precision recorded on the result.
     """
+    elements = basis.elements_mod(m) if basis.dimension else []
+    return _solve_up(basis, elements, m, normalization)
+
+
+def _solve_up(
+    basis: KatzBasis, elements: Sequence[QSeries], m: int, normalization: str
+) -> PadicMatrix:
+    """``up_matrix`` on Katz elements already evaluated over Z/p^m."""
     k = basis.weight
     if normalization == "weight":
         op = lambda f: up(f, k, basis.p)
@@ -153,7 +162,6 @@ def up_matrix(basis: KatzBasis, m: int, normalization: str = "weight") -> PadicM
     tag = f"katz:p{basis.p}:k{k}:I{basis.twist_depth}"
     if d == 0:
         return PadicMatrix.from_rows((), basis.p, m, tag)
-    elements = basis.elements_mod(m)
     images = [op(f) for f in elements]
     coeff_rows = [[elements[h].coeffs[c] for h in range(d)] for c in range(d)]
     bmat = PadicMatrix.from_rows(coeff_rows, basis.p, m)
@@ -217,19 +225,25 @@ def _spectrum_core(
     it starts at m_work = max(m, floor(b) + 3), steps by max(4, floor(b))
     and gives up with ``PrecisionError`` past the cap
     m + floor(b) * max(D, 2) + 16, D the Katz dimension.  Without a bound
-    it runs once at m.  The Katz basis is built once for all steps.
+    it runs once at m.  The Katz basis is built once for all steps, and
+    so are its elements b_{i,j} * E_{p-1}^{-i}: once, over Z/p^cap (over
+    Z/p^m without a bound), each step reducing them to Z/p^m_work.  The
+    elements of the final step are returned with the rest.
     """
     basis = katz_basis(k, p, twist_depth, qprec)
     d = basis.dimension
     bound = None if certify_below is None else Fraction(certify_below)
     m_work = max(m, (int(bound) + 3) if bound is not None else m)
     cap = m + (int(bound) if bound is not None else 0) * max(d, 2) + 16
+    top = basis.elements_mod(max(m_work, cap) if bound is not None else m_work)
     while True:
-        matrix = up_matrix(basis, m_work, normalization="qexp")
+        ring = ModRing(p, m_work)
+        elements = [e.to_ring(ring) for e in top]
+        matrix = _solve_up(basis, elements, m_work, "qexp")
         series = char_series(matrix)
         poly = newton_polygon(series)
         if bound is None or poly.certifies_through(bound):
-            return basis, matrix, series, poly, m_work
+            return basis, elements, matrix, series, poly, m_work
         if m_work >= cap:
             raise PrecisionError(
                 f"slopes below {bound} not certified at modulus {p}^{m_work} "
@@ -260,10 +274,13 @@ def slope_spectrum(
     m + floor(b) * max(D, 2) + 16 (D the Katz dimension), past which
     ``PrecisionError`` is raised.  Every certified spectrum in the
     library, the theta probe's included, goes through this one rule.
-    The checks above run once, at the final modulus.
+    The checks above run once, at the final modulus.  The Katz elements
+    are built once per spectrum, at the cap (at m without a bound), and
+    reduced to the working modulus on each step; the naive cross-check
+    reuses those of the final step.
     """
     _check_even(k)
-    basis, matrix, series, qpoly, m_work = _spectrum_core(
+    basis, elements, matrix, series, qpoly, m_work = _spectrum_core(
         k, p, twist_depth, m, qprec, certify_below
     )
     shift = normalization_shift(k, "weight")
@@ -277,7 +294,7 @@ def slope_spectrum(
 
     # independent assembly of the naive matrix; its char series must be
     # the p^j-scaled one, which pins the slope relation exactly
-    naive_matrix = up_matrix(basis, m_work, normalization="naive")
+    naive_matrix = _solve_up(basis, elements, m_work, "naive")
     naive_series = char_series(naive_matrix)
     expected = _scaled_series(series, 1, p, m_work)
     naive_checked = naive_series == expected

@@ -19,7 +19,7 @@ from .charseries import CharSeries, NewtonPolygon, char_series, newton_polygon
 from .coleman import katz_basis, up_matrix
 from .errors import ConfigError, PrecisionError, VerificationError
 from .forms import SUPPORTED_PRIMES, basis_dimension
-from .weights import IwasawaTruncation, interpolate_iwasawa, w_coordinate
+from .weights import IwasawaTruncation, interpolate_iwasawa
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,52 @@ class SpaceBasis:
         return self.forms[0].ring if self.forms else ZZ
 
 
+class MillerPowers:
+    """E4, E6 and Delta at one q-precision over one ring, with the powers
+    E4^a and Delta^c each built once, by one product from the power
+    before.  One table serves the Miller rows of any number of weights.
+    """
+
+    def __init__(self, qprec: int, ring: Ring = ZZ) -> None:
+        one = QSeries.constant(1, qprec, ring)
+        self.e6 = eisenstein(6, qprec, ring)
+        self._e4 = [one, eisenstein(4, qprec, ring)]
+        self._delta = [one, delta(qprec, ring)]
+
+    @staticmethod
+    def _power(table: List[QSeries], n: int) -> QSeries:
+        while len(table) <= n:
+            table.append(table[-1] * table[1])
+        return table[n]
+
+    def monomial(self, k: int, c: int) -> QSeries:
+        """E4^a E6^b Delta^c of weight k, with b = 0 or 1 by (k - 12c) mod 4."""
+        rem = k - 12 * c
+        b = 0 if rem % 4 == 0 else 1
+        a = (rem - 6 * b) // 4
+        if a < 0:
+            raise ArithmeticError(f"no E4^a E6^b monomial of weight {rem}")
+        out = self._power(self._e4, a) * self._power(self._delta, c)
+        return out * self.e6 if b else out
+
+
+def miller_rows(k: int, start: int, powers: MillerPowers) -> tuple:
+    """Rows start, ..., dim-1 of the weight-k Miller basis.
+
+    Row j is built from the monomials E4^a E6^b Delta^c with c >= j
+    only, so the rows from ``start`` on need neither the earlier
+    monomials nor the earlier rows.
+    """
+    rows = [powers.monomial(k, c) for c in range(start, basis_dimension(k))]
+    # clear the q^i tail of each row against the later ones
+    for j in range(len(rows) - 2, -1, -1):
+        for i in range(j + 1, len(rows)):
+            cij = rows[j].coefficient(start + i)
+            if cij != 0:
+                rows[j] = rows[j] - rows[i].scale(cij)
+    return tuple(rows)
+
+
 def miller_basis(k: int, qprec: int, ring: Ring = ZZ) -> SpaceBasis:
     """Victor Miller's echelon basis of M_k(SL_2(Z)) from E4^a E6^b Delta^c.
 
@@ -147,26 +193,7 @@ def miller_basis(k: int, qprec: int, ring: Ring = ZZ) -> SpaceBasis:
         return SpaceBasis(k, ())
     if qprec < d:
         raise PrecisionError(f"q-precision {qprec} below dimension {d}")
-    e4 = eisenstein(4, qprec, ring)
-    e6 = eisenstein(6, qprec, ring)
-    dl = delta(qprec, ring)
-    monomials = []
-    for c in range(d):
-        rem = k - 12 * c
-        # pick (a, b) with 4a + 6b = rem: b = 0 or 1 by rem mod 4
-        b = 0 if rem % 4 == 0 else 1
-        a = (rem - 6 * b) // 4
-        if a < 0:
-            raise ArithmeticError(f"no E4^a E6^b monomial of weight {rem}")
-        monomials.append((e4**a) * (e6**b) * (dl**c))
-    # clear the q^i tail of each monomial against the later ones
-    forms = list(monomials)
-    for j in range(d - 2, -1, -1):
-        for i in range(j + 1, d):
-            cij = forms[j].coefficient(i)
-            if cij != 0:
-                forms[j] = forms[j] - forms[i].scale(cij)
-    return SpaceBasis(k, tuple(forms))
+    return SpaceBasis(k, miller_rows(k, 0, MillerPowers(qprec, ring)))
 
 
 def hasse_invariant(p: int, qprec: int) -> QSeries:

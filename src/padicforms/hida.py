@@ -7,7 +7,7 @@ progression into an Iwasawa-polynomial family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charseries import charpoly_reversed
@@ -15,8 +15,8 @@ from .errors import ConfigError, PrecisionError, VerificationError
 from .forms import SUPPORTED_PRIMES, SpaceBasis, basis_dimension, miller_basis
 from .hecke import hecke_tp
 from .linalg import echelon_mod_p, in_row_span_mod_p, ordinary_projector, solve_in_basis
-from .padic import PadicMatrix, is_prime, val_p
-from .qexp import ModRing, QSeries, ZZ
+from .padic import PadicMatrix, is_prime
+from .qexp import ModRing, ZZ
 from .weights import IwasawaTruncation, congruence_table, interpolate_iwasawa
 
 

@@ -7,7 +7,7 @@ ring tags; the q-precision of a result is the minimum of the inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 from .errors import PrecisionError
@@ -31,13 +31,11 @@ class ModRing:
 
     p: int
     m: int
+    modulus: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_pm(self.p, self.m)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.m
+        object.__setattr__(self, "modulus", self.p**self.m)
 
     def reduce(self, x: int) -> int:
         return int(x) % self.modulus

@@ -13,7 +13,7 @@ from typing import Any, Dict
 from .charseries import CharSeries, NewtonPolygon, newton_polygon
 from .coleman import ClassicalityReport, SlopeReport
 from .duality import DualityReport, ThetaProbeReport
-from .eigencurve import LocalPieceReport, TwoVarCharSeries
+from .eigencurve import TwoVarCharSeries
 from .hida import ControlReport, OrdinaryFamily
 from .padic import PadicMatrix
 from .qexp import IntegerRing, ModRing, QSeries

@@ -4,8 +4,6 @@ Each test prints one pass/fail line (visible with -s and in the CLI's
 ``acceptance`` command, which runs the same engine).
 """
 
-import pytest
-
 from padicforms import acceptance
 
 SEED = 0

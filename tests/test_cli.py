@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from padicforms.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFICATION, main
+from padicforms.cli import EXIT_CONFIG, EXIT_OK, main
 
 
 def run_cli(capsys, *argv):

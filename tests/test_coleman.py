@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicforms.charseries import char_series, newton_polygon
 from padicforms.coleman import (
+    KatzBasis,
     classical_up_spectrum,
     classicality_check,
     dim_cusp_forms_gamma0_prime,
@@ -14,9 +17,9 @@ from padicforms.coleman import (
     up_matrix,
 )
 from padicforms.errors import ConfigError, PrecisionError
+from padicforms.forms import SUPPORTED_PRIMES, miller_basis
 from padicforms.hida import ordinary_rank_mod_p
 from padicforms.linalg import invert_unimodular
-from padicforms.padic import PadicMatrix
 
 from test_linalg import random_unimodular
 
@@ -46,6 +49,23 @@ def test_katz_basis_validation():
         katz_basis(5, 5, 2)
     with pytest.raises(PrecisionError):
         katz_basis(4, 5, 2, qprec=5)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(
+    st.integers(-5, 12).map(lambda h: 2 * h),
+    st.sampled_from(SUPPORTED_PRIMES),
+    st.integers(0, 12),
+)
+def test_katz_blocks_are_the_new_miller_rows(k, p, twist_depth):
+    # block i is, by definition, rows prev..d of the full weight k + i(p-1)
+    # Miller basis, prev and d the dimensions of rungs i-1 and i
+    basis = katz_basis(k, p, twist_depth)
+    prev = 0
+    for i, block in enumerate(basis.blocks):
+        forms = miller_basis(k + i * (p - 1), basis.qprec).forms
+        assert block == forms[prev:]
+        prev = len(forms)
 
 
 def test_katz_elements_echelon():
@@ -102,6 +122,23 @@ def test_slope_spectrum_weight4():
     assert rep.naive_slopes.slope_multiset()[:2] == [F(1), F(2)]
     assert all(s >= 0 for s in rep.slopes.slope_multiset())
     assert rep.classical_slopes == (F(0), F(1), F(3))
+
+
+def test_slope_spectrum_builds_katz_elements_once(monkeypatch):
+    calls = []
+    real_elements_mod = KatzBasis.elements_mod
+
+    def counting_elements_mod(self, m):
+        calls.append(m)
+        return real_elements_mod(self, m)
+
+    d = katz_basis(14, 5, 34).dimension
+    monkeypatch.setattr(KatzBasis, "elements_mod", counting_elements_mod)
+    rep = slope_spectrum(14, 5, 34, 10, certify_below=F(8))
+    # ten m-raising retries and the naive cross-check reduce the elements
+    # built once at the cap m + floor(b) * max(D, 2) + 16
+    assert rep.m_working == 91
+    assert calls == [10 + 8 * max(d, 2) + 16]
 
 
 def test_slope_spectrum_weight_zero():

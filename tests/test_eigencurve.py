@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from padicforms.charseries import newton_polygon
 from padicforms.coleman import katz_basis, slope_spectrum, up_matrix
 from padicforms.eigencurve import (
     LocalPieceReport,
