@@ -99,15 +99,9 @@ def transpose_charseries_equal(matrix: PadicMatrix) -> bool:
 
 
 def rank_duality_check(matrix: PadicMatrix) -> dict:
-    """rank e(U_p) = rank e(F) with F the transposed operator.
-
-    Both projectors are computed by the factorial iteration with the
-    matrix reduced to modulus p^min(m, 5) (the rank of an idempotent is
-    stable under reduction), so this stays cheap on large matrices.
-    """
-    reduced = matrix.reduce(min(5, matrix.m))
-    r_source = ordinary_projector(reduced).rank
-    r_dual = ordinary_projector(reduced.transpose()).rank
+    """rank e(U_p) = rank e(F) with F the transposed operator."""
+    r_source = ordinary_projector(matrix).rank
+    r_dual = ordinary_projector(matrix.transpose()).rank
     return {"rank_source": r_source, "rank_dual": r_dual, "equal": r_source == r_dual}
 
 

@@ -14,7 +14,13 @@ from .charseries import charpoly_reversed
 from .errors import ConfigError, PrecisionError, VerificationError
 from .forms import SUPPORTED_PRIMES, SpaceBasis, basis_dimension, miller_basis
 from .hecke import hecke_tp
-from .linalg import echelon_mod_p, in_row_span_mod_p, ordinary_projector, solve_in_basis
+from .linalg import (
+    echelon_mod_p,
+    in_row_span_mod_p,
+    independent_columns,
+    ordinary_projector,
+    restrict_to_image,
+)
 from .padic import PadicMatrix, is_prime
 from .qexp import ModRing, ZZ
 from .weights import IwasawaTruncation, congruence_table, interpolate_iwasawa
@@ -246,35 +252,6 @@ class OrdinaryFamily:
     m: int = 1
 
 
-def _restrict_to_image(op_mat: PadicMatrix, image_cols: List[Tuple[int, ...]], pivot_rows: List[int], p: int, m: int) -> PadicMatrix:
-    """Matrix of an operator on the column span of an idempotent.
-
-    ``image_cols`` are columns spanning im(e) whose restriction to
-    ``pivot_rows`` is unimodular; commuting operators preserve the span.
-    """
-    r = len(image_cols)
-    modulus = p**m
-    images = []
-    for col in image_cols:
-        images.append(op_mat.apply(col))
-    pivot_block = PadicMatrix.from_rows(
-        [[image_cols[j][i] for j in range(r)] for i in pivot_rows], p, m
-    )
-    rhs = [[im[i] for i in pivot_rows] for im in images]
-    res = solve_in_basis(rhs, pivot_block, budget=0)
-    coords = res.columns
-    # verify on all rows, not only the pivot block
-    d = len(image_cols[0])
-    for j, im in enumerate(images):
-        for i in range(d):
-            acc = sum(coords[j][t] * image_cols[t][i] for t in range(r)) % modulus
-            if acc != im[i] % modulus:
-                raise VerificationError("operator does not preserve the ordinary image")
-    return PadicMatrix.from_rows(
-        [[coords[j][i] for j in range(r)] for i in range(r)], p, m
-    )
-
-
 def _poly_roots_mod_p(coeffs: Sequence[int], p: int) -> Dict[int, int]:
     """Roots in F_p of a monic polynomial, with multiplicities.
 
@@ -295,22 +272,6 @@ def _poly_roots_mod_p(coeffs: Sequence[int], p: int) -> Dict[int, int]:
     return roots
 
 
-def _independent_columns(idem: PadicMatrix, rank: int, p: int):
-    """Columns of an idempotent spanning its image, plus pivot rows on
-    which their restriction is unimodular."""
-    d = idem.size
-    cols = [tuple(idem.rows[i][j] for i in range(d)) for j in range(d)]
-    chosen: List[Tuple[int, ...]] = []
-    for j in range(d):
-        cand = [list(c) for c in chosen] + [list(cols[j])]
-        if len(echelon_mod_p(cand, p)[0]) > len(chosen):
-            chosen.append(cols[j])
-        if len(chosen) == rank:
-            break
-    _, pivot_rows = echelon_mod_p([list(c) for c in chosen], p)
-    return chosen, pivot_rows
-
-
 def _split_ordinary_systems(
     weight: int,
     op_mats: Dict[int, PadicMatrix],
@@ -325,10 +286,9 @@ def _split_ordinary_systems(
     r = proj.rank
     if r == 0:
         return [], [], 0
-    chosen, pivot_rows = _independent_columns(e, r, p)
+    chosen, pivot_rows = independent_columns(e)
     restricted = {
-        ell: _restrict_to_image(mat, chosen, pivot_rows, p, m)
-        for ell, mat in op_mats.items()
+        ell: restrict_to_image(mat, chosen, pivot_rows) for ell, mat in op_mats.items()
     }
 
     if r == 1:
@@ -362,9 +322,7 @@ def _split_ordinary_systems(
         if all(mult == 1 for _, _, mult in blocks) and leftover == 0:
             systems = []
             for root, idem, _ in blocks:
-                sub_restricted = _restrict_operators_to_subblock(
-                    restricted, idem, p, m
-                )
+                sub_restricted = _restrict_operators_to_subblock(restricted, idem)
                 systems.append(_make_system(weight, sub_restricted, p, m, primes, root))
             return systems, [], r
     # could not split into rank-1 pieces: report the block unsplit
@@ -402,13 +360,9 @@ def _evaluate_poly(mat: PadicMatrix, mon_desc: Sequence[int], p: int, m: int) ->
     return acc
 
 
-def _restrict_operators_to_subblock(restricted, idem, p, m):
-    rank = idem.trace()
-    chosen, pivot_rows = _independent_columns(idem, rank, p)
-    return {
-        ell: _restrict_to_image(mat, chosen, pivot_rows, p, m)
-        for ell, mat in restricted.items()
-    }
+def _restrict_operators_to_subblock(restricted, idem):
+    chosen, pivot_rows = independent_columns(idem)
+    return {ell: restrict_to_image(mat, chosen, pivot_rows) for ell, mat in restricted.items()}
 
 
 def _make_system(weight, restricted, p, m, primes, root) -> EigenSystem:

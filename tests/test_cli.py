@@ -194,6 +194,21 @@ GOLDEN_RUNS = {
         "classicality", "--k", "12", "--p", "5", "--I", "30", "--m", "10",
     ],
     "charseries_k0_p5_I2_m6.json": ["charseries", "--k", "0", "--p", "5", "--I", "2", "--m", "6"],
+    # projector-dependent runs; the p = 11 ones have an ordinary block of
+    # rank 2, which fit_family splits through sub-projectors
+    "ordinary_rank_k12_p5.json": ["ordinary-rank", "--k", "12", "--p", "5"],
+    "ordinary_rank_k24_p7.json": ["ordinary-rank", "--k", "24", "--p", "7"],
+    "ordinary_rank_k12_p11.json": ["ordinary-rank", "--k", "12", "--p", "11"],
+    "control_check_k4_p5_n3.json": ["control-check", "--k", "4", "--p", "5", "--n", "3"],
+    "control_check_k12_p11_n2.json": ["control-check", "--k", "12", "--p", "11", "--n", "2"],
+    "family_fit_p5_c0_w4-8-12-16_h2-5_m6.json": [
+        "family-fit", "--p", "5", "--component", "0", "--weights", "4,8,12,16",
+        "--hecke-primes", "2,5", "--m", "6",
+    ],
+    "family_fit_p11_c2_w12-22-32_h2-3-11_m6.json": [
+        "family-fit", "--p", "11", "--component", "2", "--weights", "12,22,32",
+        "--hecke-primes", "2,3,11", "--m", "6",
+    ],
 }
 
 

@@ -1,14 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padicforms.errors import PrecisionError
+from padicforms.errors import PrecisionError, VerificationError
 from padicforms.linalg import (
     echelon_mod_p,
     in_row_span_mod_p,
+    independent_columns,
     invert_unimodular,
     ordinary_projector,
     rank_mod_p,
+    restrict_to_image,
     solve_in_basis,
 )
 from padicforms.padic import PadicMatrix
@@ -103,6 +107,13 @@ def test_projector_unit_nonunit_split():
     assert res.rank == 1
 
 
+def test_projector_rank_at_least_modulus():
+    # the trace of the identity is 5 = 0 in Z/5: rank is not read off it
+    res = ordinary_projector(PadicMatrix.identity(5, 5, 1))
+    assert res.idempotent == PadicMatrix.identity(5, 5, 1)
+    assert res.rank == 5
+
+
 def test_projector_topologically_nilpotent():
     t = PadicMatrix.identity(2, 5, 3).scale(5)
     res = ordinary_projector(t)
@@ -110,31 +121,39 @@ def test_projector_topologically_nilpotent():
     assert res.rank == 0
 
 
+def factorial_power_projector(t):
+    """e(T) = lim T^(n!) by its definition: the first T^(n!) that
+    repeats T^((n-1)!) and is idempotent."""
+    prev, n = t, 1
+    while True:
+        n += 1
+        cur = prev**n
+        if cur == prev and cur @ cur == cur:
+            return cur
+        prev = cur
+
+
 def test_projector_square_root_of_p():
     # T^2 = 5I over Z/5^3: brute-force factorial powers converge to 0
     t = PadicMatrix.from_rows([[0, 1], [5, 0]], 5, 3)
-    brute = t
-    n = 1
-    while True:
-        n += 1
-        brute = brute**n
-        if brute.is_zero():
-            break
+    assert factorial_power_projector(t).is_zero()
     res = ordinary_projector(t)
     assert res.idempotent.is_zero()
 
 
-def _check_projector_algebra(t, p, m):
+def _check_projector_algebra(t):
+    """The defining properties of e(T): an idempotent commuting with T,
+    T invertible mod p on its image and nilpotent mod p (of index at most
+    n) on its kernel, and rank its mod-p rank."""
+    p, n = t.p, t.size
     res = ordinary_projector(t)
     e = res.idempotent
-    one = PadicMatrix.identity(t.size, p, m)
+    one = PadicMatrix.identity(n, p, t.m)
     assert e @ e == e
     assert e @ t == t @ e
-    # T is invertible mod p on the image of e
-    restricted = (t @ e) + (one - e)
-    assert rank_mod_p(restricted.rows, p) == t.size
-    # T^m kills the kernel of e mod p
-    assert ((t**m) @ (one - e)).reduce(1).is_zero()
+    assert rank_mod_p(((t @ e) + (one - e)).rows, p) == n
+    assert ((t.reduce(1) ** n) @ (one - e).reduce(1)).is_zero()
+    assert res.rank == rank_mod_p(e.rows, p)
     return res
 
 
@@ -143,7 +162,7 @@ def test_projector_algebra_random():
     for p, m in [(5, 4), (7, 3)]:
         for _ in range(60):
             n = rng.choice(list(range(2, m + 1)))
-            _check_projector_algebra(random_matrix(rng, n, p, m), p, m)
+            _check_projector_algebra(random_matrix(rng, n, p, m))
 
 
 def test_projector_exactness_block_triangular():
@@ -170,3 +189,127 @@ def test_projector_reduction_consistency():
         e_high = ordinary_projector(t).idempotent.reduce(1)
         e_low = ordinary_projector(t.reduce(1)).idempotent
         assert e_high == e_low
+
+
+@st.composite
+def projector_cases(draw):
+    """A uniform matrix, or a conjugate U (A + pB) U^-1 with U unimodular,
+    whose ordinary rank is then that of the r x r block A."""
+    p = draw(st.sampled_from((5, 7, 11, 13)))
+    m = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 20))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_matrix(rng, n, p, m), None
+    r = draw(st.integers(0, n))
+    modulus = p**m
+    a = random_matrix(rng, r, p, m) if r else None
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i < r and j < r:
+                rows[i][j] = a.rows[i][j]
+            elif i >= r and j >= r:
+                rows[i][j] = p * rng.randrange(modulus)
+    u = random_unimodular(rng, n, p, m)
+    t = u @ PadicMatrix.from_rows(rows, p, m) @ invert_unimodular(u)
+    return t, ordinary_projector(a).rank if r else 0
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(projector_cases())
+def test_projector_properties(case):
+    t, block_rank = case
+    res = _check_projector_algebra(t)
+    if block_rank is not None:
+        assert res.rank == block_rank
+    if t.size <= 4:
+        assert res.idempotent == factorial_power_projector(t)
+
+
+def _companion(coeffs, p, m):
+    """Companion matrix of the monic x^n + c_(n-1) x^(n-1) + ... + c_0,
+    coefficients listed from c_0."""
+    n = len(coeffs)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        if i:
+            rows[i][i - 1] = 1
+        rows[i][n - 1] = -coeffs[i]
+    return PadicMatrix.from_rows(rows, p, m)
+
+
+def test_projector_large_unit_order_companion():
+    # x^7+3x^6+3x^4+x^2+3x+3 over Z/5^2: the unit part has order divisible
+    # by 19531, far past any factorial-power iteration cap
+    t = _companion([3, 3, 1, 0, 3, 0, 3], 5, 2)
+    res = _check_projector_algebra(t)
+    assert res.idempotent == PadicMatrix.identity(7, 5, 2)
+    assert ordinary_projector(t, max_iterations=1) == res
+
+
+def test_projector_invertible_mod_p_is_identity():
+    t = random_matrix(random.Random(0), 16, 5, 10)
+    assert rank_mod_p(t.rows, 5) == 16
+    res = _check_projector_algebra(t)
+    assert res.idempotent == PadicMatrix.identity(16, 5, 10)
+    assert res.rank == 16
+
+
+def test_projector_matmul_count_is_logarithmic(monkeypatch):
+    calls = []
+    real_matmul = PadicMatrix.__matmul__
+
+    def counting_matmul(self, other):
+        calls.append(self.size)
+        return real_matmul(self, other)
+
+    t = random_matrix(random.Random(3), 16, 5, 10)
+    monkeypatch.setattr(PadicMatrix, "__matmul__", counting_matmul)
+    ordinary_projector(t)
+    # ceil(log2(n m)) squarings for T^N, N >= n m, plus the checks
+    assert len(calls) <= (16 * 10 - 1).bit_length() + 4
+
+
+def greedy_independent_columns(idem, rank, p):
+    """The column choice ``independent_columns`` replaced: add a column
+    whenever it raises the mod-p rank, up to ``rank`` columns."""
+    d = idem.size
+    cols = [tuple(idem.rows[i][j] for i in range(d)) for j in range(d)]
+    chosen = []
+    for j in range(d):
+        cand = [list(c) for c in chosen] + [list(cols[j])]
+        if len(echelon_mod_p(cand, p)[0]) > len(chosen):
+            chosen.append(cols[j])
+        if len(chosen) == rank:
+            break
+    _, pivot_rows = echelon_mod_p([list(c) for c in chosen], p)
+    return chosen, pivot_rows
+
+
+def test_independent_columns_match_greedy_choice():
+    rng = random.Random(31)
+    for _ in range(40):
+        p, m = rng.choice([(5, 3), (7, 2), (11, 1), (13, 4)])
+        n = rng.randint(1, 9)
+        rank = rng.randint(0, n)
+        diag = [[int(i == j and i < rank) for j in range(n)] for i in range(n)]
+        u = random_unimodular(rng, n, p, m)
+        for idem in (
+            u @ PadicMatrix.from_rows(diag, p, m) @ invert_unimodular(u),
+            ordinary_projector(random_matrix(rng, n, p, m)).idempotent,
+        ):
+            assert idem @ idem == idem
+            expected = greedy_independent_columns(idem, rank_mod_p(idem.rows, p), p)
+            assert independent_columns(idem) == expected
+
+
+def test_restrict_to_image():
+    # e = diag(1, 1, 0) over Z/5^3; T preserves im(e), N does not
+    e = PadicMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]], 5, 3)
+    columns, pivot_rows = independent_columns(e)
+    t = PadicMatrix.from_rows([[2, 5, 7], [3, 1, 0], [0, 0, 25]], 5, 3)
+    assert restrict_to_image(t, columns, pivot_rows).rows == ((2, 5), (3, 1))
+    n = PadicMatrix.from_rows([[1, 0, 0], [0, 1, 0], [25, 0, 0]], 5, 3)
+    with pytest.raises(VerificationError, match="does not preserve"):
+        restrict_to_image(n, columns, pivot_rows)
