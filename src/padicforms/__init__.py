@@ -12,7 +12,6 @@ from .charseries import (
     NewtonPolygon,
     char_series,
     newton_polygon,
-    newton_polygon_exact,
 )
 from .coleman import (
     ClassicalityReport,

@@ -1,12 +1,13 @@
-"""Characteristic series det(1 - T.U) and Newton polygons.
+"""Characteristic series det(1 - T.U) over Z/p^m and their Newton polygons.
 
-The characteristic series is computed by a division-free principal-
-submatrix recurrence (Samuelson/Berkowitz style), so it is exact over
-Z/p^m and over Z.  Newton polygons are lower convex hulls of
-(index, valuation) points; over Z/p^m a vanishing coefficient only
-means "valuation >= m", and the polygon is truncated rather than
-guessed past the point where such coefficients could cut below the
-hull.
+Every characteristic series in the package is computed here, from a
+``PadicMatrix`` over Z/p^m, by a division-free principal-submatrix
+recurrence (Samuelson/Berkowitz style), so it is exact mod p^m.  A
+caller with an integer matrix picks an m that provably suffices (see
+``coleman.classical_up_spectrum``).  Newton polygons are lower convex
+hulls of (index, valuation) points; a vanishing coefficient only means
+"valuation >= m", and the polygon is truncated rather than guessed past
+the point where such coefficients could cut below the hull.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from typing import List, Optional, Sequence, Tuple
 from .padic import PadicMatrix, _check_pm, val_p
 
 
-def charpoly_reversed(rows: Sequence[Sequence[int]], modulus: Optional[int] = None) -> List[int]:
-    """Coefficients [c_0, ..., c_D] of det(I - T.A), c_0 = 1.
+def charpoly_reversed(rows: Sequence[Sequence[int]], modulus: int) -> List[int]:
+    """Coefficients [c_0, ..., c_D] of det(I - T.A) mod N, c_0 = 1.
 
     Equivalently the reversed characteristic polynomial: if
     det(xI - A) = x^D + a_1 x^(D-1) + ... + a_D then c_j = a_j.
-    Division-free, so valid over Z (modulus None) and over Z/N.
+    Division-free, so valid over any Z/N.
 
     The recurrence expands det(xI - A_k) along the last row/column of
     the k-th leading principal submatrix:
@@ -35,11 +36,10 @@ def charpoly_reversed(rows: Sequence[Sequence[int]], modulus: Optional[int] = No
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix must be square")
-    red = (lambda x: x % modulus) if modulus else (lambda x: x)
     if n == 0:
         return [1]
     # ch[i] = coefficient of x^(k-i) in chi_k, ch[0] = 1
-    ch = [1, red(-rows[0][0])]
+    ch = [1, -rows[0][0] % modulus]
     for k in range(2, n + 1):
         a = rows[k - 1][k - 1]
         R = [rows[k - 1][t] for t in range(k - 1)]
@@ -48,19 +48,19 @@ def charpoly_reversed(rows: Sequence[Sequence[int]], modulus: Optional[int] = No
         w = []
         v = C[:]
         for j in range(k - 1):
-            w.append(red(sum(x * y for x, y in zip(R, v))))
+            w.append(sum(x * y for x, y in zip(R, v)) % modulus)
             if j < k - 2:
                 v = [
-                    red(sum(rows[s][t] * v[t] for t in range(k - 1)))
+                    sum(rows[s][t] * v[t] for t in range(k - 1)) % modulus
                     for s in range(k - 1)
                 ]
         new = [0] * (k + 1)
         for i, c in enumerate(ch):
-            new[i] = red(new[i] + c)
-            new[i + 1] = red(new[i + 1] - a * c)
+            new[i] = (new[i] + c) % modulus
+            new[i + 1] = (new[i + 1] - a * c) % modulus
         for j in range(k - 1):
             for d in range(k - 1 - j):
-                new[2 + j + d] = red(new[2 + j + d] - w[j] * ch[d])
+                new[2 + j + d] = (new[2 + j + d] - w[j] * ch[d]) % modulus
         ch = new
     return ch
 
@@ -138,9 +138,6 @@ class NewtonPolygon:
                 return mult
         return 0
 
-    def total_multiplicity(self) -> int:
-        return sum(self.multiplicities)
-
     def certifies_through(self, bound: Fraction) -> bool:
         """True when every slope < bound is provably in this polygon."""
         if self.next_slope_floor is None:
@@ -173,36 +170,18 @@ def _lower_hull(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
 
 def newton_polygon_from_points(
     points: Sequence[Tuple[int, Optional[int]]],
-    ceiling: Optional[int],
+    ceiling: int,
 ) -> NewtonPolygon:
     """Newton polygon of valuation data, truncated honestly.
 
     ``points`` are (index, valuation) with valuation None meaning
-    "unknown, >= ceiling" (for exact integer data pass ceiling=None, in
-    which case None means genuinely infinite and cannot cut the hull).
+    "unknown, >= ceiling".
     """
     known = [(j, v) for j, v in points if v is not None]
     if not known or known[0][0] != 0:
         raise ValueError("point list must start with (0, v_0)")
-    if ceiling is not None:
-        floor_pts = [(j, ceiling) for j, v in points if v is None]
-    else:
-        floor_pts = []
-    if len(known) == 1:
-        later = [(j, v) for j, v in points if j > 0]
-        floor = None
-        for j, v in later:
-            lb = v if v is not None else ceiling
-            if lb is None:
-                continue
-            cand = Fraction(lb, j)
-            floor = cand if floor is None else min(floor, cand)
-        return NewtonPolygon(
-            (), (), (known[0],), 0, floor, ALL_SATURATED if later else None
-        )
-
-    candidates = sorted(known + floor_pts)
-    hull = _lower_hull(candidates)
+    floor_pts = [(j, ceiling) for j, v in points if v is None]
+    hull = _lower_hull(sorted(known + floor_pts))
     known_set = set(known)
     # certified prefix: hull vertices that are exactly-known points
     certified: List[Tuple[int, int]] = []
@@ -219,16 +198,11 @@ def newton_polygon_from_points(
         mults.append(x2 - x1)
 
     jstar, vstar = certified[-1]
-    later = [(j, v) for j, v in points if j > jstar]
-    floor: Optional[Fraction] = None
-    for j, v in later:
-        lb = v if v is not None else ceiling
-        if lb is None:
-            continue  # exact zero coefficient: no eigenvalue contribution
-        cand = Fraction(lb - vstar, j - jstar)
-        floor = cand if floor is None else min(floor, cand)
+    later = [(j, ceiling if v is None else v) for j, v in points if j > jstar]
+    floor = min((Fraction(v - vstar, j - jstar) for j, v in later), default=None)
+    warning = ALL_SATURATED if len(known) == 1 and later else None
     return NewtonPolygon(
-        tuple(slopes), tuple(mults), tuple(certified), jstar, floor, None
+        tuple(slopes), tuple(mults), tuple(certified), jstar, floor, warning
     )
 
 
@@ -236,12 +210,3 @@ def newton_polygon(series: CharSeries) -> NewtonPolygon:
     """Newton polygon of a characteristic series over Z/p^m."""
     return newton_polygon_from_points(series.valuation_points(), series.m)
 
-
-def newton_polygon_exact(coeffs: Sequence[int], p: int) -> NewtonPolygon:
-    """Newton polygon of an exact integer characteristic series."""
-    if not coeffs or coeffs[0] != 1:
-        raise ValueError("c_0 must be 1")
-    pts: List[Tuple[int, Optional[int]]] = []
-    for j, c in enumerate(coeffs):
-        pts.append((j, None if c == 0 else val_p(c, p)))
-    return newton_polygon_from_points(pts, None)

@@ -24,9 +24,7 @@ from .charseries import (
     CharSeries,
     NewtonPolygon,
     char_series,
-    charpoly_reversed,
     newton_polygon,
-    newton_polygon_exact,
 )
 from .errors import ConfigError, PrecisionError, VerificationError
 from .forms import SUPPORTED_PRIMES, MillerPowers, basis_dimension, eisenstein, miller_rows
@@ -389,15 +387,24 @@ def dim_new_cusp_forms_gamma0_prime(k: int, p: int) -> int:
 def classical_up_spectrum(k: int, p: int) -> List[Fraction]:
     """U_p slope multiset on weight-k forms of level Gamma_0(p).
 
-    Old part: exact integer Newton slopes of det(x^2 - x T_p + p^(k-1))
-    on the full level-1 space (a block companion matrix, so no
-    eigensystem factoring is needed).  New cuspidal part: slope (k-2)/2
-    with the new-form multiplicity, from the Atkin-Lehner relation; only
-    the valuation is used, never the sign.  At k = 2 the only Eisenstein
-    series is the ordinary stabilization, of slope 0.
+    Old part: Newton slopes of det(x^2 - x T_p + p^(k-1)) on the full
+    level-1 space of dimension d, read from the 2d x 2d block companion
+    matrix B = [[T_p, -p^(k-1)], [1, 0]] (so no eigensystem factoring is
+    needed).  B is integral, so its series is computed mod p^M with
+    M = d(k-1) + 1, which loses nothing: c_0 = 1 and c_2d = det(B) =
+    p^(d(k-1)) exactly, so the lower hull runs from (0, 0) to
+    (2d, d(k-1)) and by convexity never rises above d(k-1) < M.  A
+    coefficient that reads 0 mod p^M therefore lies strictly above the
+    hull, every nonzero residue has its exact valuation, and the polygon
+    certifies through degree 2d with the integer slopes.  That
+    certification is checked, not assumed.  New cuspidal part: slope
+    (k-2)/2 with the new-form multiplicity, from the Atkin-Lehner
+    relation; only the valuation is used, never the sign.  At k = 2 the
+    only Eisenstein series is the ordinary stabilization, of slope 0.
     """
     if k < 2 or k % 2 != 0:
         raise ConfigError(f"classical oracle needs even k >= 2, got {k}")
+    new_mult = dim_new_cusp_forms_gamma0_prime(k, p)  # ConfigError for p < 5 first
     slopes: List[Fraction] = []
     d1 = basis_dimension(k)
     if k == 2:
@@ -411,10 +418,13 @@ def classical_up_spectrum(k: int, p: int) -> List[Fraction]:
                 block[i][j] = t_rows[i][j]
             block[i][d1 + i] = -c
             block[d1 + i][i] = 1
-        coeffs = charpoly_reversed(block)
-        poly = newton_polygon_exact(coeffs, p)
+        matrix = PadicMatrix.from_rows(block, p, d1 * (k - 1) + 1)
+        poly = newton_polygon(char_series(matrix))
+        if poly.certified_degree != 2 * d1 or poly.next_slope_floor is not None:
+            raise VerificationError(
+                f"classical polygon at weight {k} not certified through degree {2 * d1}"
+            )
         slopes.extend(poly.slope_multiset())
-    new_mult = dim_new_cusp_forms_gamma0_prime(k, p)
     slopes.extend([Fraction(k - 2, 2)] * new_mult)
     return sorted(slopes)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .charseries import charpoly_reversed
+from .charseries import char_series
 from .errors import ConfigError, PrecisionError, VerificationError
 from .forms import SUPPORTED_PRIMES, SpaceBasis, basis_dimension, miller_basis
 from .hecke import hecke_tp
@@ -173,8 +173,6 @@ def control_check_h0(
     _check_theory_prime(p)
     if k < 3:
         raise ConfigError("control check requires k >= 3; use the weight-2 variant")
-    if n < 0:
-        raise ConfigError("n must be >= 0")
     return _control_core(k, p, n, target_weight=k, qprec=qprec, twist=False)
 
 
@@ -186,6 +184,8 @@ def control_check_h0_weight2(p: int, n: int, qprec: Optional[int] = None) -> Con
 
 
 def _control_core(k, p, n, target_weight, qprec, twist) -> ControlReport:
+    if n < 0:
+        raise ConfigError("n must be >= 0")
     high_weight = k + n * (p - 1)
     if qprec is None:
         qprec = default_qprec(high_weight, [p])
@@ -195,9 +195,7 @@ def _control_core(k, p, n, target_weight, qprec, twist) -> ControlReport:
     rank_high = len(image)
     low_ech, low_piv = echelon_mod_p([f.coeffs for f in low.forms], p) if low.dim else ([], [])
     contained = all(in_row_span_mod_p(v, low_ech, low_piv, p) for v in image)
-    rank_low = (
-        ordinary_rank_mod_p(target_weight, p, qprec) if target_weight >= 2 else 0
-    )
+    rank_low = len(_ordinary_image_qexpansions(low, p))
     return ControlReport(p, k, n, target_weight, rank_high, rank_low, contained, twist)
 
 
@@ -282,14 +280,10 @@ def _split_ordinary_systems(
     """Split the ordinary block into rank-1 eigensystems where mod-p
     eigenvalues separate; inseparable parts are reported unsplit."""
     proj = ordinary_projector(op_mats[p])
-    e = proj.idempotent
     r = proj.rank
     if r == 0:
         return [], [], 0
-    chosen, pivot_rows = independent_columns(e)
-    restricted = {
-        ell: restrict_to_image(mat, chosen, pivot_rows) for ell, mat in op_mats.items()
-    }
+    restricted = _restrict_operators_to_subblock(op_mats, proj.idempotent)
 
     if r == 1:
         systems = [_make_system(weight, restricted, p, m, primes, None)]
@@ -298,9 +292,9 @@ def _split_ordinary_systems(
     # find an operator whose mod-p spectrum the projectors can separate
     for ell in [p] + [q for q in primes if q != p]:
         s_mat = restricted[ell]
-        cp = charpoly_reversed(s_mat.rows, p)  # reversed charpoly mod p
-        # reversed coefficients of det(xI - S) read the same backwards
-        mon = list(cp)  # [1, c1, ..., cr] with det(xI-S) = x^r + c1 x^(r-1)...
+        # the coefficients [1, c_1, ..., c_r] of det(1 - T.S) mod p are
+        # the descending ones of det(xI - S) = x^r + c_1 x^(r-1) + ... + c_r
+        mon = char_series(s_mat.reduce(1)).coeffs
         roots = _poly_roots_mod_p(mon, p)
         if not roots:
             continue
@@ -330,8 +324,7 @@ def _split_ordinary_systems(
         "weight": weight,
         "rank": r,
         "charpoly_mod_p": {
-            ell: tuple(c % p for c in charpoly_reversed(mat.rows, p))
-            for ell, mat in restricted.items()
+            ell: char_series(mat.reduce(1)).coeffs for ell, mat in restricted.items()
         },
     }
     return [], [block_info], r
@@ -463,13 +456,7 @@ def fit_family(
         fitted[ell] = {}
         for idx, key in enumerate(keys):
             samples = [(k, eigen_data[k][ell][idx]) for k in weights]
-            fit = interpolate_iwasawa(samples, p, m, component % (p - 1))
-            for k, value in samples:
-                if fit.specialize(k) != value % p**fit.m:
-                    raise VerificationError(
-                        f"fitted a_{ell} fails to reproduce the weight-{k} sample"
-                    )
-            fitted[ell][key] = fit
+            fitted[ell][key] = interpolate_iwasawa(samples, p, m, component % (p - 1))
             for entry in congruence_table(samples, p, m):
                 entry = dict(entry)
                 entry["prime"] = ell

@@ -106,6 +106,8 @@ def interpolate_iwasawa(
     The result's precision is m minus the accumulated division losses;
     a numerator that fails the required p-power divisibility means the
     data is not Iwasawa-interpolable and raises ``VerificationError``.
+    The fit is re-specialized at every sample before it is returned,
+    and a mismatch also raises ``VerificationError``.
     """
     _check_pm(p, m)
     if not samples:
@@ -166,7 +168,13 @@ def interpolate_iwasawa(
                 shifted[d + 1] = (shifted[d + 1] + basis_poly[d]) % red
                 shifted[d] = (shifted[d] - wr * basis_poly[d]) % red
             basis_poly = shifted
-    return IwasawaTruncation(p, component, tuple(poly), m_eff)
+    fit = IwasawaTruncation(p, component, tuple(poly), m_eff)
+    for k, value in samples:
+        if fit.specialize(k) != value % red:
+            raise VerificationError(
+                f"fitted polynomial fails to reproduce the weight-{k} sample"
+            )
+    return fit
 
 
 def congruence_table(

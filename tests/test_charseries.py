@@ -6,10 +6,10 @@ import pytest
 
 from padicforms.charseries import (
     ALL_SATURATED,
+    CharSeries,
     char_series,
     charpoly_reversed,
     newton_polygon,
-    newton_polygon_exact,
     newton_polygon_from_points,
 )
 from padicforms.padic import PadicMatrix
@@ -77,10 +77,12 @@ def test_charpoly_against_bruteforce():
         assert charpoly_reversed(u.rows, u.modulus) == det_i_minus_tu_bruteforce(u)
 
 
-def test_charpoly_over_z():
-    # integer matrix, no modulus: det(xI - A) = x^2 - 5x - 2
-    assert charpoly_reversed([[2, 3], [2, 3]]) == [1, -5, 0]
-    assert charpoly_reversed([[1, 2], [3, 4]]) == [1, -5, -2]
+def test_char_series_of_integer_matrices():
+    # det(xI - A) = x^2 - 5x - 2 and x^2 - 5x, read mod 5^3
+    series = char_series(PadicMatrix.from_rows([[1, 2], [3, 4]], 5, 3))
+    assert series.coeffs == (1, 120, 123)
+    series = char_series(PadicMatrix.from_rows([[2, 3], [2, 3]], 5, 3))
+    assert series.coeffs == (1, 120, 0)
 
 
 def test_char_series_trace_normalization():
@@ -123,8 +125,6 @@ def test_char_series_conjugation_invariance():
 
 
 def test_newton_polygon_simple():
-    from padicforms.charseries import CharSeries
-
     poly = newton_polygon(CharSeries((1, -6, 5), 5, 5))
     assert poly.slope_multiset() == [Fraction(0), Fraction(1)]
     assert poly.next_slope_floor is None
@@ -135,15 +135,11 @@ def test_newton_polygon_simple():
 
 def test_newton_polygon_slopes_zero_and_three():
     # 1 - 126T + 125T^2 has roots 1 and 1/125: slopes {0, 3}
-    from padicforms.charseries import CharSeries
-
     poly = newton_polygon(CharSeries((1, -126, 125), 5, 5))
     assert poly.slope_multiset() == [Fraction(0), Fraction(3)]
 
 
 def test_newton_polygon_saturation_truncates():
-    from padicforms.charseries import CharSeries
-
     # c_2 = 0 mod 5^3 is unknown >= 3; slope after the first segment is
     # bounded below but not certified
     poly = newton_polygon(CharSeries((1, -1, 0), 5, 3))
@@ -153,8 +149,6 @@ def test_newton_polygon_saturation_truncates():
 
 
 def test_newton_polygon_all_saturated():
-    from padicforms.charseries import CharSeries
-
     poly = newton_polygon(CharSeries((1, 0, 0), 5, 3))
     assert poly.warning == ALL_SATURATED
     assert poly.slope_multiset() == []
@@ -171,14 +165,17 @@ def test_newton_polygon_hidden_cut_not_certified():
     assert poly.next_slope_floor == Fraction(2)
 
 
-def test_newton_polygon_exact_integer_series():
-    # x^2 - 4830x + 5^11 story: slopes {1, 10}
-    poly = newton_polygon_exact([1, -4830, 5**11], 5)
+def test_newton_polygon_integer_series_at_proven_precision():
+    # x^2 - 4830x + 5^11 (the Delta pair at p = 5): slopes {1, 10}.  The
+    # last coefficient has valuation 11, so mod 5^12 the polygon is
+    # certified to the end; mod 5^11 that coefficient reads 0 and is not.
+    companion = [[4830, -(5**11)], [1, 0]]
+    poly = newton_polygon(char_series(PadicMatrix.from_rows(companion, 5, 12)))
     assert poly.slope_multiset() == [Fraction(1), Fraction(10)]
-    # zero coefficients over Z are genuinely infinite, not saturation
-    poly = newton_polygon_exact([1, -1, 0], 5)
-    assert poly.slope_multiset() == [Fraction(0)]
-    assert poly.next_slope_floor is None
+    assert poly.certified_degree == 2 and poly.next_slope_floor is None
+    poly = newton_polygon(char_series(PadicMatrix.from_rows(companion, 5, 11)))
+    assert poly.slope_multiset() == [Fraction(1)]
+    assert poly.certified_degree == 1 and poly.next_slope_floor == Fraction(10)
 
 
 def test_newton_polygon_conjugation_invariance():
@@ -196,8 +193,6 @@ def test_newton_polygon_conjugation_invariance():
 
 
 def test_char_series_validation():
-    from padicforms.charseries import CharSeries
-
     with pytest.raises(ValueError):
         CharSeries((2,), 5, 3)
     with pytest.raises(ValueError):

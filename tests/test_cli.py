@@ -140,6 +140,9 @@ def test_config_errors_exit_2(capsys):
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG and "odd" in err
+    # the weight-2 variant at n = -1 would compare against an empty space
+    code, _, err = run_cli(capsys, "control-check", "--k", "2", "--p", "5", "--n", "-1")
+    assert code == EXIT_CONFIG and "n must be >= 0" in err
     for argv in (["basis", "--k", "12", "--p", "5"], ["basis", "--k", "12", "--m", "3"]):
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG and "--p and --m" in err
@@ -208,6 +211,12 @@ GOLDEN_RUNS = {
     "family_fit_p11_c2_w12-22-32_h2-3-11_m6.json": [
         "family-fit", "--p", "11", "--component", "2", "--weights", "12,22,32",
         "--hecke-primes", "2,3,11", "--m", "6",
+    ],
+    # with T_11 alone the rank-2 block does not split mod 11: the only
+    # run that reports unsplit_blocks[].charpoly_mod_p
+    "family_fit_p11_c2_w12-22-32_h11_m6.json": [
+        "family-fit", "--p", "11", "--component", "2", "--weights", "12,22,32",
+        "--hecke-primes", "11", "--m", "6",
     ],
 }
 

@@ -1,9 +1,12 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicforms import coleman
 from padicforms.charseries import char_series, newton_polygon
 from padicforms.coleman import (
     KatzBasis,
@@ -16,7 +19,7 @@ from padicforms.coleman import (
     slope_spectrum,
     up_matrix,
 )
-from padicforms.errors import ConfigError, PrecisionError
+from padicforms.errors import ConfigError, PrecisionError, VerificationError
 from padicforms.forms import SUPPORTED_PRIMES, miller_basis
 from padicforms.hida import ordinary_rank_mod_p
 from padicforms.linalg import invert_unimodular
@@ -185,6 +188,28 @@ def test_classical_spectrum_examples():
     assert classical_up_spectrum(4, 7) == [F(0), F(1), F(3)]
     with pytest.raises(ConfigError):
         classical_up_spectrum(3, 5)
+
+
+def test_classical_spectrum_golden():
+    # recorded from the exact integer charpoly: the mod-p^M oracle must
+    # reproduce it for every even k in 2..60 and every supported p
+    golden_file = Path(__file__).parent / "golden" / "classical_spectra.json"
+    golden = json.loads(golden_file.read_text())
+    assert sorted(golden) == sorted(str(p) for p in SUPPORTED_PRIMES)
+    for p, by_weight in golden.items():
+        assert sorted(by_weight, key=int) == [str(k) for k in range(2, 61, 2)]
+        for k, slopes in by_weight.items():
+            assert [str(s) for s in classical_up_spectrum(int(k), int(p))] == slopes
+
+
+@pytest.mark.parametrize("k, p", [(4, 5), (12, 5), (24, 7)])
+def test_classical_spectrum_checks_its_precision(monkeypatch, k, p):
+    # one digit short of M = d(k-1)+1 the last coefficient det(B) reads 0
+    # mod p^(M-1), so the polygon stops short of degree 2d and the oracle
+    # must refuse to answer
+    monkeypatch.setattr(coleman, "char_series", lambda u: char_series(u.reduce(u.m - 1)))
+    with pytest.raises(VerificationError, match="not certified"):
+        classical_up_spectrum(k, p)
 
 
 def test_classical_spectrum_delta_pair():

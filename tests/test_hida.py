@@ -1,5 +1,6 @@
 import pytest
 
+from padicforms import hida
 from padicforms.errors import ConfigError
 from padicforms.forms import miller_basis
 from padicforms.hida import (
@@ -90,6 +91,28 @@ def test_control_check_examples():
 def test_control_check_weight2():
     report = control_check_h0_weight2(5, 1)
     assert report.weight2_twist and report.passed
+    # n = -1 would test the empty weight-(-2) space: a vacuous pass
+    with pytest.raises(ConfigError):
+        control_check_h0_weight2(5, -1)
+    with pytest.raises(ConfigError):
+        control_check_h0(4, 5, -1)
+
+
+@pytest.mark.parametrize("k, p, n", [(4, 5, 1), (12, 11, 2), (2, 5, 1)])
+def test_control_check_builds_each_space_once(monkeypatch, k, p, n):
+    built = []
+
+    def counting_mod_p_space(weight, *args):
+        built.append(weight)
+        return mod_p_space(weight, *args)
+
+    monkeypatch.setattr(hida, "mod_p_space", counting_mod_p_space)
+    if k == 2:
+        report = control_check_h0_weight2(p, n)
+    else:
+        report = control_check_h0(k, p, n)
+    assert sorted(built) == sorted([k + n * (p - 1), report.target_weight])
+    assert report.rank_low == ordinary_rank_mod_p(report.target_weight, p)
 
 
 def test_unit_root():

@@ -57,6 +57,14 @@ def test_interpolation_round_trip():
     assert (predicted - target) % 5**bound == 0
 
 
+def test_interpolation_respecializes_its_fit(monkeypatch):
+    # the fit is checked against every sample before it is returned
+    samples = [(k, 1 + 2 ** (k - 1)) for k in (4, 8, 12)]
+    monkeypatch.setattr(IwasawaTruncation, "specialize", lambda self, k: -1)
+    with pytest.raises(VerificationError, match="reproduce the weight-4 sample"):
+        interpolate_iwasawa(samples, 5, 8)
+
+
 def _v5(n):
     v = 0
     while n % 5 == 0:
