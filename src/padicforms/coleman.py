@@ -32,7 +32,7 @@ from .hecke import up, up_naive
 from .hida import tp_matrix
 from .linalg import solve_in_basis
 from .padic import PadicMatrix, is_prime
-from .qexp import ModRing, QSeries
+from .qexp import ZZ, ModRing, QSeries, Ring
 
 
 def _check_even(k: int) -> None:
@@ -44,9 +44,11 @@ def _check_even(k: int) -> None:
 class KatzBasis:
     """Basis of the weight-k overconvergent model up to twist depth I.
 
-    Block i holds the complement-of-image Miller forms b_{i,j} of weight
-    k + i(p-1), stored integrally; the pair (i, b_{i,j}) stands for the
-    element b_{i,j} * E_{p-1}^{-i}.  Element with global index g has
+    ``ladder`` holds the dimensions dim M_{k + i(p-1)}, i = 0..I.  Block
+    i is the new Miller rows b_{i,j} of weight k + i(p-1), j from the
+    dimension of rung i-1 on; the pair (i, b_{i,j}) stands for the
+    element b_{i,j} * E_{p-1}^{-i}.  The rows are built on demand, over
+    the ring that asks for them.  Element with global index g has
     q-expansion q^g + O(q^(g+1)), which makes solving in the basis
     lossless.
     """
@@ -55,27 +57,58 @@ class KatzBasis:
     weight: int
     twist_depth: int
     qprec: int
-    blocks: tuple
+    ladder: tuple
 
     @property
     def block_sizes(self) -> tuple:
-        return tuple(len(b) for b in self.blocks)
+        return tuple(hi - lo for lo, hi in zip((0,) + self.ladder, self.ladder))
 
     @property
     def dimension(self) -> int:
-        return sum(self.block_sizes)
+        return self.ladder[-1]
+
+    def _rungs(self, qprec: int, ring: Ring) -> List[tuple]:
+        """Block i of every rung, over ``ring`` at q-precision ``qprec``,
+        with the E4 and Delta powers taken from one shared table."""
+        powers = MillerPowers(qprec, ring)
+        blocks = []
+        prev = 0
+        for i, d in enumerate(self.ladder):
+            blocks.append(miller_rows(self.weight + i * (self.p - 1), prev, powers))
+            prev = d
+        return blocks
+
+    @property
+    def blocks(self) -> tuple:
+        """The blocks over Z at the full q-precision."""
+        return tuple(self._rungs(self.qprec, ZZ))
 
     def elements_mod(self, m: int) -> List[QSeries]:
-        """Evaluate b_{i,j} * E_{p-1}^{-i} over Z/p^m at full q-precision."""
+        """Evaluate b_{i,j} * E_{p-1}^{-i} over Z/p^m, to q-precision p*D.
+
+        U_p reads the first D coefficients of each element and of each
+        image, and an image's first D coefficients need the element only
+        through q^(p(D-1)).  The Miller rows are built over Z/p^m; their
+        pivots are 1, so they are the integral rows reduced.  The power
+        of E_{p-1}^{-1} steps only between non-empty rungs, by
+        E_{p-1}^{-gap}, each distinct gap power built once.
+        """
         ring = ModRing(self.p, m)
-        e_inv = eisenstein(self.p - 1, self.qprec, ring).inverse()
+        qprec = self.p * max(self.dimension, 1)
+        e_inv = eisenstein(self.p - 1, qprec, ring).inverse()
+        steps = [e_inv]  # steps[g - 1] = E_{p-1}^{-g}
         out: List[QSeries] = []
-        power = QSeries.constant(1, self.qprec, ring)
-        for i, block in enumerate(self.blocks):
-            if i > 0:
-                power = power * e_inv
-            for b in block:
-                out.append(b.to_ring(ring) * power)
+        power, last = None, 0  # power = E_{p-1}^{-last}, None for 1
+        for i, block in enumerate(self._rungs(qprec, ring)):
+            if not block:
+                continue
+            if i > last:
+                while len(steps) < i - last:
+                    steps.append(steps[-1] * e_inv)
+                step = steps[i - last - 1]
+                power = step if power is None else power * step
+                last = i
+            out.extend(block if power is None else [b * power for b in block])
         for g, element in enumerate(out):
             if element.leading_index() != g or element.coefficient(g) != 1:
                 raise VerificationError(
@@ -85,22 +118,20 @@ class KatzBasis:
 
 
 def katz_basis(k: int, p: int, twist_depth: int, qprec: Optional[int] = None) -> KatzBasis:
-    """Build the Katz-expansion basis at weight k and twist depth I.
+    """The Katz-expansion basis at weight k and twist depth I.
 
     Block sizes are the jumps of the dimension ladder
     dim M_{k + i(p-1)}; q-precision defaults to p*(D+4) and must be at
     least p*D so that one U_p application still determines coordinates.
-    Each rung builds only its new Miller rows j >= dim M_{k + (i-1)(p-1)},
-    from the monomials with Delta^c, c >= j, whose E4 and Delta powers
-    come from one table shared by every rung; no full Miller basis is
-    built.
+    Only the ladder is computed here: ``KatzBasis.elements_mod`` builds
+    the new Miller rows of each rung in the ring it evaluates over.
     """
     if p not in SUPPORTED_PRIMES:
         raise ConfigError(f"p must be one of {SUPPORTED_PRIMES}, got {p}")
     _check_even(k)
     if twist_depth < 0:
         raise ConfigError("twist depth must be >= 0")
-    dims = [basis_dimension(k + i * (p - 1)) for i in range(twist_depth + 1)]
+    dims = tuple(basis_dimension(k + i * (p - 1)) for i in range(twist_depth + 1))
     for lo, hi in zip(dims, dims[1:]):
         if hi < lo:
             raise VerificationError("dimension ladder must be nondecreasing")
@@ -111,13 +142,7 @@ def katz_basis(k: int, p: int, twist_depth: int, qprec: Optional[int] = None) ->
         raise PrecisionError(
             f"q-precision {qprec} below p*D = {p * max(total, 1)}"
         )
-    powers = MillerPowers(qprec)
-    blocks = []
-    prev = 0
-    for i, d in enumerate(dims):
-        blocks.append(miller_rows(k + i * (p - 1), prev, powers))
-        prev = d
-    return KatzBasis(p, k, twist_depth, qprec, tuple(blocks))
+    return KatzBasis(p, k, twist_depth, qprec, dims)
 
 
 def normalization_shift(k: int, kind: str) -> int:
@@ -223,25 +248,30 @@ def _spectrum_core(
     it starts at m_work = max(m, floor(b) + 3), steps by max(4, floor(b))
     and gives up with ``PrecisionError`` past the cap
     m + floor(b) * max(D, 2) + 16, D the Katz dimension.  Without a bound
-    it runs once at m.  The Katz basis is built once for all steps, and
-    so are its elements b_{i,j} * E_{p-1}^{-i}: once, over Z/p^cap (over
-    Z/p^m without a bound), each step reducing them to Z/p^m_work.  The
-    elements of the final step are returned with the rest.
+    it runs once at m.  The Katz elements, the U_p matrix and its
+    characteristic series are computed once, at the top modulus (the cap,
+    or m without a bound); each step reads the Newton polygon of that
+    series reduced to Z/p^m_work.  This is exact: the solve has unit
+    pivots and the series is division-free, so both commute with
+    reduction.  The step that certifies returns the matrix and the
+    elements reduced to its modulus.
     """
     basis = katz_basis(k, p, twist_depth, qprec)
     d = basis.dimension
     bound = None if certify_below is None else Fraction(certify_below)
     m_work = max(m, (int(bound) + 3) if bound is not None else m)
     cap = m + (int(bound) if bound is not None else 0) * max(d, 2) + 16
-    top = basis.elements_mod(max(m_work, cap) if bound is not None else m_work)
+    m_top = max(m_work, cap) if bound is not None else m_work
+    top = basis.elements_mod(m_top)
+    top_matrix = _solve_up(basis, top, m_top, "qexp")
+    top_series = char_series(top_matrix)
     while True:
-        ring = ModRing(p, m_work)
-        elements = [e.to_ring(ring) for e in top]
-        matrix = _solve_up(basis, elements, m_work, "qexp")
-        series = char_series(matrix)
+        series = CharSeries(top_series.coeffs, p, m_work)
         poly = newton_polygon(series)
         if bound is None or poly.certifies_through(bound):
-            return basis, elements, matrix, series, poly, m_work
+            ring = ModRing(p, m_work)
+            elements = [e.to_ring(ring) for e in top]
+            return basis, elements, top_matrix.reduce(m_work), series, poly, m_work
         if m_work >= cap:
             raise PrecisionError(
                 f"slopes below {bound} not certified at modulus {p}^{m_work} "
@@ -272,10 +302,12 @@ def slope_spectrum(
     m + floor(b) * max(D, 2) + 16 (D the Katz dimension), past which
     ``PrecisionError`` is raised.  Every certified spectrum in the
     library, the theta probe's included, goes through this one rule.
-    The checks above run once, at the final modulus.  The Katz elements
-    are built once per spectrum, at the cap (at m without a bound), and
-    reduced to the working modulus on each step; the naive cross-check
-    reuses those of the final step.
+    The checks above run once, at the final modulus.  The Katz elements,
+    the U_p solve and the characteristic series are computed once per
+    spectrum, at the cap (at m without a bound); each step only reduces
+    the series to the working modulus and reads its polygon.  The naive
+    cross-check is assembled independently from the elements reduced to
+    the final modulus.
     """
     _check_even(k)
     basis, elements, matrix, series, qpoly, m_work = _spectrum_core(

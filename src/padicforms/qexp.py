@@ -102,7 +102,6 @@ class QSeries:
     def __mul__(self, other: "QSeries") -> "QSeries":
         q = self._common(other)
         a, b = self.coeffs, other.coeffs
-        red = self.ring.reduce
         out = [0] * q
         for i in range(q):
             ai = a[i]
@@ -110,7 +109,7 @@ class QSeries:
                 continue
             for j in range(q - i):
                 out[i + j] += ai * b[j]
-        return QSeries(self.ring, tuple(red(x) for x in out))
+        return QSeries(self.ring, tuple(out))
 
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:

@@ -218,6 +218,16 @@ GOLDEN_RUNS = {
         "family-fit", "--p", "11", "--component", "2", "--weights", "12,22,32",
         "--hecke-primes", "11", "--m", "6",
     ],
+    # deep certified spectra: ten m-raising retries to m_working 91, and
+    # m_working 57 at q-precision 165
+    "slopes_p5_k14_I34_m10.json": ["slopes", "--k", "14", "--p", "5", "--I", "34", "--m", "10"],
+    "slopes_p11_k10_I11_m12.json": ["slopes", "--k", "10", "--p", "11", "--I", "11", "--m", "12"],
+    "up_matrix_k4_p5_I12_m8.json": ["up-matrix", "--k", "4", "--p", "5", "--I", "12", "--m", "8"],
+    # a q-precision above the default, which U_p reads only in part
+    "up_matrix_k-2_p7_I9_m6_Q100_naive.json": [
+        "up-matrix", "--k", "-2", "--p", "7", "--I", "9", "--m", "6", "--Q", "100",
+        "--normalization", "naive",
+    ],
 }
 
 

@@ -20,9 +20,10 @@ from padicforms.coleman import (
     up_matrix,
 )
 from padicforms.errors import ConfigError, PrecisionError, VerificationError
-from padicforms.forms import SUPPORTED_PRIMES, miller_basis
+from padicforms.forms import SUPPORTED_PRIMES, eisenstein, miller_basis
 from padicforms.hida import ordinary_rank_mod_p
 from padicforms.linalg import invert_unimodular
+from padicforms.qexp import ModRing, QSeries
 
 from test_linalg import random_unimodular
 
@@ -69,6 +70,30 @@ def test_katz_blocks_are_the_new_miller_rows(k, p, twist_depth):
         forms = miller_basis(k + i * (p - 1), basis.qprec).forms
         assert block == forms[prev:]
         prev = len(forms)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(
+    st.integers(-5, 12).map(lambda h: 2 * h),
+    st.sampled_from(SUPPORTED_PRIMES),
+    st.integers(0, 12),
+    st.integers(1, 12),
+)
+def test_katz_elements_mod_match_integral_blocks(k, p, twist_depth, m):
+    # the definition: the Z blocks reduced mod p^m, times E_{p-1}^{-i}
+    # stepped one rung at a time, truncated to the q-precision p * D that
+    # U_p reads
+    basis = katz_basis(k, p, twist_depth)
+    ring = ModRing(p, m)
+    e_inv = eisenstein(p - 1, basis.qprec, ring).inverse()
+    power = QSeries.constant(1, basis.qprec, ring)
+    expected = []
+    for i, block in enumerate(basis.blocks):
+        if i > 0:
+            power = power * e_inv
+        expected += [b.to_ring(ring) * power for b in block]
+    qprec = p * max(basis.dimension, 1)
+    assert basis.elements_mod(m) == [e.truncate(qprec) for e in expected]
 
 
 def test_katz_elements_echelon():
@@ -135,13 +160,41 @@ def test_slope_spectrum_builds_katz_elements_once(monkeypatch):
         calls.append(m)
         return real_elements_mod(self, m)
 
+    series_calls = []
+    real_char_series = coleman.char_series
+
+    def counting_char_series(matrix):
+        if matrix.basis_tag is not None:  # a Katz U_p matrix
+            series_calls.append(matrix.m)
+        return real_char_series(matrix)
+
     d = katz_basis(14, 5, 34).dimension
+    cap = 10 + 8 * max(d, 2) + 16
     monkeypatch.setattr(KatzBasis, "elements_mod", counting_elements_mod)
+    monkeypatch.setattr(coleman, "char_series", counting_char_series)
     rep = slope_spectrum(14, 5, 34, 10, certify_below=F(8))
-    # ten m-raising retries and the naive cross-check reduce the elements
-    # built once at the cap m + floor(b) * max(D, 2) + 16
+    # the elements, the q-expansion solve and its char series are built
+    # once at the cap m + floor(b) * max(D, 2) + 16; the ten m-raising
+    # retries only reduce that series, and the naive cross-check takes
+    # the second char series, at the final modulus
     assert rep.m_working == 91
-    assert calls == [10 + 8 * max(d, 2) + 16]
+    assert calls == [cap]
+    assert series_calls == [cap, 91]
+
+
+@pytest.mark.parametrize(
+    "k, p, twist_depth, m, bound, m_working",
+    [(14, 5, 34, 10, F(8), 91), (10, 11, 11, 12, F(9), 57)],
+)
+def test_spectrum_core_matches_a_direct_solve(k, p, twist_depth, m, bound, m_working):
+    # reducing the cap's matrix and series equals solving at m_working
+    _, _, matrix, series, _, m_work = coleman._spectrum_core(
+        k, p, twist_depth, m, None, bound
+    )
+    assert m_work == m_working
+    direct = up_matrix(katz_basis(k, p, twist_depth), m_work, "qexp")
+    assert matrix == direct  # rows, p and m
+    assert series == char_series(direct)
 
 
 def test_slope_spectrum_weight_zero():
