@@ -96,19 +96,17 @@ class KatzBasis:
         ring = ModRing(self.p, m)
         qprec = self.p * max(self.dimension, 1)
         e_inv = eisenstein(self.p - 1, qprec, ring).inverse()
+        power = QSeries.constant(1, qprec, ring)  # E_{p-1}^{-last}
         steps = [e_inv]  # steps[g - 1] = E_{p-1}^{-g}
+        last = 0
         out: List[QSeries] = []
-        power, last = None, 0  # power = E_{p-1}^{-last}, None for 1
         for i, block in enumerate(self._rungs(qprec, ring)):
-            if not block:
-                continue
-            if i > last:
+            if block and i > last:
                 while len(steps) < i - last:
                     steps.append(steps[-1] * e_inv)
-                step = steps[i - last - 1]
-                power = step if power is None else power * step
+                power = power * steps[i - last - 1]
                 last = i
-            out.extend(block if power is None else [b * power for b in block])
+            out.extend(b * power for b in block)
         for g, element in enumerate(out):
             if element.leading_index() != g or element.coefficient(g) != 1:
                 raise VerificationError(

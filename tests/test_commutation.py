@@ -34,8 +34,20 @@ def test_tp_congruent_frobenius_mod_p_low_weight():
             f = QSeries.from_coeffs([rng.randrange(125) for _ in range(60)], ring)
             assert hecke_tp(f, k, 5) == frobenius(f, 5).truncate(12)
     from padicforms.coleman import katz_basis
+    from padicforms.forms import eisenstein
 
+    # the Katz elements b * E_4^{-i} at the basis' full q-precision p(D+4),
+    # so that T_p and F are compared on D + 4 coefficients
     basis = katz_basis(-2, 5, 6)
-    for element in basis.elements_mod(1):
+    e_inv = eisenstein(4, basis.qprec, ring).inverse()
+    power = QSeries.constant(1, basis.qprec, ring)
+    elements = []
+    for i, block in enumerate(basis.blocks):
+        if i > 0:
+            power = power * e_inv
+        elements += [b.to_ring(ring) * power for b in block]
+    assert len(elements) == basis.dimension == 2
+    for element in elements + basis.elements_mod(1):
         q = element.qprec // 5
         assert hecke_tp(element, -2, 5) == frobenius(element, 5).truncate(q)
+    assert elements[0].qprec // 5 == basis.dimension + 4
