@@ -19,6 +19,7 @@ helpers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import PrecisionError, VerificationError
@@ -52,7 +53,7 @@ def _columns_to_lists(vectors, n: int) -> List[List[int]]:
         if vectors.size != n:
             raise ValueError("vector matrix size mismatch")
         return [[vectors.rows[i][j] for i in range(n)] for j in range(n)]
-    cols = [list(int(x) for x in col) for col in vectors]
+    cols = [list(map(index, col)) for col in vectors]
     for col in cols:
         if len(col) != n:
             raise ValueError("vector length mismatch")
@@ -153,7 +154,7 @@ def echelon_mod_p(rows: Sequence[Sequence[int]], p: int):
 
     Returns (echelon_rows, pivot_columns); zero rows are dropped.
     """
-    work = [[int(x) % p for x in row] for row in rows]
+    work = [[index(x) % p for x in row] for row in rows]
     pivots: List[int] = []
     out: List[List[int]] = []
     width = len(work[0]) if work else 0
@@ -187,7 +188,7 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
 
 def in_row_span_mod_p(vector: Sequence[int], echelon_rows, pivots, p: int) -> bool:
     """Membership test against an echelonized row space over F_p."""
-    v = [int(x) % p for x in vector]
+    v = [index(x) % p for x in vector]
     for row, c in zip(echelon_rows, pivots):
         if v[c] % p != 0:
             f = v[c]

@@ -5,6 +5,14 @@ floating point anywhere.  Values mod p^m are plain reduced ints, and
 their valuations are saturated at the precision exponent: a zero
 residue has valuation m, meaning "at least m", not "equals m".
 
+A ``PadicMatrix`` validates its inputs once, at the public constructors
+(``PadicMatrix(...)``, ``from_rows``, ``identity``, ``zero``): p must be
+a prime >= 3, m >= 1, the rows square, and every entry an integer
+(``operator.index``; a float or Fraction raises ``TypeError`` instead of
+being truncated), which is then reduced mod p^m.  Results the class
+computes itself (products, sums, powers, transposes, reductions) are
+built already reduced over the checked (p, m) and skip that validation.
+
 All values are immutable after construction, so they can be shared
 freely between threads.
 """
@@ -12,7 +20,8 @@ freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from operator import index, matmul, mul
+from typing import Callable, Iterable, Optional, Sequence
 
 
 def is_prime(n: int) -> bool:
@@ -33,6 +42,25 @@ def _check_pm(p: int, m: int) -> None:
         raise ValueError(f"precision exponent must be >= 1, got {m}")
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be a prime >= 3, got {p}")
+
+
+def power_from_base(x, n: int, product: Callable):
+    """x**n for n >= 1 by square-and-multiply, starting from x rather than
+    from the unit, so it makes bit_length(n) + popcount(n) - 2 products
+    and none after the top bit."""
+    if n < 1:
+        raise ValueError(f"power_from_base needs n >= 1, got {n}")
+    while not n & 1:
+        x = product(x, x)
+        n >>= 1
+    result = x
+    n >>= 1
+    while n:
+        x = product(x, x)
+        if n & 1:
+            result = product(result, x)
+        n >>= 1
+    return result
 
 
 def val_p(x: int, p: int, saturate: Optional[int] = None) -> int:
@@ -71,11 +99,19 @@ class PadicMatrix:
         _check_pm(self.p, self.m)
         n = len(self.rows)
         modulus = self.p**self.m
-        reduced = tuple(tuple(int(x) % modulus for x in row) for row in self.rows)
+        reduced = tuple(tuple(index(x) % modulus for x in row) for row in self.rows)
         for row in reduced:
             if len(row) != n:
                 raise ValueError("matrix must be square")
         object.__setattr__(self, "rows", reduced)
+
+    @classmethod
+    def _reduced(cls, rows: tuple, p: int, m: int, basis_tag: Optional[str]) -> "PadicMatrix":
+        """A matrix from square tuple-of-tuple rows of ints already in
+        [0, p^m), over a (p, m) already checked: no validation."""
+        self = object.__new__(cls)
+        vars(self).update(rows=rows, p=p, m=m, basis_tag=basis_tag)
+        return self
 
     @classmethod
     def from_rows(
@@ -114,86 +150,64 @@ class PadicMatrix:
 
     def __add__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._check_compatible(other)
-        return PadicMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-            self.p,
-            self.m,
-            self._merged_tag(other),
+        modulus = self.modulus
+        rows = tuple(
+            tuple((a + b) % modulus for a, b in zip(ra, rb))
+            for ra, rb in zip(self.rows, other.rows)
         )
+        return PadicMatrix._reduced(rows, self.p, self.m, self._merged_tag(other))
 
     def __sub__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._check_compatible(other)
-        return PadicMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-            self.p,
-            self.m,
-            self._merged_tag(other),
+        modulus = self.modulus
+        rows = tuple(
+            tuple((a - b) % modulus for a, b in zip(ra, rb))
+            for ra, rb in zip(self.rows, other.rows)
         )
+        return PadicMatrix._reduced(rows, self.p, self.m, self._merged_tag(other))
 
     def __neg__(self) -> "PadicMatrix":
-        return PadicMatrix(
-            tuple(tuple(-a for a in row) for row in self.rows),
-            self.p,
-            self.m,
-            self.basis_tag,
-        )
+        modulus = self.modulus
+        rows = tuple(tuple(-a % modulus for a in row) for row in self.rows)
+        return PadicMatrix._reduced(rows, self.p, self.m, self.basis_tag)
 
     def scale(self, c: int) -> "PadicMatrix":
-        return PadicMatrix(
-            tuple(tuple(c * a for a in row) for row in self.rows),
-            self.p,
-            self.m,
-            self.basis_tag,
-        )
+        modulus = self.modulus
+        c = index(c) % modulus
+        rows = tuple(tuple(c * a % modulus for a in row) for row in self.rows)
+        return PadicMatrix._reduced(rows, self.p, self.m, self.basis_tag)
 
     def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._check_compatible(other)
-        n = self.size
         modulus = self.modulus
-        cols = tuple(tuple(other.rows[k][j] for k in range(n)) for j in range(n))
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) % modulus for col in cols)
-            for row in self.rows
+        cols = tuple(zip(*other.rows))
+        # list comprehensions, not generators: no frame switch per entry
+        rows = tuple(
+            [tuple([sum(map(mul, row, col)) % modulus for col in cols]) for row in self.rows]
         )
-        return PadicMatrix(out, self.p, self.m, self._merged_tag(other))
+        return PadicMatrix._reduced(rows, self.p, self.m, self._merged_tag(other))
 
     def __pow__(self, n: int) -> "PadicMatrix":
+        """The n-th power, by ``power_from_base`` for n >= 1; it keeps this
+        matrix's tag, as does the identity for n = 0."""
         if n < 0:
             raise ValueError("negative matrix powers are not supported")
-        result = PadicMatrix.identity(self.size, self.p, self.m)
-        base = self
-        while n:
-            if n & 1:
-                result = result @ base
-            base = base @ base
-            n >>= 1
-        if self.basis_tag is not None:
-            result = PadicMatrix(result.rows, self.p, self.m, self.basis_tag)
-        return result
+        if n == 0:
+            size = self.size
+            rows = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+            return PadicMatrix._reduced(rows, self.p, self.m, self.basis_tag)
+        return power_from_base(self, n, matmul)
 
     def apply(self, vector: Sequence[int]) -> tuple:
         """Matrix times column vector, as a tuple of reduced residues."""
         if len(vector) != self.size:
             raise ValueError("vector length mismatch")
         modulus = self.modulus
-        return tuple(
-            sum(a * int(b) for a, b in zip(row, vector)) % modulus for row in self.rows
-        )
+        vector = tuple(map(index, vector))
+        return tuple(sum(map(mul, row, vector)) % modulus for row in self.rows)
 
     def transpose(self) -> "PadicMatrix":
-        n = self.size
-        return PadicMatrix(
-            tuple(tuple(self.rows[j][i] for j in range(n)) for i in range(n)),
-            self.p,
-            self.m,
-            self.basis_tag,
-        )
+        return PadicMatrix._reduced(tuple(zip(*self.rows)), self.p, self.m, self.basis_tag)
 
     def trace(self) -> int:
         """Sum of the diagonal, reduced mod p^m."""
@@ -202,7 +216,10 @@ class PadicMatrix:
     def reduce(self, m_new: int) -> "PadicMatrix":
         if m_new > self.m:
             raise ValueError("cannot increase precision by reduction")
-        return PadicMatrix(self.rows, self.p, m_new, self.basis_tag)
+        _check_pm(self.p, m_new)
+        modulus = self.p**m_new
+        rows = tuple(tuple(a % modulus for a in row) for row in self.rows)
+        return PadicMatrix._reduced(rows, self.p, m_new, self.basis_tag)
 
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.rows for a in row)

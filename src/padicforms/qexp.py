@@ -8,10 +8,11 @@ ring tags; the q-precision of a result is the minimum of the inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Sequence, Union
 
 from .errors import PrecisionError
-from .padic import _check_pm
+from .padic import _check_pm, power_from_base
 
 
 @dataclass(frozen=True)
@@ -114,14 +115,9 @@ class QSeries:
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:
             return self.inverse() ** (-n)
-        result = QSeries.constant(1, self.qprec, self.ring)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return QSeries.constant(1, self.qprec, self.ring)
+        return power_from_base(self, n, mul)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse; the constant term must be a unit."""

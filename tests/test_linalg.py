@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,19 @@ def test_solve_non_integral():
     b = PadicMatrix.from_rows([[1, 0], [0, 5]], 5, 3)
     with pytest.raises(PrecisionError):
         solve_in_basis([(0, 1)], b)
+
+
+def test_solve_rejects_non_integer_vectors():
+    b = PadicMatrix.identity(2, 5, 3)
+    with pytest.raises(TypeError):
+        solve_in_basis([(2.5, 1)], b)
+    with pytest.raises(TypeError):
+        solve_in_basis([(Fraction(7, 2), 1)], b)
+    with pytest.raises(TypeError):
+        echelon_mod_p([[1.5, 0]], 5)
+    ech, piv = echelon_mod_p([[1, 0]], 5)
+    with pytest.raises(TypeError):
+        in_row_span_mod_p([Fraction(1, 1), 0], ech, piv, 5)
 
 
 def test_solve_unimodular_round_trip():
@@ -269,6 +283,23 @@ def test_projector_matmul_count_is_logarithmic(monkeypatch):
     ordinary_projector(t)
     # ceil(log2(n m)) squarings for T^N, N >= n m, plus the checks
     assert len(calls) <= (16 * 10 - 1).bit_length() + 4
+
+
+def test_projector_validates_only_its_public_builds(monkeypatch):
+    calls = []
+    real_post_init = PadicMatrix.__post_init__
+
+    def counting_post_init(self):
+        calls.append(self.size)
+        real_post_init(self)
+
+    monkeypatch.setattr(PadicMatrix, "__post_init__", counting_post_init)
+    for m in (2, 10):
+        t = random_matrix(random.Random(3), 16, 5, m)
+        calls.clear()
+        ordinary_projector(t)
+        # the pivot block of the image solve, S and e; products skip validation
+        assert len(calls) <= 3
 
 
 def greedy_independent_columns(idem, rank, p):

@@ -1,6 +1,12 @@
+import random
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicforms.padic import PadicMatrix, val_p
+from padicforms.qexp import ModRing, QSeries
 
 
 def test_val_p():
@@ -54,3 +60,95 @@ def test_basis_tag_propagation():
     assert (a @ c).basis_tag is None
     # tags are metadata: equality ignores them
     assert a == PadicMatrix.identity(2, 5, 3)
+
+
+def test_non_integer_entries_are_rejected():
+    with pytest.raises(TypeError):
+        PadicMatrix.from_rows([[2.5, Fraction(7, 2)], [1, 1]], 5, 3)
+    with pytest.raises(TypeError):
+        PadicMatrix(((Fraction(4, 1), 0), (0, 1)), 5, 3)
+    with pytest.raises(TypeError):
+        PadicMatrix.identity(2, 5, 3).scale(0.5)
+    with pytest.raises(TypeError):
+        PadicMatrix.identity(2, 5, 3).apply((1.0, 2))
+    assert PadicMatrix.from_rows([[True, False], [0, 1]], 5, 3) == PadicMatrix.identity(2, 5, 3)
+
+
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (24, 5)])
+def test_power_product_count(monkeypatch, n, products):
+    """Powers start from the base and stop at the top bit:
+    bit_length(n) + popcount(n) - 2 products for n >= 1."""
+    a = PadicMatrix.from_rows([[1, 2], [3, 4]], 5, 3, basis_tag="katz")
+    f = QSeries.from_coeffs([1, 3, 0, 2, 1, 4], ModRing(5, 3))
+    naive_a, naive_f = PadicMatrix.identity(2, 5, 3), QSeries.constant(1, 6, ModRing(5, 3))
+    for _ in range(n):
+        naive_a, naive_f = naive_a @ a, naive_f * f
+    calls = []
+    real_matmul, real_mul = PadicMatrix.__matmul__, QSeries.__mul__
+    monkeypatch.setattr(
+        PadicMatrix, "__matmul__", lambda x, y: calls.append("@") or real_matmul(x, y)
+    )
+    monkeypatch.setattr(QSeries, "__mul__", lambda x, y: calls.append("*") or real_mul(x, y))
+    power_a, power_f = a**n, f**n
+    assert calls.count("@") == products and calls.count("*") == products
+    assert power_a == naive_a and power_a.basis_tag == "katz"
+    assert power_f == naive_f
+
+
+def _plain_product(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+def _assert_canonical(result, expected, tag):
+    """``result`` equals the validated ``expected``, has the tag ``tag``,
+    and is tuple-of-tuple rows of plain ints in [0, p^m)."""
+    assert result == expected and hash(result) == hash(expected)
+    assert (result.p, result.m) == (expected.p, expected.m)
+    assert result.basis_tag == tag
+    assert type(result.rows) is tuple
+    modulus = result.p**result.m
+    for row in result.rows:
+        assert type(row) is tuple and len(row) == result.size
+        assert all(type(x) is int and 0 <= x < modulus for x in row)
+
+
+TAGS = st.sampled_from((None, "katz", "miller"))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from((5, 7, 11, 13)),
+    m=st.integers(1, 10),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    tags=st.tuples(TAGS, TAGS),
+    k=st.integers(0, 9),
+)
+def test_internal_results_are_canonical(p, m, n, seed, tags, k):
+    rng = random.Random(seed)
+    modulus = p**m
+    x = [[rng.randrange(modulus) for _ in range(n)] for _ in range(n)]
+    y = [[rng.randrange(modulus) for _ in range(n)] for _ in range(n)]
+    a = PadicMatrix.from_rows(x, p, m, tags[0])
+    b = PadicMatrix.from_rows(y, p, m, tags[1])
+    merged = tags[0] if tags[0] == tags[1] else None
+    c = -rng.randrange(modulus + 1, 3 * modulus)
+    m_low = rng.randint(1, m)
+
+    def ref(rows, m_ref=m, tag=None):
+        return PadicMatrix.from_rows(rows, p, m_ref, tag)
+
+    _assert_canonical(a @ b, ref(_plain_product(x, y)), merged)
+    _assert_canonical(a + b, ref([[u + v for u, v in zip(r, s)] for r, s in zip(x, y)]), merged)
+    _assert_canonical(a - b, ref([[u - v for u, v in zip(r, s)] for r, s in zip(x, y)]), merged)
+    _assert_canonical(-a, ref([[-u for u in r] for r in x]), tags[0])
+    _assert_canonical(a.scale(c), ref([[c * u for u in r] for r in x]), tags[0])
+    _assert_canonical(a.transpose(), ref([list(col) for col in zip(*x)]), tags[0])
+    _assert_canonical(a.reduce(m_low), ref(x, m_low), tags[0])
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(k):
+        power = _plain_product(power, x)
+    _assert_canonical(a**k, ref(power), tags[0])
+    for m_bad in (0, m + 1):
+        with pytest.raises(ValueError):
+            a.reduce(m_bad)
