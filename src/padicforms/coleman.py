@@ -27,12 +27,21 @@ from .charseries import (
     newton_polygon,
 )
 from .errors import ConfigError, PrecisionError, VerificationError
-from .forms import SUPPORTED_PRIMES, MillerPowers, basis_dimension, eisenstein, miller_rows
+from .forms import (
+    SUPPORTED_PRIMES,
+    MillerPowers,
+    PowerTable,
+    basis_dimension,
+    clear_tails,
+    e4_e6_exponents,
+    eisenstein,
+    miller_rows,
+)
 from .hecke import up, up_naive
 from .hida import tp_matrix
 from .linalg import solve_in_basis
 from .padic import PadicMatrix, is_prime
-from .qexp import ZZ, ModRing, QSeries, Ring
+from .qexp import ZZ, ModRing, QSeries
 
 
 def _check_even(k: int) -> None:
@@ -47,10 +56,11 @@ class KatzBasis:
     ``ladder`` holds the dimensions dim M_{k + i(p-1)}, i = 0..I.  Block
     i is the new Miller rows b_{i,j} of weight k + i(p-1), j from the
     dimension of rung i-1 on; the pair (i, b_{i,j}) stands for the
-    element b_{i,j} * E_{p-1}^{-i}.  The rows are built on demand, over
-    the ring that asks for them.  Element with global index g has
-    q-expansion q^g + O(q^(g+1)), which makes solving in the basis
-    lossless.
+    element b_{i,j} * E_{p-1}^{-i}.  Only the ladder is stored:
+    ``blocks`` builds the rows over Z, and ``elements_mod`` builds the
+    elements over Z/p^m without building the rows.  Element with global
+    index g has q-expansion q^g + O(q^(g+1)), which makes solving in
+    the basis lossless.
     """
 
     p: int
@@ -67,46 +77,67 @@ class KatzBasis:
     def dimension(self) -> int:
         return self.ladder[-1]
 
-    def _rungs(self, qprec: int, ring: Ring) -> List[tuple]:
-        """Block i of every rung, over ``ring`` at q-precision ``qprec``,
-        with the E4 and Delta powers taken from one shared table."""
-        powers = MillerPowers(qprec, ring)
-        blocks = []
-        prev = 0
-        for i, d in enumerate(self.ladder):
-            blocks.append(miller_rows(self.weight + i * (self.p - 1), prev, powers))
-            prev = d
-        return blocks
-
     @property
     def blocks(self) -> tuple:
-        """The blocks over Z at the full q-precision."""
-        return tuple(self._rungs(self.qprec, ZZ))
+        """The blocks over Z at the full q-precision, with the E4 and
+        Delta powers taken from one shared table."""
+        powers = MillerPowers(self.qprec, ZZ)
+        return tuple(
+            miller_rows(self.weight + i * (self.p - 1), lo, powers)
+            for i, lo in enumerate((0,) + self.ladder[:-1])
+        )
 
     def elements_mod(self, m: int) -> List[QSeries]:
         """Evaluate b_{i,j} * E_{p-1}^{-i} over Z/p^m, to q-precision p*D.
 
         U_p reads the first D coefficients of each element and of each
         image, and an image's first D coefficients need the element only
-        through q^(p(D-1)).  The Miller rows are built over Z/p^m; their
-        pivots are 1, so they are the integral rows reduced.  The power
-        of E_{p-1}^{-1} steps only between non-empty rungs, by
-        E_{p-1}^{-gap}, each distinct gap power built once.
+        through q^(p(D-1)).  Row c of the Miller rows, new in rung i_c at
+        weight w_c, is E4^a E6^b Delta^c before the rows after it in its
+        rung clear its tail, (a, b) by ``e4_e6_exponents(w_c - 12c)``.
+        So one running product R_c = Delta^c * E_{p-1}^{-i_c} carries
+        every element: R_c = R_{c-1} * Delta * E_{p-1}^{-g}, g = i_c -
+        i_{c-1}, and element c is R_c * E4^a E6^b.  Each step factor is
+        built once per gap g and each E4^a E6^b once per (a, b); a factor
+        1 costs no product.  A rung with several new rows then gets the
+        row operations of ``forms.miller_rows``, with multipliers read
+        from the Miller monomials to q-precision D only.  Truncated
+        series arithmetic over Z/p^m is exact, commutative and
+        associative, so these are the integral rows reduced mod p^m times
+        E_{p-1}^{-i}, equal coefficient for coefficient.
         """
         ring = ModRing(self.p, m)
         qprec = self.p * max(self.dimension, 1)
-        e_inv = eisenstein(self.p - 1, qprec, ring).inverse()
-        power = QSeries.constant(1, qprec, ring)  # E_{p-1}^{-last}
-        steps = [e_inv]  # steps[g - 1] = E_{p-1}^{-g}
-        last = 0
+        powers = MillerPowers(qprec, ring)
+        times = powers.product
+        # e_inv[0] is powers.one itself, so ``times`` skips it
+        e_inv = PowerTable(eisenstein(self.p - 1, qprec, ring).inverse(), powers.one)
+        steps = {}  # gap g -> Delta * E_{p-1}^{-g}
+        monomials = {}  # (a, b) -> E4^a E6^b
+        probes = None  # Miller powers to q-precision D, for the multipliers
+        running = last = None  # R_c and i_c of the row before
         out: List[QSeries] = []
-        for i, block in enumerate(self._rungs(qprec, ring)):
-            if block and i > last:
-                while len(steps) < i - last:
-                    steps.append(steps[-1] * e_inv)
-                power = power * steps[i - last - 1]
+        for i, (lo, hi) in enumerate(zip((0,) + self.ladder, self.ladder)):
+            weight = self.weight + i * (self.p - 1)
+            block = []
+            for c in range(lo, hi):
+                if running is None:
+                    running = e_inv[i]
+                else:
+                    gap = i - last
+                    if gap not in steps:
+                        steps[gap] = times(powers.delta[1], e_inv[gap])
+                    running = times(running, steps[gap])
                 last = i
-            out.extend(b * power for b in block)
+                ab = e4_e6_exponents(weight - 12 * c)
+                if ab not in monomials:
+                    monomials[ab] = times(powers.e4[ab[0]], powers.e6 if ab[1] else powers.one)
+                block.append(times(running, monomials[ab]))
+            if len(block) > 1:
+                if probes is None:
+                    probes = MillerPowers(self.dimension, ring)
+                clear_tails([probes.monomial(weight, c) for c in range(lo, hi)], lo, block)
+            out.extend(block)
         for g, element in enumerate(out):
             if element.leading_index() != g or element.coefficient(g) != 1:
                 raise VerificationError(

@@ -67,23 +67,17 @@ def eisenstein(k: int, qprec: int, ring: Ring = ZZ) -> QSeries:
 
 
 def eta_power_24(qprec: int) -> List[int]:
-    """Coefficients of prod (1 - q^n)^24 via the pentagonal-number series."""
-    euler = [0] * qprec
-    euler[0] = 1
-    j = 1
-    while True:
-        p1 = j * (3 * j - 1) // 2
-        p2 = j * (3 * j + 1) // 2
-        if p1 >= qprec and p2 >= qprec:
-            break
-        s = -1 if j % 2 else 1
-        if p1 < qprec:
-            euler[p1] = s
-        if p2 < qprec:
-            euler[p2] = s
-        j += 1
-    f = QSeries.from_coeffs(euler)
-    return list((f**24).coeffs)
+    """Coefficients of prod (1 - q^n)^24, as (prod (1 - q^n)^3)^8.
+
+    The cube is Jacobi's sparse series sum_n (-1)^n (2n+1) q^(n(n+1)/2),
+    so the three squarings make two dense products.
+    """
+    cube = [0] * qprec
+    n = 0
+    while n * (n + 1) // 2 < qprec:
+        cube[n * (n + 1) // 2] = (-1) ** n * (2 * n + 1)
+        n += 1
+    return list((QSeries.from_coeffs(cube) ** 8).coeffs)
 
 
 def delta(qprec: int, ring: Ring = ZZ) -> QSeries:
@@ -134,33 +128,68 @@ class SpaceBasis:
         return self.forms[0].ring if self.forms else ZZ
 
 
+def e4_e6_exponents(weight: int) -> tuple:
+    """(a, b) with 4a + 6b = weight and b = 0 or 1, b = 0 when 4 | weight."""
+    b = 0 if weight % 4 == 0 else 1
+    a = (weight - 6 * b) // 4
+    if a < 0:
+        raise ArithmeticError(f"no E4^a E6^b monomial of weight {weight}")
+    return a, b
+
+
+class PowerTable:
+    """The powers x^0, x^1, ... of one series, each built once, by one
+    product from the power before; ``table[n]`` is x^n."""
+
+    def __init__(self, x: QSeries, one: QSeries) -> None:
+        self._powers = [one, x]
+
+    def __getitem__(self, n: int) -> QSeries:
+        powers = self._powers
+        while len(powers) <= n:
+            powers.append(powers[-1] * powers[1])
+        return powers[n]
+
+
 class MillerPowers:
     """E4, E6 and Delta at one q-precision over one ring, with the powers
-    E4^a and Delta^c each built once, by one product from the power
-    before.  One table serves the Miller rows of any number of weights.
+    ``e4[a]`` and ``delta[c]`` each built once.  One table serves the
+    Miller rows of any number of weights.
     """
 
     def __init__(self, qprec: int, ring: Ring = ZZ) -> None:
-        one = QSeries.constant(1, qprec, ring)
+        self.one = QSeries.constant(1, qprec, ring)
         self.e6 = eisenstein(6, qprec, ring)
-        self._e4 = [one, eisenstein(4, qprec, ring)]
-        self._delta = [one, delta(qprec, ring)]
+        self.e4 = PowerTable(eisenstein(4, qprec, ring), self.one)
+        self.delta = PowerTable(delta(qprec, ring), self.one)
 
-    @staticmethod
-    def _power(table: List[QSeries], n: int) -> QSeries:
-        while len(table) <= n:
-            table.append(table[-1] * table[1])
-        return table[n]
+    def product(self, *factors: QSeries) -> QSeries:
+        """The product of ``factors``, with no product by this table's 1."""
+        out = self.one
+        for f in factors:
+            if f is not self.one:
+                out = f if out is self.one else out * f
+        return out
 
     def monomial(self, k: int, c: int) -> QSeries:
-        """E4^a E6^b Delta^c of weight k, with b = 0 or 1 by (k - 12c) mod 4."""
-        rem = k - 12 * c
-        b = 0 if rem % 4 == 0 else 1
-        a = (rem - 6 * b) // 4
-        if a < 0:
-            raise ArithmeticError(f"no E4^a E6^b monomial of weight {rem}")
-        out = self._power(self._e4, a) * self._power(self._delta, c)
-        return out * self.e6 if b else out
+        """E4^a E6^b Delta^c of weight k, (a, b) by ``e4_e6_exponents``."""
+        a, b = e4_e6_exponents(k - 12 * c)
+        return self.product(self.delta[c], self.e4[a], self.e6 if b else self.one)
+
+
+def clear_tails(rows: list, start: int, *shadows: list) -> None:
+    """Clear, in place, the q^(start+i) coefficient of each row j against
+    the later rows i > j, last rows first, for rows j with pivot q^(start+j).
+
+    Each list in ``shadows`` gets the same row operations, with the
+    multipliers read from ``rows``.
+    """
+    for j in range(len(rows) - 2, -1, -1):
+        for i in range(j + 1, len(rows)):
+            cij = rows[j].coefficient(start + i)
+            if cij != 0:
+                for target in (rows,) + shadows:
+                    target[j] = target[j] - target[i].scale(cij)
 
 
 def miller_rows(k: int, start: int, powers: MillerPowers) -> tuple:
@@ -171,12 +200,7 @@ def miller_rows(k: int, start: int, powers: MillerPowers) -> tuple:
     monomials nor the earlier rows.
     """
     rows = [powers.monomial(k, c) for c in range(start, basis_dimension(k))]
-    # clear the q^i tail of each row against the later ones
-    for j in range(len(rows) - 2, -1, -1):
-        for i in range(j + 1, len(rows)):
-            cij = rows[j].coefficient(start + i)
-            if cij != 0:
-                rows[j] = rows[j] - rows[i].scale(cij)
+    clear_tails(rows, start)
     return tuple(rows)
 
 

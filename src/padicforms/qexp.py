@@ -3,12 +3,20 @@
 A ``QSeries`` holds coefficients a_0, ..., a_{Q-1} of a formal series
 sum a_n q^n, either over Z or over Z/p^m.  Arithmetic requires equal
 ring tags; the q-precision of a result is the minimum of the inputs.
+
+A ``QSeries`` validates its coefficients once, at public construction
+(``QSeries(...)``, ``from_coeffs``, ``constant``, ``map_coeffs``): each
+must be an integer (``operator.index``; a float or Fraction raises
+``TypeError`` instead of being truncated), reduced mod p^m over Z/p^m.
+Results the class computes itself (products, sums, scales, shifts,
+truncations, ring changes, inverses) are built already reduced, with
+one ``% modulus`` per coefficient, and skip that validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
+from operator import index, mul
 from typing import Callable, Sequence, Union
 
 from .errors import PrecisionError
@@ -19,8 +27,10 @@ from .padic import _check_pm, power_from_base
 class IntegerRing:
     """The exact integers; the tag for classical integral q-expansions."""
 
+    modulus = None  # nothing to reduce by
+
     def reduce(self, x: int) -> int:
-        return int(x)
+        return index(x)
 
     def __str__(self) -> str:
         return "Z"
@@ -39,7 +49,7 @@ class ModRing:
         object.__setattr__(self, "modulus", self.p**self.m)
 
     def reduce(self, x: int) -> int:
-        return int(x) % self.modulus
+        return index(x) % self.modulus
 
     def __str__(self) -> str:
         return f"Z/{self.p}^{self.m}"
@@ -58,11 +68,26 @@ class QSeries:
     coeffs: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coeffs", tuple(self.ring.reduce(c) for c in self.coeffs)
-        )
+        object.__setattr__(self, "coeffs", tuple(map(self.ring.reduce, self.coeffs)))
         if not self.coeffs:
             raise ValueError("a q-expansion needs at least the constant term")
+
+    @classmethod
+    def _reduced(cls, ring: Ring, coeffs: tuple) -> "QSeries":
+        """A series from a non-empty tuple of ints already reduced over
+        ``ring``: no validation."""
+        self = object.__new__(cls)
+        vars(self).update(ring=ring, coeffs=coeffs)
+        return self
+
+    @classmethod
+    def _from_ints(cls, ring: Ring, coeffs) -> "QSeries":
+        """A series from computed ints, reduced by one ``% modulus`` each
+        (kept as they are over Z)."""
+        modulus = ring.modulus
+        if modulus is None:
+            return cls._reduced(ring, tuple(coeffs))
+        return cls._reduced(ring, tuple([c % modulus for c in coeffs]))
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[int], ring: Ring = ZZ) -> "QSeries":
@@ -70,6 +95,8 @@ class QSeries:
 
     @classmethod
     def constant(cls, value: int, qprec: int, ring: Ring = ZZ) -> "QSeries":
+        if qprec < 1:
+            raise ValueError(f"a q-expansion needs q-precision >= 1, got {qprec}")
         return cls(ring, (value,) + (0,) * (qprec - 1))
 
     @property
@@ -88,17 +115,22 @@ class QSeries:
 
     def __add__(self, other: "QSeries") -> "QSeries":
         q = self._common(other)
-        return QSeries(self.ring, tuple(a + b for a, b in zip(self.coeffs[:q], other.coeffs[:q])))
+        return QSeries._from_ints(
+            self.ring, [a + b for a, b in zip(self.coeffs[:q], other.coeffs[:q])]
+        )
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         q = self._common(other)
-        return QSeries(self.ring, tuple(a - b for a, b in zip(self.coeffs[:q], other.coeffs[:q])))
+        return QSeries._from_ints(
+            self.ring, [a - b for a, b in zip(self.coeffs[:q], other.coeffs[:q])]
+        )
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.ring, tuple(-a for a in self.coeffs))
+        return QSeries._from_ints(self.ring, [-a for a in self.coeffs])
 
     def scale(self, c: int) -> "QSeries":
-        return QSeries(self.ring, tuple(c * a for a in self.coeffs))
+        c = index(c)
+        return QSeries._from_ints(self.ring, [c * a for a in self.coeffs])
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         q = self._common(other)
@@ -110,7 +142,7 @@ class QSeries:
                 continue
             for j in range(q - i):
                 out[i + j] += ai * b[j]
-        return QSeries(self.ring, tuple(out))
+        return QSeries._from_ints(self.ring, out)
 
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:
@@ -130,26 +162,27 @@ class QSeries:
             if a[0] not in (1, -1):
                 raise ZeroDivisionError("constant term is not a unit in Z")
             inv0 = a[0]
-        red = self.ring.reduce
-        out = [0] * self.qprec
-        out[0] = red(inv0)
+        modulus = self.ring.modulus
+        out = [inv0]
         for n in range(1, self.qprec):
-            s = sum(a[i] * out[n - i] for i in range(1, n + 1))
-            out[n] = red(-inv0 * s)
-        return QSeries(self.ring, tuple(out))
+            c = -inv0 * sum(map(mul, a[1 : n + 1], reversed(out)))
+            out.append(c if modulus is None else c % modulus)
+        return QSeries._reduced(self.ring, tuple(out))
 
     def truncate(self, qprec: int) -> "QSeries":
+        if qprec < 1:
+            raise ValueError(f"a q-expansion needs q-precision >= 1, got {qprec}")
         if qprec > self.qprec:
             raise PrecisionError(
                 f"cannot extend q-precision {self.qprec} to {qprec}"
             )
-        return QSeries(self.ring, self.coeffs[:qprec])
+        return QSeries._reduced(self.ring, self.coeffs[:qprec])
 
     def shift_q(self, t: int) -> "QSeries":
         """Multiply by q^t; a series exact to Q is exact to Q+t after."""
         if t < 0:
             raise ValueError("negative q-shifts are not supported")
-        return QSeries(self.ring, (0,) * t + self.coeffs)
+        return QSeries._reduced(self.ring, (0,) * t + self.coeffs)
 
     def map_coeffs(self, fn: Callable[[int, int], int]) -> "QSeries":
         """New series with coefficients fn(n, a_n), same ring and precision."""
@@ -162,7 +195,7 @@ class QSeries:
                 raise ValueError(f"cannot reduce {self.ring} to {ring}")
         elif isinstance(ring, IntegerRing) and not isinstance(self.ring, IntegerRing):
             raise ValueError("cannot lift a modular series to Z")
-        return QSeries(ring, self.coeffs)
+        return QSeries._from_ints(ring, self.coeffs)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

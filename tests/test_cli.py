@@ -223,6 +223,11 @@ GOLDEN_RUNS = {
     "slopes_p5_k14_I34_m10.json": ["slopes", "--k", "14", "--p", "5", "--I", "34", "--m", "10"],
     "slopes_p11_k10_I11_m12.json": ["slopes", "--k", "10", "--p", "11", "--I", "11", "--m", "12"],
     "up_matrix_k4_p5_I12_m8.json": ["up-matrix", "--k", "4", "--p", "5", "--I", "12", "--m", "8"],
+    # rungs with several new Miller rows: the first rung at p = 13, and
+    # rungs 4 -> 6, 9 -> 11 and 14 -> 16 at p = 11
+    "up_matrix_k12_p13_I12_m8.json": ["up-matrix", "--k", "12", "--p", "13", "--I", "12", "--m", "8"],
+    "up_matrix_k10_p11_I20_m8.json": ["up-matrix", "--k", "10", "--p", "11", "--I", "20", "--m", "8"],
+    "slopes_p7_k8_I20_m8.json": ["slopes", "--k", "8", "--p", "7", "--I", "20", "--m", "8"],
     # a q-precision above the default, which U_p reads only in part
     "up_matrix_k-2_p7_I9_m6_Q100_naive.json": [
         "up-matrix", "--k", "-2", "--p", "7", "--I", "9", "--m", "6", "--Q", "100",

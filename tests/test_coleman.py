@@ -3,7 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicforms import coleman
@@ -72,6 +72,12 @@ def test_katz_blocks_are_the_new_miller_rows(k, p, twist_depth):
         prev = len(forms)
 
 
+# deep ladders beyond the drawn range: (4, 5, 60) one new row per rung;
+# (12, 13, 20) a two-row first rung; (10, 11, 20) two-row rungs 4 -> 6,
+# 9 -> 11 and 14 -> 16
+@example(4, 5, 60, 8)
+@example(12, 13, 20, 8)
+@example(10, 11, 20, 8)
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
 @given(
     st.integers(-5, 12).map(lambda h: 2 * h),
@@ -94,6 +100,22 @@ def test_katz_elements_mod_match_integral_blocks(k, p, twist_depth, m):
         expected += [b.to_ring(ring) * power for b in block]
     qprec = p * max(basis.dimension, 1)
     assert basis.elements_mod(m) == [e.truncate(qprec) for e in expected]
+
+
+def test_katz_elements_mod_product_count(monkeypatch):
+    # one running product Delta^c E_{p-1}^{-i_c} carries every element:
+    # 26 series products here, against 88 when each row took its own
+    # Miller monomial and E_{p-1}^{-i} products
+    products = []
+    multiply = QSeries.__mul__
+
+    def counted(f, g):
+        products.append(1)
+        return multiply(f, g)
+
+    monkeypatch.setattr(QSeries, "__mul__", counted)
+    katz_basis(4, 5, 60).elements_mod(8)
+    assert len(products) <= 40
 
 
 def test_katz_elements_echelon():

@@ -8,6 +8,7 @@ from padicforms.forms import (
     bernoulli,
     delta,
     eisenstein,
+    eta_power_24,
     hasse_invariant,
     miller_basis,
     sigma_series,
@@ -60,6 +61,23 @@ def test_delta_product_expansion():
     d = delta(10)
     # tau values: 1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643
     assert d.coeffs == (0, 1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643)
+
+
+def _eta_power_24_pentagonal(qprec):
+    # Euler's pentagonal series for prod (1 - q^n), raised to the 24th power
+    euler = [0] * qprec
+    j = 0
+    while j * (3 * j - 1) // 2 < qprec:
+        for e in {j * (3 * j - 1) // 2, j * (3 * j + 1) // 2}:
+            if e < qprec:
+                euler[e] = (-1) ** j
+        j += 1
+    return list((QSeries.from_coeffs(euler) ** 24).coeffs)
+
+
+@pytest.mark.parametrize("qprec", [1, 2, 3, 7, 10, 65, 151, 300])
+def test_eta_power_24_matches_the_pentagonal_route(qprec):
+    assert eta_power_24(qprec) == _eta_power_24_pentagonal(qprec)
 
 
 def test_delta_against_e4_e6():
