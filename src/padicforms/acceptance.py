@@ -364,7 +364,7 @@ def criterion_9(seed: int = 0) -> CriterionResult:
     for held_out in DISC_SAMPLES:
         rest = tuple(k for k in DISC_SAMPLES if k != held_out)
         depth = (top - max(rest)) // (p - 1)
-        disc = WeightDisc(p, 0, min(rest), rest, len(rest) - 1, m)
+        disc = WeightDisc(p, 0, min(rest), rest, m)
         series = two_var_charseries(disc, depth)
         predicted = series.specialize(held_out)
         direct_basis = katz_basis(held_out, p, (top - held_out) // (p - 1))
@@ -387,7 +387,7 @@ def criterion_9(seed: int = 0) -> CriterionResult:
             f"held-out {held_out}: all {series.degree + 1} coefficients match "
             f"mod 5^{prec}: {'ok' if good else 'FAIL'}"
         )
-    full = WeightDisc(p, 0, min(DISC_SAMPLES), DISC_SAMPLES, len(DISC_SAMPLES) - 1, m)
+    full = WeightDisc(p, 0, min(DISC_SAMPLES), DISC_SAMPLES, m)
     series = two_var_charseries(full, DISC_DEPTH)
     report = local_piece_report(series, 0)
     good = report.constant and set(report.degrees.values()) == {1}

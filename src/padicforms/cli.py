@@ -237,13 +237,11 @@ def _cmd_classicality(config: JobConfig) -> int:
 
 
 def _cmd_disc(config: JobConfig) -> int:
-    center = config.component if config.k is None else config.k
     disc = WeightDisc(
         p=config.p,
         component=config.component,
-        center=center if center is not None else min(config.weights),
+        center=config.component,
         sample_weights=config.weights,
-        poly_degree=len(set(config.weights)) - 1,
         m=config.m,
     )
     series = two_var_charseries(disc, config.twist_depth, config.qprec)

@@ -30,7 +30,6 @@ class WeightDisc:
     component: int
     center: int
     sample_weights: tuple
-    poly_degree: int
     m: int
 
     def __post_init__(self) -> None:
@@ -38,8 +37,8 @@ class WeightDisc:
             raise ConfigError(f"p must be one of {SUPPORTED_PRIMES}")
         weights = tuple(sorted(set(self.sample_weights)))
         object.__setattr__(self, "sample_weights", weights)
-        if len(weights) < self.poly_degree + 1:
-            raise ConfigError("need at least poly_degree + 1 sample weights")
+        if not weights:
+            raise ConfigError("a weight disc needs at least one sample weight")
         comp = self.component % (self.p - 1)
         object.__setattr__(self, "component", comp)
         for k in list(weights) + [self.center]:

@@ -50,6 +50,8 @@ def eisenstein(k: int, qprec: int, ring: Ring = ZZ) -> QSeries:
     """
     if k < 4 or k % 2 != 0:
         raise ValueError(f"E_k needs even k >= 4, got {k}")
+    if qprec < 1:
+        raise ValueError(f"a q-expansion needs q-precision >= 1, got {qprec}")
     factor = Fraction(-2 * k) / bernoulli(k)
     sig = sigma_series(k - 1, qprec)
     if isinstance(ring, ModRing):

@@ -2,7 +2,9 @@
 
 Mod-p spaces and their Hasse tower, ordinary ranks, the weight-raising
 control check, and interpolation of ordinary eigen-data across a weight
-progression into an Iwasawa-polynomial family.
+progression into an Iwasawa-polynomial family.  Every decomposition, of
+a space into its ordinary part and of that into eigensystems, is a
+``linalg.ordinary_projector`` with a basis from ``independent_columns``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .linalg import (
     in_row_span_mod_p,
     independent_columns,
     ordinary_projector,
+    rank_mod_p,
     restrict_to_image,
 )
 from .padic import PadicMatrix, is_prime
@@ -141,24 +144,22 @@ class ControlReport:
 
 
 def _ordinary_image_qexpansions(basis: SpaceBasis, p: int) -> List[Tuple[int, ...]]:
-    """q-expansions spanning e(T_p) applied to a mod-p space."""
+    """Echelon q-expansions mod p spanning e(T_p) of a mod-p space.
+
+    Only the columns of e that ``independent_columns`` picks are expanded:
+    they span the image of e, so the echelon form is that of all columns.
+    """
     if basis.dim == 0:
         return []
     rows = operator_matrix(basis, lambda f: hecke_tp(f, basis.weight, p))
     matrix = PadicMatrix.from_rows(rows, p, 1)
-    idem = ordinary_projector(matrix).idempotent
-    qprec = basis.qprec
-    out = []
-    for j in range(basis.dim):
-        acc = [0] * qprec
-        for i in range(basis.dim):
-            c = idem.rows[i][j]
-            if c:
-                for t, a in enumerate(basis.forms[i].coeffs[:qprec]):
-                    acc[t] = (acc[t] + c * a) % p
-        out.append(tuple(acc))
-    ech, _ = echelon_mod_p(out, p)
-    return ech
+    columns, _ = independent_columns(ordinary_projector(matrix).idempotent)
+    by_degree = list(zip(*(f.coeffs for f in basis.forms)))
+    images = [
+        [sum(c * a for c, a in zip(column, coeffs)) % p for coeffs in by_degree]
+        for column in columns
+    ]
+    return echelon_mod_p(images, p)[0]
 
 
 def control_check_h0(
@@ -250,26 +251,6 @@ class OrdinaryFamily:
     m: int = 1
 
 
-def _poly_roots_mod_p(coeffs: Sequence[int], p: int) -> Dict[int, int]:
-    """Roots in F_p of a monic polynomial, with multiplicities.
-
-    Small p only (the supported theory primes), by scanning residues
-    and repeated synthetic division.
-    """
-    work = [c % p for c in coeffs]
-    roots: Dict[int, int] = {}
-    for r in range(p):
-        while len(work) > 1:
-            acc = 0
-            for c in work:
-                acc = (acc * r + c) % p
-            if acc != 0:
-                break
-            work = _divide_out_root(work, r, 1, p)
-            roots[r] = roots.get(r, 0) + 1
-    return roots
-
-
 def _split_ordinary_systems(
     weight: int,
     op_mats: Dict[int, PadicMatrix],
@@ -278,7 +259,18 @@ def _split_ordinary_systems(
     primes: Sequence[int],
 ):
     """Split the ordinary block into rank-1 eigensystems where mod-p
-    eigenvalues separate; inseparable parts are reported unsplit."""
+    eigenvalues separate; inseparable parts are reported unsplit.
+
+    Every decomposition is a Fitting projector.  All operators are first
+    restricted to the image of e(T_p); then each candidate operator S
+    (T_p first, then the other primes) is tried in turn.  S splits the
+    block when S - a is singular mod p for r = rank residues a: its r
+    eigenvalues mod p are then distinct and in F_p, so each generalized
+    a-eigenspace is a line.  That line is the summand on which S - a is
+    nilpotent mod p, the kernel of e(S - a), so its idempotent is
+    1 - e(S - a).  An idempotent commuting with S is fixed by its image
+    and kernel, so the pieces do not depend on how they are found.
+    """
     proj = ordinary_projector(op_mats[p])
     r = proj.rank
     if r == 0:
@@ -286,40 +278,21 @@ def _split_ordinary_systems(
     restricted = _restrict_operators_to_subblock(op_mats, proj.idempotent)
 
     if r == 1:
-        systems = [_make_system(weight, restricted, p, m, primes, None)]
-        return systems, [], 1
+        return [_make_system(weight, restricted, p, m, primes)], [], 1
 
-    # find an operator whose mod-p spectrum the projectors can separate
+    one = PadicMatrix.identity(r, p, m)
     for ell in [p] + [q for q in primes if q != p]:
-        s_mat = restricted[ell]
-        # the coefficients [1, c_1, ..., c_r] of det(1 - T.S) mod p are
-        # the descending ones of det(xI - S) = x^r + c_1 x^(r-1) + ... + c_r
-        mon = char_series(s_mat.reduce(1)).coeffs
-        roots = _poly_roots_mod_p(mon, p)
-        if not roots:
-            continue
-        blocks = []
-        covered = 0
-        ok = True
-        for root, mult in sorted(roots.items()):
-            hpoly = _divide_out_root(mon, root, mult, p)
-            h_mat = _evaluate_poly(s_mat, hpoly, p, m)
-            sub = ordinary_projector(h_mat)
-            if sub.rank != mult:
-                ok = False
-                break
-            blocks.append((root, sub.idempotent, mult))
-            covered += mult
-        if not ok:
-            continue
-        leftover = r - covered
-        if all(mult == 1 for _, _, mult in blocks) and leftover == 0:
+        shifts = [restricted[ell] - one.scale(a) for a in range(p)]
+        singular = [s for s in shifts if rank_mod_p(s.rows, p) < r]
+        if len(singular) == r:
             systems = []
-            for root, idem, _ in blocks:
-                sub_restricted = _restrict_operators_to_subblock(restricted, idem)
-                systems.append(_make_system(weight, sub_restricted, p, m, primes, root))
+            for shifted in singular:
+                idem = one - ordinary_projector(shifted).idempotent
+                sub = _restrict_operators_to_subblock(restricted, idem)
+                systems.append(_make_system(weight, sub, p, m, primes))
             return systems, [], r
-    # could not split into rank-1 pieces: report the block unsplit
+    # could not split into rank-1 pieces: report the block unsplit, with
+    # det(1 - T.S) mod p, whose coefficients are the descending ones of det(x - S)
     block_info = {
         "weight": weight,
         "rank": r,
@@ -330,35 +303,12 @@ def _split_ordinary_systems(
     return [], [block_info], r
 
 
-def _divide_out_root(mon: List[int], root: int, mult: int, p: int) -> List[int]:
-    """Charpoly mod p divided by (x - root)^mult; descending coefficients."""
-    work = [c % p for c in mon]
-    for _ in range(mult):
-        out = []
-        carry = 0
-        for c in work[:-1]:
-            carry = (carry * root + c) % p
-            out.append(carry)
-        work = out
-    return work
-
-
-def _evaluate_poly(mat: PadicMatrix, mon_desc: Sequence[int], p: int, m: int) -> PadicMatrix:
-    """Evaluate a polynomial (descending integer coefficients) at a matrix."""
-    n = mat.size
-    acc = PadicMatrix.zero(n, p, m)
-    one = PadicMatrix.identity(n, p, m)
-    for c in mon_desc:
-        acc = acc @ mat + one.scale(int(c))
-    return acc
-
-
 def _restrict_operators_to_subblock(restricted, idem):
     chosen, pivot_rows = independent_columns(idem)
     return {ell: restrict_to_image(mat, chosen, pivot_rows) for ell, mat in restricted.items()}
 
 
-def _make_system(weight, restricted, p, m, primes, root) -> EigenSystem:
+def _make_system(weight, restricted, p, m, primes) -> EigenSystem:
     eigenvalues = {}
     for ell in primes:
         mat = restricted[ell]

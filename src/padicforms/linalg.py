@@ -13,7 +13,9 @@ p times that part, so T^(nm) is 0 mod p^m), and e is the projection
 onto im(A) along ker(A).  ``independent_columns`` picks a basis of
 im(A) and ``image_coordinates`` solves in it without precision loss;
 ``hida`` restricts Hecke operators to ordinary images with the same two
-helpers.
+helpers.  The projector is also the eigenspace splitter: for a residue
+a, 1 - e(T - a) projects onto the generalized a-eigenspace of T mod p,
+where T - a is nilpotent mod p, and ``hida`` splits eigensystems so.
 """
 
 from __future__ import annotations

@@ -146,6 +146,10 @@ def test_config_errors_exit_2(capsys):
     for argv in (["basis", "--k", "12", "--p", "5"], ["basis", "--k", "12", "--m", "3"]):
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG and "--p and --m" in err
+    code, _, err = run_cli(
+        capsys, "disc", "--p", "5", "--component", "0", "--samples", "", "--I", "2", "--m", "6"
+    )
+    assert code == EXIT_CONFIG and "at least one sample" in err
 
 
 def test_unknown_flags_rejected():

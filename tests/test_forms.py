@@ -42,6 +42,14 @@ def test_eisenstein_small_weights():
     assert eisenstein(8, 2).coeffs == (1, 480)
     assert eisenstein(10, 2).coeffs == (1, -264)
     assert eisenstein(14, 2).coeffs == (1, -24)
+    assert eisenstein(4, 1).coeffs == (1,)
+
+
+@pytest.mark.parametrize("qprec", [0, -1])
+def test_eisenstein_refuses_empty_precision(qprec):
+    # like QSeries.constant: no q-expansion without its constant term
+    with pytest.raises(ValueError, match="q-precision >= 1"):
+        eisenstein(4, qprec)
 
 
 def test_eisenstein_nonintegral_weight_needs_padic_ring():

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicforms import hida
 from padicforms.errors import ConfigError
@@ -15,6 +19,8 @@ from padicforms.hida import (
     unit_root_of_stabilization,
 )
 from padicforms.hecke import hecke_tp, up
+from padicforms.linalg import invert_unimodular
+from padicforms.padic import PadicMatrix
 
 
 def test_tp_matrix_eigenvalues_weight_12():
@@ -168,3 +174,77 @@ def test_fit_family_validation():
         fit_family(5, 0, [2], [2], m=4)
     with pytest.raises(ConfigError):
         fit_family(6, 0, [4, 8], [2], m=4)
+
+
+def _conjugated(rng, p, m, blocks):
+    """U B U^-1 for each prime's block-diagonal B (prime -> square blocks),
+    with one random unimodular U shared by all primes."""
+    modulus = p**m
+    n = sum(len(b) for b in next(iter(blocks.values())))
+    lower = [[int(i == j) or (rng.randrange(modulus) if i > j else 0) for j in range(n)] for i in range(n)]
+    upper = [[int(i == j) or (rng.randrange(modulus) if i < j else 0) for j in range(n)] for i in range(n)]
+    u = PadicMatrix.from_rows(lower, p, m) @ PadicMatrix.from_rows(upper, p, m)
+    u_inv = invert_unimodular(u)
+    ops = {}
+    for ell, parts in blocks.items():
+        rows = [[0] * n for _ in range(n)]
+        at = 0
+        for part in parts:
+            for i, row in enumerate(part):
+                rows[at + i][at : at + len(part)] = row
+            at += len(part)
+        ops[ell] = u @ PadicMatrix.from_rows(rows, p, m) @ u_inv
+    return ops
+
+
+def _irreducible_quadratic_c(p):
+    """c with x^2 - x - c irreducible mod p."""
+    return next(c for c in range(1, p) if all((x * x - x - c) % p for x in range(p)))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(
+    p=st.sampled_from((5, 7, 11, 13)),
+    m=st.integers(1, 6),
+    r=st.integers(2, 4),
+    case=st.sampled_from(("distinct", "distinct_off_p", "repeated", "quadratic")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_ordinary_systems_on_conjugated_diagonals(p, m, r, case, seed):
+    rng = random.Random(seed)
+    modulus = p**m
+    primes = [2, 3, p]
+
+    def lift(residue):
+        return (residue + p * rng.randrange(p ** (m - 1))) % modulus
+
+    units = [lift(x) for x in rng.sample(range(1, p), r)]
+    if case == "distinct_off_p":
+        # T_p is one residue mod p: the split must come from T_2 or T_3
+        diag = {p: [lift(units[0] % p) for _ in range(r)], 2: units, 3: [lift(0)] * r}
+    else:
+        diag = {ell: [rng.randrange(modulus) for _ in range(r)] for ell in (2, 3)}
+        diag[p] = units
+    if case == "repeated":
+        for ell in primes:
+            diag[ell][1] = lift(diag[ell][0] % p)
+    blocks = {ell: [[[x]] for x in values] for ell, values in diag.items()}
+    if case == "quadratic":
+        # a + bC with C the companion of x^2 - x - c: eigenvalues outside F_p
+        c = _irreducible_quadratic_c(p)
+        for ell in primes:
+            a, b = rng.randrange(modulus), lift(rng.randrange(1, p))
+            blocks[ell][:2] = [[[a, b * c % modulus], [b, (a + b) % modulus]]]
+    systems, unsplit, rank = hida._split_ordinary_systems(12, _conjugated(rng, p, m, blocks), p, m, primes)
+
+    assert rank == r
+    if case in ("repeated", "quadratic"):
+        assert systems == []
+        assert len(unsplit) == 1 and unsplit[0]["rank"] == r
+        assert sorted(unsplit[0]["charpoly_mod_p"]) == sorted(primes)
+        return
+    assert unsplit == []
+    expected = sorted(
+        (diag[2][i], diag[3][i], unit_root_of_stabilization(diag[p][i], 12, p, m)) for i in range(r)
+    )
+    assert sorted(tuple(s.eigenvalues[ell] for ell in primes) for s in systems) == expected

@@ -1,17 +1,17 @@
-"""Every imported name is used: a stdlib ``ast`` scan of the package
+"""Every imported name is used, and every module-level function and
+class of the package is referenced: stdlib ``ast`` scans of the package
 modules (re-exports in ``__init__.py`` excepted) and of the tests."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    path
-    for path in [*(ROOT / "src" / "padicforms").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    if path.name != "__init__.py"
-)
+PACKAGE = sorted((ROOT / "src" / "padicforms").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+MODULES = [path for path in PACKAGE + TESTS if path.name != "__init__.py"]
 
 
 def unused_imports(source: str):
@@ -27,6 +27,35 @@ def unused_imports(source: str):
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def _referenced_names(tree):
+    """Each name a ``Name``, attribute or ``from`` import refers to."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def unreferenced_definitions(package_sources, other_sources=()):
+    """(module, name) of each module-level function or class of the
+    package sources (module -> source) that no source refers to outside
+    its own definition."""
+    trees = {name: ast.parse(source) for name, source in package_sources.items()}
+    counts = Counter()
+    for tree in [*trees.values(), *(ast.parse(source) for source in other_sources)]:
+        counts.update(_referenced_names(tree))
+    unreferenced = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = sum(name == node.name for name in _referenced_names(node))
+                if counts[node.name] == own:
+                    unreferenced.append((module, node.name))
+    return sorted(unreferenced)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -45,3 +74,24 @@ def test_scan_catches_unused_names():
         "    return Q(ZZ, (x, sys.maxsize))\n"
     )
     assert unused_imports(source) == [(2, "os")]
+
+
+def test_no_unreferenced_definitions():
+    package = {path.stem: path.read_text() for path in PACKAGE}
+    assert unreferenced_definitions(package, [path.read_text() for path in TESTS]) == []
+
+
+def test_scan_catches_unreferenced_definitions():
+    package = {
+        "a": (
+            "def used(): return helper()\n"
+            "def helper(): return 1\n"
+            "def recursive(n): return recursive(n - 1) if n else 0\n"
+            "class Dead: pass\n"
+            "class Annotated: pass\n"
+            "def typed(x: Annotated) -> None: pass\n"
+        ),
+        "b": "from .a import used\n",
+    }
+    tests = ["import a\na.typed(None)\n"]
+    assert unreferenced_definitions(package, tests) == [("a", "Dead"), ("a", "recursive")]
