@@ -320,7 +320,7 @@ def criterion_7(seed: int = 0) -> CriterionResult:
 
 
 def criterion_8(seed: int = 0) -> CriterionResult:
-    """Truncation stability: slopes below min(m-2, k) for (I,Q) vs (I+2, 2Q)."""
+    """Truncation stability: slopes below min(m-2, k) for I vs I+2."""
     ok = True
     details = []
     for (k, p), cfg in SLOPE_CONFIGS.items():
@@ -329,13 +329,7 @@ def criterion_8(seed: int = 0) -> CriterionResult:
             k, p, cfg["I"], cfg["m"], certify_below=bound, classical=False
         )
         b = slope_spectrum(
-            k,
-            p,
-            cfg["I"] + 2,
-            cfg["m"],
-            qprec=2 * a.qprec,
-            certify_below=bound,
-            classical=False,
+            k, p, cfg["I"] + 2, cfg["m"], certify_below=bound, classical=False
         )
         sa = a.slopes.slopes_below(bound)
         sb = b.slopes.slopes_below(bound)
@@ -364,7 +358,7 @@ def criterion_9(seed: int = 0) -> CriterionResult:
     for held_out in DISC_SAMPLES:
         rest = tuple(k for k in DISC_SAMPLES if k != held_out)
         depth = (top - max(rest)) // (p - 1)
-        disc = WeightDisc(p, 0, min(rest), rest, m)
+        disc = WeightDisc(p, 0, rest, m)
         series = two_var_charseries(disc, depth)
         predicted = series.specialize(held_out)
         direct_basis = katz_basis(held_out, p, (top - held_out) // (p - 1))
@@ -387,7 +381,7 @@ def criterion_9(seed: int = 0) -> CriterionResult:
             f"held-out {held_out}: all {series.degree + 1} coefficients match "
             f"mod 5^{prec}: {'ok' if good else 'FAIL'}"
         )
-    full = WeightDisc(p, 0, min(DISC_SAMPLES), DISC_SAMPLES, m)
+    full = WeightDisc(p, 0, DISC_SAMPLES, m)
     series = two_var_charseries(full, DISC_DEPTH)
     report = local_piece_report(series, 0)
     good = report.constant and set(report.degrees.values()) == {1}

@@ -81,20 +81,22 @@ class JobConfig:
             raise ConfigError("--m must be >= 1")
         if self.twist_depth is not None and self.twist_depth < 0:
             raise ConfigError("--I must be >= 0")
-        if self.qprec is not None and self.qprec < 1:
-            raise ConfigError("--Q must be >= 1")
-        # derived precondition: Q large enough for one U_p application
-        if (
-            self.qprec is not None
-            and self.twist_depth is not None
-            and self.p is not None
-            and self.k is not None
-        ):
-            d = basis_dimension(self.k + self.twist_depth * (self.p - 1))
-            if self.qprec < self.p * max(d, 1):
+        if self.qprec is not None:
+            # --Q must reach the coefficients the command reads: D of each
+            # basis form, or D of each image under T_p, D the largest
+            # dimension the command works in
+            weights = [self.k]
+            if self.command == "control-check":
+                # the ordinary image at k + n(p-1) is tested in weight k,
+                # or in weight k + (p-1) by the weight-2 variant
+                twist = self.p - 1 if self.k == 2 else 0
+                weights = [self.k + self.n * (self.p - 1), self.k + twist]
+            d = max(basis_dimension(w) for w in weights)
+            least = max(d, 1) * (1 if self.command == "basis" else self.p)
+            if self.qprec < least:
                 raise ConfigError(
-                    f"--Q {self.qprec} below p*D = {self.p * max(d, 1)} "
-                    f"(D = {d} at twist depth {self.twist_depth})"
+                    f"--Q {self.qprec} below {least}, the q-precision "
+                    f"{self.command} reads (D = {d})"
                 )
         if self.command in ("slopes", "classicality", "duality") and (self.m or 0) < 3:
             raise ConfigError(
@@ -182,7 +184,7 @@ def _cmd_family_fit(config: JobConfig) -> int:
 
 
 def _cmd_up_matrix(config: JobConfig) -> int:
-    basis = katz_basis(config.k, config.p, config.twist_depth, config.qprec)
+    basis = katz_basis(config.k, config.p, config.twist_depth)
     matrix = up_matrix(basis, config.m, normalization=config.normalization)
     payload = serialize.matrix_json(matrix)
     payload["m_effective"] = serialize.num(matrix.m)
@@ -194,8 +196,7 @@ def _cmd_up_matrix(config: JobConfig) -> int:
 
 def _cmd_charseries(config: JobConfig) -> int:
     report = slope_spectrum(
-        config.k, config.p, config.twist_depth, config.m, qprec=config.qprec,
-        classical=False,
+        config.k, config.p, config.twist_depth, config.m, classical=False
     )
     _emit(
         {
@@ -217,7 +218,6 @@ def _cmd_slopes(config: JobConfig) -> int:
         config.p,
         config.twist_depth,
         config.m,
-        qprec=config.qprec,
         certify_below=min(Fraction(config.k - 1), Fraction(config.m - 2))
         if config.k >= 2
         else None,
@@ -229,9 +229,7 @@ def _cmd_slopes(config: JobConfig) -> int:
 
 
 def _cmd_classicality(config: JobConfig) -> int:
-    report = classicality_check(
-        config.k, config.p, config.twist_depth, config.m, config.qprec
-    )
+    report = classicality_check(config.k, config.p, config.twist_depth, config.m)
     _emit(serialize.classicality_json(report), config)
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
@@ -240,11 +238,10 @@ def _cmd_disc(config: JobConfig) -> int:
     disc = WeightDisc(
         p=config.p,
         component=config.component,
-        center=config.component,
         sample_weights=config.weights,
         m=config.m,
     )
-    series = two_var_charseries(disc, config.twist_depth, config.qprec)
+    series = two_var_charseries(disc, config.twist_depth)
     reports = [local_piece_report(series, Fraction(b)) for b in config.bounds]
     _emit(serialize.disc_json(series, reports), config)
     return EXIT_OK
@@ -341,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("--k", intarg(required=True)),
         ("--p", intarg(required=True)),
         ("--I", intarg(required=True, dest="twist_depth")),
-        ("--Q", intarg(dest="qprec")),
         ("--m", intarg()),
         ("--normalization", dict(choices=["weight", "naive", "qexp"], default="weight")),
     )
@@ -351,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("--k", intarg(required=True)),
         ("--p", intarg(required=True)),
         ("--I", intarg(required=True, dest="twist_depth")),
-        ("--Q", intarg(dest="qprec")),
         ("--m", intarg()),
     )
     add(
@@ -360,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("--k", intarg(required=True)),
         ("--p", intarg(required=True)),
         ("--I", intarg(required=True, dest="twist_depth")),
-        ("--Q", intarg(dest="qprec")),
         ("--m", intarg()),
     )
     add(
@@ -369,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("--k", intarg(required=True)),
         ("--p", intarg(required=True)),
         ("--I", intarg(required=True, dest="twist_depth")),
-        ("--Q", intarg(dest="qprec")),
         ("--m", intarg()),
     )
     add(
@@ -379,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("--component", intarg(required=True)),
         ("--samples", dict(required=True, dest="weights")),
         ("--I", intarg(required=True, dest="twist_depth")),
-        ("--Q", intarg(dest="qprec")),
         ("--m", intarg()),
         ("--bounds", dict(default="0")),
     )

@@ -4,7 +4,9 @@ Overconvergent forms of weight k are modelled as sums b_i * E_{p-1}^{-i}
 with b_i running over the new echelon rows of the weight k + i(p-1)
 Miller basis; the twist depth I plays the role of the overconvergence
 radius and slopes are trusted where they are stable under increasing
-(I, Q) and certified by the Newton polygon at the working modulus.
+I and certified by the Newton polygon at the working modulus.  The
+model depends on (k, p, I) alone: U_p reads each element to q-precision
+p*D, D the Katz dimension, and nothing beyond.
 
 Normalization bookkeeping: the solver computes the matrix of the
 weight-independent q-expansion operator  f -> sum a_{np} q^n  (this is
@@ -66,8 +68,13 @@ class KatzBasis:
     p: int
     weight: int
     twist_depth: int
-    qprec: int
     ladder: tuple
+
+    @property
+    def qprec(self) -> int:
+        """q-precision p*(D+4) of ``blocks``; ``elements_mod`` builds to
+        p*D only."""
+        return self.p * (self.dimension + 4)
 
     @property
     def block_sizes(self) -> tuple:
@@ -146,14 +153,14 @@ class KatzBasis:
         return out
 
 
-def katz_basis(k: int, p: int, twist_depth: int, qprec: Optional[int] = None) -> KatzBasis:
+def katz_basis(k: int, p: int, twist_depth: int) -> KatzBasis:
     """The Katz-expansion basis at weight k and twist depth I.
 
     Block sizes are the jumps of the dimension ladder
-    dim M_{k + i(p-1)}; q-precision defaults to p*(D+4) and must be at
-    least p*D so that one U_p application still determines coordinates.
-    Only the ladder is computed here: ``KatzBasis.elements_mod`` builds
-    the new Miller rows of each rung in the ring it evaluates over.
+    dim M_{k + i(p-1)}.  Only the ladder is computed here:
+    ``KatzBasis.elements_mod`` builds the new Miller rows of each rung in
+    the ring it evaluates over, to the q-precision p*D that one U_p
+    application needs to determine coordinates.
     """
     if p not in SUPPORTED_PRIMES:
         raise ConfigError(f"p must be one of {SUPPORTED_PRIMES}, got {p}")
@@ -164,14 +171,7 @@ def katz_basis(k: int, p: int, twist_depth: int, qprec: Optional[int] = None) ->
     for lo, hi in zip(dims, dims[1:]):
         if hi < lo:
             raise VerificationError("dimension ladder must be nondecreasing")
-    total = dims[-1]
-    if qprec is None:
-        qprec = p * (total + 4)
-    if qprec < p * max(total, 1):
-        raise PrecisionError(
-            f"q-precision {qprec} below p*D = {p * max(total, 1)}"
-        )
-    return KatzBasis(p, k, twist_depth, qprec, dims)
+    return KatzBasis(p, k, twist_depth, dims)
 
 
 def normalization_shift(k: int, kind: str) -> int:
@@ -257,17 +257,12 @@ class SlopeReport:
     verdicts: tuple
     naive_shift_checked: bool
 
-    @property
-    def normalized_multiset(self) -> List[Fraction]:
-        return self.slopes.slope_multiset()
-
 
 def _spectrum_core(
     k: int,
     p: int,
     twist_depth: int,
     m: int,
-    qprec: Optional[int],
     certify_below: Optional[Fraction],
 ):
     """q-expansion-operator matrix and polygon, raising the working
@@ -285,7 +280,7 @@ def _spectrum_core(
     reduction.  The step that certifies returns the matrix and the
     elements reduced to its modulus.
     """
-    basis = katz_basis(k, p, twist_depth, qprec)
+    basis = katz_basis(k, p, twist_depth)
     d = basis.dimension
     bound = None if certify_below is None else Fraction(certify_below)
     m_work = max(m, (int(bound) + 3) if bound is not None else m)
@@ -314,7 +309,6 @@ def slope_spectrum(
     p: int,
     twist_depth: int,
     m: int,
-    qprec: Optional[int] = None,
     certify_below: Optional[Fraction] = None,
     classical: bool = True,
 ) -> SlopeReport:
@@ -340,7 +334,7 @@ def slope_spectrum(
     """
     _check_even(k)
     basis, elements, matrix, series, qpoly, m_work = _spectrum_core(
-        k, p, twist_depth, m, qprec, certify_below
+        k, p, twist_depth, m, certify_below
     )
     shift = normalization_shift(k, "weight")
     norm_poly = shift_polygon(qpoly, shift)
@@ -509,13 +503,7 @@ class ClassicalityReport:
         return self.verdict == "pass"
 
 
-def classicality_check(
-    k: int,
-    p: int,
-    twist_depth: int,
-    m: int,
-    qprec: Optional[int] = None,
-) -> ClassicalityReport:
+def classicality_check(k: int, p: int, twist_depth: int, m: int) -> ClassicalityReport:
     """Compare overconvergent and classical slopes strictly below
     min(k-1, m-2).
 
@@ -532,7 +520,7 @@ def classicality_check(
     classical = classical_up_spectrum(k, p)
     try:
         report = slope_spectrum(
-            k, p, twist_depth, m, qprec=qprec, certify_below=bound, classical=False
+            k, p, twist_depth, m, certify_below=bound, classical=False
         )
     except PrecisionError:
         return ClassicalityReport(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .charseries import CharSeries, NewtonPolygon, char_series, newton_polygon
 from .coleman import katz_basis, up_matrix
@@ -28,7 +28,6 @@ class WeightDisc:
 
     p: int
     component: int
-    center: int
     sample_weights: tuple
     m: int
 
@@ -41,7 +40,7 @@ class WeightDisc:
             raise ConfigError("a weight disc needs at least one sample weight")
         comp = self.component % (self.p - 1)
         object.__setattr__(self, "component", comp)
-        for k in list(weights) + [self.center]:
+        for k in weights:
             if k % (self.p - 1) != comp:
                 raise ConfigError(
                     f"weight {k} is not on component {comp} mod {self.p - 1}"
@@ -62,13 +61,17 @@ class TwoVarCharSeries:
     disc: WeightDisc
     top_weight: int
     twist_depth: int
-    qprec: int
     coeffs: tuple
     samples: tuple  # ((k, CharSeries), ...)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+    @property
+    def qprec(self) -> int:
+        """q-precision p*(D+4) of every per-weight Katz basis."""
+        return self.disc.p * (self.degree + 4)
 
     def specialize(self, k: int) -> CharSeries:
         """CharSeries at classical weight k of the disc's component."""
@@ -85,9 +88,7 @@ class TwoVarCharSeries:
         return k in self.disc.sample_weights
 
 
-def two_var_charseries(
-    disc: WeightDisc, twist_depth: int, qprec: Optional[int] = None
-) -> TwoVarCharSeries:
+def two_var_charseries(disc: WeightDisc, twist_depth: int) -> TwoVarCharSeries:
     """Interpolate the U_p characteristic series over the disc.
 
     ``twist_depth`` is taken at the largest sample weight; smaller
@@ -99,16 +100,14 @@ def two_var_charseries(
     top = k_max + twist_depth * (p - 1)
     d_total = basis_dimension(top)
     per_weight: List[Tuple[int, CharSeries]] = []
-    qprec_used = None
     for k in disc.sample_weights:
         depth_k = twist_depth + (k_max - k) // (p - 1)
-        basis = katz_basis(k, p, depth_k, qprec)
+        basis = katz_basis(k, p, depth_k)
         if basis.dimension != d_total:
             raise VerificationError(
                 f"dimension mismatch across samples: weight {k} gives "
                 f"{basis.dimension}, expected {d_total}"
             )
-        qprec_used = basis.qprec if qprec_used is None else min(qprec_used, basis.qprec)
         matrix = up_matrix(basis, disc.m)
         per_weight.append((k, char_series(matrix)))
 
@@ -122,7 +121,6 @@ def two_var_charseries(
         disc=disc,
         top_weight=top,
         twist_depth=twist_depth,
-        qprec=qprec_used,
         coeffs=tuple(coeffs),
         samples=tuple(per_weight),
     )

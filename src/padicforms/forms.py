@@ -88,9 +88,9 @@ def delta(qprec: int, ring: Ring = ZZ) -> QSeries:
     The product route avoids the large cancellations of (E4^3 - E6^2)/1728
     in small moduli.
     """
-    if qprec < 2:
-        raise PrecisionError("delta needs q-precision >= 2")
-    tail = eta_power_24(qprec - 1)
+    if qprec < 1:
+        raise ValueError(f"a q-expansion needs q-precision >= 1, got {qprec}")
+    tail = eta_power_24(qprec - 1) if qprec > 1 else []
     return QSeries(ring, tuple([0] + tail))
 
 

@@ -25,7 +25,7 @@ from .linalg import (
     restrict_to_image,
 )
 from .padic import PadicMatrix, is_prime
-from .qexp import ModRing, ZZ
+from .qexp import ModRing
 from .weights import IwasawaTruncation, congruence_table, interpolate_iwasawa
 
 
@@ -70,13 +70,13 @@ def operator_matrix(basis: SpaceBasis, op) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
 
 
-def tp_matrix(k: int, p: int, qprec: Optional[int] = None, ring=ZZ):
-    """Matrix of T_p on the Miller basis of M_k, exact over the ring."""
+def tp_matrix(k: int, p: int, qprec: Optional[int] = None):
+    """Matrix of T_p on the Miller basis of M_k, exact over Z."""
     if not is_prime(p):
         raise ConfigError(f"{p} is not prime")
     if qprec is None:
         qprec = default_qprec(k, [p])
-    basis = miller_basis(k, qprec, ring)
+    basis = miller_basis(k, qprec)
     return operator_matrix(basis, lambda f: hecke_tp(f, k, p))
 
 

@@ -40,7 +40,6 @@ class SolveResult:
     p: int
     m_effective: int
     precision_loss: int
-    pivot_valuations: tuple
 
     def as_matrix(self, basis_tag=None) -> PadicMatrix:
         n = len(self.columns[0])
@@ -141,7 +140,7 @@ def solve_in_basis(
     cols_out = tuple(
         tuple(x[i][j] % reduced_modulus for i in range(n)) for j in range(r)
     )
-    return SolveResult(cols_out, p, m_eff, loss, tuple(pivot_vals))
+    return SolveResult(cols_out, p, m_eff, loss)
 
 
 def invert_unimodular(matrix: PadicMatrix) -> PadicMatrix:

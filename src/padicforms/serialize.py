@@ -193,7 +193,7 @@ def disc_json(series: TwoVarCharSeries, piece_reports=()) -> Dict[str, Any]:
     return {
         "p": num(disc.p),
         "component": num(disc.component),
-        "center": num(disc.center),
+        "center": num(disc.component),
         "samples": [num(k) for k in disc.sample_weights],
         "m": num(disc.m),
         "I": num(series.twist_depth),

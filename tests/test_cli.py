@@ -128,10 +128,18 @@ def test_config_errors_exit_2(capsys):
     assert code == EXIT_CONFIG and "not prime" in err
     code, _, err = run_cli(capsys, "slopes", "--p", "5", "--k", "4", "--I", "2", "--m", "1")
     assert code == EXIT_CONFIG
-    code, _, err = run_cli(
-        capsys, "slopes", "--p", "5", "--k", "4", "--I", "2", "--Q", "5", "--m", "8"
-    )
-    assert code == EXIT_CONFIG and "p*D" in err
+    # the least --Q each command reads: p*max(D, 1) for the T_p commands,
+    # D at k + n(p-1) for control-check, and D for basis
+    for argv, least in (
+        (["tp-matrix", "--k", "12", "--p", "5"], 10),
+        (["ordinary-rank", "--k", "12", "--p", "5"], 10),
+        (["control-check", "--k", "2", "--p", "5", "--n", "1"], 5),
+        (["basis", "--k", "24"], 3),
+    ):
+        code, _, err = run_cli(capsys, *argv, "--Q", str(least - 1))
+        assert code == EXIT_CONFIG and f"below {least}" in err
+        code, _, _ = run_cli(capsys, *argv, "--Q", str(least))
+        assert code == EXIT_OK
     for argv in (
         ["basis", "--k", "5"],
         ["tp-matrix", "--k", "5", "--p", "5"],
@@ -153,9 +161,19 @@ def test_config_errors_exit_2(capsys):
 
 
 def test_unknown_flags_rejected():
-    with pytest.raises(SystemExit) as exc:
-        main(["slopes", "--p", "5", "--k", "4", "--I", "2", "--m", "8", "--bogus", "1"])
-    assert exc.value.code == 2
+    katz = ["--p", "5", "--k", "4", "--I", "2", "--m", "8"]
+    for argv in (
+        ["slopes", *katz, "--bogus", "1"],
+        # the Katz model depends on (k, p, I, m) alone: no q-precision knob
+        ["up-matrix", *katz, "--Q", "5"],
+        ["charseries", *katz, "--Q", "5"],
+        ["slopes", *katz, "--Q", "5"],
+        ["classicality", *katz, "--Q", "5"],
+        ["disc", "--p", "5", "--component", "0", "--samples", "4", "--I", "2", "--Q", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_output_file(tmp_path, capsys):
@@ -232,10 +250,8 @@ GOLDEN_RUNS = {
     "up_matrix_k12_p13_I12_m8.json": ["up-matrix", "--k", "12", "--p", "13", "--I", "12", "--m", "8"],
     "up_matrix_k10_p11_I20_m8.json": ["up-matrix", "--k", "10", "--p", "11", "--I", "20", "--m", "8"],
     "slopes_p7_k8_I20_m8.json": ["slopes", "--k", "8", "--p", "7", "--I", "20", "--m", "8"],
-    # a q-precision above the default, which U_p reads only in part
-    "up_matrix_k-2_p7_I9_m6_Q100_naive.json": [
-        "up-matrix", "--k", "-2", "--p", "7", "--I", "9", "--m", "6", "--Q", "100",
-        "--normalization", "naive",
+    "up_matrix_k-2_p7_I9_m6_naive.json": [
+        "up-matrix", "--k", "-2", "--p", "7", "--I", "9", "--m", "6", "--normalization", "naive",
     ],
 }
 

@@ -19,7 +19,7 @@ from padicforms.coleman import (
     slope_spectrum,
     up_matrix,
 )
-from padicforms.errors import ConfigError, PrecisionError, VerificationError
+from padicforms.errors import ConfigError, VerificationError
 from padicforms.forms import SUPPORTED_PRIMES, eisenstein, miller_basis
 from padicforms.hida import ordinary_rank_mod_p
 from padicforms.linalg import invert_unimodular
@@ -51,8 +51,6 @@ def test_katz_basis_validation():
         katz_basis(4, 3, 2)
     with pytest.raises(ConfigError):
         katz_basis(5, 5, 2)
-    with pytest.raises(PrecisionError):
-        katz_basis(4, 5, 2, qprec=5)
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
@@ -211,7 +209,7 @@ def test_slope_spectrum_builds_katz_elements_once(monkeypatch):
 def test_spectrum_core_matches_a_direct_solve(k, p, twist_depth, m, bound, m_working):
     # reducing the cap's matrix and series equals solving at m_working
     _, _, matrix, series, _, m_work = coleman._spectrum_core(
-        k, p, twist_depth, m, None, bound
+        k, p, twist_depth, m, bound
     )
     assert m_work == m_working
     direct = up_matrix(katz_basis(k, p, twist_depth), m_work, "qexp")
@@ -238,9 +236,7 @@ def test_truncation_stability_invariant():
         m = 9
         bound = min(m - 1, k)
         a = slope_spectrum(k, p, depth, m, certify_below=F(bound), classical=False)
-        b = slope_spectrum(
-            k, p, depth + 2, m, qprec=2 * a.qprec, certify_below=F(bound), classical=False
-        )
+        b = slope_spectrum(k, p, depth + 2, m, certify_below=F(bound), classical=False)
         assert a.slopes.slopes_below(F(bound)) == b.slopes.slopes_below(F(bound))
 
 

@@ -17,18 +17,16 @@ def F(x):
     return Fraction(x)
 
 
-DISC = WeightDisc(p=5, component=0, center=4, sample_weights=(4, 8, 12, 16), m=10)
+DISC = WeightDisc(p=5, component=0, sample_weights=(4, 8, 12, 16), m=10)
 
 
 def test_disc_validation():
     with pytest.raises(ConfigError):
-        WeightDisc(5, 0, 4, (4, 6), 8)
+        WeightDisc(5, 0, (4, 6), 8)
     with pytest.raises(ConfigError, match="at least one sample"):
-        WeightDisc(5, 0, 4, (), 8)
+        WeightDisc(5, 0, (), 8)
     with pytest.raises(ConfigError):
-        WeightDisc(4, 0, 4, (4, 8), 8)
-    with pytest.raises(ConfigError):
-        WeightDisc(5, 0, 6, (4, 8), 8)
+        WeightDisc(4, 0, (4, 8), 8)
 
 
 def test_two_var_series_respecializes_exactly():
@@ -48,7 +46,7 @@ def test_two_var_series_c1_is_trace():
 
 
 def test_single_sample_disc_is_constant():
-    disc = WeightDisc(5, 0, 4, (4,), 8)
+    disc = WeightDisc(5, 0, (4,), 8)
     series = two_var_charseries(disc, twist_depth=6)
     for c in series.coeffs[1:]:
         assert c.degree == 0
@@ -77,7 +75,7 @@ def test_held_out_weight_prediction():
     full = DISC.sample_weights
     for held_out in (8, 12):
         rest = tuple(k for k in full if k != held_out)
-        disc = WeightDisc(p, 0, 4, rest, 10)
+        disc = WeightDisc(p, 0, rest, 10)
         series = two_var_charseries(disc, twist_depth=6 + (max(full) - max(rest)) // 4)
         depth = 6 + (max(full) - held_out) // 4
         direct_mat = up_matrix(katz_basis(held_out, p, depth), 10)

@@ -65,6 +65,14 @@ def test_eisenstein_nonintegral_weight_needs_padic_ring():
         eisenstein(2, 3)
 
 
+def test_delta_at_q_precision_one():
+    # Delta = q + O(q^2), so to q-precision 1 it is the zero series
+    assert delta(1).coeffs == (0,)
+    assert miller_basis(4, 1).forms[0].coeffs == (1,)
+    with pytest.raises(ValueError, match="q-precision >= 1"):
+        delta(0)
+
+
 def test_delta_product_expansion():
     d = delta(10)
     # tau values: 1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643

@@ -1,6 +1,7 @@
 """Every imported name is used, and every module-level function and
-class of the package is referenced: stdlib ``ast`` scans of the package
-modules (re-exports in ``__init__.py`` excepted) and of the tests."""
+class of the package, and every method and property of its classes, is
+referenced: stdlib ``ast`` scans of the package modules (re-exports in
+``__init__.py`` excepted), of the tests and of the benchmark harness."""
 
 import ast
 from collections import Counter
@@ -12,6 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "padicforms").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 MODULES = [path for path in PACKAGE + TESTS if path.name != "__init__.py"]
+BENCHMARK = sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def unused_imports(source: str):
@@ -40,21 +42,35 @@ def _referenced_names(tree):
             yield from (alias.name for alias in node.names)
 
 
+def _definitions(tree):
+    """(label, node) of each module-level function or class, and of each
+    method or property, dunders excepted, of a module-level class."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
 def unreferenced_definitions(package_sources, other_sources=()):
-    """(module, name) of each module-level function or class of the
-    package sources (module -> source) that no source refers to outside
-    its own definition."""
+    """(module, label) of each definition of the package sources (module
+    -> source) that no source refers to outside its own body; a method
+    or property is labelled ``Class.name``."""
     trees = {name: ast.parse(source) for name, source in package_sources.items()}
     counts = Counter()
     for tree in [*trees.values(), *(ast.parse(source) for source in other_sources)]:
         counts.update(_referenced_names(tree))
     unreferenced = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = sum(name == node.name for name in _referenced_names(node))
-                if counts[node.name] == own:
-                    unreferenced.append((module, node.name))
+        for label, node in _definitions(tree):
+            own = sum(name == node.name for name in _referenced_names(node))
+            if counts[node.name] == own:
+                unreferenced.append((module, label))
     return sorted(unreferenced)
 
 
@@ -78,7 +94,8 @@ def test_scan_catches_unused_names():
 
 def test_no_unreferenced_definitions():
     package = {path.stem: path.read_text() for path in PACKAGE}
-    assert unreferenced_definitions(package, [path.read_text() for path in TESTS]) == []
+    others = [path.read_text() for path in TESTS + BENCHMARK]
+    assert unreferenced_definitions(package, others) == []
 
 
 def test_scan_catches_unreferenced_definitions():
@@ -95,3 +112,19 @@ def test_scan_catches_unreferenced_definitions():
     }
     tests = ["import a\na.typed(None)\n"]
     assert unreferenced_definitions(package, tests) == [("a", "Dead"), ("a", "recursive")]
+
+
+def test_scan_catches_unreferenced_methods():
+    package = {
+        "a": (
+            "class Report:\n"
+            "    def __post_init__(self): pass\n"
+            "    @property\n"
+            "    def read(self): return self.helper()\n"
+            "    def helper(self): return 1\n"
+            "    def dead(self): return self.dead\n"
+            "    def benched(self): return 2\n"
+        ),
+    }
+    others = ["from a import Report\nReport().read\n", "def wrap(r): return r.benched()\n"]
+    assert unreferenced_definitions(package, others) == [("a", "Report.dead")]
