@@ -1,9 +1,14 @@
 """Characteristic series det(1 - T.U) over Z/p^m and their Newton polygons.
 
 Every characteristic series in the package is computed here, from a
-``PadicMatrix`` over Z/p^m, by a division-free principal-submatrix
-recurrence (Samuelson/Berkowitz style), so it is exact mod p^m.  A
-caller with an integer matrix picks an m that provably suffices (see
+``PadicMatrix`` over Z/p^m, in O(n^3).  ``char_series`` first brings U
+to upper Hessenberg form by integral similarities: in each column it
+takes the pivot of minimal valuation p^v.u below the diagonal, so every
+multiplier (e / p^v).u^-1 is an integer, and each row operation and its
+inverse column operation are exact mod p^m.  No digit is lost, and the
+series of the Hessenberg matrix, from the division-free recurrence over
+its leading blocks, is that of U exactly mod p^m.  A caller with an
+integer matrix picks an m that provably suffices (see
 ``coleman.classical_up_spectrum``).  Newton polygons are lower convex
 hulls of (index, valuation) points; a vanishing coefficient only means
 "valuation >= m", and the polygon is truncated rather than guessed past
@@ -14,62 +19,93 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .padic import PadicMatrix, _check_pm, val_p
 
 
-def charpoly_reversed(rows: Sequence[Sequence[int]], modulus: int) -> List[int]:
-    """Coefficients [c_0, ..., c_D] of det(I - T.A) mod N, c_0 = 1.
+def _hessenberg(matrix: PadicMatrix) -> List[List[int]]:
+    """Rows of an upper Hessenberg matrix similar to ``matrix`` over Z/p^m.
 
-    Equivalently the reversed characteristic polynomial: if
-    det(xI - A) = x^D + a_1 x^(D-1) + ... + a_D then c_j = a_j.
-    Division-free, so valid over any Z/N.
-
-    The recurrence expands det(xI - A_k) along the last row/column of
-    the k-th leading principal submatrix:
-        chi_k(x) = (x - a_kk) chi_{k-1}(x)
-                   - sum_{j>=0} (R M^j C) * [chi_{k-1} truncated] ,
-    where M = A_{k-1}, R and C are the last row/column fringes.
+    Column j is cleared below the subdiagonal against the row of minimal
+    valuation p^v.u among rows j+1..n-1, swapped into row j+1 (with the
+    matching column swap).  Row i then loses t_i times that row, t_i =
+    (a_ij / p^v).u^-1, and column j+1 gains sum_i t_i times column i, the
+    inverse operations batched into one pass.  A column with no nonzero
+    entry there needs nothing.
     """
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    if n == 0:
-        return [1]
-    # ch[i] = coefficient of x^(k-i) in chi_k, ch[0] = 1
-    ch = [1, -rows[0][0] % modulus]
-    for k in range(2, n + 1):
-        a = rows[k - 1][k - 1]
-        R = [rows[k - 1][t] for t in range(k - 1)]
-        C = [rows[t][k - 1] for t in range(k - 1)]
-        # w[j] = R . M^j . C for j = 0 .. k-2
-        w = []
-        v = C[:]
-        for j in range(k - 1):
-            w.append(sum(x * y for x, y in zip(R, v)) % modulus)
-            if j < k - 2:
-                v = [
-                    sum(rows[s][t] * v[t] for t in range(k - 1)) % modulus
-                    for s in range(k - 1)
-                ]
-        new = [0] * (k + 1)
-        for i, c in enumerate(ch):
-            new[i] = (new[i] + c) % modulus
-            new[i + 1] = (new[i + 1] - a * c) % modulus
-        for j in range(k - 1):
-            for d in range(k - 1 - j):
-                new[2 + j + d] = (new[2 + j + d] - w[j] * ch[d]) % modulus
-        ch = new
-    return ch
+    p, n, modulus = matrix.p, matrix.size, matrix.modulus
+    a = [list(row) for row in matrix.rows]
+    for j in range(n - 2):
+        best, best_v = None, matrix.m
+        for i in range(j + 1, n):
+            if a[i][j]:
+                v = val_p(a[i][j], p)
+                if v < best_v:
+                    best, best_v = i, v
+                    if v == 0:
+                        break
+        if best is None:
+            continue
+        k = j + 1
+        if best != k:
+            a[k], a[best] = a[best], a[k]
+            for row in a:
+                row[k], row[best] = row[best], row[k]
+        pk = p**best_v
+        inv = pow(a[k][j] // pk, -1, modulus)
+        pivot = a[k][j:]
+        mults = []
+        for i in range(k + 1, n):
+            row = a[i]
+            t = (row[j] // pk) * inv % modulus
+            mults.append(t)
+            if t:
+                row[j:] = [(x - t * y) % modulus for x, y in zip(row[j:], pivot)]
+        if any(mults):
+            for row in a:
+                row[k] = (row[k] + sum(map(mul, mults, row[k + 1 :]))) % modulus
+    return a
+
+
+def _hessenberg_series(h: Sequence[Sequence[int]], modulus: int) -> List[int]:
+    """Coefficients [c_0, ..., c_n] of det(1 - T.H) mod N for upper
+    Hessenberg H, c_0 = 1.
+
+    chi_k = det(x - H_k) on the leading k x k block H_k satisfies
+        chi_k = (x - h_kk) chi_(k-1)
+                - sum_(i<k) h_ik (h_(i+1,i) ... h_(k,k-1)) chi_i
+    (0-indexed rows; Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.2.9).  Division-free, so valid over any Z/N.  Each
+    chi_k is kept as [coefficient of x^(k-s) for s = 0..k], so that the
+    list for k = n is the series.
+    """
+    chis = [[1]]
+    for k in range(len(h)):
+        prev = chis[-1]
+        hkk = h[k][k]
+        new = [prev[0]] + [x - hkk * y for x, y in zip(prev[1:] + [0], prev)]
+        prod = 1
+        for i in range(k - 1, -1, -1):
+            prod = prod * h[i + 1][i] % modulus
+            if not prod:
+                break
+            c = h[i][k] * prod % modulus
+            if c:
+                lo = k + 1 - i
+                new[lo:] = [x - c * y for x, y in zip(new[lo:], chis[i])]
+        chis.append([x % modulus for x in new])
+    return chis[-1]
 
 
 @dataclass(frozen=True)
 class CharSeries:
     """det(1 - T.U) as a polynomial of degree <= D over Z/p^m.
 
-    ``coeffs`` are plain ints, reduced mod p^m on construction.
+    ``coeffs`` are plain ints, reduced mod p^m on construction; each must
+    be an integer (``operator.index``: a float or Fraction raises
+    ``TypeError`` instead of being truncated).
     """
 
     coeffs: tuple
@@ -81,7 +117,7 @@ class CharSeries:
         if not self.coeffs:
             raise ValueError("characteristic series needs at least c_0")
         modulus = self.p**self.m
-        coeffs = tuple(c % modulus for c in self.coeffs)
+        coeffs = tuple(index(c) % modulus for c in self.coeffs)
         if coeffs[0] != 1:
             raise ValueError("c_0 must be exactly 1")
         object.__setattr__(self, "coeffs", coeffs)
@@ -98,8 +134,9 @@ class CharSeries:
 
 
 def char_series(matrix: PadicMatrix) -> CharSeries:
-    """Characteristic series of U: coefficients of det(I - T.U)."""
-    coeffs = charpoly_reversed(matrix.rows, matrix.modulus)
+    """Characteristic series of U: coefficients of det(I - T.U), from
+    the Hessenberg form of U, exact mod p^m."""
+    coeffs = _hessenberg_series(_hessenberg(matrix), matrix.modulus)
     return CharSeries(tuple(coeffs), matrix.p, matrix.m)
 
 

@@ -5,8 +5,11 @@ with b_i running over the new echelon rows of the weight k + i(p-1)
 Miller basis; the twist depth I plays the role of the overconvergence
 radius and slopes are trusted where they are stable under increasing
 I and certified by the Newton polygon at the working modulus.  The
-model depends on (k, p, I) alone: U_p reads each element to q-precision
-p*D, D the Katz dimension, and nothing beyond.
+model depends on (k, p, I) alone.  With D the Katz dimension, U_p and
+the solve read 2D - 1 coefficients of each element f: its head, the
+coefficients of q^0..q^(D-1), and its spine, those of q^0, q^p, ...,
+q^(p(D-1)).  The Katz elements are built as these readouts and nothing
+more.
 
 Normalization bookkeeping: the solver computes the matrix of the
 weight-independent q-expansion operator  f -> sum a_{np} q^n  (this is
@@ -39,7 +42,6 @@ from .forms import (
     eisenstein,
     miller_rows,
 )
-from .hecke import up, up_naive
 from .hida import tp_matrix
 from .linalg import solve_in_basis
 from .padic import PadicMatrix, is_prime
@@ -52,6 +54,37 @@ def _check_even(k: int) -> None:
 
 
 @dataclass(frozen=True)
+class Readout:
+    """What U_p and the solve read of one Katz element f over Z/p^m.
+
+    ``head`` is f to q-precision D, and ``spine`` is sum_{n<D} a_{np} q^n,
+    the q-expansion operator's image of f to q-precision D.  Row
+    operations and reduction act on both alike.
+    """
+
+    head: QSeries
+    spine: QSeries
+
+    @classmethod
+    def of(cls, series: QSeries, factor: Optional[QSeries], p: int, d: int) -> "Readout":
+        """The readout of series * factor, or of series alone when factor
+        is None."""
+        head, spine = range(d), range(0, p * d, p)
+        if factor is None:
+            return cls(series.select(head), series.select(spine))
+        return cls(series.product_at(factor, head), series.product_at(factor, spine))
+
+    def __sub__(self, other: "Readout") -> "Readout":
+        return Readout(self.head - other.head, self.spine - other.spine)
+
+    def scale(self, c: int) -> "Readout":
+        return Readout(self.head.scale(c), self.spine.scale(c))
+
+    def to_ring(self, ring: ModRing) -> "Readout":
+        return Readout(self.head.to_ring(ring), self.spine.to_ring(ring))
+
+
+@dataclass(frozen=True)
 class KatzBasis:
     """Basis of the weight-k overconvergent model up to twist depth I.
 
@@ -60,9 +93,9 @@ class KatzBasis:
     dimension of rung i-1 on; the pair (i, b_{i,j}) stands for the
     element b_{i,j} * E_{p-1}^{-i}.  Only the ladder is stored:
     ``blocks`` builds the rows over Z, and ``elements_mod`` builds the
-    elements over Z/p^m without building the rows.  Element with global
-    index g has q-expansion q^g + O(q^(g+1)), which makes solving in
-    the basis lossless.
+    elements' readouts over Z/p^m without building the rows.  Element
+    with global index g has q-expansion q^g + O(q^(g+1)), which makes
+    solving in the basis lossless.
     """
 
     p: int
@@ -72,8 +105,8 @@ class KatzBasis:
 
     @property
     def qprec(self) -> int:
-        """q-precision p*(D+4) of ``blocks``; ``elements_mod`` builds to
-        p*D only."""
+        """q-precision p*(D+4) of ``blocks``; ``elements_mod`` reads the
+        elements through q^(p(D-1)) only."""
         return self.p * (self.dimension + 4)
 
     @property
@@ -94,36 +127,38 @@ class KatzBasis:
             for i, lo in enumerate((0,) + self.ladder[:-1])
         )
 
-    def elements_mod(self, m: int) -> List[QSeries]:
-        """Evaluate b_{i,j} * E_{p-1}^{-i} over Z/p^m, to q-precision p*D.
+    def elements_mod(self, m: int) -> List[Readout]:
+        """The readouts of the elements b_{i,j} * E_{p-1}^{-i} over Z/p^m.
 
-        U_p reads the first D coefficients of each element and of each
-        image, and an image's first D coefficients need the element only
-        through q^(p(D-1)).  Row c of the Miller rows, new in rung i_c at
-        weight w_c, is E4^a E6^b Delta^c before the rows after it in its
-        rung clear its tail, (a, b) by ``e4_e6_exponents(w_c - 12c)``.
-        So one running product R_c = Delta^c * E_{p-1}^{-i_c} carries
-        every element: R_c = R_{c-1} * Delta * E_{p-1}^{-g}, g = i_c -
-        i_{c-1}, and element c is R_c * E4^a E6^b.  Each step factor is
-        built once per gap g and each E4^a E6^b once per (a, b); a factor
-        1 costs no product.  A rung with several new rows then gets the
-        row operations of ``forms.miller_rows``, with multipliers read
-        from the Miller monomials to q-precision D only.  Truncated
-        series arithmetic over Z/p^m is exact, commutative and
-        associative, so these are the integral rows reduced mod p^m times
+        Row c of the Miller rows, new in rung i_c at weight w_c, is
+        E4^a E6^b Delta^c before the rows after it in its rung clear its
+        tail, (a, b) by ``e4_e6_exponents(w_c - 12c)``.  So one running
+        product R_c = Delta^c * E_{p-1}^{-i_c}, a full series through
+        q^(p(D-1)), the last coefficient read, carries every element:
+        R_c = R_{c-1} * Delta * E_{p-1}^{-g}, g = i_c - i_{c-1}, and
+        element c is R_c * E4^a E6^b.
+        Each step factor is built once per gap g and each E4^a E6^b once
+        per (a, b).  That last factor enters only the readout, by one dot
+        product per coefficient read, and not at all when it is 1.  A rung
+        with several new rows then gets the row operations of
+        ``forms.miller_rows`` on its readouts, with multipliers read from
+        the Miller monomials to q-precision D only.  Truncated series
+        arithmetic over Z/p^m is exact, commutative and associative, so
+        these are the readouts of the integral rows reduced mod p^m times
         E_{p-1}^{-i}, equal coefficient for coefficient.
         """
         ring = ModRing(self.p, m)
-        qprec = self.p * max(self.dimension, 1)
+        d = self.dimension
+        qprec = self.p * (d - 1) + 1 if d else 1  # through q^(p(D-1))
         powers = MillerPowers(qprec, ring)
         times = powers.product
         # e_inv[0] is powers.one itself, so ``times`` skips it
         e_inv = PowerTable(eisenstein(self.p - 1, qprec, ring).inverse(), powers.one)
         steps = {}  # gap g -> Delta * E_{p-1}^{-g}
-        monomials = {}  # (a, b) -> E4^a E6^b
+        monomials = {(0, 0): None}  # (a, b) -> E4^a E6^b, None for 1
         probes = None  # Miller powers to q-precision D, for the multipliers
         running = last = None  # R_c and i_c of the row before
-        out: List[QSeries] = []
+        out: List[Readout] = []
         for i, (lo, hi) in enumerate(zip((0,) + self.ladder, self.ladder)):
             weight = self.weight + i * (self.p - 1)
             block = []
@@ -139,14 +174,14 @@ class KatzBasis:
                 ab = e4_e6_exponents(weight - 12 * c)
                 if ab not in monomials:
                     monomials[ab] = times(powers.e4[ab[0]], powers.e6 if ab[1] else powers.one)
-                block.append(times(running, monomials[ab]))
+                block.append(Readout.of(running, monomials[ab], self.p, d))
             if len(block) > 1:
                 if probes is None:
-                    probes = MillerPowers(self.dimension, ring)
+                    probes = MillerPowers(d, ring)
                 clear_tails([probes.monomial(weight, c) for c in range(lo, hi)], lo, block)
             out.extend(block)
         for g, element in enumerate(out):
-            if element.leading_index() != g or element.coefficient(g) != 1:
+            if element.head.leading_index() != g or element.head.coefficient(g) != 1:
                 raise VerificationError(
                     f"Katz element {g} is not in echelon position"
                 )
@@ -158,9 +193,10 @@ def katz_basis(k: int, p: int, twist_depth: int) -> KatzBasis:
 
     Block sizes are the jumps of the dimension ladder
     dim M_{k + i(p-1)}.  Only the ladder is computed here:
-    ``KatzBasis.elements_mod`` builds the new Miller rows of each rung in
-    the ring it evaluates over, to the q-precision p*D that one U_p
-    application needs to determine coordinates.
+    ``KatzBasis.elements_mod`` builds the readouts of the new Miller rows
+    of each rung, times E_{p-1}^{-i}, in the ring it evaluates over: the
+    coefficients that one U_p application and the solve for its
+    coordinates read.
     """
     if p not in SUPPORTED_PRIMES:
         raise ConfigError(f"p must be one of {SUPPORTED_PRIMES}, got {p}")
@@ -198,26 +234,19 @@ def up_matrix(basis: KatzBasis, m: int, normalization: str = "weight") -> PadicM
 
 
 def _solve_up(
-    basis: KatzBasis, elements: Sequence[QSeries], m: int, normalization: str
+    basis: KatzBasis, elements: Sequence[Readout], m: int, normalization: str
 ) -> PadicMatrix:
-    """``up_matrix`` on Katz elements already evaluated over Z/p^m."""
-    k = basis.weight
-    if normalization == "weight":
-        op = lambda f: up(f, k, basis.p)
-    elif normalization == "naive":
-        op = lambda f: up_naive(f, basis.p)
-    elif normalization == "qexp":
-        op = lambda f: up(f, 1, basis.p)
-    else:
-        raise ConfigError(f"unknown normalization {normalization!r}")
+    """``up_matrix`` on Katz element readouts already evaluated over
+    Z/p^m: the heads make the basis matrix, and each spine, scaled by
+    p^``normalization_shift``, is an image to solve for."""
+    scale = basis.p ** normalization_shift(basis.weight, normalization)
     d = basis.dimension
-    tag = f"katz:p{basis.p}:k{k}:I{basis.twist_depth}"
+    tag = f"katz:p{basis.p}:k{basis.weight}:I{basis.twist_depth}"
     if d == 0:
         return PadicMatrix.from_rows((), basis.p, m, tag)
-    images = [op(f) for f in elements]
-    coeff_rows = [[elements[h].coeffs[c] for h in range(d)] for c in range(d)]
+    coeff_rows = [[e.head.coeffs[c] for e in elements] for c in range(d)]
     bmat = PadicMatrix.from_rows(coeff_rows, basis.p, m)
-    res = solve_in_basis([im.coeffs[:d] for im in images], bmat, budget=0)
+    res = solve_in_basis([e.spine.scale(scale).coeffs for e in elements], bmat, budget=0)
     rows = [[res.columns[g][h] for g in range(d)] for h in range(d)]
     return PadicMatrix.from_rows(rows, basis.p, res.m_effective, tag)
 
@@ -272,13 +301,14 @@ def _spectrum_core(
     it starts at m_work = max(m, floor(b) + 3), steps by max(4, floor(b))
     and gives up with ``PrecisionError`` past the cap
     m + floor(b) * max(D, 2) + 16, D the Katz dimension.  Without a bound
-    it runs once at m.  The Katz elements, the U_p matrix and its
+    it runs once at m.  The Katz element readouts, the U_p matrix and its
     characteristic series are computed once, at the top modulus (the cap,
     or m without a bound); each step reads the Newton polygon of that
     series reduced to Z/p^m_work.  This is exact: the solve has unit
-    pivots and the series is division-free, so both commute with
-    reduction.  The step that certifies returns the matrix and the
-    elements reduced to its modulus.
+    pivots and the series is computed by integral similarities and a
+    division-free recurrence, so both commute with reduction.  The step
+    that certifies returns the matrix and the readouts reduced to its
+    modulus.
     """
     basis = katz_basis(k, p, twist_depth)
     d = basis.dimension
@@ -329,8 +359,8 @@ def slope_spectrum(
     the U_p solve and the characteristic series are computed once per
     spectrum, at the cap (at m without a bound); each step only reduces
     the series to the working modulus and reads its polygon.  The naive
-    cross-check is assembled independently from the elements reduced to
-    the final modulus.
+    cross-check is assembled independently from the element readouts
+    reduced to the final modulus.
     """
     _check_even(k)
     basis, elements, matrix, series, qpoly, m_work = _spectrum_core(

@@ -49,10 +49,10 @@ class SolveResult:
         return PadicMatrix.from_rows(rows, self.p, self.m_effective, basis_tag)
 
 
-def _columns_to_lists(vectors, n: int) -> List[List[int]]:
+def _columns_to_lists(vectors, basis: PadicMatrix) -> List[List[int]]:
+    n = basis.size
     if isinstance(vectors, PadicMatrix):
-        if vectors.size != n:
-            raise ValueError("vector matrix size mismatch")
+        basis._check_compatible(vectors)
         return [[vectors.rows[i][j] for i in range(n)] for j in range(n)]
     cols = [list(map(index, col)) for col in vectors]
     for col in cols:
@@ -72,14 +72,15 @@ def solve_in_basis(
     partial pivoting), which minimises the precision loss.  The result
     is exact modulo p^(m - L) where L is the sum of the pivot
     valuations; L beyond ``budget`` (default m-1) raises
-    ``PrecisionError``.
+    ``PrecisionError``.  Vectors given as a ``PadicMatrix`` (its columns)
+    must live over the basis' ring and size, or ``ValueError`` is raised.
     """
     n = basis.size
     p, m = basis.p, basis.m
     modulus = p**m
     if budget is None:
         budget = m - 1
-    cols = _columns_to_lists(vectors, n)
+    cols = _columns_to_lists(vectors, basis)
     r = len(cols)
 
     a = [list(row) for row in basis.rows]

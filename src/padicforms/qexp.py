@@ -144,6 +144,22 @@ class QSeries:
                 out[i + j] += ai * b[j]
         return QSeries._from_ints(self.ring, out)
 
+    def product_at(self, other: "QSeries", indices: Sequence[int]) -> "QSeries":
+        """The coefficients of ``self * other`` at ``indices`` only, as the
+        series whose n-th coefficient is the one at indices[n]: one dot
+        product per index, and no full product."""
+        q = self._common(other)
+        if max(indices, default=0) >= q:
+            raise PrecisionError(f"coefficient beyond q-precision {q}")
+        a, rev = self.coeffs, other.coeffs[q - 1 :: -1]
+        return QSeries._from_ints(
+            self.ring, [sum(map(mul, a, rev[q - 1 - n :])) for n in indices]
+        )
+
+    def select(self, indices: Sequence[int]) -> "QSeries":
+        """The series whose n-th coefficient is this one's at indices[n]."""
+        return QSeries._reduced(self.ring, tuple(map(self.coefficient, indices)))
+
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:
             return self.inverse() ** (-n)

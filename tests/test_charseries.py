@@ -3,18 +3,66 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padicforms.charseries import (
     ALL_SATURATED,
     CharSeries,
     char_series,
-    charpoly_reversed,
     newton_polygon,
     newton_polygon_from_points,
 )
 from padicforms.padic import PadicMatrix
 
 from test_linalg import random_matrix, random_unimodular
+
+
+def charpoly_reversed(rows, modulus):
+    """Coefficients [c_0, ..., c_D] of det(I - T.A) mod N, c_0 = 1: the
+    O(n^4) Berkowitz-style oracle for ``char_series``.
+
+    Equivalently the reversed characteristic polynomial: if
+    det(xI - A) = x^D + a_1 x^(D-1) + ... + a_D then c_j = a_j.
+    Division-free, so valid over any Z/N.
+
+    The recurrence expands det(xI - A_k) along the last row/column of
+    the k-th leading principal submatrix:
+        chi_k(x) = (x - a_kk) chi_{k-1}(x)
+                   - sum_{j>=0} (R M^j C) * [chi_{k-1} truncated] ,
+    where M = A_{k-1}, R and C are the last row/column fringes.
+    """
+    n = len(rows)
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+    if n == 0:
+        return [1]
+    # ch[i] = coefficient of x^(k-i) in chi_k, ch[0] = 1
+    ch = [1, -rows[0][0] % modulus]
+    for k in range(2, n + 1):
+        a = rows[k - 1][k - 1]
+        R = [rows[k - 1][t] for t in range(k - 1)]
+        C = [rows[t][k - 1] for t in range(k - 1)]
+        # w[j] = R . M^j . C for j = 0 .. k-2
+        w = []
+        v = C[:]
+        for j in range(k - 1):
+            w.append(sum(x * y for x, y in zip(R, v)) % modulus)
+            if j < k - 2:
+                v = [
+                    sum(rows[s][t] * v[t] for t in range(k - 1)) % modulus
+                    for s in range(k - 1)
+                ]
+        new = [0] * (k + 1)
+        for i, c in enumerate(ch):
+            new[i] = (new[i] + c) % modulus
+            new[i + 1] = (new[i + 1] - a * c) % modulus
+        for j in range(k - 1):
+            for d in range(k - 1 - j):
+                new[2 + j + d] = (new[2 + j + d] - w[j] * ch[d]) % modulus
+        ch = new
+    return ch
 
 
 def det_bruteforce(rows, modulus=None):
@@ -75,6 +123,36 @@ def test_charpoly_against_bruteforce():
         n = rng.choice([2, 3, 4])
         u = random_matrix(rng, n, 5, 4)
         assert charpoly_reversed(u.rows, u.modulus) == det_i_minus_tu_bruteforce(u)
+
+
+# "dense": entries times p^0..2 each; "no pivot": also zero below
+# the diagonal block of rows j+1.. and columns ..j, so that column j has
+# no pivot below its diagonal at any step; "all divisible": every entry
+# times p as well
+@example(0, 5, 3, "dense", 0)
+@example(30, 13, 12, "dense", 1)
+@example(30, 5, 12, "no pivot", 2)
+@example(30, 7, 1, "all divisible", 3)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    st.integers(0, 30),
+    st.sampled_from([5, 7, 11, 13]),
+    st.integers(1, 12),
+    st.sampled_from(["dense", "no pivot", "all divisible"]),
+    st.integers(0, 2**32),
+)
+def test_char_series_matches_the_berkowitz_oracle(n, p, m, shape, seed):
+    rng = random.Random(seed)
+    modulus = p**m
+    rows = [[rng.randrange(modulus) * p ** rng.randrange(3) for _ in range(n)] for _ in range(n)]
+    if shape == "no pivot" and n > 1:
+        j = rng.randrange(n - 1)
+        for i in range(j + 1, n):
+            rows[i][: j + 1] = [0] * (j + 1)
+    elif shape == "all divisible":
+        rows = [[p * x for x in row] for row in rows]
+    u = PadicMatrix.from_rows(rows, p, m)
+    assert list(char_series(u).coeffs) == charpoly_reversed(u.rows, u.modulus)
 
 
 def test_char_series_of_integer_matrices():
@@ -201,4 +279,6 @@ def test_char_series_validation():
         CharSeries((1,), 4, 3)  # p not prime
     with pytest.raises(ValueError):
         CharSeries((1,), 5, 0)
+    with pytest.raises(TypeError):
+        CharSeries((1, 2.5, Fraction(5, 2)), 5, 3)
     assert CharSeries((126, -1), 5, 3).coeffs == (1, 124)

@@ -46,8 +46,13 @@ def test_tp_congruent_frobenius_mod_p_low_weight():
         if i > 0:
             power = power * e_inv
         elements += [b.to_ring(ring) * power for b in block]
-    assert len(elements) == basis.dimension == 2
-    for element in elements + basis.elements_mod(1):
+    d = basis.dimension
+    assert len(elements) == d == 2
+    for element in elements:
         q = element.qprec // 5
         assert hecke_tp(element, -2, 5) == frobenius(element, 5).truncate(q)
-    assert elements[0].qprec // 5 == basis.dimension + 4
+    assert elements[0].qprec // 5 == d + 4
+    # the readouts mod 5: T_p = p^3 U_p + F at k = -2, through q^(D-1)
+    for element, readout in zip(elements, basis.elements_mod(1)):
+        tp = readout.spine.scale(5**3) + frobenius(readout.head, 5)
+        assert tp == hecke_tp(element, -2, 5).truncate(d) == frobenius(readout.head, 5)

@@ -75,6 +75,13 @@ def test_solve_rejects_non_integer_vectors():
         in_row_span_mod_p([Fraction(1, 1), 0], ech, piv, 5)
 
 
+def test_solve_rejects_vectors_over_another_ring():
+    b = PadicMatrix.identity(2, 5, 3)
+    for vectors in (PadicMatrix.identity(2, 7, 3), PadicMatrix.identity(2, 5, 4)):
+        with pytest.raises(ValueError, match="matrices live over different rings"):
+            solve_in_basis(vectors, b)
+
+
 def test_solve_unimodular_round_trip():
     rng = random.Random(11)
     for _ in range(25):
