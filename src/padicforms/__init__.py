@@ -56,7 +56,6 @@ from .hida import (
     OrdinaryFamily,
     build_hasse_tower,
     control_check_h0,
-    control_check_h0_weight2,
     fit_family,
     mod_p_space,
     ordinary_rank_mod_p,

@@ -24,13 +24,7 @@ from .duality import charseries_duality_check
 from .eigencurve import WeightDisc, local_piece_report, two_var_charseries
 from .errors import ConfigError, PrecisionError, VerificationError
 from .forms import basis_dimension, miller_basis
-from .hida import (
-    control_check_h0,
-    control_check_h0_weight2,
-    fit_family,
-    ordinary_rank_mod_p,
-    tp_matrix,
-)
+from .hida import control_check_h0, fit_family, ordinary_rank_mod_p, tp_matrix
 from .padic import PadicMatrix, is_prime
 from .qexp import ModRing, ZZ
 
@@ -79,24 +73,16 @@ class JobConfig:
             raise ConfigError("basis: --p and --m must be given together")
         if self.m is not None and self.m < 1:
             raise ConfigError("--m must be >= 1")
+        if self.m is not None and self.p == 2:
+            raise ConfigError("Z/2^m is not supported: --p must be an odd prime")
         if self.twist_depth is not None and self.twist_depth < 0:
             raise ConfigError("--I must be >= 0")
         if self.qprec is not None:
-            # --Q must reach the coefficients the command reads: D of each
-            # basis form, or D of each image under T_p, D the largest
-            # dimension the command works in
-            weights = [self.k]
-            if self.command == "control-check":
-                # the ordinary image at k + n(p-1) is tested in weight k,
-                # or in weight k + (p-1) by the weight-2 variant
-                twist = self.p - 1 if self.k == 2 else 0
-                weights = [self.k + self.n * (self.p - 1), self.k + twist]
-            d = max(basis_dimension(w) for w in weights)
-            least = max(d, 1) * (1 if self.command == "basis" else self.p)
-            if self.qprec < least:
+            # basis --Q must reach the D coefficients of each basis form
+            d = basis_dimension(self.k)
+            if self.qprec < max(d, 1):
                 raise ConfigError(
-                    f"--Q {self.qprec} below {least}, the q-precision "
-                    f"{self.command} reads (D = {d})"
+                    f"--Q {self.qprec} below {max(d, 1)}, the q-precision basis reads (D = {d})"
                 )
         if self.command in ("slopes", "classicality", "duality") and (self.m or 0) < 3:
             raise ConfigError(
@@ -139,7 +125,7 @@ def _cmd_basis(config: JobConfig) -> int:
 
 
 def _cmd_tp_matrix(config: JobConfig) -> int:
-    rows = tp_matrix(config.k, config.p, config.qprec)
+    rows = tp_matrix(config.k, config.p)
     payload = {
         "p": serialize.num(config.p),
         "k": serialize.num(config.k),
@@ -154,7 +140,7 @@ def _cmd_tp_matrix(config: JobConfig) -> int:
 
 
 def _cmd_ordinary_rank(config: JobConfig) -> int:
-    rank = ordinary_rank_mod_p(config.k, config.p, config.qprec)
+    rank = ordinary_rank_mod_p(config.k, config.p)
     _emit(
         {
             "p": serialize.num(config.p),
@@ -167,10 +153,7 @@ def _cmd_ordinary_rank(config: JobConfig) -> int:
 
 
 def _cmd_control_check(config: JobConfig) -> int:
-    if config.k == 2:
-        report = control_check_h0_weight2(config.p, config.n, config.qprec)
-    else:
-        report = control_check_h0(config.k, config.p, config.n, config.qprec)
+    report = control_check_h0(config.k, config.p, config.n)
     _emit(serialize.control_json(report), config)
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
@@ -305,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         "matrix of T_p on the Miller basis, exact over Z",
         ("--k", intarg(required=True)),
         ("--p", intarg(required=True)),
-        ("--Q", intarg(dest="qprec")),
         ("--m", intarg()),
     )
     add(
@@ -313,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         "rank of the ordinary projector on the mod-p space",
         ("--k", intarg(required=True)),
         ("--p", intarg(required=True)),
-        ("--Q", intarg(dest="qprec")),
     )
     add(
         "control-check",
@@ -321,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("--k", intarg(required=True)),
         ("--p", intarg(required=True)),
         ("--n", intarg(required=True)),
-        ("--Q", intarg(dest="qprec")),
     )
     add(
         "family-fit",

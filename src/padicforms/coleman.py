@@ -227,7 +227,7 @@ def up_matrix(basis: KatzBasis, m: int, normalization: str = "weight") -> PadicM
     ``normalization`` selects the weight normalization (default), the
     naive operator, or the bare q-expansion operator; the matrix is
     assembled by applying the chosen operator and solving in the basis,
-    with the effective precision recorded on the result.
+    which loses no digit.
     """
     elements = basis.elements_mod(m) if basis.dimension else []
     return _solve_up(basis, elements, m, normalization)
@@ -238,17 +238,15 @@ def _solve_up(
 ) -> PadicMatrix:
     """``up_matrix`` on Katz element readouts already evaluated over
     Z/p^m: the heads make the basis matrix, and each spine, scaled by
-    p^``normalization_shift``, is an image to solve for."""
+    p^``normalization_shift``, is an image to solve for.  Element g is
+    q^g + O(q^(g+1)), so the heads are lower unitriangular and the solve
+    is one forward substitution over Z/p^m."""
     scale = basis.p ** normalization_shift(basis.weight, normalization)
     d = basis.dimension
     tag = f"katz:p{basis.p}:k{basis.weight}:I{basis.twist_depth}"
-    if d == 0:
-        return PadicMatrix.from_rows((), basis.p, m, tag)
     coeff_rows = [[e.head.coeffs[c] for e in elements] for c in range(d)]
     bmat = PadicMatrix.from_rows(coeff_rows, basis.p, m)
-    res = solve_in_basis([e.spine.scale(scale).coeffs for e in elements], bmat, budget=0)
-    rows = [[res.columns[g][h] for g in range(d)] for h in range(d)]
-    return PadicMatrix.from_rows(rows, basis.p, res.m_effective, tag)
+    return solve_in_basis([e.spine.scale(scale).coeffs for e in elements], bmat).as_matrix(tag)
 
 
 def shift_polygon(poly: NewtonPolygon, shift: int) -> NewtonPolygon:

@@ -70,30 +70,30 @@ def operator_matrix(basis: SpaceBasis, op) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
 
 
-def tp_matrix(k: int, p: int, qprec: Optional[int] = None):
+def tp_matrix(k: int, p: int):
     """Matrix of T_p on the Miller basis of M_k, exact over Z."""
     if not is_prime(p):
         raise ConfigError(f"{p} is not prime")
-    if qprec is None:
-        qprec = default_qprec(k, [p])
-    basis = miller_basis(k, qprec)
+    basis = miller_basis(k, default_qprec(k, [p]))
     return operator_matrix(basis, lambda f: hecke_tp(f, k, p))
 
 
 def mod_p_space(k: int, p: int, qprec: Optional[int] = None) -> SpaceBasis:
-    """Reduction mod p of the Miller basis; stays echelon since pivots are 1."""
+    """Reduction mod p of the Miller basis; stays echelon since pivots are 1.
+
+    Spaces compared with ``in_row_span_mod_p`` need one shared ``qprec``.
+    """
     _check_theory_prime(p)
     if qprec is None:
         qprec = default_qprec(k, [p])
     return miller_basis(k, qprec, ModRing(p, 1))
 
 
-def ordinary_rank_mod_p(k: int, p: int, qprec: Optional[int] = None) -> int:
+def ordinary_rank_mod_p(k: int, p: int) -> int:
     """Rank of e(T_p) on the mod-p weight-k space (T_p = U_p here, k >= 2)."""
     if k < 2:
         raise ConfigError(f"ordinary rank needs k >= 2, got {k}")
-    _check_theory_prime(p)
-    basis = mod_p_space(k, p, qprec)
+    basis = mod_p_space(k, p)
     if basis.dim == 0:
         return 0
     rows = operator_matrix(basis, lambda f: hecke_tp(f, k, p))
@@ -111,10 +111,8 @@ class HasseTower:
     levels: tuple
 
 
-def build_hasse_tower(k: int, p: int, n: int, qprec: Optional[int] = None) -> HasseTower:
-    _check_theory_prime(p)
-    if qprec is None:
-        qprec = default_qprec(k + n * (p - 1), [p])
+def build_hasse_tower(k: int, p: int, n: int) -> HasseTower:
+    qprec = default_qprec(k + n * (p - 1), [p])
     levels = [mod_p_space(k + j * (p - 1), p, qprec) for j in range(n + 1)]
     for lower, upper in zip(levels, levels[1:]):
         ech, piv = echelon_mod_p([f.coeffs for f in upper.forms], p)
@@ -136,7 +134,7 @@ class ControlReport:
     rank_high: int
     rank_low: int
     contained: bool
-    weight2_twist: bool = False
+    weight2_twist: bool
 
     @property
     def passed(self) -> bool:
@@ -162,42 +160,30 @@ def _ordinary_image_qexpansions(basis: SpaceBasis, p: int) -> List[Tuple[int, ..
     return echelon_mod_p(images, p)[0]
 
 
-def control_check_h0(
-    k: int, p: int, n: int, qprec: Optional[int] = None
-) -> ControlReport:
-    """Verify e(U_p) M_{k+n(p-1)}(F_p) sits inside M_k(F_p) as q-expansions.
+def control_check_h0(k: int, p: int, n: int) -> ControlReport:
+    """Verify e(U_p) M_{k+n(p-1)}(F_p) sits inside the weight-k target as
+    q-expansions, through the identity embedding of the Hasse tower.
 
-    The weight-k target uses the identity embedding through the Hasse
-    tower.  Requires k >= 3 (the control-theorem bound); the k = 2
-    boundary case has its own check with one extra twist on the target.
+    For k >= 3 (the control-theorem bound) the target is M_k(F_p).  At
+    the k = 2 boundary the classical side allows one extra Hasse twist,
+    so containment is tested in M_{2+(p-1)}(F_p).
     """
     _check_theory_prime(p)
-    if k < 3:
-        raise ConfigError("control check requires k >= 3; use the weight-2 variant")
-    return _control_core(k, p, n, target_weight=k, qprec=qprec, twist=False)
-
-
-def control_check_h0_weight2(p: int, n: int, qprec: Optional[int] = None) -> ControlReport:
-    """Weight-2 boundary variant: the classical side allows one extra
-    Hasse twist, so containment is tested in M_{2+(p-1)}(F_p)."""
-    _check_theory_prime(p)
-    return _control_core(2, p, n, target_weight=2 + (p - 1), qprec=qprec, twist=True)
-
-
-def _control_core(k, p, n, target_weight, qprec, twist) -> ControlReport:
+    if k < 2:
+        raise ConfigError(f"control check needs k >= 2, got {k}")
     if n < 0:
         raise ConfigError("n must be >= 0")
+    twist = k == 2
+    target_weight = k + (p - 1) if twist else k
     high_weight = k + n * (p - 1)
-    if qprec is None:
-        qprec = default_qprec(high_weight, [p])
+    qprec = default_qprec(high_weight, [p])
     high = mod_p_space(high_weight, p, qprec)
     low = mod_p_space(target_weight, p, qprec)
     image = _ordinary_image_qexpansions(high, p)
-    rank_high = len(image)
     low_ech, low_piv = echelon_mod_p([f.coeffs for f in low.forms], p) if low.dim else ([], [])
     contained = all(in_row_span_mod_p(v, low_ech, low_piv, p) for v in image)
     rank_low = len(_ordinary_image_qexpansions(low, p))
-    return ControlReport(p, k, n, target_weight, rank_high, rank_low, contained, twist)
+    return ControlReport(p, k, n, target_weight, len(image), rank_low, contained, twist)
 
 
 def unit_root_of_stabilization(t_p: int, k: int, p: int, m: int) -> int:

@@ -1,21 +1,20 @@
 """Exact linear algebra over Z/p^m: solving in a basis, image bases,
 and the ordinary projector.
 
-Precision ledger convention: the only place where p-adic digits are
-lost is division by a non-unit pivot.  ``solve_in_basis`` records the
-total pivot valuation L and returns its result over Z/p^(m-L); callers
-must propagate the minimum effective precision through their pipelines.
+No solve loses a digit: ``solve_in_basis`` takes a unit pivot in every
+column and refuses a basis that is not unimodular, so every result is
+exact over the Z/p^m its inputs live in.
 
 The ordinary projector e(T) = lim T^(n!) is computed from the Fitting
 decomposition of T rather than from the factorial powers: A = T^N with
 N >= n*m kills the part where T is nilpotent mod p (there T^n lands in
 p times that part, so T^(nm) is 0 mod p^m), and e is the projection
 onto im(A) along ker(A).  ``independent_columns`` picks a basis of
-im(A) and ``image_coordinates`` solves in it without precision loss;
-``hida`` restricts Hecke operators to ordinary images with the same two
-helpers.  The projector is also the eigenspace splitter: for a residue
-a, 1 - e(T - a) projects onto the generalized a-eigenspace of T mod p,
-where T - a is nilpotent mod p, and ``hida`` splits eigensystems so.
+im(A) and ``image_coordinates`` solves in it; ``hida`` restricts Hecke
+operators to ordinary images with the same two helpers.  The projector
+is also the eigenspace splitter: for a residue a, 1 - e(T - a) projects
+onto the generalized a-eigenspace of T mod p, where T - a is nilpotent
+mod p, and ``hida`` splits eigensystems so.
 """
 
 from __future__ import annotations
@@ -25,28 +24,29 @@ from operator import index
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import PrecisionError, VerificationError
-from .padic import PadicMatrix, val_p
+from .padic import PadicMatrix
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Coordinates of vectors in a basis, with the precision ledger.
+    """Coordinates of vectors in a basis over Z/p^m.
 
-    ``columns[j]`` are the coordinates of the j-th input vector, reduced
-    to the lowered effective precision m_effective = m_in - precision_loss.
+    ``columns[j]`` are the coordinates of the j-th input vector.  No
+    solve loses a digit, so ``precision_loss`` is always 0; the traced
+    benchmark reads it.
     """
 
     columns: tuple
     p: int
-    m_effective: int
-    precision_loss: int
+    m: int
+    precision_loss: int = 0
 
     def as_matrix(self, basis_tag=None) -> PadicMatrix:
-        n = len(self.columns[0])
-        if len(self.columns) != n:
+        n = len(self.columns)
+        if any(len(column) != n for column in self.columns):
             raise ValueError("coordinate block is not square")
         rows = [[self.columns[j][i] for j in range(n)] for i in range(n)]
-        return PadicMatrix.from_rows(rows, self.p, self.m_effective, basis_tag)
+        return PadicMatrix.from_rows(rows, self.p, self.m, basis_tag)
 
 
 def _columns_to_lists(vectors, basis: PadicMatrix) -> List[List[int]]:
@@ -62,93 +62,57 @@ def _columns_to_lists(vectors, basis: PadicMatrix) -> List[List[int]]:
 
 
 def solve_in_basis(
-    vectors: Union[PadicMatrix, Sequence[Sequence[int]]],
-    basis: PadicMatrix,
-    budget: Optional[int] = None,
+    vectors: Union[PadicMatrix, Sequence[Sequence[int]]], basis: PadicMatrix
 ) -> SolveResult:
-    """Solve B x = v over Z/p^m for each column v, pivoting p-adically.
+    """Solve B x = v over Z/p^m for each column v, B unimodular.
 
-    Pivots are chosen with minimal valuation in their column (p-adic
-    partial pivoting), which minimises the precision loss.  The result
-    is exact modulo p^(m - L) where L is the sum of the pivot
-    valuations; L beyond ``budget`` (default m-1) raises
-    ``PrecisionError``.  Vectors given as a ``PadicMatrix`` (its columns)
-    must live over the basis' ring and size, or ``ValueError`` is raised.
+    Each column takes its first unit pivot, so no digit is lost; a
+    column with no unit pivot (B not invertible mod p) raises
+    ``PrecisionError``.  Elimination and back substitution skip zero
+    entries, so on a lower unitriangular B the solve is a single forward
+    substitution on the vectors.  Vectors given as a ``PadicMatrix`` (its
+    columns) must live over the basis' ring and size, or ``ValueError``
+    is raised.
     """
     n = basis.size
     p, m = basis.p, basis.m
     modulus = p**m
-    if budget is None:
-        budget = m - 1
     cols = _columns_to_lists(vectors, basis)
     r = len(cols)
-
     a = [list(row) for row in basis.rows]
     rhs = [[cols[j][i] for j in range(r)] for i in range(n)]
 
-    pivot_vals: List[int] = []
-    loss = 0
     for c in range(n):
-        best, best_v = None, m
-        for i in range(c, n):
-            v = val_p(a[i][c], p, saturate=m)
-            if v < best_v:
-                best, best_v = i, v
-        if best is None or best_v >= m:
-            raise PrecisionError(
-                f"basis not echelonizable at precision {m}: column {c} has no pivot"
-            )
-        loss += best_v
-        if loss > budget:
-            raise PrecisionError(
-                f"pivot valuation budget exceeded: loss {loss} > budget {budget}"
-            )
-        pivot_vals.append(best_v)
-        if best != c:
-            a[c], a[best] = a[best], a[c]
-            rhs[c], rhs[best] = rhs[best], rhs[c]
-        unit = a[c][c] // p**best_v
-        inv = pow(unit, -1, modulus)
+        pivot = next((i for i in range(c, n) if a[i][c] % p), None)
+        if pivot is None:
+            raise PrecisionError(f"basis is not unimodular: column {c} has no unit pivot")
+        a[c], a[pivot] = a[pivot], a[c]
+        rhs[c], rhs[pivot] = rhs[pivot], rhs[c]
+        inv = pow(a[c][c], -1, modulus)
         a[c] = [(x * inv) % modulus for x in a[c]]
         rhs[c] = [(x * inv) % modulus for x in rhs[c]]
-        pk = p**best_v
+        tail = [(t, y) for t, y in enumerate(a[c]) if y and t > c]
         for i in range(c + 1, n):
             e = a[i][c]
-            if e == 0:
-                continue
-            # minimal-valuation pivot makes the multiplier integral
-            mult = e // pk
-            a[i] = [(x - mult * y) % modulus for x, y in zip(a[i], a[c])]
-            rhs[i] = [(x - mult * y) % modulus for x, y in zip(rhs[i], rhs[c])]
+            if e:
+                for t, y in tail:
+                    a[i][t] = (a[i][t] - e * y) % modulus
+                rhs[i] = [(x - e * y) % modulus for x, y in zip(rhs[i], rhs[c])]
 
-    # Back substitution; each division by p^v is checked for exactness.
-    x = [[0] * r for _ in range(n)]
-    for row in range(n - 1, -1, -1):
-        pk = p**pivot_vals[row]
-        for j in range(r):
-            s = rhs[row][j]
-            for t in range(row + 1, n):
-                s -= a[row][t] * x[t][j]
-            s %= modulus
-            if s % pk != 0:
-                raise PrecisionError(
-                    "solution is not integral at the available precision"
-                )
-            x[row][j] = (s // pk) % (modulus // pk)
-
-    m_eff = m - loss
-    reduced_modulus = p**m_eff
-    cols_out = tuple(
-        tuple(x[i][j] % reduced_modulus for i in range(n)) for j in range(r)
+    for c in range(n - 1, -1, -1):
+        for t in range(c + 1, n):
+            e = a[c][t]
+            if e:
+                rhs[c] = [(x - e * y) % modulus for x, y in zip(rhs[c], rhs[t])]
+    return SolveResult(
+        tuple(tuple(rhs[i][j] % modulus for i in range(n)) for j in range(r)), p, m
     )
-    return SolveResult(cols_out, p, m_eff, loss)
 
 
 def invert_unimodular(matrix: PadicMatrix) -> PadicMatrix:
     """Inverse of a matrix whose reduction mod p is invertible."""
-    n = matrix.size
-    res = solve_in_basis(PadicMatrix.identity(n, matrix.p, matrix.m), matrix, budget=0)
-    return res.as_matrix()
+    identity = PadicMatrix.identity(matrix.size, matrix.p, matrix.m)
+    return solve_in_basis(identity, matrix).as_matrix()
 
 
 def echelon_mod_p(rows: Sequence[Sequence[int]], p: int):
@@ -227,8 +191,8 @@ def image_coordinates(
     """Coordinates over Z/p^m of vectors in the span of ``columns``.
 
     The restriction of ``columns`` to ``pivot_rows`` must be unimodular,
-    as ``independent_columns`` returns it: the solve runs on those rows
-    without precision loss and is then checked on every row, so a vector
+    as ``independent_columns`` returns it: the solve runs on those rows,
+    exact over Z/p^m, and is then checked on every row, so a vector
     outside the span raises ``VerificationError``.
     """
     r = len(columns)
@@ -236,9 +200,7 @@ def image_coordinates(
     pivot_block = PadicMatrix.from_rows(
         [[columns[j][i] for j in range(r)] for i in pivot_rows], p, m
     )
-    coords = solve_in_basis(
-        [[v[i] for i in pivot_rows] for v in vectors], pivot_block, budget=0
-    ).columns
+    coords = solve_in_basis([[v[i] for i in pivot_rows] for v in vectors], pivot_block).columns
     for v, x in zip(vectors, coords):
         for i in range(len(v)):
             if sum(x[t] * columns[t][i] for t in range(r)) % modulus != v[i] % modulus:
@@ -309,7 +271,7 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
         p,
         m,
     )
-    y = solve_in_basis(x, s, budget=0).columns  # y[j] = S^-1 X[:, j]
+    y = solve_in_basis(x, s).columns  # y[j] = S^-1 X[:, j]
     idem = PadicMatrix.from_rows(
         [[sum(columns[b][i] * y[j][b] for b in range(r)) for j in range(n)] for i in range(n)],
         p,

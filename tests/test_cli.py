@@ -62,7 +62,7 @@ def test_control_check_command(capsys):
     code, out, _ = run_cli(capsys, "control-check", "--k", "4", "--p", "5", "--n", "1")
     assert code == EXIT_OK
     assert json.loads(out)["verdict"] == "pass"
-    # weight-2 boundary variant is routed automatically
+    # at the weight-2 boundary the target takes one Hasse twist
     code, out, _ = run_cli(capsys, "control-check", "--k", "2", "--p", "5", "--n", "1")
     assert code == EXIT_OK
     assert json.loads(out)["weight2_twist"] is True
@@ -128,18 +128,15 @@ def test_config_errors_exit_2(capsys):
     assert code == EXIT_CONFIG and "not prime" in err
     code, _, err = run_cli(capsys, "slopes", "--p", "5", "--k", "4", "--I", "2", "--m", "1")
     assert code == EXIT_CONFIG
-    # the least --Q each command reads: p*max(D, 1) for the T_p commands,
-    # D at k + n(p-1) for control-check, and D for basis
-    for argv, least in (
-        (["tp-matrix", "--k", "12", "--p", "5"], 10),
-        (["ordinary-rank", "--k", "12", "--p", "5"], 10),
-        (["control-check", "--k", "2", "--p", "5", "--n", "1"], 5),
-        (["basis", "--k", "24"], 3),
-    ):
-        code, _, err = run_cli(capsys, *argv, "--Q", str(least - 1))
-        assert code == EXIT_CONFIG and f"below {least}" in err
-        code, _, _ = run_cli(capsys, *argv, "--Q", str(least))
-        assert code == EXIT_OK
+    # basis reads D coefficients of each form: --Q below D is refused
+    code, _, err = run_cli(capsys, "basis", "--k", "24", "--Q", "2")
+    assert code == EXIT_CONFIG and "below 3" in err
+    code, _, _ = run_cli(capsys, "basis", "--k", "24", "--Q", "3")
+    assert code == EXIT_OK
+    # Z/2^m is refused up front, not by a traceback from the ring
+    for argv in (["basis", "--k", "12"], ["tp-matrix", "--k", "12"]):
+        code, _, err = run_cli(capsys, *argv, "--p", "2", "--m", "3")
+        assert code == EXIT_CONFIG and "Z/2^m" in err
     for argv in (
         ["basis", "--k", "5"],
         ["tp-matrix", "--k", "5", "--p", "5"],
@@ -148,7 +145,7 @@ def test_config_errors_exit_2(capsys):
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG and "odd" in err
-    # the weight-2 variant at n = -1 would compare against an empty space
+    # the weight-2 control check at n = -1 would compare against an empty space
     code, _, err = run_cli(capsys, "control-check", "--k", "2", "--p", "5", "--n", "-1")
     assert code == EXIT_CONFIG and "n must be >= 0" in err
     for argv in (["basis", "--k", "12", "--p", "5"], ["basis", "--k", "12", "--m", "3"]):
@@ -164,6 +161,10 @@ def test_unknown_flags_rejected():
     katz = ["--p", "5", "--k", "4", "--I", "2", "--m", "8"]
     for argv in (
         ["slopes", *katz, "--bogus", "1"],
+        # T_p on M_k depends on (k, p[, n]) alone: no q-precision knob
+        ["tp-matrix", "--k", "12", "--p", "5", "--Q", "10"],
+        ["ordinary-rank", "--k", "12", "--p", "5", "--Q", "10"],
+        ["control-check", "--k", "2", "--p", "5", "--n", "1", "--Q", "5"],
         # the Katz model depends on (k, p, I, m) alone: no q-precision knob
         ["up-matrix", *katz, "--Q", "5"],
         ["charseries", *katz, "--Q", "5"],

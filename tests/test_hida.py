@@ -10,7 +10,6 @@ from padicforms.forms import miller_basis
 from padicforms.hida import (
     build_hasse_tower,
     control_check_h0,
-    control_check_h0_weight2,
     fit_family,
     mod_p_space,
     operator_matrix,
@@ -90,16 +89,19 @@ def test_control_check_examples():
     assert report.passed
     report = control_check_h0(4, 5, 0)
     assert report.passed  # degenerate n = 0
+    assert not report.weight2_twist
     with pytest.raises(ConfigError):
-        control_check_h0(2, 5, 1)
+        control_check_h0(0, 5, 1)
 
 
 def test_control_check_weight2():
-    report = control_check_h0_weight2(5, 1)
+    # at k = 2 the target is the one-twist weight 2 + (p - 1)
+    report = control_check_h0(2, 5, 1)
     assert report.weight2_twist and report.passed
+    assert report.target_weight == 6
     # n = -1 would test the empty weight-(-2) space: a vacuous pass
     with pytest.raises(ConfigError):
-        control_check_h0_weight2(5, -1)
+        control_check_h0(2, 5, -1)
     with pytest.raises(ConfigError):
         control_check_h0(4, 5, -1)
 
@@ -113,10 +115,7 @@ def test_control_check_builds_each_space_once(monkeypatch, k, p, n):
         return mod_p_space(weight, *args)
 
     monkeypatch.setattr(hida, "mod_p_space", counting_mod_p_space)
-    if k == 2:
-        report = control_check_h0_weight2(p, n)
-    else:
-        report = control_check_h0(k, p, n)
+    report = control_check_h0(k, p, n)
     assert sorted(built) == sorted([k + n * (p - 1), report.target_weight])
     assert report.rank_low == ordinary_rank_mod_p(report.target_weight, p)
 

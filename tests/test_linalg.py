@@ -25,12 +25,22 @@ def random_matrix(rng, n, p, m):
     )
 
 
+def random_lower_unitriangular(rng, n, p, m):
+    """The shape of the Katz heads: element g is q^g + O(q^(g+1))."""
+    modulus = p**m
+    rows = [
+        [1 if i == j else (rng.getrandbits(40) % modulus if i > j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    return PadicMatrix.from_rows(rows, p, m)
+
+
 def random_unimodular(rng, n, p, m):
     """Product of random unitriangular matrices, so det is a unit."""
     modulus = p**m
-    lower = [[1 if i == j else (rng.getrandbits(40) % modulus if i > j else 0) for j in range(n)] for i in range(n)]
+    lower = random_lower_unitriangular(rng, n, p, m)
     upper = [[1 if i == j else (rng.getrandbits(40) % modulus if i < j else 0) for j in range(n)] for i in range(n)]
-    return PadicMatrix.from_rows(lower, p, m) @ PadicMatrix.from_rows(upper, p, m)
+    return lower @ PadicMatrix.from_rows(upper, p, m)
 
 
 def test_solve_identity_basis():
@@ -41,25 +51,14 @@ def test_solve_identity_basis():
     assert res.precision_loss == 0
 
 
-def test_solve_diagonal_precision_loss():
-    # B = diag(1, 5), vector (0, 5) over Z/5^3: coordinate (0, 1), one digit lost
-    b = PadicMatrix.from_rows([[1, 0], [0, 5]], 5, 3)
-    res = solve_in_basis([(0, 5)], b)
-    assert res.precision_loss == 1
-    assert res.m_effective == 2
-    assert res.columns == ((0, 1),)
-
-
-def test_solve_budget_exceeded():
-    b = PadicMatrix.from_rows([[5, 0], [0, 5]], 5, 3)
-    with pytest.raises(PrecisionError):
-        solve_in_basis([(5, 5)], b, budget=1)
-
-
 def test_solve_non_integral():
     b = PadicMatrix.from_rows([[1, 0], [0, 5]], 5, 3)
     with pytest.raises(PrecisionError):
         solve_in_basis([(0, 1)], b)
+    # B = diag(1, 5) is not unimodular: even (0, 5), whose coordinate
+    # (0, 1) is integral, would cost a digit, and no solve loses one
+    with pytest.raises(PrecisionError):
+        solve_in_basis([(0, 5)], b)
 
 
 def test_solve_rejects_non_integer_vectors():
@@ -82,12 +81,25 @@ def test_solve_rejects_vectors_over_another_ring():
             solve_in_basis(vectors, b)
 
 
+def pivot_below_top(rng, n, p, m):
+    """A row-permuted unimodular basis whose leading entry is divisible
+    by p: L U with L, U unitriangular has first column L[:, 0], so making
+    L's last leading entry a multiple of p and moving that row to the top
+    leaves the first unit pivot below it."""
+    lower = [list(row) for row in random_lower_unitriangular(rng, n, p, m).rows]
+    lower[-1][0] = p * rng.randrange(p ** (m - 1))
+    upper = random_lower_unitriangular(rng, n, p, m).transpose()
+    b = PadicMatrix.from_rows(lower, p, m) @ upper
+    return PadicMatrix.from_rows([b.rows[-1], *b.rows[:-1]], p, m)
+
+
 def test_solve_unimodular_round_trip():
     rng = random.Random(11)
-    for _ in range(25):
-        n = rng.choice([2, 3, 4])
-        b = random_unimodular(rng, n, 5, 4)
-        v = random_matrix(rng, n, 5, 4)
+    bases = [random_unimodular(rng, rng.choice([2, 3, 4]), 5, 4) for _ in range(25)]
+    bases += [random_lower_unitriangular(rng, n, 5, 8) for n in (1, 2, 5, 13, 30)]
+    bases += [pivot_below_top(rng, n, p, 5) for n in (2, 3, 6, 10) for p in (5, 7)]
+    for b in bases:
+        v = random_matrix(rng, b.size, b.p, b.m)
         res = solve_in_basis(v, b)
         assert res.precision_loss == 0
         assert b @ res.as_matrix() == v
@@ -110,6 +122,8 @@ def test_invert_unimodular():
         assert b @ binv == PadicMatrix.identity(3, 7, 3)
     with pytest.raises(PrecisionError):
         invert_unimodular(PadicMatrix.from_rows([[5, 0], [0, 1]], 5, 3))
+    empty = PadicMatrix.from_rows([], 5, 3)
+    assert invert_unimodular(empty) == empty
 
 
 def test_echelon_mod_p():
