@@ -9,18 +9,19 @@ The ordinary projector e(T) = lim T^(n!) is computed from the Fitting
 decomposition of T rather than from the factorial powers: A = T^N with
 N >= n*m kills the part where T is nilpotent mod p (there T^n lands in
 p times that part, so T^(nm) is 0 mod p^m), and e is the projection
-onto im(A) along ker(A).  ``independent_columns`` picks a basis of
-im(A) and ``image_coordinates`` solves in it; ``hida`` restricts Hecke
-operators to ordinary images with the same two helpers.  The projector
-is also the eigenspace splitter: for a residue a, 1 - e(T - a) projects
-onto the generalized a-eigenspace of T mod p, where T - a is nilpotent
-mod p, and ``hida`` splits eigensystems so.
+onto im(A) along ker(A).  ``independent_columns`` picks a basis C of
+im(A) and the rows P where it is unimodular, and e = C (A_P C)^-1 A_P
+costs one r x r solve; ``hida`` restricts Hecke operators to ordinary
+images with ``independent_columns`` and ``restrict_to_image``.  The
+projector is also the eigenspace splitter: for a residue a, 1 - e(T - a)
+projects onto the generalized a-eigenspace of T mod p, where T - a is
+nilpotent mod p, and ``hida`` splits eigensystems so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
+from operator import index, mul
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import PrecisionError, VerificationError
@@ -181,46 +182,31 @@ def independent_columns(matrix: PadicMatrix) -> Tuple[List[Tuple[int, ...]], Lis
     return columns, pivot_rows
 
 
-def image_coordinates(
-    vectors: Sequence[Sequence[int]],
-    columns: Sequence[Sequence[int]],
-    pivot_rows: Sequence[int],
-    p: int,
-    m: int,
-) -> Tuple[Tuple[int, ...], ...]:
-    """Coordinates over Z/p^m of vectors in the span of ``columns``.
-
-    The restriction of ``columns`` to ``pivot_rows`` must be unimodular,
-    as ``independent_columns`` returns it: the solve runs on those rows,
-    exact over Z/p^m, and is then checked on every row, so a vector
-    outside the span raises ``VerificationError``.
-    """
-    r = len(columns)
-    modulus = p**m
-    pivot_block = PadicMatrix.from_rows(
-        [[columns[j][i] for j in range(r)] for i in pivot_rows], p, m
-    )
-    coords = solve_in_basis([[v[i] for i in pivot_rows] for v in vectors], pivot_block).columns
-    for v, x in zip(vectors, coords):
-        for i in range(len(v)):
-            if sum(x[t] * columns[t][i] for t in range(r)) % modulus != v[i] % modulus:
-                raise VerificationError("vector lies outside the span of the image basis")
-    return coords
-
-
 def restrict_to_image(
     op_mat: PadicMatrix, columns: Sequence[Sequence[int]], pivot_rows: Sequence[int]
 ) -> PadicMatrix:
     """Matrix of an operator on the span of ``columns`` (a basis of the
     image of an idempotent, from ``independent_columns``); operators
-    commuting with the idempotent preserve that span."""
+    commuting with the idempotent preserve that span.
+
+    The images of the columns are solved for on ``pivot_rows``, where the
+    columns are unimodular, exact over Z/p^m, and the coordinates are
+    then checked on every row: an operator that does not preserve the
+    span raises ``VerificationError``.
+    """
     p, m = op_mat.p, op_mat.m
-    try:
-        coords = image_coordinates([op_mat.apply(c) for c in columns], columns, pivot_rows, p, m)
-    except VerificationError:
-        raise VerificationError("operator does not preserve the ordinary image") from None
+    modulus = p**m
     r = len(columns)
-    return PadicMatrix.from_rows([[coords[j][i] for j in range(r)] for i in range(r)], p, m)
+    images = [op_mat.apply(c) for c in columns]
+    pivot_block = PadicMatrix.from_rows(
+        [[columns[j][i] for j in range(r)] for i in pivot_rows], p, m
+    )
+    coords = solve_in_basis([[v[i] for i in pivot_rows] for v in images], pivot_block)
+    for v, x in zip(images, coords.columns):
+        for i in range(len(v)):
+            if sum(x[t] * columns[t][i] for t in range(r)) % modulus != v[i]:
+                raise VerificationError("operator does not preserve the ordinary image")
+    return coords.as_matrix()
 
 
 @dataclass(frozen=True)
@@ -243,16 +229,22 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
     invertible, and K, where T is nilpotent mod p.  On K, T mod p has
     nilpotency index at most n, so T^n K lies in pK and T^(nm) kills K.
     Hence A = T^N with N = 2^s >= n*m, built by s squarings, has image U
-    and kernel K, and e is the projection onto im(A) along ker(A):
+    and kernel K, and e is the projection onto im(A) along ker(A).
 
-    - the pivot columns C of A mod p are a basis of the free module U;
-    - A = C X is solved on the rows where C is unimodular and checked on
-      every row;
-    - S = X C is the matrix of A on U, invertible, and e = C S^-1 X.
+    The pivot columns C of A mod p are a basis of the free module U, and
+    their rows P (from ``independent_columns``) make C_P unimodular.  So
+    A = C X with X = C_P^-1 A_P, and the matrix of A on U in the basis C
+    is S = X C = C_P^-1 (A_P C), invertible.  Hence
 
-    The cost is O(log(nm)) matrix products and a few O(n^3) solves,
-    whatever the multiplicative order of T's unit part.  The result is
-    checked: e^2 = e, eT = Te, and its trace equals its mod-p rank.
+        e = C S^-1 X = C (A_P C)^-1 A_P:
+
+    the r x r core A_P C is built and solved once, against the n columns
+    of A_P, and e is C times that solution.
+
+    The cost is O(log(nm)) matrix products and one r x r solve, whatever
+    the multiplicative order of T's unit part.  The result is checked:
+    e A = A (every column of A lies in span C, since e C = C and im e lies
+    in span C), e^2 = e, eT = Te, and its trace equals its mod-p rank.
 
     ``max_iterations`` capped the factorial-power loop this replaced.  It
     is ignored, and kept only while callers (the benchmark's
@@ -265,19 +257,24 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
         power = power @ power
     columns, pivot_rows = independent_columns(power)
     r = len(columns)
-    x = image_coordinates(power.transpose().rows, columns, pivot_rows, p, m)  # x[j] = X[:, j]
-    s = PadicMatrix.from_rows(
-        [[sum(x[j][a] * columns[b][j] for j in range(n)) for b in range(r)] for a in range(r)],
+    head = [power.rows[i] for i in pivot_rows]  # A_P
+    core = PadicMatrix._reduced(
+        tuple([tuple([sum(map(mul, row, c)) % modulus for c in columns]) for row in head]),
         p,
         m,
+        None,
     )
-    y = solve_in_basis(x, s).columns  # y[j] = S^-1 X[:, j]
-    idem = PadicMatrix.from_rows(
-        [[sum(columns[b][i] * y[j][b] for b in range(r)) for j in range(n)] for i in range(n)],
+    y = solve_in_basis([[row[j] for row in head] for j in range(n)], core).columns
+    # y[j] = (A_P C)^-1 A_P[:, j], so e[i][j] is row i of C times y[j]
+    c_rows = [[c[i] for c in columns] for i in range(n)]
+    idem = PadicMatrix._reduced(
+        tuple([tuple([sum(map(mul, c_row, yj)) % modulus for yj in y]) for c_row in c_rows]),
         p,
         m,
         matrix.basis_tag,
     )
+    if idem @ power != power:
+        raise VerificationError("T^N has a column outside the span of its image basis")
     if idem @ idem != idem or idem @ matrix != matrix @ idem:
         raise VerificationError("ordinary projector is not an idempotent commuting with T")
     # The image of an idempotent over the local ring Z/p^m is free, so

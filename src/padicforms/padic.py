@@ -13,6 +13,13 @@ being truncated), which is then reduced mod p^m.  Results the class
 computes itself (products, sums, powers, transposes, reductions) are
 built already reduced over the checked (p, m) and skip that validation.
 
+The matrix product packs each row of its right factor into one integer,
+one slot per entry, wide enough that no slot carries into the next (in
+the spirit of Kronecker substitution): row i of A @ B is then one dot
+product of row i of A with the packed rows of B, so a product makes n^2
+integer products instead of n^3, and each entry is read back from its
+slot.
+
 All values are immutable after construction, so they can be shared
 freely between threads.
 """
@@ -20,7 +27,7 @@ freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import index, matmul, mul
+from operator import index, lshift, matmul, mul
 from typing import Callable, Iterable, Optional, Sequence
 
 
@@ -180,10 +187,22 @@ class PadicMatrix:
     def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._check_compatible(other)
         modulus = self.modulus
-        cols = tuple(zip(*other.rows))
+        n = self.size
+        # Each row of ``other`` is packed into one integer, entry j in the
+        # slot at bit j*width, so row i of the product is one dot product of
+        # row i with the packed rows.  A slot then holds a sum of n products
+        # of residues below 2^b, b = bits(p^m): at most n * 2^(2b), which is
+        # below 2^(2b + bits(n)) = 2^width, so no slot carries into the next.
+        width = 2 * modulus.bit_length() + n.bit_length()
+        mask = (1 << width) - 1
+        shifts = range(0, n * width, width)
+        packed = [sum(map(lshift, row, shifts)) for row in other.rows]
         # list comprehensions, not generators: no frame switch per entry
         rows = tuple(
-            [tuple([sum(map(mul, row, col)) % modulus for col in cols]) for row in self.rows]
+            [
+                tuple([(acc >> t & mask) % modulus for t in shifts])
+                for acc in [sum(map(mul, row, packed)) for row in self.rows]
+            ]
         )
         return PadicMatrix._reduced(rows, self.p, self.m, self._merged_tag(other))
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicforms import linalg
 from padicforms.errors import PrecisionError, VerificationError
 from padicforms.linalg import (
     echelon_mod_p,
@@ -319,8 +320,117 @@ def test_projector_validates_only_its_public_builds(monkeypatch):
         t = random_matrix(random.Random(3), 16, 5, m)
         calls.clear()
         ordinary_projector(t)
-        # the pivot block of the image solve, S and e; products skip validation
-        assert len(calls) <= 3
+        # the core A_P C, e and every product are built already reduced
+        assert calls == []
+
+
+def naive_matmul(x, y):
+    """Product by the entrywise definition, independent of the packed-row
+    kernel of ``PadicMatrix.__matmul__``."""
+    modulus, n = x.modulus, x.size
+    rows = [
+        [sum(x.rows[i][k] * y.rows[k][j] for k in range(n)) % modulus for j in range(n)]
+        for i in range(n)
+    ]
+    return PadicMatrix.from_rows(rows, x.p, x.m, x.basis_tag)
+
+
+def reference_projector(t):
+    """The projector as computed with two solves: A = T^N, then A = C X
+    solved on the rows where the image basis C is unimodular and checked
+    on every row, S = X C, and e = C S^-1 X.  Returns (e, rank)."""
+    n, p, m = t.size, t.p, t.m
+    modulus = p**m
+    power = t
+    for _ in range((n * m - 1).bit_length()):
+        power = naive_matmul(power, power)
+    columns, pivot_rows = independent_columns(power)
+    r = len(columns)
+    pivot_block = PadicMatrix.from_rows(
+        [[columns[j][i] for j in range(r)] for i in pivot_rows], p, m
+    )
+    a_cols = [[power.rows[i][j] for i in range(n)] for j in range(n)]
+    x = solve_in_basis([[v[i] for i in pivot_rows] for v in a_cols], pivot_block).columns
+    for v, xj in zip(a_cols, x):  # x[j] = X[:, j]
+        for i in range(n):
+            assert sum(xj[b] * columns[b][i] for b in range(r)) % modulus == v[i]
+    s = PadicMatrix.from_rows(
+        [[sum(x[j][a] * columns[b][j] for j in range(n)) for b in range(r)] for a in range(r)],
+        p,
+        m,
+    )
+    y = solve_in_basis(x, s).columns  # y[j] = S^-1 X[:, j]
+    idem = PadicMatrix.from_rows(
+        [[sum(columns[b][i] * y[j][b] for b in range(r)) for j in range(n)] for i in range(n)],
+        p,
+        m,
+        t.basis_tag,
+    )
+    return idem, r
+
+
+@st.composite
+def oracle_cases(draw):
+    """A uniform matrix, one with every entry divisible by p, or a
+    conjugate U (A + pB) U^-1 with U unimodular and A of any size r; in
+    the "shift" kind the lower block is J + pB instead, J the shift
+    matrix, nilpotent mod p of the largest index its size allows, which
+    takes the most squarings to kill."""
+    p = draw(st.sampled_from((5, 7, 11, 13)))
+    m = draw(st.integers(1, 10))
+    n = draw(st.integers(0, 16))
+    kind = draw(st.sampled_from(("uniform", "times p", "conjugate", "shift")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    modulus = p**m
+    if kind == "uniform":
+        return random_matrix(rng, n, p, m)
+    if kind == "times p":
+        return random_matrix(rng, n, p, m).scale(p)
+    r = draw(st.integers(0, n))
+    shift = kind == "shift"
+    rows = [
+        [
+            rng.randrange(modulus) if i < r and j < r
+            else p * rng.randrange(modulus) + (shift and j == i + 1) if i >= r and j >= r
+            else 0
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    u = random_unimodular(rng, n, p, m)
+    return u @ PadicMatrix.from_rows(rows, p, m) @ invert_unimodular(u)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(oracle_cases())
+def test_projector_matches_two_solve_reference(t):
+    res = ordinary_projector(t)
+    idem, rank = reference_projector(t)
+    assert res.idempotent.rows == idem.rows
+    assert res.rank == rank
+
+
+def test_projector_rejects_an_image_basis_missing_a_column(monkeypatch):
+    # With the last image column dropped, e = C (A_P C)^-1 A_P is still an
+    # idempotent, but of rank r - 1, so it cannot fix every column of A.
+    # T is an idempotent or diagonal, so A_P C stays unimodular and the
+    # solve goes through to the checks.
+    real_independent_columns = linalg.independent_columns
+
+    def drop_last_column(matrix):
+        columns, _ = real_independent_columns(matrix)
+        return columns[:-1], echelon_mod_p(columns[:-1], matrix.p)[1]
+
+    monkeypatch.setattr(linalg, "independent_columns", drop_last_column)
+    rng = random.Random(8)
+    cases = [PadicMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 5]], 5, 4)]
+    for n, r, p, m in [(1, 1, 5, 3), (4, 2, 7, 2), (9, 5, 5, 10), (16, 16, 13, 4)]:
+        diag = [[int(i == j and i < r) for j in range(n)] for i in range(n)]
+        u = random_unimodular(rng, n, p, m)
+        cases.append(u @ PadicMatrix.from_rows(diag, p, m) @ invert_unimodular(u))
+    for t in cases:
+        with pytest.raises(VerificationError, match="outside the span of its image basis"):
+            ordinary_projector(t)
 
 
 def greedy_independent_columns(idem, rank, p):

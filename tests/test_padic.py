@@ -152,3 +152,58 @@ def test_internal_results_are_canonical(p, m, n, seed, tags, k):
     for m_bad in (0, m + 1):
         with pytest.raises(ValueError):
             a.reduce(m_bad)
+
+
+def _triple_loop(x, y, modulus):
+    n = len(x)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] += x[i][k] * y[k][j]
+            out[i][j] %= modulus
+    return out
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from((5, 7, 11, 13)),
+    m=st.integers(1, 60),
+    n=st.integers(0, 24),
+    fills=st.tuples(*[st.sampled_from(("uniform", "top"))] * 2),
+    seed=st.integers(0, 2**32 - 1),
+    tags=st.tuples(TAGS, TAGS),
+)
+def test_matmul_matches_triple_loop(p, m, n, fills, seed, tags):
+    """The packed-row product against the entrywise definition; "top"
+    fills every entry with p^m - 1, the largest residue, so every slot
+    of a packed row holds its largest possible sum."""
+    rng = random.Random(seed)
+    modulus = p**m
+    x, y = (
+        [
+            [modulus - 1 if fill == "top" else rng.randrange(modulus) for _ in range(n)]
+            for _ in range(n)
+        ]
+        for fill in fills
+    )
+    product = PadicMatrix.from_rows(x, p, m, tags[0]) @ PadicMatrix.from_rows(y, p, m, tags[1])
+    _assert_canonical(
+        product,
+        PadicMatrix.from_rows(_triple_loop(x, y, modulus), p, m),
+        tags[0] if tags[0] == tags[1] else None,
+    )
+
+
+def test_matmul_slot_width_worst_case():
+    """Every entry p^m - 1 makes each slot of a packed row hold
+    n (p^m - 1)^2, the largest sum it must carry without spilling; the
+    product is then n mod p^m in every entry, since (-1)(-1) = 1.  For a
+    given bits(n), that sum is closest to the slot's capacity at
+    n = 2^k - 1."""
+    for p in (5, 7, 11, 13):
+        for m in range(1, 61):
+            modulus = p**m
+            for n in (0, 1, 2, 3, 7, 15, 16, 24):
+                top = PadicMatrix.from_rows([[modulus - 1] * n] * n, p, m)
+                assert (top @ top).rows == ((n % modulus,) * n,) * n, (p, m, n)
