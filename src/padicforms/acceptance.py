@@ -95,16 +95,17 @@ def criterion_1(seed: int = 0) -> CriterionResult:
             t = _random_matrix(rng, n, p, m)
             res = ordinary_projector(t)
             e = res.idempotent
-            one = PadicMatrix.identity(n, p, m)
-            if (e @ e) != e or (e @ t) != (t @ e):
+            te = t @ e
+            one_minus_e = PadicMatrix.identity(n, p, m) - e
+            if (e @ e) != e or (e @ t) != te:
                 ok = False
                 break
             # T invertible mod p on im(e): T e + (1 - e) is unimodular
-            if rank_mod_p(((t @ e) + (one - e)).rows, p) != n:
+            if rank_mod_p((te + one_minus_e).rows, p) != n:
                 ok = False
                 break
             # T^m kills ker(e) mod p
-            if not ((t**m) @ (one - e)).reduce(1).is_zero():
+            if not ((t**m) @ one_minus_e).reduce(1).is_zero():
                 ok = False
                 break
             checked += 1

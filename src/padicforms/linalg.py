@@ -9,13 +9,16 @@ The ordinary projector e(T) = lim T^(n!) is computed from the Fitting
 decomposition of T rather than from the factorial powers: A = T^N with
 N >= n*m kills the part where T is nilpotent mod p (there T^n lands in
 p times that part, so T^(nm) is 0 mod p^m), and e is the projection
-onto im(A) along ker(A).  ``independent_columns`` picks a basis C of
-im(A) and the rows P where it is unimodular, and e = C (A_P C)^-1 A_P
-costs one r x r solve; ``hida`` restricts Hecke operators to ordinary
-images with ``independent_columns`` and ``restrict_to_image``.  The
-projector is also the eigenspace splitter: for a residue a, 1 - e(T - a)
-projects onto the generalized a-eigenspace of T mod p, where T - a is
-nilpotent mod p, and ``hida`` splits eigensystems so.
+onto im(A) along ker(A).  When T is invertible mod p, that part is 0
+and e is the identity: one echelon over F_p detects it, and no power is
+taken.
+Otherwise ``independent_columns`` picks a basis C of im(A) and the rows
+P where it is unimodular, and e = C (A_P C)^-1 A_P costs one r x r
+solve; ``hida`` restricts Hecke operators to ordinary images with
+``independent_columns`` and ``restrict_to_image``.  The projector is
+also the eigenspace splitter: for a residue a, 1 - e(T - a) projects
+onto the generalized a-eigenspace of T mod p, where T - a is nilpotent
+mod p, and ``hida`` splits eigensystems so.
 """
 
 from __future__ import annotations
@@ -226,10 +229,18 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
     """Compute e(T) from the Fitting decomposition of T.
 
     Over Z/p^m, (Z/p^m)^n splits into the T-stable summands U, where T is
-    invertible, and K, where T is nilpotent mod p.  On K, T mod p has
-    nilpotency index at most n, so T^n K lies in pK and T^(nm) kills K.
-    Hence A = T^N with N = 2^s >= n*m, built by s squarings, has image U
-    and kernel K, and e is the projection onto im(A) along ker(A).
+    invertible, and K, where T is nilpotent mod p.
+
+    The rank of T mod p, one echelon over F_p, is read first.  If it is n,
+    T lies in the finite group GL_n(Z/p^m), so T^(k!) = 1 as soon as k! is
+    a multiple of its order, and e = lim T^(k!) = 1 (equally: K = 0).  The
+    identity, with T's basis tag, is returned at once, rank n; it
+    satisfies the four checks below identically, so none is run.
+
+    Otherwise K is not 0.  On K, T mod p has nilpotency index at most n,
+    so T^n K lies in pK and T^(nm) kills K.  Hence A = T^N with
+    N = 2^s >= n*m, built by s squarings, has image U and kernel K, and e
+    is the projection onto im(A) along ker(A).
 
     The pivot columns C of A mod p are a basis of the free module U, and
     their rows P (from ``independent_columns``) make C_P unimodular.  So
@@ -241,8 +252,9 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
     the r x r core A_P C is built and solved once, against the n columns
     of A_P, and e is C times that solution.
 
-    The cost is O(log(nm)) matrix products and one r x r solve, whatever
-    the multiplicative order of T's unit part.  The result is checked:
+    The cost is one echelon mod p, then, when T is singular mod p,
+    O(log(nm)) matrix products and one r x r solve, whatever the
+    multiplicative order of T's unit part.  The result is checked:
     e A = A (every column of A lies in span C, since e C = C and im e lies
     in span C), e^2 = e, eT = Te, and its trace equals its mod-p rank.
 
@@ -251,6 +263,10 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
     ``projector-random`` workload) still pass it.
     """
     n, p, m = matrix.size, matrix.p, matrix.m
+    if rank_mod_p(matrix.rows, p) == n:
+        # T is invertible mod p: K = 0 and e = 1, so nothing is squared
+        identity = tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
+        return ProjectorResult(PadicMatrix._reduced(identity, p, m, matrix.basis_tag), n)
     modulus = p**m
     power = matrix
     for _ in range((n * m - 1).bit_length()):

@@ -5,14 +5,19 @@ every attribute its extractors read from their results.
 looking them up in their owner's ``__dict__``, and reads values such as
 ``SolveResult.precision_loss`` and ``SlopeReport.m_working`` from what
 they return; a refactor that removes or renames one breaks
-``--trace 1`` without failing any package test.
+``--trace 1`` without failing any package test.  The projector workload's
+inputs, read from ``perfbench/workloads.py``, must keep exercising both
+of ``ordinary_projector``'s paths.
 """
 
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
+
+from padicforms.linalg import rank_mod_p
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -58,3 +63,23 @@ def test_bench_extractors_read_live_attributes():
     assert metrics["linalg.solve_in_basis.pivot_loss"] == 0
     assert metrics["coleman.slope_spectrum.m_working_max"] >= 8
     assert metrics["linalg.ordinary_projector.failures"] == 0
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", SPANS.with_name("workloads.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_projector_workload_draws_both_sides_of_the_rank_test():
+    # ordinary_projector returns the identity at once when T is invertible
+    # mod p; one seed's projector-random rounds must still time both that
+    # return and the full path, so a change to either shows in wall_s
+    workloads = _load_workloads()
+    workload = workloads.ProjectorRandom({})
+    rounds = workload.make_rounds(random.Random(f"{workload.name}:1"), workload.rounds)
+    full = [rank_mod_p(rows, p) == len(rows) for job_round in rounds for p, _, rows in job_round]
+    assert any(full) and not all(full)

@@ -44,6 +44,25 @@ def random_unimodular(rng, n, p, m):
     return lower @ PadicMatrix.from_rows(upper, p, m)
 
 
+def block_conjugate(rng, n, r, p, m, shift=False):
+    """U (A + pB) U^-1 with U unimodular, A of size r and B of size n - r;
+    with ``shift`` the lower block is J + pB instead, J the shift matrix,
+    nilpotent mod p of the largest index its size allows.  The mod-p rank
+    is below n whenever r is."""
+    modulus = p**m
+    rows = [
+        [
+            rng.randrange(modulus) if i < r and j < r
+            else p * rng.randrange(modulus) + (shift and j == i + 1) if i >= r and j >= r
+            else 0
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    u = random_unimodular(rng, n, p, m)
+    return u @ PadicMatrix.from_rows(rows, p, m) @ invert_unimodular(u)
+
+
 def test_solve_identity_basis():
     b = PadicMatrix.identity(3, 5, 4)
     v = PadicMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 5, 4)
@@ -217,16 +236,6 @@ def test_projector_exactness_block_triangular():
         assert r_total == r_sub + r_quot
 
 
-def test_projector_reduction_consistency():
-    # reduction mod p of the Z/p^m projector is the mod-p projector
-    rng = random.Random(17)
-    for _ in range(20):
-        t = random_matrix(rng, 3, 5, 4)
-        e_high = ordinary_projector(t).idempotent.reduce(1)
-        e_low = ordinary_projector(t.reduce(1)).idempotent
-        assert e_high == e_low
-
-
 @st.composite
 def projector_cases(draw):
     """A uniform matrix, or a conjugate U (A + pB) U^-1 with U unimodular,
@@ -284,15 +293,9 @@ def test_projector_large_unit_order_companion():
     assert ordinary_projector(t, max_iterations=1) == res
 
 
-def test_projector_invertible_mod_p_is_identity():
-    t = random_matrix(random.Random(0), 16, 5, 10)
-    assert rank_mod_p(t.rows, 5) == 16
-    res = _check_projector_algebra(t)
-    assert res.idempotent == PadicMatrix.identity(16, 5, 10)
-    assert res.rank == 16
-
-
-def test_projector_matmul_count_is_logarithmic(monkeypatch):
+def _counting_matmul(monkeypatch):
+    """Patch ``PadicMatrix.__matmul__`` to record each call; returns the
+    list of calls."""
     calls = []
     real_matmul = PadicMatrix.__matmul__
 
@@ -300,8 +303,47 @@ def test_projector_matmul_count_is_logarithmic(monkeypatch):
         calls.append(self.size)
         return real_matmul(self, other)
 
-    t = random_matrix(random.Random(3), 16, 5, 10)
     monkeypatch.setattr(PadicMatrix, "__matmul__", counting_matmul)
+    return calls
+
+
+def test_projector_invertible_mod_p_is_identity(monkeypatch):
+    # T invertible mod p returns the identity, with T's tag and rank n,
+    # without a single matrix product; one unit short of that (mod-p rank
+    # n - 1) it takes the powers and the checks
+    rng = random.Random(0)
+    invertible, deficient = [random_matrix(rng, 16, 5, 10)], []
+    for n in (0, 1, 16):
+        for p in (5, 7, 11, 13):
+            m = rng.randint(1, 10)
+            invertible.append(random_unimodular(rng, n, p, m))
+            if n:
+                t = block_conjugate(rng, n, n - 1, p, m)
+                deficient.append((t, reference_projector(t)))
+    calls = _counting_matmul(monkeypatch)
+    for t in invertible:
+        n, p, m = t.size, t.p, t.m
+        assert rank_mod_p(t.rows, p) == n
+        tagged = PadicMatrix.from_rows(t.rows, p, m, "katz")
+        calls.clear()
+        res = ordinary_projector(tagged)
+        assert calls == []
+        assert res.idempotent == PadicMatrix.identity(n, p, m)
+        assert res.idempotent.basis_tag == "katz"
+        assert res.rank == n
+    for t, (idem, rank) in deficient:
+        assert rank_mod_p(t.rows, t.p) == t.size - 1
+        calls.clear()
+        res = ordinary_projector(t)
+        assert len(calls) >= 4  # the squarings and the checks
+        assert (res.idempotent.rows, res.rank) == (idem.rows, rank)
+    _check_projector_algebra(invertible[0])
+
+
+def test_projector_matmul_count_is_logarithmic(monkeypatch):
+    t = block_conjugate(random.Random(3), 16, 8, 5, 10, shift=True)
+    assert rank_mod_p(t.rows, 5) < 16
+    calls = _counting_matmul(monkeypatch)
     ordinary_projector(t)
     # ceil(log2(n m)) squarings for T^N, N >= n m, plus the checks
     assert len(calls) <= (16 * 10 - 1).bit_length() + 4
@@ -317,7 +359,8 @@ def test_projector_validates_only_its_public_builds(monkeypatch):
 
     monkeypatch.setattr(PadicMatrix, "__post_init__", counting_post_init)
     for m in (2, 10):
-        t = random_matrix(random.Random(3), 16, 5, m)
+        t = block_conjugate(random.Random(3), 16, 8, 5, m, shift=True)
+        assert rank_mod_p(t.rows, 5) < 16
         calls.clear()
         ordinary_projector(t)
         # the core A_P C, e and every product are built already reduced
@@ -372,33 +415,19 @@ def reference_projector(t):
 @st.composite
 def oracle_cases(draw):
     """A uniform matrix, one with every entry divisible by p, or a
-    conjugate U (A + pB) U^-1 with U unimodular and A of any size r; in
-    the "shift" kind the lower block is J + pB instead, J the shift
-    matrix, nilpotent mod p of the largest index its size allows, which
-    takes the most squarings to kill."""
+    ``block_conjugate`` with A of any size r; the "shift" kind, whose
+    nilpotent part takes the most squarings to kill, has J + pB below."""
     p = draw(st.sampled_from((5, 7, 11, 13)))
     m = draw(st.integers(1, 10))
     n = draw(st.integers(0, 16))
     kind = draw(st.sampled_from(("uniform", "times p", "conjugate", "shift")))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    modulus = p**m
     if kind == "uniform":
         return random_matrix(rng, n, p, m)
     if kind == "times p":
         return random_matrix(rng, n, p, m).scale(p)
     r = draw(st.integers(0, n))
-    shift = kind == "shift"
-    rows = [
-        [
-            rng.randrange(modulus) if i < r and j < r
-            else p * rng.randrange(modulus) + (shift and j == i + 1) if i >= r and j >= r
-            else 0
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    u = random_unimodular(rng, n, p, m)
-    return u @ PadicMatrix.from_rows(rows, p, m) @ invert_unimodular(u)
+    return block_conjugate(rng, n, r, p, m, shift=kind == "shift")
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -410,27 +439,54 @@ def test_projector_matches_two_solve_reference(t):
     assert res.rank == rank
 
 
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(oracle_cases())
+def test_projector_reduction_consistency(t):
+    # e(T) is a limit of powers of T, so it commutes with reduction: the
+    # Z/p^m projector reduced mod p^m' is the projector of T mod p^m', and
+    # both have the same (mod-p) rank, at every 1 <= m' < m
+    res = ordinary_projector(t)
+    for m_low in range(1, t.m):
+        low = ordinary_projector(t.reduce(m_low))
+        assert res.idempotent.reduce(m_low).rows == low.idempotent.rows
+        assert res.rank == low.rank
+
+
 def test_projector_rejects_an_image_basis_missing_a_column(monkeypatch):
     # With the last image column dropped, e = C (A_P C)^-1 A_P is still an
     # idempotent, but of rank r - 1, so it cannot fix every column of A.
     # T is an idempotent or diagonal, so A_P C stays unimodular and the
-    # solve goes through to the checks.
+    # solve goes through to the checks.  An invertible T (r = n) returns
+    # the identity before any image basis is chosen.
     real_independent_columns = linalg.independent_columns
+    calls = []
 
     def drop_last_column(matrix):
+        calls.append(matrix.size)
         columns, _ = real_independent_columns(matrix)
         return columns[:-1], echelon_mod_p(columns[:-1], matrix.p)[1]
 
     monkeypatch.setattr(linalg, "independent_columns", drop_last_column)
     rng = random.Random(8)
     cases = [PadicMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 5]], 5, 4)]
-    for n, r, p, m in [(1, 1, 5, 3), (4, 2, 7, 2), (9, 5, 5, 10), (16, 16, 13, 4)]:
+    sizes = [(1, 1, 5, 3), (2, 1, 5, 3), (4, 2, 7, 2), (9, 5, 5, 10), (16, 16, 13, 4), (16, 15, 13, 4)]
+    for n, r, p, m in sizes:
         diag = [[int(i == j and i < r) for j in range(n)] for i in range(n)]
         u = random_unimodular(rng, n, p, m)
         cases.append(u @ PadicMatrix.from_rows(diag, p, m) @ invert_unimodular(u))
+    invertible = []
     for t in cases:
+        calls.clear()
+        if rank_mod_p(t.rows, t.p) == t.size:
+            invertible.append(t.size)
+            identity = PadicMatrix.identity(t.size, t.p, t.m)
+            assert ordinary_projector(t) == linalg.ProjectorResult(identity, t.size)
+            assert calls == []
+            continue
         with pytest.raises(VerificationError, match="outside the span of its image basis"):
             ordinary_projector(t)
+        assert calls == [t.size]
+    assert invertible == [1, 16]
 
 
 def greedy_independent_columns(idem, rank, p):
