@@ -254,6 +254,15 @@ GOLDEN_RUNS = {
     "up_matrix_k-2_p7_I9_m6_naive.json": [
         "up-matrix", "--k", "-2", "--p", "7", "--I", "9", "--m", "6", "--normalization", "naive",
     ],
+    "basis_k24_Q12.json": ["basis", "--k", "24", "--Q", "12"],
+    "basis_k24_p5_m3.json": ["basis", "--k", "24", "--p", "5", "--m", "3"],
+    "tp_matrix_k24_p7_m4.json": ["tp-matrix", "--k", "24", "--p", "7", "--m", "4"],
+    # bounds 0 and 1/2: the file name writes 1/2 as 1_2
+    "disc_p5_c0_s4-8-12-16_I6_m8_b0-1_2.json": [
+        "disc", "--p", "5", "--component", "0", "--samples", "4,8,12,16",
+        "--I", "6", "--m", "8", "--bounds", "0,1/2",
+    ],
+    "acceptance_c2-6_seed3.json": ["acceptance", "--criteria", "2,6", "--seed", "3"],
 }
 
 
