@@ -5,6 +5,10 @@ JSON (all numerics as decimal strings, sorted keys) to stdout or a
 file, and exits 0 on success, 1 on a failed verification, 2 on a
 configuration error.  The environment variable PADICFORMS_DEFAULT_M
 sets the default working precision exponent when --m is not given.
+
+Each command is one entry of ``COMMANDS``: its help text, its flags,
+whether its --m defaults to PADICFORMS_DEFAULT_M, and a runner that maps
+the parsed arguments to ``(payload, passed)``.
 """
 
 from __future__ import annotations
@@ -13,9 +17,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple
 
 from . import acceptance as acceptance_mod
 from . import serialize
@@ -44,207 +47,173 @@ def _default_m() -> int:
     return value
 
 
-@dataclass
-class JobConfig:
-    """Validated parameters of one CLI invocation."""
-
-    command: str
-    p: Optional[int] = None
-    k: Optional[int] = None
-    weights: Optional[tuple] = None
-    twist_depth: Optional[int] = None
-    qprec: Optional[int] = None
-    m: Optional[int] = None
-    hecke_primes: tuple = ()
-    component: Optional[int] = None
-    n: Optional[int] = None
-    seed: int = 0
-    output: Optional[str] = None
-    normalization: str = "weight"
-    bounds: tuple = ()
-    criteria: Optional[tuple] = None
-
-    def validate(self) -> None:
-        if self.p is not None and not is_prime(self.p):
-            raise ConfigError(f"--p {self.p} is not prime")
-        if self.k is not None and self.k % 2 != 0:
-            raise ConfigError(f"--k {self.k} is odd: odd-weight level-1 spaces are empty")
-        if self.command == "basis" and (self.p is None) != (self.m is None):
-            raise ConfigError("basis: --p and --m must be given together")
-        if self.m is not None and self.m < 1:
-            raise ConfigError("--m must be >= 1")
-        if self.m is not None and self.p == 2:
-            raise ConfigError("Z/2^m is not supported: --p must be an odd prime")
-        if self.twist_depth is not None and self.twist_depth < 0:
-            raise ConfigError("--I must be >= 0")
-        if self.qprec is not None:
-            # basis --Q must reach the D coefficients of each basis form
-            d = basis_dimension(self.k)
-            if self.qprec < max(d, 1):
-                raise ConfigError(
-                    f"--Q {self.qprec} below {max(d, 1)}, the q-precision basis reads (D = {d})"
-                )
-        if self.command in ("slopes", "classicality", "duality") and (self.m or 0) < 3:
-            raise ConfigError(
-                "--m must be >= 3 to certify any slope (ceiling is m - 2)"
-            )
-
-
-def _emit(payload, config: JobConfig) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if config.output:
-        with open(config.output, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _int_list(raw: str) -> tuple:
-    if not raw:
-        return ()
+def _parse_list(raw: str, parse, error: str) -> tuple:
     try:
-        return tuple(int(x) for x in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, got {raw!r}")
+        return tuple(parse(x) for x in raw.split(",")) if raw else ()
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{error} {raw!r}")
 
 
-def _cmd_basis(config: JobConfig) -> int:
-    ring = ModRing(config.p, config.m) if config.p is not None else ZZ
-    qprec = config.qprec or max(basis_dimension(config.k) + 8, 16)
-    basis = miller_basis(config.k, qprec, ring)
-    _emit(
-        {
-            "k": serialize.num(config.k),
-            "dim": serialize.num(basis.dim),
-            "level_tag": basis.level_tag,
-            "forms": [serialize.qseries_json(f) for f in basis.forms],
-        },
-        config,
-    )
-    return EXIT_OK
+# The list flags reach argparse as plain strings and are converted after
+# parsing: argparse would turn a ConfigError (a ValueError) raised by a
+# type= converter into its own usage error, with another message and no
+# exit code 2 from main.
+_INTS = (int, "expected a comma-separated integer list, got")
+_LIST_FLAGS = {
+    "weights": _INTS,
+    "hecke_primes": _INTS,
+    "criteria": _INTS,
+    "bounds": (Fraction, "bad --bounds value"),
+}
 
 
-def _cmd_tp_matrix(config: JobConfig) -> int:
-    rows = tp_matrix(config.k, config.p)
+def _validate(args: argparse.Namespace) -> None:
+    """Refuse a configuration before any computation starts."""
+    get = vars(args).get
+    p, k, m, twist_depth, qprec = (get(name) for name in ("p", "k", "m", "twist_depth", "qprec"))
+    if p is not None and not is_prime(p):
+        raise ConfigError(f"--p {p} is not prime")
+    if k is not None and k % 2 != 0:
+        raise ConfigError(f"--k {k} is odd: odd-weight level-1 spaces are empty")
+    if args.command == "basis" and (p is None) != (m is None):
+        raise ConfigError("basis: --p and --m must be given together")
+    if m is not None and m < 1:
+        raise ConfigError("--m must be >= 1")
+    if m is not None and p == 2:
+        raise ConfigError("Z/2^m is not supported: --p must be an odd prime")
+    if twist_depth is not None and twist_depth < 0:
+        raise ConfigError("--I must be >= 0")
+    if qprec is not None:
+        # basis --Q must reach the D coefficients of each basis form
+        d = basis_dimension(k)
+        if qprec < max(d, 1):
+            raise ConfigError(
+                f"--Q {qprec} below {max(d, 1)}, the q-precision basis reads (D = {d})"
+            )
+    if args.command in ("slopes", "classicality", "duality") and (m or 0) < 3:
+        raise ConfigError(
+            "--m must be >= 3 to certify any slope (ceiling is m - 2)"
+        )
+    bad = [n for n in get("criteria") or () if not 1 <= n <= 10]
+    if bad:
+        raise ConfigError(f"unknown acceptance criteria {bad}")
+
+
+def _emit(payload, output) -> None:
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(output, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --output {output}: {exc.strerror}")
+
+
+def _basis(args):
+    ring = ModRing(args.p, args.m) if args.p is not None else ZZ
+    qprec = args.qprec or max(basis_dimension(args.k) + 8, 16)
+    basis = miller_basis(args.k, qprec, ring)
+    return {
+        "k": serialize.num(args.k),
+        "dim": serialize.num(basis.dim),
+        "level_tag": basis.level_tag,
+        "forms": [serialize.qseries_json(f) for f in basis.forms],
+    }, True
+
+
+def _tp_matrix(args):
+    rows = tp_matrix(args.k, args.p)
     payload = {
-        "p": serialize.num(config.p),
-        "k": serialize.num(config.k),
+        "p": serialize.num(args.p),
+        "k": serialize.num(args.k),
         "ring": "Z",
         "rows": [[serialize.num(x) for x in row] for row in rows],
     }
-    if config.m is not None:
-        mat = PadicMatrix.from_rows(rows, config.p, config.m)
+    if args.m is not None:
+        mat = PadicMatrix.from_rows(rows, args.p, args.m)
         payload["mod_p_m"] = serialize.matrix_json(mat)
-    _emit(payload, config)
-    return EXIT_OK
+    return payload, True
 
 
-def _cmd_ordinary_rank(config: JobConfig) -> int:
-    rank = ordinary_rank_mod_p(config.k, config.p)
-    _emit(
-        {
-            "p": serialize.num(config.p),
-            "k": serialize.num(config.k),
-            "rank": serialize.num(rank),
-        },
-        config,
-    )
-    return EXIT_OK
+def _ordinary_rank(args):
+    rank = ordinary_rank_mod_p(args.k, args.p)
+    return {
+        "p": serialize.num(args.p),
+        "k": serialize.num(args.k),
+        "rank": serialize.num(rank),
+    }, True
 
 
-def _cmd_control_check(config: JobConfig) -> int:
-    report = control_check_h0(config.k, config.p, config.n)
-    _emit(serialize.control_json(report), config)
-    return EXIT_OK if report.passed else EXIT_VERIFICATION
+def _control_check(args):
+    report = control_check_h0(args.k, args.p, args.n)
+    return serialize.control_json(report), report.passed
 
 
-def _cmd_family_fit(config: JobConfig) -> int:
-    family = fit_family(
-        config.p, config.component, list(config.weights), list(config.hecke_primes), config.m
-    )
-    _emit(serialize.family_json(family), config)
-    return EXIT_OK
+def _family_fit(args):
+    family = fit_family(args.p, args.component, args.weights, args.hecke_primes, args.m)
+    return serialize.family_json(family), True
 
 
-def _cmd_up_matrix(config: JobConfig) -> int:
-    basis = katz_basis(config.k, config.p, config.twist_depth)
-    matrix = up_matrix(basis, config.m, normalization=config.normalization)
+def _up_matrix(args):
+    basis = katz_basis(args.k, args.p, args.twist_depth)
+    matrix = up_matrix(basis, args.m, normalization=args.normalization)
     payload = serialize.matrix_json(matrix)
     payload["m_effective"] = serialize.num(matrix.m)
-    payload["normalization"] = config.normalization
+    payload["normalization"] = args.normalization
     payload["qprec"] = serialize.num(basis.qprec)
-    _emit(payload, config)
-    return EXIT_OK
+    return payload, True
 
 
-def _cmd_charseries(config: JobConfig) -> int:
+def _charseries(args):
+    report = slope_spectrum(args.k, args.p, args.twist_depth, args.m, classical=False)
+    return {
+        "p": serialize.num(args.p),
+        "k": serialize.num(args.k),
+        "I": serialize.num(args.twist_depth),
+        "m_working": serialize.num(report.m_working),
+        "charseries": serialize.charseries_json(report.charseries),
+        "slopes": serialize.polygon_json(report.slopes),
+    }, True
+
+
+def _slopes(args):
+    classical = args.k >= 2
+    bound = min(Fraction(args.k - 1), Fraction(args.m - 2)) if classical else None
     report = slope_spectrum(
-        config.k, config.p, config.twist_depth, config.m, classical=False
+        args.k, args.p, args.twist_depth, args.m, certify_below=bound, classical=classical
     )
-    _emit(
-        {
-            "p": serialize.num(config.p),
-            "k": serialize.num(config.k),
-            "I": serialize.num(config.twist_depth),
-            "m_working": serialize.num(report.m_working),
-            "charseries": serialize.charseries_json(report.charseries),
-            "slopes": serialize.polygon_json(report.slopes),
-        },
-        config,
-    )
-    return EXIT_OK
-
-
-def _cmd_slopes(config: JobConfig) -> int:
-    report = slope_spectrum(
-        config.k,
-        config.p,
-        config.twist_depth,
-        config.m,
-        certify_below=min(Fraction(config.k - 1), Fraction(config.m - 2))
-        if config.k >= 2
-        else None,
-        classical=config.k >= 2,
-    )
-    _emit(serialize.slope_report_json(report), config)
     bad = any(entry.get("verdict") not in ("match", None) for entry in report.verdicts)
-    return EXIT_VERIFICATION if bad else EXIT_OK
+    return serialize.slope_report_json(report), not bad
 
 
-def _cmd_classicality(config: JobConfig) -> int:
-    report = classicality_check(config.k, config.p, config.twist_depth, config.m)
-    _emit(serialize.classicality_json(report), config)
-    return EXIT_OK if report.passed else EXIT_VERIFICATION
+def _classicality(args):
+    report = classicality_check(args.k, args.p, args.twist_depth, args.m)
+    return serialize.classicality_json(report), report.passed
 
 
-def _cmd_disc(config: JobConfig) -> int:
+def _disc(args):
     disc = WeightDisc(
-        p=config.p,
-        component=config.component,
-        sample_weights=config.weights,
-        m=config.m,
+        p=args.p, component=args.component, sample_weights=args.weights, m=args.m
     )
-    series = two_var_charseries(disc, config.twist_depth)
-    reports = [local_piece_report(series, Fraction(b)) for b in config.bounds]
-    _emit(serialize.disc_json(series, reports), config)
-    return EXIT_OK
+    series = two_var_charseries(disc, args.twist_depth)
+    reports = [local_piece_report(series, b) for b in args.bounds]
+    return serialize.disc_json(series, reports), True
 
 
-def _cmd_duality(config: JobConfig) -> int:
-    report = charseries_duality_check(
-        config.k, config.p, config.twist_depth, config.m
-    )
-    _emit(serialize.duality_json(report), config)
-    return EXIT_OK if report.passed else EXIT_VERIFICATION
+def _duality(args):
+    report = charseries_duality_check(args.k, args.p, args.twist_depth, args.m)
+    return serialize.duality_json(report), report.passed
 
 
-def _cmd_acceptance(config: JobConfig) -> int:
-    numbers = config.criteria or tuple(range(1, 11))
-    results = acceptance_mod.run_all(config.seed, numbers)
+def _acceptance(args):
+    results = acceptance_mod.run_all(args.seed, args.criteria or tuple(range(1, 11)))
     for res in results:
         sys.stderr.write(res.line() + "\n")
-    payload = {
-        "seed": serialize.num(config.seed),
+    passed = all(res.passed for res in results)
+    return {
+        "seed": serialize.num(args.seed),
         "criteria": [
             {
                 "number": serialize.num(res.number),
@@ -254,10 +223,97 @@ def _cmd_acceptance(config: JobConfig) -> int:
             }
             for res in results
         ],
-        "all_passed": all(res.passed for res in results),
-    }
-    _emit(payload, config)
-    return EXIT_OK if payload["all_passed"] else EXIT_VERIFICATION
+        "all_passed": passed,
+    }, passed
+
+
+class Command(NamedTuple):
+    help: str
+    flags: tuple  # (flag, add_argument keywords) pairs, before --output
+    run: Callable  # parsed arguments -> (payload, passed)
+    default_m: bool = False  # --m falls back to PADICFORMS_DEFAULT_M
+
+
+_K = ("--k", dict(type=int, required=True))
+_P = ("--p", dict(type=int, required=True))
+_I = ("--I", dict(type=int, required=True, dest="twist_depth"))
+_M = ("--m", dict(type=int))
+_KATZ = (_K, _P, _I, _M)
+_COMPONENT = ("--component", dict(type=int, required=True))
+
+COMMANDS = {
+    "basis": Command(
+        "echelon basis of the weight-k level-1 space",
+        (_K, ("--Q", dict(type=int, dest="qprec")), ("--p", dict(type=int)), _M),
+        _basis,
+    ),
+    "tp-matrix": Command(
+        "matrix of T_p on the Miller basis, exact over Z", (_K, _P, _M), _tp_matrix
+    ),
+    "ordinary-rank": Command(
+        "rank of the ordinary projector on the mod-p space", (_K, _P), _ordinary_rank
+    ),
+    "control-check": Command(
+        "ordinary containment across a Hasse twist",
+        (_K, _P, ("--n", dict(type=int, required=True))),
+        _control_check,
+    ),
+    "family-fit": Command(
+        "interpolate ordinary eigen-data across sample weights",
+        (
+            _P,
+            _COMPONENT,
+            ("--weights", dict(required=True)),
+            ("--hecke-primes", dict(default="", dest="hecke_primes")),
+            _M,
+        ),
+        _family_fit,
+        default_m=True,
+    ),
+    "up-matrix": Command(
+        "U_p matrix on the Katz basis over Z/p^m",
+        (*_KATZ, ("--normalization", dict(choices=["weight", "naive", "qexp"], default="weight"))),
+        _up_matrix,
+        default_m=True,
+    ),
+    "charseries": Command("characteristic series of U_p", _KATZ, _charseries, default_m=True),
+    "slopes": Command(
+        "certified Newton slopes of U_p with the classical comparison",
+        _KATZ,
+        _slopes,
+        default_m=True,
+    ),
+    "classicality": Command(
+        "overconvergent vs classical slopes below min(k-1, m-2)",
+        _KATZ,
+        _classicality,
+        default_m=True,
+    ),
+    "disc": Command(
+        "two-variable characteristic series over a weight disc",
+        (
+            _P,
+            _COMPONENT,
+            ("--samples", dict(required=True, dest="weights")),
+            _I,
+            _M,
+            ("--bounds", dict(default="0")),
+        ),
+        _disc,
+        default_m=True,
+    ),
+    "duality": Command(
+        "transpose, rank and theta-probe duality checks",
+        _KATZ,
+        _duality,
+        default_m=True,
+    ),
+    "acceptance": Command(
+        "run the acceptance suite and emit a pass/fail table",
+        (("--seed", dict(type=int, default=0)), ("--criteria", dict(default=""))),
+        _acceptance,
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,184 +322,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact p-adic Hecke spectral computations on q-expansion models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *specs):
-        cmd = sub.add_parser(name, help=help_text)
-        for flag, kwargs in specs:
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
+        for flag, kwargs in command.flags:
             cmd.add_argument(flag, **kwargs)
         cmd.add_argument("--output", help="write JSON here instead of stdout")
-        return cmd
-
-    intarg = lambda **kw: dict(type=int, **kw)
-    add(
-        "basis",
-        "echelon basis of the weight-k level-1 space",
-        ("--k", intarg(required=True)),
-        ("--Q", intarg(dest="qprec")),
-        ("--p", intarg()),
-        ("--m", intarg()),
-    )
-    add(
-        "tp-matrix",
-        "matrix of T_p on the Miller basis, exact over Z",
-        ("--k", intarg(required=True)),
-        ("--p", intarg(required=True)),
-        ("--m", intarg()),
-    )
-    add(
-        "ordinary-rank",
-        "rank of the ordinary projector on the mod-p space",
-        ("--k", intarg(required=True)),
-        ("--p", intarg(required=True)),
-    )
-    add(
-        "control-check",
-        "ordinary containment across a Hasse twist",
-        ("--k", intarg(required=True)),
-        ("--p", intarg(required=True)),
-        ("--n", intarg(required=True)),
-    )
-    add(
-        "family-fit",
-        "interpolate ordinary eigen-data across sample weights",
-        ("--p", intarg(required=True)),
-        ("--component", intarg(required=True)),
-        ("--weights", dict(required=True)),
-        ("--hecke-primes", dict(default="", dest="hecke_primes")),
-        ("--m", intarg()),
-    )
-    add(
-        "up-matrix",
-        "U_p matrix on the Katz basis over Z/p^m",
-        ("--k", intarg(required=True)),
-        ("--p", intarg(required=True)),
-        ("--I", intarg(required=True, dest="twist_depth")),
-        ("--m", intarg()),
-        ("--normalization", dict(choices=["weight", "naive", "qexp"], default="weight")),
-    )
-    add(
-        "charseries",
-        "characteristic series of U_p",
-        ("--k", intarg(required=True)),
-        ("--p", intarg(required=True)),
-        ("--I", intarg(required=True, dest="twist_depth")),
-        ("--m", intarg()),
-    )
-    add(
-        "slopes",
-        "certified Newton slopes of U_p with the classical comparison",
-        ("--k", intarg(required=True)),
-        ("--p", intarg(required=True)),
-        ("--I", intarg(required=True, dest="twist_depth")),
-        ("--m", intarg()),
-    )
-    add(
-        "classicality",
-        "overconvergent vs classical slopes below min(k-1, m-2)",
-        ("--k", intarg(required=True)),
-        ("--p", intarg(required=True)),
-        ("--I", intarg(required=True, dest="twist_depth")),
-        ("--m", intarg()),
-    )
-    add(
-        "disc",
-        "two-variable characteristic series over a weight disc",
-        ("--p", intarg(required=True)),
-        ("--component", intarg(required=True)),
-        ("--samples", dict(required=True, dest="weights")),
-        ("--I", intarg(required=True, dest="twist_depth")),
-        ("--m", intarg()),
-        ("--bounds", dict(default="0")),
-    )
-    add(
-        "duality",
-        "transpose, rank and theta-probe duality checks",
-        ("--k", intarg(required=True)),
-        ("--p", intarg(required=True)),
-        ("--I", intarg(required=True, dest="twist_depth")),
-        ("--m", intarg()),
-    )
-    add(
-        "acceptance",
-        "run the acceptance suite and emit a pass/fail table",
-        ("--seed", intarg(default=0)),
-        ("--criteria", dict(default="")),
-    )
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> JobConfig:
-    config = JobConfig(command=args.command)
-    for field_name in (
-        "p",
-        "k",
-        "qprec",
-        "m",
-        "twist_depth",
-        "component",
-        "n",
-        "seed",
-        "output",
-        "normalization",
-    ):
-        if hasattr(args, field_name):
-            setattr(config, field_name, getattr(args, field_name))
-    if getattr(args, "weights", None) is not None:
-        config.weights = _int_list(args.weights)
-    if getattr(args, "hecke_primes", None):
-        config.hecke_primes = _int_list(args.hecke_primes)
-    if getattr(args, "criteria", None):
-        config.criteria = _int_list(args.criteria)
-        bad = [n for n in config.criteria if not 1 <= n <= 10]
-        if bad:
-            raise ConfigError(f"unknown acceptance criteria {bad}")
-    if getattr(args, "bounds", None):
-        try:
-            config.bounds = tuple(Fraction(b) for b in args.bounds.split(","))
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"bad --bounds value {args.bounds!r}")
-    if config.m is None and config.command in (
-        "family-fit",
-        "up-matrix",
-        "charseries",
-        "slopes",
-        "classicality",
-        "disc",
-        "duality",
-    ):
-        config.m = _default_m()
-    config.validate()
-    return config
-
-
-COMMANDS = {
-    "basis": _cmd_basis,
-    "tp-matrix": _cmd_tp_matrix,
-    "ordinary-rank": _cmd_ordinary_rank,
-    "control-check": _cmd_control_check,
-    "family-fit": _cmd_family_fit,
-    "up-matrix": _cmd_up_matrix,
-    "charseries": _cmd_charseries,
-    "slopes": _cmd_slopes,
-    "classicality": _cmd_classicality,
-    "disc": _cmd_disc,
-    "duality": _cmd_duality,
-    "acceptance": _cmd_acceptance,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        config = _config_from_args(args)
-        return COMMANDS[config.command](config)
+        for dest, (parse, error) in _LIST_FLAGS.items():
+            if dest in vars(args):
+                setattr(args, dest, _parse_list(getattr(args, dest), parse, error))
+        if command.default_m and args.m is None:
+            args.m = _default_m()
+        _validate(args)
+        payload, passed = command.run(args)
+        _emit(payload, args.output)
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
     except (VerificationError, PrecisionError) as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         return EXIT_VERIFICATION
+    return EXIT_OK if passed else EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

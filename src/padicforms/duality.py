@@ -173,11 +173,10 @@ def theta_probe(k: int, p: int, m: int) -> ThetaProbeReport:
         )
     control_pool = list(target)
     control_ok = True
-    for s in sorted(source):
-        cls = next(c for c in classes if c.source_qslope == s)
+    for cls in classes:
         if cls.kernel_excluded:
             continue
-        image = s + k
+        image = cls.source_qslope + k
         if image in control_pool:
             control_pool.remove(image)
         else:

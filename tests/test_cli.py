@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import padicforms
 from padicforms.cli import EXIT_CONFIG, EXIT_OK, main
 
 
@@ -37,7 +41,7 @@ def test_slopes_command_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == EXIT_OK
-    assert out1 == out2  # byte-identical for identical JobConfig
+    assert out1 == out2  # byte-identical for identical arguments
     payload = json.loads(out1)
     assert no_bare_numbers(payload)
     assert payload["slopes"]["slopes"][0] == {"mult": "1", "slope": "0"}
@@ -155,6 +159,53 @@ def test_config_errors_exit_2(capsys):
         capsys, "disc", "--p", "5", "--component", "0", "--samples", "", "--I", "2", "--m", "6"
     )
     assert code == EXIT_CONFIG and "at least one sample" in err
+
+
+def test_list_and_range_errors_exit_2(capsys, monkeypatch):
+    """List flags are converted after argparse, so a bad one is a
+    configuration error with exit 2, not an argparse usage error."""
+    disc = ["disc", "--p", "5", "--component", "0", "--samples", "4,8", "--I", "2", "--m", "6"]
+    for argv, message in (
+        (["family-fit", "--p", "5", "--component", "0", "--weights", "4,x"],
+         "comma-separated integer list"),
+        (["acceptance", "--criteria", "x"], "comma-separated integer list"),
+        ([*disc, "--bounds", "x"], "bad --bounds value"),
+        ([*disc, "--bounds", "1/0"], "bad --bounds value"),
+        (["charseries", "--k", "4", "--p", "5", "--I", "-1", "--m", "6"], "--I must be >= 0"),
+        (["acceptance", "--criteria", "0"], "unknown acceptance criteria [0]"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG and out == ""
+        assert err.startswith("configuration error: ") and message in err
+    monkeypatch.setenv("PADICFORMS_DEFAULT_M", "0")
+    code, _, err = run_cli(capsys, "charseries", "--k", "4", "--p", "5", "--I", "4")
+    assert code == EXIT_CONFIG and "must be >= 1" in err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "rank.json"
+    code, out, err = run_cli(
+        capsys, "ordinary-rank", "--p", "5", "--k", "4", "--output", str(target)
+    )
+    assert code == EXIT_CONFIG and out == ""
+    assert err.startswith("configuration error: ") and str(target) in err
+    assert not target.exists()
+
+
+def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(Path(padicforms.__file__).parents[1]))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "padicforms.cli", *argv], capture_output=True, env=env
+        )
+
+    done = run("ordinary-rank", "--k", "12", "--p", "5")
+    assert done.returncode == EXIT_OK
+    assert done.stdout == (GOLDEN_DIR / "ordinary_rank_k12_p5.json").read_bytes()
+    done = run("ordinary-rank", "--k", "12", "--p", "6")
+    assert done.returncode == EXIT_CONFIG
+    assert done.stdout == b"" and b"configuration error: --p 6 is not prime" in done.stderr
 
 
 def test_unknown_flags_rejected():

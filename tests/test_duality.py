@@ -106,6 +106,17 @@ def test_theta_probe(monkeypatch, k, p):
     assert classes == THETA_CLASSES[(k, p)]
 
 
+def test_theta_probe_control_with_repeated_source_slope():
+    # source slopes 0, 0, 1, 2, 3: one 0 is the kernel of theta, and the
+    # other four control images 2, 3, 4, 5 all lie in the target, so the
+    # shift-by-k control does not discriminate at (2, 13)
+    probe = theta_probe(2, 13, m=10)
+    assert [c.source_qslope for c in probe.classes] == [0, 0, 1, 2, 3]
+    assert sum(c.kernel_excluded for c in probe.classes) == 1
+    assert probe.control_contained
+    assert not probe.passed
+
+
 def test_theta_probe_validation():
     with pytest.raises(ConfigError):
         theta_probe(1, 5, m=8)
