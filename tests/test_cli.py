@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import padicforms
-from padicforms.cli import EXIT_CONFIG, EXIT_OK, main
+from padicforms.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFICATION, main
 
 
 def run_cli(capsys, *argv):
@@ -262,63 +262,68 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # Byte-exact stdout of fixed CLI runs: behaviour is "the same" across a
 # refactor exactly when these files still match.  Each file name encodes
-# the arguments of the run that produced it.
+# the arguments of the run that produced it; each entry pairs its
+# expected exit code with its command line.
 GOLDEN_RUNS = {
-    "duality_k4_p5_I8_m8.json": ["duality", "--k", "4", "--p", "5", "--I", "8", "--m", "8"],
-    "duality_k2_p7_I6_m6.json": ["duality", "--k", "2", "--p", "7", "--I", "6", "--m", "6"],
-    "slopes_p5_k4_I12_m8.json": ["slopes", "--p", "5", "--k", "4", "--I", "12", "--m", "8"],
-    "classicality_k12_p5_I30_m10.json": [
-        "classicality", "--k", "12", "--p", "5", "--I", "30", "--m", "10",
-    ],
-    "charseries_k0_p5_I2_m6.json": ["charseries", "--k", "0", "--p", "5", "--I", "2", "--m", "6"],
+    "duality_k4_p5_I8_m8.json": (EXIT_OK, "duality --k 4 --p 5 --I 8 --m 8"),
+    "duality_k2_p7_I6_m6.json": (EXIT_OK, "duality --k 2 --p 7 --I 6 --m 6"),
+    "slopes_p5_k4_I12_m8.json": (EXIT_OK, "slopes --p 5 --k 4 --I 12 --m 8"),
+    "classicality_k12_p5_I30_m10.json": (EXIT_OK, "classicality --k 12 --p 5 --I 30 --m 10"),
+    "charseries_k0_p5_I2_m6.json": (EXIT_OK, "charseries --k 0 --p 5 --I 2 --m 6"),
     # projector-dependent runs; the p = 11 ones have an ordinary block of
     # rank 2, which fit_family splits through sub-projectors
-    "ordinary_rank_k12_p5.json": ["ordinary-rank", "--k", "12", "--p", "5"],
-    "ordinary_rank_k24_p7.json": ["ordinary-rank", "--k", "24", "--p", "7"],
-    "ordinary_rank_k12_p11.json": ["ordinary-rank", "--k", "12", "--p", "11"],
-    "control_check_k4_p5_n3.json": ["control-check", "--k", "4", "--p", "5", "--n", "3"],
-    "control_check_k12_p11_n2.json": ["control-check", "--k", "12", "--p", "11", "--n", "2"],
-    "family_fit_p5_c0_w4-8-12-16_h2-5_m6.json": [
-        "family-fit", "--p", "5", "--component", "0", "--weights", "4,8,12,16",
-        "--hecke-primes", "2,5", "--m", "6",
-    ],
-    "family_fit_p11_c2_w12-22-32_h2-3-11_m6.json": [
-        "family-fit", "--p", "11", "--component", "2", "--weights", "12,22,32",
-        "--hecke-primes", "2,3,11", "--m", "6",
-    ],
+    "ordinary_rank_k12_p5.json": (EXIT_OK, "ordinary-rank --k 12 --p 5"),
+    "ordinary_rank_k24_p7.json": (EXIT_OK, "ordinary-rank --k 24 --p 7"),
+    "ordinary_rank_k12_p11.json": (EXIT_OK, "ordinary-rank --k 12 --p 11"),
+    "control_check_k4_p5_n3.json": (EXIT_OK, "control-check --k 4 --p 5 --n 3"),
+    "control_check_k12_p11_n2.json": (EXIT_OK, "control-check --k 12 --p 11 --n 2"),
+    "family_fit_p5_c0_w4-8-12-16_h2-5_m6.json": (
+        EXIT_OK,
+        "family-fit --p 5 --component 0 --weights 4,8,12,16 --hecke-primes 2,5 --m 6",
+    ),
+    "family_fit_p11_c2_w12-22-32_h2-3-11_m6.json": (
+        EXIT_OK,
+        "family-fit --p 11 --component 2 --weights 12,22,32 --hecke-primes 2,3,11 --m 6",
+    ),
     # with T_11 alone the rank-2 block does not split mod 11: the only
     # run that reports unsplit_blocks[].charpoly_mod_p
-    "family_fit_p11_c2_w12-22-32_h11_m6.json": [
-        "family-fit", "--p", "11", "--component", "2", "--weights", "12,22,32",
-        "--hecke-primes", "11", "--m", "6",
-    ],
+    "family_fit_p11_c2_w12-22-32_h11_m6.json": (
+        EXIT_OK,
+        "family-fit --p 11 --component 2 --weights 12,22,32 --hecke-primes 11 --m 6",
+    ),
     # deep certified spectra: ten m-raising retries to m_working 91, and
     # m_working 57 at q-precision 165
-    "slopes_p5_k14_I34_m10.json": ["slopes", "--k", "14", "--p", "5", "--I", "34", "--m", "10"],
-    "slopes_p11_k10_I11_m12.json": ["slopes", "--k", "10", "--p", "11", "--I", "11", "--m", "12"],
-    "up_matrix_k4_p5_I12_m8.json": ["up-matrix", "--k", "4", "--p", "5", "--I", "12", "--m", "8"],
+    "slopes_p5_k14_I34_m10.json": (EXIT_OK, "slopes --k 14 --p 5 --I 34 --m 10"),
+    "slopes_p11_k10_I11_m12.json": (EXIT_OK, "slopes --k 10 --p 11 --I 11 --m 12"),
+    "up_matrix_k4_p5_I12_m8.json": (EXIT_OK, "up-matrix --k 4 --p 5 --I 12 --m 8"),
     # rungs with several new Miller rows: the first rung at p = 13, and
     # rungs 4 -> 6, 9 -> 11 and 14 -> 16 at p = 11
-    "up_matrix_k12_p13_I12_m8.json": ["up-matrix", "--k", "12", "--p", "13", "--I", "12", "--m", "8"],
-    "up_matrix_k10_p11_I20_m8.json": ["up-matrix", "--k", "10", "--p", "11", "--I", "20", "--m", "8"],
-    "slopes_p7_k8_I20_m8.json": ["slopes", "--k", "8", "--p", "7", "--I", "20", "--m", "8"],
-    "up_matrix_k-2_p7_I9_m6_naive.json": [
-        "up-matrix", "--k", "-2", "--p", "7", "--I", "9", "--m", "6", "--normalization", "naive",
-    ],
-    "basis_k24_Q12.json": ["basis", "--k", "24", "--Q", "12"],
-    "basis_k24_p5_m3.json": ["basis", "--k", "24", "--p", "5", "--m", "3"],
-    "tp_matrix_k24_p7_m4.json": ["tp-matrix", "--k", "24", "--p", "7", "--m", "4"],
+    "up_matrix_k12_p13_I12_m8.json": (EXIT_OK, "up-matrix --k 12 --p 13 --I 12 --m 8"),
+    "up_matrix_k10_p11_I20_m8.json": (EXIT_OK, "up-matrix --k 10 --p 11 --I 20 --m 8"),
+    "slopes_p7_k8_I20_m8.json": (EXIT_OK, "slopes --k 8 --p 7 --I 20 --m 8"),
+    "up_matrix_k-2_p7_I9_m6_naive.json": (
+        EXIT_OK,
+        "up-matrix --k -2 --p 7 --I 9 --m 6 --normalization naive",
+    ),
+    "basis_k24_Q12.json": (EXIT_OK, "basis --k 24 --Q 12"),
+    "basis_k24_p5_m3.json": (EXIT_OK, "basis --k 24 --p 5 --m 3"),
+    "tp_matrix_k24_p7_m4.json": (EXIT_OK, "tp-matrix --k 24 --p 7 --m 4"),
     # bounds 0 and 1/2: the file name writes 1/2 as 1_2
-    "disc_p5_c0_s4-8-12-16_I6_m8_b0-1_2.json": [
-        "disc", "--p", "5", "--component", "0", "--samples", "4,8,12,16",
-        "--I", "6", "--m", "8", "--bounds", "0,1/2",
-    ],
-    "acceptance_c2-6_seed3.json": ["acceptance", "--criteria", "2,6", "--seed", "3"],
+    "disc_p5_c0_s4-8-12-16_I6_m8_b0-1_2.json": (
+        EXIT_OK,
+        "disc --p 5 --component 0 --samples 4,8,12,16 --I 6 --m 8 --bounds 0,1/2",
+    ),
+    "acceptance_c2-6_seed3.json": (EXIT_OK, "acceptance --criteria 2,6 --seed 3"),
+    "acceptance_seed0.json": (EXIT_OK, "acceptance --seed 0"),
+    # the only failing verdict: at k = 2, p = 13 the source slopes are
+    # consecutive integers, so the shift-by-k control lands in the target
+    "duality_k2_p13_I6_m10.json": (EXIT_VERIFICATION, "duality --k 2 --p 13 --I 6 --m 10"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_golden_outputs(capsys, name):
-    code, out, _ = run_cli(capsys, *GOLDEN_RUNS[name])
-    assert code == EXIT_OK
+    expected_code, argv = GOLDEN_RUNS[name]
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == expected_code
     assert out.encode() == (GOLDEN_DIR / name).read_bytes()
