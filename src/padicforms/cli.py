@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Every command validates its configuration up front, emits deterministic
-JSON (all numerics as decimal strings, sorted keys) to stdout or a
+JSON (encoded once by ``serialize.encode``, sorted keys) to stdout or a
 file, and exits 0 on success, 1 on a failed verification, 2 on a
 configuration error.  The environment variable PADICFORMS_DEFAULT_M
 sets the default working precision exponent when --m is not given.
@@ -100,7 +100,7 @@ def _validate(args: argparse.Namespace) -> None:
 
 
 def _emit(payload, output) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(serialize.encode(payload), sort_keys=True, indent=2) + "\n"
     if not output:
         sys.stdout.write(text)
         return
@@ -116,8 +116,8 @@ def _basis(args):
     qprec = args.qprec or max(basis_dimension(args.k) + 8, 16)
     basis = miller_basis(args.k, qprec, ring)
     return {
-        "k": serialize.num(args.k),
-        "dim": serialize.num(basis.dim),
+        "k": args.k,
+        "dim": basis.dim,
         "level_tag": basis.level_tag,
         "forms": [serialize.qseries_json(f) for f in basis.forms],
     }, True
@@ -125,12 +125,7 @@ def _basis(args):
 
 def _tp_matrix(args):
     rows = tp_matrix(args.k, args.p)
-    payload = {
-        "p": serialize.num(args.p),
-        "k": serialize.num(args.k),
-        "ring": "Z",
-        "rows": [[serialize.num(x) for x in row] for row in rows],
-    }
+    payload = {"p": args.p, "k": args.k, "ring": "Z", "rows": rows}
     if args.m is not None:
         mat = PadicMatrix.from_rows(rows, args.p, args.m)
         payload["mod_p_m"] = serialize.matrix_json(mat)
@@ -138,12 +133,7 @@ def _tp_matrix(args):
 
 
 def _ordinary_rank(args):
-    rank = ordinary_rank_mod_p(args.k, args.p)
-    return {
-        "p": serialize.num(args.p),
-        "k": serialize.num(args.k),
-        "rank": serialize.num(rank),
-    }, True
+    return {"p": args.p, "k": args.k, "rank": ordinary_rank_mod_p(args.k, args.p)}, True
 
 
 def _control_check(args):
@@ -160,19 +150,19 @@ def _up_matrix(args):
     basis = katz_basis(args.k, args.p, args.twist_depth)
     matrix = up_matrix(basis, args.m, normalization=args.normalization)
     payload = serialize.matrix_json(matrix)
-    payload["m_effective"] = serialize.num(matrix.m)
+    payload["m_effective"] = matrix.m
     payload["normalization"] = args.normalization
-    payload["qprec"] = serialize.num(basis.qprec)
+    payload["qprec"] = basis.qprec
     return payload, True
 
 
 def _charseries(args):
     report = slope_spectrum(args.k, args.p, args.twist_depth, args.m, classical=False)
     return {
-        "p": serialize.num(args.p),
-        "k": serialize.num(args.k),
-        "I": serialize.num(args.twist_depth),
-        "m_working": serialize.num(report.m_working),
+        "p": args.p,
+        "k": args.k,
+        "I": args.twist_depth,
+        "m_working": report.m_working,
         "charseries": serialize.charseries_json(report.charseries),
         "slopes": serialize.polygon_json(report.slopes),
     }, True
@@ -213,10 +203,10 @@ def _acceptance(args):
         sys.stderr.write(res.line() + "\n")
     passed = all(res.passed for res in results)
     return {
-        "seed": serialize.num(args.seed),
+        "seed": args.seed,
         "criteria": [
             {
-                "number": serialize.num(res.number),
+                "number": res.number,
                 "name": res.name,
                 "passed": res.passed,
                 "details": res.details,

@@ -16,6 +16,13 @@ counted.  Both polygons come from ``coleman.slope_spectrum`` certified
 through fixed bounds, so the probe raises the working modulus by the
 one loop and cap rule of ``slope_spectrum``; it takes no twist-depth or
 bound parameters.
+
+The probe's negative control shifts each source slope by k instead of
+k - 1 and must miss the target.  At k = 2 it cannot discriminate at
+p = 11 or 13: the source slopes there are consecutive integers, so each
+shifted-by-k image is another class's shifted-by-(k-1) image, the
+control is contained and the probe fails by design until the degree-1
+side is built from H^1 itself rather than the transpose.
 """
 
 from __future__ import annotations

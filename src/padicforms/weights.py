@@ -6,11 +6,16 @@ weight disc is done by Newton divided differences over Z/p^m; every
 division by (w_j - w_i) = p^v * unit checks the required divisibility
 (the Lambda-interpolation congruence) and lowers the effective
 precision by v.
+
+Coordinates, sample weights, sample values and polynomial coefficients
+must be integers (``operator.index``: a float or Fraction raises
+``TypeError`` instead of being carried into the arithmetic).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import PrecisionError, VerificationError
@@ -39,8 +44,8 @@ class WeightPoint:
 
     def __post_init__(self) -> None:
         _check_pm(self.p, self.m)
-        object.__setattr__(self, "component", self.component % (self.p - 1))
-        object.__setattr__(self, "w", self.w % self.p**self.m)
+        object.__setattr__(self, "component", index(self.component) % (self.p - 1))
+        object.__setattr__(self, "w", index(self.w) % self.p**self.m)
         if self.k is not None:
             if self.k % (self.p - 1) != self.component:
                 raise ValueError(
@@ -73,7 +78,7 @@ class IwasawaTruncation:
     def __post_init__(self) -> None:
         _check_pm(self.p, self.m)
         object.__setattr__(
-            self, "poly_coeffs", tuple(c % self.p**self.m for c in self.poly_coeffs)
+            self, "poly_coeffs", tuple(index(c) % self.p**self.m for c in self.poly_coeffs)
         )
 
     @property
@@ -112,7 +117,8 @@ def interpolate_iwasawa(
     _check_pm(p, m)
     if not samples:
         raise ValueError("interpolation needs at least one sample")
-    ks = [k for k, _ in samples]
+    ks = [index(k) for k, _ in samples]
+    values = [index(v) for _, v in samples]
     if len(set(ks)) != len(ks):
         raise ValueError("sample weights must be distinct")
     if component is None:
@@ -124,7 +130,7 @@ def interpolate_iwasawa(
     modulus = p**m
     ws = [w_coordinate(k, p, m) for k in ks]
     # divided-difference entries carry their own effective precision
-    table: List[Tuple[int, int]] = [(v % modulus, m) for _, v in samples]
+    table: List[Tuple[int, int]] = [(v % modulus, m) for v in values]
     newton: List[Tuple[int, int]] = [table[0]]
     n = len(samples)
     for level in range(1, n):
@@ -155,21 +161,13 @@ def interpolate_iwasawa(
     if m_eff < 1:
         raise PrecisionError("interpolation lost all precision")
     red = p**m_eff
-    # expand Newton form sum c_r prod_{i<r} (w - w_i) into monomials
-    poly = [0] * n
-    basis_poly = [1] + [0] * (n - 1)  # prod_{i<r}(w - w_i)
-    for r, (c, _) in enumerate(newton):
-        for d in range(r + 1):
-            poly[d] = (poly[d] + c * basis_poly[d]) % red
-        if r + 1 < n:
-            shifted = [0] * n
-            wr = ws[r] % red
-            for d in range(r + 1):
-                shifted[d + 1] = (shifted[d + 1] + basis_poly[d]) % red
-                shifted[d] = (shifted[d] - wr * basis_poly[d]) % red
-            basis_poly = shifted
+    # expand the Newton form sum c_r prod_{i<r} (w - w_i) into monomials
+    # by Horner's rule: poly <- poly * (w - w_r) + c_r for r = n-1 down to 0
+    poly: List[int] = []
+    for (c, _), w_r in zip(reversed(newton), reversed(ws)):
+        poly = [(lo - w_r * hi) % red for lo, hi in zip([c] + poly, poly + [0])]
     fit = IwasawaTruncation(p, component, tuple(poly), m_eff)
-    for k, value in samples:
+    for k, value in zip(ks, values):
         if fit.specialize(k) != value % red:
             raise VerificationError(
                 f"fitted polynomial fails to reproduce the weight-{k} sample"

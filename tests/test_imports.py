@@ -1,7 +1,8 @@
 """Every imported name is used, and every module-level function and
 class of the package, and every method and property of its classes, is
 referenced: stdlib ``ast`` scans of the package modules (re-exports in
-``__init__.py`` excepted), of the tests and of the benchmark harness."""
+``__init__.py`` excepted), of the tests and of the benchmark harness.
+No package module holds a float literal or a ``float(...)`` call."""
 
 import ast
 from collections import Counter
@@ -74,6 +75,17 @@ def unreferenced_definitions(package_sources, other_sources=()):
     return sorted(unreferenced)
 
 
+def float_uses(source: str):
+    """(line, text) of each float literal and each ``float(...)`` call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            found.append((node.lineno, "float("))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -90,6 +102,22 @@ def test_scan_catches_unused_names():
         "    return Q(ZZ, (x, sys.maxsize))\n"
     )
     assert unused_imports(source) == [(2, "os")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_floating_point(path):
+    assert float_uses(path.read_text()) == []
+
+
+def test_scan_catches_floating_point():
+    source = (
+        "def f(x):\n"
+        "    y = 2.5 * x\n"
+        "    return float(x) + y + 3\n"
+        "def g(s):\n"
+        "    return s.float('1') + 1e3\n"
+    )
+    assert float_uses(source) == [(2, "2.5"), (3, "float("), (5, "1000.0")]
 
 
 def test_no_unreferenced_definitions():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from padicforms.errors import PrecisionError, VerificationError
@@ -101,6 +103,26 @@ def test_interpolation_validation():
     with pytest.raises(PrecisionError):
         # weights congruent mod 4*5^3 are too close for m = 2
         interpolate_iwasawa([(4, 1), (4 + 4 * 125, 1)], 5, 2)
+
+
+@pytest.mark.parametrize("bad", [2.5, Fraction(7, 2)], ids=["float", "Fraction"])
+def test_iwasawa_truncation_rejects_non_integer_coefficients(bad):
+    # a float coefficient used to specialize to a float (47.5 at k = 4)
+    with pytest.raises(TypeError):
+        IwasawaTruncation(5, 0, (bad, 1), 3)
+
+
+@pytest.mark.parametrize("bad", [2.5, Fraction(7, 2)], ids=["float", "Fraction"])
+def test_interpolation_rejects_non_integer_samples(bad):
+    # float values used to give float polynomial coefficients
+    with pytest.raises(TypeError):
+        interpolate_iwasawa([(4, bad), (8, 7)], 5, 3)
+
+
+@pytest.mark.parametrize("bad", [2.5, Fraction(7, 2)], ids=["float", "Fraction"])
+def test_weight_point_rejects_non_integer_coordinate(bad):
+    with pytest.raises(TypeError):
+        WeightPoint(5, 3, 0, bad)
 
 
 def test_congruence_table():
