@@ -87,6 +87,7 @@ class IwasawaTruncation:
 
     def evaluate_at_w(self, w: int) -> int:
         modulus = self.p**self.m
+        w = index(w)
         acc = 0
         for c in reversed(self.poly_coeffs):
             acc = (acc * w + c) % modulus

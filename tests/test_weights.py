@@ -106,10 +106,12 @@ def test_interpolation_validation():
 
 
 @pytest.mark.parametrize("bad", [2.5, Fraction(7, 2)], ids=["float", "Fraction"])
-def test_iwasawa_truncation_rejects_non_integer_coefficients(bad):
+def test_iwasawa_truncation_rejects_non_integers(bad):
     # a float coefficient used to specialize to a float (47.5 at k = 4)
     with pytest.raises(TypeError):
         IwasawaTruncation(5, 0, (bad, 1), 3)
+    with pytest.raises(TypeError):
+        IwasawaTruncation(5, 0, (2, 1), 3).evaluate_at_w(bad)
 
 
 @pytest.mark.parametrize("bad", [2.5, Fraction(7, 2)], ids=["float", "Fraction"])
