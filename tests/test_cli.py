@@ -277,6 +277,8 @@ GOLDEN_RUNS = {
     "ordinary_rank_k12_p11.json": (EXIT_OK, "ordinary-rank --k 12 --p 11"),
     "control_check_k4_p5_n3.json": (EXIT_OK, "control-check --k 4 --p 5 --n 3"),
     "control_check_k12_p11_n2.json": (EXIT_OK, "control-check --k 12 --p 11 --n 2"),
+    # the weight-2 boundary: containment is tested one Hasse twist up, in M_14
+    "control_check_k2_p13_n1.json": (EXIT_OK, "control-check --k 2 --p 13 --n 1"),
     "family_fit_p5_c0_w4-8-12-16_h2-5_m6.json": (
         EXIT_OK,
         "family-fit --p 5 --component 0 --weights 4,8,12,16 --hecke-primes 2,5 --m 6",
