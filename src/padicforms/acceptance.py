@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
+from .charseries import char_series
 from .coleman import classicality_check, katz_basis, slope_spectrum, up_matrix
 from .duality import (
     adjunction_check,
@@ -35,6 +36,7 @@ from .hida import (
 from .linalg import rank_mod_p
 from .padic import PadicMatrix, val_p
 from .qexp import QSeries
+from .weights import w_coordinate
 
 
 @dataclass
@@ -349,9 +351,6 @@ DISC_DEPTH = 10  # at the largest sample; top weight 60, D = 6
 
 def criterion_9(seed: int = 0) -> CriterionResult:
     """Eigencurve disc: held-out specialization and flat ordinary degree."""
-    from .charseries import char_series
-    from .weights import w_coordinate
-
     p, m = 5, 10
     ok = True
     details = []

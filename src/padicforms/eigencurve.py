@@ -116,7 +116,7 @@ def two_var_charseries(disc: WeightDisc, twist_depth: int) -> TwoVarCharSeries:
     ]
     for j in range(1, d_total + 1):
         samples = [(k, series.coeffs[j]) for k, series in per_weight]
-        coeffs.append(interpolate_iwasawa(samples, p, disc.m, disc.component))
+        coeffs.append(interpolate_iwasawa(samples, p, disc.m))
     return TwoVarCharSeries(
         disc=disc,
         top_weight=top,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import index, mul
 from typing import List
 
 from .errors import PrecisionError
@@ -105,17 +106,43 @@ def basis_dimension(k: int) -> int:
 
 @dataclass(frozen=True)
 class SpaceBasis:
-    """Echelon basis of the weight-k level-1 space: form j starts q^j + O(q^dim)."""
+    """Echelon basis of the weight-k level-1 space: form j is q^j + O(q^dim).
+
+    So the first dim coefficients of a series are its echelon
+    coordinates, and ``contains`` is the one span test for these spaces.
+    """
 
     weight: int
     forms: tuple
     level_tag: str = "Level1"
 
     def __post_init__(self) -> None:
+        d = len(self.forms)
         for j, f in enumerate(self.forms):
-            lead = f.leading_index()
-            if lead != j or f.coefficient(j) != 1:
-                raise ValueError(f"basis form {j} is not in echelon position")
+            if f.qprec < d:
+                raise ValueError(f"basis form {j} has q-precision {f.qprec} below dimension {d}")
+            if f.coeffs[:d] != tuple(int(i == j) for i in range(d)):
+                raise ValueError(f"basis form {j} is not q^{j} + O(q^{d})")
+
+    def combination(self, coords) -> QSeries:
+        """sum_j coords[j] * form j, at this basis's q-precision."""
+        coords = [index(c) for c in coords]
+        if len(coords) != self.dim:
+            raise ValueError(f"{len(coords)} coordinates for a basis of dimension {self.dim}")
+        q = self.qprec
+        by_degree = zip(*(f.coeffs[:q] for f in self.forms))
+        return QSeries._from_ints(self.ring, [sum(map(mul, coords, c)) for c in by_degree])
+
+    def contains(self, g: QSeries) -> bool:
+        """Whether g lies in the span, on the q-precision both carry: the
+        combination of g's echelon coordinates (its first dim
+        coefficients) must equal g."""
+        d = self.dim
+        if g.qprec < d:
+            raise PrecisionError(f"q-precision {g.qprec} below dimension {d}")
+        if d == 0:
+            return g.is_zero()
+        return (self.combination(g.coeffs[:d]) - g).is_zero()
 
     @property
     def dim(self) -> int:

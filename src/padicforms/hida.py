@@ -5,6 +5,9 @@ control check, and interpolation of ordinary eigen-data across a weight
 progression into an Iwasawa-polynomial family.  Every decomposition, of
 a space into its ordinary part and of that into eigensystems, is a
 ``linalg.ordinary_projector`` with a basis from ``independent_columns``.
+Every span test, of an operator image, a Hasse tower inclusion or an
+ordinary image in a control target, is ``forms.SpaceBasis.contains``:
+a Miller basis is in echelon form, so nothing is re-echelonized.
 """
 
 from __future__ import annotations
@@ -13,12 +16,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charseries import char_series
-from .errors import ConfigError, PrecisionError, VerificationError
+from .errors import ConfigError, VerificationError
 from .forms import SUPPORTED_PRIMES, SpaceBasis, basis_dimension, miller_basis
 from .hecke import hecke_tp
 from .linalg import (
-    echelon_mod_p,
-    in_row_span_mod_p,
+    ProjectorResult,
     independent_columns,
     ordinary_projector,
     rank_mod_p,
@@ -43,31 +45,17 @@ def default_qprec(k: int, operator_primes: Sequence[int]) -> int:
 def operator_matrix(basis: SpaceBasis, op) -> Tuple[Tuple[int, ...], ...]:
     """Matrix of an operator in an echelon basis (columns = images).
 
-    In a reduced echelon basis the coordinates of g are just its first
-    dim coefficients; the full available q-expansion of the
-    reconstruction is checked against g, so an operator that does not
-    preserve the space is caught rather than silently projected.
+    The coordinates of an image are its first dim coefficients, and
+    ``SpaceBasis.contains`` checks them against its whole available
+    q-expansion, so an operator that does not preserve the space is
+    caught rather than silently projected; an image known to fewer than
+    dim coefficients raises ``PrecisionError``.
     """
-    d = basis.dim
-    if d == 0:
-        return ()
     images = [op(f) for f in basis.forms]
-    qcheck = min(im.qprec for im in images)
-    if qcheck < d:
-        raise PrecisionError(
-            f"operator image precision {qcheck} below dimension {d}"
-        )
-    cols = [im.coeffs[:d] for im in images]
     for j, im in enumerate(images):
-        recon = None
-        for i, f in enumerate(basis.forms):
-            term = f.scale(cols[j][i])
-            recon = term if recon is None else recon + term
-        if recon.truncate(qcheck) != im.truncate(qcheck):
-            raise VerificationError(
-                f"operator image of basis form {j} leaves the space"
-            )
-    return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
+        if not basis.contains(im):
+            raise VerificationError(f"operator image of basis form {j} leaves the space")
+    return tuple(zip(*(im.coeffs[: basis.dim] for im in images)))
 
 
 def tp_matrix(k: int, p: int):
@@ -81,7 +69,8 @@ def tp_matrix(k: int, p: int):
 def mod_p_space(k: int, p: int, qprec: Optional[int] = None) -> SpaceBasis:
     """Reduction mod p of the Miller basis; stays echelon since pivots are 1.
 
-    Spaces compared with ``in_row_span_mod_p`` need one shared ``qprec``.
+    ``SpaceBasis.contains`` compares on the q-precision both sides
+    carry, so spaces compared with it are built at one shared ``qprec``.
     """
     _check_theory_prime(p)
     if qprec is None:
@@ -89,16 +78,18 @@ def mod_p_space(k: int, p: int, qprec: Optional[int] = None) -> SpaceBasis:
     return miller_basis(k, qprec, ModRing(p, 1))
 
 
+def _ordinary_projector_mod_p(basis: SpaceBasis, p: int) -> ProjectorResult:
+    """e(T_p) on a mod-p space, in its Miller basis."""
+    rows = operator_matrix(basis, lambda f: hecke_tp(f, basis.weight, p))
+    matrix = PadicMatrix.from_rows(rows, p, 1, basis_tag=f"miller:{basis.weight}")
+    return ordinary_projector(matrix)
+
+
 def ordinary_rank_mod_p(k: int, p: int) -> int:
     """Rank of e(T_p) on the mod-p weight-k space (T_p = U_p here, k >= 2)."""
     if k < 2:
         raise ConfigError(f"ordinary rank needs k >= 2, got {k}")
-    basis = mod_p_space(k, p)
-    if basis.dim == 0:
-        return 0
-    rows = operator_matrix(basis, lambda f: hecke_tp(f, k, p))
-    matrix = PadicMatrix.from_rows(rows, p, 1, basis_tag=f"miller:{k}")
-    return ordinary_projector(matrix).rank
+    return _ordinary_projector_mod_p(mod_p_space(k, p), p).rank
 
 
 @dataclass(frozen=True)
@@ -115,13 +106,10 @@ def build_hasse_tower(k: int, p: int, n: int) -> HasseTower:
     qprec = default_qprec(k + n * (p - 1), [p])
     levels = [mod_p_space(k + j * (p - 1), p, qprec) for j in range(n + 1)]
     for lower, upper in zip(levels, levels[1:]):
-        ech, piv = echelon_mod_p([f.coeffs for f in upper.forms], p)
-        for f in lower.forms:
-            if not in_row_span_mod_p(f.coeffs, ech, piv, p):
-                raise VerificationError(
-                    f"Hasse tower inclusion fails from weight {lower.weight} "
-                    f"to {upper.weight}"
-                )
+        if not all(upper.contains(f) for f in lower.forms):
+            raise VerificationError(
+                f"Hasse tower inclusion fails from weight {lower.weight} to {upper.weight}"
+            )
     return HasseTower(p, k, tuple(levels))
 
 
@@ -141,25 +129,6 @@ class ControlReport:
         return self.contained
 
 
-def _ordinary_image_qexpansions(basis: SpaceBasis, p: int) -> List[Tuple[int, ...]]:
-    """Echelon q-expansions mod p spanning e(T_p) of a mod-p space.
-
-    Only the columns of e that ``independent_columns`` picks are expanded:
-    they span the image of e, so the echelon form is that of all columns.
-    """
-    if basis.dim == 0:
-        return []
-    rows = operator_matrix(basis, lambda f: hecke_tp(f, basis.weight, p))
-    matrix = PadicMatrix.from_rows(rows, p, 1)
-    columns, _ = independent_columns(ordinary_projector(matrix).idempotent)
-    by_degree = list(zip(*(f.coeffs for f in basis.forms)))
-    images = [
-        [sum(c * a for c, a in zip(column, coeffs)) % p for coeffs in by_degree]
-        for column in columns
-    ]
-    return echelon_mod_p(images, p)[0]
-
-
 def control_check_h0(k: int, p: int, n: int) -> ControlReport:
     """Verify e(U_p) M_{k+n(p-1)}(F_p) sits inside the weight-k target as
     q-expansions, through the identity embedding of the Hasse tower.
@@ -167,6 +136,11 @@ def control_check_h0(k: int, p: int, n: int) -> ControlReport:
     For k >= 3 (the control-theorem bound) the target is M_k(F_p).  At
     the k = 2 boundary the classical side allows one extra Hasse twist,
     so containment is tested in M_{2+(p-1)}(F_p).
+
+    The image of e(T_p) on the high space is spanned by the columns of e
+    that ``independent_columns`` picks; they are independent mod p, so
+    their number is ``rank_high``.  Each is expanded as a q-series and
+    tested against the target with ``SpaceBasis.contains``.
     """
     _check_theory_prime(p)
     if k < 2:
@@ -179,11 +153,10 @@ def control_check_h0(k: int, p: int, n: int) -> ControlReport:
     qprec = default_qprec(high_weight, [p])
     high = mod_p_space(high_weight, p, qprec)
     low = mod_p_space(target_weight, p, qprec)
-    image = _ordinary_image_qexpansions(high, p)
-    low_ech, low_piv = echelon_mod_p([f.coeffs for f in low.forms], p) if low.dim else ([], [])
-    contained = all(in_row_span_mod_p(v, low_ech, low_piv, p) for v in image)
-    rank_low = len(_ordinary_image_qexpansions(low, p))
-    return ControlReport(p, k, n, target_weight, len(image), rank_low, contained, twist)
+    columns, _ = independent_columns(_ordinary_projector_mod_p(high, p).idempotent)
+    contained = all(low.contains(high.combination(c)) for c in columns)
+    rank_low = _ordinary_projector_mod_p(low, p).rank
+    return ControlReport(p, k, n, target_weight, len(columns), rank_low, contained, twist)
 
 
 def unit_root_of_stabilization(t_p: int, k: int, p: int, m: int) -> int:
@@ -215,7 +188,6 @@ def unit_root_of_stabilization(t_p: int, k: int, p: int, m: int) -> int:
 class EigenSystem:
     """A rank-1 ordinary eigensystem over Z/p^m at one weight."""
 
-    weight: int
     key: tuple  # mod-p eigenvalue tuple over the configured primes
     eigenvalues: dict  # prime -> eigenvalue mod p^m (a_p = U_p unit root)
 
@@ -305,7 +277,7 @@ def _make_system(weight, restricted, p, m, primes) -> EigenSystem:
             val = unit_root_of_stabilization(val, weight, p, m)
         eigenvalues[ell] = val
     key = tuple(eigenvalues[ell] % p for ell in primes)
-    return EigenSystem(weight, key, eigenvalues)
+    return EigenSystem(key, eigenvalues)
 
 
 def fit_family(
@@ -333,6 +305,8 @@ def fit_family(
             raise ConfigError(f"weight {k} not on component {component} mod {p - 1}")
         if k < 3:
             raise ConfigError("sample weights must be >= 3 for the control theorem")
+        if k % 2 != 0:
+            raise ConfigError(f"odd weight {k} has no level-1 forms")
     primes = list(dict.fromkeys(hecke_primes))
     for ell in primes:
         if not is_prime(ell):
@@ -345,16 +319,12 @@ def fit_family(
     for k in weights:
         qprec = default_qprec(k, op_primes)
         basis = miller_basis(k, qprec)
-        if basis.dim == 0:
-            ranks[k] = 0
-            per_weight_systems[k] = []
-            continue
         mats = {}
         for ell in op_primes:
             rows = operator_matrix(basis, lambda f, ell=ell: hecke_tp(f, k, ell))
             mats[ell] = PadicMatrix.from_rows(rows, p, m, basis_tag=f"miller:{k}")
         systems, blocks, rank = _split_ordinary_systems(k, mats, p, m, primes)
-        per_weight_systems[k] = systems
+        per_weight_systems[k] = sorted(systems, key=lambda s: s.key)
         unsplit.extend(blocks)
         ranks[k] = rank
 
@@ -366,9 +336,7 @@ def fit_family(
         )
     rank = rank_set.pop()
 
-    keys_per_weight = [
-        tuple(sorted(s.key for s in per_weight_systems[k])) for k in weights
-    ]
+    keys_per_weight = [tuple(s.key for s in per_weight_systems[k]) for k in weights]
     if primes and len(set(keys_per_weight)) > 1:
         raise VerificationError(
             "eigensystem keys do not match across weights; family matching failed"
@@ -376,13 +344,7 @@ def fit_family(
     keys = keys_per_weight[0] if primes else ()
 
     eigen_data = {
-        k: {
-            ell: tuple(
-                s.eigenvalues[ell]
-                for s in sorted(per_weight_systems[k], key=lambda s: s.key)
-            )
-            for ell in primes
-        }
+        k: {ell: tuple(s.eigenvalues[ell] for s in per_weight_systems[k]) for ell in primes}
         for k in weights
     }
 
@@ -392,7 +354,7 @@ def fit_family(
         fitted[ell] = {}
         for idx, key in enumerate(keys):
             samples = [(k, eigen_data[k][ell][idx]) for k in weights]
-            fitted[ell][key] = interpolate_iwasawa(samples, p, m, component % (p - 1))
+            fitted[ell][key] = interpolate_iwasawa(samples, p, m)
             for entry in congruence_table(samples, p, m):
                 entry = dict(entry)
                 entry["prime"] = ell

@@ -156,16 +156,6 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     return len(echelon_mod_p(rows, p)[0])
 
 
-def in_row_span_mod_p(vector: Sequence[int], echelon_rows, pivots, p: int) -> bool:
-    """Membership test against an echelonized row space over F_p."""
-    v = [index(x) % p for x in vector]
-    for row, c in zip(echelon_rows, pivots):
-        if v[c] % p != 0:
-            f = v[c]
-            v = [(x - f * y) % p for x, y in zip(v, row)]
-    return all(x % p == 0 for x in v)
-
-
 def independent_columns(matrix: PadicMatrix) -> Tuple[List[Tuple[int, ...]], List[int]]:
     """Columns independent mod p, chosen greedily from the left, and the
     rows on which their restriction is unimodular.

@@ -105,9 +105,11 @@ def interpolate_iwasawa(
     samples: Sequence[Tuple[int, int]],
     p: int,
     m: int,
-    component: Optional[int] = None,
 ) -> IwasawaTruncation:
     """Fit a polynomial in w through (k_j, value_j) by divided differences.
+
+    The samples must lie on one component of weight space, which is
+    read from the first sample's weight mod p-1.
 
     The result's precision is m minus the accumulated division losses;
     a numerator that fails the required p-power divisibility means the
@@ -122,8 +124,7 @@ def interpolate_iwasawa(
     values = [index(v) for _, v in samples]
     if len(set(ks)) != len(ks):
         raise ValueError("sample weights must be distinct")
-    if component is None:
-        component = ks[0] % (p - 1)
+    component = ks[0] % (p - 1)
     for k in ks:
         if k % (p - 1) != component:
             raise ValueError("sample weights lie on different components")

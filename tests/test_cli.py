@@ -146,6 +146,7 @@ def test_config_errors_exit_2(capsys):
         ["tp-matrix", "--k", "5", "--p", "5"],
         ["ordinary-rank", "--k", "5", "--p", "5"],
         ["control-check", "--k", "5", "--p", "5", "--n", "1"],
+        ["family-fit", "--p", "5", "--component", "1", "--weights", "5,9", "--m", "4"],
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG and "odd" in err

@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from padicforms.errors import PrecisionError
 from padicforms.forms import (
     SUPPORTED_PRIMES,
+    SpaceBasis,
     basis_dimension,
     bernoulli,
     delta,
@@ -13,7 +17,7 @@ from padicforms.forms import (
     miller_basis,
     sigma_series,
 )
-from padicforms.qexp import ModRing, QSeries
+from padicforms.qexp import ZZ, ModRing, QSeries
 
 
 def sigma_bruteforce(n, k):
@@ -141,6 +145,46 @@ def test_miller_basis_mod_p_stays_echelon():
     assert b.dim == 3
     for j, f in enumerate(b.forms):
         assert f.coefficient(j) == 1
+
+
+def test_space_basis_checks_echelon_form():
+    # form 0 must vanish at q^1 < dim
+    with pytest.raises(ValueError, match="not q\\^0"):
+        SpaceBasis(4, (QSeries.from_coeffs([1, 5, 0]), QSeries.from_coeffs([0, 1, 0])))
+    # a basis of dimension 2 must carry q-precision 2
+    with pytest.raises(ValueError, match="q-precision 1 below dimension 2"):
+        SpaceBasis(4, (QSeries.from_coeffs([1]), QSeries.from_coeffs([0, 1])))
+    basis = SpaceBasis(4, (QSeries.from_coeffs([1, 0, 7]), QSeries.from_coeffs([0, 1, 3])))
+    assert basis.combination((2, 3)) == QSeries.from_coeffs([2, 3, 23])
+    with pytest.raises(ValueError, match="3 coordinates"):
+        basis.combination((2, 3, 4))
+    with pytest.raises(PrecisionError):
+        basis.contains(QSeries.from_coeffs([2]))
+    # the zero space holds the zero series only
+    assert SpaceBasis(2, ()).contains(QSeries.from_coeffs([0, 0]))
+    assert not SpaceBasis(2, ()).contains(QSeries.from_coeffs([0, 1]))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    k=st.integers(0, 20).map(lambda h: 2 * h),
+    p=st.sampled_from(SUPPORTED_PRIMES),
+    over_z=st.booleans(),
+    extra=st.integers(1, 8),
+    data=st.data(),
+)
+def test_space_basis_contains_exactly_its_combinations(k, p, over_z, extra, data):
+    ring = ZZ if over_z else ModRing(p, 1)
+    qprec = basis_dimension(k) + extra
+    basis = miller_basis(k, qprec, ring)
+    d = basis.dim
+    coords = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=d, max_size=d))
+    g = basis.combination(coords) if d else QSeries.constant(0, qprec, ring)
+    assert g.qprec == qprec and basis.contains(g)
+    # each coefficient beyond the echelon coordinates is pinned down
+    for i in range(d, qprec):
+        bumped = QSeries(ring, tuple(a + (n == i) for n, a in enumerate(g.coeffs)))
+        assert not basis.contains(bumped)
 
 
 def test_hasse_invariant_is_one():

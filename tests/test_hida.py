@@ -173,6 +173,8 @@ def test_fit_family_validation():
         fit_family(5, 0, [2], [2], m=4)
     with pytest.raises(ConfigError):
         fit_family(6, 0, [4, 8], [2], m=4)
+    with pytest.raises(ConfigError, match="odd weight 5"):
+        fit_family(5, 1, [5, 9], [2], m=4)
 
 
 def _conjugated(rng, p, m, blocks):

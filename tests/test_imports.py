@@ -2,7 +2,8 @@
 class of the package, and every method and property of its classes, is
 referenced: stdlib ``ast`` scans of the package modules (re-exports in
 ``__init__.py`` excepted), of the tests and of the benchmark harness.
-No package module holds a float literal or a ``float(...)`` call."""
+No package module holds a float literal or a ``float(...)`` call, or an
+``import`` inside a function body."""
 
 import ast
 from collections import Counter
@@ -86,6 +87,17 @@ def float_uses(source: str):
     return sorted(found)
 
 
+def function_imports(source: str):
+    """(line, function) of each ``import`` inside a function body."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    found.add((inner.lineno, node.name))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -118,6 +130,25 @@ def test_scan_catches_floating_point():
         "    return s.float('1') + 1e3\n"
     )
     assert float_uses(source) == [(2, "2.5"), (3, "float("), (5, "1000.0")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_imports_at_module_top(path):
+    assert function_imports(path.read_text()) == []
+
+
+def test_scan_catches_function_imports():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    from .weights import w_coordinate\n"
+        "    return w_coordinate\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        import sys\n"
+        "        return sys\n"
+    )
+    assert function_imports(source) == [(3, "f"), (7, "g")]
 
 
 def test_no_unreferenced_definitions():
