@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import padicforms
-from padicforms.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFICATION, main
+from padicforms.cli import COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_VERIFICATION, main
 
 
 def run_cli(capsys, *argv):
@@ -321,6 +321,12 @@ GOLDEN_RUNS = {
     # the only failing verdict: at k = 2, p = 13 the source slopes are
     # consecutive integers, so the shift-by-k control lands in the target
     "duality_k2_p13_I6_m10.json": (EXIT_VERIFICATION, "duality --k 2 --p 13 --I 6 --m 10"),
+    # operators at weight <= 1: T_p carries p^(1-k) on its U-part (6 = 5 + 1
+    # at k = 0), the weight-normalized U_p is p^(1-k) times the q-expansion
+    # operator (slope shift 3 at k = -2, first row p^5 at k = -4)
+    "tp_matrix_k0_p5.json": (EXIT_OK, "tp-matrix --k 0 --p 5"),
+    "slopes_p5_k-2_I12_m10.json": (EXIT_OK, "slopes --k -2 --p 5 --I 12 --m 10"),
+    "up_matrix_k-4_p7_I12_m10.json": (EXIT_OK, "up-matrix --k -4 --p 7 --I 12 --m 10"),
 }
 
 
@@ -330,3 +336,15 @@ def test_golden_outputs(capsys, name):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == expected_code
     assert out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["", *COMMANDS])
+def test_help_goldens(capsys, monkeypatch, command):
+    """The --help screens at 80 columns, byte for byte: help.txt for the
+    top level, help_<command>.txt for each subcommand."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == EXIT_OK
+    name = f"help_{command}.txt" if command else "help.txt"
+    assert capsys.readouterr().out.encode() == (GOLDEN_DIR / name).read_bytes()
