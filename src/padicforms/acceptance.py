@@ -23,6 +23,7 @@ from .duality import (
     transpose_charseries_equal,
 )
 from .eigencurve import WeightDisc, local_piece_report, two_var_charseries
+from .errors import ConfigError
 from .forms import delta, eisenstein, miller_basis
 from .hecke import frobenius, hecke_tp, up
 from .hida import (
@@ -455,6 +456,8 @@ def criterion_10(seed: int = 0) -> CriterionResult:
 
 
 def run_all(seed: int = 0, numbers: Optional[Sequence[int]] = None) -> List[CriterionResult]:
+    """The criteria numbered ``numbers`` (all ten when empty), in that
+    order; an unknown number raises ``ConfigError`` before any runs."""
     criteria: List[Callable[[int], CriterionResult]] = [
         criterion_1,
         criterion_2,
@@ -467,5 +470,8 @@ def run_all(seed: int = 0, numbers: Optional[Sequence[int]] = None) -> List[Crit
         criterion_9,
         criterion_10,
     ]
-    selected = numbers or range(1, 11)
+    selected = numbers or range(1, len(criteria) + 1)
+    bad = [n for n in selected if not 1 <= n <= len(criteria)]
+    if bad:
+        raise ConfigError(f"unknown acceptance criteria {bad}")
     return [criteria[n - 1](seed) for n in selected]

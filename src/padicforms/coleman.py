@@ -13,10 +13,11 @@ more.
 
 Normalization bookkeeping: the solver computes the matrix of the
 weight-independent q-expansion operator  f -> sum a_{np} q^n  (this is
-U_p in any weight k >= 1).  The naive operator is p times it and the
-weight-k normalized operator is p^{max(0, 1-k)} times it, so their
-polygons are exact slope shifts of the base polygon; the shifts are
-still cross-checked against independently assembled matrices.
+U_p in any weight k >= 1).  Each normalization of
+``hecke.NORMALIZATIONS`` is p^``normalization_shift(k, kind)`` times it
+(p for the naive operator, p^{max(0, 1-k)} for the weight-k one), so
+their polygons are exact slope shifts of the base polygon; the naive
+shift is still cross-checked against an independently assembled matrix.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .forms import (
     eisenstein,
     miller_rows,
 )
+from .hecke import normalization_shift
 from .hida import tp_matrix
 from .linalg import solve_in_basis
 from .padic import PadicMatrix, is_prime
@@ -210,38 +212,27 @@ def katz_basis(k: int, p: int, twist_depth: int) -> KatzBasis:
     return KatzBasis(p, k, twist_depth, dims)
 
 
-def normalization_shift(k: int, kind: str) -> int:
-    """Slope shift of a normalization relative to the q-expansion operator."""
-    if kind == "qexp":
-        return 0
-    if kind == "naive":
-        return 1
-    if kind == "weight":
-        return max(0, 1 - k)
-    raise ConfigError(f"unknown normalization {kind!r}")
-
-
 def up_matrix(basis: KatzBasis, m: int, normalization: str = "weight") -> PadicMatrix:
     """Matrix of U_p on the Katz basis over Z/p^m.
 
     ``normalization`` selects the weight normalization (default), the
-    naive operator, or the bare q-expansion operator; the matrix is
-    assembled by applying the chosen operator and solving in the basis,
-    which loses no digit.
+    naive operator, or the bare q-expansion operator (the kinds of
+    ``hecke.NORMALIZATIONS``, resolved before any element is built); the
+    matrix is assembled by applying the chosen operator and solving in
+    the basis, which loses no digit.
     """
+    shift = normalization_shift(basis.weight, normalization)
     elements = basis.elements_mod(m) if basis.dimension else []
-    return _solve_up(basis, elements, m, normalization)
+    return _solve_up(basis, elements, m, shift)
 
 
-def _solve_up(
-    basis: KatzBasis, elements: Sequence[Readout], m: int, normalization: str
-) -> PadicMatrix:
+def _solve_up(basis: KatzBasis, elements: Sequence[Readout], m: int, shift: int) -> PadicMatrix:
     """``up_matrix`` on Katz element readouts already evaluated over
     Z/p^m: the heads make the basis matrix, and each spine, scaled by
-    p^``normalization_shift``, is an image to solve for.  Element g is
-    q^g + O(q^(g+1)), so the heads are lower unitriangular and the solve
-    is one forward substitution over Z/p^m."""
-    scale = basis.p ** normalization_shift(basis.weight, normalization)
+    p^shift, is an image to solve for.  Element g is q^g + O(q^(g+1)),
+    so the heads are lower unitriangular and the solve is one forward
+    substitution over Z/p^m."""
+    scale = basis.p**shift
     d = basis.dimension
     tag = f"katz:p{basis.p}:k{basis.weight}:I{basis.twist_depth}"
     coeff_rows = [[e.head.coeffs[c] for e in elements] for c in range(d)]
@@ -315,7 +306,7 @@ def _spectrum_core(
     cap = m + (int(bound) if bound is not None else 0) * max(d, 2) + 16
     m_top = max(m_work, cap) if bound is not None else m_work
     top = basis.elements_mod(m_top)
-    top_matrix = _solve_up(basis, top, m_top, "qexp")
+    top_matrix = _solve_up(basis, top, m_top, normalization_shift(k, "qexp"))
     top_series = char_series(top_matrix)
     while True:
         series = CharSeries(top_series.coeffs, p, m_work)
@@ -375,13 +366,12 @@ def slope_spectrum(
 
     # independent assembly of the naive matrix; its char series must be
     # the p^j-scaled one, which pins the slope relation exactly
-    naive_matrix = _solve_up(basis, elements, m_work, "naive")
-    naive_series = char_series(naive_matrix)
-    expected = _scaled_series(series, 1, p, m_work)
-    naive_checked = naive_series == expected
+    naive_shift = normalization_shift(k, "naive")
+    naive_series = char_series(_solve_up(basis, elements, m_work, naive_shift))
+    naive_checked = naive_series == _scaled_series(series, naive_shift, p, m_work)
     if not naive_checked:
         raise VerificationError("naive U_p char series fails the p-scaling relation")
-    naive_poly = shift_polygon(qpoly, 1)
+    naive_poly = shift_polygon(qpoly, naive_shift)
 
     threshold = Fraction(k - 1)
     classical_slopes = None
@@ -539,10 +529,12 @@ def classicality_check(k: int, p: int, twist_depth: int, m: int) -> Classicality
     are reported separately, never counted on either side.  The working
     modulus is raised internally until the Newton polygon certifies the
     comparison range; if that fails within the cap the verdict is
-    indeterminate.
+    indeterminate.  m >= 3 is required: below it nothing is compared.
     """
     if k < 2:
         raise ConfigError("classicality comparison needs k >= 2")
+    if m < 3:
+        raise ConfigError("m must be >= 3 to certify any slope (ceiling is m - 2)")
     threshold = Fraction(k - 1)
     bound = min(threshold, Fraction(m - 2))
     classical = classical_up_spectrum(k, p)

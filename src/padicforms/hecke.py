@@ -1,27 +1,50 @@
 """Hecke operators on q-expansions, with exact p-power normalizations.
 
-Conventions (trivial nebentypus):
+One formula (trivial nebentypus).  With U f = sum a_{np} q^n the
+q-expansion operator, F f = sum a_n q^(np) the Frobenius and
+a(k) = max(0, 1 - k):
 
-  T_p, weight k >= 1:   sum a_{np} q^n  +  p^(k-1) sum a_n q^(np)
-  T_p, weight k <= 1:   p^(1-k) sum a_{np} q^n  +  sum a_n q^(np)
-  U_p^naive:            p sum a_{np} q^n
-  U_p = p^(-inf{1,k}) U_p^naive:
-        sum a_{np} q^n            for k >= 1
-        p^(1-k) sum a_{np} q^n    for k <= 1
-  F (Frobenius):        sum a_n q^(np)       (weight independent)
-  theta = q d/dq:       sum n a_n q^n
+  T_p  = p^a(k) U + p^a(2-k) F
+  U_p  = p^a(k) U                  (= p^(-inf{1,k}) U_p^naive)
+  U_p^naive = p U
+  theta = q d/dq:  sum n a_n q^n
 
-Identities, exact on q-expansions: T_p = U_p + p^(k-1) F for k >= 1,
-and T_p = F + U_p for k <= 1 (the k <= 1 normalization already carries
-the p^(1-k)); the two T_p branches agree at k = 1.  Applying T_p or U_p
-divides the q-precision by p.
+The two exponents of T_p swap under k <-> 2 - k, the duality between
+weight k and weight 2 - k: for k >= 1 T_p = U + p^(k-1) F, for k <= 1
+T_p = p^(1-k) U + F, and both read U + F at k = 1.  So
+T_p = U_p + p^a(2-k) F exactly.  ``NORMALIZATIONS`` tabulates the
+p-power each named normalization puts on U: a(k) for the weight
+normalization, 1 for the naive operator, 0 for U itself.  Applying
+T_p or U_p divides the q-precision by p; F keeps it.
 """
 
 from __future__ import annotations
 
-from .errors import PrecisionError
+from typing import Optional
+
+from .errors import ConfigError, PrecisionError
 from .padic import is_prime
 from .qexp import QSeries
+
+
+def _weight_shift(k: int) -> int:
+    """a(k) = max(0, 1 - k), the p-power on U of U_p at weight k."""
+    return max(0, 1 - k)
+
+
+NORMALIZATIONS = {
+    "weight": _weight_shift,
+    "naive": lambda k: 1,
+    "qexp": lambda k: 0,
+}
+
+
+def normalization_shift(k: int, kind: str) -> int:
+    """p-power of the U_p normalization ``kind`` at weight k over the
+    q-expansion operator U; it shifts every slope by that much."""
+    if kind not in NORMALIZATIONS:
+        raise ConfigError(f"unknown normalization {kind!r}")
+    return NORMALIZATIONS[kind](k)
 
 
 def _check_prime(p: int) -> None:
@@ -29,61 +52,48 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def _out_prec(f: QSeries, p: int) -> int:
+def _hecke_map(f: QSeries, p: int, u_shift: int, f_shift: Optional[int]) -> QSeries:
+    """p^u_shift U f, plus p^f_shift F f unless f_shift is None, to
+    q-precision floor(Q/p)."""
+    _check_prime(p)
     q = f.qprec // p
     if q < 1:
         raise PrecisionError(f"q-precision {f.qprec} too small for level-{p} operators")
-    return q
-
-
-def hecke_tp(f: QSeries, k: int, p: int) -> QSeries:
-    """T_p at weight k; output q-precision is floor(Q/p)."""
-    _check_prime(p)
-    q = _out_prec(f, p)
     a = f.coeffs
-    out = []
-    if k >= 1:
-        pk = p ** (k - 1)
-        for n in range(q):
-            c = a[n * p]
-            if n % p == 0:
-                c += pk * a[n // p]
-            out.append(c)
-    else:
-        pk = p ** (1 - k)
-        for n in range(q):
-            c = pk * a[n * p]
-            if n % p == 0:
-                c += a[n // p]
-            out.append(c)
+    scale = p**u_shift
+    out = [scale * c for c in a[: q * p : p]]
+    if f_shift is not None:
+        scale = p**f_shift
+        out[::p] = [c + scale * b for c, b in zip(out[::p], a)]
     return QSeries(f.ring, tuple(out))
 
 
+def hecke_tp(f: QSeries, k: int, p: int) -> QSeries:
+    """T_p = p^a(k) U + p^a(2-k) F at weight k; output q-precision is
+    floor(Q/p)."""
+    return _hecke_map(f, p, _weight_shift(k), _weight_shift(2 - k))
+
+
 def up_naive(f: QSeries, p: int) -> QSeries:
-    """U_p^naive: p times the coefficient restriction to p-divisible indices."""
-    _check_prime(p)
-    q = _out_prec(f, p)
-    return QSeries(f.ring, tuple(p * f.coeffs[n * p] for n in range(q)))
+    """U_p^naive = p U: p times the coefficient restriction to
+    p-divisible indices."""
+    return _hecke_map(f, p, 1, None)
 
 
 def up(f: QSeries, k: int, p: int) -> QSeries:
-    """Normalized U_p = p^(-inf{1,k}) U_p^naive.
+    """Normalized U_p = p^a(k) U = p^(-inf{1,k}) U_p^naive.
 
-    For k <= 0 the normalization is a nonnegative p-power, so the result
-    stays integral; no precision is lost in either branch.
+    p^a(k) is a nonnegative p-power, so the result stays integral; no
+    precision is lost at any weight.
     """
-    _check_prime(p)
-    q = _out_prec(f, p)
-    factor = 1 if k >= 1 else p ** (1 - k)
-    return QSeries(f.ring, tuple(factor * f.coeffs[n * p] for n in range(q)))
+    return _hecke_map(f, p, _weight_shift(k), None)
 
 
 def frobenius(f: QSeries, p: int) -> QSeries:
     """F: q -> q^p on expansions; weight independent, precision preserving."""
     _check_prime(p)
     out = [0] * f.qprec
-    for n in range(0, f.qprec, p):
-        out[n] = f.coeffs[n // p]
+    out[::p] = f.coeffs[: (f.qprec + p - 1) // p]
     return QSeries(f.ring, tuple(out))
 
 

@@ -26,7 +26,7 @@ from .linalg import (
     rank_mod_p,
     restrict_to_image,
 )
-from .padic import PadicMatrix, is_prime
+from .padic import PadicMatrix, _check_pm, is_prime
 from .qexp import ModRing
 from .weights import IwasawaTruncation, congruence_table, interpolate_iwasawa
 
@@ -166,6 +166,7 @@ def unit_root_of_stabilization(t_p: int, k: int, p: int, m: int) -> int:
     eigenform with T_p eigenvalue t_p (a unit).  A root congruent to
     t_p needs p | p^(k-1), so k >= 2 is required.
     """
+    _check_pm(p, m)
     if k < 2:
         raise ValueError(f"the unit root needs weight k >= 2, got {k}")
     modulus = p**m

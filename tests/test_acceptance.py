@@ -4,7 +4,10 @@ Each test prints one pass/fail line (visible with -s and in the CLI's
 ``acceptance`` command, which runs the same engine).
 """
 
+import pytest
+
 from padicforms import acceptance
+from padicforms.errors import ConfigError
 
 SEED = 0
 
@@ -15,6 +18,17 @@ def _run(criterion):
     for detail in result.details:
         print("   ", detail)
     assert result.passed, "\n".join([result.line()] + result.details)
+
+
+def test_run_all_rejects_unknown_criteria_first(monkeypatch):
+    def refuse(seed):
+        raise AssertionError("criterion 2 ran before the numbers were checked")
+
+    monkeypatch.setattr(acceptance, "criterion_2", refuse)
+    for numbers, bad in (([0], [0]), ([-1], [-1]), ([11], [11]), ([2, 11, 0], [11, 0])):
+        with pytest.raises(ConfigError) as exc:
+            acceptance.run_all(0, numbers)
+        assert str(exc.value) == f"unknown acceptance criteria {bad}"
 
 
 def test_criterion_01_projector_algebra():

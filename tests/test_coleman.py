@@ -169,6 +169,16 @@ def test_up_matrix_normalization_scaling():
         assert weight == q.scale(5 ** max(0, 1 - k))
 
 
+def test_up_matrix_rejects_unknown_normalization_first(monkeypatch):
+    # the kind is resolved before any Katz element is built
+    def refuse(self, m):
+        raise AssertionError("elements_mod ran before the normalization was checked")
+
+    monkeypatch.setattr(KatzBasis, "elements_mod", refuse)
+    with pytest.raises(ConfigError, match="unknown normalization 'bogus'"):
+        up_matrix(katz_basis(4, 5, 120), 30, "bogus")
+
+
 def test_slope_spectrum_weight4():
     rep = slope_spectrum(4, 5, 12, 9, certify_below=F(3))
     assert rep.slopes.slopes_below(F(3)) == [F(0), F(1)]
@@ -309,6 +319,13 @@ def test_classicality_weight2():
     assert report.passed
     assert report.overconvergent == (F(0),)
     assert report.compared_below == F(1)
+
+
+def test_classicality_refuses_m_below_3():
+    # below m = 3 the ceiling m - 2 leaves nothing to compare
+    for m in (2, 1):
+        with pytest.raises(ConfigError, match="m must be >= 3"):
+            classicality_check(4, 5, 6, m)
 
 
 def test_classicality_weight12_full_threshold():

@@ -122,6 +122,21 @@ def test_theta_probe_validation():
         theta_probe(1, 5, m=8)
 
 
+def test_charseries_duality_check_refuses_low_weight_first(monkeypatch):
+    calls = []
+    real_elements_mod = coleman.KatzBasis.elements_mod
+
+    def counting_elements_mod(self, m):
+        calls.append(m)
+        return real_elements_mod(self, m)
+
+    monkeypatch.setattr(coleman.KatzBasis, "elements_mod", counting_elements_mod)
+    for k in (0, -2):
+        with pytest.raises(ConfigError, match="k >= 2"):
+            charseries_duality_check(k, 5, twist_depth=4, m=8)
+    assert calls == []
+
+
 def test_charseries_duality_check():
     report = charseries_duality_check(4, 5, twist_depth=8, m=10)
     assert report.structural_equal

@@ -1,11 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padicforms.errors import PrecisionError
+from padicforms.errors import ConfigError, PrecisionError
 from padicforms.forms import delta, eisenstein, miller_basis
-from padicforms.hecke import frobenius, hecke_tp, theta, up, up_naive
-from padicforms.qexp import ModRing, QSeries
+from padicforms.hecke import (
+    NORMALIZATIONS,
+    frobenius,
+    hecke_tp,
+    normalization_shift,
+    theta,
+    up,
+    up_naive,
+)
+from padicforms.qexp import ZZ, ModRing, QSeries
 
 
 def test_tp_eisenstein_eigenvalue():
@@ -108,3 +118,44 @@ def test_qprec_too_small():
         up(f, 4, 5)
     with pytest.raises(ValueError):
         up(QSeries.from_coeffs([1] * 10), 2, 6)
+
+
+@st.composite
+def series_over_z_or_mod(draw):
+    """(p, f): f over Z, or over Z/p^m for odd p, with q-precision >= p."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    m = draw(st.none() | st.integers(1, 8)) if p > 2 else None
+    ring = ZZ if m is None else ModRing(p, m)
+    qprec = draw(st.integers(p, 3 * p * p))
+    coeffs = draw(st.lists(st.integers(-(10**6), 10**6), min_size=qprec, max_size=qprec))
+    return p, QSeries(ring, tuple(coeffs))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(series_over_z_or_mod(), st.integers(-12, 24))
+def test_hecke_formula_at_every_weight(case, k):
+    # T_p = p^max(0,1-k) U + p^max(0,k-1) F, written out coefficient by
+    # coefficient; the two exponents swap under k <-> 2 - k
+    p, f = case
+    a, q = f.coeffs, f.qprec // p
+    tp = [
+        p ** max(0, 1 - k) * a[n * p] + (p ** max(0, k - 1) * a[n // p] if n % p == 0 else 0)
+        for n in range(q)
+    ]
+    assert hecke_tp(f, k, p) == QSeries(f.ring, tuple(tp))
+    assert up_naive(f, p) == QSeries(f.ring, tuple(p * a[n * p] for n in range(q)))
+    frob = [a[n // p] if n % p == 0 else 0 for n in range(f.qprec)]
+    assert frobenius(f, p) == QSeries(f.ring, tuple(frob))
+    f_part = frobenius(f, p).scale(p ** max(0, k - 1)).truncate(q)
+    assert hecke_tp(f, k, p) == up(f, k, p) + f_part
+    assert up(f, k, p).scale(p) == up_naive(f, p).scale(p ** max(0, 1 - k))
+
+
+def test_normalization_table():
+    assert tuple(NORMALIZATIONS) == ("weight", "naive", "qexp")
+    for k in (-4, 0, 1, 2, 12):
+        assert normalization_shift(k, "weight") == max(0, 1 - k)
+        assert normalization_shift(k, "naive") == 1
+        assert normalization_shift(k, "qexp") == 0
+    with pytest.raises(ConfigError, match="unknown normalization 'bogus'"):
+        normalization_shift(4, "bogus")

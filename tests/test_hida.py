@@ -133,6 +133,11 @@ def test_unit_root():
     for k in (1, 0, -2):
         with pytest.raises(ValueError, match="k >= 2"):
             unit_root_of_stabilization(126, k, 5, 6)
+    # p and m are checked as at every other Z/p^m entry point
+    with pytest.raises(ValueError, match="precision exponent"):
+        unit_root_of_stabilization(1, 4, 5, 0)
+    with pytest.raises(ValueError, match="prime"):
+        unit_root_of_stabilization(1, 4, 6, 3)
 
 
 def test_fit_family_eisenstein():
