@@ -327,6 +327,8 @@ GOLDEN_RUNS = {
     "tp_matrix_k0_p5.json": (EXIT_OK, "tp-matrix --k 0 --p 5"),
     "slopes_p5_k-2_I12_m10.json": (EXIT_OK, "slopes --k -2 --p 5 --I 12 --m 10"),
     "up_matrix_k-4_p7_I12_m10.json": (EXIT_OK, "up-matrix --k -4 --p 7 --I 12 --m 10"),
+    # D = 41: a 41 x 41 solve on lower unitriangular Katz heads
+    "up_matrix_k4_p5_I120_m8.json": (EXIT_OK, "up-matrix --k 4 --p 5 --I 120 --m 8"),
 }
 
 
