@@ -24,7 +24,7 @@ from . import acceptance as acceptance_mod
 from . import serialize
 from .coleman import classicality_check, katz_basis, slope_spectrum, up_matrix
 from .duality import charseries_duality_check
-from .eigencurve import WeightDisc, local_piece_report, two_var_charseries
+from .eigencurve import WeightDisc, check_slope_bound, local_piece_report, two_var_charseries
 from .errors import ConfigError, PrecisionError, VerificationError
 from .forms import basis_dimension, miller_basis
 from .hecke import NORMALIZATIONS
@@ -84,6 +84,8 @@ def _validate(args: argparse.Namespace) -> None:
         raise ConfigError("Z/2^m is not supported: --p must be an odd prime")
     if twist_depth is not None and twist_depth < 0:
         raise ConfigError("--I must be >= 0")
+    for bound in get("bounds") or ():
+        check_slope_bound(bound)
     if qprec is not None:
         # basis --Q must reach the D coefficients of each basis form
         d = basis_dimension(k)

@@ -146,6 +146,14 @@ class LocalPieceReport:
     constant: bool
 
 
+def check_slope_bound(slope_bound) -> Fraction:
+    """The slope bound h as a Fraction; h < 0 raises ``ConfigError``."""
+    h = Fraction(slope_bound)
+    if h < 0:
+        raise ConfigError("slope bound must be >= 0")
+    return h
+
+
 def local_piece_report(series: TwoVarCharSeries, slope_bound) -> LocalPieceReport:
     """Degree of the slope-at-most-h factor at each sample weight.
 
@@ -154,9 +162,7 @@ def local_piece_report(series: TwoVarCharSeries, slope_bound) -> LocalPieceRepor
     the disc and is surfaced as an error.  h = 0 is always clean because
     slopes cannot cross below the floor 0.
     """
-    h = Fraction(slope_bound)
-    if h < 0:
-        raise ConfigError("slope bound must be >= 0")
+    h = check_slope_bound(slope_bound)
     degrees: Dict[int, int] = {}
     for k, per_weight_series in series.samples:
         poly = newton_polygon(per_weight_series)

@@ -4,7 +4,10 @@ Mod-p spaces and their Hasse tower, ordinary ranks, the weight-raising
 control check, and interpolation of ordinary eigen-data across a weight
 progression into an Iwasawa-polynomial family.  Every decomposition, of
 a space into its ordinary part and of that into eigensystems, is a
-``linalg.ordinary_projector`` with a basis from ``independent_columns``.
+``linalg.ordinary_projector`` with a basis from ``independent_columns``,
+and ``restrict_to_image`` gives the Hecke operators on that basis; rank
+tests, image bases and restrictions all run on the one unit-pivot
+elimination of ``linalg``.
 Every span test, of an operator image, a Hasse tower inclusion or an
 ordinary image in a control target, is ``forms.SpaceBasis.contains``:
 a Miller basis is in echelon form, so nothing is re-echelonized.
@@ -103,6 +106,8 @@ class HasseTower:
 
 
 def build_hasse_tower(k: int, p: int, n: int) -> HasseTower:
+    if n < 0:
+        raise ConfigError("n must be >= 0")
     qprec = default_qprec(k + n * (p - 1), [p])
     levels = [mod_p_space(k + j * (p - 1), p, qprec) for j in range(n + 1)]
     for lower, upper in zip(levels, levels[1:]):
@@ -263,8 +268,8 @@ def _split_ordinary_systems(
 
 
 def _restrict_operators_to_subblock(restricted, idem):
-    chosen, pivot_rows = independent_columns(idem)
-    return {ell: restrict_to_image(mat, chosen, pivot_rows) for ell, mat in restricted.items()}
+    chosen, _ = independent_columns(idem)
+    return {ell: restrict_to_image(mat, chosen) for ell, mat in restricted.items()}
 
 
 def _make_system(weight, restricted, p, m, primes) -> EigenSystem:

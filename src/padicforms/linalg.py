@@ -1,17 +1,24 @@
 """Exact linear algebra over Z/p^m: solving in a basis, image bases,
 and the ordinary projector.
 
-No solve loses a digit: ``solve_in_basis`` takes a unit pivot in every
-column and refuses a basis that is not unimodular, so every result is
-exact over the Z/p^m its inputs live in.
+One forward elimination, ``_eliminate``, serves every question asked
+here.  It takes in each column the first unused row whose entry is a
+unit mod p, swaps nothing, and clears whole augmented rows, so
+right-hand sides ride along.  ``rank_mod_p`` counts its pivots mod p;
+``independent_columns`` reads the pivot columns and rows of one pass
+mod p; ``solve_in_basis`` eliminates [B | v...] over Z/p^m and
+back-substitutes; ``restrict_to_image`` eliminates [C | images] and
+reads the span check off the rows left without a pivot.  A unit pivot
+loses no digit, so every solve is exact over the Z/p^m its inputs live
+in, and a basis that is not unimodular is refused.
 
 The ordinary projector e(T) = lim T^(n!) is computed from the Fitting
 decomposition of T rather than from the factorial powers: A = T^N with
 N >= n*m kills the part where T is nilpotent mod p (there T^n lands in
 p times that part, so T^(nm) is 0 mod p^m), and e is the projection
 onto im(A) along ker(A).  When T is invertible mod p, that part is 0
-and e is the identity: one echelon over F_p detects it, and no power is
-taken.
+and e is the identity: one rank test over F_p detects it, and no power
+is taken.
 Otherwise ``independent_columns`` picks a basis C of im(A) and the rows
 P where it is unimodular, and e = C (A_P C)^-1 A_P costs one r x r
 solve; ``hida`` restricts Hecke operators to ordinary images with
@@ -65,51 +72,83 @@ def _columns_to_lists(vectors, basis: PadicMatrix) -> List[List[int]]:
     return cols
 
 
+def _eliminate(rows: List[List[int]], p: int, modulus: int, width: int) -> List[Tuple[int, int]]:
+    """Forward elimination with unit pivots over Z/modulus, in place.
+
+    In each of columns 0..width-1, the first row that is not yet a pivot
+    row and whose entry is a unit mod p becomes the pivot row; nothing is
+    swapped.  It is scaled to 1 and cleared from the other non-pivot
+    rows along its whole length, so right-hand sides stored from column
+    ``width`` on follow along.  Zero entries are skipped: rows that read
+    0 in the column, and the pivot row's run of zeros after it, so on a
+    lower unitriangular block only the right-hand sides are touched.
+    Returns the (column, row) pivot pairs in column order.
+    """
+    pivots = []
+    free = list(range(len(rows)))
+    for c in range(width):
+        i = next((i for i in free if rows[i][c] % p), None)
+        if i is None:
+            continue
+        free.remove(i)
+        pivot = rows[i]
+        if pivot[c] != 1:
+            inv = pow(pivot[c], -1, modulus)
+            pivot = rows[i] = [(x * inv) % modulus for x in pivot]
+        lo = c + 1
+        while lo < len(pivot) and not pivot[lo]:
+            lo += 1
+        tail = pivot[lo:]
+        for j in free:
+            row = rows[j]
+            e = row[c]
+            if e:
+                row[c] = 0
+                row[lo:] = [(x - e * y) % modulus for x, y in zip(row[lo:], tail)]
+        pivots.append((c, i))
+    return pivots
+
+
+def _back_substitute(rows, pivots, modulus: int, width: int) -> List[List[int]]:
+    """Coordinates from rows [B | v...] eliminated by ``_eliminate``:
+    entry [c][k] is coordinate c of vector k.  The first column of B
+    with no unit pivot raises ``PrecisionError``."""
+    missing = set(range(width)).difference(c for c, _ in pivots)
+    if missing:
+        raise PrecisionError(f"basis is not unimodular: column {min(missing)} has no unit pivot")
+    coords: List[List[int]] = [[]] * width
+    for c, i in reversed(pivots):
+        row = rows[i]
+        x = row[width:]
+        for t in range(c + 1, width):
+            e = row[t]
+            if e:
+                x = [(a - e * b) % modulus for a, b in zip(x, coords[t])]
+        coords[c] = x
+    return coords
+
+
 def solve_in_basis(
     vectors: Union[PadicMatrix, Sequence[Sequence[int]]], basis: PadicMatrix
 ) -> SolveResult:
     """Solve B x = v over Z/p^m for each column v, B unimodular.
 
-    Each column takes its first unit pivot, so no digit is lost; a
-    column with no unit pivot (B not invertible mod p) raises
-    ``PrecisionError``.  Elimination and back substitution skip zero
-    entries, so on a lower unitriangular B the solve is a single forward
-    substitution on the vectors.  Vectors given as a ``PadicMatrix`` (its
-    columns) must live over the basis' ring and size, or ``ValueError``
-    is raised.
+    ``_eliminate`` reduces [B | v...] with a unit pivot in every column,
+    so no digit is lost, and back substitution reads off x; a column with
+    no unit pivot (B not invertible mod p) raises ``PrecisionError``.
+    Zero entries are skipped, so on a lower unitriangular B the solve is
+    a single forward substitution on the vectors.  Vectors given as a
+    ``PadicMatrix`` (its columns) must live over the basis' ring and
+    size, or ``ValueError`` is raised.
     """
     n = basis.size
     p, m = basis.p, basis.m
     modulus = p**m
     cols = _columns_to_lists(vectors, basis)
-    r = len(cols)
-    a = [list(row) for row in basis.rows]
-    rhs = [[cols[j][i] for j in range(r)] for i in range(n)]
-
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] % p), None)
-        if pivot is None:
-            raise PrecisionError(f"basis is not unimodular: column {c} has no unit pivot")
-        a[c], a[pivot] = a[pivot], a[c]
-        rhs[c], rhs[pivot] = rhs[pivot], rhs[c]
-        inv = pow(a[c][c], -1, modulus)
-        a[c] = [(x * inv) % modulus for x in a[c]]
-        rhs[c] = [(x * inv) % modulus for x in rhs[c]]
-        tail = [(t, y) for t, y in enumerate(a[c]) if y and t > c]
-        for i in range(c + 1, n):
-            e = a[i][c]
-            if e:
-                for t, y in tail:
-                    a[i][t] = (a[i][t] - e * y) % modulus
-                rhs[i] = [(x - e * y) % modulus for x, y in zip(rhs[i], rhs[c])]
-
-    for c in range(n - 1, -1, -1):
-        for t in range(c + 1, n):
-            e = a[c][t]
-            if e:
-                rhs[c] = [(x - e * y) % modulus for x, y in zip(rhs[c], rhs[t])]
+    rows = [list(row) + [col[i] for col in cols] for i, row in enumerate(basis.rows)]
+    coords = _back_substitute(rows, _eliminate(rows, p, modulus, n), modulus, n)
     return SolveResult(
-        tuple(tuple(rhs[i][j] % modulus for i in range(n)) for j in range(r)), p, m
+        tuple(tuple(x[j] % modulus for x in coords) for j in range(len(cols))), p, m
     )
 
 
@@ -119,87 +158,53 @@ def invert_unimodular(matrix: PadicMatrix) -> PadicMatrix:
     return solve_in_basis(identity, matrix).as_matrix()
 
 
-def echelon_mod_p(rows: Sequence[Sequence[int]], p: int):
-    """Reduced row echelon form over F_p.
-
-    Returns (echelon_rows, pivot_columns); zero rows are dropped.
-    """
-    work = [[index(x) % p for x in row] for row in rows]
-    pivots: List[int] = []
-    out: List[List[int]] = []
-    width = len(work[0]) if work else 0
-    r = 0
-    for c in range(width):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c] % p != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = pow(work[r][c], -1, p)
-        work[r] = [(x * inv) % p for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] % p != 0:
-                f = work[i][c]
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    out = [row for row in work[:r]]
-    return out, pivots
-
-
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    return len(echelon_mod_p(rows, p)[0])
+    """Rank over F_p: the number of pivots of the rows reduced mod p."""
+    work = [[index(x) % p for x in row] for row in rows]
+    return len(_eliminate(work, p, p, len(work[0]) if work else 0))
 
 
 def independent_columns(matrix: PadicMatrix) -> Tuple[List[Tuple[int, ...]], List[int]]:
     """Columns independent mod p, chosen greedily from the left, and the
     rows on which their restriction is unimodular.
 
-    The columns are the pivot columns of the reduced row echelon form of
-    the matrix mod p, which are exactly the columns independent of the
-    ones before them; the rows are the pivot columns of the chosen
-    columns' echelon form.  When the column span is a free direct summand
-    whose rank is the mod-p rank (the image of an idempotent, or of T^N
-    in ``ordinary_projector``), the chosen columns are a basis of it by
+    One elimination of the matrix mod p gives both: its pivot columns are
+    exactly the columns independent of the ones before them, and its
+    pivot rows, sorted, are the rows independent of the ones above them
+    in the chosen columns (a row is only ever cleared by pivot rows above
+    it).  When the column span is a free direct summand whose rank is the
+    mod-p rank (the image of an idempotent, or of T^N in
+    ``ordinary_projector``), the chosen columns are a basis of it by
     Nakayama's lemma.
     """
     n, p = matrix.size, matrix.p
-    _, pivots = echelon_mod_p(matrix.rows, p)
-    columns = [tuple(matrix.rows[i][j] for i in range(n)) for j in pivots]
-    _, pivot_rows = echelon_mod_p(columns, p)
-    return columns, pivot_rows
+    pivots = _eliminate([[x % p for x in row] for row in matrix.rows], p, p, n)
+    columns = [tuple(matrix.rows[i][j] for i in range(n)) for j, _ in pivots]
+    return columns, sorted(i for _, i in pivots)
 
 
-def restrict_to_image(
-    op_mat: PadicMatrix, columns: Sequence[Sequence[int]], pivot_rows: Sequence[int]
-) -> PadicMatrix:
+def restrict_to_image(op_mat: PadicMatrix, columns: Sequence[Sequence[int]]) -> PadicMatrix:
     """Matrix of an operator on the span of ``columns`` (a basis of the
     image of an idempotent, from ``independent_columns``); operators
     commuting with the idempotent preserve that span.
 
-    The images of the columns are solved for on ``pivot_rows``, where the
-    columns are unimodular, exact over Z/p^m, and the coordinates are
-    then checked on every row: an operator that does not preserve the
-    span raises ``VerificationError``.
+    ``_eliminate`` reduces [C | images] over Z/p^m with a unit pivot in
+    each of the r columns of C, exactly.  The rows left without a pivot
+    then read 0 in C, so an image that leaves a nonzero residue there is
+    outside the span, and ``VerificationError`` is raised; otherwise back
+    substitution gives the coordinates.
     """
     p, m = op_mat.p, op_mat.m
     modulus = p**m
     r = len(columns)
     images = [op_mat.apply(c) for c in columns]
-    pivot_block = PadicMatrix.from_rows(
-        [[columns[j][i] for j in range(r)] for i in pivot_rows], p, m
-    )
-    coords = solve_in_basis([[v[i] for i in pivot_rows] for v in images], pivot_block)
-    for v, x in zip(images, coords.columns):
-        for i in range(len(v)):
-            if sum(x[t] * columns[t][i] for t in range(r)) % modulus != v[i]:
-                raise VerificationError("operator does not preserve the ordinary image")
-    return coords.as_matrix()
+    rows = [[v[i] for v in (*columns, *images)] for i in range(op_mat.size)]
+    pivots = _eliminate(rows, p, modulus, r)
+    coords = _back_substitute(rows, pivots, modulus, r)
+    pivot_rows = {i for _, i in pivots}
+    if any(x % modulus for i, row in enumerate(rows) if i not in pivot_rows for x in row[r:]):
+        raise VerificationError("operator does not preserve the ordinary image")
+    return PadicMatrix.from_rows(coords, p, m)
 
 
 @dataclass(frozen=True)
@@ -221,7 +226,7 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
     Over Z/p^m, (Z/p^m)^n splits into the T-stable summands U, where T is
     invertible, and K, where T is nilpotent mod p.
 
-    The rank of T mod p, one echelon over F_p, is read first.  If it is n,
+    The rank of T mod p, one elimination over F_p, is read first.  If it is n,
     T lies in the finite group GL_n(Z/p^m), so T^(k!) = 1 as soon as k! is
     a multiple of its order, and e = lim T^(k!) = 1 (equally: K = 0).  The
     identity, with T's basis tag, is returned at once, rank n; it
@@ -242,7 +247,7 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
     the r x r core A_P C is built and solved once, against the n columns
     of A_P, and e is C times that solution.
 
-    The cost is one echelon mod p, then, when T is singular mod p,
+    The cost is one elimination mod p, then, when T is singular mod p,
     O(log(nm)) matrix products and one r x r solve, whatever the
     multiplicative order of T's unit part.  The result is checked:
     e A = A (every column of A lies in span C, since e C = C and im e lies

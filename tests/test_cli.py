@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import padicforms
+from padicforms import coleman
 from padicforms.cli import COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_VERIFICATION, main
 
 
@@ -116,6 +117,26 @@ def test_disc_command(capsys):
     assert payload["D"] == "4"  # dim M_40 at the shared top weight 16 + 6*4
     assert payload["flat_degree_by_bound"]["0"]["constant"] is True
     assert no_bare_numbers(payload)
+
+
+def test_disc_rejects_negative_bound_first(capsys, monkeypatch):
+    calls = []
+    real_elements_mod = coleman.KatzBasis.elements_mod
+
+    def counting_elements_mod(self, m):
+        calls.append(m)
+        return real_elements_mod(self, m)
+
+    monkeypatch.setattr(coleman.KatzBasis, "elements_mod", counting_elements_mod)
+    code, out, err = run_cli(
+        capsys,
+        "disc",
+        "--p", "5", "--component", "0", "--samples", "4,8,12,16,20",
+        "--I", "6", "--m", "8", "--bounds", "-1",
+    )
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "configuration error: slope bound must be >= 0\n"
+    assert calls == []
 
 
 def test_up_matrix_normalizations(capsys):

@@ -79,6 +79,10 @@ def test_hasse_tower_inclusions():
     assert [b.weight for b in tower.levels] == [4, 8, 12, 16]
     tower = build_hasse_tower(6, 7, 2)
     assert [b.weight for b in tower.levels] == [6, 12, 18]
+    assert [b.weight for b in build_hasse_tower(4, 5, 0).levels] == [4]
+    # n = -1 would be a tower with no levels
+    with pytest.raises(ConfigError, match="n must be >= 0"):
+        build_hasse_tower(4, 5, -1)
 
 
 def test_control_check_examples():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from padicforms import linalg
 from padicforms.errors import PrecisionError, VerificationError
 from padicforms.linalg import (
-    echelon_mod_p,
     independent_columns,
     invert_unimodular,
     ordinary_projector,
@@ -87,7 +86,7 @@ def test_solve_rejects_non_integer_vectors():
     with pytest.raises(TypeError):
         solve_in_basis([(Fraction(7, 2), 1)], b)
     with pytest.raises(TypeError):
-        echelon_mod_p([[1.5, 0]], 5)
+        rank_mod_p([[1.5, 0]], 5)
 
 
 def test_solve_rejects_vectors_over_another_ring():
@@ -142,10 +141,13 @@ def test_invert_unimodular():
     assert invert_unimodular(empty) == empty
 
 
-def test_echelon_mod_p():
-    rows, pivots = echelon_mod_p([[2, 4, 0], [1, 2, 1]], 5)
-    assert pivots == [0, 2]
-    assert rank_mod_p([[2, 4, 0], [1, 2, 1], [3, 6, 1]], 5) == 2
+def test_rank_and_pivots_mod_p():
+    rows = [[2, 4, 0], [1, 2, 1], [3, 6, 1]]
+    assert rank_mod_p(rows, 5) == 2
+    # column 1 is twice column 0; row 2 is the sum of rows 0 and 1
+    columns, pivot_rows = independent_columns(PadicMatrix.from_rows(rows, 5, 2))
+    assert columns == [(2, 1, 3), (0, 1, 1)]
+    assert pivot_rows == [0, 1]
 
 
 def test_projector_unit_nonunit_split():
@@ -457,7 +459,7 @@ def test_projector_rejects_an_image_basis_missing_a_column(monkeypatch):
     def drop_last_column(matrix):
         calls.append(matrix.size)
         columns, _ = real_independent_columns(matrix)
-        return columns[:-1], echelon_mod_p(columns[:-1], matrix.p)[1]
+        return columns[:-1], greedy_rows(columns[:-1], matrix.p)
 
     monkeypatch.setattr(linalg, "independent_columns", drop_last_column)
     rng = random.Random(8)
@@ -482,20 +484,30 @@ def test_projector_rejects_an_image_basis_missing_a_column(monkeypatch):
     assert invertible == [1, 16]
 
 
-def greedy_independent_columns(idem, rank, p):
-    """The column choice ``independent_columns`` replaced: add a column
-    whenever it raises the mod-p rank, up to ``rank`` columns."""
+def greedy_rows(columns, p):
+    """Rows of the block with the given columns that raise the mod-p rank
+    of the rows above them."""
+    chosen, rows = [], []
+    for i in range(len(columns[0]) if columns else 0):
+        row = [c[i] for c in columns]
+        if rank_mod_p([*chosen, row], p) > len(chosen):
+            chosen.append(row)
+            rows.append(i)
+    return rows
+
+
+def greedy_independent_columns(idem, p):
+    """The choice ``independent_columns`` makes, by its definition and
+    with ``rank_mod_p`` alone: add a column whenever it raises the mod-p
+    rank of the ones before it, then take the rows of the chosen columns
+    that do the same."""
     d = idem.size
-    cols = [tuple(idem.rows[i][j] for i in range(d)) for j in range(d)]
     chosen = []
     for j in range(d):
-        cand = [list(c) for c in chosen] + [list(cols[j])]
-        if len(echelon_mod_p(cand, p)[0]) > len(chosen):
-            chosen.append(cols[j])
-        if len(chosen) == rank:
-            break
-    _, pivot_rows = echelon_mod_p([list(c) for c in chosen], p)
-    return chosen, pivot_rows
+        column = tuple(idem.rows[i][j] for i in range(d))
+        if rank_mod_p([*chosen, column], p) > len(chosen):
+            chosen.append(column)
+    return chosen, greedy_rows(chosen, p)
 
 
 def test_independent_columns_match_greedy_choice():
@@ -511,16 +523,75 @@ def test_independent_columns_match_greedy_choice():
             ordinary_projector(random_matrix(rng, n, p, m)).idempotent,
         ):
             assert idem @ idem == idem
-            expected = greedy_independent_columns(idem, rank_mod_p(idem.rows, p), p)
-            assert independent_columns(idem) == expected
+            assert independent_columns(idem) == greedy_independent_columns(idem, p)
+
+
+def integer_det(rows):
+    """Determinant over Z by fraction-free (Bareiss) elimination: an
+    oracle that shares no code with ``linalg``."""
+    a = [list(row) for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+@st.composite
+def kernel_cases(draw):
+    """U D_r V over Z/p^m with U, V unimodular products of unitriangular
+    factors and D_r diagonal, r units then multiples of p, so its mod-p
+    rank is r; and a generator for the solves."""
+    p = draw(st.sampled_from((5, 7, 11, 13)))
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 9))
+    r = draw(st.integers(0, n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    top = p ** (m - 1)
+    diag = [rng.randrange(1, p) * (i < r) + p * rng.randrange(top) for i in range(n)]
+    d = PadicMatrix.from_rows([[diag[i] * (i == j) for j in range(n)] for i in range(n)], p, m)
+    return random_unimodular(rng, n, p, m) @ d @ random_unimodular(rng, n, p, m), r, rng
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(kernel_cases())
+def test_elimination_against_oracles(case):
+    t, r, rng = case
+    n, p, m = t.size, t.p, t.m
+    assert rank_mod_p(t.rows, p) == r
+    columns, pivot_rows = independent_columns(t)
+    assert len(columns) == r and set(columns) <= set(zip(*t.rows))
+    assert all(a < b for a, b in zip(pivot_rows, pivot_rows[1:]))
+    assert integer_det([[c[i] for c in columns] for i in pivot_rows]) % p
+    # a dense unimodular B with its rows shuffled, so the first unit
+    # pivot is rarely on the diagonal, and a sparse lower unitriangular B
+    dense = list(random_unimodular(rng, n, p, m).rows)
+    rng.shuffle(dense)
+    sparse = [
+        [int(i == j) or (i > j and rng.random() < 0.3) * rng.randrange(p**m) for j in range(n)]
+        for i in range(n)
+    ]
+    for rows in (dense, sparse):
+        b = PadicMatrix.from_rows(rows, p, m)
+        vectors = [tuple(rng.randrange(p**m) for _ in range(n)) for _ in range(rng.randint(0, 4))]
+        res = solve_in_basis(vectors, b)
+        assert len(res.columns) == len(vectors)
+        assert [b.apply(x) for x in res.columns] == vectors
 
 
 def test_restrict_to_image():
     # e = diag(1, 1, 0) over Z/5^3; T preserves im(e), N does not
     e = PadicMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]], 5, 3)
-    columns, pivot_rows = independent_columns(e)
+    columns, _ = independent_columns(e)
     t = PadicMatrix.from_rows([[2, 5, 7], [3, 1, 0], [0, 0, 25]], 5, 3)
-    assert restrict_to_image(t, columns, pivot_rows).rows == ((2, 5), (3, 1))
+    assert restrict_to_image(t, columns).rows == ((2, 5), (3, 1))
     n = PadicMatrix.from_rows([[1, 0, 0], [0, 1, 0], [25, 0, 0]], 5, 3)
     with pytest.raises(VerificationError, match="does not preserve"):
-        restrict_to_image(n, columns, pivot_rows)
+        restrict_to_image(n, columns)
