@@ -11,12 +11,50 @@ must be an integer (``operator.index``; a float or Fraction raises
 Results the class computes itself (products, sums, scales, shifts,
 truncations, ring changes, inverses) are built already reduced, with
 one ``% modulus`` per coefficient, and skip that validation.
+
+``f * g`` computes the first Q = min(f.qprec, g.qprec) coefficients of
+the product by one of two exact kernels, chosen from Q and the
+coefficient size alone: bits = bits(p^m - 1) over Z/p^m, and
+bits(max |a_i|) over the first Q coefficients of both factors over Z.
+When Q >= 16 and bits <= 3*Q, each factor is packed into one integer,
+one byte-aligned slot of at least 2*bits + bits(Q) + 2 bits per
+coefficient, the two integers are multiplied once (squared when f is g)
+and the low Q slots are read back (Kronecker substitution, as in
+``PadicMatrix.__matmul__``).  Slots of up to 8 bytes are widened to 1, 2,
+4 or 8 bytes, so that a whole series packs and unpacks in one ``struct``
+call; wider slots go through one ``int.to_bytes`` / ``int.from_bytes``
+per coefficient.  Otherwise the schoolbook double loop runs, one
+integer product per pair of indices below Q; it wins on short series,
+where packing costs more than it saves, and on wide coefficients, where
+the packed product computes all 2Q - 1 coefficients of the full product
+in slots twice the coefficient size.  Both kernels give the same
+integers.
+
+Packed-kernel speed-up (schoolbook time / packed time) for distinct
+factors with random coefficients, over Z/p^m / over Z; best of seven,
+CPython 3.11 on a 2-CPU Intel Xeon host.  On the line bits = 3*Q it is
+1.34/1.08 at Q = 16, 1.15/1.15 at Q = 64 and 1.09/1.10 at Q = 128.
+Squaring (f * f) gains a further 1.3-1.7x; it has no threshold of its
+own.
+
+    Q  bits: 3            16           48           96           192          384
+        8    1.35/0.63    1.43/0.78    0.81/0.59    0.72/0.55    0.51/0.40    0.40/0.31
+       12    2.13/1.24    2.28/1.23    1.05/0.85    0.91/0.73    0.61/0.48    0.45/0.35
+       16    3.10/1.85    3.10/1.71    1.34/1.08    1.04/0.87    0.68/0.57    0.49/0.40
+       24    5.31/3.09    4.41/2.55    1.80/1.53    1.31/1.17    0.79/0.73    0.57/0.47
+       32    7.64/4.44    5.29/3.23    2.21/1.93    1.53/1.41    0.88/0.84    0.64/0.56
+       48   12.79/8.20    7.46/4.98    2.81/2.67    1.91/1.81    1.07/1.02    0.75/0.70
+       64   16.55/9.98    8.76/6.23    3.23/3.09    2.08/2.04    1.15/1.15    0.82/0.78
+       96   27.80/15.74  11.68/8.71    4.17/4.06    2.60/2.58    1.34/1.40    0.98/0.94
+      128   33.91/21.42  12.48/10.25   4.94/4.81    2.94/3.05    1.56/1.62    1.09/1.10
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import index, mul
+from itertools import repeat
+from operator import add, index, mul, sub
+from struct import pack, unpack
 from typing import Callable, Sequence, Union
 
 from .errors import PrecisionError
@@ -58,6 +96,96 @@ class ModRing:
 ZZ = IntegerRing()
 
 Ring = Union[IntegerRing, ModRing]
+
+# The packed kernel runs when Q >= _PACKED_MIN_Q and bits <= _PACKED_BITS_PER_Q * Q
+# (see the module docstring for the measurements behind both numbers).
+_PACKED_MIN_Q = 16
+_PACKED_BITS_PER_Q = 3
+
+
+def _schoolbook_product(a: tuple, b: tuple) -> list:
+    """The first len(a) coefficients of a*b, for len(b) == len(a): one
+    integer product per pair of indices summing below len(a)."""
+    q = len(a)
+    out = [0] * q
+    for i in range(q):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(q - i):
+            out[i + j] += ai * b[j]
+    return out
+
+
+# A slot of 1, 2, 4 or 8 bytes is one item of a little-endian struct format
+# (standard sizes), so a series of such slots packs and unpacks in one call.
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _pack(coeffs: tuple, width: int, bias: int) -> int:
+    """sum_i (coeffs[i] + bias) * 2^(8*width*i), built from one byte
+    string: each coeffs[i] + bias must lie in [0, 2^(8*width))."""
+    q, code = len(coeffs), _STRUCT_CODES.get(width)
+    if bias:
+        coeffs = map(add, coeffs, repeat(bias, q))
+    if code:
+        data = pack(f"<{q}{code}", *coeffs)
+    else:
+        data = b"".join([c.to_bytes(width, "little") for c in coeffs])
+    return int.from_bytes(data, "little")
+
+
+def _unpack(n: int, q: int, width: int) -> Sequence[int]:
+    """The q slots of ``width`` bytes of 0 <= n < 2^(8*width*q), lowest first."""
+    data, code = n.to_bytes(q * width, "little"), _STRUCT_CODES.get(width)
+    if code:
+        return unpack(f"<{q}{code}", data)
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, q * width, width)]
+
+
+def _packed_product(a: tuple, b: tuple, bits: int, signed: bool) -> Sequence[int]:
+    """The first len(a) coefficients of a*b, for len(b) == len(a) = Q and
+    every |coefficient| < 2^bits (every coefficient in [0, 2^bits) unless
+    ``signed``), by one big-integer product (Kronecker substitution).
+
+    Each series becomes the integer sum_i a_i X^i at X = 2^(8*width), a
+    slot of ``width`` bytes per coefficient (rounded up to 1, 2, 4 or 8
+    bytes when it fits in 8, for ``_unpack``'s one-call path).  A
+    coefficient of the product is a sum of at most Q products, so its
+    absolute value is below 2^(2*bits + bits(Q)) <= X/4 and no slot carries
+    into the next.  Signed coefficients are packed as a_i + 2^bits >= 0,
+    and 2^bits * (1 + X + ... + X^(Q-1)) is taken off the packed integer
+    after; adding X/2 to every low slot of the product then makes each
+    slot's content c_n + X/2 lie in [0, X), read back as c_n.
+    """
+    q = len(a)
+    width = (2 * bits + q.bit_length() + 2 + 7) // 8  # bytes per slot
+    if width < 8:
+        width = 1 << (width - 1).bit_length()
+    if signed:
+        bias, half = 1 << bits, 1 << (8 * width - 1)
+        ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * q, "little")
+    else:
+        bias = half = ones = 0
+    x = _pack(a, width, bias) - bias * ones
+    y = x if b is a else _pack(b, width, bias) - bias * ones
+    # x * x when squaring: CPython multiplies one object by itself faster
+    low = (x * y + half * ones) & ((1 << 8 * width * q) - 1)
+    out = _unpack(low, q, width)
+    return list(map(sub, out, repeat(half, q))) if signed else out
+
+
+def _check_indices(indices: Sequence[int], qprec: int) -> None:
+    """Refuse an empty index list (a series needs its constant term), a
+    negative index (ValueError) and one at or beyond ``qprec``
+    (PrecisionError)."""
+    if not indices:
+        raise ValueError("no coefficient indices: a q-expansion needs at least one")
+    low, high = min(indices), max(indices)
+    if low < 0:
+        raise ValueError(f"negative coefficient index {low}")
+    if high >= qprec:
+        raise PrecisionError(f"coefficient a_{high} beyond q-precision {qprec}")
 
 
 @dataclass(frozen=True)
@@ -104,6 +232,8 @@ class QSeries:
         return len(self.coeffs)
 
     def coefficient(self, n: int) -> int:
+        if n < 0:
+            raise ValueError(f"negative coefficient index {n}")
         if n >= self.qprec:
             raise PrecisionError(f"coefficient a_{n} beyond q-precision {self.qprec}")
         return self.coeffs[n]
@@ -134,23 +264,23 @@ class QSeries:
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         q = self._common(other)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * q
-        for i in range(q):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(q - i):
-                out[i + j] += ai * b[j]
-        return QSeries._from_ints(self.ring, out)
+        a, b = self.coeffs[:q], other.coeffs[:q]  # the same tuple when squaring
+        if q >= _PACKED_MIN_Q:
+            modulus = self.ring.modulus
+            if modulus is None:
+                bits = max(max(map(abs, a)), max(map(abs, b))).bit_length()
+            else:
+                bits = (modulus - 1).bit_length()
+            if bits <= _PACKED_BITS_PER_Q * q:
+                return QSeries._from_ints(self.ring, _packed_product(a, b, bits, modulus is None))
+        return QSeries._from_ints(self.ring, _schoolbook_product(a, b))
 
     def product_at(self, other: "QSeries", indices: Sequence[int]) -> "QSeries":
         """The coefficients of ``self * other`` at ``indices`` only, as the
         series whose n-th coefficient is the one at indices[n]: one dot
         product per index, and no full product."""
         q = self._common(other)
-        if max(indices, default=0) >= q:
-            raise PrecisionError(f"coefficient beyond q-precision {q}")
+        _check_indices(indices, q)
         a, rev = self.coeffs, other.coeffs[q - 1 :: -1]
         return QSeries._from_ints(
             self.ring, [sum(map(mul, a, rev[q - 1 - n :])) for n in indices]
@@ -158,7 +288,8 @@ class QSeries:
 
     def select(self, indices: Sequence[int]) -> "QSeries":
         """The series whose n-th coefficient is this one's at indices[n]."""
-        return QSeries._reduced(self.ring, tuple(map(self.coefficient, indices)))
+        _check_indices(indices, self.qprec)
+        return QSeries._reduced(self.ring, tuple(map(self.coeffs.__getitem__, indices)))
 
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from padicforms import qexp
 from padicforms.errors import PrecisionError
-from padicforms.qexp import ModRing, QSeries, ZZ
+from padicforms.qexp import _PACKED_BITS_PER_Q, _PACKED_MIN_Q, ModRing, QSeries, ZZ
 
 
 def test_construction_and_reduction():
@@ -55,6 +57,49 @@ def test_truncate_shift_leading():
         f.truncate(9)
     with pytest.raises(PrecisionError):
         f.coefficient(4)
+
+
+_F = QSeries.from_coeffs([1, 2, 3])
+_G = QSeries.from_coeffs([4, 5, 6])
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda: _F.coefficient(-1),
+        lambda: _F.select([-1]),
+        lambda: _F.select([0, -3]),
+        lambda: _F.product_at(_G, [-1]),
+        lambda: _F.product_at(_G, [2, -2]),
+        lambda: _F.select([]),
+        lambda: _F.select(range(0)),
+        lambda: _F.product_at(_G, []),
+    ],
+    ids=[
+        "coefficient(-1)",
+        "select([-1])",
+        "select([0, -3])",
+        "product_at([-1])",
+        "product_at([2, -2])",
+        "select([])",
+        "select(range(0))",
+        "product_at([])",
+    ],
+)
+def test_negative_and_empty_indices_are_refused(read):
+    # a negative index used to wrap (a_{-1} read a_{Q-1}) or read 0, and an
+    # empty index list built a series with no coefficients
+    with pytest.raises(ValueError):
+        read()
+
+
+def test_index_reads():
+    assert _F.select([2, 0, 2]).coeffs == (3, 1, 3)
+    assert _F.product_at(_G, range(3)) == _F * _G
+    assert _F.product_at(_G, [2, 0]).coeffs == (6 + 10 + 12, 4)
+    for read in (lambda: _F.coefficient(3), lambda: _F.select([0, 3]), lambda: _F.product_at(_G, [3])):
+        with pytest.raises(PrecisionError):
+            read()
 
 
 def test_to_ring():
@@ -117,23 +162,36 @@ def _assert_canonical(result, expected):
         assert modulus is None or 0 <= c < modulus
 
 
+# Targeted examples on both sides of the kernel choice: over Z/7^17 the
+# coefficients have 48 = 3 * 16 bits, so Q = 16 packs and Q = 15 does not;
+# Z/7^18 has 51 bits; over Z, zbits 48 and 49 at Q = 16; all-zero factors.
+@example(p=7, m=17, q1=16, q2=20, seed=1, k=2, zbits=0, zero=False)
+@example(p=7, m=17, q1=15, q2=20, seed=2, k=2, zbits=0, zero=False)
+@example(p=7, m=18, q1=16, q2=16, seed=3, k=2, zbits=0, zero=False)
+@example(p=5, m=None, q1=16, q2=16, seed=4, k=2, zbits=48, zero=False)
+@example(p=5, m=None, q1=16, q2=16, seed=5, k=2, zbits=49, zero=False)
+@example(p=5, m=None, q1=80, q2=80, seed=6, k=3, zbits=0, zero=True)
+@example(p=13, m=60, q1=80, q2=75, seed=7, k=2, zbits=0, zero=True)
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(
     p=st.sampled_from((5, 7, 11, 13)),
-    m=st.one_of(st.none(), st.integers(1, 10)),
-    q1=st.integers(1, 12),
-    q2=st.integers(1, 12),
+    m=st.one_of(st.none(), st.integers(1, 60)),
+    q1=st.integers(1, 80),
+    q2=st.integers(1, 80),
     seed=st.integers(0, 2**32 - 1),
     k=st.integers(0, 6),
+    zbits=st.integers(0, 300),
+    zero=st.booleans(),
 )
-def test_internal_results_are_canonical(p, m, q1, q2, seed, k):
-    # m None: over Z, with coefficients of both signs
+def test_internal_results_are_canonical(p, m, q1, q2, seed, k, zbits, zero):
+    # m None: over Z, with coefficients of both signs below 2^zbits in
+    # absolute value; zero: the second factor is all zero
     rng = random.Random(seed)
     ring = ZZ if m is None else ModRing(p, m)
-    bound = 10**6 if m is None else p**m
-    lo = -bound if m is None else 0
+    bound = 2**zbits if m is None else p**m
+    lo = -bound + 1 if m is None else 0
     x = [rng.randrange(lo, bound) for _ in range(q1)]
-    y = [rng.randrange(lo, bound) for _ in range(q2)]
+    y = [0] * q2 if zero else [rng.randrange(lo, bound) for _ in range(q2)]
     f, g = QSeries.from_coeffs(x, ring), QSeries.from_coeffs(y, ring)
     c = -rng.randrange(bound + 1, 3 * bound)
     t = rng.randrange(0, 4)
@@ -142,7 +200,14 @@ def test_internal_results_are_canonical(p, m, q1, q2, seed, k):
         return QSeries(ref_ring, tuple(coeffs))
 
     q = min(q1, q2)
-    _assert_canonical(f * g, ref(_plain_product(x, y)))
+    with patch.object(qexp, "_packed_product", wraps=qexp._packed_product) as packed:
+        _assert_canonical(f * g, ref(_plain_product(x, y)))
+    # the documented choice: packed iff Q >= 16 and bits <= 3 * Q
+    bits = max(map(abs, x[:q] + y[:q])) if m is None else p**m - 1
+    assert packed.called == (q >= _PACKED_MIN_Q and bits.bit_length() <= _PACKED_BITS_PER_Q * q)
+    event("packed kernel" if packed.called else "schoolbook kernel")
+    _assert_canonical(f * f, ref(_plain_product(x, x)))
+    _assert_canonical(g * g, ref(_plain_product(y, y)))
     _assert_canonical(f + g, ref([u + v for u, v in zip(x[:q], y[:q])]))
     _assert_canonical(f - g, ref([u - v for u, v in zip(x[:q], y[:q])]))
     _assert_canonical(-f, ref([-u for u in x]))
@@ -159,3 +224,29 @@ def test_internal_results_are_canonical(p, m, q1, q2, seed, k):
     m_low = rng.randint(1, 10 if m is None else m)
     _assert_canonical(f.to_ring(ModRing(p, m_low)), ref(x, ModRing(p, m_low)))
     _assert_canonical(f.to_ring(ring), ref(x))
+
+
+# Q = 24 takes the packed kernel at every width up to 3 * 24 = 72 bits.
+# At Q = 40 and 65 bits, 2 * 65 + bits(40) = 136 bits fill 17 whole bytes,
+# and c_39 = 40 * (2^65 - 1)^2 of two equal-sign series exceeds half of
+# such a slot: the 2 bits the slot adds beyond that round it up to 18.
+@pytest.mark.parametrize("q, bits", [(24, 1), (24, 2), (24, 17), (24, 64), (24, 72), (40, 65)])
+def test_packed_kernel_over_z_handles_every_sign_pattern(q, bits):
+    # each pattern reaches |a_i| = 2^bits - 1, the largest its slots allow
+    top = 2**bits - 1
+    rng = random.Random(bits)
+    patterns = {
+        "all +top": [top] * q,
+        "all -top": [-top] * q,
+        "alternating": [top if i % 2 else -top for i in range(q)],
+        "all negative": [-top] + [-rng.randint(1, top) for _ in range(q - 1)],
+        "mixed": [top, -top] + [rng.randint(-top, top) for _ in range(q - 2)],
+        "zeros and -top": [-top if i % 5 == 3 else 0 for i in range(q)],
+    }
+    for x in patterns.values():
+        f = QSeries.from_coeffs(x)
+        for y in patterns.values():
+            with patch.object(qexp, "_packed_product", wraps=qexp._packed_product) as packed:
+                assert list((f * QSeries.from_coeffs(y)).coeffs) == _plain_product(x, y)
+                assert list((f * f).coeffs) == _plain_product(x, x)
+            assert packed.call_count == 2
