@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from padicforms.serialize import encode
+from padicforms import coleman
+from padicforms.coleman import classicality_check, slope_spectrum
+from padicforms.errors import PrecisionError
+from padicforms.serialize import classicality_json, encode, slope_report_json
 
 
 @pytest.mark.parametrize(
@@ -37,3 +40,57 @@ def test_encode_is_idempotent():
     value = {4: {5: (1, 2)}, "verdict": [{"slope": None, "mult": 2}], Fraction(3, 2): False}
     once = encode(value)
     assert encode(once) == once
+
+
+def test_slope_report_json_when_the_comparison_is_not_certified():
+    # certified below 1/2 only, the polygon's floor 7/3 stops short of the
+    # comparison bound min(k - 1, m - 2) = 3: one indeterminate entry
+    report = slope_spectrum(4, 5, 12, 8, certify_below=Fraction(1, 2))
+    polygon = {
+        "slopes": [{"slope": "0", "mult": "1"}, {"slope": "1", "mult": "1"}],
+        "vertices": [["0", "0"], ["1", "0"], ["2", "1"]],
+        "certified_degree": "2",
+        "next_slope_floor": "7/3",
+    }
+    naive = {
+        "slopes": [{"slope": "1", "mult": "1"}, {"slope": "2", "mult": "1"}],
+        "vertices": [["0", "0"], ["1", "1"], ["2", "3"]],
+        "certified_degree": "2",
+        "next_slope_floor": "10/3",
+    }
+    assert slope_report_json(report) == {
+        "p": "5",
+        "k": "4",
+        "I": "12",
+        "qprec": "45",
+        "m": "8",
+        "m_working": "8",
+        "m_effective": "8",
+        "charseries": ["1", "324879", "127620", "328750", "0", "0"],
+        "slopes": polygon,
+        "naive_slopes": naive,
+        "threshold": "3",
+        "classical": ["0", "1", "3"],
+        "verdict": [{"slope": None, "verdict": "indeterminate"}],
+        "naive_shift_checked": True,
+    }
+
+
+def test_classicality_json_when_the_spectrum_is_not_certified(monkeypatch):
+    def uncertified(*args, **kwargs):
+        raise PrecisionError("not certified")
+
+    monkeypatch.setattr(coleman, "slope_spectrum", uncertified)
+    report = classicality_check(4, 5, 12, 8)
+    assert encode(classicality_json(report)) == {
+        "p": "5",
+        "k": "4",
+        "I": "12",
+        "m": "8",
+        "m_working": "8",
+        "compared_below": "3",
+        "overconvergent": [],
+        "classical": ["0", "1"],
+        "boundary": {"overconvergent": None, "classical": "1"},
+        "verdict": "indeterminate",
+    }
