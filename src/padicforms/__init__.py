@@ -13,11 +13,11 @@ from .charseries import (
     char_series,
     newton_polygon,
 )
+from .classical import classical_up_spectrum
 from .coleman import (
     ClassicalityReport,
     KatzBasis,
     SlopeReport,
-    classical_up_spectrum,
     classicality_check,
     katz_basis,
     slope_spectrum,

@@ -307,18 +307,15 @@ def criterion_7(seed: int = 0) -> CriterionResult:
     ok = True
     details = []
     for (k, p), cfg in CLASSICALITY_CONFIGS.items():
-        report = classicality_check(k, p, cfg["I"], cfg["m"])
+        comparison = classicality_check(k, p, cfg["I"], cfg["m"]).comparison
+        over = comparison.overconvergent or ()
         want = expected[(k, p)]
-        good = (
-            report.passed
-            and list(report.overconvergent) == want
-            and list(report.classical) == want
-        )
+        good = comparison.passed and list(over) == want and list(comparison.classical) == want
         ok = ok and good
         details.append(
-            f"(k,p)=({k},{p}) below {report.compared_below}: overconvergent "
-            f"{[str(s) for s in report.overconvergent]} vs classical "
-            f"{[str(s) for s in report.classical]} -> {report.verdict}"
+            f"(k,p)=({k},{p}) below {comparison.bound}: overconvergent "
+            f"{[str(s) for s in over]} vs classical "
+            f"{[str(s) for s in comparison.classical]} -> {comparison.verdict}"
         )
     return CriterionResult(7, "classicality multiset equality", ok, details)
 

@@ -9,10 +9,11 @@ inverse column operation are exact mod p^m.  No digit is lost, and the
 series of the Hessenberg matrix, from the division-free recurrence over
 its leading blocks, is that of U exactly mod p^m.  A caller with an
 integer matrix picks an m that provably suffices (see
-``coleman.classical_up_spectrum``).  Newton polygons are lower convex
-hulls of (index, valuation) points; a vanishing coefficient only means
-"valuation >= m", and the polygon is truncated rather than guessed past
-the point where such coefficients could cut below the hull.
+``classical.old_factor``).  Newton polygons are lower convex hulls of
+(index, valuation) points, each point with its own ceiling: a vanishing
+coefficient only means "valuation >= ceiling" (m, for a series over
+Z/p^m), and the polygon is truncated rather than guessed past the point
+where such coefficients could cut below the hull.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from fractions import Fraction
 from operator import index, mul
 from typing import List, Optional, Sequence, Tuple
 
+from .errors import ConfigError
 from .padic import PadicMatrix, _check_pm, val_p
 
 
@@ -126,10 +128,12 @@ class CharSeries:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def valuation_points(self) -> List[Tuple[int, Optional[int]]]:
-        """(index, valuation) pairs; None marks a saturated coefficient."""
+    def valuation_points(self) -> List[Tuple[int, Optional[int], int]]:
+        """(index, valuation, ceiling) triples, every ceiling m; None marks
+        a saturated coefficient."""
         return [
-            (j, None if c == 0 else val_p(c, self.p)) for j, c in enumerate(self.coeffs)
+            (j, None if c == 0 else val_p(c, self.p), self.m)
+            for j, c in enumerate(self.coeffs)
         ]
 
 
@@ -169,12 +173,6 @@ class NewtonPolygon:
             out.extend([s] * mult)
         return out
 
-    def slope_zero_multiplicity(self) -> int:
-        for s, mult in zip(self.slopes, self.multiplicities):
-            if s == 0:
-                return mult
-        return 0
-
     def certifies_through(self, bound: Fraction) -> bool:
         """True when every slope < bound is provably in this polygon."""
         if self.next_slope_floor is None:
@@ -189,6 +187,14 @@ class NewtonPolygon:
             if s == value:
                 return mult
         return 0
+
+
+def check_slope_bound(slope_bound) -> Fraction:
+    """The slope bound h as a Fraction; h < 0 raises ``ConfigError``."""
+    h = Fraction(slope_bound)
+    if h < 0:
+        raise ConfigError("slope bound must be >= 0")
+    return h
 
 
 def _lower_hull(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -206,19 +212,19 @@ def _lower_hull(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
 
 
 def newton_polygon_from_points(
-    points: Sequence[Tuple[int, Optional[int]]],
-    ceiling: int,
+    points: Sequence[Tuple[int, Optional[int], int]],
 ) -> NewtonPolygon:
     """Newton polygon of valuation data, truncated honestly.
 
-    ``points`` are (index, valuation) with valuation None meaning
-    "unknown, >= ceiling".
+    ``points`` are (index, valuation, ceiling) with valuation None
+    meaning "unknown, >= ceiling"; a known point's ceiling is not read.
+    A hull vertex certifies only if it is a known point.
     """
-    known = [(j, v) for j, v in points if v is not None]
+    known = [(j, v) for j, v, _ in points if v is not None]
     if not known or known[0][0] != 0:
         raise ValueError("point list must start with (0, v_0)")
-    floor_pts = [(j, ceiling) for j, v in points if v is None]
-    hull = _lower_hull(sorted(known + floor_pts))
+    heights = [(j, n if v is None else v) for j, v, n in points]
+    hull = _lower_hull(sorted(heights))
     known_set = set(known)
     # certified prefix: hull vertices that are exactly-known points
     certified: List[Tuple[int, int]] = []
@@ -235,7 +241,7 @@ def newton_polygon_from_points(
         mults.append(x2 - x1)
 
     jstar, vstar = certified[-1]
-    later = [(j, ceiling if v is None else v) for j, v in points if j > jstar]
+    later = [(j, v) for j, v in heights if j > jstar]
     floor = min((Fraction(v - vstar, j - jstar) for j, v in later), default=None)
     warning = ALL_SATURATED if len(known) == 1 and later else None
     return NewtonPolygon(
@@ -245,5 +251,5 @@ def newton_polygon_from_points(
 
 def newton_polygon(series: CharSeries) -> NewtonPolygon:
     """Newton polygon of a characteristic series over Z/p^m."""
-    return newton_polygon_from_points(series.valuation_points(), series.m)
+    return newton_polygon_from_points(series.valuation_points())
 

@@ -22,9 +22,11 @@ from typing import Callable, NamedTuple
 
 from . import acceptance as acceptance_mod
 from . import serialize
+from .charseries import check_slope_bound
+from .classical import comparison_bound
 from .coleman import classicality_check, katz_basis, slope_spectrum, up_matrix
 from .duality import charseries_duality_check
-from .eigencurve import WeightDisc, check_slope_bound, local_piece_report, two_var_charseries
+from .eigencurve import WeightDisc, local_piece_report, two_var_charseries
 from .errors import ConfigError, PrecisionError, VerificationError
 from .forms import basis_dimension, miller_basis
 from .hecke import NORMALIZATIONS
@@ -169,18 +171,15 @@ def _charseries(args):
 
 
 def _slopes(args):
-    classical = args.k >= 2
-    bound = min(Fraction(args.k - 1), Fraction(args.m - 2)) if classical else None
-    report = slope_spectrum(
-        args.k, args.p, args.twist_depth, args.m, certify_below=bound, classical=classical
-    )
-    bad = any(entry.get("verdict") not in ("match", None) for entry in report.verdicts)
-    return serialize.slope_report_json(report), not bad
+    bound = comparison_bound(args.k, args.m) if args.k >= 2 else None
+    report = slope_spectrum(args.k, args.p, args.twist_depth, args.m, certify_below=bound)
+    comparison = report.comparison
+    return serialize.slope_report_json(report), comparison is None or comparison.passed
 
 
 def _classicality(args):
     report = classicality_check(args.k, args.p, args.twist_depth, args.m)
-    return serialize.classicality_json(report), report.passed
+    return serialize.classicality_json(report), report.comparison.passed
 
 
 def _disc(args):

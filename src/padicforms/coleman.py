@@ -30,8 +30,10 @@ from .charseries import (
     CharSeries,
     NewtonPolygon,
     char_series,
+    check_slope_bound,
     newton_polygon,
 )
+from .classical import Comparison, compare, comparison_bound
 from .errors import ConfigError, PrecisionError, VerificationError
 from .forms import (
     SUPPORTED_PRIMES,
@@ -44,9 +46,8 @@ from .forms import (
     miller_rows,
 )
 from .hecke import normalization_shift
-from .hida import tp_matrix
 from .linalg import solve_in_basis
-from .padic import PadicMatrix, is_prime
+from .padic import PadicMatrix
 from .qexp import ZZ, ModRing, QSeries
 
 
@@ -257,7 +258,7 @@ def shift_polygon(poly: NewtonPolygon, shift: int) -> NewtonPolygon:
 @dataclass(frozen=True)
 class SlopeReport:
     """Certified slope data of U_p at one weight, with the classical
-    comparison attached for k >= 2."""
+    comparison attached for k >= 2 (None when not asked for)."""
 
     p: int
     weight: int
@@ -265,14 +266,11 @@ class SlopeReport:
     qprec: int
     m_requested: int
     m_working: int
-    m_effective: int
     charseries: CharSeries  # weight-normalized coefficients
     qexp_polygon: NewtonPolygon
     slopes: NewtonPolygon  # weight-normalized
     naive_slopes: NewtonPolygon
-    threshold: Fraction
-    classical_slopes: Optional[tuple]
-    verdicts: tuple
+    comparison: Optional[Comparison]
     naive_shift_checked: bool
 
 
@@ -281,9 +279,9 @@ def _spectrum_core(
     p: int,
     twist_depth: int,
     m: int,
-    certify_below: Optional[Fraction],
+    bound: Optional[Fraction],
 ):
-    """q-expansion-operator matrix and polygon, raising the working
+    """q-expansion-operator series and polygon, raising the working
     modulus until the polygon certifies through the requested bound.
 
     This is the library's one certify-by-raising-m loop.  With bound b
@@ -296,12 +294,10 @@ def _spectrum_core(
     series reduced to Z/p^m_work.  This is exact: the solve has unit
     pivots and the series is computed by integral similarities and a
     division-free recurrence, so both commute with reduction.  The step
-    that certifies returns the matrix and the readouts reduced to its
-    modulus.
+    that certifies returns the readouts reduced to its modulus.
     """
     basis = katz_basis(k, p, twist_depth)
     d = basis.dimension
-    bound = None if certify_below is None else Fraction(certify_below)
     m_work = max(m, (int(bound) + 3) if bound is not None else m)
     cap = m + (int(bound) if bound is not None else 0) * max(d, 2) + 16
     m_top = max(m_work, cap) if bound is not None else m_work
@@ -314,7 +310,7 @@ def _spectrum_core(
         if bound is None or poly.certifies_through(bound):
             ring = ModRing(p, m_work)
             elements = [e.to_ring(ring) for e in top]
-            return basis, elements, top_matrix.reduce(m_work), series, poly, m_work
+            return basis, elements, series, poly, m_work
         if m_work >= cap:
             raise PrecisionError(
                 f"slopes below {bound} not certified at modulus {p}^{m_work} "
@@ -333,10 +329,12 @@ def slope_spectrum(
 ) -> SlopeReport:
     """Newton slopes of U_p on the weight-k overconvergent model.
 
-    All normalized slopes are checked to be >= 0, the naive spectrum is
-    cross-checked to sit exactly inf{1,k} above the normalized one, and
-    for k >= 2 the classical oracle is attached with a per-slope-class
-    verdict below the classicality threshold k-1.
+    All normalized slopes are checked to be >= 0, and the naive spectrum
+    is cross-checked to sit exactly inf{1,k} above the normalized one.
+    For k >= 2 (unless ``classical`` is False) the normalized polygon is
+    compared with the classical spectrum by ``classical.compare``, the
+    one comparison, below min(k - 1, m - 2); m < 3 then raises
+    ``ConfigError`` before any work, as does a negative ``certify_below``.
 
     With ``certify_below`` = b the working modulus is raised until the
     q-expansion polygon certifies every slope below b: from
@@ -352,9 +350,11 @@ def slope_spectrum(
     reduced to the final modulus.
     """
     _check_even(k)
-    basis, elements, matrix, series, qpoly, m_work = _spectrum_core(
-        k, p, twist_depth, m, certify_below
-    )
+    bound = None if certify_below is None else check_slope_bound(certify_below)
+    compared = classical and k >= 2
+    if compared:
+        comparison_bound(k, m)  # refuses m < 3 before any work
+    basis, elements, series, qpoly, m_work = _spectrum_core(k, p, twist_depth, m, bound)
     shift = normalization_shift(k, "weight")
     norm_poly = shift_polygon(qpoly, shift)
     for s in norm_poly.slope_multiset():
@@ -373,12 +373,6 @@ def slope_spectrum(
         raise VerificationError("naive U_p char series fails the p-scaling relation")
     naive_poly = shift_polygon(qpoly, naive_shift)
 
-    threshold = Fraction(k - 1)
-    classical_slopes = None
-    verdicts: List[dict] = []
-    if classical and k >= 2:
-        classical_slopes = classical_up_spectrum(k, p)
-        verdicts = _slope_class_verdicts(norm_poly, classical_slopes, threshold, m)
     return SlopeReport(
         p=p,
         weight=k,
@@ -386,14 +380,11 @@ def slope_spectrum(
         qprec=basis.qprec,
         m_requested=m,
         m_working=m_work,
-        m_effective=matrix.m,
         charseries=norm_series,
         qexp_polygon=qpoly,
         slopes=norm_poly,
         naive_slopes=naive_poly,
-        threshold=threshold,
-        classical_slopes=tuple(classical_slopes) if classical_slopes is not None else None,
-        verdicts=tuple(verdicts),
+        comparison=compare(k, p, m, norm_poly) if compared else None,
         naive_shift_checked=naive_checked,
     )
 
@@ -403,105 +394,6 @@ def _scaled_series(series: CharSeries, shift: int, p: int, m: int) -> CharSeries
     return CharSeries(coeffs, p, m)
 
 
-def _slope_class_verdicts(poly, classical_slopes, threshold, m_requested) -> List[dict]:
-    bound = min(threshold, Fraction(m_requested - 2))
-    over = poly.slopes_below(bound) if poly.certifies_through(bound) else None
-    out = []
-    if over is None:
-        return [{"slope": None, "verdict": "indeterminate"}]
-    cl = [s for s in classical_slopes if s < bound]
-    for s in sorted(set(over) | set(cl)):
-        o, c = over.count(s), cl.count(s)
-        verdict = "match" if o == c else ("extra-overconvergent" if o > c else "missing-overconvergent")
-        out.append({"slope": s, "overconvergent": o, "classical": c, "verdict": verdict})
-    return out
-
-
-# ---------------------------------------------------------------------------
-# classical side
-
-
-def _legendre(a: int, p: int) -> int:
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
-
-
-def genus_x0(p: int) -> int:
-    """Genus of X_0(p) for prime p >= 5."""
-    nu2 = 1 + _legendre(-1, p)
-    nu3 = 1 + _legendre(-3, p)
-    g = Fraction(p + 1, 12) - Fraction(nu2, 4) - Fraction(nu3, 3)
-    return int(g)
-
-
-def dim_cusp_forms_gamma0_prime(k: int, p: int) -> int:
-    """dim S_k(Gamma_0(p)) for prime p >= 5 and even k >= 2."""
-    if not is_prime(p) or p < 5:
-        raise ConfigError(f"dimension formula needs a prime p >= 5, got {p}")
-    if k < 2 or k % 2 != 0:
-        return 0
-    g = genus_x0(p)
-    if k == 2:
-        return g
-    nu2 = 1 + _legendre(-1, p)
-    nu3 = 1 + _legendre(-3, p)
-    return (k - 1) * (g - 1) + (k // 2 - 1) * 2 + nu2 * (k // 4) + nu3 * (k // 3)
-
-
-def dim_new_cusp_forms_gamma0_prime(k: int, p: int) -> int:
-    """dim S_k^new(Gamma_0(p)) = dim S_k(Gamma_0(p)) - 2 dim S_k(level 1)."""
-    level1 = max(basis_dimension(k) - 1, 0)
-    new = dim_cusp_forms_gamma0_prime(k, p) - 2 * level1
-    if new < 0:
-        raise VerificationError("negative new-form dimension: formula inputs corrupt")
-    return new
-
-
-def classical_up_spectrum(k: int, p: int) -> List[Fraction]:
-    """U_p slope multiset on weight-k forms of level Gamma_0(p).
-
-    Old part: Newton slopes of det(x^2 - x T_p + p^(k-1)) on the full
-    level-1 space of dimension d, read from the 2d x 2d block companion
-    matrix B = [[T_p, -p^(k-1)], [1, 0]] (so no eigensystem factoring is
-    needed).  B is integral, so its series is computed mod p^M with
-    M = d(k-1) + 1, which loses nothing: c_0 = 1 and c_2d = det(B) =
-    p^(d(k-1)) exactly, so the lower hull runs from (0, 0) to
-    (2d, d(k-1)) and by convexity never rises above d(k-1) < M.  A
-    coefficient that reads 0 mod p^M therefore lies strictly above the
-    hull, every nonzero residue has its exact valuation, and the polygon
-    certifies through degree 2d with the integer slopes.  That
-    certification is checked, not assumed.  New cuspidal part: slope
-    (k-2)/2 with the new-form multiplicity, from the Atkin-Lehner
-    relation; only the valuation is used, never the sign.  At k = 2 the
-    only Eisenstein series is the ordinary stabilization, of slope 0.
-    """
-    if k < 2 or k % 2 != 0:
-        raise ConfigError(f"classical oracle needs even k >= 2, got {k}")
-    new_mult = dim_new_cusp_forms_gamma0_prime(k, p)  # ConfigError for p < 5 first
-    slopes: List[Fraction] = []
-    d1 = basis_dimension(k)
-    if k == 2:
-        slopes.append(Fraction(0))  # weight-2 Eisenstein stabilization
-    elif d1 > 0:
-        t_rows = tp_matrix(k, p)
-        c = p ** (k - 1)
-        block = [[0] * (2 * d1) for _ in range(2 * d1)]
-        for i in range(d1):
-            for j in range(d1):
-                block[i][j] = t_rows[i][j]
-            block[i][d1 + i] = -c
-            block[d1 + i][i] = 1
-        matrix = PadicMatrix.from_rows(block, p, d1 * (k - 1) + 1)
-        poly = newton_polygon(char_series(matrix))
-        if poly.certified_degree != 2 * d1 or poly.next_slope_floor is not None:
-            raise VerificationError(
-                f"classical polygon at weight {k} not certified through degree {2 * d1}"
-            )
-        slopes.extend(poly.slope_multiset())
-    slopes.extend([Fraction(k - 2, 2)] * new_mult)
-    return sorted(slopes)
-
-
 @dataclass(frozen=True)
 class ClassicalityReport:
     p: int
@@ -509,64 +401,24 @@ class ClassicalityReport:
     twist_depth: int
     m_requested: int
     m_working: int
-    compared_below: Fraction
-    overconvergent: tuple
-    classical: tuple
-    boundary_overconvergent: Optional[int]
-    boundary_classical: int
-    verdict: str
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
+    comparison: Comparison
 
 
 def classicality_check(k: int, p: int, twist_depth: int, m: int) -> ClassicalityReport:
     """Compare overconvergent and classical slopes strictly below
-    min(k-1, m-2).
+    min(k-1, m-2), by ``classical.compare``, the one comparison that
+    ``slope_spectrum`` also attaches.
 
     Slope classes at exactly k-1 sit on the classicality boundary and
     are reported separately, never counted on either side.  The working
     modulus is raised internally until the Newton polygon certifies the
     comparison range; if that fails within the cap the verdict is
-    indeterminate.  m >= 3 is required: below it nothing is compared.
+    indeterminate.  k >= 2 and m >= 3 are required: below them nothing
+    is compared.
     """
-    if k < 2:
-        raise ConfigError("classicality comparison needs k >= 2")
-    if m < 3:
-        raise ConfigError("m must be >= 3 to certify any slope (ceiling is m - 2)")
-    threshold = Fraction(k - 1)
-    bound = min(threshold, Fraction(m - 2))
-    classical = classical_up_spectrum(k, p)
+    bound = comparison_bound(k, m)
     try:
-        report = slope_spectrum(
-            k, p, twist_depth, m, certify_below=bound, classical=False
-        )
+        report = slope_spectrum(k, p, twist_depth, m, certify_below=bound)
     except PrecisionError:
-        return ClassicalityReport(
-            p, k, twist_depth, m, m, bound, (), tuple(s for s in classical if s < bound),
-            None, sum(1 for s in classical if s == threshold), "indeterminate",
-        )
-    over_all = report.slopes
-    over = sorted(over_all.slopes_below(bound))
-    cl = sorted(s for s in classical if s < bound)
-    boundary_over = (
-        over_all.slopes_at(threshold)
-        if over_all.certifies_through(threshold + Fraction(1, 2))
-        else None
-    )
-    boundary_cl = sum(1 for s in classical if s == threshold)
-    verdict = "pass" if over == cl else "fail"
-    return ClassicalityReport(
-        p=p,
-        weight=k,
-        twist_depth=twist_depth,
-        m_requested=m,
-        m_working=report.m_working,
-        compared_below=bound,
-        overconvergent=tuple(over),
-        classical=tuple(cl),
-        boundary_overconvergent=boundary_over,
-        boundary_classical=boundary_cl,
-        verdict=verdict,
-    )
+        return ClassicalityReport(p, k, twist_depth, m, m, compare(k, p, m, None))
+    return ClassicalityReport(p, k, twist_depth, m, report.m_working, report.comparison)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .charseries import CharSeries, NewtonPolygon, char_series, newton_polygon
+from .charseries import CharSeries, NewtonPolygon, char_series, check_slope_bound, newton_polygon
 from .coleman import katz_basis, up_matrix
 from .errors import ConfigError, PrecisionError, VerificationError
 from .forms import SUPPORTED_PRIMES, basis_dimension
@@ -144,14 +144,6 @@ class LocalPieceReport:
     slope_bound: Fraction
     degrees: dict  # weight -> slope-<=h factor degree
     constant: bool
-
-
-def check_slope_bound(slope_bound) -> Fraction:
-    """The slope bound h as a Fraction; h < 0 raises ``ConfigError``."""
-    h = Fraction(slope_bound)
-    if h < 0:
-        raise ConfigError("slope bound must be >= 0")
-    return h
 
 
 def local_piece_report(series: TwoVarCharSeries, slope_bound) -> LocalPieceReport:

@@ -17,6 +17,7 @@ from operator import index
 from typing import Any, Dict
 
 from .charseries import CharSeries, NewtonPolygon, newton_polygon
+from .classical import Comparison
 from .coleman import ClassicalityReport, SlopeReport
 from .duality import DualityReport, ThetaProbeReport
 from .eigencurve import TwoVarCharSeries
@@ -77,9 +78,26 @@ def polygon_json(poly: NewtonPolygon) -> Dict[str, Any]:
     return out
 
 
+def _slope_classes(comparison: Comparison) -> list:
+    """One verdict per slope class below the comparison bound, or one
+    indeterminate entry when the polygon does not certify that range."""
+    over, classical = comparison.overconvergent, comparison.classical
+    if over is None:
+        return [{"slope": None, "verdict": "indeterminate"}]
+    out = []
+    for s in sorted(set(over) | set(classical)):
+        o, c = over.count(s), classical.count(s)
+        verdict = "match" if o == c else (
+            "extra-overconvergent" if o > c else "missing-overconvergent"
+        )
+        out.append({"slope": s, "overconvergent": o, "classical": c, "verdict": verdict})
+    return out
+
+
 def slope_report_json(report: SlopeReport) -> Dict[str, Any]:
     """Returned already encoded: ``perfbench`` digests it with
     ``json.dumps`` alone, without the CLI."""
+    comparison = report.comparison
     return encode(
         {
             "p": report.p,
@@ -88,33 +106,34 @@ def slope_report_json(report: SlopeReport) -> Dict[str, Any]:
             "qprec": report.qprec,
             "m": report.m_requested,
             "m_working": report.m_working,
-            "m_effective": report.m_effective,
+            "m_effective": report.m_working,  # the modulus of every field, kept for the bytes
             "charseries": report.charseries.coeffs,
             "slopes": polygon_json(report.slopes),
             "naive_slopes": polygon_json(report.naive_slopes),
-            "threshold": report.threshold,
-            "classical": report.classical_slopes,
-            "verdict": report.verdicts,
+            "threshold": report.weight - 1,
+            "classical": comparison.spectrum if comparison else None,
+            "verdict": _slope_classes(comparison) if comparison else (),
             "naive_shift_checked": report.naive_shift_checked,
         }
     )
 
 
 def classicality_json(report: ClassicalityReport) -> Dict[str, Any]:
+    comparison = report.comparison
     return {
         "p": report.p,
         "k": report.weight,
         "I": report.twist_depth,
         "m": report.m_requested,
         "m_working": report.m_working,
-        "compared_below": report.compared_below,
-        "overconvergent": report.overconvergent,
-        "classical": report.classical,
+        "compared_below": comparison.bound,
+        "overconvergent": comparison.overconvergent or (),
+        "classical": comparison.classical,
         "boundary": {
-            "overconvergent": report.boundary_overconvergent,
-            "classical": report.boundary_classical,
+            "overconvergent": comparison.boundary_overconvergent,
+            "classical": comparison.boundary_classical,
         },
-        "verdict": report.verdict,
+        "verdict": comparison.verdict,
     }
 
 

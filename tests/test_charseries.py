@@ -236,11 +236,55 @@ def test_newton_polygon_hidden_cut_not_certified():
     # exact points (0,0), (2,0) with unknown (1, >=4): the hull vertex at
     # index 2 is certified only because the floor at index 1 cannot cut
     # below the chord; with a lower ceiling it could, so certification stops.
-    poly = newton_polygon_from_points([(0, 0), (1, None), (2, 6)], 8)
+    poly = newton_polygon_from_points([(0, 0, 8), (1, None, 8), (2, 6, 8)])
     assert poly.vertices[-1] == (2, 6)
-    poly = newton_polygon_from_points([(0, 0), (1, None), (2, 6)], 2)
+    poly = newton_polygon_from_points([(0, 0, 2), (1, None, 2), (2, 6, 2)])
     assert poly.certified_degree == 0
     assert poly.next_slope_floor == Fraction(2)
+
+
+# exact points on slopes 0, 1, 1, 5/2, 5/2 with unknown coefficients at 2 and 4
+HULL_POINTS = [(0, 0), (1, 0), (2, None), (3, 2), (4, None), (5, 7)]
+
+
+@pytest.mark.parametrize(
+    "lowered, ceiling, degree, floor",
+    [
+        (None, 10, 5, None),  # no ceiling can cut below the hull
+        (4, 5, 5, None),  # (4, >= 5) lies above the chord from (3, 2) to (5, 7)
+        (4, 4, 3, Fraction(2)),  # (4, >= 4) cuts below it
+        (4, 3, 1, Fraction(1)),  # (4, >= 3) also puts the vertex (3, 2) on a chord
+        (2, 0, 0, Fraction(0)),  # (2, >= 0) cuts below the chord from (1, 0) to (3, 2)
+        (3, 0, 5, None),  # a known point's ceiling is not read
+    ],
+)
+def test_newton_polygon_one_low_ceiling_stops_certification(lowered, ceiling, degree, floor):
+    points = [(j, v, ceiling if j == lowered else 10) for j, v in HULL_POINTS]
+    poly = newton_polygon_from_points(points)
+    assert poly.certified_degree == degree
+    assert poly.next_slope_floor == floor
+    full = [Fraction(0), Fraction(1), Fraction(1), Fraction(5, 2), Fraction(5, 2)]
+    assert poly.slope_multiset() == full[:degree]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.one_of(st.none(), st.integers(0, 12)), st.integers(0, 12)),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(0, 8),
+    st.integers(1, 12),
+)
+def test_raising_one_ceiling_never_lowers_the_certified_degree(tail, index, rise):
+    # the hull can only rise, and a known vertex stays a vertex under a
+    # higher hull, so the certified prefix survives
+    points = [(0, 0, 0)] + [(j, v, n) for j, (v, n) in enumerate(tail, start=1)]
+    index %= len(points)
+    raised = [(j, v, n + rise if j == index else n) for j, v, n in points]
+    before = newton_polygon_from_points(points).certified_degree
+    assert newton_polygon_from_points(raised).certified_degree >= before
 
 
 def test_newton_polygon_integer_series_at_proven_precision():

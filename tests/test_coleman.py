@@ -6,15 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padicforms import coleman
+from padicforms import classical, coleman
 from padicforms.charseries import char_series, newton_polygon
-from padicforms.coleman import (
-    KatzBasis,
+from padicforms.classical import (
     classical_up_spectrum,
-    classicality_check,
     dim_cusp_forms_gamma0_prime,
     dim_new_cusp_forms_gamma0_prime,
     genus_x0,
+)
+from padicforms.coleman import (
+    KatzBasis,
+    classicality_check,
     katz_basis,
     slope_spectrum,
     up_matrix,
@@ -142,7 +144,7 @@ def test_up_matrix_ordinary_multiplicity_weight4():
     b = katz_basis(4, 5, 10)
     mat = up_matrix(b, 8)
     poly = newton_polygon(char_series(mat))
-    assert poly.slope_zero_multiplicity() == 1
+    assert poly.slopes_at(Fraction(0)) == 1
 
 
 def test_up_matrix_similarity_invariance():
@@ -185,7 +187,7 @@ def test_slope_spectrum_weight4():
     assert rep.naive_shift_checked
     assert rep.naive_slopes.slope_multiset()[:2] == [F(1), F(2)]
     assert all(s >= 0 for s in rep.slopes.slope_multiset())
-    assert rep.classical_slopes == (F(0), F(1), F(3))
+    assert rep.comparison.spectrum == (F(0), F(1), F(3))
 
 
 def test_slope_spectrum_builds_katz_elements_once(monkeypatch):
@@ -223,13 +225,10 @@ def test_slope_spectrum_builds_katz_elements_once(monkeypatch):
     [(14, 5, 34, 10, F(8), 91), (10, 11, 11, 12, F(9), 57)],
 )
 def test_spectrum_core_matches_a_direct_solve(k, p, twist_depth, m, bound, m_working):
-    # reducing the cap's matrix and series equals solving at m_working
-    _, _, matrix, series, _, m_work = coleman._spectrum_core(
-        k, p, twist_depth, m, bound
-    )
+    # reducing the cap's series equals solving at m_working
+    _, _, series, _, m_work = coleman._spectrum_core(k, p, twist_depth, m, bound)
     assert m_work == m_working
     direct = up_matrix(katz_basis(k, p, twist_depth), m_work, "qexp")
-    assert matrix == direct  # rows, p and m
     assert series == char_series(direct)
 
 
@@ -244,7 +243,7 @@ def test_slope_spectrum_weight_zero():
 def test_slope_spectrum_ordinary_consistency():
     for k, p in [(4, 5), (12, 5), (6, 7)]:
         rep = slope_spectrum(k, p, 10 if p == 5 else 8, 8, classical=False)
-        assert rep.slopes.slope_zero_multiplicity() == ordinary_rank_mod_p(k, p)
+        assert rep.slopes.slopes_at(Fraction(0)) == ordinary_rank_mod_p(k, p)
 
 
 def test_truncation_stability_invariant():
@@ -294,7 +293,7 @@ def test_classical_spectrum_checks_its_precision(monkeypatch, k, p):
     # one digit short of M = d(k-1)+1 the last coefficient det(B) reads 0
     # mod p^(M-1), so the polygon stops short of degree 2d and the oracle
     # must refuse to answer
-    monkeypatch.setattr(coleman, "char_series", lambda u: char_series(u.reduce(u.m - 1)))
+    monkeypatch.setattr(classical, "char_series", lambda u: char_series(u.reduce(u.m - 1)))
     with pytest.raises(VerificationError, match="not certified"):
         classical_up_spectrum(k, p)
 
@@ -308,17 +307,17 @@ def test_classical_spectrum_delta_pair():
 
 def test_classicality_pass_weight4():
     report = classicality_check(4, 5, 12, 10)
-    assert report.passed
-    assert report.overconvergent == (F(0), F(1))
-    assert report.classical == (F(0), F(1))
-    assert report.boundary_classical == 1  # the p^(k-1) Eisenstein root
+    assert report.comparison.passed
+    assert report.comparison.overconvergent == (F(0), F(1))
+    assert report.comparison.classical == (F(0), F(1))
+    assert report.comparison.boundary_classical == 1  # the p^(k-1) Eisenstein root
 
 
 def test_classicality_weight2():
     report = classicality_check(2, 5, 12, 10)
-    assert report.passed
-    assert report.overconvergent == (F(0),)
-    assert report.compared_below == F(1)
+    assert report.comparison.passed
+    assert report.comparison.overconvergent == (F(0),)
+    assert report.comparison.bound == F(1)
 
 
 def test_classicality_refuses_m_below_3():
@@ -328,13 +327,35 @@ def test_classicality_refuses_m_below_3():
             classicality_check(4, 5, 6, m)
 
 
+def _refuse_katz_basis(*args):
+    raise AssertionError("the Katz basis was built before the input was checked")
+
+
+def test_slope_spectrum_comparison_refuses_m_below_3(monkeypatch):
+    # at m = 2 the bound min(k - 1, m - 2) is 0: a comparison below it
+    # compares nothing and must not read as all-match.  Refused up front,
+    # with the message classicality_check gives
+    monkeypatch.setattr(coleman, "katz_basis", _refuse_katz_basis)
+    with pytest.raises(ConfigError, match="m must be >= 3"):
+        slope_spectrum(12, 5, 12, 2)
+    with pytest.raises(ConfigError, match="m must be >= 3"):
+        slope_spectrum(4, 5, 6, 1, certify_below=F(1))
+
+
+def test_slope_spectrum_refuses_a_negative_bound_first(monkeypatch):
+    monkeypatch.setattr(coleman, "katz_basis", _refuse_katz_basis)
+    for classical_side in (True, False):
+        with pytest.raises(ConfigError, match="slope bound must be >= 0"):
+            slope_spectrum(4, 5, 6, 8, certify_below=Fraction(-1, 2), classical=classical_side)
+
+
 def test_classicality_weight12_full_threshold():
     # m = 13 puts the ceiling at the full threshold k - 1 = 11
     report = classicality_check(12, 5, 24, 13)
-    assert report.passed
+    assert report.comparison.passed
     want = (F(0), F(1), F(5), F(5), F(5), F(10))
-    assert report.overconvergent == want
-    assert report.classical == want
+    assert report.comparison.overconvergent == want
+    assert report.comparison.classical == want
     # one boundary class at slope 11 on each side (critical Eisenstein)
-    assert report.boundary_overconvergent == 1
-    assert report.boundary_classical == 1
+    assert report.comparison.boundary_overconvergent == 1
+    assert report.comparison.boundary_classical == 1
