@@ -350,6 +350,8 @@ GOLDEN_RUNS = {
     "up_matrix_k-4_p7_I12_m10.json": (EXIT_OK, "up-matrix --k -4 --p 7 --I 12 --m 10"),
     # D = 41: a 41 x 41 solve on lower unitriangular Katz heads
     "up_matrix_k4_p5_I120_m8.json": (EXIT_OK, "up-matrix --k 4 --p 5 --I 120 --m 8"),
+    # D = 61: the certify-by-raising-m loop runs to m_working 180
+    "slopes_p5_k4_I180_m8.json": (EXIT_OK, "slopes --k 4 --p 5 --I 180 --m 8"),
 }
 
 
