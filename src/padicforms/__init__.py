@@ -34,7 +34,6 @@ from .duality import (
 )
 from .eigencurve import (
     TwoVarCharSeries,
-    WeightDisc,
     local_piece_report,
     slopes_at,
     two_var_charseries,
@@ -72,6 +71,7 @@ from .padic import PadicMatrix
 from .qexp import ModRing, QSeries, ZZ
 from .weights import (
     IwasawaTruncation,
+    WeightDisc,
     WeightPoint,
     interpolate_iwasawa,
     w_coordinate,

@@ -22,7 +22,7 @@ from .duality import (
     theta_probe,
     transpose_charseries_equal,
 )
-from .eigencurve import WeightDisc, local_piece_report, two_var_charseries
+from .eigencurve import local_piece_report, two_var_charseries
 from .errors import ConfigError
 from .forms import delta, eisenstein, miller_basis
 from .hecke import frobenius, hecke_tp, up
@@ -37,7 +37,7 @@ from .hida import (
 from .linalg import rank_mod_p
 from .padic import PadicMatrix, val_p
 from .qexp import QSeries
-from .weights import w_coordinate
+from .weights import WeightDisc, w_coordinate
 
 
 @dataclass
@@ -241,8 +241,9 @@ def criterion_5(seed: int = 0) -> CriterionResult:
     family = fit_family(5, 0, [4, 8, 12, 16], [2, 5], m=8)
     if family.rank < 1:
         ok = False
-    details.append(f"rank {family.rank} constant across weights {family.sample_weights}")
-    for k in family.sample_weights:
+    weights = family.disc.sample_weights
+    details.append(f"rank {family.rank} constant across weights {weights}")
+    for k in weights:
         if family.eigen_data[k][5] != (1,):
             ok = False
             details.append(f"a_5 differs from 1 at weight {k}")
@@ -399,9 +400,13 @@ def criterion_10(seed: int = 0) -> CriterionResult:
     rng = random.Random(seed)
     ok = True
     details = []
+    # each configured U_p matrix is built once, for parts (a) and (b)
+    up_mats = {
+        (k, p): up_matrix(katz_basis(k, p, cfg["I"]), cfg["m"])
+        for (k, p), cfg in SLOPE_CONFIGS.items()
+    }
     # (a) transpose char-series equality on every configured U_p matrix
-    for (k, p), cfg in SLOPE_CONFIGS.items():
-        mat = up_matrix(katz_basis(k, p, cfg["I"]), cfg["m"])
+    for (k, p), mat in up_mats.items():
         if not transpose_charseries_equal(mat):
             ok = False
             details.append(f"transpose equality FAILS at (k,p)=({k},{p})")
@@ -418,9 +423,7 @@ def criterion_10(seed: int = 0) -> CriterionResult:
                 ok = False
                 details.append(f"rank duality FAILS at (k,p)=({k},{p})")
     for (k, p) in ((4, 5), (12, 5)):
-        cfg = SLOPE_CONFIGS[(k, p)]
-        res = rank_duality_check(up_matrix(katz_basis(k, p, cfg["I"]), cfg["m"]))
-        if not res["equal"]:
+        if not rank_duality_check(up_mats[(k, p)])["equal"]:
             ok = False
             details.append(f"Katz rank duality FAILS at (k,p)=({k},{p})")
     details.append("rank e(U_p) = rank e(F) at every configured weight")

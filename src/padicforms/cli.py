@@ -26,13 +26,14 @@ from .charseries import check_slope_bound
 from .classical import comparison_bound
 from .coleman import classicality_check, katz_basis, slope_spectrum, up_matrix
 from .duality import charseries_duality_check
-from .eigencurve import WeightDisc, local_piece_report, two_var_charseries
+from .eigencurve import local_piece_report, two_var_charseries
 from .errors import ConfigError, PrecisionError, VerificationError
-from .forms import basis_dimension, miller_basis
+from .forms import basis_dimension, check_level1_weight, miller_basis
 from .hecke import NORMALIZATIONS
 from .hida import control_check_h0, fit_family, ordinary_rank_mod_p, tp_matrix
 from .padic import PadicMatrix, is_prime
 from .qexp import ModRing, ZZ
+from .weights import WeightDisc
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -76,8 +77,8 @@ def _validate(args: argparse.Namespace) -> None:
     p, k, m, twist_depth, qprec = (get(name) for name in ("p", "k", "m", "twist_depth", "qprec"))
     if p is not None and not is_prime(p):
         raise ConfigError(f"--p {p} is not prime")
-    if k is not None and k % 2 != 0:
-        raise ConfigError(f"--k {k} is odd: odd-weight level-1 spaces are empty")
+    if k is not None:
+        check_level1_weight(k)
     if args.command == "basis" and (p is None) != (m is None):
         raise ConfigError("basis: --p and --m must be given together")
     if m is not None and m < 1:
@@ -120,7 +121,7 @@ def _basis(args):
     return {
         "k": args.k,
         "dim": basis.dim,
-        "level_tag": basis.level_tag,
+        "level_tag": "Level1",
         "forms": [serialize.qseries_json(f) for f in basis.forms],
     }, True
 
@@ -152,6 +153,7 @@ def _up_matrix(args):
     basis = katz_basis(args.k, args.p, args.twist_depth)
     matrix = up_matrix(basis, args.m, normalization=args.normalization)
     payload = serialize.matrix_json(matrix)
+    payload["basis_tag"] = f"katz:p{args.p}:k{args.k}:I{args.twist_depth}"
     payload["m_effective"] = matrix.m
     payload["normalization"] = args.normalization
     payload["qprec"] = basis.qprec

@@ -36,10 +36,11 @@ from .charseries import (
 from .classical import Comparison, compare, comparison_bound
 from .errors import ConfigError, PrecisionError, VerificationError
 from .forms import (
-    SUPPORTED_PRIMES,
     MillerPowers,
     PowerTable,
     basis_dimension,
+    check_level1_weight,
+    check_theory_prime,
     clear_tails,
     e4_e6_exponents,
     eisenstein,
@@ -49,11 +50,6 @@ from .hecke import normalization_shift
 from .linalg import solve_in_basis
 from .padic import PadicMatrix
 from .qexp import ZZ, ModRing, QSeries
-
-
-def _check_even(k: int) -> None:
-    if k % 2 != 0:
-        raise ConfigError(f"odd weight {k}: level-1 q-expansion models are empty")
 
 
 @dataclass(frozen=True)
@@ -201,9 +197,8 @@ def katz_basis(k: int, p: int, twist_depth: int) -> KatzBasis:
     coefficients that one U_p application and the solve for its
     coordinates read.
     """
-    if p not in SUPPORTED_PRIMES:
-        raise ConfigError(f"p must be one of {SUPPORTED_PRIMES}, got {p}")
-    _check_even(k)
+    check_theory_prime(p)
+    check_level1_weight(k)
     if twist_depth < 0:
         raise ConfigError("twist depth must be >= 0")
     dims = tuple(basis_dimension(k + i * (p - 1)) for i in range(twist_depth + 1))
@@ -235,10 +230,9 @@ def _solve_up(basis: KatzBasis, elements: Sequence[Readout], m: int, shift: int)
     substitution over Z/p^m."""
     scale = basis.p**shift
     d = basis.dimension
-    tag = f"katz:p{basis.p}:k{basis.weight}:I{basis.twist_depth}"
     coeff_rows = [[e.head.coeffs[c] for e in elements] for c in range(d)]
     bmat = PadicMatrix.from_rows(coeff_rows, basis.p, m)
-    return solve_in_basis([e.spine.scale(scale).coeffs for e in elements], bmat).as_matrix(tag)
+    return solve_in_basis([e.spine.scale(scale).coeffs for e in elements], bmat).as_matrix()
 
 
 def shift_polygon(poly: NewtonPolygon, shift: int) -> NewtonPolygon:
@@ -334,7 +328,8 @@ def slope_spectrum(
     For k >= 2 (unless ``classical`` is False) the normalized polygon is
     compared with the classical spectrum by ``classical.compare``, the
     one comparison, below min(k - 1, m - 2); m < 3 then raises
-    ``ConfigError`` before any work, as does a negative ``certify_below``.
+    ``ConfigError`` before any work, as do a negative ``certify_below``,
+    a prime refused by ``forms.check_theory_prime`` and an odd weight.
 
     With ``certify_below`` = b the working modulus is raised until the
     q-expansion polygon certifies every slope below b: from
@@ -349,7 +344,8 @@ def slope_spectrum(
     cross-check is assembled independently from the element readouts
     reduced to the final modulus.
     """
-    _check_even(k)
+    check_theory_prime(p)
+    check_level1_weight(k)
     bound = None if certify_below is None else check_slope_bound(certify_below)
     compared = classical and k >= 2
     if compared:

@@ -1,4 +1,4 @@
-"""Local eigencurve data over a weight disc.
+"""Local eigencurve data over a weight disc (``weights.WeightDisc``).
 
 The two-variable characteristic series is assembled by computing the
 U_p characteristic series at integer sample weights with a shared
@@ -18,35 +18,8 @@ from typing import Dict, List, Tuple
 from .charseries import CharSeries, NewtonPolygon, char_series, check_slope_bound, newton_polygon
 from .coleman import katz_basis, up_matrix
 from .errors import ConfigError, PrecisionError, VerificationError
-from .forms import SUPPORTED_PRIMES, basis_dimension
-from .weights import IwasawaTruncation, interpolate_iwasawa
-
-
-@dataclass(frozen=True)
-class WeightDisc:
-    """A residue disc of weight space with integer sample weights."""
-
-    p: int
-    component: int
-    sample_weights: tuple
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.p not in SUPPORTED_PRIMES:
-            raise ConfigError(f"p must be one of {SUPPORTED_PRIMES}")
-        weights = tuple(sorted(set(self.sample_weights)))
-        object.__setattr__(self, "sample_weights", weights)
-        if not weights:
-            raise ConfigError("a weight disc needs at least one sample weight")
-        comp = self.component % (self.p - 1)
-        object.__setattr__(self, "component", comp)
-        for k in weights:
-            if k % (self.p - 1) != comp:
-                raise ConfigError(
-                    f"weight {k} is not on component {comp} mod {self.p - 1}"
-                )
-        if min(weights) < 1:
-            raise ConfigError("disc samples must be >= 1 (uniform U_p normalization)")
+from .forms import basis_dimension
+from .weights import IwasawaTruncation, WeightDisc, interpolate_iwasawa
 
 
 @dataclass(frozen=True)

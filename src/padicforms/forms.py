@@ -3,7 +3,11 @@
 Eisenstein series, the discriminant form, echelon (Victor Miller)
 bases, the level-1 dimension formula and the Hasse invariant lift.
 The p-adic theory in this package is restricted to p in {5, 7, 11, 13}
-so that E_{p-1} exists at level 1 and serves as the Hasse lift.
+so that E_{p-1} exists at level 1 and serves as the Hasse lift.  Two
+checks decide the inputs of every p-adic entry point, and each raises
+``ConfigError``: ``check_theory_prime`` for that rule, and
+``check_level1_weight`` for the weights with level-1 forms, the even
+ones.
 """
 
 from __future__ import annotations
@@ -15,10 +19,23 @@ from math import comb
 from operator import index, mul
 from typing import List
 
-from .errors import PrecisionError
+from .errors import ConfigError, PrecisionError
 from .qexp import ModRing, QSeries, Ring, ZZ
 
 SUPPORTED_PRIMES = (5, 7, 11, 13)
+
+
+def check_theory_prime(p: int) -> None:
+    """Refuse a prime outside ``SUPPORTED_PRIMES``."""
+    if p not in SUPPORTED_PRIMES:
+        raise ConfigError(f"p-adic theory is configured for p in {SUPPORTED_PRIMES}, got {p}")
+
+
+def check_level1_weight(k: int) -> None:
+    """Refuse an odd weight: -I in SL_2(Z) acts on weight-k forms by
+    (-1)^k, so an odd weight has none."""
+    if k % 2 != 0:
+        raise ConfigError(f"odd weight {k} has no level-1 forms")
 
 
 @lru_cache(maxsize=None)
@@ -114,7 +131,6 @@ class SpaceBasis:
 
     weight: int
     forms: tuple
-    level_tag: str = "Level1"
 
     def __post_init__(self) -> None:
         d = len(self.forms)
@@ -239,8 +255,7 @@ def miller_basis(k: int, qprec: int, ring: Ring = ZZ) -> SpaceBasis:
     Form j has coefficient 1 at q^j and 0 at every other q^i with i < dim.
     Integral over Z; reduction mod p stays echelon since the pivots are 1.
     """
-    if k % 2 != 0:
-        raise ValueError(f"odd weight {k} has no level-1 forms")
+    check_level1_weight(k)
     d = basis_dimension(k)
     if d == 0:
         return SpaceBasis(k, ())
@@ -255,8 +270,7 @@ def hasse_invariant(p: int, qprec: int) -> QSeries:
     The reduction being 1 is the statement that E_{p-1} lifts the Hasse
     invariant; it is asserted here, not assumed.
     """
-    if p not in SUPPORTED_PRIMES:
-        raise ValueError(f"p must be one of {SUPPORTED_PRIMES}, got {p}")
+    check_theory_prime(p)
     series = eisenstein(p - 1, qprec, ModRing(p, 1))
     if series != QSeries.constant(1, qprec, ModRing(p, 1)):
         raise ArithmeticError(f"E_{p-1} mod {p} is not 1; corrupted Eisenstein data")

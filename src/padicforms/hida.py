@@ -1,13 +1,13 @@
 """Ordinary (Hida-theoretic) structure of the classical spaces.
 
 Mod-p spaces and their Hasse tower, ordinary ranks, the weight-raising
-control check, and interpolation of ordinary eigen-data across a weight
-progression into an Iwasawa-polynomial family.  Every decomposition, of
-a space into its ordinary part and of that into eigensystems, is a
-``linalg.ordinary_projector`` with a basis from ``independent_columns``,
-and ``restrict_to_image`` gives the Hecke operators on that basis; rank
-tests, image bases and restrictions all run on the one unit-pivot
-elimination of ``linalg``.
+control check, and interpolation of ordinary eigen-data across the
+sample weights of a ``weights.WeightDisc`` into an Iwasawa-polynomial
+family.  Every decomposition, of a space into its ordinary part and of
+that into eigensystems, is a ``linalg.ordinary_projector`` with a basis
+from ``independent_columns``, and ``restrict_to_image`` gives the Hecke
+operators on that basis; rank tests, image bases and restrictions all
+run on the one unit-pivot elimination of ``linalg``.
 Every span test, of an operator image, a Hasse tower inclusion or an
 ordinary image in a control target, is ``forms.SpaceBasis.contains``:
 a Miller basis is in echelon form, so nothing is re-echelonized.
@@ -20,7 +20,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charseries import char_series
 from .errors import ConfigError, VerificationError
-from .forms import SUPPORTED_PRIMES, SpaceBasis, basis_dimension, miller_basis
+from .forms import (
+    SpaceBasis,
+    basis_dimension,
+    check_level1_weight,
+    check_theory_prime,
+    miller_basis,
+)
 from .hecke import hecke_tp
 from .linalg import (
     ProjectorResult,
@@ -31,12 +37,7 @@ from .linalg import (
 )
 from .padic import PadicMatrix, _check_pm, is_prime
 from .qexp import ModRing
-from .weights import IwasawaTruncation, congruence_table, interpolate_iwasawa
-
-
-def _check_theory_prime(p: int) -> None:
-    if p not in SUPPORTED_PRIMES:
-        raise ConfigError(f"p-adic theory is configured for p in {SUPPORTED_PRIMES}")
+from .weights import IwasawaTruncation, WeightDisc, congruence_table, interpolate_iwasawa
 
 
 def default_qprec(k: int, operator_primes: Sequence[int]) -> int:
@@ -75,7 +76,7 @@ def mod_p_space(k: int, p: int, qprec: Optional[int] = None) -> SpaceBasis:
     ``SpaceBasis.contains`` compares on the q-precision both sides
     carry, so spaces compared with it are built at one shared ``qprec``.
     """
-    _check_theory_prime(p)
+    check_theory_prime(p)
     if qprec is None:
         qprec = default_qprec(k, [p])
     return miller_basis(k, qprec, ModRing(p, 1))
@@ -84,8 +85,7 @@ def mod_p_space(k: int, p: int, qprec: Optional[int] = None) -> SpaceBasis:
 def _ordinary_projector_mod_p(basis: SpaceBasis, p: int) -> ProjectorResult:
     """e(T_p) on a mod-p space, in its Miller basis."""
     rows = operator_matrix(basis, lambda f: hecke_tp(f, basis.weight, p))
-    matrix = PadicMatrix.from_rows(rows, p, 1, basis_tag=f"miller:{basis.weight}")
-    return ordinary_projector(matrix)
+    return ordinary_projector(PadicMatrix.from_rows(rows, p, 1))
 
 
 def ordinary_rank_mod_p(k: int, p: int) -> int:
@@ -147,7 +147,8 @@ def control_check_h0(k: int, p: int, n: int) -> ControlReport:
     their number is ``rank_high``.  Each is expanded as a q-series and
     tested against the target with ``SpaceBasis.contains``.
     """
-    _check_theory_prime(p)
+    check_theory_prime(p)
+    check_level1_weight(k)
     if k < 2:
         raise ConfigError(f"control check needs k >= 2, got {k}")
     if n < 0:
@@ -200,19 +201,16 @@ class EigenSystem:
 
 @dataclass(frozen=True)
 class OrdinaryFamily:
-    """Ordinary eigen-data across a weight progression with fitted
+    """Ordinary eigen-data at the sample weights of a disc, with fitted
     Iwasawa polynomials; rank is constant across the sample weights."""
 
-    p: int
-    component: int
-    sample_weights: tuple
+    disc: WeightDisc
     rank: int
     eigen_data: dict  # weight -> {prime -> tuple of eigenvalues per system}
     keys: tuple  # canonical order of the matched eigensystem keys
     fitted: dict  # prime -> {key -> IwasawaTruncation}
     congruence_checks: tuple
     unsplit_blocks: tuple = ()
-    m: int = 1
 
 
 def _split_ordinary_systems(
@@ -295,24 +293,19 @@ def fit_family(
 ) -> OrdinaryFamily:
     """Interpolate ordinary eigen-data across congruent sample weights.
 
-    At each weight the T_p matrix on the Miller basis is lifted to
-    Z/p^m, projected to its ordinary part, and split into eigensystems
-    matched across weights by their mod-p eigenvalue tuples.  Each a_ell
-    is then fitted as a polynomial in w by divided differences, and the
-    interpolation congruences are recorded.  A rank change across
-    weights contradicts the control theorem and is a hard failure.
+    The inputs are validated as a ``weights.WeightDisc``, plus the
+    control-theorem bound k >= 3 on every sample weight.  At each weight
+    the T_p matrix on the Miller basis is lifted to Z/p^m, projected to
+    its ordinary part, and split into eigensystems matched across weights
+    by their mod-p eigenvalue tuples.  Each a_ell is then fitted as a
+    polynomial in w by divided differences, and the interpolation
+    congruences are recorded.  A rank change across weights contradicts
+    the control theorem and is a hard failure.
     """
-    _check_theory_prime(p)
-    weights = sorted(set(sample_weights))
-    if len(weights) < 1:
-        raise ConfigError("need at least one sample weight")
-    for k in weights:
-        if k % (p - 1) != component % (p - 1):
-            raise ConfigError(f"weight {k} not on component {component} mod {p - 1}")
-        if k < 3:
-            raise ConfigError("sample weights must be >= 3 for the control theorem")
-        if k % 2 != 0:
-            raise ConfigError(f"odd weight {k} has no level-1 forms")
+    disc = WeightDisc(p, component, sample_weights, m)
+    weights = disc.sample_weights
+    if weights[0] < 3:
+        raise ConfigError("sample weights must be >= 3 for the control theorem")
     primes = list(dict.fromkeys(hecke_primes))
     for ell in primes:
         if not is_prime(ell):
@@ -328,7 +321,7 @@ def fit_family(
         mats = {}
         for ell in op_primes:
             rows = operator_matrix(basis, lambda f, ell=ell: hecke_tp(f, k, ell))
-            mats[ell] = PadicMatrix.from_rows(rows, p, m, basis_tag=f"miller:{k}")
+            mats[ell] = PadicMatrix.from_rows(rows, p, m)
         systems, blocks, rank = _split_ordinary_systems(k, mats, p, m, primes)
         per_weight_systems[k] = sorted(systems, key=lambda s: s.key)
         unsplit.extend(blocks)
@@ -372,14 +365,11 @@ def fit_family(
                     )
 
     return OrdinaryFamily(
-        p=p,
-        component=component % (p - 1),
-        sample_weights=tuple(weights),
+        disc=disc,
         rank=rank,
         eigen_data=eigen_data,
         keys=keys,
         fitted=fitted,
         congruence_checks=tuple(congruences),
         unsplit_blocks=tuple(unsplit),
-        m=m,
     )

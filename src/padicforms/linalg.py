@@ -17,8 +17,8 @@ decomposition of T rather than from the factorial powers: A = T^N with
 N >= n*m kills the part where T is nilpotent mod p (there T^n lands in
 p times that part, so T^(nm) is 0 mod p^m), and e is the projection
 onto im(A) along ker(A).  When T is invertible mod p, that part is 0
-and e is the identity: one rank test over F_p detects it, and no power
-is taken.
+and e is ``PadicMatrix.identity``: one rank test over F_p detects it,
+and no power is taken.
 Otherwise ``independent_columns`` picks a basis C of im(A) and the rows
 P where it is unimodular, and e = C (A_P C)^-1 A_P costs one r x r
 solve; ``hida`` restricts Hecke operators to ordinary images with
@@ -52,12 +52,12 @@ class SolveResult:
     m: int
     precision_loss: int = 0
 
-    def as_matrix(self, basis_tag=None) -> PadicMatrix:
+    def as_matrix(self) -> PadicMatrix:
         n = len(self.columns)
         if any(len(column) != n for column in self.columns):
             raise ValueError("coordinate block is not square")
         rows = [[self.columns[j][i] for j in range(n)] for i in range(n)]
-        return PadicMatrix.from_rows(rows, self.p, self.m, basis_tag)
+        return PadicMatrix.from_rows(rows, self.p, self.m)
 
 
 def _columns_to_lists(vectors, basis: PadicMatrix) -> List[List[int]]:
@@ -229,8 +229,8 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
     The rank of T mod p, one elimination over F_p, is read first.  If it is n,
     T lies in the finite group GL_n(Z/p^m), so T^(k!) = 1 as soon as k! is
     a multiple of its order, and e = lim T^(k!) = 1 (equally: K = 0).  The
-    identity, with T's basis tag, is returned at once, rank n; it
-    satisfies the four checks below identically, so none is run.
+    identity is returned at once, rank n; it satisfies the four checks
+    below identically, so none is run.
 
     Otherwise K is not 0.  On K, T mod p has nilpotency index at most n,
     so T^n K lies in pK and T^(nm) kills K.  Hence A = T^N with
@@ -260,8 +260,7 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
     n, p, m = matrix.size, matrix.p, matrix.m
     if rank_mod_p(matrix.rows, p) == n:
         # T is invertible mod p: K = 0 and e = 1, so nothing is squared
-        identity = tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
-        return ProjectorResult(PadicMatrix._reduced(identity, p, m, matrix.basis_tag), n)
+        return ProjectorResult(PadicMatrix.identity(n, p, m), n)
     modulus = p**m
     power = matrix
     for _ in range((n * m - 1).bit_length()):
@@ -270,10 +269,7 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
     r = len(columns)
     head = [power.rows[i] for i in pivot_rows]  # A_P
     core = PadicMatrix._reduced(
-        tuple([tuple([sum(map(mul, row, c)) % modulus for c in columns]) for row in head]),
-        p,
-        m,
-        None,
+        tuple([tuple([sum(map(mul, row, c)) % modulus for c in columns]) for row in head]), p, m
     )
     y = solve_in_basis([[row[j] for row in head] for j in range(n)], core).columns
     # y[j] = (A_P C)^-1 A_P[:, j], so e[i][j] is row i of C times y[j]
@@ -282,7 +278,6 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
         tuple([tuple([sum(map(mul, c_row, yj)) % modulus for yj in y]) for c_row in c_rows]),
         p,
         m,
-        matrix.basis_tag,
     )
     if idem @ power != power:
         raise VerificationError("T^N has a column outside the span of its image basis")

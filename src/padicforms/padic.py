@@ -6,12 +6,15 @@ their valuations are saturated at the precision exponent: a zero
 residue has valuation m, meaning "at least m", not "equals m".
 
 A ``PadicMatrix`` validates its inputs once, at the public constructors
-(``PadicMatrix(...)``, ``from_rows``, ``identity``, ``zero``): p must be
-a prime >= 3, m >= 1, the rows square, and every entry an integer
-(``operator.index``; a float or Fraction raises ``TypeError`` instead of
-being truncated), which is then reduced mod p^m.  Results the class
-computes itself (products, sums, powers, transposes, reductions) are
-built already reduced over the checked (p, m) and skip that validation.
+(``PadicMatrix(...)``, ``from_rows``): p must be a prime >= 3, m >= 1,
+the rows square, and every entry an integer (``operator.index``; a float
+or Fraction raises ``TypeError`` instead of being truncated), which is
+then reduced mod p^m.  ``identity`` and ``zero`` check p and m alone:
+their entries are 0 and 1.  Results the class computes itself
+(products, sums, powers, transposes, reductions) are built already
+reduced over the checked (p, m) and skip that validation.  A matrix
+carries no label of the basis it is written in; the CLI names the basis
+where it prints one.
 
 The matrix product packs each row of its right factor into one integer,
 one slot per entry, wide enough that no slot carries into the next (in
@@ -26,7 +29,7 @@ freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import index, lshift, matmul, mul
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -90,17 +93,11 @@ def val_p(x: int, p: int, saturate: Optional[int] = None) -> int:
 
 @dataclass(frozen=True)
 class PadicMatrix:
-    """A square matrix over Z/p^m with an optional basis tag.
-
-    The tag records the basis the matrix is written in; it is carried
-    through arithmetic when unambiguous and dropped otherwise, and it
-    never participates in numerical decisions.
-    """
+    """A square matrix over Z/p^m, its rows tuples of residues in [0, p^m)."""
 
     rows: tuple
     p: int
     m: int
-    basis_tag: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         _check_pm(self.p, self.m)
@@ -113,30 +110,27 @@ class PadicMatrix:
         object.__setattr__(self, "rows", reduced)
 
     @classmethod
-    def _reduced(cls, rows: tuple, p: int, m: int, basis_tag: Optional[str]) -> "PadicMatrix":
+    def _reduced(cls, rows: tuple, p: int, m: int) -> "PadicMatrix":
         """A matrix from square tuple-of-tuple rows of ints already in
         [0, p^m), over a (p, m) already checked: no validation."""
         self = object.__new__(cls)
-        vars(self).update(rows=rows, p=p, m=m, basis_tag=basis_tag)
+        vars(self).update(rows=rows, p=p, m=m)
         return self
 
     @classmethod
-    def from_rows(
-        cls,
-        rows: Iterable[Sequence[int]],
-        p: int,
-        m: int,
-        basis_tag: Optional[str] = None,
-    ) -> "PadicMatrix":
-        return cls(tuple(tuple(r) for r in rows), p, m, basis_tag)
+    def from_rows(cls, rows: Iterable[Sequence[int]], p: int, m: int) -> "PadicMatrix":
+        return cls(tuple(tuple(r) for r in rows), p, m)
 
     @classmethod
     def identity(cls, n: int, p: int, m: int) -> "PadicMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), p, m)
+        _check_pm(p, m)
+        rows = tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
+        return cls._reduced(rows, p, m)
 
     @classmethod
     def zero(cls, n: int, p: int, m: int) -> "PadicMatrix":
-        return cls(tuple(tuple(0 for _ in range(n)) for _ in range(n)), p, m)
+        _check_pm(p, m)
+        return cls._reduced(tuple([(0,) * n for _ in range(n)]), p, m)
 
     @property
     def size(self) -> int:
@@ -152,9 +146,6 @@ class PadicMatrix:
         if other.size != self.size:
             raise ValueError("matrix size mismatch")
 
-    def _merged_tag(self, other: "PadicMatrix") -> Optional[str]:
-        return self.basis_tag if self.basis_tag == other.basis_tag else None
-
     def __add__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._check_compatible(other)
         modulus = self.modulus
@@ -162,7 +153,7 @@ class PadicMatrix:
             tuple((a + b) % modulus for a, b in zip(ra, rb))
             for ra, rb in zip(self.rows, other.rows)
         )
-        return PadicMatrix._reduced(rows, self.p, self.m, self._merged_tag(other))
+        return PadicMatrix._reduced(rows, self.p, self.m)
 
     def __sub__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._check_compatible(other)
@@ -171,18 +162,18 @@ class PadicMatrix:
             tuple((a - b) % modulus for a, b in zip(ra, rb))
             for ra, rb in zip(self.rows, other.rows)
         )
-        return PadicMatrix._reduced(rows, self.p, self.m, self._merged_tag(other))
+        return PadicMatrix._reduced(rows, self.p, self.m)
 
     def __neg__(self) -> "PadicMatrix":
         modulus = self.modulus
         rows = tuple(tuple(-a % modulus for a in row) for row in self.rows)
-        return PadicMatrix._reduced(rows, self.p, self.m, self.basis_tag)
+        return PadicMatrix._reduced(rows, self.p, self.m)
 
     def scale(self, c: int) -> "PadicMatrix":
         modulus = self.modulus
         c = index(c) % modulus
         rows = tuple(tuple(c * a % modulus for a in row) for row in self.rows)
-        return PadicMatrix._reduced(rows, self.p, self.m, self.basis_tag)
+        return PadicMatrix._reduced(rows, self.p, self.m)
 
     def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._check_compatible(other)
@@ -204,17 +195,14 @@ class PadicMatrix:
                 for acc in [sum(map(mul, row, packed)) for row in self.rows]
             ]
         )
-        return PadicMatrix._reduced(rows, self.p, self.m, self._merged_tag(other))
+        return PadicMatrix._reduced(rows, self.p, self.m)
 
     def __pow__(self, n: int) -> "PadicMatrix":
-        """The n-th power, by ``power_from_base`` for n >= 1; it keeps this
-        matrix's tag, as does the identity for n = 0."""
+        """The n-th power, by ``power_from_base`` for n >= 1."""
         if n < 0:
             raise ValueError("negative matrix powers are not supported")
         if n == 0:
-            size = self.size
-            rows = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
-            return PadicMatrix._reduced(rows, self.p, self.m, self.basis_tag)
+            return PadicMatrix.identity(self.size, self.p, self.m)
         return power_from_base(self, n, matmul)
 
     def apply(self, vector: Sequence[int]) -> tuple:
@@ -226,7 +214,7 @@ class PadicMatrix:
         return tuple(sum(map(mul, row, vector)) % modulus for row in self.rows)
 
     def transpose(self) -> "PadicMatrix":
-        return PadicMatrix._reduced(tuple(zip(*self.rows)), self.p, self.m, self.basis_tag)
+        return PadicMatrix._reduced(tuple(zip(*self.rows)), self.p, self.m)
 
     def trace(self) -> int:
         """Sum of the diagonal, reduced mod p^m."""
@@ -238,7 +226,7 @@ class PadicMatrix:
         _check_pm(self.p, m_new)
         modulus = self.p**m_new
         rows = tuple(tuple(a % modulus for a in row) for row in self.rows)
-        return PadicMatrix._reduced(rows, self.p, m_new, self.basis_tag)
+        return PadicMatrix._reduced(rows, self.p, m_new)
 
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.rows for a in row)

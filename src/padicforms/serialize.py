@@ -49,10 +49,7 @@ def qseries_json(f: QSeries) -> Dict[str, Any]:
 
 
 def matrix_json(mat: PadicMatrix) -> Dict[str, Any]:
-    out = {"p": mat.p, "m": mat.m, "size": mat.size, "rows": mat.rows}
-    if mat.basis_tag is not None:
-        out["basis_tag"] = mat.basis_tag
-    return out
+    return {"p": mat.p, "m": mat.m, "size": mat.size, "rows": mat.rows}
 
 
 def charseries_json(series: CharSeries) -> Dict[str, Any]:
@@ -160,12 +157,13 @@ def iwasawa_json(fit: IwasawaTruncation) -> Dict[str, Any]:
 
 
 def family_json(family: OrdinaryFamily) -> Dict[str, Any]:
+    disc = family.disc
     return {
-        "p": family.p,
-        "component": family.component,
-        "m": family.m,
+        "p": disc.p,
+        "component": disc.component,
+        "m": disc.m,
         "rank": family.rank,
-        "weights": family.sample_weights,
+        "weights": disc.sample_weights,
         "keys": family.keys,
         "eigenvalues": family.eigen_data,
         "fitted": {

@@ -1,11 +1,14 @@
-"""Weight space coordinates and Iwasawa-polynomial truncations.
+"""Weight space coordinates, weight discs and Iwasawa-polynomial
+truncations.
 
 A point of weight space on the component i mod (p-1) has coordinate
-w = (1+p)^k - 1 for the classical weight k.  Interpolation across a
-weight disc is done by Newton divided differences over Z/p^m; every
-division by (w_j - w_i) = p^v * unit checks the required divisibility
-(the Lambda-interpolation congruence) and lowers the effective
-precision by v.
+w = (1+p)^k - 1 for the classical weight k.  A ``WeightDisc`` is the one
+description of a disc of sample weights: the local eigencurve
+(``eigencurve``) and Hida families (``hida``) both take theirs from it.
+Interpolation across a weight disc is done by Newton divided
+differences over Z/p^m; every division by (w_j - w_i) = p^v * unit
+checks the required divisibility (the Lambda-interpolation congruence)
+and lowers the effective precision by v.
 
 Coordinates, sample weights, sample values and polynomial coefficients
 must be integers (``operator.index``: a float or Fraction raises
@@ -18,7 +21,8 @@ from dataclasses import dataclass
 from operator import index
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import PrecisionError, VerificationError
+from .errors import ConfigError, PrecisionError, VerificationError
+from .forms import check_level1_weight, check_theory_prime
 from .padic import _check_pm, val_p
 
 
@@ -60,6 +64,40 @@ class WeightPoint:
 
     def is_classical(self) -> bool:
         return self.k is not None
+
+
+@dataclass(frozen=True)
+class WeightDisc:
+    """A residue disc of weight space with integer sample weights, read
+    over Z/p^m.
+
+    The prime passes ``forms.check_theory_prime``, m >= 1, and the sample
+    weights, stored sorted and distinct, are at least one, at least 1
+    (the uniform U_p normalization), on the component mod p-1 and even
+    (``forms.check_level1_weight``); anything else raises ``ConfigError``.
+    """
+
+    p: int
+    component: int
+    sample_weights: tuple
+    m: int
+
+    def __post_init__(self) -> None:
+        check_theory_prime(self.p)
+        if self.m < 1:
+            raise ConfigError(f"precision exponent must be >= 1, got {self.m}")
+        weights = tuple(sorted(set(self.sample_weights)))
+        if not weights:
+            raise ConfigError("a weight disc needs at least one sample weight")
+        comp = self.component % (self.p - 1)
+        for k in weights:
+            if k % (self.p - 1) != comp:
+                raise ConfigError(f"weight {k} is not on component {comp} mod {self.p - 1}")
+            check_level1_weight(k)
+        if weights[0] < 1:
+            raise ConfigError("disc samples must be >= 1 (uniform U_p normalization)")
+        object.__setattr__(self, "sample_weights", weights)
+        object.__setattr__(self, "component", comp)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,10 @@ def test_disc_validation():
         WeightDisc(5, 0, (), 8)
     with pytest.raises(ConfigError):
         WeightDisc(4, 0, (4, 8), 8)
+    # m < 1 is refused up front, not by the first Z/p^m built after Katz work
+    for m in (0, -1):
+        with pytest.raises(ConfigError, match="precision exponent must be >= 1"):
+            WeightDisc(5, 0, (4,), m)
 
 
 def test_two_var_series_respecializes_exactly():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicforms.errors import PrecisionError
+from padicforms.coleman import katz_basis, slope_spectrum
+from padicforms.errors import ConfigError, PrecisionError
 from padicforms.forms import (
     SUPPORTED_PRIMES,
     SpaceBasis,
@@ -17,6 +18,8 @@ from padicforms.forms import (
     miller_basis,
     sigma_series,
 )
+from padicforms.hida import control_check_h0, fit_family, mod_p_space
+from padicforms.weights import WeightDisc
 from padicforms.qexp import ZZ, ModRing, QSeries
 
 
@@ -204,3 +207,29 @@ def test_hasse_divisibility_oracle():
         else:
             c = {5: 240, 7: -504}[p]
         assert all((c * s) % p == 0 for s in sig[1:])
+
+
+def test_prime_and_weight_rules_are_shared():
+    """Every p-adic entry point refuses p = 3 and an odd weight with the
+    one message of ``check_theory_prime`` or ``check_level1_weight``."""
+    for refuse in (
+        lambda: katz_basis(4, 3, 2),
+        lambda: slope_spectrum(4, 3, 2, 8),
+        lambda: mod_p_space(4, 3),
+        lambda: control_check_h0(4, 3, 1),
+        lambda: hasse_invariant(3, 10),
+        lambda: WeightDisc(3, 0, (4,), 8),
+        lambda: fit_family(3, 0, [4, 6], [2], m=4),
+    ):
+        with pytest.raises(ConfigError, match=r"configured for p in \(5, 7, 11, 13\), got 3"):
+            refuse()
+    for refuse in (
+        lambda: katz_basis(5, 5, 2),
+        lambda: slope_spectrum(5, 5, 2, 8),
+        lambda: control_check_h0(5, 5, 1),
+        lambda: miller_basis(5, 10),
+        lambda: WeightDisc(5, 1, (5,), 8),
+        lambda: fit_family(5, 1, [5, 9], [2], m=4),
+    ):
+        with pytest.raises(ConfigError, match="odd weight 5 has no level-1 forms"):
+            refuse()

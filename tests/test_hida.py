@@ -148,7 +148,7 @@ def test_fit_family_eisenstein():
     fam = fit_family(5, 0, [4, 8, 12, 16], [2, 5], m=8)
     assert fam.rank == 1
     assert len(fam.keys) == 1
-    for k in fam.sample_weights:
+    for k in fam.disc.sample_weights:
         assert fam.eigen_data[k][5] == (1,)  # U_5 unit root is exactly 1
         assert fam.eigen_data[k][2] == ((1 + 2 ** (k - 1)) % 5**8,)
     fit2 = fam.fitted[2][fam.keys[0]]
@@ -184,6 +184,17 @@ def test_fit_family_validation():
         fit_family(6, 0, [4, 8], [2], m=4)
     with pytest.raises(ConfigError, match="odd weight 5"):
         fit_family(5, 1, [5, 9], [2], m=4)
+    with pytest.raises(ConfigError, match=">= 3 for the control theorem"):
+        fit_family(5, 2, [2, 6], [2], m=4)
+
+
+def test_fit_family_refuses_m_below_1_before_any_basis(monkeypatch):
+    def no_basis(*args):
+        raise AssertionError("a Miller basis was built")
+
+    monkeypatch.setattr(hida, "miller_basis", no_basis)
+    with pytest.raises(ConfigError, match="precision exponent must be >= 1, got 0"):
+        fit_family(5, 0, [4, 8], [2], m=0)
 
 
 def _conjugated(rng, p, m, blocks):

@@ -303,9 +303,9 @@ def _counting_matmul(monkeypatch):
 
 
 def test_projector_invertible_mod_p_is_identity(monkeypatch):
-    # T invertible mod p returns the identity, with T's tag and rank n,
-    # without a single matrix product; one unit short of that (mod-p rank
-    # n - 1) it takes the powers and the checks
+    # T invertible mod p returns the identity, rank n, without a single
+    # matrix product; one unit short of that (mod-p rank n - 1) it takes
+    # the powers and the checks
     rng = random.Random(0)
     invertible, deficient = [random_matrix(rng, 16, 5, 10)], []
     for n in (0, 1, 16):
@@ -319,12 +319,11 @@ def test_projector_invertible_mod_p_is_identity(monkeypatch):
     for t in invertible:
         n, p, m = t.size, t.p, t.m
         assert rank_mod_p(t.rows, p) == n
-        tagged = PadicMatrix.from_rows(t.rows, p, m, "katz")
         calls.clear()
-        res = ordinary_projector(tagged)
+        res = ordinary_projector(t)
         assert calls == []
         assert res.idempotent == PadicMatrix.identity(n, p, m)
-        assert res.idempotent.basis_tag == "katz"
+        assert res.idempotent.rows == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         assert res.rank == n
     for t, (idem, rank) in deficient:
         assert rank_mod_p(t.rows, t.p) == t.size - 1
@@ -370,7 +369,7 @@ def naive_matmul(x, y):
         [sum(x.rows[i][k] * y.rows[k][j] for k in range(n)) % modulus for j in range(n)]
         for i in range(n)
     ]
-    return PadicMatrix.from_rows(rows, x.p, x.m, x.basis_tag)
+    return PadicMatrix.from_rows(rows, x.p, x.m)
 
 
 def reference_projector(t):
@@ -402,7 +401,6 @@ def reference_projector(t):
         [[sum(columns[b][i] * y[j][b] for b in range(r)) for j in range(n)] for i in range(n)],
         p,
         m,
-        t.basis_tag,
     )
     return idem, r
 

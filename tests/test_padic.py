@@ -52,14 +52,15 @@ def test_matrix_apply_and_scale():
     assert PadicMatrix.zero(2, 5, 2).min_valuation() == 2
 
 
-def test_basis_tag_propagation():
-    a = PadicMatrix.from_rows([[1, 0], [0, 1]], 5, 3, basis_tag="katz")
-    b = PadicMatrix.from_rows([[2, 0], [0, 2]], 5, 3, basis_tag="katz")
-    assert (a @ b).basis_tag == "katz"
-    c = PadicMatrix.from_rows([[2, 0], [0, 2]], 5, 3, basis_tag="miller")
-    assert (a @ c).basis_tag is None
-    # tags are metadata: equality ignores them
-    assert a == PadicMatrix.identity(2, 5, 3)
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_identity_and_zero_check_only_p_and_m(n):
+    """They build their known entries unvalidated, over a checked (p, m)."""
+    for build, value in ((PadicMatrix.identity, 1), (PadicMatrix.zero, 0)):
+        want = [[value if i == j else 0 for j in range(n)] for i in range(n)]
+        _assert_canonical(build(n, 7, 2), PadicMatrix.from_rows(want, 7, 2))
+        for p, m in ((4, 2), (2, 2), (7, 0)):
+            with pytest.raises(ValueError):
+                build(n, p, m)
 
 
 def test_non_integer_entries_are_rejected():
@@ -78,7 +79,7 @@ def test_non_integer_entries_are_rejected():
 def test_power_product_count(monkeypatch, n, products):
     """Powers start from the base and stop at the top bit:
     bit_length(n) + popcount(n) - 2 products for n >= 1."""
-    a = PadicMatrix.from_rows([[1, 2], [3, 4]], 5, 3, basis_tag="katz")
+    a = PadicMatrix.from_rows([[1, 2], [3, 4]], 5, 3)
     f = QSeries.from_coeffs([1, 3, 0, 2, 1, 4], ModRing(5, 3))
     naive_a, naive_f = PadicMatrix.identity(2, 5, 3), QSeries.constant(1, 6, ModRing(5, 3))
     for _ in range(n):
@@ -91,7 +92,7 @@ def test_power_product_count(monkeypatch, n, products):
     monkeypatch.setattr(QSeries, "__mul__", lambda x, y: calls.append("*") or real_mul(x, y))
     power_a, power_f = a**n, f**n
     assert calls.count("@") == products and calls.count("*") == products
-    assert power_a == naive_a and power_a.basis_tag == "katz"
+    assert power_a == naive_a
     assert power_f == naive_f
 
 
@@ -99,20 +100,16 @@ def _plain_product(x, y):
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
 
 
-def _assert_canonical(result, expected, tag):
-    """``result`` equals the validated ``expected``, has the tag ``tag``,
-    and is tuple-of-tuple rows of plain ints in [0, p^m)."""
+def _assert_canonical(result, expected):
+    """``result`` equals the validated ``expected`` and is tuple-of-tuple
+    rows of plain ints in [0, p^m)."""
     assert result == expected and hash(result) == hash(expected)
     assert (result.p, result.m) == (expected.p, expected.m)
-    assert result.basis_tag == tag
     assert type(result.rows) is tuple
     modulus = result.p**result.m
     for row in result.rows:
         assert type(row) is tuple and len(row) == result.size
         assert all(type(x) is int and 0 <= x < modulus for x in row)
-
-
-TAGS = st.sampled_from((None, "katz", "miller"))
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -121,34 +118,32 @@ TAGS = st.sampled_from((None, "katz", "miller"))
     m=st.integers(1, 10),
     n=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
-    tags=st.tuples(TAGS, TAGS),
     k=st.integers(0, 9),
 )
-def test_internal_results_are_canonical(p, m, n, seed, tags, k):
+def test_internal_results_are_canonical(p, m, n, seed, k):
     rng = random.Random(seed)
     modulus = p**m
     x = [[rng.randrange(modulus) for _ in range(n)] for _ in range(n)]
     y = [[rng.randrange(modulus) for _ in range(n)] for _ in range(n)]
-    a = PadicMatrix.from_rows(x, p, m, tags[0])
-    b = PadicMatrix.from_rows(y, p, m, tags[1])
-    merged = tags[0] if tags[0] == tags[1] else None
+    a = PadicMatrix.from_rows(x, p, m)
+    b = PadicMatrix.from_rows(y, p, m)
     c = -rng.randrange(modulus + 1, 3 * modulus)
     m_low = rng.randint(1, m)
 
-    def ref(rows, m_ref=m, tag=None):
-        return PadicMatrix.from_rows(rows, p, m_ref, tag)
+    def ref(rows, m_ref=m):
+        return PadicMatrix.from_rows(rows, p, m_ref)
 
-    _assert_canonical(a @ b, ref(_plain_product(x, y)), merged)
-    _assert_canonical(a + b, ref([[u + v for u, v in zip(r, s)] for r, s in zip(x, y)]), merged)
-    _assert_canonical(a - b, ref([[u - v for u, v in zip(r, s)] for r, s in zip(x, y)]), merged)
-    _assert_canonical(-a, ref([[-u for u in r] for r in x]), tags[0])
-    _assert_canonical(a.scale(c), ref([[c * u for u in r] for r in x]), tags[0])
-    _assert_canonical(a.transpose(), ref([list(col) for col in zip(*x)]), tags[0])
-    _assert_canonical(a.reduce(m_low), ref(x, m_low), tags[0])
+    _assert_canonical(a @ b, ref(_plain_product(x, y)))
+    _assert_canonical(a + b, ref([[u + v for u, v in zip(r, s)] for r, s in zip(x, y)]))
+    _assert_canonical(a - b, ref([[u - v for u, v in zip(r, s)] for r, s in zip(x, y)]))
+    _assert_canonical(-a, ref([[-u for u in r] for r in x]))
+    _assert_canonical(a.scale(c), ref([[c * u for u in r] for r in x]))
+    _assert_canonical(a.transpose(), ref([list(col) for col in zip(*x)]))
+    _assert_canonical(a.reduce(m_low), ref(x, m_low))
     power = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(k):
         power = _plain_product(power, x)
-    _assert_canonical(a**k, ref(power), tags[0])
+    _assert_canonical(a**k, ref(power))
     for m_bad in (0, m + 1):
         with pytest.raises(ValueError):
             a.reduce(m_bad)
@@ -172,9 +167,8 @@ def _triple_loop(x, y, modulus):
     n=st.integers(0, 24),
     fills=st.tuples(*[st.sampled_from(("uniform", "top"))] * 2),
     seed=st.integers(0, 2**32 - 1),
-    tags=st.tuples(TAGS, TAGS),
 )
-def test_matmul_matches_triple_loop(p, m, n, fills, seed, tags):
+def test_matmul_matches_triple_loop(p, m, n, fills, seed):
     """The packed-row product against the entrywise definition; "top"
     fills every entry with p^m - 1, the largest residue, so every slot
     of a packed row holds its largest possible sum."""
@@ -187,12 +181,8 @@ def test_matmul_matches_triple_loop(p, m, n, fills, seed, tags):
         ]
         for fill in fills
     )
-    product = PadicMatrix.from_rows(x, p, m, tags[0]) @ PadicMatrix.from_rows(y, p, m, tags[1])
-    _assert_canonical(
-        product,
-        PadicMatrix.from_rows(_triple_loop(x, y, modulus), p, m),
-        tags[0] if tags[0] == tags[1] else None,
-    )
+    product = PadicMatrix.from_rows(x, p, m) @ PadicMatrix.from_rows(y, p, m)
+    _assert_canonical(product, PadicMatrix.from_rows(_triple_loop(x, y, modulus), p, m))
 
 
 def test_matmul_slot_width_worst_case():
