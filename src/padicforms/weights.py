@@ -74,7 +74,8 @@ class WeightDisc:
     The prime passes ``forms.check_theory_prime``, m >= 1, and the sample
     weights, stored sorted and distinct, are at least one, at least 1
     (the uniform U_p normalization), on the component mod p-1 and even
-    (``forms.check_level1_weight``); anything else raises ``ConfigError``.
+    (``forms.check_level1_weight``); anything else raises ``ConfigError``,
+    and a weight, component or m that is not an integer ``TypeError``.
     """
 
     p: int
@@ -84,12 +85,12 @@ class WeightDisc:
 
     def __post_init__(self) -> None:
         check_theory_prime(self.p)
-        if self.m < 1:
+        if index(self.m) < 1:
             raise ConfigError(f"precision exponent must be >= 1, got {self.m}")
-        weights = tuple(sorted(set(self.sample_weights)))
+        weights = tuple(sorted(set(map(index, self.sample_weights))))
         if not weights:
             raise ConfigError("a weight disc needs at least one sample weight")
-        comp = self.component % (self.p - 1)
+        comp = index(self.component) % (self.p - 1)
         for k in weights:
             if k % (self.p - 1) != comp:
                 raise ConfigError(f"weight {k} is not on component {comp} mod {self.p - 1}")

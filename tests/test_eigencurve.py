@@ -31,6 +31,10 @@ def test_disc_validation():
     for m in (0, -1):
         with pytest.raises(ConfigError, match="precision exponent must be >= 1"):
             WeightDisc(5, 0, (4,), m)
+    # a weight that is not an integer is refused, not carried into the Katz work
+    for args in ((5, 0, (4.0, 8), 8), (5, 0.0, (4,), 8), (5, 0, (4,), 8.0)):
+        with pytest.raises(TypeError):
+            WeightDisc(*args)
 
 
 def test_two_var_series_respecializes_exactly():
