@@ -6,8 +6,8 @@ sample weights of a ``weights.WeightDisc`` into an Iwasawa-polynomial
 family.  Every decomposition, of a space into its ordinary part and of
 that into eigensystems, is a ``linalg.ordinary_projector`` with a basis
 from ``independent_columns``, and ``restrict_to_image`` gives the Hecke
-operators on that basis; rank tests, image bases and restrictions all
-run on the one unit-pivot elimination of ``linalg``.
+operators on that basis; rank tests and image bases take ``linalg``'s
+pivots mod p, and restrictions its unit-pivot elimination over Z/p^m.
 Every span test, of an operator image, a Hasse tower inclusion or an
 ordinary image in a control target, is ``forms.SpaceBasis.contains``:
 a Miller basis is in echelon form, so nothing is re-echelonized.

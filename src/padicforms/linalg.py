@@ -1,24 +1,32 @@
 """Exact linear algebra over Z/p^m: solving in a basis, image bases,
 and the ordinary projector.
 
-One forward elimination, ``_eliminate``, serves every question asked
-here.  It takes in each column the first unused row whose entry is a
-unit mod p, swaps nothing, and clears whole augmented rows, so
-right-hand sides ride along.  ``rank_mod_p`` counts its pivots mod p;
-``independent_columns`` reads the pivot columns and rows of one pass
-mod p; ``solve_in_basis`` eliminates [B | v...] over Z/p^m and
+One forward elimination, ``_eliminate``, serves the solves.  It takes
+in each column the first unused row whose entry is a unit mod p, swaps
+nothing, and clears whole augmented rows, so right-hand sides ride
+along.  ``solve_in_basis`` eliminates [B | v...] over Z/p^m and
 back-substitutes; ``restrict_to_image`` eliminates [C | images] and
 reads the span check off the rows left without a pivot.  A unit pivot
 loses no digit, so every solve is exact over the Z/p^m its inputs live
 in, and a basis that is not unimodular is refused.
 
+``rank_mod_p`` and ``independent_columns`` ask only for the pivots of
+that elimination over F_p.  For p < 16 ``_byte_pivots`` finds them on
+rows held as ``bytes``, one residue per byte, where a row operation is
+one integer expression and one ``bytes.translate``; the pivot rule is
+the same, so are the pivots.  Larger p takes ``_eliminate`` itself.
+``rank_mod_p`` counts the pivots; ``independent_columns`` reads their
+columns and rows.
+
 The ordinary projector e(T) = lim T^(n!) is computed from the Fitting
 decomposition of T rather than from the factorial powers: A = T^N with
-N >= n*m kills the part where T is nilpotent mod p (there T^n lands in
-p times that part, so T^(nm) is 0 mod p^m), and e is the projection
-onto im(A) along ker(A).  When T is invertible mod p, that part is 0
-and e is ``PadicMatrix.identity``: one rank test over F_p detects it,
-and no power is taken.
+N >= k*m kills the part where T is nilpotent mod p, of index k <= n
+(there T^k lands in p times that part, so T^(km) is 0 mod p^m), and e
+is the projection onto im(A) along ker(A).  The mod-p ranks of the
+squares of T show k: they stop falling once the nilpotent part is 0
+mod p, and at k = 1 a single squaring shows it.  When T is invertible
+mod p, that part is 0 and e is ``PadicMatrix.identity``: one rank test
+over F_p detects it, and no power is taken.
 Otherwise ``independent_columns`` picks a basis C of im(A) and the rows
 P where it is unimodular, and e = C (A_P C)^-1 A_P costs one r x r
 solve; ``hida`` restricts Hecke operators to ordinary images with
@@ -31,6 +39,7 @@ mod p, and ``hida`` splits eigensystems so.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import index, mul
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -158,10 +167,60 @@ def invert_unimodular(matrix: PadicMatrix) -> PadicMatrix:
     return solve_in_basis(identity, matrix).as_matrix()
 
 
+@lru_cache(maxsize=None)
+def _byte_tables(p: int) -> Tuple[bytes, ...]:
+    """``bytes.translate`` tables for rows held one residue mod p < 16 per
+    byte: table e maps the byte 16a + b to (a - e b) mod p."""
+    return tuple(bytes([((x >> 4) - e * (x & 15)) % p for x in range(256)]) for e in range(p))
+
+
+def _byte_pivots(rows: List[bytes], p: int, width: int) -> List[Tuple[int, int]]:
+    """``_eliminate`` over F_p, p < 16, on rows held as ``bytes``, in place.
+
+    The pivot rule is the same, so are the pivots.  A row operation
+    row - e pivot is one integer expression and one translate: the row
+    read as a little-endian integer, shifted up 4 bits and added to the
+    pivot's, puts 16a + b in each byte, with no carry since a, b < 16.
+    The pivot row is not scaled; e is taken over its leading entry
+    instead.
+    """
+    sub = _byte_tables(p)
+    pivots = []
+    free = list(range(len(rows)))
+    for c in range(width):
+        i = next((i for i in free if rows[i][c]), None)
+        if i is None:
+            continue
+        free.remove(i)
+        pivot = rows[i]
+        inv = pow(pivot[c], -1, p)
+        low = int.from_bytes(pivot, "little")
+        for j in free:
+            row = rows[j]
+            e = row[c]
+            if e:
+                shifted = (int.from_bytes(row, "little") << 4) + low
+                rows[j] = shifted.to_bytes(width, "little").translate(sub[e * inv % p])
+        pivots.append((c, i))
+    return pivots
+
+
+def _pivots_mod_p(rows: Sequence[Sequence[int]], p: int) -> List[Tuple[int, int]]:
+    """The (column, row) pivot pairs of ``_eliminate`` on the rows reduced
+    mod p, on byte rows for p < 16.  Rows of unequal length raise
+    ``ValueError``."""
+    work = [[x % p for x in map(index, row)] for row in rows]
+    width = len(work[0]) if work else 0
+    if any(len(row) != width for row in work):
+        raise ValueError("rows of unequal length")
+    if p < 16:
+        return _byte_pivots(list(map(bytes, work)), p, width)
+    return _eliminate(work, p, p, width)
+
+
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     """Rank over F_p: the number of pivots of the rows reduced mod p."""
-    work = [[index(x) % p for x in row] for row in rows]
-    return len(_eliminate(work, p, p, len(work[0]) if work else 0))
+    return len(_pivots_mod_p(rows, p))
 
 
 def independent_columns(matrix: PadicMatrix) -> Tuple[List[Tuple[int, ...]], List[int]]:
@@ -177,8 +236,8 @@ def independent_columns(matrix: PadicMatrix) -> Tuple[List[Tuple[int, ...]], Lis
     ``ordinary_projector``), the chosen columns are a basis of it by
     Nakayama's lemma.
     """
-    n, p = matrix.size, matrix.p
-    pivots = _eliminate([[x % p for x in row] for row in matrix.rows], p, p, n)
+    n = matrix.size
+    pivots = _pivots_mod_p(matrix.rows, matrix.p)
     columns = [tuple(matrix.rows[i][j] for i in range(n)) for j, _ in pivots]
     return columns, sorted(i for _, i in pivots)
 
@@ -232,10 +291,20 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
     identity is returned at once, rank n; it satisfies the four checks
     below identically, so none is run.
 
-    Otherwise K is not 0.  On K, T mod p has nilpotency index at most n,
-    so T^n K lies in pK and T^(nm) kills K.  Hence A = T^N with
-    N = 2^s >= n*m, built by s squarings, has image U and kernel K, and e
+    Otherwise K is not 0.  On K, T mod p is nilpotent, of index k <= n,
+    so T^k K lies in pK and T^(km) kills K.  Hence A = T^N with
+    N = 2^s >= k*m, built by s squarings, has image U and kernel K, and e
     is the projection onto im(A) along ker(A).
+
+    k is read off the mod-p ranks of the squares.  K is a direct summand,
+    so rank(T^j mod p) = dim(U mod p) + rank((T|K)^j mod p), and the
+    second term falls strictly until (T|K)^j is 0 mod p and is 0 after.
+    So the first t with rank(T^(2^t)) = rank(T^(2^(t+1))) mod p has
+    T^(2^t) K in pK, and N = 2^s >= 2^t * m is enough.  The squaring stops
+    there, or at 2^s >= n*m, whichever comes first; a rank is read after
+    a squaring only while it can still save one.  At k = 1, the common
+    case, that is max(1, ceil(log2 m)) squarings and at most one rank
+    mod p beyond the first.
 
     The pivot columns C of A mod p are a basis of the free module U, and
     their rows P (from ``independent_columns``) make C_P unimodular.  So
@@ -248,23 +317,34 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
     of A_P, and e is C times that solution.
 
     The cost is one elimination mod p, then, when T is singular mod p,
-    O(log(nm)) matrix products and one r x r solve, whatever the
-    multiplicative order of T's unit part.  The result is checked:
-    e A = A (every column of A lies in span C, since e C = C and im e lies
-    in span C), e^2 = e, eT = Te, and its trace equals its mod-p rank.
+    O(log(km)) matrix products, O(log k) more eliminations mod p and one
+    r x r solve, whatever the multiplicative order of T's unit part.  The
+    result is checked: e A = A (every column of A lies in span C, since
+    e C = C and im e lies in span C; a too small N would fail here),
+    e^2 = e, eT = Te, and its trace equals its mod-p rank.
 
     ``max_iterations`` capped the factorial-power loop this replaced.  It
     is ignored, and kept only while callers (the benchmark's
     ``projector-random`` workload) still pass it.
     """
     n, p, m = matrix.size, matrix.p, matrix.m
-    if rank_mod_p(matrix.rows, p) == n:
+    rank = rank_mod_p(matrix.rows, p)
+    if rank == n:
         # T is invertible mod p: K = 0 and e = 1, so nothing is squared
         return ProjectorResult(PadicMatrix.identity(n, p, m), n)
     modulus = p**m
-    power = matrix
-    for _ in range((n * m - 1).bit_length()):
+    cap = (n * m - 1).bit_length()  # 2^cap >= n m >= k m
+    lift = max((m - 1).bit_length(), 1)  # 2^lift >= m; one squaring shows k = 1
+    power, s, target = matrix, 0, cap
+    while s < target:
         power = power @ power
+        s += 1
+        if s - 1 + lift < target:
+            previous, rank = rank, rank_mod_p(power.rows, p)
+            if rank == previous:
+                # the mod-p rank stopped falling at T^(2^(s-1)), so
+                # k <= 2^(s-1) and N = 2^(s-1+lift) >= k m
+                target = s - 1 + lift
     columns, pivot_rows = independent_columns(power)
     r = len(columns)
     head = [power.rows[i] for i in pivot_rows]  # A_P

@@ -335,11 +335,20 @@ def test_projector_invertible_mod_p_is_identity(monkeypatch):
 
 
 def test_projector_matmul_count_is_logarithmic(monkeypatch):
-    t = block_conjugate(random.Random(3), 16, 8, 5, 10, shift=True)
-    assert rank_mod_p(t.rows, 5) < 16
+    rng = random.Random(3)
+    settled = block_conjugate(rng, 16, 8, 5, 10)
+    shifted = block_conjugate(rng, 16, 8, 5, 10, shift=True)
+    # T = U (A + pB) U^-1 is nilpotent mod p of index k = 1 on its kernel
+    # part: its mod-p rank is below n and already stable at T^2
+    assert rank_mod_p(settled.rows, 5) == rank_mod_p((settled @ settled).rows, 5) < 16
+    assert rank_mod_p(shifted.rows, 5) < 16
     calls = _counting_matmul(monkeypatch)
-    ordinary_projector(t)
-    # ceil(log2(n m)) squarings for T^N, N >= n m, plus the checks
+    ordinary_projector(settled)
+    # N = 2^s >= k m takes ceil(log2 m) squarings at k = 1, plus the checks
+    assert len(calls) == (10 - 1).bit_length() + 4
+    calls.clear()
+    ordinary_projector(shifted)
+    # never more than ceil(log2(n m)) squarings, N >= n m, plus the checks
     assert len(calls) <= (16 * 10 - 1).bit_length() + 4
 
 
@@ -546,8 +555,9 @@ def integer_det(rows):
 def kernel_cases(draw):
     """U D_r V over Z/p^m with U, V unimodular products of unitriangular
     factors and D_r diagonal, r units then multiples of p, so its mod-p
-    rank is r; and a generator for the solves."""
-    p = draw(st.sampled_from((5, 7, 11, 13)))
+    rank is r; and a generator for the solves.  p = 17 takes the mod-p
+    pivots off the byte rows."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13, 17)))
     m = draw(st.integers(1, 6))
     n = draw(st.integers(0, 9))
     r = draw(st.integers(0, n))
@@ -582,6 +592,34 @@ def test_elimination_against_oracles(case):
         res = solve_in_basis(vectors, b)
         assert len(res.columns) == len(vectors)
         assert [b.apply(x) for x in res.columns] == vectors
+
+
+def test_rank_mod_p_refuses_ragged_rows():
+    for p in (5, 17):
+        for rows in ([[0, 1], [1]], [[1, 0], [0]], [[], [1]]):
+            with pytest.raises(ValueError, match="unequal length"):
+                rank_mod_p(rows, p)
+    assert rank_mod_p([[], []], 5) == rank_mod_p([], 5) == 0
+
+
+@st.composite
+def residue_rows(draw):
+    """Rectangular rows mod p < 16, with zero columns and zero rows."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    width = draw(st.integers(0, 12))
+    zero_columns = draw(st.sets(st.integers(0, max(width - 1, 0))))
+    row = st.lists(st.integers(0, p - 1), min_size=width, max_size=width)
+    rows = draw(st.lists(st.one_of(row, st.just([0] * width)), max_size=12))
+    return p, width, [[0 if j in zero_columns else x for j, x in enumerate(r)] for r in rows]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(residue_rows())
+def test_byte_pivots_match_elimination(case):
+    p, width, rows = case
+    expected = linalg._eliminate([list(r) for r in rows], p, p, width)
+    assert linalg._byte_pivots([bytes(r) for r in rows], p, width) == expected
+    assert rank_mod_p(rows, p) == len(expected)
 
 
 def test_restrict_to_image():
