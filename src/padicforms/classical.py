@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .charseries import CharSeries, NewtonPolygon, char_series, newton_polygon
 from .errors import ConfigError, VerificationError
@@ -156,14 +156,17 @@ class Comparison:
         return self.verdict == "pass"
 
 
-def compare(k: int, p: int, m: int, polygon: Optional[NewtonPolygon]) -> Comparison:
+def compare(
+    k: int, m: int, spectrum: Sequence[Fraction], polygon: Optional[NewtonPolygon]
+) -> Comparison:
     """Compare the weight-normalized polygon of U_p at weight k, requested
-    modulus p^m, with the classical spectrum at level Gamma_0(p).
+    modulus p^m, with ``spectrum``, the ``classical_up_spectrum`` of
+    weight k at level Gamma_0(p), which the caller builds once.
 
     ``polygon`` None stands for a spectrum that could not be certified.
     """
     bound = comparison_bound(k, m)
-    spectrum = tuple(classical_up_spectrum(k, p))
+    spectrum = tuple(spectrum)
     edge = Fraction(k - 1)
     over = boundary = None
     if polygon is not None and polygon.certifies_through(bound):

@@ -33,7 +33,7 @@ from .charseries import (
     check_slope_bound,
     newton_polygon,
 )
-from .classical import Comparison, compare, comparison_bound
+from .classical import Comparison, classical_up_spectrum, compare, comparison_bound
 from .errors import ConfigError, PrecisionError, VerificationError
 from .forms import (
     MillerPowers,
@@ -274,43 +274,66 @@ def _spectrum_core(
     twist_depth: int,
     m: int,
     bound: Optional[Fraction],
+    classical_slopes: Optional[Sequence[Fraction]] = None,
 ):
     """q-expansion-operator series and polygon, raising the working
     modulus until the polygon certifies through the requested bound.
 
     This is the library's one certify-by-raising-m loop.  With bound b
-    it starts at m_work = max(m, floor(b) + 3), steps by max(4, floor(b))
-    and gives up with ``PrecisionError`` past the cap
-    m + floor(b) * max(D, 2) + 16, D the Katz dimension.  Without a bound
-    it runs once at m.  The Katz element readouts, the U_p matrix and its
-    characteristic series are computed once, at the top modulus (the cap,
-    or m without a bound); each step reads the Newton polygon of that
+    it walks the grid m_work = max(m, floor(b) + 3), stepping by
+    max(4, floor(b)), up to the cap m + floor(b) * max(D, 2) + 16, D the
+    Katz dimension, and gives up with ``PrecisionError`` past the cap.
+    Without a bound it runs once at m.  The Katz element readouts, the
+    U_p matrix and its characteristic series are built at one step M of
+    the grid, and each step up to M reads the Newton polygon of that
     series reduced to Z/p^m_work.  This is exact: the solve has unit
     pivots and the series is computed by integral similarities and a
     division-free recurrence, so both commute with reduction.  The step
     that certifies returns the readouts reduced to its modulus.
+
+    M is the cap (m without a bound) unless ``classical_slopes``, the
+    classical U_p slope multiset of weight k, is given and b <= k - 1.
+    Then M is the plan: slopes below k - 1 are classical (Coleman), so
+    with j classical slopes below b, of sum v, the polygon certifies
+    through b once its certified part ends at (j, v) and the point at D,
+    saturated at height m_work, lies on the slope-b line from there:
+    m_work >= v + b(D - j), or m_work > v when j >= D, so that every
+    coefficient is exact.  M is the first step at or past that.  If no
+    step up to the plan certifies, the elements are built once more, at
+    the cap, and the walk goes on.  The plan chooses a cost, never a
+    result: every step reads the same reduced series either way.
     """
     basis = katz_basis(k, p, twist_depth)
     d = basis.dimension
-    m_work = max(m, (int(bound) + 3) if bound is not None else m)
-    cap = m + (int(bound) if bound is not None else 0) * max(d, 2) + 16
-    m_top = max(m_work, cap) if bound is not None else m_work
-    top = basis.elements_mod(m_top)
-    top_matrix = _solve_up(basis, top, m_top, normalization_shift(k, "qexp"))
-    top_series = char_series(top_matrix)
-    while True:
+    if bound is None:
+        grid = [m]
+    else:
+        cap = m + int(bound) * max(d, 2) + 16
+        grid = [*range(max(m, int(bound) + 3), cap, max(4, int(bound))), cap]
+    planned = grid[-1]
+    if classical_slopes is not None and bound is not None and bound <= k - 1:
+        below = [s for s in classical_slopes if s < bound]
+        j, v = len(below), sum(below)
+        target = v + 1 if j >= d else v + bound * (d - j)
+        planned = next((g for g in grid if g >= target), grid[-1])
+    built = 0
+    for m_work in grid:
+        if m_work > built:
+            built = grid[-1] if built else planned
+            top = basis.elements_mod(built)
+            top_series = char_series(
+                _solve_up(basis, top, built, normalization_shift(k, "qexp"))
+            )
         series = CharSeries(top_series.coeffs, p, m_work)
         poly = newton_polygon(series)
         if bound is None or poly.certifies_through(bound):
             ring = ModRing(p, m_work)
             elements = [e.to_ring(ring) for e in top]
             return basis, elements, series, poly, m_work
-        if m_work >= cap:
-            raise PrecisionError(
-                f"slopes below {bound} not certified at modulus {p}^{m_work} "
-                f"(indeterminate at requested precision)"
-            )
-        m_work = min(cap, m_work + max(4, int(bound)))
+    raise PrecisionError(
+        f"slopes below {bound} not certified at modulus {p}^{m_work} "
+        f"(indeterminate at requested precision)"
+    )
 
 
 def slope_spectrum(
@@ -338,9 +361,14 @@ def slope_spectrum(
     ``PrecisionError`` is raised.  Every certified spectrum in the
     library, the theta probe's included, goes through this one rule.
     The checks above run once, at the final modulus.  The Katz elements,
-    the U_p solve and the characteristic series are computed once per
-    spectrum, at the cap (at m without a bound); each step only reduces
-    the series to the working modulus and reads its polygon.  The naive
+    the U_p solve and the characteristic series are built once, and each
+    step only reduces the series to the working modulus and reads its
+    polygon.  When the spectrum is compared and b <= k - 1, they are
+    built at the modulus the classical slopes predict (see
+    ``_spectrum_core``), and once more at the cap only if no step up to
+    that one certifies; otherwise at the cap (at m without a bound).
+    Either way the results are the same.  The classical spectrum is
+    built once, for the prediction and the comparison.  The naive
     cross-check is assembled independently from the element readouts
     reduced to the final modulus.
     """
@@ -350,7 +378,23 @@ def slope_spectrum(
     compared = classical and k >= 2
     if compared:
         comparison_bound(k, m)  # refuses m < 3 before any work
-    basis, elements, series, qpoly, m_work = _spectrum_core(k, p, twist_depth, m, bound)
+    spectrum = classical_up_spectrum(k, p) if compared else None
+    return _slope_report(k, p, twist_depth, m, bound, spectrum)
+
+
+def _slope_report(
+    k: int,
+    p: int,
+    twist_depth: int,
+    m: int,
+    bound: Optional[Fraction],
+    spectrum: Optional[Sequence[Fraction]],
+) -> SlopeReport:
+    """``slope_spectrum`` on checked inputs, compared with the classical
+    slope multiset ``spectrum`` unless it is None."""
+    basis, elements, series, qpoly, m_work = _spectrum_core(
+        k, p, twist_depth, m, bound, spectrum
+    )
     shift = normalization_shift(k, "weight")
     norm_poly = shift_polygon(qpoly, shift)
     for s in norm_poly.slope_multiset():
@@ -380,7 +424,7 @@ def slope_spectrum(
         qexp_polygon=qpoly,
         slopes=norm_poly,
         naive_slopes=naive_poly,
-        comparison=compare(k, p, m, norm_poly) if compared else None,
+        comparison=None if spectrum is None else compare(k, m, spectrum, norm_poly),
         naive_shift_checked=naive_checked,
     )
 
@@ -408,13 +452,18 @@ def classicality_check(k: int, p: int, twist_depth: int, m: int) -> Classicality
     Slope classes at exactly k-1 sit on the classicality boundary and
     are reported separately, never counted on either side.  The working
     modulus is raised internally until the Newton polygon certifies the
-    comparison range; if that fails within the cap the verdict is
-    indeterminate.  k >= 2 and m >= 3 are required: below them nothing
-    is compared.
+    comparison range, with the Katz elements built first at the modulus
+    the classical slopes predict (see ``slope_spectrum``); if that fails
+    within the cap the verdict is indeterminate.  The classical spectrum
+    is built once, whichever the verdict.  k >= 2 and m >= 3 are
+    required: below them nothing is compared.
     """
     bound = comparison_bound(k, m)
+    check_theory_prime(p)
+    check_level1_weight(k)
+    spectrum = classical_up_spectrum(k, p)
     try:
-        report = slope_spectrum(k, p, twist_depth, m, certify_below=bound)
+        report = _slope_report(k, p, twist_depth, m, bound, spectrum)
     except PrecisionError:
-        return ClassicalityReport(p, k, twist_depth, m, m, compare(k, p, m, None))
+        return ClassicalityReport(p, k, twist_depth, m, m, compare(k, m, spectrum, None))
     return ClassicalityReport(p, k, twist_depth, m, report.m_working, report.comparison)

@@ -21,7 +21,7 @@ from padicforms.coleman import (
     slope_spectrum,
     up_matrix,
 )
-from padicforms.errors import ConfigError, VerificationError
+from padicforms.errors import ConfigError, PrecisionError, VerificationError
 from padicforms.forms import SUPPORTED_PRIMES, eisenstein, miller_basis
 from padicforms.hecke import up
 from padicforms.hida import ordinary_rank_mod_p
@@ -190,33 +190,94 @@ def test_slope_spectrum_weight4():
     assert rep.comparison.spectrum == (F(0), F(1), F(3))
 
 
-def test_slope_spectrum_builds_katz_elements_once(monkeypatch):
-    calls = []
+def _count_builds(monkeypatch):
+    """Record the modulus of every Katz element build and every char
+    series that ``coleman`` makes."""
+    calls, series_calls = [], []
     real_elements_mod = KatzBasis.elements_mod
+    real_char_series = coleman.char_series
 
     def counting_elements_mod(self, m):
         calls.append(m)
         return real_elements_mod(self, m)
 
-    series_calls = []
-    real_char_series = coleman.char_series
-
     def counting_char_series(matrix):
         series_calls.append(matrix.m)
         return real_char_series(matrix)
 
-    d = katz_basis(14, 5, 34).dimension
-    cap = 10 + 8 * max(d, 2) + 16
     monkeypatch.setattr(KatzBasis, "elements_mod", counting_elements_mod)
     monkeypatch.setattr(coleman, "char_series", counting_char_series)
-    rep = slope_spectrum(14, 5, 34, 10, certify_below=F(8))
-    # the elements, the q-expansion solve and its char series are built
-    # once at the cap m + floor(b) * max(D, 2) + 16; the ten m-raising
-    # retries only reduce that series, and the naive cross-check takes
-    # the second char series, at the final modulus
-    assert rep.m_working == 91
-    assert calls == [cap]
-    assert series_calls == [cap, 91]
+    return calls, series_calls
+
+
+def test_slope_spectrum_builds_katz_elements_once(monkeypatch):
+    # compared with the classical side at b = 8 <= k - 1, the elements,
+    # the q-expansion solve and its char series are built once, at the
+    # modulus the classical slopes predict, which certifies here; without
+    # the comparison they are built at the cap
+    # m + floor(b) * max(D, 2) + 16 = 130.  The m-raising steps only
+    # reduce that series, and the naive cross-check takes the second
+    # char series, at the final modulus
+    assert 10 + 8 * max(katz_basis(14, 5, 34).dimension, 2) + 16 == 130
+    calls, series_calls = _count_builds(monkeypatch)
+    for classical_side, elements_at, series_at in (
+        (True, [91], [91, 91]),
+        (False, [130], [130, 91]),
+    ):
+        calls.clear()
+        series_calls.clear()
+        rep = slope_spectrum(14, 5, 34, 10, certify_below=F(8), classical=classical_side)
+        assert rep.m_working == 91
+        assert calls == elements_at
+        assert series_calls == series_at
+
+
+SPECTRUM_FIELDS = ("charseries", "m_working", "qexp_polygon", "slopes", "naive_slopes")
+
+
+def _spectrum_fields(k, p, twist_depth, m, bound, classical_side):
+    """The fields of a spectrum that the classical side must not change,
+    or the ``PrecisionError`` message when it does not certify."""
+    try:
+        rep = slope_spectrum(k, p, twist_depth, m, certify_below=bound, classical=classical_side)
+    except PrecisionError as err:
+        return str(err)
+    return tuple(getattr(rep, name) for name in SPECTRUM_FIELDS)
+
+
+# (14, 11, 9, 10) plans 75 from the classical slopes below 8 and
+# certifies at 59: the walk must start at the first step, not at the plan
+@example(14, 11, 9, 10, F(8))
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(
+    st.integers(1, 12).map(lambda h: 2 * h),
+    st.sampled_from(SUPPORTED_PRIMES),
+    st.integers(0, 20),
+    st.integers(3, 12),
+    st.integers(0, 30).map(lambda n: Fraction(n, 2)),
+)
+def test_planned_modulus_changes_no_result(k, p, twist_depth, m, b):
+    # the classical side only picks the modulus of the first build: with
+    # it and without it, the same series, modulus and polygons
+    # (b up to 15 lies both below and above k - 1)
+    assert _spectrum_fields(k, p, twist_depth, m, b, True) == _spectrum_fields(
+        k, p, twist_depth, m, b, False
+    )
+
+
+@pytest.mark.parametrize(
+    "wrong_spectrum, elements_at",
+    # all slopes 0 plans the first step, which does not certify, so the
+    # elements are built again at the cap; no slope below b plans
+    # 8 * D = 104, and so 107, past the certifying 91
+    [([F(0)] * 40, [11, 130]), ([F(100)] * 40, [107])],
+)
+def test_wrong_classical_spectrum_changes_no_result(monkeypatch, wrong_spectrum, elements_at):
+    want = _spectrum_fields(14, 5, 34, 10, F(8), False)
+    monkeypatch.setattr(coleman, "classical_up_spectrum", lambda k, p: wrong_spectrum)
+    calls, _ = _count_builds(monkeypatch)
+    assert _spectrum_fields(14, 5, 34, 10, F(8), True) == want
+    assert calls == elements_at
 
 
 @pytest.mark.parametrize(

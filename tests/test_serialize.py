@@ -80,7 +80,7 @@ def test_classicality_json_when_the_spectrum_is_not_certified(monkeypatch):
     def uncertified(*args, **kwargs):
         raise PrecisionError("not certified")
 
-    monkeypatch.setattr(coleman, "slope_spectrum", uncertified)
+    monkeypatch.setattr(coleman, "_spectrum_core", uncertified)
     report = classicality_check(4, 5, 12, 8)
     assert encode(classicality_json(report)) == {
         "p": "5",
