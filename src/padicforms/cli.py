@@ -307,17 +307,43 @@ COMMANDS = {
 }
 
 
+def _usage(prog: str, parts) -> str:
+    """Usage text for ``prog``: ``parts`` filled greedily to 78 columns,
+    as argparse fills them at COLUMNS=80, never breaking inside a part.
+    Written out because argparse's own filling differs between Python
+    versions: before 3.13 it breaks a required flag from its metavar."""
+    lines = [f"usage: {prog}"]
+    for part in ("[-h]", *parts):
+        if len(lines[-1]) + 1 + len(part) > 78:
+            lines.append(" " * len(f"usage: {prog}"))
+        lines[-1] += " " + part
+    return "\n".join(lines)[len("usage: ") :]
+
+
+def _flag_usage(action: argparse.Action) -> str:
+    """One flag with its metavar, in brackets unless it is required."""
+    if action.metavar:
+        metavar = action.metavar
+    elif action.choices:
+        metavar = "{" + ",".join(action.choices) + "}"
+    else:
+        metavar = action.dest.upper()
+    part = f"{action.option_strings[0]} {metavar}"
+    return part if action.required else f"[{part}]"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padicforms",
+        usage=_usage("padicforms", ("{" + ",".join(COMMANDS) + "}", "...")),
         description="exact p-adic Hecke spectral computations on q-expansion models",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="padicforms")
     for name, command in COMMANDS.items():
         cmd = sub.add_parser(name, help=command.help)
-        for flag, kwargs in command.flags:
-            cmd.add_argument(flag, **kwargs)
-        cmd.add_argument("--output", help="write JSON here instead of stdout")
+        actions = [cmd.add_argument(flag, **kwargs) for flag, kwargs in command.flags]
+        actions.append(cmd.add_argument("--output", help="write JSON here instead of stdout"))
+        cmd.usage = _usage(cmd.prog, map(_flag_usage, actions))
     return parser
 
 

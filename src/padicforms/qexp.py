@@ -20,7 +20,7 @@ When Q >= 16 and bits <= 3*Q, each factor is packed into one integer,
 one byte-aligned slot of at least 2*bits + bits(Q) + 2 bits per
 coefficient, the two integers are multiplied once (squared when f is g)
 and the low Q slots are read back (Kronecker substitution, as in
-``PadicMatrix.__matmul__``).  Slots of up to 8 bytes are widened to 1, 2,
+``padic.product_rows``).  Slots of up to 8 bytes are widened to 1, 2,
 4 or 8 bytes, so that a whole series packs and unpacks in one ``struct``
 call; wider slots go through one ``int.to_bytes`` / ``int.from_bytes``
 per coefficient.  Otherwise the schoolbook double loop runs, one
@@ -58,7 +58,7 @@ from struct import pack, unpack
 from typing import Callable, Sequence, Union
 
 from .errors import PrecisionError
-from .padic import _check_pm, power_from_base
+from .padic import _STRUCT_CODES, _check_pm, power_from_base
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,6 @@ def _schoolbook_product(a: tuple, b: tuple) -> list:
         for j in range(q - i):
             out[i + j] += ai * b[j]
     return out
-
-
-# A slot of 1, 2, 4 or 8 bytes is one item of a little-endian struct format
-# (standard sizes), so a series of such slots packs and unpacks in one call.
-_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _pack(coeffs: tuple, width: int, bias: int) -> int:

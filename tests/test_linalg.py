@@ -165,10 +165,14 @@ def test_projector_rank_at_least_modulus():
 
 
 def test_projector_topologically_nilpotent():
-    t = PadicMatrix.identity(2, 5, 3).scale(5)
-    res = ordinary_projector(t)
-    assert res.idempotent.is_zero()
-    assert res.rank == 0
+    # r = 0: the core is 0 x 0 and e = C Y has inner dimension 0, so e must
+    # still come out n x n (an n x 0 e would also read as is_zero())
+    rng = random.Random(5)
+    strictly_upper = [[rng.randrange(7**4) if j > i else 7 * i for j in range(6)] for i in range(6)]
+    for t in (PadicMatrix.identity(2, 5, 3).scale(5), PadicMatrix.from_rows(strictly_upper, 7, 4)):
+        res = ordinary_projector(t)
+        assert res.idempotent == PadicMatrix.zero(t.size, t.p, t.m)
+        assert res.rank == 0
 
 
 def factorial_power_projector(t):

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from operator import lshift
+from struct import pack
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from padicforms.padic import PadicMatrix, val_p
+from padicforms import padic
+from padicforms.padic import PadicMatrix, product_rows, val_p
 from padicforms.qexp import ModRing, QSeries
 
 
@@ -54,13 +58,16 @@ def test_matrix_apply_and_scale():
 
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_identity_and_zero_check_only_p_and_m(n):
-    """They build their known entries unvalidated, over a checked (p, m)."""
+    """They build their known entries unvalidated, over a checked (p, m),
+    and refuse a negative size."""
     for build, value in ((PadicMatrix.identity, 1), (PadicMatrix.zero, 0)):
         want = [[value if i == j else 0 for j in range(n)] for i in range(n)]
         _assert_canonical(build(n, 7, 2), PadicMatrix.from_rows(want, 7, 2))
         for p, m in ((4, 2), (2, 2), (7, 0)):
             with pytest.raises(ValueError):
                 build(n, p, m)
+        with pytest.raises(ValueError, match="size"):
+            build(-1 - n, 7, 2)
 
 
 def test_non_integer_entries_are_rejected():
@@ -112,6 +119,9 @@ def _assert_canonical(result, expected):
         assert all(type(x) is int and 0 <= x < modulus for x in row)
 
 
+@example(p=13, m=10, n=5, seed=1, k=2)  # 79-bit slots
+@example(p=7, m=10, n=8, seed=2, k=2)  # 62 bits, 8-byte slots
+@example(p=5, m=1, n=4, seed=3, k=2)  # 9 bits, 2-byte slots
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(
     p=st.sampled_from((5, 7, 11, 13)),
@@ -133,7 +143,16 @@ def test_internal_results_are_canonical(p, m, n, seed, k):
     def ref(rows, m_ref=m):
         return PadicMatrix.from_rows(rows, p, m_ref)
 
-    _assert_canonical(a @ b, ref(_plain_product(x, y)))
+    with patch.object(padic, "pack", wraps=pack) as packer:
+        with patch.object(padic, "lshift", wraps=lshift) as shifter:
+            _assert_canonical(a @ b, ref(_plain_product(x, y)))
+    # the choice the padic docstring states, written out so that changing it
+    # means changing this test: plain dot products below n = 4, then slots
+    # of 2 bits(p^m) + bits(n) bits, struct-packed when they fit in 8 bytes
+    packed = n >= 4
+    bits = 2 * modulus.bit_length() + n.bit_length()
+    assert (packer.called, shifter.called) == (packed and bits <= 64, packed and bits > 64)
+    event("plain kernel" if not packed else "struct slots" if bits <= 64 else "wide slots")
     _assert_canonical(a + b, ref([[u + v for u, v in zip(r, s)] for r, s in zip(x, y)]))
     _assert_canonical(a - b, ref([[u - v for u, v in zip(r, s)] for r, s in zip(x, y)]))
     _assert_canonical(-a, ref([[-u for u in r] for r in x]))
@@ -149,40 +168,57 @@ def test_internal_results_are_canonical(p, m, n, seed, k):
             a.reduce(m_bad)
 
 
-def _triple_loop(x, y, modulus):
-    n = len(x)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out[i][j] += x[i][k] * y[k][j]
+def _triple_loop(x, y, s, modulus):
+    """x (r rows of n) times y (n rows of s) by the entrywise definition."""
+    out = [[0] * s for _ in x]
+    for i, row in enumerate(x):
+        for j in range(s):
+            for k, a in enumerate(row):
+                out[i][j] += a * y[k][j]
             out[i][j] %= modulus
     return out
 
 
+@example(p=7, m=10, shape=(16, 16, 16), fills=("top", "top"), seed=0)  # 63-bit slots
+@example(p=7, m=10, shape=(4, 16, 5), fills=("top", "top"), seed=0)
+@example(p=13, m=60, shape=(5, 24, 7), fills=("top", "uniform"), seed=1)  # wide slots
+@example(p=5, m=3, shape=(4, 0, 6), fills=("uniform", "uniform"), seed=2)  # inner 0
+@example(p=11, m=9, shape=(3, 16, 12), fills=("top", "top"), seed=3)  # plain, r < 4
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(
     p=st.sampled_from((5, 7, 11, 13)),
     m=st.integers(1, 60),
-    n=st.integers(0, 24),
+    shape=st.one_of(
+        st.integers(0, 24).map(lambda n: (n, n, n)), st.tuples(*[st.integers(0, 24)] * 3)
+    ),
     fills=st.tuples(*[st.sampled_from(("uniform", "top"))] * 2),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_matmul_matches_triple_loop(p, m, n, fills, seed):
-    """The packed-row product against the entrywise definition; "top"
-    fills every entry with p^m - 1, the largest residue, so every slot
-    of a packed row holds its largest possible sum."""
+def test_matmul_matches_triple_loop(p, m, shape, fills, seed):
+    """The shared product kernel on r x n by n x s rows, and ``@`` on
+    square shapes, against the entrywise definition; "top" fills every
+    entry with p^m - 1, the largest residue, so every slot of a packed
+    row holds its largest possible sum.  Inner dimension n = 0 gives
+    r x s zeros, as the projector needs when T is nilpotent mod p."""
     rng = random.Random(seed)
     modulus = p**m
-    x, y = (
-        [
-            [modulus - 1 if fill == "top" else rng.randrange(modulus) for _ in range(n)]
-            for _ in range(n)
+    (r, n, s), (fill_x, fill_y) = shape, fills
+
+    def draw(rows, cols, fill):
+        top = fill == "top"
+        return [
+            [modulus - 1 if top else rng.randrange(modulus) for _ in range(cols)]
+            for _ in range(rows)
         ]
-        for fill in fills
-    )
-    product = PadicMatrix.from_rows(x, p, m) @ PadicMatrix.from_rows(y, p, m)
-    _assert_canonical(product, PadicMatrix.from_rows(_triple_loop(x, y, modulus), p, m))
+
+    x, y = draw(r, n, fill_x), draw(n, s, fill_y)
+    got = product_rows(x, y, s, modulus)  # r tuples of s plain ints
+    assert type(got) is tuple and all(type(row) is tuple for row in got)
+    assert [list(row) for row in got] == _triple_loop(x, y, s, modulus)
+    assert all(type(v) is int for row in got for v in row)
+    if r == n == s:
+        product = PadicMatrix.from_rows(x, p, m) @ PadicMatrix.from_rows(y, p, m)
+        _assert_canonical(product, PadicMatrix.from_rows(_triple_loop(x, y, s, modulus), p, m))
 
 
 def test_matmul_slot_width_worst_case():
@@ -190,10 +226,18 @@ def test_matmul_slot_width_worst_case():
     n (p^m - 1)^2, the largest sum it must carry without spilling; the
     product is then n mod p^m in every entry, since (-1)(-1) = 1.  For a
     given bits(n), that sum is closest to the slot's capacity at
-    n = 2^k - 1."""
+    n = 2^k - 1.  m runs through 1-byte to 8-byte slots and wider ones:
+    7^10 at n = 16 takes 63 bits, 8 whole bytes, and 7^2 at n = 31
+    takes 17 bits, so its slots are 4 bytes, and would spill in 2.  The
+    rectangular shapes, r x n by n x s, go through the same kernel, packed
+    when r, s >= 4; inner dimension 0 gives zeros."""
     for p in (5, 7, 11, 13):
         for m in range(1, 61):
             modulus = p**m
-            for n in (0, 1, 2, 3, 7, 15, 16, 24):
+            for n in (0, 1, 2, 3, 4, 7, 15, 16, 24, 31):
                 top = PadicMatrix.from_rows([[modulus - 1] * n] * n, p, m)
                 assert (top @ top).rows == ((n % modulus,) * n,) * n, (p, m, n)
+                for r, s in ((4, 5), (9, 4), (2, 6), (5, 0)):
+                    x, y = [[modulus - 1] * n] * r, [[modulus - 1] * s] * n
+                    rows = product_rows(x, y, s, modulus)
+                    assert rows == ((n % modulus,) * s,) * r, (p, m, r, n, s)
