@@ -26,40 +26,60 @@ substitution; Harvey, J. Symbolic Comput. 44, 2009), and row i of the
 product is one dot product of row i of A with the packed rows: n
 integer products per row instead of n per entry.  A slot holds a sum
 of n products of residues below 2^b, b = bits(p^m), so 2b + bits(n)
-bits never carry.  Slots of up to 8 bytes are widened to 1, 2, 4 or 8
-bytes, so that a row packs with one ``struct.pack`` and the whole
-product reads back with one ``struct.unpack`` and one ``% p^m`` per
-entry; wider slots keep 2b + bits(n) bits and read each entry back by
-shift and mask.  A result with fewer than 4 rows or columns takes the plain
-dot product of each row with each column instead: packing the n rows
-of B costs more than it saves over so few entries.
+bits never carry.  A result with fewer than 4 rows or columns takes
+the plain dot product of each row with each column instead: packing
+the n rows of B costs more than it saves over so few entries.
 
-Speed-up of the packed kernel over plain dot products / of the kernel
-chosen over the packed product with shift-and-mask read-back that it
-replaced, for n x n products with random residues; best of 25,
-interleaved, CPython 3.11 on a 2-CPU Intel Xeon host.  Each column is
-one modulus, with the bytes per slot it takes at each n (w: wider than
-8 bytes).
+The slot format is shared with the packed series product of ``qexp``,
+and only the slot codec here knows it.  ``slot_size`` is the width
+rule: the bits a slot must hold, rounded up to 1, 2, 4 or 8 bytes, to
+whole bytes beyond 8.  ``pack_slots`` turns each of many rows into one
+integer, value i at bit 8 * size * i, and ``unpack_slots`` reads every
+slot of many such integers back in one call, one integer after
+another.  Slots of 1, 2, 4 or 8 bytes pack one row per
+``struct.pack`` and read back with one ``struct.unpack`` for all the
+integers.  Wider slots pack through one ``int.to_bytes`` per value and
+read back by shift and mask from integers of up to 1024 bytes, by byte
+slices beyond: each shift copies the rest of the integer, so shift and
+mask costs grow with the square of its length, while a slice costs
+about the same for every slot.  The packed rows of a matrix product
+at n <= 24 stay within 1024 bytes while p^m < 2^165.
 
-     n   3^1          5^2          5^5          7^10         13^10
-     2   0.60/1.14 1  0.77/1.08 2  0.71/1.52 4  0.77/1.34 8  0.82/1.22 w
-     3   0.85/1.03 1  0.83/1.10 2  0.83/1.14 4  0.87/1.10 8  1.05/0.98 w
-     4   1.05/0.95 1  0.99/0.99 2  1.02/1.03 4  1.11/1.04 8  1.27/1.02 w
-     6   1.44/1.04 1  1.39/1.10 2  1.46/1.09 4  1.53/1.20 8  1.70/1.01 w
-     8   1.88/1.10 1  1.75/1.15 2  1.96/1.21 4  1.77/1.17 8  1.76/1.00 w
-    12   2.61/1.26 1  2.35/1.17 2  2.50/1.28 4  2.85/1.31 8  2.55/1.15 w
-    16   3.95/1.58 2  3.22/1.15 2  3.24/1.34 4  3.78/1.34 8  3.07/1.02 w
-    24   6.37/1.24 2  5.22/1.44 2  4.90/1.57 4  3.35/1.14 8  4.25/1.08 w
+Speed-up of the packed kernel over plain dot products, for n x n
+products with random residues; best of 25, interleaved, CPython 3.11 on
+a 2-CPU Intel Xeon host.  Each column is one modulus, with the bytes
+per slot it takes at each n.
+
+     n   3^1      5^2      5^5      7^10     13^10
+     2   0.59 1   0.59 2   0.67 4   0.59 8   0.62 10
+     3   0.74 1   0.55 2   0.72 4   0.63 8   0.88 10
+     4   1.02 1   1.05 2   1.03 4   1.06 8   1.09 10
+     6   1.45 1   1.43 2   1.47 4   1.62 8   1.58 10
+     8   2.17 1   1.98 2   2.08 4   2.13 8   2.07 10
+    12   2.90 1   2.84 2   2.97 4   2.98 8   2.72 10
+    16   3.55 2   3.86 2   3.90 4   2.96 8   3.31 11
+    24   5.18 2   5.34 2   5.22 4   5.12 8   4.42 11
 
 The projector's products over Z/7^10 (8-byte slots) at rank r:
-speed-up of the packed kernel over plain dot products, which the
-projector used for both before, for its core A_P C (r x n by n x r) /
-for e = C Y (n x r by r x n).
+speed-up of the packed kernel over plain dot products for its core
+A_P C (r x n by n x r) / for e = C Y (n x r by r x n); same host.
 
      n   r = 1      r = 2      r = 3      r = 4      r = 6      r = 8
-     4   0.46/1.08  0.67/1.11  0.88/1.08
-     8   0.41/1.61  0.58/1.60  0.81/2.09  1.02/1.91  1.45/1.88
-    16   0.33/2.29  0.51/2.42  0.75/2.62  0.99/2.94  1.49/2.93  2.01/3.05
+     4   0.32/0.94  0.53/1.08  0.81/1.13
+     8   0.25/2.53  0.51/1.92  0.80/1.91  1.05/1.95  1.61/2.18
+    16   0.25/2.88  0.44/2.82  0.69/3.10  1.02/3.18  1.59/3.39  2.16/3.48
+
+Read-back of one integer of wide slots: time by shift and mask over
+time by byte slices, by the integer's length in bytes (rows) and the
+slot size in bytes (columns); best of 15, interleaved, same host.
+
+    bytes     9     16     24     36     47     64     80
+      512   0.66   0.67   0.64   0.63   0.58   0.57   0.56
+     1024   1.04   0.97   0.92   0.87   0.76   0.71   0.69
+     1280   1.36   1.58   1.14   0.99   0.91   0.85   0.80
+     1536   1.39   1.36   1.35   1.26   1.11   1.05   0.87
+     2048   1.79   1.66   1.58   1.44   1.34   1.24   1.09
+     4096   3.31   3.69   2.69   2.66   2.30   2.02   1.88
 
 All values are immutable after construction, so they can be shared
 freely between threads.
@@ -68,8 +88,8 @@ freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import index, lshift, matmul, mul
-from struct import pack, unpack
+from operator import index, matmul, mul
+from struct import iter_unpack, pack, unpack
 from typing import Callable, Iterable, Optional, Sequence
 
 
@@ -139,9 +159,47 @@ def val_p(x: int, p: int, saturate: Optional[int] = None) -> int:
 # (standard sizes), so a run of such slots packs and unpacks in one call.
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
+# ``unpack_slots`` reads wider slots by shift and mask from integers of up to
+# this many bytes and by byte slices from longer ones: each shift copies the
+# rest of the integer (see the module docstring for the measurements).
+_SHIFT_READ_MAX_BYTES = 1024
+
 # ``product_rows`` packs when the product has at least this many rows and
 # columns (see the module docstring for the measurements behind it).
 _PACKED_MIN_SIDE = 4
+
+
+def slot_size(bits: int) -> int:
+    """Bytes per slot for values below 2^bits: 1, 2, 4 or 8 up to 64 bits,
+    whole bytes beyond."""
+    size = (bits + 7) // 8
+    return size if size > 8 else 1 << (size - 1).bit_length()
+
+
+def pack_slots(rows: Iterable[Iterable[int]], count: int, size: int) -> list:
+    """One integer per row of ``count`` >= 1 values in [0, 2^(8*size)):
+    the sum of value i times 2^(8*size*i)."""
+    code = _STRUCT_CODES.get(size)
+    if code:
+        fmt = f"<{count}{code}"
+        return [int.from_bytes(pack(fmt, *row), "little") for row in rows]
+    # wide slots: every row's bytes end to end, cut into one run per row
+    data = b"".join([c.to_bytes(size, "little") for row in rows for c in row])
+    return [int.from_bytes(c, "little") for c, in iter_unpack(f"{count * size}s", data)]
+
+
+def unpack_slots(values: Sequence[int], count: int, size: int) -> Sequence[int]:
+    """The ``count`` slots of ``size`` bytes of each of ``values``, each in
+    [0, 2^(8*size*count)): lowest slot first, one value after another."""
+    length, code = count * size, _STRUCT_CODES.get(size)
+    if not code and length <= _SHIFT_READ_MAX_BYTES:
+        mask = (1 << 8 * size) - 1
+        shifts = range(0, 8 * length, 8 * size)
+        return [v >> t & mask for v in values for t in shifts]
+    data = b"".join([v.to_bytes(length, "little") for v in values])
+    if code:
+        return unpack(f"<{len(values) * count}{code}", data)
+    return [int.from_bytes(c, "little") for c, in iter_unpack(f"{size}s", data)]
 
 
 def product_rows(
@@ -157,26 +215,11 @@ def product_rows(
         return tuple([tuple([sum(map(mul, row, col)) % modulus for col in columns]) for row in a])
     # A slot holds a sum of n products of residues below 2^k, k = bits(modulus):
     # at most n * 2^(2k) < 2^(2k + bits(n)), so no slot carries into the next.
-    bits = 2 * modulus.bit_length() + n.bit_length()
-    if bits <= 64:
-        size = 1 << ((bits - 1) // 8).bit_length()  # bytes per slot: 1, 2, 4 or 8
-        code, length = _STRUCT_CODES[size], s * size
-        fmt = f"<{s}{code}"
-        packed = [int.from_bytes(pack(fmt, *row), "little") for row in b]
-        # the product rows' bytes end to end, read back by one unpack and
-        # cut into rows of s >= 4 entries by zip
-        data = b"".join([sum(map(mul, row, packed)).to_bytes(length, "little") for row in a])
-        flat = [x % modulus for x in unpack(f"<{len(a) * s}{code}", data)]
-        return tuple(zip(*[iter(flat)] * s))
-    mask = (1 << bits) - 1
-    shifts = range(0, s * bits, bits)
-    packed = [sum(map(lshift, row, shifts)) for row in b]
-    return tuple(
-        [
-            tuple([(acc >> t & mask) % modulus for t in shifts])
-            for acc in [sum(map(mul, row, packed)) for row in a]
-        ]
-    )
+    size = slot_size(2 * modulus.bit_length() + n.bit_length())
+    packed = pack_slots(b, s, size)
+    # the product rows read back end to end, cut into rows of s entries by zip
+    sums = unpack_slots([sum(map(mul, row, packed)) for row in a], s, size)
+    return tuple(zip(*[iter([x % modulus for x in sums])] * s))
 
 
 @dataclass(frozen=True)

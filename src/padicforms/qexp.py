@@ -4,10 +4,11 @@ A ``QSeries`` holds coefficients a_0, ..., a_{Q-1} of a formal series
 sum a_n q^n, either over Z or over Z/p^m.  Arithmetic requires equal
 ring tags; the q-precision of a result is the minimum of the inputs.
 
-A ``QSeries`` validates its coefficients once, at public construction
-(``QSeries(...)``, ``from_coeffs``, ``constant``, ``map_coeffs``): each
-must be an integer (``operator.index``; a float or Fraction raises
-``TypeError`` instead of being truncated), reduced mod p^m over Z/p^m.
+A ``QSeries`` validates its coefficients once, when a public entry
+point builds it (``QSeries(...)``, ``from_coeffs``, ``constant``,
+``map_coeffs``): each must be an integer (``operator.index``; a float
+or Fraction raises ``TypeError`` instead of being truncated), reduced
+mod p^m over Z/p^m.
 Results the class computes itself (products, sums, scales, shifts,
 truncations, ring changes, inverses) are built already reduced, with
 one ``% modulus`` per coefficient, and skip that validation.
@@ -20,15 +21,16 @@ When Q >= 16 and bits <= 3*Q, each factor is packed into one integer,
 one byte-aligned slot of at least 2*bits + bits(Q) + 2 bits per
 coefficient, the two integers are multiplied once (squared when f is g)
 and the low Q slots are read back (Kronecker substitution, as in
-``padic.product_rows``).  Slots of up to 8 bytes are widened to 1, 2,
-4 or 8 bytes, so that a whole series packs and unpacks in one ``struct``
-call; wider slots go through one ``int.to_bytes`` / ``int.from_bytes``
-per coefficient.  Otherwise the schoolbook double loop runs, one
-integer product per pair of indices below Q; it wins on short series,
-where packing costs more than it saves, and on wide coefficients, where
-the packed product computes all 2Q - 1 coefficients of the full product
-in slots twice the coefficient size.  Both kernels give the same
-integers.
+``padic.product_rows``).  The slots are sized, packed and read back by
+the slot codec of ``padic``: up to 8 bytes they are widened to 1, 2, 4
+or 8 bytes, so that a whole series packs and unpacks in one call; wider
+slots pack one coefficient at a time and are read back by shift and
+mask when the packed series takes up to 1024 bytes, by byte slices when
+it is longer.  Otherwise the schoolbook double loop runs, one integer
+product per pair of indices below Q; it wins on short series, where
+packing costs more than it saves, and on wide coefficients, where the
+packed product computes all 2Q - 1 coefficients of the full product in
+slots twice the coefficient size.  Both kernels give the same integers.
 
 Packed-kernel speed-up (schoolbook time / packed time) for distinct
 factors with random coefficients, over Z/p^m / over Z; best of seven,
@@ -54,11 +56,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, index, mul, sub
-from struct import pack, unpack
 from typing import Callable, Sequence, Union
 
 from .errors import PrecisionError
-from .padic import _STRUCT_CODES, _check_pm, power_from_base
+from .padic import _check_pm, pack_slots, power_from_base, slot_size, unpack_slots
 
 
 @dataclass(frozen=True)
@@ -117,56 +118,36 @@ def _schoolbook_product(a: tuple, b: tuple) -> list:
     return out
 
 
-def _pack(coeffs: tuple, width: int, bias: int) -> int:
-    """sum_i (coeffs[i] + bias) * 2^(8*width*i), built from one byte
-    string: each coeffs[i] + bias must lie in [0, 2^(8*width))."""
-    q, code = len(coeffs), _STRUCT_CODES.get(width)
-    if bias:
-        coeffs = map(add, coeffs, repeat(bias, q))
-    if code:
-        data = pack(f"<{q}{code}", *coeffs)
-    else:
-        data = b"".join([c.to_bytes(width, "little") for c in coeffs])
-    return int.from_bytes(data, "little")
-
-
-def _unpack(n: int, q: int, width: int) -> Sequence[int]:
-    """The q slots of ``width`` bytes of 0 <= n < 2^(8*width*q), lowest first."""
-    data, code = n.to_bytes(q * width, "little"), _STRUCT_CODES.get(width)
-    if code:
-        return unpack(f"<{q}{code}", data)
-    return [int.from_bytes(data[i : i + width], "little") for i in range(0, q * width, width)]
-
-
 def _packed_product(a: tuple, b: tuple, bits: int, signed: bool) -> Sequence[int]:
     """The first len(a) coefficients of a*b, for len(b) == len(a) = Q and
     every |coefficient| < 2^bits (every coefficient in [0, 2^bits) unless
     ``signed``), by one big-integer product (Kronecker substitution).
 
     Each series becomes the integer sum_i a_i X^i at X = 2^(8*width), a
-    slot of ``width`` bytes per coefficient (rounded up to 1, 2, 4 or 8
-    bytes when it fits in 8, for ``_unpack``'s one-call path).  A
-    coefficient of the product is a sum of at most Q products, so its
-    absolute value is below 2^(2*bits + bits(Q)) <= X/4 and no slot carries
-    into the next.  Signed coefficients are packed as a_i + 2^bits >= 0,
-    and 2^bits * (1 + X + ... + X^(Q-1)) is taken off the packed integer
-    after; adding X/2 to every low slot of the product then makes each
-    slot's content c_n + X/2 lie in [0, X), read back as c_n.
+    slot of ``width`` bytes per coefficient, sized and packed by the
+    ``padic`` slot codec.  A coefficient of the product is a sum of at most
+    Q products, so its absolute value is below 2^(2*bits + bits(Q)) <= X/4
+    and no slot carries into the next.  Signed coefficients are packed as
+    a_i + 2^bits >= 0, and 2^bits * (1 + X + ... + X^(Q-1)) is taken off
+    the packed integer after; adding X/2 to every low slot of the product
+    then makes each slot's content c_n + X/2 lie in [0, X), read back as
+    c_n.
     """
     q = len(a)
-    width = (2 * bits + q.bit_length() + 2 + 7) // 8  # bytes per slot
-    if width < 8:
-        width = 1 << (width - 1).bit_length()
+    width = slot_size(2 * bits + q.bit_length() + 2)  # bytes per slot
+    rows = [a] if b is a else [a, b]  # a square packs once
     if signed:
         bias, half = 1 << bits, 1 << (8 * width - 1)
-        ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * q, "little")
+        # the biased factors, then 1 + X + ... + X^(Q-1)
+        *packed, ones = pack_slots(
+            [*(map(add, row, repeat(bias)) for row in rows), repeat(1, q)], q, width
+        )
+        packed = [x - bias * ones for x in packed]
     else:
-        bias = half = ones = 0
-    x = _pack(a, width, bias) - bias * ones
-    y = x if b is a else _pack(b, width, bias) - bias * ones
+        packed, half, ones = pack_slots(rows, q, width), 0, 0
     # x * x when squaring: CPython multiplies one object by itself faster
-    low = (x * y + half * ones) & ((1 << 8 * width * q) - 1)
-    out = _unpack(low, q, width)
+    low = (packed[0] * packed[-1] + half * ones) & ((1 << 8 * width * q) - 1)
+    out = unpack_slots([low], q, width)
     return list(map(sub, out, repeat(half, q))) if signed else out
 
 

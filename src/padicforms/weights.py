@@ -85,8 +85,9 @@ class WeightDisc:
 
     def __post_init__(self) -> None:
         check_theory_prime(self.p)
-        if index(self.m) < 1:
-            raise ConfigError(f"precision exponent must be >= 1, got {self.m}")
+        m = index(self.m)
+        if m < 1:
+            raise ConfigError(f"precision exponent must be >= 1, got {m}")
         weights = tuple(sorted(set(map(index, self.sample_weights))))
         if not weights:
             raise ConfigError("a weight disc needs at least one sample weight")
@@ -99,6 +100,7 @@ class WeightDisc:
             raise ConfigError("disc samples must be >= 1 (uniform U_p normalization)")
         object.__setattr__(self, "sample_weights", weights)
         object.__setattr__(self, "component", comp)
+        object.__setattr__(self, "m", m)
 
 
 @dataclass(frozen=True)

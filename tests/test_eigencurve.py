@@ -11,6 +11,7 @@ from padicforms.eigencurve import (
     two_var_charseries,
 )
 from padicforms.errors import ConfigError, PrecisionError
+from padicforms.serialize import encode
 
 
 def F(x):
@@ -35,6 +36,18 @@ def test_disc_validation():
     for args in ((5, 0, (4.0, 8), 8), (5, 0.0, (4,), 8), (5, 0, (4,), 8.0)):
         with pytest.raises(TypeError):
             WeightDisc(*args)
+
+
+def test_disc_stores_plain_int_fields():
+    """m and the component are stored as the plain ints that
+    ``operator.index`` gives, as the weights are, so a bool m prints and
+    serializes as 1, not as true."""
+    disc = WeightDisc(5, False, (8, 4), True)
+    assert (disc.m, disc.component, disc.sample_weights) == (1, 0, (4, 8))
+    assert all(type(v) is int for v in (disc.m, disc.component, *disc.sample_weights))
+    assert encode({"m": disc.m}) == {"m": "1"}
+    with pytest.raises(ConfigError, match="must be >= 1, got 0$"):
+        WeightDisc(5, 0, (4,), False)
 
 
 def test_two_var_series_respecializes_exactly():

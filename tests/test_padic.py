@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
-from operator import lshift
-from struct import pack
+from struct import iter_unpack, unpack
 from unittest.mock import patch
 
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from padicforms import padic
-from padicforms.padic import PadicMatrix, product_rows, val_p
+from padicforms.padic import PadicMatrix, pack_slots, product_rows, slot_size, unpack_slots, val_p
 from padicforms.qexp import ModRing, QSeries
 
 
@@ -119,9 +118,11 @@ def _assert_canonical(result, expected):
         assert all(type(x) is int and 0 <= x < modulus for x in row)
 
 
-@example(p=13, m=10, n=5, seed=1, k=2)  # 79-bit slots
+@example(p=13, m=10, n=5, seed=1, k=2)  # 79 bits: 10-byte slots, shift and mask
 @example(p=7, m=10, n=8, seed=2, k=2)  # 62 bits, 8-byte slots
 @example(p=5, m=1, n=4, seed=3, k=2)  # 9 bits, 2-byte slots
+@example(p=13, m=60, n=16, seed=5, k=1)  # 57-byte slots, 912-byte rows: shift and mask
+@example(p=13, m=60, n=24, seed=4, k=2)  # 57-byte slots, 1368-byte rows: byte slices
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(
     p=st.sampled_from((5, 7, 11, 13)),
@@ -143,16 +144,26 @@ def test_internal_results_are_canonical(p, m, n, seed, k):
     def ref(rows, m_ref=m):
         return PadicMatrix.from_rows(rows, p, m_ref)
 
-    with patch.object(padic, "pack", wraps=pack) as packer:
-        with patch.object(padic, "lshift", wraps=lshift) as shifter:
-            _assert_canonical(a @ b, ref(_plain_product(x, y)))
+    with patch.object(padic, "pack_slots", wraps=pack_slots) as packer:
+        with patch.object(padic, "unpack", wraps=unpack) as struct_reads:
+            with patch.object(padic, "iter_unpack", wraps=iter_unpack) as cuts:
+                _assert_canonical(a @ b, ref(_plain_product(x, y)))
     # the choice the padic docstring states, written out so that changing it
     # means changing this test: plain dot products below n = 4, then slots
-    # of 2 bits(p^m) + bits(n) bits, struct-packed when they fit in 8 bytes
-    packed = n >= 4
+    # of 2 bits(p^m) + bits(n) bits in 1, 2, 4 or 8 bytes, whole bytes
+    # beyond; read back by struct up to 8 bytes a slot, by shift and mask
+    # up to 1024 bytes a packed row, by byte slices beyond
     bits = 2 * modulus.bit_length() + n.bit_length()
-    assert (packer.called, shifter.called) == (packed and bits <= 64, packed and bits > 64)
-    event("plain kernel" if not packed else "struct slots" if bits <= 64 else "wide slots")
+    size = next(w for w in (1, 2, 4, 8) if bits <= 8 * w) if bits <= 64 else -(-bits // 8)
+    read = "struct" if size <= 8 else "shift" if n * size <= 1024 else "slices"
+    if n < 4:
+        read = "plain"
+    assert packer.called == (read != "plain")
+    if packer.called:
+        assert packer.call_args.args[1:] == (n, size)
+    assert struct_reads.called == (read == "struct")
+    assert (f"{size}s" in [cut.args[0] for cut in cuts.call_args_list]) == (read == "slices")
+    event(read)
     _assert_canonical(a + b, ref([[u + v for u, v in zip(r, s)] for r, s in zip(x, y)]))
     _assert_canonical(a - b, ref([[u - v for u, v in zip(r, s)] for r, s in zip(x, y)]))
     _assert_canonical(-a, ref([[-u for u in r] for r in x]))
@@ -181,7 +192,8 @@ def _triple_loop(x, y, s, modulus):
 
 @example(p=7, m=10, shape=(16, 16, 16), fills=("top", "top"), seed=0)  # 63-bit slots
 @example(p=7, m=10, shape=(4, 16, 5), fills=("top", "top"), seed=0)
-@example(p=13, m=60, shape=(5, 24, 7), fills=("top", "uniform"), seed=1)  # wide slots
+@example(p=13, m=60, shape=(5, 24, 7), fills=("top", "uniform"), seed=1)  # shift and mask
+@example(p=13, m=60, shape=(5, 24, 24), fills=("top", "top"), seed=4)  # byte slices
 @example(p=5, m=3, shape=(4, 0, 6), fills=("uniform", "uniform"), seed=2)  # inner 0
 @example(p=11, m=9, shape=(3, 16, 12), fills=("top", "top"), seed=3)  # plain, r < 4
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -241,3 +253,51 @@ def test_matmul_slot_width_worst_case():
                     x, y = [[modulus - 1] * n] * r, [[modulus - 1] * s] * n
                     rows = product_rows(x, y, s, modulus)
                     assert rows == ((n % modulus,) * s,) * r, (p, m, r, n, s)
+
+
+def test_slot_size_rule():
+    """1, 2, 4 or 8 bytes up to 64 bits, the fewest whole bytes beyond."""
+    for bits in range(1, 700):
+        size = slot_size(bits)
+        if bits <= 64:
+            assert size == min(w for w in (1, 2, 4, 8) if bits <= 8 * w), bits
+        else:
+            assert 8 * (size - 1) < bits <= 8 * size, bits
+
+
+# Each side of the 1024-byte read-back threshold for 1-byte, 11-byte and
+# 80-byte slots, with the largest slot values.
+@example(size=1, count=1024, rows=2, fill="top", seed=0)
+@example(size=1, count=1025, rows=2, fill="top", seed=0)
+@example(size=11, count=93, rows=3, fill="top", seed=0)
+@example(size=11, count=94, rows=3, fill="top", seed=0)
+@example(size=80, count=12, rows=1, fill="zero", seed=0)
+@example(size=80, count=13, rows=1, fill="top", seed=0)
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    size=st.integers(1, 80),
+    count=st.integers(1, 2048),
+    rows=st.integers(1, 3),
+    fill=st.sampled_from(("uniform", "zero", "top", "mixed")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slot_codec_round_trip(size, count, rows, fill, seed):
+    """``pack_slots`` puts value i of a row at bit 8 * size * i of one
+    integer per row, and ``unpack_slots`` reads every slot back, each row
+    after the one before, whichever read-back the packed size selects;
+    "mixed" draws each value from 0, the largest slot value 2^(8 size) - 1
+    and uniform ones."""
+    count = min(count, 2048 // size)  # packed rows up to twice the threshold
+    rng = random.Random(seed)
+    top = 2 ** (8 * size) - 1
+    draw = {
+        "uniform": lambda: rng.randrange(top + 1),
+        "zero": lambda: 0,
+        "top": lambda: top,
+        "mixed": lambda: rng.choice((0, top, rng.randrange(top + 1))),
+    }[fill]
+    values = [[draw() for _ in range(count)] for _ in range(rows)]
+    packed = pack_slots(values, count, size)
+    assert packed == [sum(v << 8 * size * i for i, v in enumerate(row)) for row in values]
+    assert list(unpack_slots(packed, count, size)) == [v for row in values for v in row]
+    event("struct" if size in (1, 2, 4, 8) else "shift" if count * size <= 1024 else "slices")

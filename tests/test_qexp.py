@@ -165,6 +165,10 @@ def _assert_canonical(result, expected):
 # Targeted examples on both sides of the kernel choice: over Z/7^17 the
 # coefficients have 48 = 3 * 16 bits, so Q = 16 packs and Q = 15 does not;
 # Z/7^18 has 51 bits; over Z, zbits 48 and 49 at Q = 16; all-zero factors.
+# Then both sides of the slot codec's 1024-byte read-back threshold: Z/13^10
+# at Q = 61 packs into 11-byte slots, 671 bytes, read by shift and mask;
+# Z/13^60 at Q = 80 into 57-byte slots and Z at 200 bits into 52-byte
+# slots, 4560 and 4160 bytes, read by byte slices.
 @example(p=7, m=17, q1=16, q2=20, seed=1, k=2, zbits=0, zero=False)
 @example(p=7, m=17, q1=15, q2=20, seed=2, k=2, zbits=0, zero=False)
 @example(p=7, m=18, q1=16, q2=16, seed=3, k=2, zbits=0, zero=False)
@@ -172,6 +176,9 @@ def _assert_canonical(result, expected):
 @example(p=5, m=None, q1=16, q2=16, seed=5, k=2, zbits=49, zero=False)
 @example(p=5, m=None, q1=80, q2=80, seed=6, k=3, zbits=0, zero=True)
 @example(p=13, m=60, q1=80, q2=75, seed=7, k=2, zbits=0, zero=True)
+@example(p=13, m=10, q1=61, q2=70, seed=8, k=2, zbits=0, zero=False)
+@example(p=13, m=60, q1=80, q2=80, seed=9, k=2, zbits=0, zero=False)
+@example(p=5, m=None, q1=80, q2=80, seed=10, k=2, zbits=200, zero=False)
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(
     p=st.sampled_from((5, 7, 11, 13)),
@@ -230,7 +237,11 @@ def test_internal_results_are_canonical(p, m, q1, q2, seed, k, zbits, zero):
 # At Q = 40 and 65 bits, 2 * 65 + bits(40) = 136 bits fill 17 whole bytes,
 # and c_39 = 40 * (2^65 - 1)^2 of two equal-sign series exceeds half of
 # such a slot: the 2 bits the slot adds beyond that round it up to 18.
-@pytest.mark.parametrize("q, bits", [(24, 1), (24, 2), (24, 17), (24, 64), (24, 72), (40, 65)])
+# Q = 80 at 200 bits packs 52-byte slots, 4160 bytes, beyond the codec's
+# 1024-byte threshold for reading by shift and mask.
+@pytest.mark.parametrize(
+    "q, bits", [(24, 1), (24, 2), (24, 17), (24, 64), (24, 72), (40, 65), (80, 200)]
+)
 def test_packed_kernel_over_z_handles_every_sign_pattern(q, bits):
     # each pattern reaches |a_i| = 2^bits - 1, the largest its slots allow
     top = 2**bits - 1
