@@ -11,12 +11,18 @@ loses no digit, so every solve is exact over the Z/p^m its inputs live
 in, and a basis that is not unimodular is refused.
 
 ``rank_mod_p`` and ``independent_columns`` ask only for the pivots of
-that elimination over F_p.  For p < 16 ``_byte_pivots`` finds them on
-rows held as ``bytes``, one residue per byte, where a row operation is
-one integer expression and one ``bytes.translate``; the pivot rule is
-the same, so are the pivots.  Larger p takes ``_eliminate`` itself.
-``rank_mod_p`` counts the pivots; ``independent_columns`` reads their
-columns and rows.
+that elimination over F_p.  For p < 16 ``_fp_pivots`` finds them on the
+whole matrix held as one ``bytes``, one residue per byte, row-major
+(packed small-field arithmetic, as in Dumas, Fousse and Salvy, J.
+Symbolic Comput. 46, 2011): a pivot column is cleared from every row
+at once by one big-integer multiply-add, matrix + F * pivot row with
+the factors F one per row, and one ``bytes.translate`` mod p.  A byte
+then holds at most (p-1) + (p-1)^2 < 256, so none carries.  The pivot
+row is cleared with the rest and reads 0 after, so the next pivot is
+the first nonzero entry of the next column; the pivot rule is that of
+``_eliminate``, so are the pivots.  Larger p takes ``_eliminate``
+itself.  ``rank_mod_p`` counts the pivots; ``independent_columns``
+reads their columns and rows.
 
 The ordinary projector e(T) = lim T^(n!) is computed from the Fitting
 decomposition of T rather than from the factorial powers: A = T^N with
@@ -29,7 +35,8 @@ mod p, that part is 0 and e is ``PadicMatrix.identity``: one rank test
 over F_p detects it, and no power is taken.
 Otherwise ``independent_columns`` picks a basis C of im(A) and the rows
 P where it is unimodular, and e = C (A_P C)^-1 A_P costs one r x r
-solve; ``hida`` restricts Hecke operators to ordinary images with
+elimination; one product e [T^N | e | T] and one T e check it.
+``hida`` restricts Hecke operators to ordinary images with
 ``independent_columns`` and ``restrict_to_image``.  The projector is
 also the eigenspace splitter: for a residue a, 1 - e(T - a) projects
 onto the generalized a-eigenspace of T mod p, where T - a is nilpotent
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from operator import index
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -168,53 +176,63 @@ def invert_unimodular(matrix: PadicMatrix) -> PadicMatrix:
 
 
 @lru_cache(maxsize=None)
-def _byte_tables(p: int) -> Tuple[bytes, ...]:
-    """``bytes.translate`` tables for rows held one residue mod p < 16 per
-    byte: table e maps the byte 16a + b to (a - e b) mod p."""
-    return tuple(bytes([((x >> 4) - e * (x & 15)) % p for x in range(256)]) for e in range(p))
+def _fp_tables(p: int) -> Tuple[bytes, Tuple[bytes, ...]]:
+    """``bytes.translate`` tables for residues mod p < 16, one per byte:
+    x -> x mod p, and for each unit v, e -> -e/v mod p (an empty table,
+    which ``translate`` refuses, for a v that is not a unit)."""
+    mod_p = bytes([x % p for x in range(256)])
+    scale = tuple(
+        bytes([-x * pow(v, -1, p) % p for x in range(256)]) if gcd(v, p) == 1 else b""
+        for v in range(p)
+    )
+    return mod_p, scale
 
 
-def _byte_pivots(rows: List[bytes], p: int, width: int) -> List[Tuple[int, int]]:
-    """``_eliminate`` over F_p, p < 16, on rows held as ``bytes``, in place.
+def _fp_pivots(mat: bytes, p: int, height: int, width: int) -> List[Tuple[int, int]]:
+    """``_eliminate`` over F_p, p < 16, on a height x width matrix held
+    row-major in one ``bytes``, one residue per byte.
 
-    The pivot rule is the same, so are the pivots.  A row operation
-    row - e pivot is one integer expression and one translate: the row
-    read as a little-endian integer, shifted up 4 bits and added to the
-    pivot's, puts 16a + b in each byte, with no carry since a, b < 16.
-    The pivot row is not scaled; e is taken over its leading entry
-    instead.
+    Each pivot column is cleared from every row by one multiply-add on
+    the matrix read as a little-endian integer: the factors f_j = -e_j/v
+    (e_j the column's entries, v the pivot) sit at the first byte of
+    each row of F, so F * pivot row adds f_j * pivot row to row j, and a
+    ``translate`` reduces mod p.  A byte then holds at most
+    (p-1) + (p-1)^2 < 256, so none carries.  The pivot row's own factor
+    is -1, so it becomes 0, and every row reads 0 in a column once that
+    column is cleared or found empty.  So the first nonzero entry of a
+    column lies in the first row that is not yet a pivot row and is
+    nonzero there: the pivot ``_eliminate`` takes.
     """
-    sub = _byte_tables(p)
+    mod_p, scale = _fp_tables(p)
+    size = height * width
+    factors = bytearray(size)  # f_j at byte j * width, 0 elsewhere
     pivots = []
-    free = list(range(len(rows)))
     for c in range(width):
-        i = next((i for i in free if rows[i][c]), None)
-        if i is None:
+        column = mat[c::width]
+        i = height - len(column.lstrip(b"\0"))
+        if i == height:
             continue
-        free.remove(i)
-        pivot = rows[i]
-        inv = pow(pivot[c], -1, p)
-        low = int.from_bytes(pivot, "little")
-        for j in free:
-            row = rows[j]
-            e = row[c]
-            if e:
-                shifted = (int.from_bytes(row, "little") << 4) + low
-                rows[j] = shifted.to_bytes(width, "little").translate(sub[e * inv % p])
+        factors[::width] = column.translate(scale[column[i]])
+        pivot = int.from_bytes(mat[i * width : (i + 1) * width], "little")
+        total = int.from_bytes(mat, "little") + int.from_bytes(factors, "little") * pivot
+        mat = total.to_bytes(size, "little").translate(mod_p)
         pivots.append((c, i))
+        if len(pivots) == height:
+            break
     return pivots
 
 
 def _pivots_mod_p(rows: Sequence[Sequence[int]], p: int) -> List[Tuple[int, int]]:
     """The (column, row) pivot pairs of ``_eliminate`` on the rows reduced
-    mod p, on byte rows for p < 16.  Rows of unequal length raise
-    ``ValueError``."""
-    work = [[x % p for x in map(index, row)] for row in rows]
-    width = len(work[0]) if work else 0
-    if any(len(row) != width for row in work):
+    mod p, by ``_fp_pivots`` for p < 16.  Rows of unequal length raise
+    ``ValueError``, entries that are not integers ``TypeError``."""
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
         raise ValueError("rows of unequal length")
     if p < 16:
-        return _byte_pivots(list(map(bytes, work)), p, width)
+        # bytes() takes only integers: a float or Fraction residue raises
+        return _fp_pivots(bytes([x % p for row in rows for x in row]), p, len(rows), width)
+    work = [[x % p for x in map(index, row)] for row in rows]
     return _eliminate(work, p, p, width)
 
 
@@ -313,16 +331,19 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
 
         e = C S^-1 X = C (A_P C)^-1 A_P:
 
-    the r x r core A_P C is built and solved once, against the n columns
-    of A_P, and e is C times that solution.  The core and e are made by
+    the r x r core A_P C is built, ``_eliminate`` reduces [A_P C | A_P]
+    over Z/p^m and back substitution reads off the rows of
+    Y = (A_P C)^-1 A_P, and e = C Y.  The core and e are made by
     ``padic.product_rows``, the same kernel as every ``@``.
 
     The cost is one elimination mod p, then, when T is singular mod p,
     O(log(km)) matrix products, O(log k) more eliminations mod p and one
-    r x r solve, whatever the multiplicative order of T's unit part.  The
-    result is checked: e A = A (every column of A lies in span C, since
-    e C = C and im e lies in span C; a too small N would fail here),
-    e^2 = e, eT = Te, and its trace equals its mod-p rank.
+    r x r elimination, whatever the multiplicative order of T's unit
+    part.  The result is checked: e A = A (every column of A lies in
+    span C, since e C = C and im e lies in span C; a too small N would
+    fail here), e^2 = e and eT = Te, where e A, e^2 and e T are the
+    blocks of one product e [A | e | T] and T e is one more; and its
+    trace equals its mod-p rank.
 
     ``max_iterations`` capped the factorial-power loop this replaced.  It
     is ignored, and kept only while callers (the benchmark's
@@ -350,13 +371,19 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
     r = len(columns)
     head = [power.rows[i] for i in pivot_rows]  # A_P
     c_rows = [[c[i] for c in columns] for i in range(n)]  # C, n x r
-    core = PadicMatrix._reduced(product_rows(head, c_rows, r, modulus), p, m, modulus)
-    y = solve_in_basis([[row[j] for row in head] for j in range(n)], core).columns
-    # y[j] = (A_P C)^-1 A_P[:, j] is column j of Y, and e = C Y
-    idem = PadicMatrix._reduced(product_rows(c_rows, list(zip(*y)), n, modulus), p, m, modulus)
-    if idem @ power != power:
+    core = product_rows(head, c_rows, r, modulus)
+    # eliminating [A_P C | A_P] and back substitution give the rows of
+    # Y = (A_P C)^-1 A_P, and e = C Y
+    rows = [list(a) + list(b) for a, b in zip(core, head)]
+    y = _back_substitute(rows, _eliminate(rows, p, modulus, r), modulus, r)
+    idem = PadicMatrix._reduced(product_rows(c_rows, y, n, modulus), p, m, modulus)
+    # e T^N, e^2 and e T are the three blocks of one product e [T^N | e | T]
+    wide = [a + e + t for a, e, t in zip(power.rows, idem.rows, matrix.rows)]
+    checks = product_rows(idem.rows, wide, 3 * n, modulus)
+    e_power, e_idem, e_matrix = (tuple(row[j * n : (j + 1) * n] for row in checks) for j in range(3))
+    if e_power != power.rows:
         raise VerificationError("T^N has a column outside the span of its image basis")
-    if idem @ idem != idem or idem @ matrix != matrix @ idem:
+    if e_idem != idem.rows or e_matrix != product_rows(matrix.rows, idem.rows, n, modulus):
         raise VerificationError("ordinary projector is not an idempotent commuting with T")
     # The image of an idempotent over the local ring Z/p^m is free, so
     # its trace is its rank, which is also its mod-p rank.

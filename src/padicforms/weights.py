@@ -75,7 +75,7 @@ class WeightDisc:
     weights, stored sorted and distinct, are at least one, at least 1
     (the uniform U_p normalization), on the component mod p-1 and even
     (``forms.check_level1_weight``); anything else raises ``ConfigError``,
-    and a weight, component or m that is not an integer ``TypeError``.
+    and a prime, weight, component or m that is not an integer ``TypeError``.
     """
 
     p: int
@@ -84,20 +84,22 @@ class WeightDisc:
     m: int
 
     def __post_init__(self) -> None:
-        check_theory_prime(self.p)
+        p = index(self.p)
+        check_theory_prime(p)
         m = index(self.m)
         if m < 1:
             raise ConfigError(f"precision exponent must be >= 1, got {m}")
         weights = tuple(sorted(set(map(index, self.sample_weights))))
         if not weights:
             raise ConfigError("a weight disc needs at least one sample weight")
-        comp = index(self.component) % (self.p - 1)
+        comp = index(self.component) % (p - 1)
         for k in weights:
-            if k % (self.p - 1) != comp:
-                raise ConfigError(f"weight {k} is not on component {comp} mod {self.p - 1}")
+            if k % (p - 1) != comp:
+                raise ConfigError(f"weight {k} is not on component {comp} mod {p - 1}")
             check_level1_weight(k)
         if weights[0] < 1:
             raise ConfigError("disc samples must be >= 1 (uniform U_p normalization)")
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "sample_weights", weights)
         object.__setattr__(self, "component", comp)
         object.__setattr__(self, "m", m)

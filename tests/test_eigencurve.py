@@ -38,6 +38,13 @@ def test_disc_validation():
             WeightDisc(*args)
 
 
+def test_disc_refuses_a_non_integer_prime():
+    # 5.0 == 5 passed the prime check and failed late, inside the Katz work
+    for p in (5.0, Fraction(5)):
+        with pytest.raises(TypeError):
+            WeightDisc(p, 0, (4, 8), 3)
+
+
 def test_disc_stores_plain_int_fields():
     """m and the component are stored as the plain ints that
     ``operator.index`` gives, as the weights are, so a bool m prints and

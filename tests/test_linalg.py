@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicforms import linalg
+from padicforms import linalg, padic
 from padicforms.errors import PrecisionError, VerificationError
 from padicforms.linalg import (
     independent_columns,
@@ -292,18 +292,29 @@ def test_projector_large_unit_order_companion():
     assert ordinary_projector(t, max_iterations=1) == res
 
 
-def _counting_matmul(monkeypatch):
-    """Patch ``PadicMatrix.__matmul__`` to record each call; returns the
-    list of calls."""
+def _counting_products(monkeypatch):
+    """Patch ``padic.product_rows``, the kernel behind ``@`` and every
+    product the projector makes, to record each call; returns the list
+    of calls."""
     calls = []
-    real_matmul = PadicMatrix.__matmul__
+    real_product_rows = padic.product_rows
 
-    def counting_matmul(self, other):
-        calls.append(self.size)
-        return real_matmul(self, other)
+    def counting_product_rows(a, b, s, modulus):
+        calls.append(s)
+        return real_product_rows(a, b, s, modulus)
 
-    monkeypatch.setattr(PadicMatrix, "__matmul__", counting_matmul)
+    monkeypatch.setattr(padic, "product_rows", counting_product_rows)
+    monkeypatch.setattr(linalg, "product_rows", counting_product_rows)
     return calls
+
+
+def settled_product_count(n, m):
+    """Products of ``ordinary_projector`` on a T singular mod p whose
+    nilpotent part is 0 mod p (k = 1): squarings to N = 2^s >= m, but
+    never past N >= n m; then the core A_P C, e, the fused check
+    e [T^N | e | T] and T e."""
+    squarings = min(max((m - 1).bit_length(), 1), (n * m - 1).bit_length())
+    return squarings + 4
 
 
 def test_projector_invertible_mod_p_is_identity(monkeypatch):
@@ -319,7 +330,7 @@ def test_projector_invertible_mod_p_is_identity(monkeypatch):
             if n:
                 t = block_conjugate(rng, n, n - 1, p, m)
                 deficient.append((t, reference_projector(t)))
-    calls = _counting_matmul(monkeypatch)
+    calls = _counting_products(monkeypatch)
     for t in invertible:
         n, p, m = t.size, t.p, t.m
         assert rank_mod_p(t.rows, p) == n
@@ -333,7 +344,7 @@ def test_projector_invertible_mod_p_is_identity(monkeypatch):
         assert rank_mod_p(t.rows, t.p) == t.size - 1
         calls.clear()
         res = ordinary_projector(t)
-        assert len(calls) >= 4  # the squarings and the checks
+        assert len(calls) == settled_product_count(t.size, t.m)
         assert (res.idempotent.rows, res.rank) == (idem.rows, rank)
     _check_projector_algebra(invertible[0])
 
@@ -346,14 +357,45 @@ def test_projector_matmul_count_is_logarithmic(monkeypatch):
     # part: its mod-p rank is below n and already stable at T^2
     assert rank_mod_p(settled.rows, 5) == rank_mod_p((settled @ settled).rows, 5) < 16
     assert rank_mod_p(shifted.rows, 5) < 16
-    calls = _counting_matmul(monkeypatch)
+    calls = _counting_products(monkeypatch)
     ordinary_projector(settled)
-    # N = 2^s >= k m takes ceil(log2 m) squarings at k = 1, plus the checks
-    assert len(calls) == (10 - 1).bit_length() + 4
+    # N = 2^s >= k m takes ceil(log2 m) = 4 squarings at k = 1, then the
+    # core, e, the fused check and T e
+    assert len(calls) == settled_product_count(16, 10) == 4 + 4
+    # the fused check is the one product with 3n columns
+    assert calls.count(3 * 16) == 1
     calls.clear()
     ordinary_projector(shifted)
-    # never more than ceil(log2(n m)) squarings, N >= n m, plus the checks
+    # never more than ceil(log2(n m)) squarings, N >= n m, plus the rest
     assert len(calls) <= (16 * 10 - 1).bit_length() + 4
+
+
+def test_projector_checks_every_block_of_the_fused_product(monkeypatch):
+    # e T^N, e^2 and e T come from one product e [T^N | e | T], T e from
+    # another: one wrong entry in any block is caught
+    t = block_conjugate(random.Random(5), 8, 4, 5, 6)
+    n, modulus = t.size, t.modulus
+    real_product_rows = linalg.product_rows
+
+    def corrupting(column, fused):
+        def product_rows(a, b, s, modulus):
+            rows = real_product_rows(a, b, s, modulus)
+            if (s == 3 * n) if fused else (a is t.rows):
+                first = list(rows[0])
+                first[column] = (first[column] + 1) % modulus
+                rows = (tuple(first), *rows[1:])
+            return rows
+
+        return product_rows
+
+    blocks = [(0, True, "outside the span"), (n, True, "not an idempotent")]
+    blocks += [(2 * n, True, "not an idempotent"), (0, False, "not an idempotent")]
+    for column, fused, message in blocks:
+        monkeypatch.setattr(linalg, "product_rows", corrupting(column, fused))
+        with pytest.raises(VerificationError, match=message):
+            ordinary_projector(t)
+    monkeypatch.undo()
+    assert ordinary_projector(t).rank == 4
 
 
 def test_projector_validates_only_its_public_builds(monkeypatch):
@@ -598,22 +640,46 @@ def test_elimination_against_oracles(case):
         assert [b.apply(x) for x in res.columns] == vectors
 
 
-def test_rank_mod_p_refuses_ragged_rows():
+def test_rank_mod_p_refuses_ragged_rows(monkeypatch):
     for p in (5, 17):
-        for rows in ([[0, 1], [1]], [[1, 0], [0]], [[], [1]]):
+        assert rank_mod_p([[], []], p) == rank_mod_p([], p) == 0
+
+    def no_elimination(*args):
+        raise AssertionError("elimination started on ragged rows")
+
+    monkeypatch.setattr(linalg, "_fp_pivots", no_elimination)
+    monkeypatch.setattr(linalg, "_eliminate", no_elimination)
+    # p = 5 takes the byte kernel, p = 17 ``_eliminate``; the shape is
+    # checked before any entry is read, so a non-integer entry in a
+    # ragged matrix raises ValueError too
+    for p in (5, 17):
+        for rows in ([[0, 1], [1]], [[1, 0], [0]], [[], [1]], [[2.5, 1], [1]]):
             with pytest.raises(ValueError, match="unequal length"):
                 rank_mod_p(rows, p)
-    assert rank_mod_p([[], []], 5) == rank_mod_p([], 5) == 0
+
+
+def test_rank_mod_p_refuses_non_integers():
+    for p in (5, 17):
+        # whole-valued non-integers too: 5.0 and 10/2 reduce to 0.0 and 0/1
+        for bad in (2.5, Fraction(7, 2), float(p), Fraction(2 * p, 2)):
+            for rows in ([[bad, 0], [0, 1]], [[1, 0], [0, bad]]):
+                with pytest.raises(TypeError):
+                    rank_mod_p(rows, p)
+        assert rank_mod_p([[True, 0], [0, -1]], p) == 2
 
 
 @st.composite
 def residue_rows(draw):
-    """Rectangular rows mod p < 16, with zero columns and zero rows."""
+    """Rows mod p < 16 up to 24 x 24, rectangular, with zero columns and
+    zero rows, or all p - 1: at p = 13 those drive a byte of the
+    multiply-add to its largest value, (p - 1) + (p - 1)^2 = 156."""
     p = draw(st.sampled_from((3, 5, 7, 11, 13)))
-    width = draw(st.integers(0, 12))
+    height, width = draw(st.integers(0, 24)), draw(st.integers(0, 24))
+    if draw(st.integers(0, 4)) == 0:
+        return p, width, [[p - 1] * width for _ in range(height)]
     zero_columns = draw(st.sets(st.integers(0, max(width - 1, 0))))
     row = st.lists(st.integers(0, p - 1), min_size=width, max_size=width)
-    rows = draw(st.lists(st.one_of(row, st.just([0] * width)), max_size=12))
+    rows = draw(st.lists(st.one_of(row, st.just([0] * width)), min_size=height, max_size=height))
     return p, width, [[0 if j in zero_columns else x for j, x in enumerate(r)] for r in rows]
 
 
@@ -622,8 +688,23 @@ def residue_rows(draw):
 def test_byte_pivots_match_elimination(case):
     p, width, rows = case
     expected = linalg._eliminate([list(r) for r in rows], p, p, width)
-    assert linalg._byte_pivots([bytes(r) for r in rows], p, width) == expected
+    mat = bytes([x for r in rows for x in r])
+    assert linalg._fp_pivots(mat, p, len(rows), width) == expected
     assert rank_mod_p(rows, p) == len(expected)
+    # the same rows off their residues: negative and large representatives
+    shifted = [[x + p * (i - j) * 10**6 for j, x in enumerate(r)] for i, r in enumerate(rows)]
+    assert linalg._pivots_mod_p(shifted, p) == expected
+
+
+def test_byte_pivots_follow_elimination_on_composite_moduli():
+    # outside F_p the kernel still takes _eliminate's pivots while they
+    # are units, and refuses a pivot that is not, as _eliminate does
+    for p, rows in ((4, [[1, 2], [3, 1]]), (9, [[0, 1], [1, 3], [2, 1]])):
+        assert rank_mod_p(rows, p) == len(linalg._eliminate(rows, p, p, 2)) == 2
+    for p, rows in ((4, [[2, 1]]), (9, [[1, 0], [0, 3]])):
+        for kernel in (linalg._pivots_mod_p, lambda rows, p: linalg._eliminate(rows, p, p, 2)):
+            with pytest.raises(ValueError):
+                kernel([list(r) for r in rows], p)
 
 
 def test_restrict_to_image():
