@@ -254,8 +254,15 @@ def independent_columns(matrix: PadicMatrix) -> Tuple[List[Tuple[int, ...]], Lis
     ``ordinary_projector``), the chosen columns are a basis of it by
     Nakayama's lemma.
     """
+    return _columns_at(matrix, _pivots_mod_p(matrix.rows, matrix.p))
+
+
+def _columns_at(
+    matrix: PadicMatrix, pivots: List[Tuple[int, int]]
+) -> Tuple[List[Tuple[int, ...]], List[int]]:
+    """``independent_columns`` from the (column, row) pivot pairs of the
+    matrix mod p, ``_pivots_mod_p(matrix.rows, matrix.p)``."""
     n = matrix.size
-    pivots = _pivots_mod_p(matrix.rows, matrix.p)
     columns = [tuple(matrix.rows[i][j] for i in range(n)) for j, _ in pivots]
     return columns, sorted(i for _, i in pivots)
 
@@ -325,7 +332,9 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
     mod p beyond the first.
 
     The pivot columns C of A mod p are a basis of the free module U, and
-    their rows P (from ``independent_columns``) make C_P unimodular.  So
+    their rows P make C_P unimodular (``independent_columns``'s choice,
+    read off the pivots of A mod p, which the rank check that ended the
+    squaring has already found when it read A itself).  So
     A = C X with X = C_P^-1 A_P, and the matrix of A on U in the basis C
     is S = X C = C_P^-1 (A_P C), invertible.  Hence
 
@@ -350,7 +359,8 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
     ``projector-random`` workload) still pass it.
     """
     n, p, m = matrix.size, matrix.p, matrix.m
-    rank = rank_mod_p(matrix.rows, p)
+    pivots = _pivots_mod_p(matrix.rows, p)  # of ``power``; None once it is squared
+    rank = len(pivots)
     if rank == n:
         # T is invertible mod p: K = 0 and e = 1, so nothing is squared
         return ProjectorResult(PadicMatrix.identity(n, p, m), n)
@@ -359,15 +369,19 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
     lift = max((m - 1).bit_length(), 1)  # 2^lift >= m; one squaring shows k = 1
     power, s, target = matrix, 0, cap
     while s < target:
-        power = power @ power
+        power, pivots = power @ power, None
         s += 1
         if s - 1 + lift < target:
-            previous, rank = rank, rank_mod_p(power.rows, p)
+            pivots = _pivots_mod_p(power.rows, p)
+            previous, rank = rank, len(pivots)
             if rank == previous:
                 # the mod-p rank stopped falling at T^(2^(s-1)), so
                 # k <= 2^(s-1) and N = 2^(s-1+lift) >= k m
                 target = s - 1 + lift
-    columns, pivot_rows = independent_columns(power)
+    # a rank read that ended the loop (lift = 1) was of T^N itself
+    if pivots is None:
+        pivots = _pivots_mod_p(power.rows, p)
+    columns, pivot_rows = _columns_at(power, pivots)
     r = len(columns)
     head = [power.rows[i] for i in pivot_rows]  # A_P
     c_rows = [[c[i] for c in columns] for i in range(n)]  # C, n x r

@@ -107,9 +107,11 @@ def is_prime(n: int) -> bool:
 
 
 def _check_pm(p: int, m: int) -> None:
-    if m < 1:
+    """Refuse a p or m that is not an integer (``operator.index``: a float
+    raises ``TypeError``), m < 1, and p not a prime >= 3."""
+    if index(m) < 1:
         raise ValueError(f"precision exponent must be >= 1, got {m}")
-    if p < 3 or not is_prime(p):
+    if index(p) < 3 or not is_prime(p):
         raise ValueError(f"p must be a prime >= 3, got {p}")
 
 

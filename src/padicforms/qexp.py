@@ -14,47 +14,77 @@ truncations, ring changes, inverses) are built already reduced, with
 one ``% modulus`` per coefficient, and skip that validation.
 
 ``f * g`` computes the first Q = min(f.qprec, g.qprec) coefficients of
-the product by one of two exact kernels, chosen from Q and the
-coefficient size alone: bits = bits(p^m - 1) over Z/p^m, and
-bits(max |a_i|) over the first Q coefficients of both factors over Z.
-When Q >= 16 and bits <= 3*Q, each factor is packed into one integer,
-one byte-aligned slot of at least 2*bits + bits(Q) + 2 bits per
-coefficient, the two integers are multiplied once (squared when f is g)
-and the low Q slots are read back (Kronecker substitution, as in
-``padic.product_rows``).  The slots are sized, packed and read back by
-the slot codec of ``padic``: up to 8 bytes they are widened to 1, 2, 4
-or 8 bytes, so that a whole series packs and unpacks in one call; wider
-slots pack one coefficient at a time and are read back by shift and
-mask when the packed series takes up to 1024 bytes, by byte slices when
-it is longer.  Otherwise the schoolbook double loop runs, one integer
-product per pair of indices below Q; it wins on short series, where
-packing costs more than it saves, and on wide coefficients, where the
-packed product computes all 2Q - 1 coefficients of the full product in
-slots twice the coefficient size.  Both kernels give the same integers.
+the product.  It first skips the factors' leading zeros: with f = q^s f'
+and g = q^t g', fg = q^(s+t) f'g', so f'g' is needed to n = Q - s - t
+coefficients only, and not at all when n <= 0 (the product is then 0).
+The running products of ``coleman.KatzBasis.elements_mod`` and the powers
+of Delta, which start at q^c, multiply so at length Q - c.  Then one of
+three exact kernels runs, chosen from n and the coefficient size alone:
+bits = bits(p^m - 1) over Z/p^m, and bits(max |a_i|) over the n
+coefficients of both factors that are used, over Z.
 
-Packed-kernel speed-up (schoolbook time / packed time) for distinct
-factors with random coefficients, over Z/p^m / over Z; best of seven,
-CPython 3.11 on a 2-CPU Intel Xeon host.  On the line bits = 3*Q it is
-1.34/1.08 at Q = 16, 1.15/1.15 at Q = 64 and 1.09/1.10 at Q = 128.
-Squaring (f * f) gains a further 1.3-1.7x; it has no threshold of its
-own.
+When n >= 16 and bits <= 4*n, the product is packed (Kronecker
+substitution, as in ``padic.product_rows``): big integers with one slot
+of at least 2*bits + bits(n) + 2 bits per coefficient, sized, packed and
+read back by the slot codec of ``padic``.  Up to 8-byte slots (1, 2, 4
+or 8 bytes, a whole series packed and read back in one call) each factor
+is one integer, evaluated at one point, and one product (a square when f
+is g) holds the n coefficients in its low slots.  Wider slots take two
+points, X = 2^N and -X, N half the slot width (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic
+Comput. 44, 2009): each factor's even- and odd-index coefficients are
+packed apart, E and O, evaluated as E + O X and E - O X, and two products
+of these half-length integers give the even coefficients, as
+(P+ + P-)/2, and the odd ones, as (P+ - P-)/2^(N+1).  CPython multiplies
+long integers by Karatsuba, so two products of half the length cost
+about 2/3 of one.  Otherwise the schoolbook double loop runs, one integer
+product per pair of indices below n; it wins on short series, where
+packing costs more than it saves, and on wide coefficients, where a
+packed product computes all 2n - 1 coefficients of the full product in
+slots twice the coefficient size.  Every kernel gives the same integers.
 
+Packed speed-up (schoolbook time / packed time), one point / two points,
+for distinct factors with random coefficients; best of seven,
+interleaved, CPython 3.11 on a 2-CPU Intel Xeon host.  Both columns are
+measured at every width; ``f * g`` packs at one point up to 8-byte slots
+(bits <= 28 at Q = 16-31) and at two beyond.  On the line bits = 4*Q,
+in a run of its own, two points read 1.20-1.57 over Z/p^m and 1.02-1.54
+over Z at Q = 16-128, and at 6*Q 0.87-1.48 and 0.90-1.39, below 1 at
+some Q.  Squaring (f * f) gains a further 1.4x at one or two points; it
+has no threshold of its own.
+
+  over Z/p^m
     Q  bits: 3            16           48           96           192          384
-        8    1.35/0.63    1.43/0.78    0.81/0.59    0.72/0.55    0.51/0.40    0.40/0.31
-       12    2.13/1.24    2.28/1.23    1.05/0.85    0.91/0.73    0.61/0.48    0.45/0.35
-       16    3.10/1.85    3.10/1.71    1.34/1.08    1.04/0.87    0.68/0.57    0.49/0.40
-       24    5.31/3.09    4.41/2.55    1.80/1.53    1.31/1.17    0.79/0.73    0.57/0.47
-       32    7.64/4.44    5.29/3.23    2.21/1.93    1.53/1.41    0.88/0.84    0.64/0.56
-       48   12.79/8.20    7.46/4.98    2.81/2.67    1.91/1.81    1.07/1.02    0.75/0.70
-       64   16.55/9.98    8.76/6.23    3.23/3.09    2.08/2.04    1.15/1.15    0.82/0.78
-       96   27.80/15.74  11.68/8.71    4.17/4.06    2.60/2.58    1.34/1.40    0.98/0.94
-      128   33.91/21.42  12.48/10.25   4.94/4.81    2.94/3.05    1.56/1.62    1.09/1.10
+        8    0.72/0.47    0.92/0.53    0.66/0.44    0.68/0.55    0.56/0.51    0.44/0.48
+       12    1.82/1.04    1.69/0.98    1.06/0.86    0.82/0.82    0.60/0.65    0.45/0.53
+       16    2.10/1.27    2.10/1.55    1.34/1.17    1.12/1.18    0.52/0.73    0.51/0.64
+       24    3.11/2.32    3.08/2.64    1.84/1.76    1.41/1.67    0.75/1.05    0.67/0.72
+       32    3.68/3.30    4.47/3.94    2.73/3.06    1.48/1.79    0.90/1.20    0.55/0.77
+       48    7.38/4.91    6.44/6.09    3.00/3.52    1.89/2.50    1.13/1.45    0.82/1.07
+       64   12.88/9.41    6.70/6.95    3.30/4.10    2.01/2.63    1.15/1.58    0.84/1.14
+       96   18.57/15.16   9.61/10.40   4.17/5.30    2.47/3.30    1.38/1.99    1.01/1.43
+      128   28.20/24.20  10.70/12.79   5.03/6.09    2.96/4.03    1.57/2.22    1.12/1.68
+
+  over Z, coefficients of both signs
+    Q  bits: 3            16           48           96           192          384
+        8    0.49/0.33    0.47/0.34    0.48/0.40    0.45/0.39    0.39/0.37    0.31/0.36
+       12    0.82/0.58    0.79/0.61    0.72/0.65    0.66/0.64    0.46/0.53    0.35/0.42
+       16    0.98/0.70    1.13/0.88    1.05/0.95    0.85/0.86    0.60/0.70    0.41/0.55
+       24    1.71/1.35    1.89/1.57    1.43/1.48    1.10/1.20    0.76/0.91    0.53/0.71
+       32    2.94/2.54    2.35/2.38    1.75/1.78    1.32/1.52    0.82/1.07    0.53/0.75
+       48    4.42/3.67    3.81/3.97    1.92/2.40    1.72/2.08    1.10/1.69    0.70/0.96
+       64    6.55/5.60    4.70/5.01    2.82/3.27    1.60/2.08    1.21/1.58    0.87/1.16
+       96   12.19/11.13   7.48/8.32    3.67/4.61    2.58/3.10    1.43/1.83    0.98/1.62
+      128   16.69/14.62   9.43/11.20   3.95/5.00    2.56/3.46    1.56/2.06    1.15/1.60
+
+Schoolbook time at 96 bits over Z/p^m: 10.5, 25, 72, 460 and 1890 us at
+Q = 8, 16, 32, 64 and 128.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, compress, count, repeat
 from operator import add, index, mul, sub
 from typing import Callable, Sequence, Union
 
@@ -98,10 +128,10 @@ ZZ = IntegerRing()
 
 Ring = Union[IntegerRing, ModRing]
 
-# The packed kernel runs when Q >= _PACKED_MIN_Q and bits <= _PACKED_BITS_PER_Q * Q
+# A packed kernel runs when n >= _PACKED_MIN_Q and bits <= _PACKED_BITS_PER_Q * n
 # (see the module docstring for the measurements behind both numbers).
 _PACKED_MIN_Q = 16
-_PACKED_BITS_PER_Q = 3
+_PACKED_BITS_PER_Q = 4
 
 
 def _schoolbook_product(a: tuple, b: tuple) -> list:
@@ -121,33 +151,65 @@ def _schoolbook_product(a: tuple, b: tuple) -> list:
 def _packed_product(a: tuple, b: tuple, bits: int, signed: bool) -> Sequence[int]:
     """The first len(a) coefficients of a*b, for len(b) == len(a) = Q and
     every |coefficient| < 2^bits (every coefficient in [0, 2^bits) unless
-    ``signed``), by one big-integer product (Kronecker substitution).
+    ``signed``), by Kronecker substitution at one or two points.
 
-    Each series becomes the integer sum_i a_i X^i at X = 2^(8*width), a
-    slot of ``width`` bytes per coefficient, sized and packed by the
-    ``padic`` slot codec.  A coefficient of the product is a sum of at most
-    Q products, so its absolute value is below 2^(2*bits + bits(Q)) <= X/4
-    and no slot carries into the next.  Signed coefficients are packed as
-    a_i + 2^bits >= 0, and 2^bits * (1 + X + ... + X^(Q-1)) is taken off
-    the packed integer after; adding X/2 to every low slot of the product
-    then makes each slot's content c_n + X/2 lie in [0, X), read back as
-    c_n.
+    A coefficient c_n of the product is a sum of at most Q products, so
+    |c_n| < 2^(2*bits + bits(Q)) <= Y/4 for a slot Y = 2^(8*width) of
+    ``width`` bytes, sized and packed by the ``padic`` slot codec, and no
+    slot carries into the next.  Up to 8-byte slots each series becomes
+    the integer sum_i a_i Y^i, and one product (a square when b is a)
+    holds every c_n in its own slot.  Wider slots take two points,
+    X = 2^N and -X with X^2 = Y, N = 4*width bits (Harvey, J. Symbolic
+    Comput. 44, 2009): each series is split as E(Y) + X O(Y) into its
+    even- and odd-index coefficients, each packed into one integer, one
+    slot per coefficient, and evaluated at X and -X.  The two products
+    P+ and P- of these half-length integers give (P+ + P-)/2 =
+    sum c_(2k) Y^k and (P+ - P-)/(2X) = sum c_(2k+1) Y^k.
+    Signed coefficients are packed as a_i + 2^bits >= 0, and
+    2^bits * (1 + Y + Y^2 + ...) is taken off each packed integer after;
+    adding Y/2 to every low slot of each sum then makes each slot's
+    content c_n + Y/2 lie in [0, Y), read back as c_n.
     """
     q = len(a)
     width = slot_size(2 * bits + q.bit_length() + 2)  # bytes per slot
-    rows = [a] if b is a else [a, b]  # a square packs once
+    rows, count = ([a] if b is a else [a, b]), q  # a square packs once
+    if width > 8:
+        # two points: each factor's even- and odd-index coefficients, one
+        # row each, the odd row padded to the length of the even one
+        count, pad = (q + 1) // 2, (0,) * (q & 1)
+        rows = [half_row for f in rows for half_row in (f[::2], f[1::2] + pad)]
     if signed:
         bias, half = 1 << bits, 1 << (8 * width - 1)
-        # the biased factors, then 1 + X + ... + X^(Q-1)
+        # the biased rows, then 1 + Y + ... + Y^(count-1)
         *packed, ones = pack_slots(
-            [*(map(add, row, repeat(bias)) for row in rows), repeat(1, q)], q, width
+            [*(map(add, row, repeat(bias)) for row in rows), repeat(1, count)], count, width
         )
-        packed = [x - bias * ones for x in packed]
+        offset = bias * ones
+        packed = [x - offset for x in packed]
     else:
-        packed, half, ones = pack_slots(rows, q, width), 0, 0
-    # x * x when squaring: CPython multiplies one object by itself faster
-    low = (packed[0] * packed[-1] + half * ones) & ((1 << 8 * width * q) - 1)
-    out = unpack_slots([low], q, width)
+        packed, half, ones = pack_slots(rows, count, width), 0, 0
+    # the low slots of each product, every slot's content raised by Y/2
+    # when signed; x * x when squaring: CPython multiplies one object by
+    # itself faster
+    mask, lift = (1 << 8 * width * count) - 1, half * ones
+    if width <= 8:
+        sums = [(packed[0] * packed[-1] + lift) & mask]
+    else:
+        shift = 4 * width  # X = 2^shift
+        plus, minus = [], []  # each factor at X and at -X
+        for even, odd in zip(packed[::2], packed[1::2]):
+            odd <<= shift
+            plus.append(even + odd)
+            minus.append(even - odd)
+        high, low = plus[0] * plus[-1], minus[0] * minus[-1]
+        evens, odds = (high + low) >> 1, (high - low) >> (shift + 1)
+        sums = [(evens + lift) & mask, (odds + lift) & mask]
+    out = unpack_slots(sums, count, width)
+    if width > 8:
+        # even-index coefficients, then odd: interleave them
+        merged = [0] * (2 * count)
+        merged[::2], merged[1::2] = out[:count], out[count:]
+        out = merged[:q]
     return list(map(sub, out, repeat(half, q))) if signed else out
 
 
@@ -241,15 +303,32 @@ class QSeries:
     def __mul__(self, other: "QSeries") -> "QSeries":
         q = self._common(other)
         a, b = self.coeffs[:q], other.coeffs[:q]  # the same tuple when squaring
-        if q >= _PACKED_MIN_Q:
-            modulus = self.ring.modulus
+        # q^s f * q^t g = q^(s+t) fg: f and g lose their s and t leading
+        # zeros, and fg is needed to length n = Q - s - t only
+        s = 0 if a[0] else next(compress(count(), a), q)
+        t = s if b is a else 0 if b[0] else next(compress(count(), b), q)
+        n = q - s - t
+        if n <= 0:
+            return QSeries._reduced(self.ring, (0,) * q)
+        if n < q:
+            square = b is a
+            a = a[s : s + n]
+            b = a if square else b[t : t + n]
+        modulus = self.ring.modulus
+        if n < _PACKED_MIN_Q:
+            product = _schoolbook_product(a, b)
+        else:
             if modulus is None:
                 bits = max(max(map(abs, a)), max(map(abs, b))).bit_length()
             else:
                 bits = (modulus - 1).bit_length()
-            if bits <= _PACKED_BITS_PER_Q * q:
-                return QSeries._from_ints(self.ring, _packed_product(a, b, bits, modulus is None))
-        return QSeries._from_ints(self.ring, _schoolbook_product(a, b))
+            if bits <= _PACKED_BITS_PER_Q * n:
+                product = _packed_product(a, b, bits, modulus is None)
+            else:
+                product = _schoolbook_product(a, b)
+        if n < q:
+            product = chain(repeat(0, q - n), product)
+        return QSeries._from_ints(self.ring, product)
 
     def product_at(self, other: "QSeries", indices: Sequence[int]) -> "QSeries":
         """The coefficients of ``self * other`` at ``indices`` only, as the

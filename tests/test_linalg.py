@@ -370,6 +370,31 @@ def test_projector_matmul_count_is_logarithmic(monkeypatch):
     assert len(calls) <= (16 * 10 - 1).bit_length() + 4
 
 
+@pytest.mark.parametrize("m, eliminations", [(1, 3), (2, 3), (3, 4), (10, 4)])
+def test_projector_eliminates_each_matrix_once(monkeypatch, m, eliminations):
+    # T singular mod p with k = 1 takes the pivots mod p of T, of T^2 (the
+    # rank check that shows k = 1), of T^N (the image basis) and of e (its
+    # rank check).  At m <= 2, N = 2 and the rank check already read T^N:
+    # its pivots give the image basis, so T^2 is eliminated once, not twice
+    rng = random.Random(m)
+    t = block_conjugate(rng, 8, 4, 5, m)
+    while rank_mod_p(t.rows, 5) != 4:  # A invertible mod p, so k = 1
+        t = block_conjugate(rng, 8, 4, 5, m)
+    calls = []
+    real_pivots = linalg._pivots_mod_p
+
+    def counting_pivots(rows, p):
+        calls.append(tuple(map(tuple, rows)))
+        return real_pivots(rows, p)
+
+    monkeypatch.setattr(linalg, "_pivots_mod_p", counting_pivots)
+    res = ordinary_projector(t)
+    assert len(calls) == eliminations
+    assert len(set(calls)) == eliminations
+    idem, rank = reference_projector(t)
+    assert (res.idempotent.rows, res.rank) == (idem.rows, rank)
+
+
 def test_projector_checks_every_block_of_the_fused_product(monkeypatch):
     # e T^N, e^2 and e T come from one product e [T^N | e | T], T e from
     # another: one wrong entry in any block is caught
@@ -505,16 +530,18 @@ def test_projector_rejects_an_image_basis_missing_a_column(monkeypatch):
     # idempotent, but of rank r - 1, so it cannot fix every column of A.
     # T is an idempotent or diagonal, so A_P C stays unimodular and the
     # solve goes through to the checks.  An invertible T (r = n) returns
-    # the identity before any image basis is chosen.
-    real_independent_columns = linalg.independent_columns
+    # the identity before any image basis is chosen.  The projector picks
+    # the basis by ``_columns_at``, from the pivots of A mod p, as
+    # ``independent_columns`` does.
+    real_columns_at = linalg._columns_at
     calls = []
 
-    def drop_last_column(matrix):
+    def drop_last_column(matrix, pivots):
         calls.append(matrix.size)
-        columns, _ = real_independent_columns(matrix)
+        columns, _ = real_columns_at(matrix, pivots)
         return columns[:-1], greedy_rows(columns[:-1], matrix.p)
 
-    monkeypatch.setattr(linalg, "independent_columns", drop_last_column)
+    monkeypatch.setattr(linalg, "_columns_at", drop_last_column)
     rng = random.Random(8)
     cases = [PadicMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 5]], 5, 4)]
     sizes = [(1, 1, 5, 3), (2, 1, 5, 3), (4, 2, 7, 2), (9, 5, 5, 10), (16, 16, 13, 4), (16, 15, 13, 4)]

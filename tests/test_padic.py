@@ -8,6 +8,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from padicforms import padic
+from padicforms.charseries import CharSeries
 from padicforms.padic import PadicMatrix, pack_slots, product_rows, slot_size, unpack_slots, val_p
 from padicforms.qexp import ModRing, QSeries
 
@@ -79,6 +80,25 @@ def test_non_integer_entries_are_rejected():
     with pytest.raises(TypeError):
         PadicMatrix.identity(2, 5, 3).apply((1.0, 2))
     assert PadicMatrix.from_rows([[True, False], [0, 1]], 5, 3) == PadicMatrix.identity(2, 5, 3)
+
+
+@pytest.mark.parametrize("p, m", [(5, 2.0), (5.0, 2), (5, Fraction(2)), (Fraction(5), 2)])
+def test_non_integer_p_or_m_is_rejected(p, m):
+    # a float m used to be accepted: ModRing(5, 2.0).modulus read 25.0, and
+    # series, matrices and char series over it held float residues
+    builds = (
+        lambda: ModRing(p, m),
+        lambda: PadicMatrix.from_rows([[1, 2], [3, 4]], p, m),
+        lambda: PadicMatrix.identity(2, p, m),
+        lambda: PadicMatrix.zero(2, p, m),
+        lambda: CharSeries((1, 7), p, m),
+    )
+    if type(m) is not int:
+        builds += (lambda: PadicMatrix.identity(2, 5, 3).reduce(m),)
+    for build in builds:
+        with pytest.raises(TypeError):
+            build()
+    assert ModRing(5, True).modulus == 5
 
 
 @pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (24, 5)])

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from padicforms import qexp
 from padicforms.errors import PrecisionError
-from padicforms.qexp import _PACKED_BITS_PER_Q, _PACKED_MIN_Q, ModRing, QSeries, ZZ
+from padicforms.padic import slot_size
+from padicforms.qexp import ModRing, QSeries, ZZ
 
 
 def test_construction_and_reduction():
@@ -162,18 +163,71 @@ def _assert_canonical(result, expected):
         assert modulus is None or 0 <= c < modulus
 
 
-# Targeted examples on both sides of the kernel choice: over Z/7^17 the
-# coefficients have 48 = 3 * 16 bits, so Q = 16 packs and Q = 15 does not;
-# Z/7^18 has 51 bits; over Z, zbits 48 and 49 at Q = 16; all-zero factors.
-# Then both sides of the slot codec's 1024-byte read-back threshold: Z/13^10
-# at Q = 61 packs into 11-byte slots, 671 bytes, read by shift and mask;
-# Z/13^60 at Q = 80 into 57-byte slots and Z at 200 bits into 52-byte
-# slots, 4560 and 4160 bytes, read by byte slices.
-@example(p=7, m=17, q1=16, q2=20, seed=1, k=2, zbits=0, zero=False)
+def _expected_kernel(x, y, modulus):
+    """The kernel ``f * g`` runs by the documented rule, thresholds written
+    out.  The s and t leading zeros of the first Q = min(len) coefficients
+    are skipped, leaving n = Q - s - t: no kernel at all when n <= 0, else
+    packed when n >= 16 and bits <= 4 * n (bits of p^m - 1, or over Z of
+    the largest |coefficient| the skipped factors keep), in one-point slots
+    when 2 * bits + bits(n) + 2 bits fit 8 bytes and two-point beyond;
+    else schoolbook.  Returns the kernel and n."""
+    q = min(len(x), len(y))
+    s = next((i for i in range(q) if x[i]), q)
+    t = next((i for i in range(q) if y[i]), q)
+    n = q - s - t
+    if n <= 0:
+        return None, n
+    if modulus is None:
+        bits = max(map(abs, x[s : s + n] + y[t : t + n])).bit_length()
+    else:
+        bits = (modulus - 1).bit_length()
+    if n < 16 or bits > 4 * n:
+        return "schoolbook", n
+    return ("one-point" if 2 * bits + n.bit_length() + 2 <= 64 else "two-point"), n
+
+
+def _observed_product(f, g):
+    """f * g, and the kernel it ran with the slots per packed integer: n
+    for one point, ceil(n/2) for two."""
+    with patch.object(qexp, "_packed_product", wraps=qexp._packed_product) as packed, patch.object(
+        qexp, "_schoolbook_product", wraps=qexp._schoolbook_product
+    ) as school, patch.object(qexp, "pack_slots", wraps=qexp.pack_slots) as pack:
+        result = f * g
+    assert packed.call_count + school.call_count <= 1
+    if school.called:
+        return result, "schoolbook", len(school.call_args.args[0])
+    if not packed.called:
+        return result, None, None
+    n, (_, count, size) = len(packed.call_args.args[0]), pack.call_args.args
+    assert size == slot_size(2 * packed.call_args.args[2] + n.bit_length() + 2)
+    assert count == (n if size <= 8 else (n + 1) // 2)
+    return result, ("one-point" if count == n else "two-point"), n
+
+
+def _check_product(x, y, ring):
+    """f * g against the plain product, by the kernel the rule names."""
+    f, g = QSeries.from_coeffs(x, ring), QSeries.from_coeffs(y, ring)
+    result, kernel, n = _observed_product(f, g)
+    _assert_canonical(result, QSeries(ring, tuple(_plain_product(x, y))))
+    expected, expected_n = _expected_kernel(x, y, ring.modulus)
+    assert kernel == expected
+    assert n == (expected_n if expected else None)
+    return expected
+
+
+# Targeted examples on both sides of each kernel line: over Z/7^22 the
+# coefficients have 62 <= 4 * 16 bits, so Q = 16 packs and Z/7^23, with
+# 65 bits, does not; Q = 15 never packs; over Z, zbits 64 and 65 at
+# Q = 16; all-zero factors, which need no kernel.  Then both sides of the
+# slot codec's 1024-byte read-back threshold: Z/13^10 at Q = 61 packs two
+# integers of 31 slots of 10 bytes, 310 bytes, read by shift and mask;
+# Z/13^60 at Q = 80 into 40 slots of 57 bytes and Z at 200 bits into 40
+# slots of 52 bytes, 2280 and 2080 bytes, read by byte slices.
+@example(p=7, m=22, q1=16, q2=20, seed=1, k=2, zbits=0, zero=False)
 @example(p=7, m=17, q1=15, q2=20, seed=2, k=2, zbits=0, zero=False)
-@example(p=7, m=18, q1=16, q2=16, seed=3, k=2, zbits=0, zero=False)
-@example(p=5, m=None, q1=16, q2=16, seed=4, k=2, zbits=48, zero=False)
-@example(p=5, m=None, q1=16, q2=16, seed=5, k=2, zbits=49, zero=False)
+@example(p=7, m=23, q1=16, q2=16, seed=3, k=2, zbits=0, zero=False)
+@example(p=5, m=None, q1=16, q2=16, seed=4, k=2, zbits=64, zero=False)
+@example(p=5, m=None, q1=16, q2=16, seed=5, k=2, zbits=65, zero=False)
 @example(p=5, m=None, q1=80, q2=80, seed=6, k=3, zbits=0, zero=True)
 @example(p=13, m=60, q1=80, q2=75, seed=7, k=2, zbits=0, zero=True)
 @example(p=13, m=10, q1=61, q2=70, seed=8, k=2, zbits=0, zero=False)
@@ -207,12 +261,7 @@ def test_internal_results_are_canonical(p, m, q1, q2, seed, k, zbits, zero):
         return QSeries(ref_ring, tuple(coeffs))
 
     q = min(q1, q2)
-    with patch.object(qexp, "_packed_product", wraps=qexp._packed_product) as packed:
-        _assert_canonical(f * g, ref(_plain_product(x, y)))
-    # the documented choice: packed iff Q >= 16 and bits <= 3 * Q
-    bits = max(map(abs, x[:q] + y[:q])) if m is None else p**m - 1
-    assert packed.called == (q >= _PACKED_MIN_Q and bits.bit_length() <= _PACKED_BITS_PER_Q * q)
-    event("packed kernel" if packed.called else "schoolbook kernel")
+    event(f"{_check_product(x, y, ring)} kernel")
     _assert_canonical(f * f, ref(_plain_product(x, x)))
     _assert_canonical(g * g, ref(_plain_product(y, y)))
     _assert_canonical(f + g, ref([u + v for u, v in zip(x[:q], y[:q])]))
@@ -233,14 +282,19 @@ def test_internal_results_are_canonical(p, m, q1, q2, seed, k, zbits, zero):
     _assert_canonical(f.to_ring(ring), ref(x))
 
 
-# Q = 24 takes the packed kernel at every width up to 3 * 24 = 72 bits.
+# Q = 24 packs at every width up to 4 * 24 = 96 bits: one-point slots up to
+# 28 bits (2 * 28 + bits(24) + 2 = 63 bits in 8 bytes), two-point from 29.
 # At Q = 40 and 65 bits, 2 * 65 + bits(40) = 136 bits fill 17 whole bytes,
 # and c_39 = 40 * (2^65 - 1)^2 of two equal-sign series exceeds half of
 # such a slot: the 2 bits the slot adds beyond that round it up to 18.
-# Q = 80 at 200 bits packs 52-byte slots, 4160 bytes, beyond the codec's
-# 1024-byte threshold for reading by shift and mask.
+# Q = 80 at 200 bits packs two integers of 40 slots of 52 bytes, 2080
+# bytes, beyond the codec's 1024-byte threshold for reading by shift and
+# mask.  A pattern with leading zeros multiplies at n = Q - s - t, which
+# may fall below the line, so each product is held to the rule.
 @pytest.mark.parametrize(
-    "q, bits", [(24, 1), (24, 2), (24, 17), (24, 64), (24, 72), (40, 65), (80, 200)]
+    "q, bits",
+    [(24, 1), (24, 2), (24, 17), (24, 28), (24, 29), (24, 64), (24, 72), (24, 96)]
+    + [(40, 65), (80, 200)],
 )
 def test_packed_kernel_over_z_handles_every_sign_pattern(q, bits):
     # each pattern reaches |a_i| = 2^bits - 1, the largest its slots allow
@@ -254,10 +308,101 @@ def test_packed_kernel_over_z_handles_every_sign_pattern(q, bits):
         "mixed": [top, -top] + [rng.randint(-top, top) for _ in range(q - 2)],
         "zeros and -top": [-top if i % 5 == 3 else 0 for i in range(q)],
     }
+    kernels = set()
     for x in patterns.values():
-        f = QSeries.from_coeffs(x)
         for y in patterns.values():
-            with patch.object(qexp, "_packed_product", wraps=qexp._packed_product) as packed:
-                assert list((f * QSeries.from_coeffs(y)).coeffs) == _plain_product(x, y)
-                assert list((f * f).coeffs) == _plain_product(x, x)
-            assert packed.call_count == 2
+            kernels.add(_check_product(x, y, ZZ))
+        f = QSeries.from_coeffs(x)
+        assert list((f * f).coeffs) == _plain_product(x, x)
+    # the patterns without leading zeros take the packed kernel
+    assert kernels - {"schoolbook"} == {"one-point" if bits <= 28 else "two-point"}
+
+
+_MAX_BITS = 420  # the widest coefficients the product test draws
+
+
+def _fill(rng, length, ring, bits, fill, lead):
+    """``lead`` zeros, then coefficients: uniform, all zero, or the worst
+    case for the slots, every one p^m - 1 over Z/p^m, or +-(2^bits - 1)
+    over Z (all + or random signs)."""
+    modulus = ring.modulus
+    top = 2**bits - 1 if modulus is None else modulus - 1
+    if fill == "uniform":
+        body = [rng.randint(-top if modulus is None else 0, top) for _ in range(length)]
+    elif fill == "zero":
+        body = [0] * length
+    elif fill == "top":
+        body = [top] * length
+    else:  # "signed top"
+        body = [rng.choice((top, -top)) for _ in range(length)]
+    return ([0] * lead + body)[:length]
+
+
+@st.composite
+def product_cases(draw):
+    q = draw(st.integers(1, 120))
+    if draw(st.booleans()):
+        # half of the widths near or below the line bits = 4Q
+        bits = draw(st.one_of(st.integers(0, min(4 * q + 8, _MAX_BITS)), st.integers(0, _MAX_BITS)))
+        ring = ZZ
+    else:
+        p = draw(st.sampled_from((5, 7, 11, 13)))
+        m = draw(st.integers(1, 180))
+        while (p**m - 1).bit_length() > _MAX_BITS:
+            m -= 1
+        ring, bits = ModRing(p, m), None
+    fills = st.sampled_from(("uniform", "uniform", "top", "signed top", "zero"))
+    fill_f, fill_g = draw(fills), draw(fills)
+    # leading zeros: none, a few, or any number up to Q
+    lead = st.one_of(st.just(0), st.integers(0, 4), st.integers(0, q))
+    s, t = draw(lead), draw(lead)
+    extra = draw(st.integers(0, 3))  # g may run longer than f
+    seed = draw(st.integers(0, 2**32 - 1))
+    return q, ring, bits, (fill_f, s), (fill_g, t, extra), seed
+
+
+def _product_case(q, ring, bits, f_spec, g_spec, seed):
+    rng = random.Random(seed)
+    (fill_f, s), (fill_g, t, extra) = f_spec, g_spec
+    x = _fill(rng, q, ring, bits, fill_f, s)
+    y = _fill(rng, q + extra, ring, bits, fill_g, t)
+    return x, y
+
+
+# Explicit cases on both sides of each kernel line, at the worst fill:
+# Q = 15 / 16 at 5^2 (the packed kernel's least Q, one-point); Z at Q = 16
+# with 28 / 29 bits and Z/5^12 (28 bits) at Q = 32 / 64, across the
+# one-point / two-point line (63 / 65 slot bits); Z/5^52 (121 bits) at
+# Q = 31 / 30, and Z at Q = 105 / 104 with 420 bits, across bits = 4Q;
+# Q = 120 at 420 bits, the widest two-point product drawn; leading zeros
+# that take n below 16 (20 - 3 - 2 = 15), to 1, to exactly 0 and past it.
+@example(case=(15, ModRing(5, 2), None, ("top", 0), ("top", 0, 0), 1))
+@example(case=(16, ModRing(5, 2), None, ("top", 0), ("top", 0, 0), 1))
+@example(case=(16, ZZ, 28, ("signed top", 0), ("top", 0, 1), 2))
+@example(case=(16, ZZ, 29, ("signed top", 0), ("top", 0, 1), 2))
+@example(case=(32, ModRing(5, 12), None, ("top", 0), ("top", 0, 0), 3))
+@example(case=(64, ModRing(5, 12), None, ("top", 0), ("uniform", 0, 0), 3))
+@example(case=(31, ModRing(5, 52), None, ("top", 0), ("top", 0, 0), 4))
+@example(case=(30, ModRing(5, 52), None, ("top", 0), ("top", 0, 0), 4))
+@example(case=(105, ZZ, 420, ("signed top", 0), ("signed top", 0, 2), 5))
+@example(case=(104, ZZ, 420, ("signed top", 0), ("signed top", 0, 2), 5))
+@example(case=(120, ZZ, 420, ("top", 0), ("top", 0, 0), 6))
+@example(case=(120, ModRing(5, 180), None, ("top", 3), ("uniform", 1, 0), 6))
+@example(case=(20, ModRing(7, 3), None, ("uniform", 3), ("top", 2, 0), 7))
+@example(case=(40, ModRing(7, 30), None, ("top", 25), ("top", 14, 0), 8))
+@example(case=(40, ZZ, 99, ("uniform", 25), ("uniform", 15, 0), 9))
+@example(case=(40, ZZ, 99, ("top", 39), ("top", 39, 3), 9))
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(case=product_cases())
+def test_product_matches_plain_product(case):
+    # f * g and f * f against the definition, with the kernel each took
+    # held to the rule; leading zeros s + t >= Q give the zero series
+    q, ring, *_ = case
+    x, y = _product_case(*case)
+    kernel = _check_product(x, y, ring)
+    event(f"{kernel} kernel")
+    f = QSeries.from_coeffs(x, ring)
+    result, square_kernel, _ = _observed_product(f, f)
+    _assert_canonical(result, QSeries(ring, tuple(_plain_product(x, x))))
+    assert square_kernel == _expected_kernel(x, x, ring.modulus)[0]
+    event(f"{square_kernel} kernel (square)")
