@@ -9,12 +9,17 @@ A ``PadicMatrix`` validates its inputs once, at the public constructors
 (``PadicMatrix(...)``, ``from_rows``): p must be a prime >= 3, m >= 1,
 the rows square, and every entry an integer (``operator.index``; a float
 or Fraction raises ``TypeError`` instead of being truncated), which is
-then reduced mod p^m.  ``identity`` and ``zero`` check p, m and n >= 0:
-their entries are 0 and 1.  Results the class computes itself
-(products, sums, powers, transposes, reductions) are built already
-reduced over the checked (p, m) and skip that validation.  A matrix
-carries no label of the basis it is written in; the CLI names the basis
-where it prints one.
+then reduced mod p^m.  ``identity`` and ``zero`` check p, m and the
+size n, an integer >= 0: their entries are 0 and 1.  The rows of
+``identity`` do not depend on (p, m), so every identity of one size
+shares one rows tuple, looked up only once n, p and m pass those checks
+and keyed on n as an int: a float or Fraction argument still raises
+``TypeError`` after the int identity is built.  Results the class
+computes itself (products, sums, powers, transposes, reductions) are
+built already reduced over the checked (p, m) and skip that
+validation; their rows are built by list comprehensions, which run no
+generator frame per entry.  A matrix carries no label of the basis it
+is written in; the CLI names the basis where it prints one.
 
 Every matrix product over Z/p^m, ``A @ B`` and the rectangular ones of
 ``linalg.ordinary_projector``, goes through one kernel,
@@ -88,7 +93,8 @@ freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import index, matmul, mul
+from functools import lru_cache
+from operator import add, index, matmul, mul, sub
 from struct import iter_unpack, pack, unpack
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -135,7 +141,7 @@ def power_from_base(x, n: int, product: Callable):
 
 
 def _check_size(n: int) -> None:
-    if n < 0:
+    if index(n) < 0:
         raise ValueError(f"matrix size must be >= 0, got {n}")
 
 
@@ -237,7 +243,7 @@ class PadicMatrix:
         _check_pm(self.p, self.m)
         n = len(self.rows)
         modulus = self.p**self.m
-        reduced = tuple(tuple(index(x) % modulus for x in row) for row in self.rows)
+        reduced = tuple([tuple([x % modulus for x in map(index, row)]) for row in self.rows])
         for row in reduced:
             if len(row) != n:
                 raise ValueError("matrix must be square")
@@ -259,10 +265,11 @@ class PadicMatrix:
 
     @classmethod
     def identity(cls, n: int, p: int, m: int) -> "PadicMatrix":
+        """The n x n identity, its rows shared by every identity of size n
+        and looked up only once n, p and m are checked."""
         _check_pm(p, m)
         _check_size(n)
-        rows = tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
-        return cls._reduced(rows, p, m, p**m)
+        return cls._reduced(_identity_rows(index(n)), p, m, p**m)
 
     @classmethod
     def zero(cls, n: int, p: int, m: int) -> "PadicMatrix":
@@ -284,30 +291,26 @@ class PadicMatrix:
     def __add__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._check_compatible(other)
         modulus = self.modulus
-        rows = tuple(
-            tuple((a + b) % modulus for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        )
+        pairs = zip(self.rows, other.rows)
+        rows = tuple([tuple([x % modulus for x in map(add, a, b)]) for a, b in pairs])
         return PadicMatrix._reduced(rows, self.p, self.m, modulus)
 
     def __sub__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._check_compatible(other)
         modulus = self.modulus
-        rows = tuple(
-            tuple((a - b) % modulus for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        )
+        pairs = zip(self.rows, other.rows)
+        rows = tuple([tuple([x % modulus for x in map(sub, a, b)]) for a, b in pairs])
         return PadicMatrix._reduced(rows, self.p, self.m, modulus)
 
     def __neg__(self) -> "PadicMatrix":
         modulus = self.modulus
-        rows = tuple(tuple(-a % modulus for a in row) for row in self.rows)
+        rows = tuple([tuple([-a % modulus for a in row]) for row in self.rows])
         return PadicMatrix._reduced(rows, self.p, self.m, modulus)
 
     def scale(self, c: int) -> "PadicMatrix":
         modulus = self.modulus
         c = index(c) % modulus
-        rows = tuple(tuple(c * a % modulus for a in row) for row in self.rows)
+        rows = tuple([tuple([c * a % modulus for a in row]) for row in self.rows])
         return PadicMatrix._reduced(rows, self.p, self.m, modulus)
 
     def __matmul__(self, other: "PadicMatrix") -> "PadicMatrix":
@@ -331,7 +334,7 @@ class PadicMatrix:
             raise ValueError("vector length mismatch")
         modulus = self.modulus
         vector = tuple(map(index, vector))
-        return tuple(sum(map(mul, row, vector)) % modulus for row in self.rows)
+        return tuple([sum(map(mul, row, vector)) % modulus for row in self.rows])
 
     def transpose(self) -> "PadicMatrix":
         return PadicMatrix._reduced(tuple(zip(*self.rows)), self.p, self.m, self.modulus)
@@ -345,7 +348,7 @@ class PadicMatrix:
             raise ValueError("cannot increase precision by reduction")
         _check_pm(self.p, m_new)
         modulus = self.p**m_new
-        rows = tuple(tuple(a % modulus for a in row) for row in self.rows)
+        rows = tuple([tuple([a % modulus for a in row]) for row in self.rows])
         return PadicMatrix._reduced(rows, self.p, m_new, modulus)
 
     def is_zero(self) -> bool:
@@ -358,3 +361,10 @@ class PadicMatrix:
             for a in row:
                 v = min(v, val_p(a, self.p, saturate=self.m))
         return v
+
+
+@lru_cache(maxsize=None)
+def _identity_rows(n: int) -> tuple:
+    """The rows of the n x n identity, for an int n >= 0 already checked:
+    the same over every Z/p^m, so one tuple is built per n."""
+    return tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])

@@ -8,10 +8,12 @@ A ``QSeries`` validates its coefficients once, when a public entry
 point builds it (``QSeries(...)``, ``from_coeffs``, ``constant``,
 ``map_coeffs``): each must be an integer (``operator.index``; a float
 or Fraction raises ``TypeError`` instead of being truncated), reduced
-mod p^m over Z/p^m.
-Results the class computes itself (products, sums, scales, shifts,
-truncations, ring changes, inverses) are built already reduced, with
-one ``% modulus`` per coefficient, and skip that validation.
+mod p^m over Z/p^m: one ``map(operator.index, ...)`` over all of them
+and one ``% modulus`` list comprehension, with no method call per
+coefficient.  Results the class computes itself (products, sums,
+scales, shifts, truncations, ring changes, inverses) are built already
+reduced, with one ``% modulus`` per coefficient, and skip that
+validation.
 
 ``f * g`` computes the first Q = min(f.qprec, g.qprec) coefficients of
 the product.  It first skips the factors' leading zeros: with f = q^s f'
@@ -98,9 +100,6 @@ class IntegerRing:
 
     modulus = None  # nothing to reduce by
 
-    def reduce(self, x: int) -> int:
-        return index(x)
-
     def __str__(self) -> str:
         return "Z"
 
@@ -116,9 +115,6 @@ class ModRing:
     def __post_init__(self) -> None:
         _check_pm(self.p, self.m)
         object.__setattr__(self, "modulus", self.p**self.m)
-
-    def reduce(self, x: int) -> int:
-        return index(x) % self.modulus
 
     def __str__(self) -> str:
         return f"Z/{self.p}^{self.m}"
@@ -234,8 +230,10 @@ class QSeries:
     coeffs: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(map(self.ring.reduce, self.coeffs)))
-        if not self.coeffs:
+        coeffs, modulus = map(index, self.coeffs), self.ring.modulus
+        coeffs = tuple(coeffs) if modulus is None else tuple([c % modulus for c in coeffs])
+        object.__setattr__(self, "coeffs", coeffs)
+        if not coeffs:
             raise ValueError("a q-expansion needs at least the constant term")
 
     @classmethod

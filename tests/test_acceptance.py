@@ -8,6 +8,8 @@ import pytest
 
 from padicforms import acceptance
 from padicforms.errors import ConfigError
+from padicforms.linalg import ProjectorResult, rank_mod_p
+from padicforms.padic import PadicMatrix
 
 SEED = 0
 
@@ -69,3 +71,66 @@ def test_criterion_09_eigencurve_disc():
 
 def test_criterion_10_duality():
     _run(acceptance.criterion_10)
+
+
+def _identity_if_singular(t, e):
+    if rank_mod_p(t.rows, t.p) < t.size:
+        return PadicMatrix.identity(t.size, t.p, t.m)
+
+
+def _zero_if_invertible(t, e):
+    if rank_mod_p(t.rows, t.p) == t.size:
+        return PadicMatrix.zero(t.size, t.p, t.m)
+
+
+def _entry_moved(t, e):
+    # With row and column 0 of T zero mod p off the diagonal, E_00
+    # commutes with T mod p, so e + p^(m-1) E_00 still commutes with T
+    # and equals e mod p: only e^2 = e sees the move.
+    p, rows = t.p, t.rows
+    if all(rows[0][j] % p == 0 == rows[j][0] % p for j in range(1, t.size)):
+        moved = [list(row) for row in e.rows]
+        moved[0][0] += p ** (t.m - 1)
+        return PadicMatrix.from_rows(moved, p, t.m)
+
+
+def _conjugated(t, e):
+    # u e u^-1 with u = 1 + p^(m-1) E_01 is an idempotent equal to e mod p;
+    # e is the only one that commutes with T, so a different one does not
+    if 0 < rank_mod_p(e.rows, t.p) < t.size:
+        step = [[0] * t.size for _ in range(t.size)]
+        step[0][1] = t.p ** (t.m - 1)
+        step = PadicMatrix.from_rows(step, t.p, t.m)
+        one = PadicMatrix.identity(t.size, t.p, t.m)
+        conjugate = (one + step) @ e @ (one - step)
+        if conjugate != e:
+            return conjugate
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_identity_if_singular, _zero_if_invertible, _entry_moved, _conjugated]
+)
+def test_criterion_1_catches_each_wrong_projector(monkeypatch, corrupt):
+    """Each corruption breaks one identity of criterion 1: 1 for a singular
+    T (the rank of T e + 1 - e), 0 for an invertible T (T^m kills ker e),
+    an entry moved by p^(m-1) (e^2 = e) and an idempotent that does not
+    commute with T (eT = Te).  The criterion fails at the first
+    corrupted sample."""
+    real = acceptance.ordinary_projector
+    samples, corrupted = [], []
+
+    def projector(t):
+        result = real(t)
+        wrong = corrupt(t, result.idempotent)
+        samples.append(t)
+        if wrong is None:
+            return result
+        corrupted.append(len(samples) - 1)
+        return ProjectorResult(wrong, result.rank)
+
+    monkeypatch.setattr(acceptance, "ordinary_projector", projector)
+    result = acceptance.criterion_1(SEED)
+    assert corrupted and corrupted[0] < 1000  # caught in the first (p, m)
+    assert not result.passed
+    assert result.details[-1] == f"failure at sample {corrupted[0]}"
+    assert len(samples) == corrupted[0] + 1

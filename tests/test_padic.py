@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from struct import iter_unpack, unpack
@@ -68,6 +69,47 @@ def test_identity_and_zero_check_only_p_and_m(n):
                 build(n, p, m)
         with pytest.raises(ValueError, match="size"):
             build(-1 - n, 7, 2)
+
+
+def test_identity_is_shared_only_after_validation():
+    """Identities of one size share their rows, and only once n, p and m
+    pass their checks: a float or Fraction equal to the int still raises
+    ``TypeError`` after the int identity is built (hash(2.0) == hash(2))."""
+    first = PadicMatrix.identity(2, 5, 2)
+    assert PadicMatrix.identity(2, 5, 2).rows is first.rows
+    assert PadicMatrix.identity(2, 7, 3).rows is first.rows
+    for args in ((2, 5, 2.0), (2, 5.0, 2), (2, Fraction(5), 2), (2.0, 5, 2), (Fraction(2), 5, 2)):
+        with pytest.raises(TypeError):
+            PadicMatrix.identity(*args)
+    with pytest.raises(ValueError, match="size"):
+        PadicMatrix.identity(-1, 5, 2)
+    for n, p, m in ((2, 5, 2), (0, 3, 1), (1, 7, 3), (5, 13, 10)):
+        want = PadicMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], p, m)
+        _assert_canonical(PadicMatrix.identity(n, p, m), want)
+        _assert_canonical(PadicMatrix.identity(n, p, m) @ want, want)
+
+
+@pytest.mark.parametrize("p, m", [(5, 3), (7, 1), (3, 40)])
+def test_public_builds_reduce_every_entry(p, m):
+    """``PadicMatrix(...)`` and ``from_rows`` give each entry as
+    ``operator.index(x) % p^m``: bools, negatives and entries at or
+    beyond p^m alike, to plain ints."""
+    modulus = p**m
+    rows = [
+        [True, -1, modulus],
+        [-modulus - 2, 10**40 + 3, False],
+        [modulus - 1, 0, 2 * modulus + 1],
+    ]
+    want = tuple(tuple(operator.index(x) % modulus for x in row) for row in rows)
+    for built in (PadicMatrix(tuple(map(tuple, rows)), p, m), PadicMatrix.from_rows(rows, p, m)):
+        assert built.rows == want
+        assert all(type(x) is int for row in built.rows for x in row)
+    for bad in (2.0, Fraction(1), Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            PadicMatrix.from_rows([[1, 2], [3, bad]], p, m)
+    for shape in ([[1, 2], [3]], [[1, 2, 3], [4, 5, 6]], [[1]] * 2):
+        with pytest.raises(ValueError, match="square"):
+            PadicMatrix.from_rows(shape, p, m)
 
 
 def test_non_integer_entries_are_rejected():

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from unittest.mock import patch
@@ -125,6 +126,37 @@ def test_non_integer_coefficients_are_rejected():
             QSeries.from_coeffs([1, 2], ring).scale(2.0)
     assert QSeries.from_coeffs([True, False, 3]).coeffs == (1, 0, 3)
     assert all(type(c) is int for c in QSeries.from_coeffs([True, 4]).coeffs)
+
+
+@pytest.mark.parametrize("ring", [ZZ, ModRing(5, 3), ModRing(7, 1)])
+def test_public_builds_reduce_every_coefficient(ring):
+    """``QSeries(...)``, ``from_coeffs``, ``constant`` and ``map_coeffs``
+    give each coefficient as ``operator.index(c)``, mod p^m over Z/p^m:
+    bools, negatives and coefficients at or beyond p^m alike, to plain
+    ints."""
+    raw = [True, -1, False, -126, 125, 126, 10**40 + 7, 0, 3]
+    modulus = ring.modulus
+    want = tuple(c if modulus is None else c % modulus for c in map(operator.index, raw))
+    builds = (
+        QSeries(ring, tuple(raw)),
+        QSeries.from_coeffs(raw, ring),
+        QSeries.from_coeffs(raw, ring).map_coeffs(lambda n, a: raw[n]),
+    )
+    for series in builds:
+        assert series.coeffs == want
+        assert all(type(c) is int for c in series.coeffs)
+    assert QSeries.constant(True, 3, ring).coeffs == (1, 0, 0)
+    assert QSeries.constant(-1, 2, ring).coeffs == (-1 if modulus is None else modulus - 1, 0)
+    for bad in (2.0, Fraction(1), Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            QSeries.from_coeffs([1, bad], ring)
+        with pytest.raises(TypeError):
+            QSeries(ring, (bad,))
+    for empty in ((), []):
+        with pytest.raises(ValueError, match="constant term"):
+            QSeries(ring, empty)
+        with pytest.raises(ValueError, match="constant term"):
+            QSeries.from_coeffs(empty, ring)
 
 
 def test_constant_and_truncate_need_positive_precision():
