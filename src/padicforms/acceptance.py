@@ -33,7 +33,6 @@ from .hida import (
     mod_p_space,
     operator_matrix,
     ordinary_projector,
-    ordinary_rank_mod_p,
 )
 from .linalg import rank_mod_p
 from .padic import PadicMatrix, power_from_base, product_rows, val_p
@@ -232,18 +231,17 @@ def criterion_4(seed: int = 0) -> CriterionResult:
     ok = True
     details = []
     for p in (5, 7):
-        # the windows k..k+3(p-1) overlap: each weight's rank is read once
-        rank_at = {w: ordinary_rank_mod_p(w, p) for w in range(4, 17 + 3 * (p - 1), 2)}
         for k in range(4, 18, 2):
-            ranks = [rank_at[k + j * (p - 1)] for j in range(4)]
+            # the ranks at k and at k + n(p-1), n = 1, 2, 3
+            reports = [control_check_h0(k, p, n) for n in (1, 2, 3)]
+            ranks = [reports[0].rank_low] + [r.rank_high for r in reports]
             if len(set(ranks)) != 1:
                 ok = False
                 details.append(f"rank not constant at (k,p)=({k},{p}): {ranks}")
-            for n in (1, 2, 3):
-                report = control_check_h0(k, p, n)
+            for report in reports:
                 if not report.passed:
                     ok = False
-                    details.append(f"containment FAILS at (k,p,n)=({k},{p},{n})")
+                    details.append(f"containment FAILS at (k,p,n)=({k},{p},{report.n})")
     if ok:
         details.append("ranks constant along k..k+3(p-1), containment holds, k in [4,16]")
     for n, label in [(1, "e(U_5)M_8(F_5) in M_4(F_5)"), (2, "e(U_5)M_12(F_5) in M_4(F_5)")]:

@@ -9,7 +9,8 @@ model depends on (k, p, I) alone.  With D the Katz dimension, U_p and
 the solve read 2D - 1 coefficients of each element f: its head, the
 coefficients of q^0..q^(D-1), and its spine, those of q^0, q^p, ...,
 q^(p(D-1)).  The Katz elements are built as these readouts and nothing
-more.
+more: each is one series over Z/p^m of 2D coefficients, the head
+followed by the spine.
 
 Normalization bookkeeping: the solver computes the matrix of the
 weight-independent q-expansion operator  f -> sum a_{np} q^n  (this is
@@ -50,37 +51,6 @@ from .hecke import normalization_shift
 from .linalg import solve_in_basis
 from .padic import PadicMatrix
 from .qexp import ZZ, ModRing, QSeries
-
-
-@dataclass(frozen=True)
-class Readout:
-    """What U_p and the solve read of one Katz element f over Z/p^m.
-
-    ``head`` is f to q-precision D, and ``spine`` is sum_{n<D} a_{np} q^n,
-    the q-expansion operator's image of f to q-precision D.  Row
-    operations and reduction act on both alike.
-    """
-
-    head: QSeries
-    spine: QSeries
-
-    @classmethod
-    def of(cls, series: QSeries, factor: Optional[QSeries], p: int, d: int) -> "Readout":
-        """The readout of series * factor, or of series alone when factor
-        is None."""
-        head, spine = range(d), range(0, p * d, p)
-        if factor is None:
-            return cls(series.select(head), series.select(spine))
-        return cls(series.product_at(factor, head), series.product_at(factor, spine))
-
-    def __sub__(self, other: "Readout") -> "Readout":
-        return Readout(self.head - other.head, self.spine - other.spine)
-
-    def scale(self, c: int) -> "Readout":
-        return Readout(self.head.scale(c), self.spine.scale(c))
-
-    def to_ring(self, ring: ModRing) -> "Readout":
-        return Readout(self.head.to_ring(ring), self.spine.to_ring(ring))
 
 
 @dataclass(frozen=True)
@@ -126,8 +96,12 @@ class KatzBasis:
             for i, lo in enumerate((0,) + self.ladder[:-1])
         )
 
-    def elements_mod(self, m: int) -> List[Readout]:
+    def elements_mod(self, m: int) -> List[QSeries]:
         """The readouts of the elements b_{i,j} * E_{p-1}^{-i} over Z/p^m.
+
+        The readout of an element f is one series of 2D coefficients:
+        those of f at q^0..q^(D-1) (the head), then those at q^0, q^p,
+        ..., q^(p(D-1)) (the spine).
 
         Row c of the Miller rows, new in rung i_c at weight w_c, is
         E4^a E6^b Delta^c before the rows after it in its rung clear its
@@ -148,6 +122,7 @@ class KatzBasis:
         """
         ring = ModRing(self.p, m)
         d = self.dimension
+        reads = [*range(d), *range(0, self.p * d, self.p)]  # head, then spine
         qprec = self.p * (d - 1) + 1 if d else 1  # through q^(p(D-1))
         powers = MillerPowers(qprec, ring)
         times = powers.product
@@ -157,7 +132,7 @@ class KatzBasis:
         monomials = {(0, 0): None}  # (a, b) -> E4^a E6^b, None for 1
         probes = None  # Miller powers to q-precision D, for the multipliers
         running = last = None  # R_c and i_c of the row before
-        out: List[Readout] = []
+        out: List[QSeries] = []
         for i, (lo, hi) in enumerate(zip((0,) + self.ladder, self.ladder)):
             weight = self.weight + i * (self.p - 1)
             block = []
@@ -173,14 +148,17 @@ class KatzBasis:
                 ab = e4_e6_exponents(weight - 12 * c)
                 if ab not in monomials:
                     monomials[ab] = times(powers.e4[ab[0]], powers.e6 if ab[1] else powers.one)
-                block.append(Readout.of(running, monomials[ab], self.p, d))
+                factor = monomials[ab]
+                block.append(
+                    running.select(reads) if factor is None else running.product_at(factor, reads)
+                )
             if len(block) > 1:
                 if probes is None:
                     probes = MillerPowers(d, ring)
                 clear_tails([probes.monomial(weight, c) for c in range(lo, hi)], lo, block)
             out.extend(block)
         for g, element in enumerate(out):
-            if element.head.leading_index() != g or element.head.coefficient(g) != 1:
+            if element.leading_index() != g or element.coeffs[g] != 1:
                 raise VerificationError(
                     f"Katz element {g} is not in echelon position"
                 )
@@ -222,17 +200,18 @@ def up_matrix(basis: KatzBasis, m: int, normalization: str = "weight") -> PadicM
     return _solve_up(basis, elements, m, shift)
 
 
-def _solve_up(basis: KatzBasis, elements: Sequence[Readout], m: int, shift: int) -> PadicMatrix:
-    """``up_matrix`` on Katz element readouts already evaluated over
-    Z/p^m: the heads make the basis matrix, and each spine, scaled by
-    p^shift, is an image to solve for.  Element g is q^g + O(q^(g+1)),
-    so the heads are lower unitriangular and the solve is one forward
-    substitution over Z/p^m."""
+def _solve_up(basis: KatzBasis, elements: Sequence[QSeries], m: int, shift: int) -> PadicMatrix:
+    """``up_matrix`` on Katz element readouts over Z/p^M, M >= m: the
+    heads make the basis matrix, and each spine, scaled by p^shift, is
+    an image to solve for.  Element g is q^g + O(q^(g+1)), so the heads
+    are lower unitriangular and the solve is one forward substitution
+    over Z/p^m.  The matrix constructor reduces the heads and the solve
+    its coordinates to Z/p^m, so readouts built at a higher modulus
+    give the matrix at m."""
     scale = basis.p**shift
     d = basis.dimension
-    coeff_rows = [[e.head.coeffs[c] for e in elements] for c in range(d)]
-    bmat = PadicMatrix.from_rows(coeff_rows, basis.p, m)
-    return solve_in_basis([e.spine.scale(scale).coeffs for e in elements], bmat).as_matrix()
+    bmat = PadicMatrix(tuple(zip(*(e.coeffs[:d] for e in elements))), basis.p, m)
+    return solve_in_basis([[scale * c for c in e.coeffs[d:]] for e in elements], bmat).as_matrix()
 
 
 def shift_polygon(poly: NewtonPolygon, shift: int) -> NewtonPolygon:
@@ -289,7 +268,8 @@ def _spectrum_core(
     series reduced to Z/p^m_work.  This is exact: the solve has unit
     pivots and the series is computed by integral similarities and a
     division-free recurrence, so both commute with reduction.  The step
-    that certifies returns the readouts reduced to its modulus.
+    that certifies returns the readouts as built, over Z/p^M with
+    M >= m_work; ``_solve_up`` reduces them when it reads them.
 
     M is the cap (m without a bound) unless ``classical_slopes``, the
     classical U_p slope multiset of weight k, is given and b <= k - 1.
@@ -327,9 +307,7 @@ def _spectrum_core(
         series = CharSeries(top_series.coeffs, p, m_work)
         poly = newton_polygon(series)
         if bound is None or poly.certifies_through(bound):
-            ring = ModRing(p, m_work)
-            elements = [e.to_ring(ring) for e in top]
-            return basis, elements, series, poly, m_work
+            return basis, top, series, poly, m_work
     raise PrecisionError(
         f"slopes below {bound} not certified at modulus {p}^{m_work} "
         f"(indeterminate at requested precision)"
@@ -369,8 +347,8 @@ def slope_spectrum(
     that one certifies; otherwise at the cap (at m without a bound).
     Either way the results are the same.  The classical spectrum is
     built once, for the prediction and the comparison.  The naive
-    cross-check is assembled independently from the element readouts
-    reduced to the final modulus.
+    cross-check is assembled independently from the element readouts as
+    built, by a solve over Z/p^m_work that reduces what it reads.
     """
     check_theory_prime(p)
     check_level1_weight(k)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import List, Optional, Sequence
 
 from .charseries import char_series
@@ -74,29 +75,17 @@ def adjunction_check(
 ) -> bool:
     """Verify <U_p f, g> = <f, F g> exactly over Z/p^m.
 
-    The pairing is <x, y> = x^T gram y; F defaults to the gram-dual
-    transpose of U_p, and a perturbed F makes the check fail.
+    The pairing is <x, y> = x^T gram y = sum_i x_i (gram y)_i; F defaults
+    to the gram-dual transpose of U_p, and a perturbed F makes the check
+    fail.
     """
-    n = up_mat.size
-    p, m = up_mat.p, up_mat.m
-    modulus = p**m
     if gram is None:
-        gram = PadicMatrix.identity(n, p, m)
+        gram = PadicMatrix.identity(up_mat.size, up_mat.p, up_mat.m)
     if f_op is None:
         f_op = dual_module(up_mat, gram).operator_on_dual
-    uf = up_mat.apply(f_coords)
-    fg = f_op.apply(g_coords)
-    lhs = sum(
-        uf[i] * gram.rows[i][j] * (g_coords[j] % modulus)
-        for i in range(n)
-        for j in range(n)
-    ) % modulus
-    rhs = sum(
-        (f_coords[i] % modulus) * gram.rows[i][j] * fg[j]
-        for i in range(n)
-        for j in range(n)
-    ) % modulus
-    return lhs == rhs
+    lhs = sum(map(mul, up_mat.apply(f_coords), gram.apply(g_coords)))
+    rhs = sum(map(mul, f_coords, gram.apply(f_op.apply(g_coords))))
+    return (lhs - rhs) % up_mat.modulus == 0
 
 
 def transpose_charseries_equal(matrix: PadicMatrix) -> bool:

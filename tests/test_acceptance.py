@@ -4,6 +4,8 @@ Each test prints one pass/fail line (visible with -s and in the CLI's
 ``acceptance`` command, which runs the same engine).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from padicforms import acceptance
@@ -134,3 +136,34 @@ def test_criterion_1_catches_each_wrong_projector(monkeypatch, corrupt):
     assert not result.passed
     assert result.details[-1] == f"failure at sample {corrupted[0]}"
     assert len(samples) == corrupted[0] + 1
+
+
+@pytest.mark.parametrize(
+    "corrupt, detail",
+    [
+        (
+            lambda r: replace(r, rank_low=r.rank_low + 1),
+            lambda rank: f"rank not constant at (k,p)=(8,7): {[rank + 1, rank, rank, rank]}",
+        ),
+        (
+            lambda r: replace(r, contained=False) if r.n == 2 else r,
+            lambda rank: "containment FAILS at (k,p,n)=(8,7,2)",
+        ),
+    ],
+    ids=["rank_low", "contained"],
+)
+def test_criterion_4_catches_each_wrong_report(monkeypatch, corrupt, detail):
+    """Criterion 4 reads the ranks at k and k + n(p-1), n = 1, 2, 3, from
+    the control reports: a wrong rank at (k, p) = (8, 7) breaks their
+    constancy, and a failed containment at n = 2 fails the criterion."""
+    real = acceptance.control_check_h0
+    rank = real(8, 7, 1).rank_low
+
+    def control(k, p, n):
+        report = real(k, p, n)
+        return corrupt(report) if (k, p) == (8, 7) else report
+
+    monkeypatch.setattr(acceptance, "control_check_h0", control)
+    result = acceptance.criterion_4(SEED)
+    assert not result.passed
+    assert [d for d in result.details if "(k,p" in d] == [detail(rank)]

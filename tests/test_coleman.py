@@ -23,7 +23,7 @@ from padicforms.coleman import (
 )
 from padicforms.errors import ConfigError, PrecisionError, VerificationError
 from padicforms.forms import SUPPORTED_PRIMES, eisenstein, miller_basis
-from padicforms.hecke import up
+from padicforms.hecke import NORMALIZATIONS, normalization_shift, up
 from padicforms.hida import ordinary_rank_mod_p
 from padicforms.linalg import invert_unimodular
 from padicforms.qexp import ModRing, QSeries
@@ -89,7 +89,8 @@ def test_katz_blocks_are_the_new_miller_rows(k, p, twist_depth):
 def test_katz_elements_mod_match_integral_blocks(k, p, twist_depth, m):
     # the definition: the readouts of the Z blocks reduced mod p^m, times
     # E_{p-1}^{-i} stepped one rung at a time; a readout is f to
-    # q-precision D and the q-expansion U_p image of f to q-precision D
+    # q-precision D followed by the q-expansion U_p image of f to
+    # q-precision D, one series of 2D coefficients
     basis = katz_basis(k, p, twist_depth)
     d = basis.dimension
     ring = ModRing(p, m)
@@ -100,8 +101,10 @@ def test_katz_elements_mod_match_integral_blocks(k, p, twist_depth, m):
         if i > 0:
             power = power * e_inv
         expected += [b.to_ring(ring) * power for b in block]
-    readouts = [(e.truncate(d), up(e, 1, p).truncate(d)) for e in expected]
-    assert [(r.head, r.spine) for r in basis.elements_mod(m)] == readouts
+    readouts = [
+        QSeries.from_coeffs(e.coeffs[:d] + up(e, 1, p).coeffs[:d], ring) for e in expected
+    ]
+    assert basis.elements_mod(m) == readouts
 
 
 def test_katz_elements_mod_product_count(monkeypatch):
@@ -127,9 +130,31 @@ def test_katz_elements_mod_product_count(monkeypatch):
 def test_katz_elements_echelon():
     b = katz_basis(4, 5, 6)
     elements = b.elements_mod(8)
+    assert len(elements) == b.dimension
     for g, e in enumerate(elements):
-        assert e.head.leading_index() == g
-        assert e.head.coefficient(g) == 1
+        assert e.qprec == 2 * b.dimension
+        assert e.leading_index() == g
+        assert e.coefficient(g) == 1
+
+
+@example(4, 5, 6, 3, 1)
+@example(-4, 13, 4, 1, 40)
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(
+    st.integers(-5, 12).map(lambda h: 2 * h),
+    st.sampled_from(SUPPORTED_PRIMES),
+    st.integers(0, 10),
+    st.integers(1, 10),
+    st.integers(1, 40),
+)
+def test_solve_up_reads_readouts_built_at_a_higher_modulus(k, p, twist_depth, m, extra):
+    # _spectrum_core hands the readouts built at its largest modulus M to
+    # the solve at the certifying modulus m <= M: the solve reduces them
+    basis = katz_basis(k, p, twist_depth)
+    elements = basis.elements_mod(m + extra)
+    for kind in NORMALIZATIONS:
+        shift = normalization_shift(k, kind)
+        assert coleman._solve_up(basis, elements, m, shift) == up_matrix(basis, m, kind)
 
 
 def test_up_matrix_weight_zero_constant():

@@ -64,6 +64,34 @@ def test_adjunction_identity_and_negative_control():
         )
 
 
+def _pairing(x, gram, y):
+    # <x, y> = x^T gram y, written out as the double sum
+    n = gram.size
+    return sum(x[i] * gram.rows[i][j] * y[j] for i in range(n) for j in range(n)) % gram.modulus
+
+
+def test_adjunction_check_matches_the_explicit_pairing():
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(200):
+        n, p, m = rng.choice([1, 2, 3, 5]), rng.choice([5, 7, 13]), rng.randint(1, 6)
+        u = random_matrix(rng, n, p, m)
+        g = random_unimodular(rng, n, p, m) if rng.random() < 0.8 else None
+        gram = g or PadicMatrix.identity(n, p, m)
+        f_op = dual_module(u, gram).operator_on_dual
+        bump = [[0] * n for _ in range(n)]
+        bump[rng.randrange(n)][rng.randrange(n)] = p ** rng.randrange(m)
+        perturbed = f_op + PadicMatrix.from_rows(bump, p, m)
+        f = [rng.getrandbits(30) - 2**29 for _ in range(n)]
+        h = [rng.getrandbits(30) - 2**29 for _ in range(n)]
+        for op in (None, f_op, perturbed):
+            want = _pairing(u.apply(f), gram, h) == _pairing(f, gram, (op or f_op).apply(h))
+            assert adjunction_check(f, h, u, g, f_op=op) == want
+            outcomes.add((op is perturbed, want))
+    # the dual operator always passes, and a perturbed one fails often
+    assert outcomes == {(False, True), (True, True), (True, False)}
+
+
 def test_rank_duality_on_ordinary_blocks():
     mat = up_matrix(katz_basis(4, 5, 8), 8)
     res = rank_duality_check(mat)
