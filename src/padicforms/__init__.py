@@ -72,7 +72,6 @@ from .qexp import ModRing, QSeries, ZZ
 from .weights import (
     IwasawaTruncation,
     WeightDisc,
-    WeightPoint,
     interpolate_iwasawa,
     w_coordinate,
 )

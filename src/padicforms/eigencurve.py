@@ -5,8 +5,14 @@ U_p characteristic series at integer sample weights with a shared
 basis-shape convention (all samples are twisted up to one common top
 weight, so the matrices have one size D) and interpolating each
 coefficient as a polynomial in the disc coordinate w.  A verification
-pass re-specializes at every sample; slope data at other weights of the
-disc are interpolations and flagged as such.
+pass re-specializes at every sample.  At another weight k of the disc a
+specialization is a prediction, flagged as such, and claims only the
+precision the fit supports.  For a coefficient that is a power series
+in w over Z_p, the remainder of its interpolation through the samples
+k_i is an integral multiple of the product of the (w_k - w_(k_i)), so
+the prediction holds mod p^e with e the sum of the v_p(w_k - w_(k_i)).
+The series assumes every coefficient c_j(w) lies in Z_p[[w]]; an
+off-sample claim rests on that assumption, not on a recomputation.
 """
 
 from __future__ import annotations
@@ -17,9 +23,16 @@ from typing import Dict, List, Tuple
 
 from .charseries import CharSeries, NewtonPolygon, char_series, check_slope_bound, newton_polygon
 from .coleman import katz_basis, up_matrix
-from .errors import ConfigError, PrecisionError, VerificationError
+from .errors import PrecisionError, VerificationError
 from .forms import basis_dimension
-from .weights import IwasawaTruncation, WeightDisc, interpolate_iwasawa
+from .padic import val_p
+from .weights import (
+    IwasawaTruncation,
+    WeightDisc,
+    check_component,
+    interpolate_iwasawa,
+    w_coordinate,
+)
 
 
 @dataclass(frozen=True)
@@ -47,15 +60,23 @@ class TwoVarCharSeries:
         return self.disc.p * (self.degree + 4)
 
     def specialize(self, k: int) -> CharSeries:
-        """CharSeries at classical weight k of the disc's component."""
-        if k % (self.disc.p - 1) != self.disc.component:
-            raise ConfigError(
-                f"weight {k} not on component {self.disc.component}"
-            )
-        m_eff = min(c.m for c in self.coeffs)
-        return CharSeries(
-            tuple(c.specialize(k) for c in self.coeffs), self.disc.p, m_eff
+        """CharSeries at classical weight k of the disc's component.
+
+        Its m is the least coefficient precision, capped off the samples
+        by the sum over the samples k_i of v_p(w_k - w_(k_i)), each term
+        saturated at the disc's m: the interpolation remainder bound for
+        coefficients in Z_p[[w]].  At a sample the cap is at least the
+        disc's m, so the series there is exact to the fit's precision.
+        """
+        p, m = self.disc.p, self.disc.m
+        check_component(k, p, self.disc.component)
+        w = w_coordinate(k, p, m)
+        distance = sum(
+            val_p((w - w_coordinate(s, p, m)) % p**m, p, saturate=m)
+            for s in self.disc.sample_weights
         )
+        m_eff = min(distance, *(c.m for c in self.coeffs))
+        return CharSeries(tuple(c.evaluate_at_w(w) for c in self.coeffs), p, m_eff)
 
     def is_sample(self, k: int) -> bool:
         return k in self.disc.sample_weights
@@ -103,9 +124,11 @@ def slopes_at(series: TwoVarCharSeries, k: int) -> Tuple[NewtonPolygon, str]:
     """Newton polygon of the specialized series at weight k.
 
     The flag is "sample" at a sample weight, "interpolated" at other
-    classical weights of the component (these are predictions of the
-    fitted polynomials, certified only through the interpolation
-    precision), never silently extrapolated.
+    classical weights of the component.  These are predictions of the
+    fitted polynomials: the polygon certifies only what
+    ``TwoVarCharSeries.specialize`` claims there, the fit's precision
+    capped by the sum of the p-adic distances v_p(w_k - w_(k_i)) to the
+    samples, which holds when every coefficient lies in Z_p[[w]].
     """
     poly = newton_polygon(series.specialize(k))
     flag = "sample" if series.is_sample(k) else "interpolated"

@@ -1,10 +1,15 @@
 """Weight space coordinates, weight discs and Iwasawa-polynomial
 truncations.
 
-A point of weight space on the component i mod (p-1) has coordinate
-w = (1+p)^k - 1 for the classical weight k.  A ``WeightDisc`` is the one
-description of a disc of sample weights: the local eigencurve
-(``eigencurve``) and Hida families (``hida``) both take theirs from it.
+A classical weight k lies on the component k mod (p-1) of weight space,
+where its coordinate is w_k = (1+p)^k - 1.  ``check_component`` is the one
+rule that compares a weight with a component: the weight disc, the
+specialization of a truncation, the interpolation and the eigencurve's
+specialization all call it.  A ``WeightDisc`` is the one description of
+a disc of sample weights: the local eigencurve (``eigencurve``) and Hida
+families (``hida``) both take theirs from it.  A point of the disc that
+is not a classical weight is read through its coordinate alone
+(``IwasawaTruncation.evaluate_at_w``).
 Interpolation across a weight disc is done by Newton divided
 differences over Z/p^m; every division by (w_j - w_i) = p^v * unit
 checks the required divisibility (the Lambda-interpolation congruence)
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import ConfigError, PrecisionError, VerificationError
 from .forms import check_level1_weight, check_theory_prime
@@ -32,38 +37,11 @@ def w_coordinate(k: int, p: int, m: int) -> int:
     return (pow(1 + p, k, p**m) - 1) % p**m
 
 
-@dataclass(frozen=True)
-class WeightPoint:
-    """A point of weight space: component i mod (p-1) and coordinate w.
-
-    Classical integer weights carry their k; non-classical points have
-    k = None and only the pair (component, w).
-    """
-
-    p: int
-    m: int
-    component: int
-    w: int
-    k: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        _check_pm(self.p, self.m)
-        object.__setattr__(self, "component", index(self.component) % (self.p - 1))
-        object.__setattr__(self, "w", index(self.w) % self.p**self.m)
-        if self.k is not None:
-            if self.k % (self.p - 1) != self.component:
-                raise ValueError(
-                    f"weight {self.k} is not on component {self.component} mod {self.p - 1}"
-                )
-            if self.w != w_coordinate(self.k, self.p, self.m):
-                raise ValueError("coordinate w does not match (1+p)^k - 1")
-
-    @classmethod
-    def from_integer(cls, k: int, p: int, m: int) -> "WeightPoint":
-        return cls(p, m, k % (p - 1), w_coordinate(k, p, m), k)
-
-    def is_classical(self) -> bool:
-        return self.k is not None
+def check_component(k: int, p: int, component: int) -> None:
+    """Raise ``ConfigError`` unless the weight k lies on the component
+    of weight space given by ``component`` mod p-1."""
+    if (k - component) % (p - 1):
+        raise ConfigError(f"weight {k} is not on component {component % (p - 1)} mod {p - 1}")
 
 
 @dataclass(frozen=True)
@@ -94,8 +72,7 @@ class WeightDisc:
             raise ConfigError("a weight disc needs at least one sample weight")
         comp = index(self.component) % (p - 1)
         for k in weights:
-            if k % (p - 1) != comp:
-                raise ConfigError(f"weight {k} is not on component {comp} mod {p - 1}")
+            check_component(k, p, comp)
             check_level1_weight(k)
         if weights[0] < 1:
             raise ConfigError("disc samples must be >= 1 (uniform U_p normalization)")
@@ -107,11 +84,8 @@ class WeightDisc:
 
 @dataclass(frozen=True)
 class IwasawaTruncation:
-    """A polynomial in the disc coordinate w, over Z/p^m.
-
-    Specializing at a classical weight k on the same component gives a
-    residue mod p^m, as a plain int in [0, p^m).
-    """
+    """A polynomial in the disc coordinate w, over Z/p^m, on one
+    component of weight space."""
 
     p: int
     component: int
@@ -137,10 +111,15 @@ class IwasawaTruncation:
         return acc
 
     def specialize(self, k: int) -> int:
-        if k % (self.p - 1) != self.component:
-            raise ValueError(
-                f"weight {k} is not on component {self.component} mod {self.p - 1}"
-            )
+        """The value at the classical weight k of the truncation's
+        component, as a plain int in [0, p^m).
+
+        For a fit of ``interpolate_iwasawa`` this int is exact mod p^m at
+        the sample weights only; elsewhere it is a prediction whose
+        precision the caller must bound
+        (``eigencurve.TwoVarCharSeries.specialize`` does).
+        """
+        check_component(k, self.p, self.component)
         return self.evaluate_at_w(w_coordinate(k, self.p, self.m))
 
 
@@ -152,7 +131,7 @@ def interpolate_iwasawa(
     """Fit a polynomial in w through (k_j, value_j) by divided differences.
 
     The samples must lie on one component of weight space, which is
-    read from the first sample's weight mod p-1.
+    read from the first sample's weight mod p-1 (``check_component``).
 
     The result's precision is m minus the accumulated division losses;
     a numerator that fails the required p-power divisibility means the
@@ -169,8 +148,7 @@ def interpolate_iwasawa(
         raise ValueError("sample weights must be distinct")
     component = ks[0] % (p - 1)
     for k in ks:
-        if k % (p - 1) != component:
-            raise ValueError("sample weights lie on different components")
+        check_component(k, p, component)
 
     modulus = p**m
     ws = [w_coordinate(k, p, m) for k in ks]

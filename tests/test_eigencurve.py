@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from padicforms.charseries import char_series, newton_polygon
 from padicforms.coleman import katz_basis, slope_spectrum, up_matrix
 from padicforms.eigencurve import (
     LocalPieceReport,
@@ -11,7 +14,9 @@ from padicforms.eigencurve import (
     two_var_charseries,
 )
 from padicforms.errors import ConfigError, PrecisionError
+from padicforms.padic import val_p
 from padicforms.serialize import encode
+from padicforms.weights import IwasawaTruncation, interpolate_iwasawa, w_coordinate
 
 
 def F(x):
@@ -106,15 +111,9 @@ def test_held_out_weight_prediction():
         disc = WeightDisc(p, 0, rest, 10)
         series = two_var_charseries(disc, twist_depth=6 + (max(full) - max(rest)) // 4)
         depth = 6 + (max(full) - held_out) // 4
-        direct_mat = up_matrix(katz_basis(held_out, p, depth), 10)
-        from padicforms.charseries import char_series
-
-        direct = char_series(direct_mat)
+        direct = char_series(up_matrix(katz_basis(held_out, p, depth), 10))
         predicted = series.specialize(held_out)
         # congruence precision: sum of v_p(w* - w_i) over used samples
-        from padicforms.padic import val_p
-        from padicforms.weights import w_coordinate
-
         e_bound = sum(
             val_p(
                 (w_coordinate(held_out, p, 10) - w_coordinate(k, p, 10)) % 5**10,
@@ -123,9 +122,9 @@ def test_held_out_weight_prediction():
             )
             for k in rest
         )
-        prec = min(e_bound, predicted.m)
+        assert predicted.m == min(e_bound, min(c.m for c in series.coeffs))
         for a, b in zip(predicted.coeffs, direct.coeffs):
-            assert (int(a) - int(b)) % 5**prec == 0
+            assert (int(a) - int(b)) % 5**predicted.m == 0
 
 
 def test_local_piece_report_ordinary_degree():
@@ -147,3 +146,67 @@ def test_local_piece_below_first_positive_slope():
     series = two_var_charseries(DISC, twist_depth=6)
     report = local_piece_report(series, Fraction(1, 2))
     assert report.degrees == {k: 1 for k in DISC.sample_weights}
+
+
+def test_slopes_at_certifies_only_what_the_fit_supports():
+    """Fitted through 4 and 8 only, the series predicts weight 12 to
+    v_5(w_12 - w_4) + v_5(w_12 - w_8) = 2 digits, not to the fit's 9:
+    claiming 9 certified the slopes 0, 1, 3, where weight 12 at the same
+    top weight 32 has 0, 1, 7."""
+    series = two_var_charseries(WeightDisc(5, 0, (4, 8), 10), twist_depth=6)
+    poly, flag = slopes_at(series, 12)
+    assert flag == "interpolated"
+    direct = newton_polygon(char_series(up_matrix(katz_basis(12, 5, 5), 10)))
+    assert direct.slope_multiset() == [0, 1, 7]
+    certified = poly.slope_multiset()
+    assert certified == direct.slope_multiset()[: len(certified)]
+
+
+def test_off_component_weight_has_one_error():
+    # the disc, a truncation, the interpolation and the disc series all
+    # refuse weight 6 on component 0 mod 4 through weights.check_component
+    series = two_var_charseries(WeightDisc(5, 0, (4,), 3), twist_depth=1)
+    refusals = (
+        lambda: WeightDisc(5, 0, (4, 6), 3),
+        lambda: IwasawaTruncation(5, 0, (1,), 3).specialize(6),
+        lambda: interpolate_iwasawa([(4, 1), (6, 1)], 5, 3),
+        lambda: series.specialize(6),
+    )
+    for refuse in refusals:
+        with pytest.raises(ConfigError) as info:
+            refuse()
+        assert str(info.value) == "weight 6 is not on component 0 mod 4"
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(
+    p=st.sampled_from((5, 7)),
+    data=st.data(),
+    depth=st.integers(1, 3),
+    m=st.integers(6, 9),
+)
+def test_specialization_holds_to_the_precision_it_claims(p, data, depth, m):
+    """Off the samples and at them, ``specialize`` agrees with the direct
+    series at the same top weight, and the disc series at m + 2 with the
+    one at m, to the precision the run at m claims."""
+    component = data.draw(st.sampled_from(range(0, p - 1, 2)), label="component")
+    ladder = [k for k in range(component, 60, p - 1) if k >= 4][:6]
+    samples = data.draw(
+        st.lists(st.sampled_from(ladder), min_size=1, max_size=4, unique=True),
+        label="samples",
+    )
+    series = two_var_charseries(WeightDisc(p, component, samples, m), depth)
+    deeper = two_var_charseries(WeightDisc(p, component, samples, m + 2), depth)
+    top = series.top_weight
+    off = [k for k in range(ladder[0], top + 1, p - 1) if k not in samples]
+    k = data.draw(st.sampled_from(off), label="k")
+    predicted = series.specialize(k)
+    direct = char_series(up_matrix(katz_basis(k, p, (top - k) // (p - 1)), m))
+    modulus = p**predicted.m
+    assert [a % modulus for a in direct.coeffs] == list(predicted.coeffs)
+    for weight in (*samples, k):
+        claimed = series.specialize(weight)
+        modulus = p**claimed.m
+        assert [a % modulus for a in deeper.specialize(weight).coeffs] == list(
+            claimed.coeffs
+        )

@@ -185,6 +185,7 @@ def _assert_canonical(result, expected):
 @example(p=5, m=1, n=4, seed=3, k=2)  # 9 bits, 2-byte slots
 @example(p=13, m=60, n=16, seed=5, k=1)  # 57-byte slots, 912-byte rows: shift and mask
 @example(p=13, m=60, n=24, seed=4, k=2)  # 57-byte slots, 1368-byte rows: byte slices
+@example(p=7, m=3, n=3, seed=6, k=2)  # 3 rows: plain dot products
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(
     p=st.sampled_from((5, 7, 11, 13)),

@@ -5,7 +5,6 @@ import pytest
 from padicforms.errors import PrecisionError, VerificationError
 from padicforms.weights import (
     IwasawaTruncation,
-    WeightPoint,
     congruence_table,
     interpolate_iwasawa,
     w_coordinate,
@@ -17,19 +16,6 @@ def test_w_coordinate():
     assert w_coordinate(1, 5, 4) == 5
     assert w_coordinate(4, 5, 4) == (6**4 - 1) % 5**4  # 1295 mod 625 = 45
     assert w_coordinate(-1, 5, 3) == (pow(6, -1, 125) - 1) % 125
-
-
-def test_weight_point_validation():
-    pt = WeightPoint.from_integer(12, 5, 3)
-    assert pt.component == 0
-    assert pt.w == w_coordinate(12, 5, 3)
-    assert pt.is_classical()
-    with pytest.raises(ValueError):
-        WeightPoint(5, 3, 1, w_coordinate(12, 5, 3), k=12)
-    with pytest.raises(ValueError):
-        WeightPoint(5, 3, 0, 17, k=12)
-    nonclassical = WeightPoint(5, 3, 0, 10)
-    assert not nonclassical.is_classical()
 
 
 def test_specialize_constant_and_linear():
@@ -119,12 +105,6 @@ def test_interpolation_rejects_non_integer_samples(bad):
     # float values used to give float polynomial coefficients
     with pytest.raises(TypeError):
         interpolate_iwasawa([(4, bad), (8, 7)], 5, 3)
-
-
-@pytest.mark.parametrize("bad", [2.5, Fraction(7, 2)], ids=["float", "Fraction"])
-def test_weight_point_rejects_non_integer_coordinate(bad):
-    with pytest.raises(TypeError):
-        WeightPoint(5, 3, 0, bad)
 
 
 def test_congruence_table():

@@ -149,6 +149,397 @@ MUTANTS = (
             "tests/test_duality.py::test_adjunction_check_matches_the_explicit_pairing",
         ),
     ),
+    # weight space and the disc series
+    Mutant(
+        "disc series specialized without the sample-distance cap",
+        "src/padicforms/eigencurve.py",
+        "        m_eff = min(distance, *(c.m for c in self.coeffs))\n",
+        "        m_eff = min(c.m for c in self.coeffs)\n",
+        (
+            "tests/test_eigencurve.py::test_slopes_at_certifies_only_what_the_fit_supports",
+            "tests/test_eigencurve.py::test_held_out_weight_prediction",
+            "tests/test_eigencurve.py::test_specialization_holds_to_the_precision_it_claims",
+        ),
+    ),
+    Mutant(
+        "component rule returns without a check",
+        "src/padicforms/weights.py",
+        "    if (k - component) % (p - 1):\n",
+        "    return\n    if (k - component) % (p - 1):\n",
+        ("tests/test_eigencurve.py::test_off_component_weight_has_one_error",),
+    ),
+    # Z/p^m matrices: the product kernel, the slot codec, canonical results
+    Mutant(
+        "matrix product slots one bit narrower",
+        "src/padicforms/padic.py",
+        "    size = slot_size(2 * modulus.bit_length() + n.bit_length())\n",
+        "    size = slot_size(2 * modulus.bit_length() + n.bit_length() - 1)\n",
+        ("tests/test_padic.py::test_matmul_slot_width_worst_case",),
+    ),
+    Mutant(
+        "matrix products packed from 5 rows and columns",
+        "src/padicforms/padic.py",
+        "_PACKED_MIN_SIDE = 4\n",
+        "_PACKED_MIN_SIDE = 5\n",
+        ("tests/test_padic.py::test_internal_results_are_canonical",),
+    ),
+    Mutant(
+        "plain matrix product without the columns of an empty inner side",
+        "src/padicforms/padic.py",
+        "        columns = list(zip(*b)) or [()] * s\n",
+        "        columns = list(zip(*b))\n",
+        ("tests/test_padic.py::test_matmul_slot_width_worst_case",),
+    ),
+    Mutant(
+        "struct slots up to 72 bits",
+        "src/padicforms/padic.py",
+        "    return size if size > 8 else 1 << (size - 1).bit_length()\n",
+        "    return size if size > 9 else 1 << (size - 1).bit_length()\n",
+        ("tests/test_padic.py::test_slot_size_rule",),
+    ),
+    Mutant(
+        "wide slots read by shift and mask up to 512 bytes",
+        "src/padicforms/padic.py",
+        "_SHIFT_READ_MAX_BYTES = 1024\n",
+        "_SHIFT_READ_MAX_BYTES = 512\n",
+        ("tests/test_padic.py::test_internal_results_are_canonical",),
+    ),
+    Mutant(
+        "wide slots read by shift and mask up to 1400 bytes",
+        "src/padicforms/padic.py",
+        "_SHIFT_READ_MAX_BYTES = 1024\n",
+        "_SHIFT_READ_MAX_BYTES = 1400\n",
+        ("tests/test_padic.py::test_internal_results_are_canonical",),
+    ),
+    Mutant(
+        "shift-and-mask read with a mask one bit short",
+        "src/padicforms/padic.py",
+        "        mask = (1 << 8 * size) - 1\n",
+        "        mask = (1 << 8 * size - 1) - 1\n",
+        ("tests/test_padic.py::test_slot_codec_round_trip",),
+    ),
+    Mutant(
+        "wide slots read back big-endian from byte slices",
+        "src/padicforms/padic.py",
+        '    return [int.from_bytes(c, "little") for c, in iter_unpack(f"{size}s", data)]\n',
+        '    return [int.from_bytes(c, "big") for c, in iter_unpack(f"{size}s", data)]\n',
+        ("tests/test_padic.py::test_internal_results_are_canonical",),
+    ),
+    Mutant(
+        "wide rows packed one byte short",
+        "src/padicforms/padic.py",
+        'iter_unpack(f"{count * size}s", data)]',
+        'iter_unpack(f"{count * size - 1}s", data[: len(data) - len(data) // (count * size)])]',
+        ("tests/test_padic.py::test_slot_codec_round_trip",),
+    ),
+    Mutant(
+        "matrix sum left unreduced",
+        "src/padicforms/padic.py",
+        "[x % modulus for x in map(add, a, b)]",
+        "list(map(add, a, b))",
+        ("tests/test_padic.py::test_internal_results_are_canonical",),
+    ),
+    Mutant(
+        "matrix negation left unreduced",
+        "src/padicforms/padic.py",
+        "[-a % modulus for a in row]",
+        "[-a for a in row]",
+        ("tests/test_padic.py::test_internal_results_are_canonical",),
+    ),
+    Mutant(
+        "plain matrix product left unreduced",
+        "src/padicforms/padic.py",
+        "[sum(map(mul, row, col)) % modulus for col in columns]",
+        "[sum(map(mul, row, col)) for col in columns]",
+        ("tests/test_padic.py::test_matmul_slot_width_worst_case",),
+    ),
+    Mutant(
+        "matrix reduction keeps the old residues",
+        "src/padicforms/padic.py",
+        "        rows = tuple([tuple([a % modulus for a in row]) for row in self.rows])\n",
+        "        rows = self.rows\n",
+        ("tests/test_padic.py::test_internal_results_are_canonical",),
+    ),
+    Mutant(
+        "transpose built as lists",
+        "src/padicforms/padic.py",
+        "PadicMatrix._reduced(tuple(zip(*self.rows)), self.p, self.m, self.modulus)",
+        "PadicMatrix._reduced([list(c) for c in zip(*self.rows)], self.p, self.m, self.modulus)",
+        ("tests/test_padic.py::test_internal_results_are_canonical",),
+    ),
+    # q-series: the packed product, reads and reductions
+    Mutant(
+        "series product slots without their 2 spare bits",
+        "src/padicforms/qexp.py",
+        "    width = slot_size(2 * bits + q.bit_length() + 2)  # bytes per slot\n",
+        "    width = slot_size(2 * bits + q.bit_length())  # bytes per slot\n",
+        ("tests/test_qexp.py::test_packed_kernel_over_z_handles_every_sign_pattern[40-65]",),
+    ),
+    Mutant(
+        "packed series product up to bits = 3Q",
+        "src/padicforms/qexp.py",
+        "_PACKED_BITS_PER_Q = 4\n",
+        "_PACKED_BITS_PER_Q = 3\n",
+        ("tests/test_qexp.py::test_product_matches_plain_product",),
+    ),
+    Mutant(
+        "signed series packed with a bias one bit short",
+        "src/padicforms/qexp.py",
+        "        bias, half = 1 << bits, 1 << (8 * width - 1)\n",
+        "        bias, half = 1 << bits - 1, 1 << (8 * width - 1)\n",
+        ("tests/test_qexp.py::test_packed_kernel_over_z_handles_every_sign_pattern[40-65]",),
+    ),
+    Mutant(
+        "two-point odd coefficients read without the division by X",
+        "src/padicforms/qexp.py",
+        "(high - low) >> (shift + 1)",
+        "(high - low) >> 1",
+        ("tests/test_qexp.py::test_product_matches_plain_product",),
+    ),
+    Mutant(
+        "series reads accept a negative index",
+        "src/padicforms/qexp.py",
+        "    if low < 0:\n",
+        "    if False:\n",
+        ("tests/test_qexp.py::test_negative_and_empty_indices_are_refused",),
+    ),
+    Mutant(
+        "computed series left unreduced",
+        "src/padicforms/qexp.py",
+        "        return cls._reduced(ring, tuple([c % modulus for c in coeffs]))\n",
+        "        return cls._reduced(ring, tuple(coeffs))\n",
+        ("tests/test_qexp.py::test_internal_results_are_canonical",),
+    ),
+    Mutant(
+        "to_ring without reduction",
+        "src/padicforms/qexp.py",
+        "        return QSeries._from_ints(ring, self.coeffs)\n",
+        "        return QSeries._reduced(ring, self.coeffs)\n",
+        ("tests/test_qexp.py::test_to_ring",),
+    ),
+    # eliminations: Z/p^m, F_p bytes, and the image restriction
+    Mutant(
+        "elimination pivots on any nonzero entry, not a unit",
+        "src/padicforms/linalg.py",
+        "        i = next((i for i in free if rows[i][c] % p), None)\n",
+        "        i = next((i for i in free if rows[i][c]), None)\n",
+        ("tests/test_linalg.py::test_solve_with_pivoting_needed",),
+    ),
+    Mutant(
+        "elimination skips one entry past the pivot's zero run",
+        "src/padicforms/linalg.py",
+        "        lo = c + 1\n",
+        "        lo = c + 2\n",
+        ("tests/test_linalg.py::test_solve_unimodular_round_trip",),
+    ),
+    Mutant(
+        "back substitution without the later coordinates",
+        "src/padicforms/linalg.py",
+        "        for t in range(c + 1, width):\n",
+        "        for t in range(0):\n",
+        ("tests/test_linalg.py::test_solve_unimodular_round_trip",),
+    ),
+    Mutant(
+        "F_p pivots without the final mod-p translate",
+        "src/padicforms/linalg.py",
+        '        mat = total.to_bytes(size, "little").translate(mod_p)\n',
+        '        mat = total.to_bytes(size, "little")\n',
+        ("tests/test_linalg.py::test_rank_and_pivots_mod_p",),
+    ),
+    Mutant(
+        "F_p pivots add +e/v times the pivot row instead of -e/v",
+        "src/padicforms/linalg.py",
+        "bytes([-x * pow(v, -1, p) % p for x in range(256)])",
+        "bytes([x * pow(v, -1, p) % p for x in range(256)])",
+        ("tests/test_linalg.py::test_rank_and_pivots_mod_p",),
+    ),
+    Mutant(
+        "F_p pivot row not zeroed",
+        "src/padicforms/linalg.py",
+        "        factors[::width] = column.translate(scale[column[i]])\n",
+        "        factors[::width] = column.translate(scale[column[i]])\n"
+        "        factors[i * width] = 0\n",
+        ("tests/test_linalg.py::test_rank_and_pivots_mod_p",),
+    ),
+    Mutant(
+        "image rows chosen in pivot order, not sorted",
+        "src/padicforms/linalg.py",
+        "    return columns, sorted(i for _, i in pivots)\n",
+        "    return columns, [i for _, i in pivots]\n",
+        ("tests/test_linalg.py::test_independent_columns_match_greedy_choice",),
+    ),
+    Mutant(
+        "image restriction without its residue check",
+        "src/padicforms/linalg.py",
+        "    if any(x % modulus for i, row in enumerate(rows) if i not in pivot_rows for x in row[r:]):\n",
+        "    if False:\n",
+        ("tests/test_linalg.py::test_restrict_to_image",),
+    ),
+    # the ordinary projector
+    Mutant(
+        "projector returns 1 at mod-p rank n - 1",
+        "src/padicforms/linalg.py",
+        "    if rank == n:\n",
+        "    if rank >= n - 1:\n",
+        ("tests/test_linalg.py::test_projector_unit_nonunit_split",),
+    ),
+    Mutant(
+        "projector one squaring short once the mod-p rank settles",
+        "src/padicforms/linalg.py",
+        "                target = s - 1 + lift\n",
+        "                target = s - 2 + lift\n",
+        ("tests/test_linalg.py::test_projector_exactness_block_triangular",),
+    ),
+    Mutant(
+        "projector stops at 2^s >= m without the 2^t factor",
+        "src/padicforms/linalg.py",
+        "                target = s - 1 + lift\n",
+        "                target = lift\n",
+        ("tests/test_linalg.py::test_projector_exactness_block_triangular",),
+    ),
+    Mutant(
+        "projector core rows reversed",
+        "src/padicforms/linalg.py",
+        "    core = product_rows(head, c_rows, r, modulus)\n",
+        "    core = product_rows(head, c_rows, r, modulus)[::-1]\n",
+        ("tests/test_linalg.py::test_projector_exactness_block_triangular",),
+    ),
+    Mutant(
+        "projector e built with r columns",
+        "src/padicforms/linalg.py",
+        "product_rows(c_rows, y, n, modulus)",
+        "product_rows(c_rows, y, r, modulus)",
+        ("tests/test_linalg.py::test_projector_topologically_nilpotent",),
+    ),
+    # characteristic series and Newton polygons
+    Mutant(
+        "Hessenberg pivot is the first nonzero entry, not the least valuation",
+        "src/padicforms/charseries.py",
+        "                    if v == 0:\n                        break\n",
+        "                    break\n",
+        ("tests/test_charseries.py::test_char_series_matches_the_berkowitz_oracle",),
+    ),
+    Mutant(
+        "Hessenberg reduction without its column operation",
+        "src/padicforms/charseries.py",
+        "        if any(mults):\n",
+        "        if False:\n",
+        ("tests/test_charseries.py::test_char_series_matches_the_berkowitz_oracle",),
+    ),
+    Mutant(
+        "saturated coefficient read as exact valuation m",
+        "src/padicforms/charseries.py",
+        "(j, None if c == 0 else val_p(c, self.p), self.m)",
+        "(j, self.m if c == 0 else val_p(c, self.p), self.m)",
+        ("tests/test_charseries.py::test_newton_polygon_saturation_truncates",),
+    ),
+    Mutant(
+        "char series computed mod p^(m-1)",
+        "src/padicforms/charseries.py",
+        "    coeffs = _hessenberg_series(_hessenberg(matrix), matrix.modulus)\n",
+        "    coeffs = _hessenberg_series(_hessenberg(matrix), matrix.modulus // matrix.p)\n",
+        ("tests/test_charseries.py::test_char_series_of_integer_matrices",),
+    ),
+    Mutant(
+        "classical oracle's series one digit short, at M = d(k-1)",
+        "src/padicforms/classical.py",
+        "PadicMatrix.from_rows(block, p, d * (k - 1) + 1)",
+        "PadicMatrix.from_rows(block, p, d * (k - 1))",
+        ("tests/test_coleman.py::test_classical_spectrum_golden",),
+    ),
+    # forms and Hecke operators
+    Mutant(
+        "power table squares instead of stepping",
+        "src/padicforms/forms.py",
+        "            powers.append(powers[-1] * powers[1])\n",
+        "            powers.append(powers[-1] * powers[-1])\n",
+        ("tests/test_forms.py::test_miller_basis_echelon_range",),
+    ),
+    Mutant(
+        "Miller tails not cleared against the first row of a block",
+        "src/padicforms/forms.py",
+        "    for j in range(len(rows) - 2, -1, -1):\n",
+        "    for j in range(len(rows) - 2, 0, -1):\n",
+        ("tests/test_forms.py::test_miller_basis_small",),
+    ),
+    Mutant(
+        "span test compares only the first dim coefficients",
+        "src/padicforms/forms.py",
+        "        return (self.combination(g.coeffs[:d]) - g).is_zero()\n",
+        "        return (self.combination(g.coeffs[:d]) - g).truncate(d).is_zero()\n",
+        ("tests/test_forms.py::test_space_basis_contains_exactly_its_combinations",),
+    ),
+    Mutant(
+        "weight normalization a(k) = max(0, 2 - k)",
+        "src/padicforms/hecke.py",
+        "    return max(0, 1 - k)\n",
+        "    return max(0, 2 - k)\n",
+        ("tests/test_hecke.py::test_tp_decomposition_weight_le_1",),
+    ),
+    # Katz elements and certified spectra
+    Mutant(
+        "Katz elements built one digit short",
+        "src/padicforms/coleman.py",
+        "    elements = basis.elements_mod(m) if basis.dimension else []\n",
+        "    elements = basis.elements_mod(max(m - 1, 1)) if basis.dimension else []\n",
+        ("tests/test_precision.py::test_up_matrix_commutes_with_reduction",),
+    ),
+    Mutant(
+        "Katz elements without the row operations of a rung",
+        "src/padicforms/coleman.py",
+        "                clear_tails([probes.monomial(weight, c) for c in range(lo, hi)], lo, block)\n",
+        "                pass\n",
+        ("tests/test_coleman.py::test_katz_elements_mod_match_integral_blocks",),
+    ),
+    Mutant(
+        "certified spectrum rebuilds its Katz elements at every step",
+        "src/padicforms/coleman.py",
+        "        if m_work > built:\n",
+        "        if True:\n",
+        ("tests/test_coleman.py::test_slope_spectrum_builds_katz_elements_once",),
+    ),
+    Mutant(
+        "certified spectrum walks the grid from the plan",
+        "src/padicforms/coleman.py",
+        "    for m_work in grid:\n",
+        "    for m_work in [g for g in grid if g >= planned]:\n",
+        ("tests/test_coleman.py::test_planned_modulus_changes_no_result",),
+    ),
+    Mutant(
+        "certified spectrum stops at the plan without the cap fallback",
+        "src/padicforms/coleman.py",
+        "            built = grid[-1] if built else planned\n",
+        "            built = planned\n",
+        (
+            "tests/test_coleman.py::test_wrong_classical_spectrum_changes_no_result"
+            "[wrong_spectrum0-elements_at0]",
+        ),
+    ),
+    Mutant(
+        "certified spectrum returns the series unreduced",
+        "src/padicforms/coleman.py",
+        "        series = CharSeries(top_series.coeffs, p, m_work)\n",
+        "        series = top_series\n",
+        (
+            "tests/test_coleman.py::test_spectrum_core_matches_a_direct_solve"
+            "[14-5-34-10-bound0-91]",
+        ),
+    ),
+    # output encoding and the source scans
+    Mutant(
+        "encoder reads a bool as an integer",
+        "src/padicforms/serialize.py",
+        "    if value is None or isinstance(value, (bool, str)):\n",
+        "    if value is None or isinstance(value, str):\n",
+        ("tests/test_serialize.py::test_encode_passes_booleans_none_and_strings",),
+    ),
+    Mutant(
+        "a float constant in weights.py",
+        "src/padicforms/weights.py",
+        "\n\ndef w_coordinate(",
+        "\n\nHALF = 0.5\n\n\ndef w_coordinate(",
+        ("tests/test_imports.py::test_no_floating_point[weights.py]",),
+    ),
 )
 
 
