@@ -25,11 +25,9 @@ from .charseries import CharSeries, NewtonPolygon, char_series, check_slope_boun
 from .coleman import katz_basis, up_matrix
 from .errors import PrecisionError, VerificationError
 from .forms import basis_dimension
-from .padic import val_p
 from .weights import (
     IwasawaTruncation,
     WeightDisc,
-    check_component,
     interpolate_iwasawa,
     w_coordinate,
 )
@@ -62,20 +60,17 @@ class TwoVarCharSeries:
     def specialize(self, k: int) -> CharSeries:
         """CharSeries at classical weight k of the disc's component.
 
-        Its m is the least coefficient precision, capped off the samples
-        by the sum over the samples k_i of v_p(w_k - w_(k_i)), each term
-        saturated at the disc's m: the interpolation remainder bound for
-        coefficients in Z_p[[w]].  At a sample the cap is at least the
-        disc's m, so the series there is exact to the fit's precision.
+        Its m is the least ``IwasawaTruncation.precision_at(k)`` of its
+        coefficients: each one's precision, capped off the samples by the
+        sum over the samples k_i of v_p(w_k - w_(k_i)), each term
+        saturated at that m, the interpolation remainder bound for
+        coefficients in Z_p[[w]].  At a sample the cap is at least that
+        m, so the series there is exact to the fit's precision.  The
+        component of k is checked there too.
         """
+        m_eff = min(c.precision_at(k) for c in self.coeffs)
         p, m = self.disc.p, self.disc.m
-        check_component(k, p, self.disc.component)
         w = w_coordinate(k, p, m)
-        distance = sum(
-            val_p((w - w_coordinate(s, p, m)) % p**m, p, saturate=m)
-            for s in self.disc.sample_weights
-        )
-        m_eff = min(distance, *(c.m for c in self.coeffs))
         return CharSeries(tuple(c.evaluate_at_w(w) for c in self.coeffs), p, m_eff)
 
     def is_sample(self, k: int) -> bool:

@@ -3,11 +3,16 @@
 Mod-p spaces and their Hasse tower, ordinary ranks, the weight-raising
 control check, and interpolation of ordinary eigen-data across the
 sample weights of a ``weights.WeightDisc`` into an Iwasawa-polynomial
-family.  Every decomposition, of a space into its ordinary part and of
-that into eigensystems, is a ``linalg.ordinary_projector`` with a basis
-from ``independent_columns``, and ``restrict_to_image`` gives the Hecke
-operators on that basis; rank tests and image bases take ``linalg``'s
-pivots mod p, and restrictions its unit-pivot elimination over Z/p^m.
+family.  The Hasse tower (``build_hasse_tower``) is the one route that
+builds the mod-p spaces and their ordinary projectors for the control
+check and the ordinary rank: one table of E4, E6 and Delta mod p per
+tower, every level at the top level's q-precision, each inclusion
+checked and each e(T_p) computed once.  Every decomposition, of a space
+into its ordinary part and of that into eigensystems, is a
+``linalg.ordinary_projector`` with a basis from ``independent_columns``,
+and ``restrict_to_image`` gives the Hecke operators on that basis; rank
+tests and image bases take ``linalg``'s pivots mod p, and restrictions
+its unit-pivot elimination over Z/p^m.
 Every span test, of an operator image, a Hasse tower inclusion or an
 ordinary image in a control target, is ``forms.SpaceBasis.contains``:
 a Miller basis is in echelon form, so nothing is re-echelonized.
@@ -16,20 +21,21 @@ a Miller basis is in echelon form, so nothing is re-echelonized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .charseries import char_series
 from .errors import ConfigError, VerificationError
 from .forms import (
+    MillerPowers,
     SpaceBasis,
     basis_dimension,
     check_level1_weight,
     check_theory_prime,
     miller_basis,
+    miller_rows,
 )
 from .hecke import hecke_tp
 from .linalg import (
-    ProjectorResult,
     independent_columns,
     ordinary_projector,
     rank_mod_p,
@@ -70,52 +76,19 @@ def tp_matrix(k: int, p: int):
     return operator_matrix(basis, lambda f: hecke_tp(f, k, p))
 
 
-def mod_p_space(k: int, p: int, qprec: Optional[int] = None) -> SpaceBasis:
-    """Reduction mod p of the Miller basis; stays echelon since pivots are 1.
-
-    ``SpaceBasis.contains`` compares on the q-precision both sides
-    carry, so spaces compared with it are built at one shared ``qprec``.
-    """
+def mod_p_space(k: int, p: int) -> SpaceBasis:
+    """Reduction mod p of the Miller basis, at ``default_qprec(k, [p])``;
+    stays echelon since pivots are 1."""
     check_theory_prime(p)
-    if qprec is None:
-        qprec = default_qprec(k, [p])
-    return miller_basis(k, qprec, ModRing(p, 1))
-
-
-def _ordinary_projector_mod_p(basis: SpaceBasis, p: int) -> ProjectorResult:
-    """e(T_p) on a mod-p space, in its Miller basis."""
-    rows = operator_matrix(basis, lambda f: hecke_tp(f, basis.weight, p))
-    return ordinary_projector(PadicMatrix.from_rows(rows, p, 1))
+    return miller_basis(k, default_qprec(k, [p]), ModRing(p, 1))
 
 
 def ordinary_rank_mod_p(k: int, p: int) -> int:
-    """Rank of e(T_p) on the mod-p weight-k space (T_p = U_p here, k >= 2)."""
+    """Rank of e(T_p) on the mod-p weight-k space (T_p = U_p here, k >= 2),
+    read from a one-level Hasse tower."""
     if k < 2:
         raise ConfigError(f"ordinary rank needs k >= 2, got {k}")
-    return _ordinary_projector_mod_p(mod_p_space(k, p), p).rank
-
-
-@dataclass(frozen=True)
-class HasseTower:
-    """Mod-p spaces at weights k, k+(p-1), ..., with the identity-on-q-expansions
-    inclusions that exist because the Hasse invariant has q-expansion 1."""
-
-    p: int
-    base_weight: int
-    levels: tuple
-
-
-def build_hasse_tower(k: int, p: int, n: int) -> HasseTower:
-    if n < 0:
-        raise ConfigError("n must be >= 0")
-    qprec = default_qprec(k + n * (p - 1), [p])
-    levels = [mod_p_space(k + j * (p - 1), p, qprec) for j in range(n + 1)]
-    for lower, upper in zip(levels, levels[1:]):
-        if not all(upper.contains(f) for f in lower.forms):
-            raise VerificationError(
-                f"Hasse tower inclusion fails from weight {lower.weight} to {upper.weight}"
-            )
-    return HasseTower(p, k, tuple(levels))
+    return build_hasse_tower(k, p, 0).projectors[0].rank
 
 
 @dataclass(frozen=True)
@@ -134,6 +107,68 @@ class ControlReport:
         return self.contained
 
 
+@dataclass(frozen=True)
+class HasseTower:
+    """Mod-p spaces at weights k, k+(p-1), ..., k+n(p-1), every level at
+    the top level's q-precision, with e(T_p) on each level.
+
+    Each level lies in the next as q-expansions, because the Hasse
+    invariant E_{p-1} has q-expansion 1 mod p; ``build_hasse_tower``
+    checks every inclusion before it returns the tower.
+    """
+
+    p: int
+    base_weight: int
+    levels: tuple  # the SpaceBasis of each level
+    projectors: tuple  # the ProjectorResult of e(T_p) on each level
+
+    def report(self, n: int) -> ControlReport:
+        """The control check of level n: the image of its e(T_p), spanned
+        by the columns that ``independent_columns`` picks (independent
+        mod p, so their number is ``rank_high``), tested column by column
+        against the target level with ``SpaceBasis.contains``.  The
+        target is level 0, or level 1 at k = 2 (one Hasse twist), and
+        ``rank_low`` is the rank of its e(T_p)."""
+        twist = self.base_weight == 2
+        target = 1 if twist else 0
+        if n < 0 or max(n, target) >= len(self.levels):
+            raise ConfigError(f"a report of level {n} needs levels 0..{max(n, target)}")
+        high, low = self.levels[n], self.levels[target]
+        columns, _ = independent_columns(self.projectors[n].idempotent)
+        contained = all(low.contains(high.combination(c)) for c in columns)
+        rank_low = self.projectors[target].rank
+        return ControlReport(
+            self.p, self.base_weight, n, low.weight, len(columns), rank_low, contained, twist
+        )
+
+
+def build_hasse_tower(k: int, p: int, n: int) -> HasseTower:
+    """The tower of levels 0..n over weight k at p, the one route that
+    builds the mod-p spaces and ordinary projectors of the control check
+    and the ordinary rank.
+
+    Every level is at the top level's q-precision, its Miller rows
+    (``forms.miller_rows``) taken from one table of E4, E6 and Delta mod
+    p; the inclusion of each level in the next is checked, and e(T_p) is
+    computed once per level.
+    """
+    check_theory_prime(p)
+    check_level1_weight(k)
+    if n < 0:
+        raise ConfigError("n must be >= 0")
+    top = k + n * (p - 1)
+    powers = MillerPowers(default_qprec(top, [p]), ModRing(p, 1))
+    levels = [SpaceBasis(w, miller_rows(w, 0, powers)) for w in range(k, top + 1, p - 1)]
+    for lower, upper in zip(levels, levels[1:]):
+        if not all(upper.contains(f) for f in lower.forms):
+            raise VerificationError(
+                f"Hasse tower inclusion fails from weight {lower.weight} to {upper.weight}"
+            )
+    tp_rows = [operator_matrix(b, lambda f, w=b.weight: hecke_tp(f, w, p)) for b in levels]
+    projectors = tuple(ordinary_projector(PadicMatrix.from_rows(t, p, 1)) for t in tp_rows)
+    return HasseTower(p, k, tuple(levels), projectors)
+
+
 def control_check_h0(k: int, p: int, n: int) -> ControlReport:
     """Verify e(U_p) M_{k+n(p-1)}(F_p) sits inside the weight-k target as
     q-expansions, through the identity embedding of the Hasse tower.
@@ -142,10 +177,9 @@ def control_check_h0(k: int, p: int, n: int) -> ControlReport:
     the k = 2 boundary the classical side allows one extra Hasse twist,
     so containment is tested in M_{2+(p-1)}(F_p).
 
-    The image of e(T_p) on the high space is spanned by the columns of e
-    that ``independent_columns`` picks; they are independent mod p, so
-    their number is ``rank_high``.  Each is expanded as a q-series and
-    tested against the target with ``SpaceBasis.contains``.
+    The report is ``HasseTower.report(n)`` of the tower up to level n
+    (level 1 at least under the twist): every level at the top level's
+    q-precision, each inclusion checked.
     """
     check_theory_prime(p)
     check_level1_weight(k)
@@ -153,16 +187,7 @@ def control_check_h0(k: int, p: int, n: int) -> ControlReport:
         raise ConfigError(f"control check needs k >= 2, got {k}")
     if n < 0:
         raise ConfigError("n must be >= 0")
-    twist = k == 2
-    target_weight = k + (p - 1) if twist else k
-    high_weight = k + n * (p - 1)
-    qprec = default_qprec(high_weight, [p])
-    high = mod_p_space(high_weight, p, qprec)
-    low = mod_p_space(target_weight, p, qprec)
-    columns, _ = independent_columns(_ordinary_projector_mod_p(high, p).idempotent)
-    contained = all(low.contains(high.combination(c)) for c in columns)
-    rank_low = _ordinary_projector_mod_p(low, p).rank
-    return ControlReport(p, k, n, target_weight, len(columns), rank_low, contained, twist)
+    return build_hasse_tower(k, p, max(n, 1 if k == 2 else 0)).report(n)
 
 
 def unit_root_of_stabilization(t_p: int, k: int, p: int, m: int) -> int:

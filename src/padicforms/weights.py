@@ -85,12 +85,15 @@ class WeightDisc:
 @dataclass(frozen=True)
 class IwasawaTruncation:
     """A polynomial in the disc coordinate w, over Z/p^m, on one
-    component of weight space."""
+    component of weight space; a fit of ``interpolate_iwasawa`` records
+    the weights of its samples, which bound its precision elsewhere
+    (``precision_at``)."""
 
     p: int
     component: int
     poly_coeffs: tuple
     m: int
+    sample_weights: tuple = ()
 
     def __post_init__(self) -> None:
         _check_pm(self.p, self.m)
@@ -115,12 +118,29 @@ class IwasawaTruncation:
         component, as a plain int in [0, p^m).
 
         For a fit of ``interpolate_iwasawa`` this int is exact mod p^m at
-        the sample weights only; elsewhere it is a prediction whose
-        precision the caller must bound
-        (``eigencurve.TwoVarCharSeries.specialize`` does).
+        the sample weights only; elsewhere it is a prediction, exact mod
+        p^e for e = ``precision_at(k)`` when the interpolated function
+        lies in Z_p[[w]].
         """
         check_component(k, self.p, self.component)
         return self.evaluate_at_w(w_coordinate(k, self.p, self.m))
+
+    def precision_at(self, k: int) -> int:
+        """The exponent e to which ``specialize(k)`` is claimed exact:
+        min(m, sum over the samples k_i of v_p(w_k - w_(k_i)), each term
+        saturated at m), so m at a sample, and m for a truncation built
+        with no samples (such as the constant c_0 = 1).
+
+        Off the samples this is the Newton-remainder bound: for a function
+        in Z_p[[w]] the remainder of its interpolation through the samples
+        is an integral multiple of the product of the (w - w_(k_i)).  The
+        claim rests on that assumption, not on a recomputation.
+        """
+        check_component(k, self.p, self.component)
+        p, m = self.p, self.m
+        w = w_coordinate(k, p, m)
+        terms = [val_p(w - w_coordinate(s, p, m), p, saturate=m) for s in self.sample_weights]
+        return min(m, sum(terms)) if terms else m
 
 
 def interpolate_iwasawa(
@@ -189,7 +209,7 @@ def interpolate_iwasawa(
     poly: List[int] = []
     for (c, _), w_r in zip(reversed(newton), reversed(ws)):
         poly = [(lo - w_r * hi) % red for lo, hi in zip([c] + poly, poly + [0])]
-    fit = IwasawaTruncation(p, component, tuple(poly), m_eff)
+    fit = IwasawaTruncation(p, component, tuple(poly), m_eff, tuple(ks))
     for k, value in zip(ks, values):
         if fit.specialize(k) != value % red:
             raise VerificationError(

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from padicforms import acceptance
+from padicforms import acceptance, hida
 from padicforms.errors import ConfigError
 from padicforms.linalg import ProjectorResult, rank_mod_p
 from padicforms.padic import PadicMatrix
@@ -154,16 +154,17 @@ def test_criterion_1_catches_each_wrong_projector(monkeypatch, corrupt):
 )
 def test_criterion_4_catches_each_wrong_report(monkeypatch, corrupt, detail):
     """Criterion 4 reads the ranks at k and k + n(p-1), n = 1, 2, 3, from
-    the control reports: a wrong rank at (k, p) = (8, 7) breaks their
-    constancy, and a failed containment at n = 2 fails the criterion."""
-    real = acceptance.control_check_h0
-    rank = real(8, 7, 1).rank_low
+    the reports of one Hasse tower: a wrong rank at (k, p) = (8, 7)
+    breaks their constancy, and a failed containment at n = 2 fails the
+    criterion."""
+    real = hida.HasseTower.report
+    rank = real(hida.build_hasse_tower(8, 7, 1), 1).rank_low
 
-    def control(k, p, n):
-        report = real(k, p, n)
-        return corrupt(report) if (k, p) == (8, 7) else report
+    def report(tower, n):
+        found = real(tower, n)
+        return corrupt(found) if (tower.base_weight, tower.p) == (8, 7) else found
 
-    monkeypatch.setattr(acceptance, "control_check_h0", control)
+    monkeypatch.setattr(hida.HasseTower, "report", report)
     result = acceptance.criterion_4(SEED)
     assert not result.passed
     assert [d for d in result.details if "(k,p" in d] == [detail(rank)]

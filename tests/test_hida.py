@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicforms import hida
-from padicforms.errors import ConfigError
+from padicforms import acceptance, forms, hida
+from padicforms.errors import ConfigError, VerificationError
 from padicforms.forms import miller_basis
 from padicforms.hida import (
+    ControlReport,
     build_hasse_tower,
     control_check_h0,
+    default_qprec,
     fit_family,
     mod_p_space,
     operator_matrix,
@@ -18,8 +20,9 @@ from padicforms.hida import (
     unit_root_of_stabilization,
 )
 from padicforms.hecke import hecke_tp, up
-from padicforms.linalg import invert_unimodular
+from padicforms.linalg import independent_columns, invert_unimodular, ordinary_projector
 from padicforms.padic import PadicMatrix
+from padicforms.qexp import ModRing
 
 
 def test_tp_matrix_eigenvalues_weight_12():
@@ -85,6 +88,17 @@ def test_hasse_tower_inclusions():
         build_hasse_tower(4, 5, -1)
 
 
+def test_hasse_tower_reports_only_levels_it_holds():
+    tower = build_hasse_tower(4, 5, 1)
+    assert tower.report(1) == control_check_h0(4, 5, 1)
+    for n in (-1, 2):
+        with pytest.raises(ConfigError, match=f"a report of level {n} needs"):
+            tower.report(n)
+    # at k = 2 the target is level 1, which a one-level tower lacks
+    with pytest.raises(ConfigError, match="needs levels 0..1"):
+        build_hasse_tower(2, 5, 0).report(0)
+
+
 def test_control_check_examples():
     # e(U_5) M_8(F_5) = span(E_8 mod 5) inside span(E_4 mod 5)
     report = control_check_h0(4, 5, 1)
@@ -110,18 +124,82 @@ def test_control_check_weight2():
         control_check_h0(4, 5, -1)
 
 
-@pytest.mark.parametrize("k, p, n", [(4, 5, 1), (12, 11, 2), (2, 5, 1)])
-def test_control_check_builds_each_space_once(monkeypatch, k, p, n):
+def test_hasse_tower_catches_a_wrong_level(monkeypatch):
+    # the weight-6 rows in place of the weight-8 ones: E_6 mod 5 spans a
+    # T_5-stable line, but not one that holds E_4 = 1 mod 5
+    rows = hida.miller_rows
+    monkeypatch.setattr(
+        hida, "miller_rows", lambda k, start, powers: rows(6 if k == 8 else k, start, powers)
+    )
+    with pytest.raises(VerificationError, match="inclusion fails from weight 4 to 8"):
+        build_hasse_tower(4, 5, 2)
+
+
+@pytest.fixture
+def miller_tables(monkeypatch):
+    """The q-precision of every ``forms.MillerPowers`` table built."""
     built = []
+    init = forms.MillerPowers.__init__
 
-    def counting_mod_p_space(weight, *args):
-        built.append(weight)
-        return mod_p_space(weight, *args)
+    def counting_init(self, qprec, *args):
+        built.append(qprec)
+        init(self, qprec, *args)
 
-    monkeypatch.setattr(hida, "mod_p_space", counting_mod_p_space)
+    monkeypatch.setattr(forms.MillerPowers, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("k, p, n", [(4, 5, 1), (12, 11, 2), (2, 5, 1), (2, 5, 0)])
+def test_control_check_builds_each_space_once(miller_tables, k, p, n):
+    """One control check reads one Hasse tower: one table of E4, E6 and
+    Delta at the top level's q-precision, up to level 1 at least under
+    the k = 2 twist."""
     report = control_check_h0(k, p, n)
-    assert sorted(built) == sorted([k + n * (p - 1), report.target_weight])
+    top = max(k + n * (p - 1), report.target_weight)
+    assert miller_tables == [default_qprec(top, [p])]
     assert report.rank_low == ordinary_rank_mod_p(report.target_weight, p)
+
+
+def test_criterion_4_builds_each_tower_once(monkeypatch, miller_tables):
+    """One tower to n = 3 per (k, p), even k in [4, 16] and p in {5, 7}:
+    14 tables, and one e(T_p) per level, 56 in all."""
+    projectors = []
+
+    def counting_projector(matrix, *args):
+        projectors.append(matrix.size)
+        return ordinary_projector(matrix, *args)
+
+    monkeypatch.setattr(hida, "ordinary_projector", counting_projector)
+    assert acceptance.criterion_4(0).passed
+    assert len(miller_tables) == 14
+    assert len(projectors) == 56
+
+
+def _two_space_control_check(k, p, n):
+    """The control check from two separately built mod-p spaces at the
+    top level's q-precision, each with its own e(T_p)."""
+    twist = k == 2
+    target_weight = k + (p - 1) if twist else k
+    qprec = default_qprec(max(k + n * (p - 1), target_weight), [p])
+    high, low = (miller_basis(w, qprec, ModRing(p, 1)) for w in (k + n * (p - 1), target_weight))
+
+    def projector(basis):
+        rows = operator_matrix(basis, lambda f: hecke_tp(f, basis.weight, p))
+        return ordinary_projector(PadicMatrix.from_rows(rows, p, 1))
+
+    columns, _ = independent_columns(projector(high).idempotent)
+    contained = all(low.contains(high.combination(c)) for c in columns)
+    return ControlReport(p, k, n, target_weight, len(columns), projector(low).rank, contained, twist)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(
+    p=st.sampled_from((5, 7, 11, 13)),
+    k=st.integers(1, 15).map(lambda h: 2 * h),
+    n=st.integers(0, 3),
+)
+def test_control_check_matches_two_separate_spaces(p, k, n):
+    assert control_check_h0(k, p, n) == _two_space_control_check(k, p, n)
 
 
 def test_unit_root():
@@ -156,6 +234,17 @@ def test_fit_family_eisenstein():
     predicted = int(fit2.specialize(24))
     assert (predicted - (1 + 2**23)) % 5**2 == 0
     assert all(c["holds"] for c in fam.congruence_checks)
+
+
+def test_fit_family_carries_the_off_sample_cap():
+    fam = fit_family(5, 0, [4, 8, 12, 16], [2, 5], m=8)
+    fit2 = fam.fitted[2][fam.keys[0]]
+    assert fit2.sample_weights == (4, 8, 12, 16)
+    assert fit2.precision_at(4) == fit2.m
+    # v_5(w_24 - w_k) = 2, 1, 1, 1 for k = 4, 8, 12, 16
+    assert fit2.precision_at(24) == 5
+    error = fit2.specialize(24) - (1 + 2**23)
+    assert error % 5**5 == 0 and error % 5**6 != 0
 
 
 def test_fit_family_rank_only():

@@ -42,7 +42,19 @@ def test_interpolation_round_trip():
     predicted = int(fit.specialize(24))
     bound = sum(1 + _v5(24 - k) for k in weights)
     bound = min(bound, fit.m)
+    assert fit.precision_at(24) == bound
     assert (predicted - target) % 5**bound == 0
+
+
+def test_precision_at_samples_and_without_samples():
+    fit = interpolate_iwasawa([(k, 1 + 2 ** (k - 1)) for k in (4, 8, 12)], 5, 8)
+    assert fit.sample_weights == (4, 8, 12)
+    assert [fit.precision_at(k) for k in (4, 8, 12)] == [fit.m] * 3
+    # a truncation built directly has no samples to be far from
+    const = IwasawaTruncation(5, 0, (1,), 3)
+    assert [const.precision_at(k) for k in (0, 4, 24, 104)] == [3] * 4
+    with pytest.raises(ValueError, match="not on component 0"):
+        const.precision_at(6)
 
 
 def test_interpolation_respecializes_its_fit(monkeypatch):

@@ -2,13 +2,16 @@
 
 Each entry of ``MUTANTS`` is one fault: a file, the exact text to
 replace, which must occur exactly once in that file, the text put in
-its place, and the ids of the tests that must fail with it.  The script
+its place, and the ids of the tests that must fail with it.  A fault
+that needs more than one edit lists the further (old, new) pairs of
+the same file in ``also``; each old text there must occur exactly once
+too, and the edits are applied in order.  The script
 copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
 directory and runs every named test there once on the unchanged code,
 where all must pass.  Then it applies each mutant in turn, runs that
 mutant's tests with ``-x`` and restores the file.
 
-The run fails if an entry's old text is missing or occurs more than
+The run fails if an entry's old texts are missing or occur more than
 once (a refactor moved it: update the entry, do not drop it), if a
 named test fails on the unchanged code, or if a mutant survives, which
 means a test is missing.  Never remove an entry to make the run pass.
@@ -39,9 +42,26 @@ class Mutant(NamedTuple):
     old: str
     new: str
     tests: Tuple[str, ...]
+    also: Tuple[Tuple[str, str], ...] = ()
+
+    @property
+    def edits(self) -> Tuple[Tuple[str, str], ...]:
+        return ((self.old, self.new),) + self.also
 
 
 _CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_catches_each_wrong_projector"
+# the projector's own checks of its result, deleted
+_NO_PROJECTOR_CHECKS = (
+    "    if e_power != power.rows:\n"
+    '        raise VerificationError("T^N has a column outside the span of its image basis")\n'
+    "    if e_idem != idem.rows or e_matrix != product_rows(matrix.rows, idem.rows, n, modulus):\n"
+    '        raise VerificationError("ordinary projector is not an idempotent commuting with T")\n'
+    "    # The image of an idempotent over the local ring Z/p^m is free, so\n"
+    "    # its trace is its rank, which is also its mod-p rank.\n"
+    "    if idem.trace() != r % modulus or rank_mod_p(idem.rows, p) != r:\n"
+    '        raise VerificationError("idempotent trace disagrees with mod-p rank")\n',
+    "",
+)
 
 MUTANTS = (
     # series and matrix product kernels
@@ -131,7 +151,28 @@ MUTANTS = (
         "[list(e.coeffs[d:]) for e in elements]",
         ("tests/test_coleman.py::test_up_matrix_weight_zero_constant",),
     ),
-    # acceptance criterion 4 and the duality adjunction
+    # the Hasse tower, acceptance criterion 4 and the duality adjunction
+    Mutant(
+        "control target read at level 0 under the k = 2 twist",
+        "src/padicforms/hida.py",
+        "        target = 1 if twist else 0\n",
+        "        target = 0\n",
+        ("tests/test_hida.py::test_control_check_weight2",),
+    ),
+    Mutant(
+        "Hasse tower without its inclusion check",
+        "src/padicforms/hida.py",
+        "        if not all(upper.contains(f) for f in lower.forms):\n",
+        "        if False:\n",
+        ("tests/test_hida.py::test_hasse_tower_catches_a_wrong_level",),
+    ),
+    Mutant(
+        "control report reads rank_low from level n",
+        "src/padicforms/hida.py",
+        "        rank_low = self.projectors[target].rank\n",
+        "        rank_low = self.projectors[n].rank\n",
+        ("tests/test_hida.py::test_control_check_builds_each_space_once[2-5-0]",),
+    ),
     Mutant(
         "criterion 4 without its rank comparison",
         "src/padicforms/acceptance.py",
@@ -151,11 +192,12 @@ MUTANTS = (
     ),
     # weight space and the disc series
     Mutant(
-        "disc series specialized without the sample-distance cap",
-        "src/padicforms/eigencurve.py",
-        "        m_eff = min(distance, *(c.m for c in self.coeffs))\n",
-        "        m_eff = min(c.m for c in self.coeffs)\n",
+        "off-sample precision without the sample-distance cap",
+        "src/padicforms/weights.py",
+        "        return min(m, sum(terms)) if terms else m\n",
+        "        return m\n",
         (
+            "tests/test_hida.py::test_fit_family_carries_the_off_sample_cap",
             "tests/test_eigencurve.py::test_slopes_at_certifies_only_what_the_fit_supports",
             "tests/test_eigencurve.py::test_held_out_weight_prediction",
             "tests/test_eigencurve.py::test_specialization_holds_to_the_precision_it_claims",
@@ -405,6 +447,22 @@ MUTANTS = (
         ("tests/test_linalg.py::test_projector_exactness_block_triangular",),
     ),
     Mutant(
+        "projector one squaring short, with its own checks deleted",
+        "src/padicforms/linalg.py",
+        "                target = s - 1 + lift\n",
+        "                target = s - 2 + lift\n",
+        ("tests/test_linalg.py::test_projector_algebra_random",),
+        also=(_NO_PROJECTOR_CHECKS,),
+    ),
+    Mutant(
+        "projector core rows reversed, with its own checks deleted",
+        "src/padicforms/linalg.py",
+        "    core = product_rows(head, c_rows, r, modulus)\n",
+        "    core = product_rows(head, c_rows, r, modulus)[::-1]\n",
+        ("tests/test_linalg.py::test_projector_algebra_random",),
+        also=(_NO_PROJECTOR_CHECKS,),
+    ),
+    Mutant(
         "projector e built with r columns",
         "src/padicforms/linalg.py",
         "product_rows(c_rows, y, n, modulus)",
@@ -556,9 +614,11 @@ def _tail(result: subprocess.CompletedProcess, lines: int = 15) -> str:
 def main() -> int:
     problems = []
     for mutant in MUTANTS:
-        found = (ROOT / mutant.file).read_text().count(mutant.old)
-        if found != 1:
-            problems.append(f"{mutant.name}: old text occurs {found} times in {mutant.file}")
+        text = (ROOT / mutant.file).read_text()
+        for old, _ in mutant.edits:
+            found = text.count(old)
+            if found != 1:
+                problems.append(f"{mutant.name}: old text occurs {found} times in {mutant.file}")
     if problems:
         print("\n".join(problems))
         return 1
@@ -578,8 +638,10 @@ def main() -> int:
         failed = 0
         for mutant in MUTANTS:
             path = copy / mutant.file
-            original = path.read_text()
-            path.write_text(original.replace(mutant.old, mutant.new))
+            original = mutated = path.read_text()
+            for old, new in mutant.edits:
+                mutated = mutated.replace(old, new)
+            path.write_text(mutated)
             start = time.perf_counter()
             try:
                 result = _pytest(copy, mutant.tests)
