@@ -56,7 +56,6 @@ from .hida import (
     build_hasse_tower,
     control_check_h0,
     fit_family,
-    mod_p_space,
     ordinary_rank_mod_p,
     tp_matrix,
 )

@@ -25,18 +25,18 @@ from .duality import (
 )
 from .eigencurve import local_piece_report, two_var_charseries
 from .errors import ConfigError
-from .forms import MillerPowers, delta, eisenstein, miller_rows
+from .forms import MillerPowers, SpaceBasis, delta, eisenstein, miller_rows
 from .hecke import frobenius, hecke_tp, up
 from .hida import (
     build_hasse_tower,
+    default_qprec,
     fit_family,
-    mod_p_space,
     operator_matrix,
     ordinary_projector,
 )
 from .linalg import rank_mod_p
 from .padic import PadicMatrix, power_from_base, product_rows, val_p
-from .qexp import QSeries, ZZ
+from .qexp import ModRing, QSeries, ZZ
 from .weights import WeightDisc
 
 
@@ -188,13 +188,11 @@ def criterion_3(seed: int = 0) -> CriterionResult:
     ok = True
     details = []
     for p in (5, 7):
+        # one table of E4, E6 and Delta mod p per prime, for every weight
+        powers = MillerPowers(default_qprec(40, [p]), ModRing(p, 1))
         for k in range(2, 42, 2):
-            basis = mod_p_space(k, p)
-            if basis.dim == 0:
-                continue
-            tp_rows = operator_matrix(basis, lambda f: hecke_tp(f, k, p))
-            up_rows = operator_matrix(basis, lambda f: up(f, k, p))
-            if tp_rows != up_rows:
+            basis = SpaceBasis(k, miller_rows(k, 0, powers))
+            if operator_matrix(basis, hecke_tp, p) != operator_matrix(basis, up, p):
                 ok = False
                 details.append(f"mod-p congruence FAILS at (k,p)=({k},{p})")
     if ok:
@@ -424,12 +422,10 @@ def criterion_10(seed: int = 0) -> CriterionResult:
     details.append("char series of U_p and its transpose agree on all configured matrices")
     # (b) rank e(U_p) = rank e(F) at every weight
     for p in (5, 7):
+        powers = MillerPowers(default_qprec(16, [p]), ModRing(p, 1))
         for k in range(4, 18, 2):
-            basis = mod_p_space(k, p)
-            if basis.dim == 0:
-                continue
-            rows = operator_matrix(basis, lambda f: hecke_tp(f, k, p))
-            mat = PadicMatrix.from_rows(rows, p, 1)
+            basis = SpaceBasis(k, miller_rows(k, 0, powers))
+            mat = PadicMatrix.from_rows(operator_matrix(basis, hecke_tp, p), p, 1)
             if not rank_duality_check(mat)["equal"]:
                 ok = False
                 details.append(f"rank duality FAILS at (k,p)=({k},{p})")

@@ -42,8 +42,6 @@ from .forms import (
     basis_dimension,
     check_level1_weight,
     check_theory_prime,
-    clear_tails,
-    e4_e6_exponents,
     eisenstein,
     miller_rows,
 )
@@ -104,32 +102,33 @@ class KatzBasis:
         ..., q^(p(D-1)) (the spine).
 
         Row c of the Miller rows, new in rung i_c at weight w_c, is
-        E4^a E6^b Delta^c before the rows after it in its rung clear its
-        tail, (a, b) by ``e4_e6_exponents(w_c - 12c)``.  So one running
-        product R_c = Delta^c * E_{p-1}^{-i_c}, a full series through
-        q^(p(D-1)), the last coefficient read, carries every element:
-        R_c = R_{c-1} * Delta * E_{p-1}^{-g}, g = i_c - i_{c-1}, and
-        element c is R_c * E4^a E6^b.
-        Each step factor is built once per gap g and each E4^a E6^b once
-        per (a, b).  That last factor enters only the readout, by one dot
-        product per coefficient read, and not at all when it is 1.  A rung
-        with several new rows then gets the row operations of
-        ``forms.miller_rows`` on its readouts, with multipliers read from
-        the Miller monomials to q-precision D only.  Truncated series
-        arithmetic over Z/p^m is exact, commutative and associative, so
-        these are the readouts of the integral rows reduced mod p^m times
-        E_{p-1}^{-i}, equal coefficient for coefficient.
+        Delta^c times the factor E4^a E6^b of weight w_c - 12c before the
+        rows after it in its rung clear its tail; the factor comes from
+        ``forms.MillerPowers.factor``, the one owner of the Miller rule.
+        So one running product R_c = Delta^c * E_{p-1}^{-i_c}, a full
+        series through q^(p(D-1)), the last coefficient read, carries
+        every element: R_c = R_{c-1} * Delta * E_{p-1}^{-g},
+        g = i_c - i_{c-1}, and element c is R_c * E4^a E6^b.
+        Each step factor is built once per gap g, and the table builds
+        each E4^a E6^b once.  That last factor enters only the readout,
+        by one dot product per coefficient read, and not at all when it
+        is 1.  A rung with several new rows then gets the row operations
+        of ``forms.miller_rows`` on its readouts, passed as a shadow of
+        the Miller rows to q-precision D, which give the multipliers.
+        Truncated series arithmetic over Z/p^m is exact, commutative and
+        associative, so these are the readouts of the integral rows
+        reduced mod p^m times E_{p-1}^{-i}, equal coefficient for
+        coefficient.
         """
         ring = ModRing(self.p, m)
         d = self.dimension
         reads = [*range(d), *range(0, self.p * d, self.p)]  # head, then spine
         qprec = self.p * (d - 1) + 1 if d else 1  # through q^(p(D-1))
         powers = MillerPowers(qprec, ring)
-        times = powers.product
-        # e_inv[0] is powers.one itself, so ``times`` skips it
-        e_inv = PowerTable(eisenstein(self.p - 1, qprec, ring).inverse(), powers.one)
+        times, one = powers.product, powers.one
+        # e_inv[0] is the table's one itself, so ``times`` skips it
+        e_inv = PowerTable(eisenstein(self.p - 1, qprec, ring).inverse(), one)
         steps = {}  # gap g -> Delta * E_{p-1}^{-g}
-        monomials = {(0, 0): None}  # (a, b) -> E4^a E6^b, None for 1
         probes = None  # Miller powers to q-precision D, for the multipliers
         running = last = None  # R_c and i_c of the row before
         out: List[QSeries] = []
@@ -145,17 +144,14 @@ class KatzBasis:
                         steps[gap] = times(powers.delta[1], e_inv[gap])
                     running = times(running, steps[gap])
                 last = i
-                ab = e4_e6_exponents(weight - 12 * c)
-                if ab not in monomials:
-                    monomials[ab] = times(powers.e4[ab[0]], powers.e6 if ab[1] else powers.one)
-                factor = monomials[ab]
+                factor = powers.factor(weight - 12 * c)
                 block.append(
-                    running.select(reads) if factor is None else running.product_at(factor, reads)
+                    running.select(reads) if factor is one else running.product_at(factor, reads)
                 )
             if len(block) > 1:
                 if probes is None:
                     probes = MillerPowers(d, ring)
-                clear_tails([probes.monomial(weight, c) for c in range(lo, hi)], lo, block)
+                miller_rows(weight, lo, probes, block)
             out.extend(block)
         for g, element in enumerate(out):
             if element.leading_index() != g or element.coeffs[g] != 1:

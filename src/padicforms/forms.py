@@ -2,6 +2,10 @@
 
 Eisenstein series, the discriminant form, echelon (Victor Miller)
 bases, the level-1 dimension formula and the Hasse invariant lift.
+``MillerPowers`` owns the Miller rule: a table of E4, E6 and Delta at
+one q-precision over one ring maps a weight to its factor E4^a E6^b
+and gives the Miller rows (``miller_rows``) of every weight read from
+it, so a caller that needs several weights builds one table.
 The p-adic theory in this package is restricted to p in {5, 7, 11, 13}
 so that E_{p-1} exists at level 1 and serves as the Hasse lift.  Two
 checks decide the inputs of every p-adic entry point, and each raises
@@ -173,15 +177,6 @@ class SpaceBasis:
         return self.forms[0].ring if self.forms else ZZ
 
 
-def e4_e6_exponents(weight: int) -> tuple:
-    """(a, b) with 4a + 6b = weight and b = 0 or 1, b = 0 when 4 | weight."""
-    b = 0 if weight % 4 == 0 else 1
-    a = (weight - 6 * b) // 4
-    if a < 0:
-        raise ArithmeticError(f"no E4^a E6^b monomial of weight {weight}")
-    return a, b
-
-
 class PowerTable:
     """The powers x^0, x^1, ... of one series, each built once, by one
     product from the power before; ``table[n]`` is x^n."""
@@ -197,9 +192,11 @@ class PowerTable:
 
 
 class MillerPowers:
-    """E4, E6 and Delta at one q-precision over one ring, with the powers
-    ``e4[a]`` and ``delta[c]`` each built once.  One table serves the
-    Miller rows of any number of weights.
+    """E4, E6 and Delta at one q-precision over one ring: the one owner of
+    the level-1 Miller rule.  The Miller monomials of weight k are
+    E4^a E6^b Delta^c, with E4^a E6^b = ``factor(k - 12c)``; the powers
+    ``e4[a]`` and ``delta[c]`` and each factor are built once, so one
+    table serves the Miller rows of any number of weights.
     """
 
     def __init__(self, qprec: int, ring: Ring = ZZ) -> None:
@@ -207,6 +204,7 @@ class MillerPowers:
         self.e6 = eisenstein(6, qprec, ring)
         self.e4 = PowerTable(eisenstein(4, qprec, ring), self.one)
         self.delta = PowerTable(delta(qprec, ring), self.one)
+        self._factors = {}  # (a, b) -> E4^a E6^b
 
     def product(self, *factors: QSeries) -> QSeries:
         """The product of ``factors``, with no product by this table's 1."""
@@ -216,10 +214,17 @@ class MillerPowers:
                 out = f if out is self.one else out * f
         return out
 
-    def monomial(self, k: int, c: int) -> QSeries:
-        """E4^a E6^b Delta^c of weight k, (a, b) by ``e4_e6_exponents``."""
-        a, b = e4_e6_exponents(k - 12 * c)
-        return self.product(self.delta[c], self.e4[a], self.e6 if b else self.one)
+    def factor(self, weight: int) -> QSeries:
+        """E4^a E6^b with 4a + 6b = weight and b <= 1 (b = 0 when 4 | weight),
+        built once per (a, b); this table's ``one`` at weight 0.  A weight
+        with no such (a, b), odd, 2 or negative, raises ``ArithmeticError``."""
+        b = weight % 4 // 2
+        a = (weight - 6 * b) // 4
+        if weight % 2 or a < 0:
+            raise ArithmeticError(f"no E4^a E6^b monomial of weight {weight}")
+        if (a, b) not in self._factors:
+            self._factors[a, b] = self.product(self.e4[a], self.e6 if b else self.one)
+        return self._factors[a, b]
 
 
 def clear_tails(rows: list, start: int, *shadows: list) -> None:
@@ -237,15 +242,17 @@ def clear_tails(rows: list, start: int, *shadows: list) -> None:
                     target[j] = target[j] - target[i].scale(cij)
 
 
-def miller_rows(k: int, start: int, powers: MillerPowers) -> tuple:
+def miller_rows(k: int, start: int, powers: MillerPowers, *shadows: list) -> tuple:
     """Rows start, ..., dim-1 of the weight-k Miller basis.
 
     Row j is built from the monomials E4^a E6^b Delta^c with c >= j
     only, so the rows from ``start`` on need neither the earlier
-    monomials nor the earlier rows.
+    monomials nor the earlier rows.  Each list in ``shadows`` gets the
+    same row operations (see ``clear_tails``).
     """
-    rows = [powers.monomial(k, c) for c in range(start, basis_dimension(k))]
-    clear_tails(rows, start)
+    d = basis_dimension(k)
+    rows = [powers.product(powers.delta[c], powers.factor(k - 12 * c)) for c in range(start, d)]
+    clear_tails(rows, start, *shadows)
     return tuple(rows)
 
 

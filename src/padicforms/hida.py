@@ -3,10 +3,14 @@
 Mod-p spaces and their Hasse tower, ordinary ranks, the weight-raising
 control check, and interpolation of ordinary eigen-data across the
 sample weights of a ``weights.WeightDisc`` into an Iwasawa-polynomial
-family.  The Hasse tower (``build_hasse_tower``) is the one route that
-builds the mod-p spaces and their ordinary projectors for the control
-check and the ordinary rank: one table of E4, E6 and Delta mod p per
-tower, every level at the top level's q-precision, each inclusion
+family.  Every space here is read from a ``forms.MillerPowers`` table,
+one table per ring and q-precision for all the weights a caller needs
+(the sample weights of a family, the levels of a tower), and
+``operator_matrix`` applies a Hecke operator at the weight of the space
+it acts on.  The Hasse tower (``build_hasse_tower``) is the one route
+that builds the mod-p spaces and their ordinary projectors for the
+control check and the ordinary rank: one table of E4, E6 and Delta mod
+p per tower, every level at the top level's q-precision, each inclusion
 checked and each e(T_p) computed once.  Every decomposition, of a space
 into its ordinary part and of that into eigensystems, is a
 ``linalg.ordinary_projector`` with a basis from ``independent_columns``,
@@ -52,8 +56,12 @@ def default_qprec(k: int, operator_primes: Sequence[int]) -> int:
     return max(operator_primes) * (d + 3) + 4
 
 
-def operator_matrix(basis: SpaceBasis, op) -> Tuple[Tuple[int, ...], ...]:
-    """Matrix of an operator in an echelon basis (columns = images).
+def operator_matrix(basis: SpaceBasis, op, ell: int) -> Tuple[Tuple[int, ...], ...]:
+    """Matrix of ``op(f, k, ell)`` in an echelon basis (columns = images),
+    k the basis' weight: a Hecke operator such as ``hecke.hecke_tp`` or
+    ``hecke.up`` at the prime ell acts at the weight of the space it is
+    applied to, so one ``MillerPowers`` table serves spaces of several
+    weights with no per-weight wrapper.
 
     The coordinates of an image are its first dim coefficients, and
     ``SpaceBasis.contains`` checks them against its whole available
@@ -61,7 +69,7 @@ def operator_matrix(basis: SpaceBasis, op) -> Tuple[Tuple[int, ...], ...]:
     caught rather than silently projected; an image known to fewer than
     dim coefficients raises ``PrecisionError``.
     """
-    images = [op(f) for f in basis.forms]
+    images = [op(f, basis.weight, ell) for f in basis.forms]
     for j, im in enumerate(images):
         if not basis.contains(im):
             raise VerificationError(f"operator image of basis form {j} leaves the space")
@@ -73,14 +81,7 @@ def tp_matrix(k: int, p: int):
     if not is_prime(p):
         raise ConfigError(f"{p} is not prime")
     basis = miller_basis(k, default_qprec(k, [p]))
-    return operator_matrix(basis, lambda f: hecke_tp(f, k, p))
-
-
-def mod_p_space(k: int, p: int) -> SpaceBasis:
-    """Reduction mod p of the Miller basis, at ``default_qprec(k, [p])``;
-    stays echelon since pivots are 1."""
-    check_theory_prime(p)
-    return miller_basis(k, default_qprec(k, [p]), ModRing(p, 1))
+    return operator_matrix(basis, hecke_tp, p)
 
 
 def ordinary_rank_mod_p(k: int, p: int) -> int:
@@ -164,7 +165,7 @@ def build_hasse_tower(k: int, p: int, n: int) -> HasseTower:
             raise VerificationError(
                 f"Hasse tower inclusion fails from weight {lower.weight} to {upper.weight}"
             )
-    tp_rows = [operator_matrix(b, lambda f, w=b.weight: hecke_tp(f, w, p)) for b in levels]
+    tp_rows = [operator_matrix(b, hecke_tp, p) for b in levels]
     projectors = tuple(ordinary_projector(PadicMatrix.from_rows(t, p, 1)) for t in tp_rows)
     return HasseTower(p, k, tuple(levels), projectors)
 
@@ -319,10 +320,12 @@ def fit_family(
     """Interpolate ordinary eigen-data across congruent sample weights.
 
     The inputs are validated as a ``weights.WeightDisc``, plus the
-    control-theorem bound k >= 3 on every sample weight.  At each weight
-    the T_p matrix on the Miller basis is lifted to Z/p^m, projected to
-    its ordinary part, and split into eigensystems matched across weights
-    by their mod-p eigenvalue tuples.  Each a_ell is then fitted as a
+    control-theorem bound k >= 3 on every sample weight.  Every sample
+    space is read from one Miller table over Z at the highest sample
+    weight's q-precision.  At each weight the T_p matrix on the Miller
+    basis is lifted to Z/p^m, projected to its ordinary part, and split
+    into eigensystems matched across weights by their mod-p eigenvalue
+    tuples.  Each a_ell is then fitted as a
     polynomial in w by divided differences, and the interpolation
     congruences are recorded.  A rank change across weights contradicts
     the control theorem and is a hard failure.
@@ -340,13 +343,14 @@ def fit_family(
     unsplit = []
     ranks = {}
     op_primes = list(dict.fromkeys(primes + [p]))
+    # one table at the highest weight's q-precision serves every weight
+    powers = MillerPowers(default_qprec(max(weights), op_primes))
     for k in weights:
-        qprec = default_qprec(k, op_primes)
-        basis = miller_basis(k, qprec)
-        mats = {}
-        for ell in op_primes:
-            rows = operator_matrix(basis, lambda f, ell=ell: hecke_tp(f, k, ell))
-            mats[ell] = PadicMatrix.from_rows(rows, p, m)
+        basis = SpaceBasis(k, miller_rows(k, 0, powers))
+        mats = {
+            ell: PadicMatrix.from_rows(operator_matrix(basis, hecke_tp, ell), p, m)
+            for ell in op_primes
+        }
         systems, blocks, rank = _split_ordinary_systems(k, mats, p, m, primes)
         per_weight_systems[k] = sorted(systems, key=lambda s: s.key)
         unsplit.extend(blocks)

@@ -11,8 +11,8 @@ def test_tp_tl_commute_on_level_one_spaces():
     for p, ell in [(5, 2), (7, 3)]:
         for k in (12, 16, 20):
             basis = miller_basis(k, p * ell * 8)
-            tp = operator_matrix(basis, lambda f: hecke_tp(f, k, p))
-            tl = operator_matrix(basis, lambda f: hecke_tp(f, k, ell))
+            tp = operator_matrix(basis, hecke_tp, p)
+            tl = operator_matrix(basis, hecke_tp, ell)
             d = basis.dim
             lhs = [
                 [sum(tp[i][t] * tl[t][j] for t in range(d)) for j in range(d)]

@@ -8,6 +8,7 @@ from padicforms.coleman import katz_basis, slope_spectrum
 from padicforms.errors import ConfigError, PrecisionError
 from padicforms.forms import (
     SUPPORTED_PRIMES,
+    MillerPowers,
     SpaceBasis,
     basis_dimension,
     bernoulli,
@@ -18,7 +19,7 @@ from padicforms.forms import (
     miller_basis,
     sigma_series,
 )
-from padicforms.hida import control_check_h0, fit_family, mod_p_space
+from padicforms.hida import build_hasse_tower, control_check_h0, fit_family, ordinary_rank_mod_p
 from padicforms.weights import WeightDisc
 from padicforms.qexp import ZZ, ModRing, QSeries
 
@@ -143,6 +144,30 @@ def test_miller_basis_echelon_range():
             assert all(f.coefficient(i) == 0 for i in range(b.dim) if i != j)
 
 
+@pytest.mark.parametrize("ring", [ZZ, ModRing(5, 1)], ids=["Z", "F5"])
+def test_miller_factor_is_built_once_per_exponent_pair(ring):
+    """``factor(w)`` is E4^a E6^b with 4a + 6b = w, b <= 1, from one table
+    for every weight: the same object for a repeated (a, b), the table's
+    own 1 at weight 0."""
+    table = MillerPowers(40, ring)
+    e4, e6 = eisenstein(4, 40, ring), eisenstein(6, 40, ring)
+    assert table.factor(0) is table.one
+    built = {}
+    for w in range(4, 62, 2):
+        b = w % 4 // 2
+        a = (w - 6 * b) // 4
+        built[w] = table.factor(w)
+        assert built[w] == e4**a * e6**b
+    assert all(table.factor(w) is f for w, f in built.items())
+
+
+def test_miller_factor_refuses_a_weight_it_cannot_write():
+    table = MillerPowers(10)
+    for w in (-4, -2, -1, 1, 2, 3, 7, 9, 11, 61):
+        with pytest.raises(ArithmeticError, match=f"no E4\\^a E6\\^b monomial of weight {w}"):
+            table.factor(w)
+
+
 def test_miller_basis_mod_p_stays_echelon():
     b = miller_basis(24, 30, ModRing(5, 1))
     assert b.dim == 3
@@ -215,7 +240,8 @@ def test_prime_and_weight_rules_are_shared():
     for refuse in (
         lambda: katz_basis(4, 3, 2),
         lambda: slope_spectrum(4, 3, 2, 8),
-        lambda: mod_p_space(4, 3),
+        lambda: build_hasse_tower(4, 3, 1),
+        lambda: ordinary_rank_mod_p(4, 3),
         lambda: control_check_h0(4, 3, 1),
         lambda: hasse_invariant(3, 10),
         lambda: WeightDisc(3, 0, (4,), 8),

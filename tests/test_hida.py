@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 
 from padicforms import acceptance, forms, hida
 from padicforms.errors import ConfigError, VerificationError
-from padicforms.forms import miller_basis
+from padicforms.forms import MillerPowers, SpaceBasis, miller_basis, miller_rows
 from padicforms.hida import (
     ControlReport,
     build_hasse_tower,
     control_check_h0,
     default_qprec,
     fit_family,
-    mod_p_space,
     operator_matrix,
     ordinary_rank_mod_p,
     tp_matrix,
@@ -22,7 +21,7 @@ from padicforms.hida import (
 from padicforms.hecke import hecke_tp, up
 from padicforms.linalg import independent_columns, invert_unimodular, ordinary_projector
 from padicforms.padic import PadicMatrix
-from padicforms.qexp import ModRing
+from padicforms.qexp import ZZ, ModRing
 
 
 def test_tp_matrix_eigenvalues_weight_12():
@@ -36,17 +35,21 @@ def test_tp_matrix_eigenvalues_weight_12():
 
 def test_operator_matrix_detects_escape():
     basis = miller_basis(12, 60)
-    with pytest.raises(Exception):
-        operator_matrix(basis, lambda f: f.map_coeffs(lambda n, a: a + n))
+    with pytest.raises(VerificationError, match="leaves the space"):
+        operator_matrix(basis, lambda f, k, ell: f.map_coeffs(lambda n, a: a + n), 5)
+
+
+def _mod_5_space(k):
+    return miller_basis(k, default_qprec(k, [5]), ModRing(5, 1))
 
 
 def test_mod_p_space_examples():
-    b = mod_p_space(4, 5)
+    b = _mod_5_space(4)
     assert b.dim == 1
     assert set(b.forms[0].coeffs[1:]) == {0}  # E_4 = 1 mod 5
-    b = mod_p_space(12, 5)
+    b = _mod_5_space(12)
     assert b.dim == 2
-    b = mod_p_space(0, 5)
+    b = _mod_5_space(0)
     assert b.dim == 1
 
 
@@ -71,10 +74,8 @@ def test_rank_stability_along_hasse_progression():
 def test_tp_equals_up_mod_p_matrices():
     for p in (5, 7):
         for k in (4, 8, 12, 16):
-            basis = mod_p_space(k, p)
-            tp_rows = operator_matrix(basis, lambda f: hecke_tp(f, k, p))
-            up_rows = operator_matrix(basis, lambda f: up(f, k, p))
-            assert tp_rows == up_rows
+            basis = miller_basis(k, default_qprec(k, [p]), ModRing(p, 1))
+            assert operator_matrix(basis, hecke_tp, p) == operator_matrix(basis, up, p)
 
 
 def test_hasse_tower_inclusions():
@@ -175,6 +176,24 @@ def test_criterion_4_builds_each_tower_once(monkeypatch, miller_tables):
     assert len(projectors) == 56
 
 
+def test_criterion_3_builds_one_table_per_prime_and_ring(miller_tables):
+    """Criterion 3 reads every mod-p space of a prime from one F_p table
+    at the highest weight's q-precision, and its Z side from one more."""
+    assert acceptance.criterion_3(0).passed
+    assert miller_tables == [default_qprec(40, [5]), default_qprec(40, [7]), 100, 140]
+
+
+@pytest.mark.parametrize(
+    "p, component, weights, primes, m, qprec",
+    [(5, 0, [4, 8, 12, 16], [2, 5], 8, 29), (11, 2, [12, 22, 32], [2, 3, 11], 6, 70)],
+)
+def test_fit_family_builds_one_table(miller_tables, p, component, weights, primes, m, qprec):
+    """Every sample space of a family comes from one Z table, at the
+    q-precision of the highest sample weight."""
+    fit_family(p, component, weights, primes, m)
+    assert miller_tables == [qprec]
+
+
 def _two_space_control_check(k, p, n):
     """The control check from two separately built mod-p spaces at the
     top level's q-precision, each with its own e(T_p)."""
@@ -184,7 +203,7 @@ def _two_space_control_check(k, p, n):
     high, low = (miller_basis(w, qprec, ModRing(p, 1)) for w in (k + n * (p - 1), target_weight))
 
     def projector(basis):
-        rows = operator_matrix(basis, lambda f: hecke_tp(f, basis.weight, p))
+        rows = operator_matrix(basis, hecke_tp, p)
         return ordinary_projector(PadicMatrix.from_rows(rows, p, 1))
 
     columns, _ = independent_columns(projector(high).idempotent)
@@ -200,6 +219,27 @@ def _two_space_control_check(k, p, n):
 )
 def test_control_check_matches_two_separate_spaces(p, k, n):
     assert control_check_h0(k, p, n) == _two_space_control_check(k, p, n)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    p=st.sampled_from((5, 7, 11, 13)),
+    k=st.integers(0, 30).map(lambda h: 2 * h),
+    exponent=st.sampled_from((0, 1, 4)),
+)
+def test_one_table_serves_every_weight(p, k, exponent):
+    """The spaces of weights k + 24 and k read from one table equal the
+    Miller bases built on their own, over Z (exponent 0), F_p and Z/p^4,
+    and ``operator_matrix`` applies T_p at the space's weight."""
+    ring = ModRing(p, exponent) if exponent else ZZ
+    qprec = default_qprec(k + 24, [p])
+    powers = MillerPowers(qprec, ring)
+    for w in (k + 24, k):
+        space = SpaceBasis(w, miller_rows(w, 0, powers))
+        assert space == miller_basis(w, qprec, ring)
+    images = [hecke_tp(f, k, p) for f in space.forms]
+    reference = tuple(zip(*(im.coeffs[: space.dim] for im in images)))
+    assert operator_matrix(space, hecke_tp, p) == reference
 
 
 def test_unit_root():

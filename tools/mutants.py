@@ -151,7 +151,8 @@ MUTANTS = (
         "[list(e.coeffs[d:]) for e in elements]",
         ("tests/test_coleman.py::test_up_matrix_weight_zero_constant",),
     ),
-    # the Hasse tower, acceptance criterion 4 and the duality adjunction
+    # the Hasse tower, operator matrices and Miller tables, acceptance
+    # criteria 3 and 4 and the duality adjunction
     Mutant(
         "control target read at level 0 under the k = 2 twist",
         "src/padicforms/hida.py",
@@ -172,6 +173,30 @@ MUTANTS = (
         "        rank_low = self.projectors[target].rank\n",
         "        rank_low = self.projectors[n].rank\n",
         ("tests/test_hida.py::test_control_check_builds_each_space_once[2-5-0]",),
+    ),
+    Mutant(
+        "operator matrix applies the operator at weight 0",
+        "src/padicforms/hida.py",
+        "    images = [op(f, basis.weight, ell) for f in basis.forms]\n",
+        "    images = [op(f, 0, ell) for f in basis.forms]\n",
+        (
+            "tests/test_hida.py::test_one_table_serves_every_weight",
+            "tests/test_hida.py::test_tp_matrix_eigenvalues_weight_12",
+        ),
+    ),
+    Mutant(
+        "family table at the lowest sample weight's q-precision",
+        "src/padicforms/hida.py",
+        "    powers = MillerPowers(default_qprec(max(weights), op_primes))\n",
+        "    powers = MillerPowers(default_qprec(weights[0], op_primes))\n",
+        ("tests/test_hida.py::test_fit_family_builds_one_table[5-0-weights0-primes0-8-29]",),
+    ),
+    Mutant(
+        "criterion 3's mod-p table at the lowest weight's q-precision",
+        "src/padicforms/acceptance.py",
+        "        powers = MillerPowers(default_qprec(40, [p]), ModRing(p, 1))\n",
+        "        powers = MillerPowers(default_qprec(2, [p]), ModRing(p, 1))\n",
+        ("tests/test_hida.py::test_criterion_3_builds_one_table_per_prime_and_ring",),
     ),
     Mutant(
         "criterion 4 without its rank comparison",
@@ -521,6 +546,24 @@ MUTANTS = (
         ("tests/test_forms.py::test_miller_basis_small",),
     ),
     Mutant(
+        "Miller factor cached by the E4 exponent alone",
+        "src/padicforms/forms.py",
+        "        if (a, b) not in self._factors:\n",
+        "        if a not in self._factors:\n",
+        (
+            "tests/test_forms.py::test_miller_factor_is_built_once_per_exponent_pair[Z]",
+            "tests/test_hida.py::test_control_check_matches_two_separate_spaces",
+            "tests/test_coleman.py::test_katz_blocks_are_the_new_miller_rows",
+        ),
+        also=(
+            (
+                "            self._factors[a, b] = self.product(",
+                "            self._factors[a] = self.product(",
+            ),
+            ("        return self._factors[a, b]\n", "        return self._factors[a]\n"),
+        ),
+    ),
+    Mutant(
         "span test compares only the first dim coefficients",
         "src/padicforms/forms.py",
         "        return (self.combination(g.coeffs[:d]) - g).is_zero()\n",
@@ -545,7 +588,7 @@ MUTANTS = (
     Mutant(
         "Katz elements without the row operations of a rung",
         "src/padicforms/coleman.py",
-        "                clear_tails([probes.monomial(weight, c) for c in range(lo, hi)], lo, block)\n",
+        "                miller_rows(weight, lo, probes, block)\n",
         "                pass\n",
         ("tests/test_coleman.py::test_katz_elements_mod_match_integral_blocks",),
     ),
