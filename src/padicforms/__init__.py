@@ -35,7 +35,6 @@ from .duality import (
 from .eigencurve import (
     TwoVarCharSeries,
     local_piece_report,
-    slopes_at,
     two_var_charseries,
 )
 from .errors import ConfigError, PrecisionError, VerificationError
@@ -45,10 +44,9 @@ from .forms import (
     basis_dimension,
     delta,
     eisenstein,
-    hasse_invariant,
     miller_basis,
 )
-from .hecke import frobenius, hecke_tp, theta, up, up_naive
+from .hecke import frobenius, hecke_tp, up
 from .hida import (
     ControlReport,
     HasseTower,

@@ -182,12 +182,6 @@ class NewtonPolygon:
     def slopes_below(self, bound: Fraction) -> List[Fraction]:
         return [s for s in self.slope_multiset() if s < bound]
 
-    def slopes_at(self, value: Fraction) -> int:
-        for s, mult in zip(self.slopes, self.multiplicities):
-            if s == value:
-                return mult
-        return 0
-
 
 def check_slope_bound(slope_bound) -> Fraction:
     """The slope bound h as a Fraction; h < 0 raises ``ConfigError``."""

@@ -172,5 +172,5 @@ def compare(
     if polygon is not None and polygon.certifies_through(bound):
         over = tuple(polygon.slopes_below(bound))
     if polygon is not None and polygon.certifies_through(edge + Fraction(1, 2)):
-        boundary = polygon.slopes_at(edge)
+        boundary = polygon.slope_multiset().count(edge)
     return Comparison(bound, spectrum, over, boundary, spectrum.count(edge))

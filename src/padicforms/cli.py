@@ -3,19 +3,18 @@
 Every command validates its configuration up front, emits deterministic
 JSON (encoded once by ``serialize.encode``, sorted keys) to stdout or a
 file, and exits 0 on success, 1 on a failed verification, 2 on a
-configuration error.  The environment variable PADICFORMS_DEFAULT_M
-sets the default working precision exponent when --m is not given.
+configuration error.  The output follows from the command line alone:
+--m defaults to 8 where a command needs a working precision, and no
+environment variable is read.
 
-Each command is one entry of ``COMMANDS``: its help text, its flags,
-whether its --m defaults to PADICFORMS_DEFAULT_M, and a runner that maps
-the parsed arguments to ``(payload, passed)``.
+Each command is one entry of ``COMMANDS``: its help text, its flags and
+a runner that maps the parsed arguments to ``(payload, passed)``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -38,17 +37,6 @@ from .weights import WeightDisc
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_CONFIG = 2
-
-
-def _default_m() -> int:
-    raw = os.environ.get("PADICFORMS_DEFAULT_M", "8")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"PADICFORMS_DEFAULT_M={raw!r} is not an integer")
-    if value < 1:
-        raise ConfigError("PADICFORMS_DEFAULT_M must be >= 1")
-    return value
 
 
 def _parse_list(raw: str, parse, error: str) -> tuple:
@@ -222,14 +210,14 @@ class Command(NamedTuple):
     help: str
     flags: tuple  # (flag, add_argument keywords) pairs, before --output
     run: Callable  # parsed arguments -> (payload, passed)
-    default_m: bool = False  # --m falls back to PADICFORMS_DEFAULT_M
 
 
 _K = ("--k", dict(type=int, required=True))
 _P = ("--p", dict(type=int, required=True))
 _I = ("--I", dict(type=int, required=True, dest="twist_depth"))
 _M = ("--m", dict(type=int))
-_KATZ = (_K, _P, _I, _M)
+_M8 = ("--m", dict(type=int, default=8))
+_KATZ = (_K, _P, _I, _M8)
 _COMPONENT = ("--component", dict(type=int, required=True))
 
 COMMANDS = {
@@ -256,29 +244,25 @@ COMMANDS = {
             _COMPONENT,
             ("--weights", dict(required=True)),
             ("--hecke-primes", dict(default="", dest="hecke_primes")),
-            _M,
+            _M8,
         ),
         _family_fit,
-        default_m=True,
     ),
     "up-matrix": Command(
         "U_p matrix on the Katz basis over Z/p^m",
         (*_KATZ, ("--normalization", dict(choices=tuple(NORMALIZATIONS), default="weight"))),
         _up_matrix,
-        default_m=True,
     ),
-    "charseries": Command("characteristic series of U_p", _KATZ, _charseries, default_m=True),
+    "charseries": Command("characteristic series of U_p", _KATZ, _charseries),
     "slopes": Command(
         "certified Newton slopes of U_p with the classical comparison",
         _KATZ,
         _slopes,
-        default_m=True,
     ),
     "classicality": Command(
         "overconvergent vs classical slopes below min(k-1, m-2)",
         _KATZ,
         _classicality,
-        default_m=True,
     ),
     "disc": Command(
         "two-variable characteristic series over a weight disc",
@@ -287,17 +271,15 @@ COMMANDS = {
             _COMPONENT,
             ("--samples", dict(required=True, dest="weights")),
             _I,
-            _M,
+            _M8,
             ("--bounds", dict(default="0")),
         ),
         _disc,
-        default_m=True,
     ),
     "duality": Command(
         "transpose, rank and theta-probe duality checks",
         _KATZ,
         _duality,
-        default_m=True,
     ),
     "acceptance": Command(
         "run the acceptance suite and emit a pass/fail table",
@@ -354,8 +336,6 @@ def main(argv=None) -> int:
         for dest, (parse, error) in _LIST_FLAGS.items():
             if dest in vars(args):
                 setattr(args, dest, _parse_list(getattr(args, dest), parse, error))
-        if command.default_m and args.m is None:
-            args.m = _default_m()
         _validate(args)
         payload, passed = command.run(args)
         _emit(payload, args.output)

@@ -77,10 +77,6 @@ class KatzBasis:
         return self.p * (self.dimension + 4)
 
     @property
-    def block_sizes(self) -> tuple:
-        return tuple(hi - lo for lo, hi in zip((0,) + self.ladder, self.ladder))
-
-    @property
     def dimension(self) -> int:
         return self.ladder[-1]
 

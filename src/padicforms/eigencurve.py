@@ -6,11 +6,11 @@ basis-shape convention (all samples are twisted up to one common top
 weight, so the matrices have one size D) and interpolating each
 coefficient as a polynomial in the disc coordinate w.  A verification
 pass re-specializes at every sample.  At another weight k of the disc a
-specialization is a prediction, flagged as such, and claims only the
-precision the fit supports.  For a coefficient that is a power series
-in w over Z_p, the remainder of its interpolation through the samples
-k_i is an integral multiple of the product of the (w_k - w_(k_i)), so
-the prediction holds mod p^e with e the sum of the v_p(w_k - w_(k_i)).
+specialization is a prediction, and it claims only the precision the
+fit supports.  For a coefficient that is a power series in w over Z_p,
+the remainder of its interpolation through the samples k_i is an
+integral multiple of the product of the (w_k - w_(k_i)), so the
+prediction holds mod p^e with e the sum of the v_p(w_k - w_(k_i)).
 The series assumes every coefficient c_j(w) lies in Z_p[[w]]; an
 off-sample claim rests on that assumption, not on a recomputation.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .charseries import CharSeries, NewtonPolygon, char_series, check_slope_bound, newton_polygon
+from .charseries import CharSeries, char_series, check_slope_bound, newton_polygon
 from .coleman import katz_basis, up_matrix
 from .errors import PrecisionError, VerificationError
 from .forms import basis_dimension
@@ -73,9 +73,6 @@ class TwoVarCharSeries:
         w = w_coordinate(k, p, m)
         return CharSeries(tuple(c.evaluate_at_w(w) for c in self.coeffs), p, m_eff)
 
-    def is_sample(self, k: int) -> bool:
-        return k in self.disc.sample_weights
-
 
 def two_var_charseries(disc: WeightDisc, twist_depth: int) -> TwoVarCharSeries:
     """Interpolate the U_p characteristic series over the disc.
@@ -115,21 +112,6 @@ def two_var_charseries(disc: WeightDisc, twist_depth: int) -> TwoVarCharSeries:
     )
 
 
-def slopes_at(series: TwoVarCharSeries, k: int) -> Tuple[NewtonPolygon, str]:
-    """Newton polygon of the specialized series at weight k.
-
-    The flag is "sample" at a sample weight, "interpolated" at other
-    classical weights of the component.  These are predictions of the
-    fitted polynomials: the polygon certifies only what
-    ``TwoVarCharSeries.specialize`` claims there, the fit's precision
-    capped by the sum of the p-adic distances v_p(w_k - w_(k_i)) to the
-    samples, which holds when every coefficient lies in Z_p[[w]].
-    """
-    poly = newton_polygon(series.specialize(k))
-    flag = "sample" if series.is_sample(k) else "interpolated"
-    return poly, flag
-
-
 @dataclass(frozen=True)
 class LocalPieceReport:
     slope_bound: Fraction
@@ -155,7 +137,7 @@ def local_piece_report(series: TwoVarCharSeries, slope_bound) -> LocalPieceRepor
                 f"slopes near {h} not certified at weight {k} "
                 f"(polygon floor {floor})"
             )
-        if h > 0 and poly.slopes_at(h) > 0:
+        if h > 0 and h in poly.slopes:
             raise PrecisionError(
                 f"Newton break at exactly {h} at weight {k}: "
                 "no slope-<= h decomposition certified"

@@ -269,16 +269,3 @@ def miller_basis(k: int, qprec: int, ring: Ring = ZZ) -> SpaceBasis:
     if qprec < d:
         raise PrecisionError(f"q-precision {qprec} below dimension {d}")
     return SpaceBasis(k, miller_rows(k, 0, MillerPowers(qprec, ring)))
-
-
-def hasse_invariant(p: int, qprec: int) -> QSeries:
-    """E_{p-1} reduced mod p; equal to the constant series 1.
-
-    The reduction being 1 is the statement that E_{p-1} lifts the Hasse
-    invariant; it is asserted here, not assumed.
-    """
-    check_theory_prime(p)
-    series = eisenstein(p - 1, qprec, ModRing(p, 1))
-    if series != QSeries.constant(1, qprec, ModRing(p, 1)):
-        raise ArithmeticError(f"E_{p-1} mod {p} is not 1; corrupted Eisenstein data")
-    return series

@@ -7,15 +7,15 @@ a(k) = max(0, 1 - k):
   T_p  = p^a(k) U + p^a(2-k) F
   U_p  = p^a(k) U                  (= p^(-inf{1,k}) U_p^naive)
   U_p^naive = p U
-  theta = q d/dq:  sum n a_n q^n
 
 The two exponents of T_p swap under k <-> 2 - k, the duality between
 weight k and weight 2 - k: for k >= 1 T_p = U + p^(k-1) F, for k <= 1
 T_p = p^(1-k) U + F, and both read U + F at k = 1.  So
 T_p = U_p + p^a(2-k) F exactly.  ``NORMALIZATIONS`` tabulates the
 p-power each named normalization puts on U: a(k) for the weight
-normalization, 1 for the naive operator, 0 for U itself.  Applying
-T_p or U_p divides the q-precision by p; F keeps it.
+normalization, 1 for the naive operator, 0 for U itself; ``up`` at
+k = 0, where a(0) = 1, is the naive operator.  Applying T_p or U_p
+divides the q-precision by p; F keeps it.
 """
 
 from __future__ import annotations
@@ -74,12 +74,6 @@ def hecke_tp(f: QSeries, k: int, p: int) -> QSeries:
     return _hecke_map(f, p, _weight_shift(k), _weight_shift(2 - k))
 
 
-def up_naive(f: QSeries, p: int) -> QSeries:
-    """U_p^naive = p U: p times the coefficient restriction to
-    p-divisible indices."""
-    return _hecke_map(f, p, 1, None)
-
-
 def up(f: QSeries, k: int, p: int) -> QSeries:
     """Normalized U_p = p^a(k) U = p^(-inf{1,k}) U_p^naive.
 
@@ -95,8 +89,3 @@ def frobenius(f: QSeries, p: int) -> QSeries:
     out = [0] * f.qprec
     out[::p] = f.coeffs[: (f.qprec + p - 1) // p]
     return QSeries(f.ring, tuple(out))
-
-
-def theta(f: QSeries) -> QSeries:
-    """theta = q d/dq; satisfies U_p^naive . theta = p . theta . U_p^naive."""
-    return f.map_coeffs(lambda n, a: n * a)

@@ -9,13 +9,13 @@ A ``PadicMatrix`` validates its inputs once, at the public constructors
 (``PadicMatrix(...)``, ``from_rows``): p must be a prime >= 3, m >= 1,
 the rows square, and every entry an integer (``operator.index``; a float
 or Fraction raises ``TypeError`` instead of being truncated), which is
-then reduced mod p^m.  ``identity`` and ``zero`` check p, m and the
-size n, an integer >= 0: their entries are 0 and 1.  The rows of
-``identity`` do not depend on (p, m), so every identity of one size
-shares one rows tuple, looked up only once n, p and m pass those checks
-and keyed on n as an int: a float or Fraction argument still raises
-``TypeError`` after the int identity is built.  Results the class
-computes itself (products, sums, powers, transposes, reductions) are
+then reduced mod p^m.  ``identity`` checks p, m and the size n, an
+integer >= 0: its entries are 0 and 1.  Its rows do not depend on
+(p, m), so every identity of one size shares one rows tuple, looked up
+only once n, p and m pass those checks and keyed on n as an int: a
+float or Fraction argument still raises ``TypeError`` after the int
+identity is built.  Results the class computes itself (products,
+differences, scalings, powers, transposes, reductions) are
 built already reduced over the checked (p, m) and skip that
 validation; their rows are built by list comprehensions, which run no
 generator frame per entry.  A matrix carries no label of the basis it
@@ -94,7 +94,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add, index, matmul, mul, sub
+from operator import index, matmul, mul, sub
 from struct import iter_unpack, pack, unpack
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -271,12 +271,6 @@ class PadicMatrix:
         _check_size(n)
         return cls._reduced(_identity_rows(index(n)), p, m, p**m)
 
-    @classmethod
-    def zero(cls, n: int, p: int, m: int) -> "PadicMatrix":
-        _check_pm(p, m)
-        _check_size(n)
-        return cls._reduced(tuple([(0,) * n for _ in range(n)]), p, m, p**m)
-
     @property
     def size(self) -> int:
         return len(self.rows)
@@ -288,23 +282,11 @@ class PadicMatrix:
         if len(other.rows) != len(self.rows):
             raise ValueError("matrix size mismatch")
 
-    def __add__(self, other: "PadicMatrix") -> "PadicMatrix":
-        self._check_compatible(other)
-        modulus = self.modulus
-        pairs = zip(self.rows, other.rows)
-        rows = tuple([tuple([x % modulus for x in map(add, a, b)]) for a, b in pairs])
-        return PadicMatrix._reduced(rows, self.p, self.m, modulus)
-
     def __sub__(self, other: "PadicMatrix") -> "PadicMatrix":
         self._check_compatible(other)
         modulus = self.modulus
         pairs = zip(self.rows, other.rows)
         rows = tuple([tuple([x % modulus for x in map(sub, a, b)]) for a, b in pairs])
-        return PadicMatrix._reduced(rows, self.p, self.m, modulus)
-
-    def __neg__(self) -> "PadicMatrix":
-        modulus = self.modulus
-        rows = tuple([tuple([-a % modulus for a in row]) for row in self.rows])
         return PadicMatrix._reduced(rows, self.p, self.m, modulus)
 
     def scale(self, c: int) -> "PadicMatrix":
@@ -350,17 +332,6 @@ class PadicMatrix:
         modulus = self.p**m_new
         rows = tuple([tuple([a % modulus for a in row]) for row in self.rows])
         return PadicMatrix._reduced(rows, self.p, m_new, modulus)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for row in self.rows for a in row)
-
-    def min_valuation(self) -> int:
-        """Smallest entry valuation (m for the zero matrix)."""
-        v = self.m
-        for row in self.rows:
-            for a in row:
-                v = min(v, val_p(a, self.p, saturate=self.m))
-        return v
 
 
 @lru_cache(maxsize=None)

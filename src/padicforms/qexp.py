@@ -5,15 +5,14 @@ sum a_n q^n, either over Z or over Z/p^m.  Arithmetic requires equal
 ring tags; the q-precision of a result is the minimum of the inputs.
 
 A ``QSeries`` validates its coefficients once, when a public entry
-point builds it (``QSeries(...)``, ``from_coeffs``, ``constant``,
-``map_coeffs``): each must be an integer (``operator.index``; a float
-or Fraction raises ``TypeError`` instead of being truncated), reduced
-mod p^m over Z/p^m: one ``map(operator.index, ...)`` over all of them
-and one ``% modulus`` list comprehension, with no method call per
-coefficient.  Results the class computes itself (products, sums,
-scales, shifts, truncations, ring changes, inverses) are built already
-reduced, with one ``% modulus`` per coefficient, and skip that
-validation.
+point builds it (``QSeries(...)``, ``from_coeffs``, ``constant``):
+each must be an integer (``operator.index``; a float or Fraction raises
+``TypeError`` instead of being truncated), reduced mod p^m over Z/p^m:
+one ``map(operator.index, ...)`` over all of them and one ``% modulus``
+list comprehension, with no method call per coefficient.  Results the
+class computes itself (products, sums, scales, truncations, inverses)
+are built already reduced, with one ``% modulus`` per coefficient, and
+skip that validation.
 
 ``f * g`` computes the first Q = min(f.qprec, g.qprec) coefficients of
 the product.  It first skips the factors' leading zeros: with f = q^s f'
@@ -88,7 +87,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
 from operator import add, index, mul, sub
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import PrecisionError
 from .padic import _check_pm, pack_slots, power_from_base, slot_size, unpack_slots
@@ -291,9 +290,6 @@ class QSeries:
             self.ring, [a - b for a, b in zip(self.coeffs[:q], other.coeffs[:q])]
         )
 
-    def __neg__(self) -> "QSeries":
-        return QSeries._from_ints(self.ring, [-a for a in self.coeffs])
-
     def scale(self, c: int) -> "QSeries":
         c = index(c)
         return QSeries._from_ints(self.ring, [c * a for a in self.coeffs])
@@ -345,10 +341,7 @@ class QSeries:
         return QSeries._reduced(self.ring, tuple(map(self.coeffs.__getitem__, indices)))
 
     def __pow__(self, n: int) -> "QSeries":
-        if n < 0:
-            return self.inverse() ** (-n)
-        if n == 0:
-            return QSeries.constant(1, self.qprec, self.ring)
+        """The n-th power for n >= 1, by ``power_from_base``."""
         return power_from_base(self, n, mul)
 
     def inverse(self) -> "QSeries":
@@ -377,25 +370,6 @@ class QSeries:
                 f"cannot extend q-precision {self.qprec} to {qprec}"
             )
         return QSeries._reduced(self.ring, self.coeffs[:qprec])
-
-    def shift_q(self, t: int) -> "QSeries":
-        """Multiply by q^t; a series exact to Q is exact to Q+t after."""
-        if t < 0:
-            raise ValueError("negative q-shifts are not supported")
-        return QSeries._reduced(self.ring, (0,) * t + self.coeffs)
-
-    def map_coeffs(self, fn: Callable[[int, int], int]) -> "QSeries":
-        """New series with coefficients fn(n, a_n), same ring and precision."""
-        return QSeries(self.ring, tuple(fn(n, a) for n, a in enumerate(self.coeffs)))
-
-    def to_ring(self, ring: Ring) -> "QSeries":
-        """Reduce into a smaller ring (Z -> Z/p^m, or lower m)."""
-        if isinstance(ring, ModRing) and isinstance(self.ring, ModRing):
-            if ring.p != self.ring.p or ring.m > self.ring.m:
-                raise ValueError(f"cannot reduce {self.ring} to {ring}")
-        elif isinstance(ring, IntegerRing) and not isinstance(self.ring, IntegerRing):
-            raise ValueError("cannot lift a modular series to Z")
-        return QSeries._from_ints(ring, self.coeffs)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

@@ -101,10 +101,6 @@ class IwasawaTruncation:
             self, "poly_coeffs", tuple(index(c) % self.p**self.m for c in self.poly_coeffs)
         )
 
-    @property
-    def degree(self) -> int:
-        return len(self.poly_coeffs) - 1
-
     def evaluate_at_w(self, w: int) -> int:
         modulus = self.p**self.m
         w = index(w)

@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from padicforms import acceptance, hida
+from padicforms.charseries import CharSeries, newton_polygon
 from padicforms.errors import ConfigError
 from padicforms.linalg import ProjectorResult, rank_mod_p
 from padicforms.padic import PadicMatrix
@@ -82,7 +83,7 @@ def _identity_if_singular(t, e):
 
 def _zero_if_invertible(t, e):
     if rank_mod_p(t.rows, t.p) == t.size:
-        return PadicMatrix.zero(t.size, t.p, t.m)
+        return PadicMatrix.from_rows([[0] * t.size] * t.size, t.p, t.m)
 
 
 def _entry_moved(t, e):
@@ -104,7 +105,7 @@ def _conjugated(t, e):
         step[0][1] = t.p ** (t.m - 1)
         step = PadicMatrix.from_rows(step, t.p, t.m)
         one = PadicMatrix.identity(t.size, t.p, t.m)
-        conjugate = (one + step) @ e @ (one - step)
+        conjugate = (one - step.scale(-1)) @ e @ (one - step)
         if conjugate != e:
             return conjugate
 
@@ -168,3 +169,24 @@ def test_criterion_4_catches_each_wrong_report(monkeypatch, corrupt, detail):
     result = acceptance.criterion_4(SEED)
     assert not result.passed
     assert [d for d in result.details if "(k,p" in d] == [detail(rank)]
+
+
+def test_criterion_8_catches_a_moved_slope(monkeypatch):
+    """Criterion 8 compares the slopes below its bound at depths I and
+    I + 2: a slope 1 that moves to 2 at I + 2 for (k, p) = (4, 7) fails
+    it, with a != detail line for that configuration alone."""
+    real = acceptance.slope_spectrum
+    # 1 + T + 7^2 T^2 + 7^5 T^3 over Z/7^10: slopes 0, 2, 3
+    moved = newton_polygon(CharSeries((1, 1, 7**2, 7**5), 7, 10))
+
+    def spectrum(k, p, twist_depth, m, **kwargs):
+        report = real(k, p, twist_depth, m, **kwargs)
+        deeper = twist_depth == acceptance.SLOPE_CONFIGS[(k, p)]["I"] + 2
+        return replace(report, slopes=moved) if (k, p) == (4, 7) and deeper else report
+
+    monkeypatch.setattr(acceptance, "slope_spectrum", spectrum)
+    result = acceptance.criterion_8(SEED)
+    assert not result.passed
+    assert [d for d in result.details if "!=" in d] == [
+        "(k,p)=(4,7) below 4: ['0', '1', '3'] != ['0', '2', '3']"
+    ]

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import padicforms
-from padicforms import coleman
+from padicforms import cli, coleman
 from padicforms.cli import COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_VERIFICATION, main
+from padicforms.errors import PrecisionError, VerificationError
 
 
 def run_cli(capsys, *argv):
@@ -183,7 +184,7 @@ def test_config_errors_exit_2(capsys):
     assert code == EXIT_CONFIG and "at least one sample" in err
 
 
-def test_list_and_range_errors_exit_2(capsys, monkeypatch):
+def test_list_and_range_errors_exit_2(capsys):
     """List flags are converted after argparse, so a bad one is a
     configuration error with exit 2, not an argparse usage error."""
     disc = ["disc", "--p", "5", "--component", "0", "--samples", "4,8", "--I", "2", "--m", "6"]
@@ -194,14 +195,12 @@ def test_list_and_range_errors_exit_2(capsys, monkeypatch):
         ([*disc, "--bounds", "x"], "bad --bounds value"),
         ([*disc, "--bounds", "1/0"], "bad --bounds value"),
         (["charseries", "--k", "4", "--p", "5", "--I", "-1", "--m", "6"], "--I must be >= 0"),
+        (["charseries", "--k", "4", "--p", "5", "--I", "4", "--m", "0"], "--m must be >= 1"),
         (["acceptance", "--criteria", "0"], "unknown acceptance criteria [0]"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG and out == ""
         assert err.startswith("configuration error: ") and message in err
-    monkeypatch.setenv("PADICFORMS_DEFAULT_M", "0")
-    code, _, err = run_cli(capsys, "charseries", "--k", "4", "--p", "5", "--I", "4")
-    assert code == EXIT_CONFIG and "must be >= 1" in err
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):
@@ -260,13 +259,25 @@ def test_output_file(tmp_path, capsys):
 
 
 def test_env_default_m(capsys, monkeypatch):
+    """--m defaults to 8, and the environment does not move it: the
+    output follows from the command line alone."""
     monkeypatch.setenv("PADICFORMS_DEFAULT_M", "4")
     code, out, _ = run_cli(capsys, "charseries", "--k", "4", "--p", "5", "--I", "4")
     assert code == EXIT_OK
-    assert json.loads(out)["charseries"]["m"] == "4"
-    monkeypatch.setenv("PADICFORMS_DEFAULT_M", "zero")
-    code, _, err = run_cli(capsys, "charseries", "--k", "4", "--p", "5", "--I", "4")
-    assert code == EXIT_CONFIG
+    assert json.loads(out)["charseries"]["m"] == "8"
+
+
+@pytest.mark.parametrize("error", [VerificationError, PrecisionError])
+def test_a_raised_check_exits_1(capsys, monkeypatch, error):
+    """A runner that raises ``VerificationError`` or ``PrecisionError``
+    exits 1 with one ``verification failure`` line and no output."""
+
+    def failing_rank(k, p):
+        raise error(f"no rank at k = {k}")
+
+    monkeypatch.setattr(cli, "ordinary_rank_mod_p", failing_rank)
+    code, out, err = run_cli(capsys, "ordinary-rank", "--p", "5", "--k", "12")
+    assert (code, out, err) == (EXIT_VERIFICATION, "", "verification failure: no rank at k = 12\n")
 
 
 def test_acceptance_subset_command(capsys):

@@ -37,16 +37,16 @@ def F(x):
 
 def test_katz_basis_shapes():
     b = katz_basis(0, 5, 0)
-    assert b.dimension == 1 and b.block_sizes == (1,)
+    assert b.dimension == 1 and b.ladder == (1,)
     b = katz_basis(0, 5, 3)
     # dimension ladder 1, 1, 1, 2 at weights 0, 4, 8, 12
-    assert b.block_sizes == (1, 0, 0, 1)
+    assert b.ladder == (1, 1, 1, 2)
     assert b.dimension == 2
     b = katz_basis(4, 5, 2)
-    assert b.block_sizes == (1, 0, 1)
+    assert b.ladder == (1, 1, 2)
     assert b.dimension == 2
     b = katz_basis(-2, 5, 3)
-    assert b.block_sizes == (0, 0, 1, 0)
+    assert b.ladder == (0, 0, 1, 1)
 
 
 def test_katz_basis_validation():
@@ -100,7 +100,7 @@ def test_katz_elements_mod_match_integral_blocks(k, p, twist_depth, m):
     for i, block in enumerate(basis.blocks):
         if i > 0:
             power = power * e_inv
-        expected += [b.to_ring(ring) * power for b in block]
+        expected += [QSeries(ring, b.coeffs) * power for b in block]
     readouts = [
         QSeries.from_coeffs(e.coeffs[:d] + up(e, 1, p).coeffs[:d], ring) for e in expected
     ]
@@ -169,7 +169,7 @@ def test_up_matrix_ordinary_multiplicity_weight4():
     b = katz_basis(4, 5, 10)
     mat = up_matrix(b, 8)
     poly = newton_polygon(char_series(mat))
-    assert poly.slopes_at(Fraction(0)) == 1
+    assert poly.slope_multiset().count(0) == 1
 
 
 def test_up_matrix_similarity_invariance():
@@ -328,7 +328,7 @@ def test_slope_spectrum_weight_zero():
 def test_slope_spectrum_ordinary_consistency():
     for k, p in [(4, 5), (12, 5), (6, 7)]:
         rep = slope_spectrum(k, p, 10 if p == 5 else 8, 8, classical=False)
-        assert rep.slopes.slopes_at(Fraction(0)) == ordinary_rank_mod_p(k, p)
+        assert rep.slopes.slope_multiset().count(0) == ordinary_rank_mod_p(k, p)
 
 
 def test_truncation_stability_invariant():

@@ -45,7 +45,7 @@ def test_tp_congruent_frobenius_mod_p_low_weight():
     for i, block in enumerate(basis.blocks):
         if i > 0:
             power = power * e_inv
-        elements += [b.to_ring(ring) * power for b in block]
+        elements += [QSeries(ring, b.coeffs) * power for b in block]
     d = basis.dimension
     assert len(elements) == d == 2
     for element in elements:

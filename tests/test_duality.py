@@ -58,7 +58,7 @@ def test_adjunction_identity_and_negative_control():
         assert adjunction_check(f, h, u)  # identity gram
         # perturbing F must break the identity for generic vectors
         f_op = dual_module(u, g).operator_on_dual
-        perturbed = f_op + PadicMatrix.identity(n, 5, 4)
+        perturbed = f_op - PadicMatrix.identity(n, 5, 4).scale(-1)
         assert not adjunction_check([1] * n, [1] * n, u, g, f_op=perturbed) or not adjunction_check(
             f, h, u, g, f_op=perturbed
         )
@@ -80,8 +80,8 @@ def test_adjunction_check_matches_the_explicit_pairing():
         gram = g or PadicMatrix.identity(n, p, m)
         f_op = dual_module(u, gram).operator_on_dual
         bump = [[0] * n for _ in range(n)]
-        bump[rng.randrange(n)][rng.randrange(n)] = p ** rng.randrange(m)
-        perturbed = f_op + PadicMatrix.from_rows(bump, p, m)
+        bump[rng.randrange(n)][rng.randrange(n)] = -(p ** rng.randrange(m))
+        perturbed = f_op - PadicMatrix.from_rows(bump, p, m)
         f = [rng.getrandbits(30) - 2**29 for _ in range(n)]
         h = [rng.getrandbits(30) - 2**29 for _ in range(n)]
         for op in (None, f_op, perturbed):

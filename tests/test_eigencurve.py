@@ -10,7 +10,6 @@ from padicforms.eigencurve import (
     LocalPieceReport,
     WeightDisc,
     local_piece_report,
-    slopes_at,
     two_var_charseries,
 )
 from padicforms.errors import ConfigError, PrecisionError
@@ -82,7 +81,7 @@ def test_single_sample_disc_is_constant():
     disc = WeightDisc(5, 0, (4,), 8)
     series = two_var_charseries(disc, twist_depth=6)
     for c in series.coeffs[1:]:
-        assert c.degree == 0
+        assert len(c.poly_coeffs) == 1
     direct = series.samples[0][1]
     spec = series.specialize(4)
     assert [int(x) for x in spec.coeffs] == [int(x) % 5**spec.m for x in direct.coeffs]
@@ -90,16 +89,13 @@ def test_single_sample_disc_is_constant():
 
 def test_slopes_at_sample_matches_spectrum():
     series = two_var_charseries(DISC, twist_depth=6)
-    poly, flag = slopes_at(series, 4)
-    assert flag == "sample"
+    poly = newton_polygon(series.specialize(4))
     depth4 = 6 + (16 - 4) // 4
     rep = slope_spectrum(4, 5, depth4, 10, classical=False)
     n = min(len(poly.slope_multiset()), 2)
     assert poly.slope_multiset()[:n] == rep.slopes.slope_multiset()[:n]
-    _, flag = slopes_at(series, 20)
-    assert flag == "interpolated"
     with pytest.raises(ConfigError):
-        slopes_at(series, 5)
+        series.specialize(5)
 
 
 def test_held_out_weight_prediction():
@@ -148,14 +144,13 @@ def test_local_piece_below_first_positive_slope():
     assert report.degrees == {k: 1 for k in DISC.sample_weights}
 
 
-def test_slopes_at_certifies_only_what_the_fit_supports():
+def test_off_sample_slopes_certify_only_what_the_fit_supports():
     """Fitted through 4 and 8 only, the series predicts weight 12 to
     v_5(w_12 - w_4) + v_5(w_12 - w_8) = 2 digits, not to the fit's 9:
     claiming 9 certified the slopes 0, 1, 3, where weight 12 at the same
     top weight 32 has 0, 1, 7."""
     series = two_var_charseries(WeightDisc(5, 0, (4, 8), 10), twist_depth=6)
-    poly, flag = slopes_at(series, 12)
-    assert flag == "interpolated"
+    poly = newton_polygon(series.specialize(12))
     direct = newton_polygon(char_series(up_matrix(katz_basis(12, 5, 5), 10)))
     assert direct.slope_multiset() == [0, 1, 7]
     certified = poly.slope_multiset()

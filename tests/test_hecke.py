@@ -11,9 +11,7 @@ from padicforms.hecke import (
     frobenius,
     hecke_tp,
     normalization_shift,
-    theta,
     up,
-    up_naive,
 )
 from padicforms.qexp import ZZ, ModRing, QSeries
 
@@ -45,17 +43,17 @@ def test_tp_weight_one_branches_agree():
 
 
 def test_up_fixed_geometric_series():
-    f = QSeries.constant(1, 25).map_coeffs(lambda n, a: 1)
+    f = QSeries.from_coeffs([1] * 25)
     assert up(f, 2, 5) == f.truncate(5)
 
 
 def test_up_naive_examples():
+    # the naive operator p U is U_p at k = 0, where a(0) = 1
     f = QSeries.from_coeffs([0, 1, 0, 0, 0, 0])
-    assert up_naive(f, 5).coeffs == (0,)
+    assert up(f, 0, 5).coeffs == (0,)
     g = QSeries.from_coeffs(list(range(12)))
-    assert up_naive(g, 5).coeffs == (0, 25)
-    assert up(g, 1, 5).coeffs == (0, 5)
     assert up(g, 0, 5).coeffs == (0, 25)
+    assert up(g, 1, 5).coeffs == (0, 5)
     assert up(g, -2, 5).coeffs == (0, 5**3 * 5)
 
 
@@ -99,15 +97,21 @@ def test_tp_congruent_up_mod_p_on_forms():
             assert hecke_tp(f, k, 5) == up(f, k, 5)
 
 
+def _theta(f):
+    """theta = q d/dq: sum n a_n q^n."""
+    return QSeries(f.ring, tuple(n * a for n, a in enumerate(f.coeffs)))
+
+
 def test_theta_examples_and_commutation():
+    # U_p^naive . theta = p . theta . U_p^naive, with U_p^naive = up(., 0, p)
     one = QSeries.constant(1, 10)
-    assert theta(one).is_zero()
+    assert _theta(one).is_zero()
     f = QSeries.from_coeffs([0, 1, 0, 0])
-    assert theta(f) == f
+    assert _theta(f) == f
     rng = random.Random(15)
     for _ in range(10):
         g = QSeries.from_coeffs([rng.randrange(-20, 20) for _ in range(30)])
-        assert up_naive(theta(g), 5) == theta(up_naive(g, 5)).scale(5)
+        assert up(_theta(g), 0, 5) == _theta(up(g, 0, 5)).scale(5)
 
 
 def test_qprec_too_small():
@@ -118,6 +122,8 @@ def test_qprec_too_small():
         up(f, 4, 5)
     with pytest.raises(ValueError):
         up(QSeries.from_coeffs([1] * 10), 2, 6)
+    with pytest.raises(ValueError, match="^9 is not prime$"):
+        hecke_tp(QSeries.from_coeffs([1] * 30), 12, 9)
 
 
 @st.composite
@@ -143,12 +149,12 @@ def test_hecke_formula_at_every_weight(case, k):
         for n in range(q)
     ]
     assert hecke_tp(f, k, p) == QSeries(f.ring, tuple(tp))
-    assert up_naive(f, p) == QSeries(f.ring, tuple(p * a[n * p] for n in range(q)))
+    assert up(f, 0, p) == QSeries(f.ring, tuple(p * a[n * p] for n in range(q)))
     frob = [a[n // p] if n % p == 0 else 0 for n in range(f.qprec)]
     assert frobenius(f, p) == QSeries(f.ring, tuple(frob))
     f_part = frobenius(f, p).scale(p ** max(0, k - 1)).truncate(q)
     assert hecke_tp(f, k, p) == up(f, k, p) + f_part
-    assert up(f, k, p).scale(p) == up_naive(f, p).scale(p ** max(0, 1 - k))
+    assert up(f, k, p).scale(p) == up(f, 0, p).scale(p ** max(0, 1 - k))
 
 
 def test_normalization_table():

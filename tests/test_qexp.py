@@ -43,7 +43,8 @@ def test_pow_and_inverse():
     assert (f * f.inverse()).coeffs == (1, 0, 0, 0, 0)
     g = QSeries.from_coeffs([1, 240, 2160], ModRing(5, 3))
     assert (g * g.inverse()).coeffs == (1, 0, 0)
-    assert (g**-2) == (g.inverse()) ** 2
+    with pytest.raises(ValueError, match="n >= 1"):
+        g**-2
     with pytest.raises(ZeroDivisionError):
         QSeries.from_coeffs([5, 1], ModRing(5, 3)).inverse()
     with pytest.raises(ZeroDivisionError):
@@ -54,7 +55,6 @@ def test_truncate_shift_leading():
     f = QSeries.from_coeffs([0, 0, 7, 1])
     assert f.leading_index() == 2
     assert f.truncate(2).coeffs == (0, 0)
-    assert f.shift_q(1).coeffs == (0, 0, 0, 7, 1)
     with pytest.raises(PrecisionError):
         f.truncate(9)
     with pytest.raises(PrecisionError):
@@ -104,18 +104,6 @@ def test_index_reads():
             read()
 
 
-def test_to_ring():
-    f = QSeries.from_coeffs([1, -24, 252])
-    g = f.to_ring(ModRing(5, 2))
-    assert g.coeffs == (1, 1, 2)
-    h = g.to_ring(ModRing(5, 1))
-    assert h.coeffs == (1, 1, 2)
-    with pytest.raises(ValueError):
-        h.to_ring(ModRing(5, 2))
-    with pytest.raises(ValueError):
-        g.to_ring(ZZ)
-
-
 def test_non_integer_coefficients_are_rejected():
     for ring in (ZZ, ModRing(5, 3)):
         with pytest.raises(TypeError):
@@ -130,19 +118,14 @@ def test_non_integer_coefficients_are_rejected():
 
 @pytest.mark.parametrize("ring", [ZZ, ModRing(5, 3), ModRing(7, 1)])
 def test_public_builds_reduce_every_coefficient(ring):
-    """``QSeries(...)``, ``from_coeffs``, ``constant`` and ``map_coeffs``
-    give each coefficient as ``operator.index(c)``, mod p^m over Z/p^m:
+    """``QSeries(...)``, ``from_coeffs`` and ``constant`` give each
+    coefficient as ``operator.index(c)``, mod p^m over Z/p^m:
     bools, negatives and coefficients at or beyond p^m alike, to plain
     ints."""
     raw = [True, -1, False, -126, 125, 126, 10**40 + 7, 0, 3]
     modulus = ring.modulus
     want = tuple(c if modulus is None else c % modulus for c in map(operator.index, raw))
-    builds = (
-        QSeries(ring, tuple(raw)),
-        QSeries.from_coeffs(raw, ring),
-        QSeries.from_coeffs(raw, ring).map_coeffs(lambda n, a: raw[n]),
-    )
-    for series in builds:
+    for series in (QSeries(ring, tuple(raw)), QSeries.from_coeffs(raw, ring)):
         assert series.coeffs == want
         assert all(type(c) is int for c in series.coeffs)
     assert QSeries.constant(True, 3, ring).coeffs == (1, 0, 0)
@@ -272,7 +255,7 @@ def _check_product(x, y, ring):
     q1=st.integers(1, 80),
     q2=st.integers(1, 80),
     seed=st.integers(0, 2**32 - 1),
-    k=st.integers(0, 6),
+    k=st.integers(1, 6),
     zbits=st.integers(0, 300),
     zero=st.booleans(),
 )
@@ -287,10 +270,9 @@ def test_internal_results_are_canonical(p, m, q1, q2, seed, k, zbits, zero):
     y = [0] * q2 if zero else [rng.randrange(lo, bound) for _ in range(q2)]
     f, g = QSeries.from_coeffs(x, ring), QSeries.from_coeffs(y, ring)
     c = -rng.randrange(bound + 1, 3 * bound)
-    t = rng.randrange(0, 4)
 
-    def ref(coeffs, ref_ring=ring):
-        return QSeries(ref_ring, tuple(coeffs))
+    def ref(coeffs):
+        return QSeries(ring, tuple(coeffs))
 
     q = min(q1, q2)
     event(f"{_check_product(x, y, ring)} kernel")
@@ -298,9 +280,7 @@ def test_internal_results_are_canonical(p, m, q1, q2, seed, k, zbits, zero):
     _assert_canonical(g * g, ref(_plain_product(y, y)))
     _assert_canonical(f + g, ref([u + v for u, v in zip(x[:q], y[:q])]))
     _assert_canonical(f - g, ref([u - v for u, v in zip(x[:q], y[:q])]))
-    _assert_canonical(-f, ref([-u for u in x]))
     _assert_canonical(f.scale(c), ref([c * u for u in x]))
-    _assert_canonical(f.shift_q(t), ref([0] * t + x))
     cut = rng.randint(1, q1)
     _assert_canonical(f.truncate(cut), ref(x[:cut]))
     power = [1] + [0] * (q1 - 1)
@@ -309,9 +289,6 @@ def test_internal_results_are_canonical(p, m, q1, q2, seed, k, zbits, zero):
     _assert_canonical(f**k, ref(power))
     unit = [rng.choice((1, -1)) if m is None else rng.randrange(1, p)] + x[1:]
     _assert_canonical(QSeries.from_coeffs(unit, ring).inverse(), ref(_plain_inverse(unit, ring.modulus)))
-    m_low = rng.randint(1, 10 if m is None else m)
-    _assert_canonical(f.to_ring(ModRing(p, m_low)), ref(x, ModRing(p, m_low)))
-    _assert_canonical(f.to_ring(ring), ref(x))
 
 
 # Q = 24 packs at every width up to 4 * 24 = 96 bits: one-point slots up to

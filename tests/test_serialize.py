@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from padicforms import coleman
+from padicforms.charseries import CharSeries, newton_polygon
 from padicforms.coleman import classicality_check, slope_spectrum
 from padicforms.errors import PrecisionError
-from padicforms.serialize import classicality_json, encode, slope_report_json
+from padicforms.serialize import classicality_json, encode, polygon_json, slope_report_json
 
 
 @pytest.mark.parametrize(
@@ -40,6 +41,19 @@ def test_encode_is_idempotent():
     value = {4: {5: (1, 2)}, "verdict": [{"slope": None, "mult": 2}], Fraction(3, 2): False}
     once = encode(value)
     assert encode(once) == once
+
+
+def test_polygon_json_warns_when_every_coefficient_is_saturated():
+    # 1 + 0T + 0T^2 over Z/5^3: the zeros are known only to 5^3, so no
+    # slope is certified and the floor of the next one is 3/2
+    polygon = newton_polygon(CharSeries((1, 0, 0), 5, 3))
+    assert encode(polygon_json(polygon)) == {
+        "slopes": [],
+        "vertices": [["0", "0"]],
+        "certified_degree": "0",
+        "next_slope_floor": "3/2",
+        "warning": "all-coefficients-saturated",
+    }
 
 
 def test_slope_report_json_when_the_comparison_is_not_certified():
