@@ -15,7 +15,6 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, List, Optional, Sequence
 
-from .charseries import char_series
 from .coleman import classicality_check, katz_basis, slope_spectrum, up_matrix
 from .duality import (
     adjunction_check,
@@ -367,19 +366,23 @@ DISC_DEPTH = 10  # at the largest sample; top weight 60, D = 6
 
 
 def criterion_9(seed: int = 0) -> CriterionResult:
-    """Eigencurve disc: held-out specialization and flat ordinary degree."""
+    """Eigencurve disc: held-out specialization and flat ordinary degree.
+
+    The full disc's sample series are the direct series at each held-out
+    weight k: the Katz model at top weight 60, depth (60 - k)/4, over
+    Z/5^10, the model that a four-sample disc of the same top weight
+    predicts at k.
+    """
     p, m = 5, 10
     ok = True
     details = []
-    top = max(DISC_SAMPLES) + DISC_DEPTH * (p - 1)
-    for held_out in DISC_SAMPLES:
+    full = two_var_charseries(WeightDisc(p, 0, DISC_SAMPLES, m), DISC_DEPTH)
+    for held_out, direct in full.samples:
         rest = tuple(k for k in DISC_SAMPLES if k != held_out)
-        depth = (top - max(rest)) // (p - 1)
+        depth = (full.top_weight - max(rest)) // (p - 1)
         disc = WeightDisc(p, 0, rest, m)
         series = two_var_charseries(disc, depth)
         predicted = series.specialize(held_out)
-        direct_basis = katz_basis(held_out, p, (top - held_out) // (p - 1))
-        direct = char_series(up_matrix(direct_basis, m))
         good = all(
             (a - b) % p**predicted.m == 0
             for a, b in zip(predicted.coeffs, direct.coeffs)
@@ -389,9 +392,7 @@ def criterion_9(seed: int = 0) -> CriterionResult:
             f"held-out {held_out}: all {series.degree + 1} coefficients match "
             f"mod 5^{predicted.m}: {'ok' if good else 'FAIL'}"
         )
-    full = WeightDisc(p, 0, DISC_SAMPLES, m)
-    series = two_var_charseries(full, DISC_DEPTH)
-    report = local_piece_report(series, 0)
+    report = local_piece_report(full, 0)
     good = report.constant and set(report.degrees.values()) == {1}
     ok = ok and good
     details.append(

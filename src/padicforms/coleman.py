@@ -328,8 +328,9 @@ def slope_spectrum(
     q-expansion polygon certifies every slope below b: from
     max(m, floor(b) + 3) in steps of max(4, floor(b)), up to the cap
     m + floor(b) * max(D, 2) + 16 (D the Katz dimension), past which
-    ``PrecisionError`` is raised.  Every certified spectrum in the
-    library, the theta probe's included, goes through this one rule.
+    ``PrecisionError`` is raised.  This is the library's one entry to a
+    certified spectrum (``classicality_check`` and the theta probe call
+    it), so every certified spectrum goes through this one rule.
     The checks above run once, at the final modulus.  The Katz elements,
     the U_p solve and the characteristic series are built once, and each
     step only reduces the series to the working modulus and reads its
@@ -349,19 +350,6 @@ def slope_spectrum(
     if compared:
         comparison_bound(k, m)  # refuses m < 3 before any work
     spectrum = classical_up_spectrum(k, p) if compared else None
-    return _slope_report(k, p, twist_depth, m, bound, spectrum)
-
-
-def _slope_report(
-    k: int,
-    p: int,
-    twist_depth: int,
-    m: int,
-    bound: Optional[Fraction],
-    spectrum: Optional[Sequence[Fraction]],
-) -> SlopeReport:
-    """``slope_spectrum`` on checked inputs, compared with the classical
-    slope multiset ``spectrum`` unless it is None."""
     basis, elements, series, qpoly, m_work = _spectrum_core(
         k, p, twist_depth, m, bound, spectrum
     )
@@ -416,24 +404,24 @@ class ClassicalityReport:
 
 def classicality_check(k: int, p: int, twist_depth: int, m: int) -> ClassicalityReport:
     """Compare overconvergent and classical slopes strictly below
-    min(k-1, m-2), by ``classical.compare``, the one comparison that
-    ``slope_spectrum`` also attaches.
+    min(k-1, m-2): the comparison that ``slope_spectrum`` attaches when
+    it certifies through that bound.
 
     Slope classes at exactly k-1 sit on the classicality boundary and
-    are reported separately, never counted on either side.  The working
-    modulus is raised internally until the Newton polygon certifies the
+    are reported separately, never counted on either side.  The bound
+    is checked first (k >= 2 and m >= 3 are required: below them
+    nothing is compared), then ``slope_spectrum`` checks p and k and
+    raises the working modulus until the Newton polygon certifies the
     comparison range, with the Katz elements built first at the modulus
-    the classical slopes predict (see ``slope_spectrum``); if that fails
-    within the cap the verdict is indeterminate.  The classical spectrum
-    is built once, whichever the verdict.  k >= 2 and m >= 3 are
-    required: below them nothing is compared.
+    the classical slopes predict.  If that fails within the cap the
+    verdict is indeterminate.  The classical spectrum is built once for
+    a pass or a fail; the indeterminate report builds it a second time,
+    a path that no supported input reaches.
     """
     bound = comparison_bound(k, m)
-    check_theory_prime(p)
-    check_level1_weight(k)
-    spectrum = classical_up_spectrum(k, p)
     try:
-        report = _slope_report(k, p, twist_depth, m, bound, spectrum)
+        report = slope_spectrum(k, p, twist_depth, m, certify_below=bound)
     except PrecisionError:
+        spectrum = classical_up_spectrum(k, p)
         return ClassicalityReport(p, k, twist_depth, m, m, compare(k, m, spectrum, None))
     return ClassicalityReport(p, k, twist_depth, m, report.m_working, report.comparison)

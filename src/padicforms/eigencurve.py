@@ -23,7 +23,7 @@ from typing import Dict, List, Tuple
 
 from .charseries import CharSeries, char_series, check_slope_bound, newton_polygon
 from .coleman import katz_basis, up_matrix
-from .errors import PrecisionError, VerificationError
+from .errors import PrecisionError
 from .forms import basis_dimension
 from .weights import (
     IwasawaTruncation,
@@ -77,30 +77,27 @@ class TwoVarCharSeries:
 def two_var_charseries(disc: WeightDisc, twist_depth: int) -> TwoVarCharSeries:
     """Interpolate the U_p characteristic series over the disc.
 
-    ``twist_depth`` is taken at the largest sample weight; smaller
-    samples are twisted further so that every per-weight matrix acts on
-    a space of the same dimension D = dim M_{top weight}.
+    ``twist_depth`` is taken at the largest sample weight, which fixes
+    the top weight T = max(samples) + twist_depth * (p - 1).  Sample k
+    is twisted to depth (T - k)/(p - 1), an integer because the samples
+    share one component mod p - 1, so the last rung of its Katz ladder
+    is weight T and every per-weight matrix acts on a space of the same
+    dimension D = dim M_T.  ``samples`` holds each sample's series, that
+    of ``up_matrix`` on ``katz_basis(k, p, (T - k)/(p - 1))`` over
+    Z/p^m.
     """
     p = disc.p
-    k_max = max(disc.sample_weights)
-    top = k_max + twist_depth * (p - 1)
-    d_total = basis_dimension(top)
+    top = max(disc.sample_weights) + twist_depth * (p - 1)
     per_weight: List[Tuple[int, CharSeries]] = []
     for k in disc.sample_weights:
-        depth_k = twist_depth + (k_max - k) // (p - 1)
-        basis = katz_basis(k, p, depth_k)
-        if basis.dimension != d_total:
-            raise VerificationError(
-                f"dimension mismatch across samples: weight {k} gives "
-                f"{basis.dimension}, expected {d_total}"
-            )
+        basis = katz_basis(k, p, (top - k) // (p - 1))
         matrix = up_matrix(basis, disc.m)
         per_weight.append((k, char_series(matrix)))
 
     coeffs: List[IwasawaTruncation] = [
         IwasawaTruncation(p, disc.component, (1,), disc.m)
     ]
-    for j in range(1, d_total + 1):
+    for j in range(1, basis_dimension(top) + 1):
         samples = [(k, series.coeffs[j]) for k, series in per_weight]
         coeffs.append(interpolate_iwasawa(samples, p, disc.m))
     return TwoVarCharSeries(

@@ -8,11 +8,13 @@ from dataclasses import replace
 
 import pytest
 
-from padicforms import acceptance, hida
+from padicforms import acceptance, hecke, hida
 from padicforms.charseries import CharSeries, newton_polygon
+from padicforms.coleman import shift_polygon
 from padicforms.errors import ConfigError
 from padicforms.linalg import ProjectorResult, rank_mod_p
 from padicforms.padic import PadicMatrix
+from padicforms.qexp import QSeries
 
 SEED = 0
 
@@ -190,3 +192,189 @@ def test_criterion_8_catches_a_moved_slope(monkeypatch):
     assert [d for d in result.details if "!=" in d] == [
         "(k,p)=(4,7) below 4: ['0', '1', '3'] != ['0', '2', '3']"
     ]
+
+
+def _first_call_corrupted(real, corrupt):
+    """``real`` with the result of its first call passed through ``corrupt``."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        found = real(*args, **kwargs)
+        calls.append(args)
+        return corrupt(found) if len(calls) == 1 else found
+
+    return wrapper
+
+
+def _constant_term_moved(f):
+    return QSeries(f.ring, (f.coeffs[0] + 1,) + f.coeffs[1:])
+
+
+def test_criterion_2_catches_a_wrong_k1_branch(monkeypatch):
+    """Criterion 2 counts the random series on which both k = 1 branches
+    agree with ``hecke_tp``: one wrong low branch leaves 99 of 100."""
+    wrong = _first_call_corrupted(acceptance._tp_branch_low, _constant_term_moved)
+    monkeypatch.setattr(acceptance, "_tp_branch_low", wrong)
+    result = acceptance.criterion_2(SEED)
+    assert not result.passed
+    assert result.details[-1] == "k=1 branch agreement on 99/100 random series"
+
+
+def test_criterion_3_catches_a_wrong_up_matrix_mod_p(monkeypatch):
+    """A U_p matrix mod p with one entry moved at (k, p) = (10, 7), and
+    only there, fails the congruence T_p = U_p mod p; the exact
+    decomposition over Z still holds."""
+    real = acceptance.operator_matrix
+
+    def matrix(basis, op, ell):
+        rows = real(basis, op, ell)
+        if op is hecke.up and (basis.weight, ell) == (10, 7):
+            return ((rows[0][0] + 1,) + rows[0][1:],) + rows[1:]
+        return rows
+
+    monkeypatch.setattr(acceptance, "operator_matrix", matrix)
+    result = acceptance.criterion_3(SEED)
+    assert not result.passed
+    assert result.details == [
+        "mod-p congruence FAILS at (k,p)=(10,7)",
+        "T_p = U_p + p^(k-1) F exactly over Z for k in [4,20], p in {5,7}",
+    ]
+
+
+def test_criterion_3_catches_a_wrong_frobenius(monkeypatch):
+    """One wrong Frobenius image on the Z side, the first one (E_4 at
+    p = 5), fails the exact decomposition there alone."""
+    wrong = _first_call_corrupted(acceptance.frobenius, _constant_term_moved)
+    monkeypatch.setattr(acceptance, "frobenius", wrong)
+    result = acceptance.criterion_3(SEED)
+    assert not result.passed
+    assert result.details == [
+        "matrix(T_p) = matrix(U_p) mod p for even k in [2,40], p in {5,7}",
+        "decomposition FAILS at (k,p)=(4,5)",
+    ]
+
+
+def test_criterion_5_catches_a_wrong_sample_eigenvalue(monkeypatch):
+    """a_2 of the fitted family moved at the sample weight 12 fails the
+    check of a_2 = 1 + 2^(k-1) there; the fitted polynomials, which
+    predict weight 24, are left as they are."""
+    real = acceptance.fit_family
+
+    def fit(*args, **kwargs):
+        family = real(*args, **kwargs)
+        data = {k: dict(eigen) for k, eigen in family.eigen_data.items()}
+        data[12][2] = (data[12][2][0] + 1,)
+        return replace(family, eigen_data=data)
+
+    monkeypatch.setattr(acceptance, "fit_family", fit)
+    result = acceptance.criterion_5(SEED)
+    assert not result.passed
+    assert result.details == [
+        "rank 1 constant across weights (4, 8, 12, 16)",
+        "a_2 differs from 1 + 2^(k-1) at weight 12",
+        "a_2 congruences hold mod 5^m for k = k' mod 4*5^(m-1), m <= 3",
+        "fitted a_2 predicts weight 24 mod 5^2",
+    ]
+
+
+def test_criterion_6_catches_a_naive_polygon_off_by_one(monkeypatch):
+    """A naive polygon one more slope unit up at (k, p) = (4, 7) breaks
+    naive = normalized + 1 there alone."""
+    real = acceptance.slope_spectrum
+
+    def spectrum(k, p, twist_depth, m, **kwargs):
+        report = real(k, p, twist_depth, m, **kwargs)
+        if (k, p) != (4, 7):
+            return report
+        return replace(report, naive_slopes=shift_polygon(report.naive_slopes, 1))
+
+    monkeypatch.setattr(acceptance, "slope_spectrum", spectrum)
+    result = acceptance.criterion_6(SEED)
+    assert not result.passed
+    assert [d for d in result.details if "fails" in d] == ["naive shift fails at (k,p)=(4,7)"]
+
+
+def test_criterion_7_catches_a_wrong_comparison(monkeypatch):
+    """An overconvergent multiset missing one slope 5 at (k, p) = (12, 5)
+    fails the classicality comparison there."""
+    real = acceptance.classicality_check
+
+    def check(k, p, twist_depth, m):
+        report = real(k, p, twist_depth, m)
+        if (k, p) != (12, 5):
+            return report
+        over = report.comparison.overconvergent[:-1]
+        return replace(report, comparison=replace(report.comparison, overconvergent=over))
+
+    monkeypatch.setattr(acceptance, "classicality_check", check)
+    result = acceptance.criterion_7(SEED)
+    assert not result.passed
+    assert result.details[1] == (
+        "(k,p)=(12,5) below 8: overconvergent ['0', '1', '5', '5'] vs classical "
+        "['0', '1', '5', '5', '5'] -> fail"
+    )
+
+
+def test_criterion_9_catches_a_wrong_held_out_prediction(monkeypatch):
+    """The four-sample disc without weight 12 predicts c_1 one off there;
+    the full disc, which holds the direct series and the flat degree, is
+    left as it is, so only the held-out line for 12 fails."""
+    real = acceptance.two_var_charseries
+
+    def series(disc, twist_depth):
+        found = real(disc, twist_depth)
+        if 12 in disc.sample_weights:
+            return found
+        c1 = found.coeffs[1]
+        moved = replace(c1, poly_coeffs=(c1.poly_coeffs[0] + 1,) + c1.poly_coeffs[1:])
+        return replace(found, coeffs=(found.coeffs[0], moved) + found.coeffs[2:])
+
+    monkeypatch.setattr(acceptance, "two_var_charseries", series)
+    result = acceptance.criterion_9(SEED)
+    assert not result.passed
+    assert result.details == [
+        *(
+            f"held-out {k}: all 7 coefficients match mod 5^4: {'FAIL' if k == 12 else 'ok'}"
+            for k in acceptance.DISC_SAMPLES
+        ),
+        "slope-0 factor degree across the disc: {4: 1, 8: 1, 12: 1, 16: 1, 20: 1} "
+        "constant: True",
+    ]
+
+
+def _one_theta_class_missing(probe):
+    if (probe.weight, probe.p) != (4, 7):
+        return probe
+    first, *rest = probe.classes
+    return replace(probe, classes=(replace(first, present=False), *rest))
+
+
+@pytest.mark.parametrize(
+    "name, wrapper, detail",
+    [
+        (
+            "rank_duality_check",
+            lambda real: _first_call_corrupted(real, lambda found: {**found, "equal": False}),
+            "rank duality FAILS at (k,p)=(4,5)",
+        ),
+        (
+            "adjunction_check",
+            lambda real: _first_call_corrupted(real, lambda found: False),
+            "adjunction <U_p f, g> = <f, F g> exact on 99/100 random tuples",
+        ),
+        (
+            "theta_probe",
+            lambda real: lambda *args, **kwargs: _one_theta_class_missing(real(*args, **kwargs)),
+            "theta probe (k,p)=(4,7): 2 classes shift by 3; control shift 4 fails: True",
+        ),
+    ],
+    ids=["rank_duality", "adjunction", "theta_probe"],
+)
+def test_criterion_10_catches_each_wrong_check(monkeypatch, name, wrapper, detail):
+    """Criterion 10 fails on one wrong verdict of each of its checks: the
+    rank duality of the first mod-p matrix (k = 4, p = 5), the first
+    adjunction tuple, and one theta class at (k, p) = (4, 7)."""
+    monkeypatch.setattr(acceptance, name, wrapper(getattr(acceptance, name)))
+    result = acceptance.criterion_10(SEED)
+    assert not result.passed
+    assert detail in result.details

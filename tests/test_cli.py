@@ -154,6 +154,9 @@ def test_config_errors_exit_2(capsys):
     assert code == EXIT_CONFIG and "not prime" in err
     code, _, err = run_cli(capsys, "slopes", "--p", "5", "--k", "4", "--I", "2", "--m", "1")
     assert code == EXIT_CONFIG
+    code, out, err = run_cli(capsys, "classicality", "--k", "0", "--p", "5", "--I", "4")
+    assert code == EXIT_CONFIG and out == ""
+    assert err == "configuration error: classicality comparison needs k >= 2\n"
     # basis reads D coefficients of each form: --Q below D is refused
     code, _, err = run_cli(capsys, "basis", "--k", "24", "--Q", "2")
     assert code == EXIT_CONFIG and "below 3" in err

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -432,6 +433,27 @@ def test_slope_spectrum_refuses_a_negative_bound_first(monkeypatch):
     for classical_side in (True, False):
         with pytest.raises(ConfigError, match="slope bound must be >= 0"):
             slope_spectrum(4, 5, 6, 8, certify_below=Fraction(-1, 2), classical=classical_side)
+
+
+def test_an_uncertified_spectrum_gives_up_at_the_cap(monkeypatch):
+    """When no step of the grid certifies, ``slope_spectrum`` raises at
+    the cap m + floor(b) * max(D, 2) + 16, and ``classicality_check``
+    returns the indeterminate comparison at the requested modulus."""
+    real = coleman.newton_polygon
+    monkeypatch.setattr(
+        coleman, "newton_polygon", lambda series: replace(real(series), next_slope_floor=F(0))
+    )
+    cap = 8 + 3 * katz_basis(4, 5, 12).dimension + 16
+    with pytest.raises(PrecisionError) as exc:
+        slope_spectrum(4, 5, 12, 8, certify_below=F(3))
+    assert str(exc.value) == (
+        f"slopes below 3 not certified at modulus 5^{cap} (indeterminate at requested precision)"
+    )
+    report = classicality_check(4, 5, 12, 8)
+    assert report.m_working == 8
+    assert report.comparison.verdict == "indeterminate"
+    assert report.comparison.overconvergent is None
+    assert report.comparison.classical == (F(0), F(1))
 
 
 def test_classicality_weight12_full_threshold():

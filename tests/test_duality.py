@@ -1,12 +1,14 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from padicforms import coleman
+from padicforms import coleman, duality
 from padicforms.acceptance import THETA_CONFIGS
-from padicforms.charseries import char_series
+from padicforms.charseries import CharSeries, char_series, newton_polygon
 from padicforms.coleman import katz_basis, up_matrix
 from padicforms.duality import (
+    DualFamily,
     adjunction_check,
     charseries_duality_check,
     dual_module,
@@ -38,6 +40,15 @@ def test_dual_module_charpoly_equality():
     u = random_matrix(rng, 3, 5, 4)
     dual = dual_module(u, g)
     assert char_series(dual.operator_on_dual).coeffs == char_series(u).coeffs
+
+
+def test_dual_side_refuses_a_gram_of_the_wrong_size():
+    u = PadicMatrix.identity(2, 5, 4)
+    gram = PadicMatrix.identity(3, 5, 4)
+    with pytest.raises(ValueError, match="gram matrix size mismatch"):
+        dual_module(u, gram)
+    with pytest.raises(ValueError, match="gram matrix size must equal the source rank"):
+        DualFamily(2, gram, u)
 
 
 def test_transpose_charseries_equal():
@@ -132,6 +143,28 @@ def test_theta_probe(monkeypatch, k, p):
         for c in probe.classes
     )
     assert classes == THETA_CLASSES[(k, p)]
+
+
+def test_theta_probe_records_a_missing_image(monkeypatch):
+    """With the target slope 5 gone at (k, p) = (4, 5), the image of the
+    source slope 2 is missing: its class is recorded absent, not
+    excluded, and the probe fails."""
+    real = duality.slope_spectrum
+    # 1 + T + 5 T^2 + 5^4 T^3 + 5^12 T^4 + 5^22 T^5 over Z/5^30: slopes 0, 1, 3, 8, 10
+    target = newton_polygon(CharSeries((1, 1, 5, 5**4, 5**12, 5**22), 5, 30))
+
+    def spectrum(k, p, twist_depth, m, **kwargs):
+        report = real(k, p, twist_depth, m, **kwargs)
+        return replace(report, qexp_polygon=target) if k == 4 else report
+
+    monkeypatch.setattr(duality, "slope_spectrum", spectrum)
+    probe = theta_probe(4, 5, m=10)
+    classes = [
+        (c.source_qslope, c.target_qslope, c.present, c.kernel_excluded) for c in probe.classes
+    ]
+    assert classes == [(0, 3, True, False), (2, 5, False, False)]
+    assert not probe.control_contained
+    assert not probe.passed
 
 
 def test_theta_probe_control_with_repeated_source_slope():

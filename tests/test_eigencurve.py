@@ -1,10 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicforms.charseries import char_series, newton_polygon
+from padicforms.charseries import CharSeries, char_series, newton_polygon
 from padicforms.coleman import katz_basis, slope_spectrum, up_matrix
 from padicforms.eigencurve import (
     LocalPieceReport,
@@ -30,6 +31,8 @@ def test_disc_validation():
         WeightDisc(5, 0, (4, 6), 8)
     with pytest.raises(ConfigError, match="at least one sample"):
         WeightDisc(5, 0, (), 8)
+    with pytest.raises(ConfigError, match=r"disc samples must be >= 1 \(uniform U_p"):
+        WeightDisc(5, 0, (0,), 8)
     with pytest.raises(ConfigError):
         WeightDisc(4, 0, (4, 8), 8)
     # m < 1 is refused up front, not by the first Z/p^m built after Katz work
@@ -142,6 +145,19 @@ def test_local_piece_below_first_positive_slope():
     series = two_var_charseries(DISC, twist_depth=6)
     report = local_piece_report(series, Fraction(1, 2))
     assert report.degrees == {k: 1 for k in DISC.sample_weights}
+
+
+def test_local_piece_report_refuses_an_uncertified_floor():
+    """The weight-12 sample read mod 5 only has polygon floor 1/3, so its
+    slopes up to 1/2 are not certified, and the report says so rather
+    than count its slope-<= 1/2 factor."""
+    series = two_var_charseries(DISC, twist_depth=6)
+    samples = tuple(
+        (k, CharSeries(s.coeffs, 5, 1) if k == 12 else s) for k, s in series.samples
+    )
+    with pytest.raises(PrecisionError) as exc:
+        local_piece_report(replace(series, samples=samples), Fraction(1, 2))
+    assert str(exc.value) == "slopes near 1/2 not certified at weight 12 (polygon floor 1/3)"
 
 
 def test_off_sample_slopes_certify_only_what_the_fit_supports():

@@ -69,6 +69,14 @@ def test_solve_identity_basis():
     assert res.precision_loss == 0
 
 
+def test_solve_of_too_few_vectors_is_not_a_matrix():
+    # one vector in a basis of two: its coordinates are a 2x1 block
+    res = solve_in_basis([(1, 2)], PadicMatrix.identity(2, 5, 3))
+    assert res.columns == ((1, 2),)
+    with pytest.raises(ValueError, match="coordinate block is not square"):
+        res.as_matrix()
+
+
 def test_solve_non_integral():
     b = PadicMatrix.from_rows([[1, 0], [0, 5]], 5, 3)
     with pytest.raises(PrecisionError):

@@ -94,6 +94,8 @@ def test_interpolation_congruence_failure_detected():
 
 
 def test_interpolation_validation():
+    with pytest.raises(ValueError, match="interpolation needs at least one sample"):
+        interpolate_iwasawa([], 5, 3)
     with pytest.raises(ValueError):
         interpolate_iwasawa([(4, 1), (7, 2)], 5, 4)
     with pytest.raises(ValueError):

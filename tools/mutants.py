@@ -213,6 +213,77 @@ MUTANTS = (
         ("tests/test_acceptance.py::test_criterion_8_catches_a_moved_slope",),
     ),
     Mutant(
+        "criterion 2 without its k = 1 branch count",
+        "src/padicforms/acceptance.py",
+        "    ok = ok and agree == 100\n",
+        "    ok = ok and True\n",
+        ("tests/test_acceptance.py::test_criterion_2_catches_a_wrong_k1_branch",),
+    ),
+    Mutant(
+        "criterion 3 compares T_p with itself mod p",
+        "src/padicforms/acceptance.py",
+        "if operator_matrix(basis, hecke_tp, p) != operator_matrix(basis, up, p):",
+        "if operator_matrix(basis, hecke_tp, p) != operator_matrix(basis, hecke_tp, p):",
+        ("tests/test_acceptance.py::test_criterion_3_catches_a_wrong_up_matrix_mod_p",),
+    ),
+    Mutant(
+        "criterion 3's Z side compares lhs with itself",
+        "src/padicforms/acceptance.py",
+        "                if lhs != rhs:\n",
+        "                if lhs != lhs:\n",
+        ("tests/test_acceptance.py::test_criterion_3_catches_a_wrong_frobenius",),
+    ),
+    Mutant(
+        "criterion 5 without its check of a_2 at the samples",
+        "src/padicforms/acceptance.py",
+        "        if family.eigen_data[k][2] != ((1 + 2 ** (k - 1)) % 5**8,):\n",
+        "        if False:\n",
+        ("tests/test_acceptance.py::test_criterion_5_catches_a_wrong_sample_eigenvalue",),
+    ),
+    Mutant(
+        "criterion 6 without its naive-shift check",
+        "src/padicforms/acceptance.py",
+        "        if naive[: len(shifted)] != shifted or not report.naive_shift_checked:\n",
+        "        if False:\n",
+        ("tests/test_acceptance.py::test_criterion_6_catches_a_naive_polygon_off_by_one",),
+    ),
+    Mutant(
+        "criterion 7 always good",
+        "src/padicforms/acceptance.py",
+        "        good = comparison.passed and list(over) == want"
+        " and list(comparison.classical) == want\n",
+        "        good = True\n",
+        ("tests/test_acceptance.py::test_criterion_7_catches_a_wrong_comparison",),
+    ),
+    Mutant(
+        "criterion 9's held-out comparison always good",
+        "src/padicforms/acceptance.py",
+        "        good = all(\n",
+        "        good = True or all(\n",
+        ("tests/test_acceptance.py::test_criterion_9_catches_a_wrong_held_out_prediction",),
+    ),
+    Mutant(
+        "criterion 10 without its mod-p rank-duality check",
+        "src/padicforms/acceptance.py",
+        "            if not rank_duality_check(mat)[\"equal\"]:\n",
+        "            if False:\n",
+        ("tests/test_acceptance.py::test_criterion_10_catches_each_wrong_check[rank_duality]",),
+    ),
+    Mutant(
+        "criterion 10 without its adjunction count",
+        "src/padicforms/acceptance.py",
+        "    if good != 100:\n",
+        "    if False:\n",
+        ("tests/test_acceptance.py::test_criterion_10_catches_each_wrong_check[adjunction]",),
+    ),
+    Mutant(
+        "criterion 10 without the theta probe's verdict",
+        "src/padicforms/acceptance.py",
+        "        if not probe.passed:\n",
+        "        if False:\n",
+        ("tests/test_acceptance.py::test_criterion_10_catches_each_wrong_check[theta_probe]",),
+    ),
+    Mutant(
         "adjunction check's right side applies U_p in place of F",
         "src/padicforms/duality.py",
         "rhs = sum(map(mul, f_coords, gram.apply(f_op.apply(g_coords))))",
@@ -221,6 +292,13 @@ MUTANTS = (
             "tests/test_duality.py::test_adjunction_identity_and_negative_control",
             "tests/test_duality.py::test_adjunction_check_matches_the_explicit_pairing",
         ),
+    ),
+    Mutant(
+        "theta probe never records a missing class",
+        "src/padicforms/duality.py",
+        "            classes.append(ThetaProbeClass(s, image, False, False))\n",
+        "            classes.append(ThetaProbeClass(s, image, True, False))\n",
+        ("tests/test_duality.py::test_theta_probe_records_a_missing_image",),
     ),
     # weight space and the disc series
     Mutant(
@@ -241,6 +319,13 @@ MUTANTS = (
         "    if (k - component) % (p - 1):\n",
         "    return\n    if (k - component) % (p - 1):\n",
         ("tests/test_eigencurve.py::test_off_component_weight_has_one_error",),
+    ),
+    Mutant(
+        "local piece report without its polygon floor check",
+        "src/padicforms/eigencurve.py",
+        "        if floor is not None and floor <= h:\n",
+        "        if False:\n",
+        ("tests/test_eigencurve.py::test_local_piece_report_refuses_an_uncertified_floor",),
     ),
     # Z/p^m matrices: the product kernel, the slot codec, canonical results
     Mutant(
