@@ -302,17 +302,20 @@ def criterion_6(seed: int = 0) -> CriterionResult:
             k, p, cfg["I"], cfg["m"], certify_below=bound, classical=False
         )
         slopes = report.slopes.slope_multiset()
+        good = True
         if any(s < 0 for s in slopes):
-            ok = False
+            good = False
             details.append(f"negative normalized slope at (k,p)=({k},{p})")
         naive = report.naive_slopes.slope_multiset()
         shifted = [s + 1 for s in slopes]
         if naive[: len(shifted)] != shifted or not report.naive_shift_checked:
-            ok = False
+            good = False
             details.append(f"naive shift fails at (k,p)=({k},{p})")
-        details.append(
-            f"(k,p)=({k},{p}): certified slopes {[str(s) for s in slopes]} >= 0, naive = +1"
-        )
+        ok = ok and good
+        if good:
+            details.append(
+                f"(k,p)=({k},{p}): certified slopes {[str(s) for s in slopes]} >= 0, naive = +1"
+            )
     return CriterionResult(6, "slope floors and naive shift", ok, details)
 
 
@@ -368,20 +371,18 @@ DISC_DEPTH = 10  # at the largest sample; top weight 60, D = 6
 def criterion_9(seed: int = 0) -> CriterionResult:
     """Eigencurve disc: held-out specialization and flat ordinary degree.
 
-    The full disc's sample series are the direct series at each held-out
-    weight k: the Katz model at top weight 60, depth (60 - k)/4, over
-    Z/5^10, the model that a four-sample disc of the same top weight
-    predicts at k.
+    The full disc builds 5 Katz models, one per sample, all at top
+    weight 60: weight k at depth (60 - k)/4, over Z/5^10.  Its sample
+    series are the direct series at each held-out weight, and each
+    held-out fit is ``full.refit`` of the other four samples, the
+    four-sample disc of the same top weight, which builds no Katz model.
     """
     p, m = 5, 10
     ok = True
     details = []
     full = two_var_charseries(WeightDisc(p, 0, DISC_SAMPLES, m), DISC_DEPTH)
     for held_out, direct in full.samples:
-        rest = tuple(k for k in DISC_SAMPLES if k != held_out)
-        depth = (full.top_weight - max(rest)) // (p - 1)
-        disc = WeightDisc(p, 0, rest, m)
-        series = two_var_charseries(disc, depth)
+        series = full.refit(tuple(k for k in DISC_SAMPLES if k != held_out))
         predicted = series.specialize(held_out)
         good = all(
             (a - b) % p**predicted.m == 0
@@ -420,21 +421,25 @@ def criterion_10(seed: int = 0) -> CriterionResult:
         if not transpose_charseries_equal(mat):
             ok = False
             details.append(f"transpose equality FAILS at (k,p)=({k},{p})")
-    details.append("char series of U_p and its transpose agree on all configured matrices")
+    if ok:
+        details.append("char series of U_p and its transpose agree on all configured matrices")
     # (b) rank e(U_p) = rank e(F) at every weight
+    dual = True
     for p in (5, 7):
         powers = MillerPowers(default_qprec(16, [p]), ModRing(p, 1))
         for k in range(4, 18, 2):
             basis = SpaceBasis(k, miller_rows(k, 0, powers))
             mat = PadicMatrix.from_rows(operator_matrix(basis, hecke_tp, p), p, 1)
             if not rank_duality_check(mat)["equal"]:
-                ok = False
+                dual = False
                 details.append(f"rank duality FAILS at (k,p)=({k},{p})")
     for (k, p) in ((4, 5), (12, 5)):
         if not rank_duality_check(up_mats[(k, p)])["equal"]:
-            ok = False
+            dual = False
             details.append(f"Katz rank duality FAILS at (k,p)=({k},{p})")
-    details.append("rank e(U_p) = rank e(F) at every configured weight")
+    if dual:
+        details.append("rank e(U_p) = rank e(F) at every configured weight")
+    ok = ok and dual
     # (c) adjunction identity on 100 random gram/operator tuples
     good = 0
     for _ in range(100):

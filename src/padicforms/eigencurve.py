@@ -1,16 +1,19 @@
 """Local eigencurve data over a weight disc (``weights.WeightDisc``).
 
-The two-variable characteristic series is assembled by computing the
-U_p characteristic series at integer sample weights with a shared
-basis-shape convention (all samples are twisted up to one common top
-weight, so the matrices have one size D) and interpolating each
-coefficient as a polynomial in the disc coordinate w.  A verification
-pass re-specializes at every sample.  At another weight k of the disc a
-specialization is a prediction, and it claims only the precision the
-fit supports.  For a coefficient that is a power series in w over Z_p,
-the remainder of its interpolation through the samples k_i is an
-integral multiple of the product of the (w_k - w_(k_i)), so the
-prediction holds mod p^e with e the sum of the v_p(w_k - w_(k_i)).
+The two-variable characteristic series is built in two steps.  The
+first computes the U_p characteristic series at integer sample weights
+with a shared basis-shape convention (all samples are twisted up to one
+common top weight, so the matrices have one size D).  The second
+interpolates each coefficient as a polynomial in the disc coordinate w.
+``two_var_charseries`` runs both; ``TwoVarCharSeries.refit`` runs the
+second alone on a subset of a series' own samples, so a held-out fit
+builds no Katz model.  A verification pass re-specializes at every
+sample.  At another weight k of the disc a specialization is a
+prediction, and it claims only the precision the fit supports.  For a
+coefficient that is a power series in w over Z_p, the remainder of its
+interpolation through the samples k_i is an integral multiple of the
+product of the (w_k - w_(k_i)), so the prediction holds mod p^e with e
+the sum of the v_p(w_k - w_(k_i)).
 The series assumes every coefficient c_j(w) lies in Z_p[[w]]; an
 off-sample claim rests on that assumption, not on a recomputation.
 """
@@ -19,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from .charseries import CharSeries, char_series, check_slope_bound, newton_polygon
 from .coleman import katz_basis, up_matrix
-from .errors import PrecisionError
+from .errors import ConfigError, PrecisionError
 from .forms import basis_dimension
 from .weights import (
     IwasawaTruncation,
@@ -73,6 +76,25 @@ class TwoVarCharSeries:
         w = w_coordinate(k, p, m)
         return CharSeries(tuple(c.evaluate_at_w(w) for c in self.coeffs), p, m_eff)
 
+    def refit(self, weights) -> "TwoVarCharSeries":
+        """The series fitted through this series' samples at ``weights``
+        alone, at its top weight, from the per-weight series held here:
+        no Katz model is built.  It equals ``two_var_charseries`` of the
+        disc of those weights at twist depth (top - max(weights))/(p - 1),
+        because a sample's Katz model depends on its weight and the top
+        weight only.  A weight that is not a sample raises
+        ``ConfigError``, as does a set of weights that ``WeightDisc``
+        refuses."""
+        p = self.disc.p
+        disc = WeightDisc(p, self.disc.component, weights, self.disc.m)
+        held = dict(self.samples)
+        missing = [k for k in disc.sample_weights if k not in held]
+        if missing:
+            raise ConfigError(f"weights {missing} are not samples of this series")
+        depth = (self.top_weight - disc.sample_weights[-1]) // (p - 1)
+        samples = tuple((k, held[k]) for k in disc.sample_weights)
+        return _fit(disc, self.top_weight, depth, samples)
+
 
 def two_var_charseries(disc: WeightDisc, twist_depth: int) -> TwoVarCharSeries:
     """Interpolate the U_p characteristic series over the disc.
@@ -84,28 +106,32 @@ def two_var_charseries(disc: WeightDisc, twist_depth: int) -> TwoVarCharSeries:
     is weight T and every per-weight matrix acts on a space of the same
     dimension D = dim M_T.  ``samples`` holds each sample's series, that
     of ``up_matrix`` on ``katz_basis(k, p, (T - k)/(p - 1))`` over
-    Z/p^m.
+    Z/p^m; the fit through them is the one ``TwoVarCharSeries.refit``
+    makes through a subset.
     """
     p = disc.p
     top = max(disc.sample_weights) + twist_depth * (p - 1)
-    per_weight: List[Tuple[int, CharSeries]] = []
-    for k in disc.sample_weights:
-        basis = katz_basis(k, p, (top - k) // (p - 1))
-        matrix = up_matrix(basis, disc.m)
-        per_weight.append((k, char_series(matrix)))
+    samples = tuple(
+        (k, char_series(up_matrix(katz_basis(k, p, (top - k) // (p - 1)), disc.m)))
+        for k in disc.sample_weights
+    )
+    return _fit(disc, top, twist_depth, samples)
 
-    coeffs: List[IwasawaTruncation] = [
-        IwasawaTruncation(p, disc.component, (1,), disc.m)
-    ]
+
+def _fit(disc: WeightDisc, top: int, twist_depth: int, samples: tuple) -> TwoVarCharSeries:
+    """The series through the per-weight ``samples`` ((k, CharSeries)
+    for each sample weight of the disc, in order) at top weight ``top``:
+    c_0 = 1, and each c_j, 1 <= j <= dim M_top, interpolated over w."""
+    p, m = disc.p, disc.m
+    coeffs = [IwasawaTruncation(p, disc.component, (1,), m)]
     for j in range(1, basis_dimension(top) + 1):
-        samples = [(k, series.coeffs[j]) for k, series in per_weight]
-        coeffs.append(interpolate_iwasawa(samples, p, disc.m))
+        coeffs.append(interpolate_iwasawa([(k, series.coeffs[j]) for k, series in samples], p, m))
     return TwoVarCharSeries(
         disc=disc,
         top_weight=top,
         twist_depth=twist_depth,
         coeffs=tuple(coeffs),
-        samples=tuple(per_weight),
+        samples=samples,
     )
 
 

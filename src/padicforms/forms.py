@@ -21,9 +21,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import index, mul
-from typing import List
+from typing import List, Sequence
 
 from .errors import ConfigError, PrecisionError
+from .padic import product_rows
 from .qexp import ModRing, QSeries, Ring, ZZ
 
 SUPPORTED_PRIMES = (5, 7, 11, 13)
@@ -130,7 +131,8 @@ class SpaceBasis:
     """Echelon basis of the weight-k level-1 space: form j is q^j + O(q^dim).
 
     So the first dim coefficients of a series are its echelon
-    coordinates, and ``contains`` is the one span test for these spaces.
+    coordinates, and ``contains_each`` is the one span test for these
+    spaces, of any number of series at once.
     """
 
     weight: int
@@ -154,15 +156,33 @@ class SpaceBasis:
         return QSeries._from_ints(self.ring, [sum(map(mul, coords, c)) for c in by_degree])
 
     def contains(self, g: QSeries) -> bool:
-        """Whether g lies in the span, on the q-precision both carry: the
-        combination of g's echelon coordinates (its first dim
-        coefficients) must equal g."""
-        d = self.dim
-        if g.qprec < d:
-            raise PrecisionError(f"q-precision {g.qprec} below dimension {d}")
+        """Whether g lies in the span: ``contains_each`` of g alone."""
+        return self.contains_each((g,))[0]
+
+    def contains_each(self, series: Sequence[QSeries]) -> tuple:
+        """Whether each of ``series`` lies in the span, on the q-precision
+        it and the basis both carry: the combination of its echelon
+        coordinates (its first dim coefficients) must equal it.  Over
+        Z/p^m all the combinations come from one ``padic.product_rows``
+        call, which packs from 4 series on; over Z each is a dot product
+        per degree.  A series over another ring raises ``ValueError``,
+        one known to fewer than dim coefficients ``PrecisionError``."""
+        d, q, ring = self.dim, self.qprec, self.ring
+        for g in series:
+            if g.qprec < d:
+                raise PrecisionError(f"q-precision {g.qprec} below dimension {d}")
+            if d and g.ring != ring:
+                raise ValueError(f"ring mismatch: {ring} vs {g.ring}")
         if d == 0:
-            return g.is_zero()
-        return (self.combination(g.coeffs[:d]) - g).is_zero()
+            return tuple(g.is_zero() for g in series)
+        coords = [g.coeffs[:d] for g in series]
+        rows = [f.coeffs[:q] for f in self.forms]
+        if ring.modulus is None:
+            columns = list(zip(*rows))
+            combinations = [tuple([sum(map(mul, c, col)) for col in columns]) for c in coords]
+        else:
+            combinations = product_rows(coords, rows, q, ring.modulus)
+        return tuple([c[: g.qprec] == g.coeffs[:q] for c, g in zip(combinations, series)])
 
     @property
     def dim(self) -> int:

@@ -17,9 +17,10 @@ into its ordinary part and of that into eigensystems, is a
 and ``restrict_to_image`` gives the Hecke operators on that basis; rank
 tests and image bases take ``linalg``'s pivots mod p, and restrictions
 its unit-pivot elimination over Z/p^m.
-Every span test, of an operator image, a Hasse tower inclusion or an
-ordinary image in a control target, is ``forms.SpaceBasis.contains``:
-a Miller basis is in echelon form, so nothing is re-echelonized.
+Every span test, of the operator images on a basis, a Hasse tower
+inclusion or an ordinary image in a control target, is one
+``forms.SpaceBasis.contains_each`` call for all the series it tests: a
+Miller basis is in echelon form, so nothing is re-echelonized.
 """
 
 from __future__ import annotations
@@ -63,15 +64,15 @@ def operator_matrix(basis: SpaceBasis, op, ell: int) -> Tuple[Tuple[int, ...], .
     applied to, so one ``MillerPowers`` table serves spaces of several
     weights with no per-weight wrapper.
 
-    The coordinates of an image are its first dim coefficients, and
-    ``SpaceBasis.contains`` checks them against its whole available
-    q-expansion, so an operator that does not preserve the space is
-    caught rather than silently projected; an image known to fewer than
-    dim coefficients raises ``PrecisionError``.
+    The coordinates of an image are its first dim coefficients, and one
+    ``SpaceBasis.contains_each`` call checks those of every image against
+    its whole available q-expansion, so an operator that does not
+    preserve the space is caught rather than silently projected; an
+    image known to fewer than dim coefficients raises ``PrecisionError``.
     """
     images = [op(f, basis.weight, ell) for f in basis.forms]
-    for j, im in enumerate(images):
-        if not basis.contains(im):
+    for j, inside in enumerate(basis.contains_each(images)):
+        if not inside:
             raise VerificationError(f"operator image of basis form {j} leaves the space")
     return tuple(zip(*(im.coeffs[: basis.dim] for im in images)))
 
@@ -126,8 +127,8 @@ class HasseTower:
     def report(self, n: int) -> ControlReport:
         """The control check of level n: the image of its e(T_p), spanned
         by the columns that ``independent_columns`` picks (independent
-        mod p, so their number is ``rank_high``), tested column by column
-        against the target level with ``SpaceBasis.contains``.  The
+        mod p, so their number is ``rank_high``), tested against the
+        target level by one ``SpaceBasis.contains_each`` call.  The
         target is level 0, or level 1 at k = 2 (one Hasse twist), and
         ``rank_low`` is the rank of its e(T_p)."""
         twist = self.base_weight == 2
@@ -136,7 +137,7 @@ class HasseTower:
             raise ConfigError(f"a report of level {n} needs levels 0..{max(n, target)}")
         high, low = self.levels[n], self.levels[target]
         columns, _ = independent_columns(self.projectors[n].idempotent)
-        contained = all(low.contains(high.combination(c)) for c in columns)
+        contained = all(low.contains_each([high.combination(c) for c in columns]))
         rank_low = self.projectors[target].rank
         return ControlReport(
             self.p, self.base_weight, n, low.weight, len(columns), rank_low, contained, twist
@@ -161,7 +162,7 @@ def build_hasse_tower(k: int, p: int, n: int) -> HasseTower:
     powers = MillerPowers(default_qprec(top, [p]), ModRing(p, 1))
     levels = [SpaceBasis(w, miller_rows(w, 0, powers)) for w in range(k, top + 1, p - 1)]
     for lower, upper in zip(levels, levels[1:]):
-        if not all(upper.contains(f) for f in lower.forms):
+        if not all(upper.contains_each(lower.forms)):
             raise VerificationError(
                 f"Hasse tower inclusion fails from weight {lower.weight} to {upper.weight}"
             )

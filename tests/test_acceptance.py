@@ -11,6 +11,7 @@ import pytest
 from padicforms import acceptance, hecke, hida
 from padicforms.charseries import CharSeries, newton_polygon
 from padicforms.coleman import shift_polygon
+from padicforms.eigencurve import TwoVarCharSeries
 from padicforms.errors import ConfigError
 from padicforms.linalg import ProjectorResult, rank_mod_p
 from padicforms.padic import PadicMatrix
@@ -277,6 +278,75 @@ def test_criterion_5_catches_a_wrong_sample_eigenvalue(monkeypatch):
     ]
 
 
+def _with_a_2_fit_moved(family):
+    """The family with the constant term of its fitted a_2 moved by 1."""
+    key = family.keys[0]
+    fit = family.fitted[2][key]
+    moved = replace(fit, poly_coeffs=(fit.poly_coeffs[0] + 1,) + fit.poly_coeffs[1:])
+    return replace(family, fitted={**family.fitted, 2: {key: moved}})
+
+
+def _with_a_5_moved_at_8(family):
+    data = {k: dict(eigen) for k, eigen in family.eigen_data.items()}
+    data[8][5] = (2,)
+    return replace(family, eigen_data=data)
+
+
+def _with_one_congruence_failed(family):
+    first, *rest = family.congruence_checks
+    return replace(family, congruence_checks=({**first, "holds": False}, *rest))
+
+
+_C5_RANK = "rank 1 constant across weights (4, 8, 12, 16)"
+_C5_CONGRUENCES = "a_2 congruences hold mod 5^m for k = k' mod 4*5^(m-1), m <= 3"
+_C5_HELD_OUT = "fitted a_2 predicts weight 24 mod 5^2"
+
+
+@pytest.mark.parametrize(
+    "corrupt, details",
+    [
+        (
+            lambda family: replace(family, rank=0),
+            ["rank 0 constant across weights (4, 8, 12, 16)", _C5_CONGRUENCES, _C5_HELD_OUT],
+        ),
+        (
+            _with_a_5_moved_at_8,
+            [_C5_RANK, "a_5 differs from 1 at weight 8", _C5_CONGRUENCES, _C5_HELD_OUT],
+        ),
+        (
+            _with_a_2_fit_moved,
+            [
+                _C5_RANK,
+                "a_5 = 1 and a_2 = 1 + 2^(k-1) exactly at every sample weight",
+                _C5_CONGRUENCES,
+                "fitted a_2 fails the held-out weight 24",
+            ],
+        ),
+        (
+            _with_one_congruence_failed,
+            [
+                _C5_RANK,
+                "a_5 = 1 and a_2 = 1 + 2^(k-1) exactly at every sample weight",
+                _C5_CONGRUENCES,
+                _C5_HELD_OUT,
+                "recorded interpolation congruences fail",
+            ],
+        ),
+    ],
+    ids=["rank_0", "a_5", "held_out_24", "recorded_congruence"],
+)
+def test_criterion_5_catches_each_wrong_family(monkeypatch, corrupt, details):
+    """Criterion 5 fails on a family of rank 0, on a_5 = 2 at the sample
+    weight 8, on a fitted a_2 whose constant term is moved by 1 (it
+    misses weight 24 mod 5^2; the sample data stay right), and on one
+    recorded interpolation congruence that does not hold."""
+    real = acceptance.fit_family
+    monkeypatch.setattr(acceptance, "fit_family", lambda *args, **kw: corrupt(real(*args, **kw)))
+    result = acceptance.criterion_5(SEED)
+    assert not result.passed
+    assert result.details == details
+
+
 def test_criterion_6_catches_a_naive_polygon_off_by_one(monkeypatch):
     """A naive polygon one more slope unit up at (k, p) = (4, 7) breaks
     naive = normalized + 1 there alone."""
@@ -292,6 +362,35 @@ def test_criterion_6_catches_a_naive_polygon_off_by_one(monkeypatch):
     result = acceptance.criterion_6(SEED)
     assert not result.passed
     assert [d for d in result.details if "fails" in d] == ["naive shift fails at (k,p)=(4,7)"]
+    # the passing line of (4, 7) is not printed next to its failure
+    assert not [d for d in result.details if d.startswith("(k,p)=(4,7)")]
+
+
+def test_criterion_6_catches_a_negative_slope(monkeypatch):
+    """Both polygons one slope unit down at (k, p) = (2, 5) keep
+    naive = normalized + 1 but put a slope at -1, which fails there
+    alone; the other three configurations print their passing lines."""
+    real = acceptance.slope_spectrum
+
+    def spectrum(k, p, twist_depth, m, **kwargs):
+        report = real(k, p, twist_depth, m, **kwargs)
+        if (k, p) != (2, 5):
+            return report
+        return replace(
+            report,
+            slopes=shift_polygon(report.slopes, -1),
+            naive_slopes=shift_polygon(report.naive_slopes, -1),
+        )
+
+    monkeypatch.setattr(acceptance, "slope_spectrum", spectrum)
+    result = acceptance.criterion_6(SEED)
+    assert not result.passed
+    assert result.details == [
+        "negative normalized slope at (k,p)=(2,5)",
+        "(k,p)=(4,5): certified slopes ['0', '1', '3'] >= 0, naive = +1",
+        "(k,p)=(12,5): certified slopes ['0', '1', '5', '5', '5'] >= 0, naive = +1",
+        "(k,p)=(4,7): certified slopes ['0', '1', '3', '4'] >= 0, naive = +1",
+    ]
 
 
 def test_criterion_7_catches_a_wrong_comparison(monkeypatch):
@@ -316,20 +415,20 @@ def test_criterion_7_catches_a_wrong_comparison(monkeypatch):
 
 
 def test_criterion_9_catches_a_wrong_held_out_prediction(monkeypatch):
-    """The four-sample disc without weight 12 predicts c_1 one off there;
-    the full disc, which holds the direct series and the flat degree, is
-    left as it is, so only the held-out line for 12 fails."""
-    real = acceptance.two_var_charseries
+    """The refit without weight 12 predicts c_1 one off there; the full
+    disc, which holds the direct series and the flat degree, is left as
+    it is, so only the held-out line for 12 fails."""
+    real = TwoVarCharSeries.refit
 
-    def series(disc, twist_depth):
-        found = real(disc, twist_depth)
-        if 12 in disc.sample_weights:
+    def refit(full, weights):
+        found = real(full, weights)
+        if 12 in found.disc.sample_weights:
             return found
         c1 = found.coeffs[1]
         moved = replace(c1, poly_coeffs=(c1.poly_coeffs[0] + 1,) + c1.poly_coeffs[1:])
         return replace(found, coeffs=(found.coeffs[0], moved) + found.coeffs[2:])
 
-    monkeypatch.setattr(acceptance, "two_var_charseries", series)
+    monkeypatch.setattr(TwoVarCharSeries, "refit", refit)
     result = acceptance.criterion_9(SEED)
     assert not result.passed
     assert result.details == [
@@ -349,32 +448,83 @@ def _one_theta_class_missing(probe):
     return replace(probe, classes=(replace(first, present=False), *rest))
 
 
+def _katz_call_corrupted(real, nth):
+    """``real`` with its verdict on the ``nth`` Katz U_p matrix (the
+    matrices over Z/p^m, m > 1) turned to unequal."""
+    calls = []
+
+    def wrapper(matrix):
+        found = real(matrix)
+        if matrix.m == 1:
+            return found
+        calls.append(matrix)
+        return {**found, "equal": False} if len(calls) == nth else found
+
+    return wrapper
+
+
+_C10_TRANSPOSE = "char series of U_p and its transpose agree on all configured matrices"
+_C10_RANKS = "rank e(U_p) = rank e(F) at every configured weight"
+
+
 @pytest.mark.parametrize(
-    "name, wrapper, detail",
+    "name, wrapper, detail, absent",
     [
+        (
+            "transpose_charseries_equal",
+            lambda real: _first_call_corrupted(real, lambda found: False),
+            "transpose equality FAILS at (k,p)=(2,5)",
+            _C10_TRANSPOSE,
+        ),
         (
             "rank_duality_check",
             lambda real: _first_call_corrupted(real, lambda found: {**found, "equal": False}),
             "rank duality FAILS at (k,p)=(4,5)",
+            _C10_RANKS,
+        ),
+        (
+            "rank_duality_check",
+            lambda real: _katz_call_corrupted(real, 1),
+            "Katz rank duality FAILS at (k,p)=(4,5)",
+            _C10_RANKS,
+        ),
+        (
+            "rank_duality_check",
+            lambda real: _katz_call_corrupted(real, 2),
+            "Katz rank duality FAILS at (k,p)=(12,5)",
+            _C10_RANKS,
         ),
         (
             "adjunction_check",
             lambda real: _first_call_corrupted(real, lambda found: False),
             "adjunction <U_p f, g> = <f, F g> exact on 99/100 random tuples",
+            None,
         ),
         (
             "theta_probe",
             lambda real: lambda *args, **kwargs: _one_theta_class_missing(real(*args, **kwargs)),
             "theta probe (k,p)=(4,7): 2 classes shift by 3; control shift 4 fails: True",
+            None,
         ),
     ],
-    ids=["rank_duality", "adjunction", "theta_probe"],
+    ids=[
+        "transpose",
+        "rank_duality",
+        "katz_rank_duality_4_5",
+        "katz_rank_duality_12_5",
+        "adjunction",
+        "theta_probe",
+    ],
 )
-def test_criterion_10_catches_each_wrong_check(monkeypatch, name, wrapper, detail):
+def test_criterion_10_catches_each_wrong_check(monkeypatch, name, wrapper, detail, absent):
     """Criterion 10 fails on one wrong verdict of each of its checks: the
-    rank duality of the first mod-p matrix (k = 4, p = 5), the first
-    adjunction tuple, and one theta class at (k, p) = (4, 7)."""
+    transpose equality of the first U_p matrix ((k, p) = (2, 5)), the
+    rank duality of the first mod-p matrix (k = 4, p = 5) and of each
+    Katz matrix it checks, the first adjunction tuple, and one theta
+    class at (k, p) = (4, 7).  The summary line of a failed check is not
+    printed."""
     monkeypatch.setattr(acceptance, name, wrapper(getattr(acceptance, name)))
     result = acceptance.criterion_10(SEED)
     assert not result.passed
     assert detail in result.details
+    assert absent not in result.details

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicforms import acceptance, eigencurve
 from padicforms.charseries import CharSeries, char_series, newton_polygon
 from padicforms.coleman import katz_basis, slope_spectrum, up_matrix
 from padicforms.eigencurve import (
@@ -124,6 +125,52 @@ def test_held_out_weight_prediction():
         assert predicted.m == min(e_bound, min(c.m for c in series.coeffs))
         for a, b in zip(predicted.coeffs, direct.coeffs):
             assert (int(a) - int(b)) % 5**predicted.m == 0
+
+
+@pytest.mark.parametrize(
+    "disc, depth",
+    [
+        (WeightDisc(5, 0, acceptance.DISC_SAMPLES, 10), acceptance.DISC_DEPTH),
+        (DISC, 6),
+    ],
+    ids=["criterion_9", "DISC"],
+)
+def test_refit_is_the_direct_disc_of_its_samples(disc, depth):
+    """For every leave-one-out subset, the refit equals the disc series
+    of those weights at the same top weight, as a dataclass: the same
+    disc, twist depth, fitted coefficients and per-weight series.  The
+    twist depth grows when the largest sample is held out."""
+    full = two_var_charseries(disc, depth)
+    for held_out in disc.sample_weights:
+        rest = tuple(k for k in disc.sample_weights if k != held_out)
+        direct_depth = (full.top_weight - max(rest)) // (disc.p - 1)
+        direct = two_var_charseries(WeightDisc(disc.p, 0, rest, disc.m), direct_depth)
+        assert full.refit(rest) == direct
+    assert full.refit(disc.sample_weights) == full
+
+
+def test_refit_refuses_a_weight_that_is_not_a_sample():
+    full = two_var_charseries(DISC, twist_depth=6)
+    with pytest.raises(ConfigError) as exc:
+        full.refit((4, 8, 20))
+    assert str(exc.value) == "weights [20] are not samples of this series"
+    with pytest.raises(ConfigError, match="weight 6 is not on component 0 mod 4"):
+        full.refit((4, 6))
+
+
+def test_criterion_9_builds_one_katz_model_per_sample(monkeypatch):
+    """The full disc builds the 5 Katz models; its 5 held-out fits are
+    refits of its own samples and build none."""
+    built = []
+    real = eigencurve.katz_basis
+
+    def katz_basis_spy(k, p, twist_depth):
+        built.append((k, twist_depth))
+        return real(k, p, twist_depth)
+
+    monkeypatch.setattr(eigencurve, "katz_basis", katz_basis_spy)
+    assert acceptance.criterion_9(0).passed
+    assert built == [(4, 14), (8, 13), (12, 12), (16, 11), (20, 10)]
 
 
 def test_local_piece_report_ordinary_degree():

@@ -188,6 +188,14 @@ def test_space_basis_checks_echelon_form():
         basis.combination((2, 3, 4))
     with pytest.raises(PrecisionError):
         basis.contains(QSeries.from_coeffs([2]))
+    # a series is compared on the q-precision it shares with the basis,
+    # and one over another ring is refused
+    assert basis.contains_each([QSeries.from_coeffs([2, 3]), QSeries.from_coeffs([2, 3, 24])]) == (
+        True,
+        False,
+    )
+    with pytest.raises(ValueError, match="ring mismatch"):
+        basis.contains(QSeries.from_coeffs([2, 3, 23], ModRing(5, 1)))
     # the zero space holds the zero series only
     assert SpaceBasis(2, ()).contains(QSeries.from_coeffs([0, 0]))
     assert not SpaceBasis(2, ()).contains(QSeries.from_coeffs([0, 1]))
@@ -210,9 +218,13 @@ def test_space_basis_contains_exactly_its_combinations(k, p, over_z, extra, data
     g = basis.combination(coords) if d else QSeries.constant(0, qprec, ring)
     assert g.qprec == qprec and basis.contains(g)
     # each coefficient beyond the echelon coordinates is pinned down
-    for i in range(d, qprec):
-        bumped = QSeries(ring, tuple(a + (n == i) for n, a in enumerate(g.coeffs)))
-        assert not basis.contains(bumped)
+    bumped = [
+        QSeries(ring, tuple(a + (n == i) for n, a in enumerate(g.coeffs)))
+        for i in range(d, qprec)
+    ]
+    assert not any(basis.contains(b) for b in bumped)
+    # all at once, as one product of rows over Z/p (packed from 4 series on)
+    assert basis.contains_each([g, *bumped, g]) == (True, *[False] * len(bumped), True)
 
 
 def test_hasse_invariant_is_one():

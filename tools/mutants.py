@@ -163,7 +163,7 @@ MUTANTS = (
     Mutant(
         "Hasse tower without its inclusion check",
         "src/padicforms/hida.py",
-        "        if not all(upper.contains(f) for f in lower.forms):\n",
+        "        if not all(upper.contains_each(lower.forms)):\n",
         "        if False:\n",
         ("tests/test_hida.py::test_hasse_tower_catches_a_wrong_level",),
     ),
@@ -326,6 +326,20 @@ MUTANTS = (
         "        if floor is not None and floor <= h:\n",
         "        if False:\n",
         ("tests/test_eigencurve.py::test_local_piece_report_refuses_an_uncertified_floor",),
+    ),
+    Mutant(
+        "refit fits every sample, the held-out one included",
+        "src/padicforms/eigencurve.py",
+        "        samples = tuple((k, held[k]) for k in disc.sample_weights)\n",
+        "        samples = self.samples\n",
+        ("tests/test_eigencurve.py::test_refit_is_the_direct_disc_of_its_samples[criterion_9]",),
+    ),
+    Mutant(
+        "refit keeps the full disc's twist depth",
+        "src/padicforms/eigencurve.py",
+        "        depth = (self.top_weight - disc.sample_weights[-1]) // (p - 1)\n",
+        "        depth = self.twist_depth\n",
+        ("tests/test_eigencurve.py::test_refit_is_the_direct_disc_of_its_samples[criterion_9]",),
     ),
     # Z/p^m matrices: the product kernel, the slot codec, canonical results
     Mutant(
@@ -658,8 +672,8 @@ MUTANTS = (
     Mutant(
         "span test compares only the first dim coefficients",
         "src/padicforms/forms.py",
-        "        return (self.combination(g.coeffs[:d]) - g).is_zero()\n",
-        "        return (self.combination(g.coeffs[:d]) - g).truncate(d).is_zero()\n",
+        "        return tuple([c[: g.qprec] == g.coeffs[:q] for c, g in zip(combinations, series)])\n",
+        "        return tuple([c[:d] == g.coeffs[:d] for c, g in zip(combinations, series)])\n",
         ("tests/test_forms.py::test_space_basis_contains_exactly_its_combinations",),
     ),
     Mutant(
