@@ -155,10 +155,6 @@ class SpaceBasis:
         by_degree = zip(*(f.coeffs[:q] for f in self.forms))
         return QSeries._from_ints(self.ring, [sum(map(mul, coords, c)) for c in by_degree])
 
-    def contains(self, g: QSeries) -> bool:
-        """Whether g lies in the span: ``contains_each`` of g alone."""
-        return self.contains_each((g,))[0]
-
     def contains_each(self, series: Sequence[QSeries]) -> tuple:
         """Whether each of ``series`` lies in the span, on the q-precision
         it and the basis both carry: the combination of its echelon

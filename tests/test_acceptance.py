@@ -142,6 +142,31 @@ def test_criterion_1_catches_each_wrong_projector(monkeypatch, corrupt):
     assert len(samples) == corrupted[0] + 1
 
 
+# over Z/5^4: S = diag(1, 0, 0), and 1 (+) J with J the 2 x 2 shift,
+# nilpotent mod p; S is the ordinary projector of both
+_S = ((1, 0, 0), (0, 0, 0), (0, 0, 0))
+_JORDAN = ((1, 0, 0), (0, 0, 1), (0, 0, 0))
+_ONE = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "t, e, holds",
+    [
+        (_S, _S, True),
+        (_JORDAN, _S, True),  # T - Te = J is not 0 mod p, J^4 is
+        (_S, _ONE, False),  # e = 1 for a singular T
+        (_S, ((1, 0, 0), (0, 1, 0), (0, 0, 0)), False),  # T e + (1 - e) has rank 2
+        (_JORDAN, ((0, 0, 0),) * 3, False),  # T^4 (1 - e) = S
+    ],
+    ids=["split", "jordan", "one_for_singular", "image_too_large", "zero_for_jordan"],
+)
+def test_projector_algebra_reads_each_identity(t, e, holds):
+    """Criterion 1's identities on hand-made T and e: the projector of each
+    T passes, and each wrong idempotent commuting with T fails the one
+    identity it breaks, on the identity route or the product route."""
+    assert acceptance._projector_algebra_holds(t, e, _ONE, 5, 4) is holds
+
+
 @pytest.mark.parametrize(
     "corrupt, detail",
     [
@@ -298,6 +323,7 @@ def _with_one_congruence_failed(family):
 
 
 _C5_RANK = "rank 1 constant across weights (4, 8, 12, 16)"
+_C5_EXACT = "a_5 = 1 and a_2 = 1 + 2^(k-1) exactly at every sample weight"
 _C5_CONGRUENCES = "a_2 congruences hold mod 5^m for k = k' mod 4*5^(m-1), m <= 3"
 _C5_HELD_OUT = "fitted a_2 predicts weight 24 mod 5^2"
 
@@ -307,7 +333,12 @@ _C5_HELD_OUT = "fitted a_2 predicts weight 24 mod 5^2"
     [
         (
             lambda family: replace(family, rank=0),
-            ["rank 0 constant across weights (4, 8, 12, 16)", _C5_CONGRUENCES, _C5_HELD_OUT],
+            [
+                "rank 0 constant across weights (4, 8, 12, 16)",
+                _C5_EXACT,
+                _C5_CONGRUENCES,
+                _C5_HELD_OUT,
+            ],
         ),
         (
             _with_a_5_moved_at_8,
@@ -317,7 +348,7 @@ _C5_HELD_OUT = "fitted a_2 predicts weight 24 mod 5^2"
             _with_a_2_fit_moved,
             [
                 _C5_RANK,
-                "a_5 = 1 and a_2 = 1 + 2^(k-1) exactly at every sample weight",
+                _C5_EXACT,
                 _C5_CONGRUENCES,
                 "fitted a_2 fails the held-out weight 24",
             ],
@@ -326,7 +357,7 @@ _C5_HELD_OUT = "fitted a_2 predicts weight 24 mod 5^2"
             _with_one_congruence_failed,
             [
                 _C5_RANK,
-                "a_5 = 1 and a_2 = 1 + 2^(k-1) exactly at every sample weight",
+                _C5_EXACT,
                 _C5_CONGRUENCES,
                 _C5_HELD_OUT,
                 "recorded interpolation congruences fail",

@@ -187,7 +187,7 @@ def test_space_basis_checks_echelon_form():
     with pytest.raises(ValueError, match="3 coordinates"):
         basis.combination((2, 3, 4))
     with pytest.raises(PrecisionError):
-        basis.contains(QSeries.from_coeffs([2]))
+        basis.contains_each((QSeries.from_coeffs([2]),))[0]
     # a series is compared on the q-precision it shares with the basis,
     # and one over another ring is refused
     assert basis.contains_each([QSeries.from_coeffs([2, 3]), QSeries.from_coeffs([2, 3, 24])]) == (
@@ -195,10 +195,10 @@ def test_space_basis_checks_echelon_form():
         False,
     )
     with pytest.raises(ValueError, match="ring mismatch"):
-        basis.contains(QSeries.from_coeffs([2, 3, 23], ModRing(5, 1)))
+        basis.contains_each((QSeries.from_coeffs([2, 3, 23], ModRing(5, 1)),))[0]
     # the zero space holds the zero series only
-    assert SpaceBasis(2, ()).contains(QSeries.from_coeffs([0, 0]))
-    assert not SpaceBasis(2, ()).contains(QSeries.from_coeffs([0, 1]))
+    assert SpaceBasis(2, ()).contains_each((QSeries.from_coeffs([0, 0]),))[0]
+    assert not SpaceBasis(2, ()).contains_each((QSeries.from_coeffs([0, 1]),))[0]
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -216,13 +216,13 @@ def test_space_basis_contains_exactly_its_combinations(k, p, over_z, extra, data
     d = basis.dim
     coords = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=d, max_size=d))
     g = basis.combination(coords) if d else QSeries.constant(0, qprec, ring)
-    assert g.qprec == qprec and basis.contains(g)
+    assert g.qprec == qprec and basis.contains_each((g,))[0]
     # each coefficient beyond the echelon coordinates is pinned down
     bumped = [
         QSeries(ring, tuple(a + (n == i) for n, a in enumerate(g.coeffs)))
         for i in range(d, qprec)
     ]
-    assert not any(basis.contains(b) for b in bumped)
+    assert not any(basis.contains_each((b,))[0] for b in bumped)
     # all at once, as one product of rows over Z/p (packed from 4 series on)
     assert basis.contains_each([g, *bumped, g]) == (True, *[False] * len(bumped), True)
 

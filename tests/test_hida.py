@@ -207,7 +207,7 @@ def _two_space_control_check(k, p, n):
         return ordinary_projector(PadicMatrix.from_rows(rows, p, 1))
 
     columns, _ = independent_columns(projector(high).idempotent)
-    contained = all(low.contains(high.combination(c)) for c in columns)
+    contained = all(low.contains_each((high.combination(c),))[0] for c in columns)
     return ControlReport(p, k, n, target_weight, len(columns), projector(low).rank, contained, twist)
 
 

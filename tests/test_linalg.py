@@ -572,6 +572,43 @@ def test_projector_rejects_an_image_basis_missing_a_column(monkeypatch):
     assert invertible == [1, 16]
 
 
+def test_projector_refuses_an_idempotent_whose_trace_is_not_its_rank(monkeypatch):
+    # With the mod-p rank of e read one too high, its trace (its rank over
+    # the local ring Z/p^m) disagrees.  The rank of T itself and of its
+    # powers is read by ``_pivots_mod_p``, so only the final check sees it.
+    real = linalg.rank_mod_p
+    monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, p: real(rows, p) + 1)
+    t = block_conjugate(random.Random(3), 6, 3, 5, 4)
+    with pytest.raises(VerificationError, match="idempotent trace disagrees with mod-p rank"):
+        ordinary_projector(t)
+
+
+@st.composite
+def shortcut_cases(draw):
+    """A uniform matrix, or U (A + pB) U^-1 (A + J + pB with ``shift``)
+    with A of size r <= n: n <= 6, p in {5, 7}, m <= 4."""
+    p = draw(st.sampled_from((5, 7)))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_matrix(rng, n, p, m)
+    return block_conjugate(rng, n, draw(st.integers(0, n)), p, m, shift=draw(st.booleans()))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(shortcut_cases())
+def test_projector_facts_behind_the_acceptance_shortcuts(t):
+    """The two facts acceptance criterion 1 reads its checks by: with
+    e = e(T), (T - Te)^m = T^m (1 - e), exactly and so mod p, and e is
+    exactly the identity if and only if T is invertible mod p."""
+    n, p, m = t.size, t.p, t.m
+    e = ordinary_projector(t).idempotent
+    one = PadicMatrix.identity(n, p, m)
+    assert (t - t @ e) ** m == (t**m) @ (one - e)
+    assert (e.rows == one.rows) == (rank_mod_p(t.rows, p) == n)
+
+
 def greedy_rows(columns, p):
     """Rows of the block with the given columns that raise the mod-p rank
     of the rows above them."""

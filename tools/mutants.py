@@ -100,40 +100,57 @@ MUTANTS = (
     Mutant(
         "criterion 1 without its fused e^2 = e and eT = Te check",
         "src/padicforms/acceptance.py",
-        "            if product_rows(e, list(map(add, e, t.rows)), 2 * n, modulus)"
-        " != tuple(map(add, e, te)):\n",
-        "            if False:\n",
+        "    if product_rows(e, list(map(add, e, t)), 2 * n, modulus) != tuple(map(add, e, te)):\n",
+        "    if False:\n",
         (f"{_CRITERION_1}[_entry_moved]", f"{_CRITERION_1}[_conjugated]"),
     ),
     Mutant(
         "criterion 1 checks eT = Te only, not e^2 = e",
         "src/padicforms/acceptance.py",
-        "            if product_rows(e, list(map(add, e, t.rows)), 2 * n, modulus)"
-        " != tuple(map(add, e, te)):\n",
-        "            if product_rows(e, t.rows, n, modulus) != te:\n",
+        "    if product_rows(e, list(map(add, e, t)), 2 * n, modulus) != tuple(map(add, e, te)):\n",
+        "    if product_rows(e, t, n, modulus) != te:\n",
         (f"{_CRITERION_1}[_entry_moved]",),
     ),
     Mutant(
         "criterion 1 checks e^2 = e only, not eT = Te",
         "src/padicforms/acceptance.py",
-        "            if product_rows(e, list(map(add, e, t.rows)), 2 * n, modulus)"
-        " != tuple(map(add, e, te)):\n",
-        "            if product_rows(e, e, n, modulus) != e:\n",
+        "    if product_rows(e, list(map(add, e, t)), 2 * n, modulus) != tuple(map(add, e, te)):\n",
+        "    if product_rows(e, e, n, modulus) != e:\n",
         (f"{_CRITERION_1}[_conjugated]",),
     ),
     Mutant(
         "criterion 1 without the rank check of T e + (1 - e)",
         "src/padicforms/acceptance.py",
-        "            if rank_mod_p([list(map(add, a, b)) for a, b in zip(te, one_minus_e)], p)"
-        " != n:\n",
-        "            if False:\n",
-        (f"{_CRITERION_1}[_identity_if_singular]",),
+        "    if rank_mod_p([list(map(add, a, b)) for a, b in zip(te, one_minus_e)], p) != n:\n",
+        "    if False:\n",
+        ("tests/test_acceptance.py::test_projector_algebra_reads_each_identity[image_too_large]",),
     ),
     Mutant(
         "criterion 1 without the check that T^m kills ker e mod p",
         "src/padicforms/acceptance.py",
-        "            if any(map(any, product_rows(power, onto_ker_e, n, p))):\n",
-        "            if False:\n",
+        "        if any(map(any, power)):\n",
+        "        if False:\n",
+        (f"{_CRITERION_1}[_zero_if_invertible]",),
+    ),
+    Mutant(
+        "criterion 1's zero test of T - Te forced false: no power is taken",
+        "src/padicforms/acceptance.py",
+        "    if any(map(any, kernel_part)):\n",
+        "    if False:\n",
+        (f"{_CRITERION_1}[_zero_if_invertible]",),
+    ),
+    Mutant(
+        "criterion 1's identity route without the rank of T",
+        "src/padicforms/acceptance.py",
+        "        return rank_mod_p(t, p) == len(t)\n",
+        "        return True\n",
+        (f"{_CRITERION_1}[_identity_if_singular]",),
+    ),
+    Mutant(
+        "criterion 1's identity test of e forced true: only the rank of T is read",
+        "src/padicforms/acceptance.py",
+        "    if e == identity:\n",
+        "    if True:\n",
         (f"{_CRITERION_1}[_zero_if_invertible]",),
     ),
     # Katz readouts and the U_p solve
