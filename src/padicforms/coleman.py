@@ -245,7 +245,7 @@ def _spectrum_core(
     twist_depth: int,
     m: int,
     bound: Optional[Fraction],
-    classical_slopes: Optional[Sequence[Fraction]] = None,
+    classical_slopes: Sequence[Fraction] = (),
 ):
     """q-expansion-operator series and polygon, raising the working
     modulus until the polygon certifies through the requested bound.
@@ -263,31 +263,25 @@ def _spectrum_core(
     that certifies returns the readouts as built, over Z/p^M with
     M >= m_work; ``_solve_up`` reduces them when it reads them.
 
-    M is the cap (m without a bound) unless ``classical_slopes``, the
-    classical U_p slope multiset of weight k, is given and b <= k - 1.
-    Then M is the plan: slopes below k - 1 are classical (Coleman), so
-    with j classical slopes below b, of sum v, the polygon certifies
-    through b once its certified part ends at (j, v) and the point at D,
-    saturated at height m_work, lies on the slope-b line from there:
-    m_work >= v + b(D - j), or m_work > v when j >= D, so that every
-    coefficient is exact.  M is the first step at or past that.  If no
-    step up to the plan certifies, the elements are built once more, at
-    the cap, and the walk goes on.  The plan chooses a cost, never a
-    result: every step reads the same reduced series either way.
+    M is the plan, ``_planned_modulus``: with j slopes known to lie
+    below b, of sum v, the polygon certifies through b once its
+    certified part ends at (j, v) and the point at D, saturated at
+    height m_work, lies on the slope-b line from there.
+    ``classical_slopes`` are the slopes known below b: the caller passes
+    the classical U_p slopes of weight k when b <= k - 1, since slopes
+    below k - 1 are classical (Coleman), and none otherwise (j = v = 0).
+    If no step up to the plan certifies, the elements are built once
+    more, at the cap, and the walk goes on.  The plan chooses a cost,
+    never a result: every step reads the same reduced series either way.
     """
     basis = katz_basis(k, p, twist_depth)
     d = basis.dimension
     if bound is None:
-        grid = [m]
+        grid, planned = [m], m
     else:
         cap = m + int(bound) * max(d, 2) + 16
         grid = [*range(max(m, int(bound) + 3), cap, max(4, int(bound))), cap]
-    planned = grid[-1]
-    if classical_slopes is not None and bound is not None and bound <= k - 1:
-        below = [s for s in classical_slopes if s < bound]
-        j, v = len(below), sum(below)
-        target = v + 1 if j >= d else v + bound * (d - j)
-        planned = next((g for g in grid if g >= target), grid[-1])
+        planned = _planned_modulus(grid, d, bound, classical_slopes)
     built = 0
     for m_work in grid:
         if m_work > built:
@@ -304,6 +298,20 @@ def _spectrum_core(
         f"slopes below {bound} not certified at modulus {p}^{m_work} "
         f"(indeterminate at requested precision)"
     )
+
+
+def _planned_modulus(
+    grid: Sequence[int], d: int, bound: Fraction, known: Sequence[Fraction]
+) -> int:
+    """The step of ``grid`` to build the Katz elements at first: the
+    first at or past v + b(D - j), or past v when j >= D so that every
+    coefficient is exact, j and v the number and sum of the slopes of
+    ``known`` below b; the cap, the last step, when no step is.  With
+    j = v = 0 the target is b * D."""
+    below = [s for s in known if s < bound]
+    j, v = len(below), sum(below)
+    target = v + 1 if j >= d else v + bound * (d - j)
+    return next((g for g in grid if g >= target), grid[-1])
 
 
 def slope_spectrum(
@@ -334,14 +342,16 @@ def slope_spectrum(
     The checks above run once, at the final modulus.  The Katz elements,
     the U_p solve and the characteristic series are built once, and each
     step only reduces the series to the working modulus and reads its
-    polygon.  When the spectrum is compared and b <= k - 1, they are
-    built at the modulus the classical slopes predict (see
-    ``_spectrum_core``), and once more at the cap only if no step up to
-    that one certifies; otherwise at the cap (at m without a bound).
-    Either way the results are the same.  The classical spectrum is
-    built once, for the prediction and the comparison.  The naive
-    cross-check is assembled independently from the element readouts as
-    built, by a solve over Z/p^m_work that reduces what it reads.
+    polygon.  They are built at the plan of ``_spectrum_core``, the
+    first step at or past v + b(D - j), and once more at the cap only if
+    no step up to the plan certifies (at m without a bound).  For k >= 2
+    and b <= k - 1, j and v count and sum the classical slopes below b,
+    which are the overconvergent ones there (Coleman), so the classical
+    spectrum is built for the plan whether or not it is compared, and
+    once for both when it is; otherwise j = v = 0.  Either way the
+    results are the same.  The naive cross-check is assembled
+    independently from the element readouts as built, by a solve over
+    Z/p^m_work that reduces what it reads.
     """
     check_theory_prime(p)
     check_level1_weight(k)
@@ -349,9 +359,10 @@ def slope_spectrum(
     compared = classical and k >= 2
     if compared:
         comparison_bound(k, m)  # refuses m < 3 before any work
-    spectrum = classical_up_spectrum(k, p) if compared else None
+    plans = bound is not None and 2 <= k and bound <= k - 1
+    spectrum = classical_up_spectrum(k, p) if compared or plans else None
     basis, elements, series, qpoly, m_work = _spectrum_core(
-        k, p, twist_depth, m, bound, spectrum
+        k, p, twist_depth, m, bound, spectrum if plans else ()
     )
     shift = normalization_shift(k, "weight")
     norm_poly = shift_polygon(qpoly, shift)
@@ -382,7 +393,7 @@ def slope_spectrum(
         qexp_polygon=qpoly,
         slopes=norm_poly,
         naive_slopes=naive_poly,
-        comparison=None if spectrum is None else compare(k, m, spectrum, norm_poly),
+        comparison=compare(k, m, spectrum, norm_poly) if compared else None,
         naive_shift_checked=naive_checked,
     )
 
@@ -412,8 +423,9 @@ def classicality_check(k: int, p: int, twist_depth: int, m: int) -> Classicality
     is checked first (k >= 2 and m >= 3 are required: below them
     nothing is compared), then ``slope_spectrum`` checks p and k and
     raises the working modulus until the Newton polygon certifies the
-    comparison range, with the Katz elements built first at the modulus
-    the classical slopes predict.  If that fails within the cap the
+    comparison range, with the Katz elements built first at its plan,
+    which the bound min(k-1, m-2) <= k - 1 makes the modulus the
+    classical slopes predict.  If that fails within the cap the
     verdict is indeterminate.  The classical spectrum is built once for
     a pass or a fail; the indeterminate report builds it a second time,
     a path that no supported input reaches.

@@ -11,7 +11,10 @@ it acts on.  The Hasse tower (``build_hasse_tower``) is the one route
 that builds the mod-p spaces and their ordinary projectors for the
 control check and the ordinary rank: one table of E4, E6 and Delta mod
 p per tower, every level at the top level's q-precision, each inclusion
-checked and each e(T_p) computed once.  Every decomposition, of a space
+checked and each e(T_p) computed once.  ``HasseTower.above`` reads from
+it the tower over any of its levels, at the full tower's q-precision,
+so one tower serves the control checks of every weight of a class
+mod p - 1, each level built once.  Every decomposition, of a space
 into its ordinary part and of that into eigensystems, is a
 ``linalg.ordinary_projector`` with a basis from ``independent_columns``,
 and ``restrict_to_image`` gives the Hecke operators on that basis; rank
@@ -112,7 +115,9 @@ class ControlReport:
 @dataclass(frozen=True)
 class HasseTower:
     """Mod-p spaces at weights k, k+(p-1), ..., k+n(p-1), every level at
-    the top level's q-precision, with e(T_p) on each level.
+    the q-precision of the top level of the tower ``build_hasse_tower``
+    built (a sub-tower from ``above`` keeps it), with e(T_p) on each
+    level.
 
     Each level lies in the next as q-expansions, because the Hasse
     invariant E_{p-1} has q-expansion 1 mod p; ``build_hasse_tower``
@@ -123,6 +128,16 @@ class HasseTower:
     base_weight: int
     levels: tuple  # the SpaceBasis of each level
     projectors: tuple  # the ProjectorResult of e(T_p) on each level
+
+    def above(self, level: int) -> "HasseTower":
+        """The tower from ``level`` up, with that level's weight as its
+        base: its levels, inclusions and projectors are this tower's,
+        already built and checked, so nothing is computed."""
+        if not 0 <= level < len(self.levels):
+            raise ConfigError(f"a tower of {len(self.levels)} levels has no level {level}")
+        return HasseTower(
+            self.p, self.levels[level].weight, self.levels[level:], self.projectors[level:]
+        )
 
     def report(self, n: int) -> ControlReport:
         """The control check of level n: the image of its e(T_p), spanned
@@ -152,7 +167,9 @@ def build_hasse_tower(k: int, p: int, n: int) -> HasseTower:
     Every level is at the top level's q-precision, its Miller rows
     (``forms.miller_rows``) taken from one table of E4, E6 and Delta mod
     p; the inclusion of each level in the next is checked, and e(T_p) is
-    computed once per level.
+    computed once per level.  ``HasseTower.above(i)`` is then the tower
+    over weight k + i(p-1) up to the same top, at the same q-precision,
+    for no further work.
     """
     check_theory_prime(p)
     check_level1_weight(k)

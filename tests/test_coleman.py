@@ -237,28 +237,30 @@ def _count_builds(monkeypatch):
 
 
 def test_slope_spectrum_builds_katz_elements_once(monkeypatch):
-    # compared with the classical side at b = 8 <= k - 1, the elements,
-    # the q-expansion solve and its char series are built once, at the
-    # modulus the classical slopes predict, which certifies here; without
-    # the comparison they are built at the cap
-    # m + floor(b) * max(D, 2) + 16 = 130.  The m-raising steps only
-    # reduce that series, and the naive cross-check takes the second
-    # char series, at the final modulus
+    # at b = 8 <= k - 1, compared with the classical side or not, the
+    # elements, the q-expansion solve and its char series are built once,
+    # at the modulus the classical slopes predict, which certifies here,
+    # not at the cap m + floor(b) * max(D, 2) + 16 = 130; without the
+    # classical slopes the plan would be the first step past b * D = 104,
+    # 107.  The m-raising steps only reduce that series, and the naive
+    # cross-check takes the second char series, at the final modulus
     assert 10 + 8 * max(katz_basis(14, 5, 34).dimension, 2) + 16 == 130
     calls, series_calls = _count_builds(monkeypatch)
-    for classical_side, elements_at, series_at in (
-        (True, [91], [91, 91]),
-        (False, [130], [130, 91]),
-    ):
+    for classical_side in (True, False):
         calls.clear()
         series_calls.clear()
         rep = slope_spectrum(14, 5, 34, 10, certify_below=F(8), classical=classical_side)
         assert rep.m_working == 91
-        assert calls == elements_at
-        assert series_calls == series_at
+        assert calls == [91]
+        assert series_calls == [91, 91]
 
 
 SPECTRUM_FIELDS = ("charseries", "m_working", "qexp_polygon", "slopes", "naive_slopes")
+
+
+def _plan_the_cap(monkeypatch):
+    """Make every spectrum build its Katz elements at the cap first."""
+    monkeypatch.setattr(coleman, "_planned_modulus", lambda grid, *args: grid[-1])
 
 
 def _spectrum_fields(k, p, twist_depth, m, bound, classical_side):
@@ -283,12 +285,13 @@ def _spectrum_fields(k, p, twist_depth, m, bound, classical_side):
     st.integers(0, 30).map(lambda n: Fraction(n, 2)),
 )
 def test_planned_modulus_changes_no_result(k, p, twist_depth, m, b):
-    # the classical side only picks the modulus of the first build: with
-    # it and without it, the same series, modulus and polygons
-    # (b up to 15 lies both below and above k - 1)
-    assert _spectrum_fields(k, p, twist_depth, m, b, True) == _spectrum_fields(
-        k, p, twist_depth, m, b, False
-    )
+    # the plan only picks the modulus of the first build: built there or
+    # at the cap, the same series, modulus and polygons (b up to 15 lies
+    # both below and above k - 1, so both rules of the plan are read)
+    planned = _spectrum_fields(k, p, twist_depth, m, b, True)
+    with pytest.MonkeyPatch.context() as patch:
+        _plan_the_cap(patch)
+        assert _spectrum_fields(k, p, twist_depth, m, b, True) == planned
 
 
 @pytest.mark.parametrize(
@@ -304,6 +307,65 @@ def test_wrong_classical_spectrum_changes_no_result(monkeypatch, wrong_spectrum,
     calls, _ = _count_builds(monkeypatch)
     assert _spectrum_fields(14, 5, 34, 10, F(8), True) == want
     assert calls == elements_at
+
+
+# every spectrum certified without the classical comparison by criteria
+# 6 and 8 (at depths I and I + 2) and by the theta probes (source, then
+# target), with the modulus its Katz elements are planned at: the first
+# grid step past v + b(D - j), j and v the number and sum of the
+# classical slopes below b for (12, 5), where b = 8 <= k - 1, and 0 for
+# the rest, whose target is b * D
+UNCOMPARED_SPECTRA = [
+    (2, 5, 12, 10, F(2), 10),
+    (2, 5, 14, 10, F(2), 10),
+    (4, 5, 12, 10, F(4), 22),
+    (4, 5, 14, 10, F(4), 26),
+    (12, 5, 24, 10, F(8), 59),
+    (12, 5, 26, 10, F(8), 59),
+    (4, 7, 10, 10, F(4), 26),
+    (4, 7, 12, 10, F(4), 30),
+    (0, 5, 15, 10, F(4), 26),
+    (2, 5, 22, 10, F(7), 59),
+    (-2, 5, 17, 10, F(4), 26),
+    (4, 5, 20, 10, F(9), 75),
+    (-2, 7, 11, 10, F(4), 26),
+    (4, 7, 14, 10, F(9), 75),
+]
+
+
+@pytest.mark.parametrize("k, p, twist_depth, m, b, plan", UNCOMPARED_SPECTRA)
+def test_uncompared_spectra_build_once_at_their_plan(monkeypatch, k, p, twist_depth, m, b, plan):
+    # each builds its elements once, at its plan, and reports what a
+    # build at the cap reports
+    cap = m + int(b) * max(katz_basis(k, p, twist_depth).dimension, 2) + 16
+    calls, _ = _count_builds(monkeypatch)
+    planned = _spectrum_fields(k, p, twist_depth, m, b, False)
+    assert calls == [plan]
+    calls.clear()
+    _plan_the_cap(monkeypatch)
+    assert _spectrum_fields(k, p, twist_depth, m, b, False) == planned
+    assert calls == [cap]
+
+
+def test_a_spectrum_uncertified_at_its_plan_rebuilds_at_the_cap(monkeypatch):
+    """No step up to the plan 59 of (12, 5, I = 24) certifies here: the
+    elements are built again at the cap before the walk reads step 67,
+    which then certifies as it does from a build at the cap."""
+    real = coleman.newton_polygon
+
+    def uncertified_to_59(series):
+        poly = real(series)
+        return poly if series.m > 59 else replace(poly, next_slope_floor=F(0))
+
+    monkeypatch.setattr(coleman, "newton_polygon", uncertified_to_59)
+    calls, _ = _count_builds(monkeypatch)
+    rebuilt = _spectrum_fields(12, 5, 24, 10, F(8), False)
+    assert calls == [59, 106]
+    assert rebuilt[SPECTRUM_FIELDS.index("m_working")] == 67
+    calls.clear()
+    _plan_the_cap(monkeypatch)
+    assert _spectrum_fields(12, 5, 24, 10, F(8), False) == rebuilt
+    assert calls == [106]
 
 
 @pytest.mark.parametrize(
@@ -454,6 +516,32 @@ def test_an_uncertified_spectrum_gives_up_at_the_cap(monkeypatch):
     assert report.comparison.verdict == "indeterminate"
     assert report.comparison.overconvergent is None
     assert report.comparison.classical == (F(0), F(1))
+
+
+def test_slope_spectrum_refuses_a_negative_normalized_slope(monkeypatch):
+    """A weight normalization of p^-1 at k = 4 puts the ordinary slope 0
+    at -1, which the theory forbids."""
+    real = coleman.normalization_shift
+    monkeypatch.setattr(
+        coleman,
+        "normalization_shift",
+        lambda k, kind: -1 if kind == "weight" else real(k, kind),
+    )
+    with pytest.raises(VerificationError) as exc:
+        slope_spectrum(4, 5, 12, 9, certify_below=F(3))
+    assert str(exc.value) == "normalized U_p slope -1 < 0 at weight 4: theory violated"
+
+
+def test_slope_spectrum_refuses_a_wrong_naive_matrix(monkeypatch):
+    """A naive matrix assembled at p^2 U instead of p U fails the
+    p-scaling relation with the q-expansion series."""
+    real = coleman._solve_up
+    monkeypatch.setattr(
+        coleman, "_solve_up", lambda basis, elements, m, shift: real(basis, elements, m, 2 * shift)
+    )
+    with pytest.raises(VerificationError) as exc:
+        slope_spectrum(4, 5, 12, 9, certify_below=F(3))
+    assert str(exc.value) == "naive U_p char series fails the p-scaling relation"
 
 
 def test_classicality_weight12_full_threshold():

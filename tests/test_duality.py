@@ -16,7 +16,7 @@ from padicforms.duality import (
     theta_probe,
     transpose_charseries_equal,
 )
-from padicforms.errors import ConfigError
+from padicforms.errors import ConfigError, PrecisionError
 from padicforms.padic import PadicMatrix
 
 from test_linalg import random_matrix, random_unimodular
@@ -165,6 +165,26 @@ def test_theta_probe_records_a_missing_image(monkeypatch):
     assert classes == [(0, 3, True, False), (2, 5, False, False)]
     assert not probe.control_contained
     assert not probe.passed
+
+
+def test_theta_probe_refuses_a_vacuous_probe(monkeypatch):
+    """When the only source class below the bound at (k, p) = (2, 5) is
+    the slope 0 that theta^(k-1) kills, no class is tested and the probe
+    refuses to pass."""
+    real = duality.slope_spectrum
+    # 1 + T + 5^5 T^2 over Z/5^10: slopes 0 and 5
+    source = newton_polygon(CharSeries((1, 1, 5**5), 5, 10))
+
+    def spectrum(k, p, twist_depth, m, **kwargs):
+        report = real(k, p, twist_depth, m, **kwargs)
+        return replace(report, qexp_polygon=source) if k == 0 else report
+
+    monkeypatch.setattr(duality, "slope_spectrum", spectrum)
+    with pytest.raises(PrecisionError) as exc:
+        theta_probe(2, 5, m=10)
+    assert str(exc.value) == (
+        "theta probe is vacuous: no non-kernel source classes below the bound"
+    )
 
 
 def test_theta_probe_control_with_repeated_source_slope():

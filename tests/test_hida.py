@@ -125,6 +125,27 @@ def test_control_check_weight2():
         control_check_h0(4, 5, -1)
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_hasse_tower_above_is_the_tower_built_there(p):
+    """The tower above level i of a tower over k0 reports as the tower
+    built over k0 + i(p-1), though its levels keep the full tower's
+    q-precision; it holds the levels up to the same top, no more."""
+    k0, top = 4, 5
+    tower = build_hasse_tower(k0, p, top)
+    for i in range(top - 2):
+        above = tower.above(i)
+        assert above.base_weight == k0 + i * (p - 1)
+        built = build_hasse_tower(above.base_weight, p, 3)
+        assert [above.report(n) for n in (1, 2, 3)] == [built.report(n) for n in (1, 2, 3)]
+        with pytest.raises(ConfigError, match=f"a report of level {top - i + 1} needs"):
+            above.report(top - i + 1)
+    assert tower.above(0) == tower
+    assert [b.weight for b in tower.above(top).levels] == [k0 + top * (p - 1)]
+    for level in (-1, top + 1):
+        with pytest.raises(ConfigError, match=f"has no level {level}"):
+            tower.above(level)
+
+
 def test_hasse_tower_catches_a_wrong_level(monkeypatch):
     # the weight-6 rows in place of the weight-8 ones: E_6 mod 5 spans a
     # T_5-stable line, but not one that holds E_4 = 1 mod 5
@@ -162,8 +183,9 @@ def test_control_check_builds_each_space_once(miller_tables, k, p, n):
 
 
 def test_criterion_4_builds_each_tower_once(monkeypatch, miller_tables):
-    """One tower to n = 3 per (k, p), even k in [4, 16] and p in {5, 7}:
-    14 tables, and one e(T_p) per level, 56 in all."""
+    """One tower per class of even k in [4, 16] mod p - 1, p in {5, 7},
+    from its least weight to three levels above its greatest: 5 tables,
+    and one e(T_p) per level, 7 + 6 + 6 + 5 + 5 = 29 in all."""
     projectors = []
 
     def counting_projector(matrix, *args):
@@ -172,8 +194,8 @@ def test_criterion_4_builds_each_tower_once(monkeypatch, miller_tables):
 
     monkeypatch.setattr(hida, "ordinary_projector", counting_projector)
     assert acceptance.criterion_4(0).passed
-    assert len(miller_tables) == 14
-    assert len(projectors) == 56
+    assert len(miller_tables) == 5
+    assert len(projectors) == 29
 
 
 def test_criterion_3_builds_one_table_per_prime_and_ring(miller_tables):

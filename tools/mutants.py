@@ -192,6 +192,20 @@ MUTANTS = (
         ("tests/test_hida.py::test_control_check_builds_each_space_once[2-5-0]",),
     ),
     Mutant(
+        "tower above a level sliced from the level after it",
+        "src/padicforms/hida.py",
+        "            self.p, self.levels[level].weight, self.levels[level:], self.projectors[level:]\n",
+        "            self.p, self.levels[level].weight, self.levels[level + 1 :], self.projectors[level + 1 :]\n",
+        ("tests/test_hida.py::test_hasse_tower_above_is_the_tower_built_there[5]",),
+    ),
+    Mutant(
+        "criterion 4's towers stop a level short of the greatest weight's n = 3",
+        "src/padicforms/acceptance.py",
+        "            c: build_hasse_tower(ks[0], p, (ks[-1] - ks[0]) // (p - 1) + 3)\n",
+        "            c: build_hasse_tower(ks[0], p, (ks[-1] - ks[0]) // (p - 1) + 2)\n",
+        ("tests/test_hida.py::test_criterion_4_builds_each_tower_once",),
+    ),
+    Mutant(
         "operator matrix applies the operator at weight 0",
         "src/padicforms/hida.py",
         "    images = [op(f, basis.weight, ell) for f in basis.forms]\n",
@@ -721,6 +735,20 @@ MUTANTS = (
         "        if m_work > built:\n",
         "        if True:\n",
         ("tests/test_coleman.py::test_slope_spectrum_builds_katz_elements_once",),
+    ),
+    Mutant(
+        "certified spectrum plans without the classical slopes",
+        "src/padicforms/coleman.py",
+        "    j, v = len(below), sum(below)\n",
+        "    j, v = 0, 0\n",
+        ("tests/test_coleman.py::test_slope_spectrum_builds_katz_elements_once",),
+    ),
+    Mutant(
+        "certified spectrum reads steps above the plan from the plan's series",
+        "src/padicforms/coleman.py",
+        "        if m_work > built:\n",
+        "        if not built:\n",
+        ("tests/test_coleman.py::test_a_spectrum_uncertified_at_its_plan_rebuilds_at_the_cap",),
     ),
     Mutant(
         "certified spectrum walks the grid from the plan",
