@@ -248,9 +248,8 @@ def criterion_4(seed: int = 0) -> CriterionResult:
 
     The weights k of one class mod p - 1 share one Hasse tower, from the
     class's least weight to three levels above its greatest, and the
-    reports of k are those of the tower above its level: 5 towers, where
-    one per (k, p) would be 14, and each mod-p space and e(T_p) is built
-    once.
+    reports of k are those of the tower above its level: 5 towers serve
+    the 14 pairs (k, p), and each mod-p space and e(T_p) is built once.
     """
     ok = True
     details = []
