@@ -51,12 +51,11 @@ def dim_cusp_forms_gamma0_prime(k: int, p: int) -> int:
 
 
 def dim_new_cusp_forms_gamma0_prime(k: int, p: int) -> int:
-    """dim S_k^new(Gamma_0(p)) = dim S_k(Gamma_0(p)) - 2 dim S_k(level 1)."""
+    """dim S_k^new(Gamma_0(p)) = dim S_k(Gamma_0(p)) - 2 dim S_k(level 1),
+    never negative: f(z) and f(pz) embed S_k(level 1) twice in
+    S_k(Gamma_0(p))."""
     level1 = max(basis_dimension(k) - 1, 0)
-    new = dim_cusp_forms_gamma0_prime(k, p) - 2 * level1
-    if new < 0:
-        raise VerificationError("negative new-form dimension: formula inputs corrupt")
-    return new
+    return dim_cusp_forms_gamma0_prime(k, p) - 2 * level1
 
 
 def old_factor(k: int, p: int) -> CharSeries:

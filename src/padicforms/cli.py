@@ -60,7 +60,8 @@ _LIST_FLAGS = {
 
 
 def _validate(args: argparse.Namespace) -> None:
-    """Refuse a configuration before any computation starts."""
+    """Refuse a configuration before any computation starts; the
+    commands that certify slopes default ``--m`` to 8, so m is set."""
     get = vars(args).get
     p, k, m, twist_depth, qprec = (get(name) for name in ("p", "k", "m", "twist_depth", "qprec"))
     if p is not None and not is_prime(p):
@@ -84,7 +85,7 @@ def _validate(args: argparse.Namespace) -> None:
             raise ConfigError(
                 f"--Q {qprec} below {max(d, 1)}, the q-precision basis reads (D = {d})"
             )
-    if args.command in ("slopes", "classicality", "duality") and (m or 0) < 3:
+    if args.command in ("slopes", "classicality", "duality") and m < 3:
         raise ConfigError(
             "--m must be >= 3 to certify any slope (ceiling is m - 2)"
         )
@@ -303,10 +304,9 @@ def _usage(prog: str, parts) -> str:
 
 
 def _flag_usage(action: argparse.Action) -> str:
-    """One flag with its metavar, in brackets unless it is required."""
-    if action.metavar:
-        metavar = action.metavar
-    elif action.choices:
+    """One flag with its metavar, in brackets unless it is required; no
+    flag of ``COMMANDS`` sets its own metavar."""
+    if action.choices:
         metavar = "{" + ",".join(action.choices) + "}"
     else:
         metavar = action.dest.upper()

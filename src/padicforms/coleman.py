@@ -161,7 +161,8 @@ def katz_basis(k: int, p: int, twist_depth: int) -> KatzBasis:
     """The Katz-expansion basis at weight k and twist depth I.
 
     Block sizes are the jumps of the dimension ladder
-    dim M_{k + i(p-1)}.  Only the ladder is computed here:
+    dim M_{k + i(p-1)}, which never falls: dim M_k does not drop along
+    a step of p - 1 >= 4.  Only the ladder is computed here:
     ``KatzBasis.elements_mod`` builds the readouts of the new Miller rows
     of each rung, times E_{p-1}^{-i}, in the ring it evaluates over: the
     coefficients that one U_p application and the solve for its
@@ -172,9 +173,6 @@ def katz_basis(k: int, p: int, twist_depth: int) -> KatzBasis:
     if twist_depth < 0:
         raise ConfigError("twist depth must be >= 0")
     dims = tuple(basis_dimension(k + i * (p - 1)) for i in range(twist_depth + 1))
-    for lo, hi in zip(dims, dims[1:]):
-        if hi < lo:
-            raise VerificationError("dimension ladder must be nondecreasing")
     return KatzBasis(p, k, twist_depth, dims)
 
 
@@ -250,11 +248,12 @@ def _spectrum_core(
     """q-expansion-operator series and polygon, raising the working
     modulus until the polygon certifies through the requested bound.
 
-    This is the library's one certify-by-raising-m loop.  With bound b
-    it walks the grid m_work = max(m, floor(b) + 3), stepping by
-    max(4, floor(b)), up to the cap m + floor(b) * max(D, 2) + 16, D the
-    Katz dimension, and gives up with ``PrecisionError`` past the cap.
-    Without a bound it runs once at m.  The Katz element readouts, the
+    This is the library's one certify-by-raising-m loop, and its rule
+    of grid, plan and cap is stated here only.  The grid: with bound b,
+    m_work runs from max(m, floor(b) + 3) in steps of max(4, floor(b))
+    up to the cap m + floor(b) * max(D, 2) + 16, D the Katz dimension,
+    and past the cap the loop gives up with ``PrecisionError``; without
+    a bound it runs once at m.  The Katz element readouts, the
     U_p matrix and its characteristic series are built at one step M of
     the grid, and each step up to M reads the Newton polygon of that
     series reduced to Z/p^m_work.  This is exact: the solve has unit
@@ -263,16 +262,18 @@ def _spectrum_core(
     that certifies returns the readouts as built, over Z/p^M with
     M >= m_work; ``_solve_up`` reduces them when it reads them.
 
-    M is the plan, ``_planned_modulus``: with j slopes known to lie
-    below b, of sum v, the polygon certifies through b once its
-    certified part ends at (j, v) and the point at D, saturated at
-    height m_work, lies on the slope-b line from there.
-    ``classical_slopes`` are the slopes known below b: the caller passes
-    the classical U_p slopes of weight k when b <= k - 1, since slopes
-    below k - 1 are classical (Coleman), and none otherwise (j = v = 0).
-    If no step up to the plan certifies, the elements are built once
-    more, at the cap, and the walk goes on.  The plan chooses a cost,
-    never a result: every step reads the same reduced series either way.
+    The plan: M is first the step ``_planned_modulus`` picks, the first
+    at or past v + b(D - j), with j slopes known to lie below b, of sum
+    v; the polygon certifies through b once its certified part ends at
+    (j, v) and the point at D, saturated at height m_work, lies on the
+    slope-b line from there.  ``classical_slopes`` are the slopes known
+    below b: ``slope_spectrum`` passes the classical U_p slopes of
+    weight k when k >= 2 and b <= k - 1, since slopes below k - 1 are
+    classical (Coleman), whether or not it compares them, and none
+    otherwise (j = v = 0, a target of b * D).  The cap: if no step up
+    to the plan certifies, the elements are built once more, at the
+    cap, and the walk goes on.  The plan chooses a cost, never a
+    result: every step reads the same reduced series either way.
     """
     basis = katz_basis(k, p, twist_depth)
     d = basis.dimension
@@ -333,23 +334,12 @@ def slope_spectrum(
     a prime refused by ``forms.check_theory_prime`` and an odd weight.
 
     With ``certify_below`` = b the working modulus is raised until the
-    q-expansion polygon certifies every slope below b: from
-    max(m, floor(b) + 3) in steps of max(4, floor(b)), up to the cap
-    m + floor(b) * max(D, 2) + 16 (D the Katz dimension), past which
-    ``PrecisionError`` is raised.  This is the library's one entry to a
-    certified spectrum (``classicality_check`` and the theta probe call
-    it), so every certified spectrum goes through this one rule.
-    The checks above run once, at the final modulus.  The Katz elements,
-    the U_p solve and the characteristic series are built once, and each
-    step only reduces the series to the working modulus and reads its
-    polygon.  They are built at the plan of ``_spectrum_core``, the
-    first step at or past v + b(D - j), and once more at the cap only if
-    no step up to the plan certifies (at m without a bound).  For k >= 2
-    and b <= k - 1, j and v count and sum the classical slopes below b,
-    which are the overconvergent ones there (Coleman), so the classical
-    spectrum is built for the plan whether or not it is compared, and
-    once for both when it is; otherwise j = v = 0.  Either way the
-    results are the same.  The naive cross-check is assembled
+    q-expansion polygon certifies every slope below b, by the grid,
+    plan and cap that ``_spectrum_core`` states.  This is the library's
+    one entry to a certified spectrum (``classicality_check`` and the
+    theta probe call it).  The checks above run once, at the final
+    modulus, and the classical spectrum is built once for the plan and
+    the comparison both.  The naive cross-check is assembled
     independently from the element readouts as built, by a solve over
     Z/p^m_work that reduces what it reads.
     """
@@ -422,13 +412,11 @@ def classicality_check(k: int, p: int, twist_depth: int, m: int) -> Classicality
     are reported separately, never counted on either side.  The bound
     is checked first (k >= 2 and m >= 3 are required: below them
     nothing is compared), then ``slope_spectrum`` checks p and k and
-    raises the working modulus until the Newton polygon certifies the
-    comparison range, with the Katz elements built first at its plan,
-    which the bound min(k-1, m-2) <= k - 1 makes the modulus the
-    classical slopes predict.  If that fails within the cap the
-    verdict is indeterminate.  The classical spectrum is built once for
-    a pass or a fail; the indeterminate report builds it a second time,
-    a path that no supported input reaches.
+    certifies the comparison range by the rule that ``_spectrum_core``
+    states.  If that fails within the cap the verdict is indeterminate.
+    The classical spectrum is built once for a pass or a fail; the
+    indeterminate report builds it a second time, a path that no
+    supported input reaches.
     """
     bound = comparison_bound(k, m)
     try:

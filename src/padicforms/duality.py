@@ -13,11 +13,8 @@ U_p^naive . theta^(k-1) = p^(k-1) theta^(k-1) . U_p^naive gives the
 shift.  theta^(k-1) kills the constants, which only live at source
 weight 0 (k = 2); that class is excluded and reported rather than
 counted.  Both polygons come from ``coleman.slope_spectrum`` certified
-through fixed bounds, so the probe raises the working modulus by the
-one loop, plan and cap of ``slope_spectrum``; both bounds lie above
-k - 1 for their weight, so no classical slope plans either build, and
-each side's Katz elements are built first at the first step past b * D.
-The probe takes no twist-depth or bound parameters.
+through fixed bounds, by the rule that ``coleman._spectrum_core``
+states.  The probe takes no twist-depth or bound parameters.
 
 The probe's negative control shifts each source slope by k instead of
 k - 1 and must miss the target.  At k = 2 it cannot discriminate at

@@ -275,12 +275,13 @@ def _split_ordinary_systems(
     a-eigenspace is a line.  That line is the summand on which S - a is
     nilpotent mod p, the kernel of e(S - a), so its idempotent is
     1 - e(S - a).  An idempotent commuting with S is fixed by its image
-    and kernel, so the pieces do not depend on how they are found.
+    and kernel, so the pieces do not depend on how they are found.  A
+    block of rank 0 splits at once into no systems, as 0 singular shifts
+    of T_p; ``fit_family`` never meets one, since E_k has the unit T_p
+    eigenvalue 1 + p^(k-1).
     """
     proj = ordinary_projector(op_mats[p])
     r = proj.rank
-    if r == 0:
-        return [], [], 0
     restricted = _restrict_operators_to_subblock(op_mats, proj.idempotent)
 
     if r == 1:

@@ -149,9 +149,12 @@ def interpolate_iwasawa(
     The samples must lie on one component of weight space, which is
     read from the first sample's weight mod p-1 (``check_component``).
 
-    The result's precision is m minus the accumulated division losses;
-    a numerator that fails the required p-power divisibility means the
-    data is not Iwasawa-interpolable and raises ``VerificationError``.
+    The result's precision is m minus the accumulated division losses,
+    and it is at least 1: a divided difference over a gap of valuation
+    v >= its precision raises ``PrecisionError``, so each one keeps
+    prec - v >= 1 digits.  A numerator that fails the required p-power
+    divisibility means the data is not Iwasawa-interpolable and raises
+    ``VerificationError``.
     The fit is re-specialized at every sample before it is returned,
     and a mismatch also raises ``VerificationError``.
     """
@@ -197,8 +200,6 @@ def interpolate_iwasawa(
         newton.append(table[0])
 
     m_eff = min(prec for _, prec in newton)
-    if m_eff < 1:
-        raise PrecisionError("interpolation lost all precision")
     red = p**m_eff
     # expand the Newton form sum c_r prod_{i<r} (w - w_i) into monomials
     # by Horner's rule: poly <- poly * (w - w_r) + c_r for r = n-1 down to 0

@@ -243,6 +243,14 @@ def test_newton_polygon_hidden_cut_not_certified():
     assert poly.next_slope_floor == Fraction(2)
 
 
+@pytest.mark.parametrize(
+    "points", [[(1, 0, 4), (2, 3, 4)], [(0, None, 4), (1, 0, 4)]], ids=["from_1", "unknown_0"]
+)
+def test_newton_polygon_refuses_points_that_do_not_start_at_0(points):
+    with pytest.raises(ValueError, match=r"^point list must start with \(0, v_0\)$"):
+        newton_polygon_from_points(points)
+
+
 # exact points on slopes 0, 1, 1, 5/2, 5/2 with unknown coefficients at 2 and 4
 HULL_POINTS = [(0, 0), (1, 0), (2, None), (3, 2), (4, None), (5, 7)]
 

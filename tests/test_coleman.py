@@ -23,10 +23,11 @@ from padicforms.coleman import (
     up_matrix,
 )
 from padicforms.errors import ConfigError, PrecisionError, VerificationError
-from padicforms.forms import SUPPORTED_PRIMES, eisenstein, miller_basis
+from padicforms.forms import SUPPORTED_PRIMES, basis_dimension, eisenstein, miller_basis
 from padicforms.hecke import NORMALIZATIONS, normalization_shift, up
 from padicforms.hida import ordinary_rank_mod_p
 from padicforms.linalg import invert_unimodular
+from padicforms.padic import is_prime
 from padicforms.qexp import ModRing, QSeries
 
 from test_linalg import random_unimodular
@@ -55,6 +56,25 @@ def test_katz_basis_validation():
         katz_basis(4, 3, 2)
     with pytest.raises(ConfigError):
         katz_basis(5, 5, 2)
+    with pytest.raises(ConfigError, match="^twist depth must be >= 0$"):
+        katz_basis(4, 5, -1)
+
+
+def test_dimension_ladder_never_falls():
+    # ``katz_basis`` reads block sizes as the ladder's jumps: dim M_k does
+    # not drop along a step p - 1 >= 4 (it does along 2: dim M_14 = 1)
+    for p in SUPPORTED_PRIMES:
+        for k in range(-200, 601, 2):
+            assert basis_dimension(k + p - 1) >= basis_dimension(k), (k, p)
+
+
+def test_katz_elements_refuse_a_basis_out_of_echelon_form(monkeypatch):
+    # with 2 E_{p-1} for E_{p-1}, element 1 of (4, 5, 2), new in rung 2,
+    # leads with 1/4
+    real = coleman.eisenstein
+    monkeypatch.setattr(coleman, "eisenstein", lambda *args: real(*args).scale(2))
+    with pytest.raises(VerificationError, match="^Katz element 1 is not in echelon position$"):
+        katz_basis(4, 5, 2).elements_mod(8)
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
@@ -413,6 +433,13 @@ def test_gamma0_dimension_formulas():
     assert dim_new_cusp_forms_gamma0_prime(4, 5) == 1
     with pytest.raises(ConfigError):
         dim_cusp_forms_gamma0_prime(4, 4)
+
+
+def test_new_cusp_form_dimension_is_never_negative():
+    # f(z) and f(pz) embed S_k(level 1) twice in S_k(Gamma_0(p))
+    for p in filter(is_prime, range(5, 100)):
+        for k in range(2, 201, 2):
+            assert dim_new_cusp_forms_gamma0_prime(k, p) >= 0, (k, p)
 
 
 def test_classical_spectrum_examples():

@@ -67,6 +67,8 @@ def test_eisenstein_nonintegral_weight_needs_padic_ring():
     # 65520/691 mod 13^2, against a direct computation
     c = (65520 * pow(691, -1, 13**2)) % 13**2
     assert f.coeffs[1] == c
+    with pytest.raises(ValueError, match="^E_12 is not 691-integral$"):
+        eisenstein(12, 10, ModRing(691, 1))
     with pytest.raises(ValueError):
         eisenstein(5, 3)
     with pytest.raises(ValueError):
@@ -173,6 +175,8 @@ def test_miller_basis_mod_p_stays_echelon():
     assert b.dim == 3
     for j, f in enumerate(b.forms):
         assert f.coefficient(j) == 1
+    with pytest.raises(PrecisionError, match="^q-precision 2 below dimension 3$"):
+        miller_basis(24, 2)
 
 
 def test_space_basis_checks_echelon_form():

@@ -1,4 +1,6 @@
 import random
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,8 @@ def test_tp_matrix_eigenvalues_weight_12():
     # Delta is an eigenvector: column of the q-leading form
     assert rows[0][1] == 0
     assert rows[1][1] == 4830
+    with pytest.raises(ConfigError, match="^4 is not prime$"):
+        tp_matrix(12, 4)
 
 
 def test_operator_matrix_detects_escape():
@@ -284,6 +288,17 @@ def test_unit_root():
         unit_root_of_stabilization(1, 4, 6, 3)
 
 
+def test_unit_root_checks_its_hensel_root(monkeypatch):
+    # with every modular inverse read as 0, x stays t_p, and f(t_p) =
+    # p^(k-1) is not 0 mod p^m when k - 1 < m
+    def no_inverse(base, exponent, modulus):
+        return 0 if exponent == -1 else pow(base, exponent, modulus)
+
+    monkeypatch.setattr(hida, "pow", no_inverse, raising=False)
+    with pytest.raises(VerificationError, match="^Hensel iteration for the unit root did not converge$"):
+        unit_root_of_stabilization(126, 4, 5, 6)
+
+
 def test_fit_family_eisenstein():
     fam = fit_family(5, 0, [4, 8, 12, 16], [2, 5], m=8)
     assert fam.rank == 1
@@ -337,6 +352,55 @@ def test_fit_family_validation():
         fit_family(5, 1, [5, 9], [2], m=4)
     with pytest.raises(ConfigError, match=">= 3 for the control theorem"):
         fit_family(5, 2, [2, 6], [2], m=4)
+    with pytest.raises(ConfigError, match="^Hecke prime 4 is not prime$"):
+        fit_family(5, 0, [4, 8], [4], 6)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (
+            lambda systems, rank: (systems, rank + 1),
+            "ordinary rank is not constant across weights: {4: 1, 8: 2} "
+            "(control theorem violation)",
+        ),
+        (
+            lambda systems, rank: ([replace(s, key=s.key + (0,)) for s in systems], rank),
+            "eigensystem keys do not match across weights; family matching failed",
+        ),
+    ],
+    ids=["rank", "key"],
+)
+def test_fit_family_catches_each_mismatch_across_weights(monkeypatch, corrupt, message):
+    # the split at weight 8 reads one more rank, or another key
+    real = hida._split_ordinary_systems
+
+    def split(weight, op_mats, p, m, primes):
+        systems, blocks, rank = real(weight, op_mats, p, m, primes)
+        if weight == 8:
+            systems, rank = corrupt(systems, rank)
+        return systems, blocks, rank
+
+    monkeypatch.setattr(hida, "_split_ordinary_systems", split)
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+        fit_family(5, 0, [4, 8], [2, 5], 4)
+
+
+def test_fit_family_catches_a_failed_congruence(monkeypatch):
+    entry = {"weights": (4, 8), "required": 1, "observed": 0, "holds": False}
+    monkeypatch.setattr(hida, "congruence_table", lambda samples, p, m: [entry])
+    message = f"interpolation congruence fails for a_2: {dict(entry, prime=2, system=0)}"
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+        fit_family(5, 0, [4, 8], [2, 5], 4)
+
+
+def test_fit_family_refuses_an_eigensystem_block_that_is_not_a_line(monkeypatch):
+    def two_by_two(restricted, idem):
+        return {ell: PadicMatrix.identity(2, 5, 4) for ell in restricted}
+
+    monkeypatch.setattr(hida, "_restrict_operators_to_subblock", two_by_two)
+    with pytest.raises(VerificationError, match="^eigensystem block is not one-dimensional$"):
+        fit_family(5, 0, [4, 8], [2, 5], 4)
 
 
 def test_fit_family_refuses_m_below_1_before_any_basis(monkeypatch):

@@ -75,6 +75,8 @@ def test_solve_of_too_few_vectors_is_not_a_matrix():
     assert res.columns == ((1, 2),)
     with pytest.raises(ValueError, match="coordinate block is not square"):
         res.as_matrix()
+    with pytest.raises(ValueError, match="^vector length mismatch$"):
+        solve_in_basis([(1,)], PadicMatrix.identity(2, 5, 3))
 
 
 def test_solve_non_integral():

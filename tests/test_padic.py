@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 from padicforms import padic
 from padicforms.charseries import CharSeries
-from padicforms.padic import PadicMatrix, pack_slots, product_rows, slot_size, unpack_slots, val_p
+from padicforms.padic import (
+    PadicMatrix,
+    is_prime,
+    pack_slots,
+    product_rows,
+    slot_size,
+    unpack_slots,
+    val_p,
+)
 from padicforms.qexp import ModRing, QSeries
 
 
@@ -25,6 +33,13 @@ def test_val_p():
     assert val_p(3, 7, saturate=2) == 0
     with pytest.raises(ValueError):
         val_p(0, 5)
+
+
+@pytest.mark.parametrize(
+    "n, prime", [(-7, False), (0, False), (1, False), (2, True), (9, False), (13, True)]
+)
+def test_is_prime(n, prime):
+    assert is_prime(n) is prime
 
 
 def test_matrix_basics():
@@ -48,6 +63,10 @@ def test_matrix_shape_errors():
         a @ PadicMatrix.identity(3, 5, 3)
     with pytest.raises(ValueError):
         a @ PadicMatrix.identity(2, 7, 3)
+    with pytest.raises(ValueError, match="^negative matrix powers are not supported$"):
+        a**-1
+    with pytest.raises(ValueError, match="^vector length mismatch$"):
+        a.apply((1,))
 
 
 def test_matrix_apply_and_scale():

@@ -54,6 +54,7 @@ def test_pow_and_inverse():
 def test_truncate_shift_leading():
     f = QSeries.from_coeffs([0, 0, 7, 1])
     assert f.leading_index() == 2
+    assert QSeries.from_coeffs([0, 0]).leading_index() is None
     assert f.truncate(2).coeffs == (0, 0)
     with pytest.raises(PrecisionError):
         f.truncate(9)

@@ -6,10 +6,13 @@ its place, and the ids of the tests that must fail with it.  A fault
 that needs more than one edit lists the further (old, new) pairs of
 the same file in ``also``; each old text there must occur exactly once
 too, and the edits are applied in order.  The script
-copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
-directory and runs every named test there once on the unchanged code,
-where all must pass.  Then it applies each mutant in turn, runs that
-mutant's tests with ``-x`` and restores the file.
+copies ``src/``, ``tests/`` and ``pyproject.toml`` to one temporary
+directory per CPU (``os.cpu_count()``) and runs every named test once
+on the unchanged code of the first, where all must pass.  Then each
+copy takes the next mutant in turn: it applies the mutant, runs that
+mutant's tests with ``-x`` and restores the file.  Most of an entry's
+time is pytest's start-up, so the copies run side by side, and the
+results are printed in registry order.
 
 The run fails if an entry's old texts are missing or occur more than
 once (a refactor moved it: update the entry, do not drop it), if a
@@ -24,11 +27,13 @@ Usage, from any directory, with pytest and hypothesis installed:
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple, Tuple
 
@@ -330,6 +335,54 @@ MUTANTS = (
         "            classes.append(ThetaProbeClass(s, image, False, False))\n",
         "            classes.append(ThetaProbeClass(s, image, True, False))\n",
         ("tests/test_duality.py::test_theta_probe_records_a_missing_image",),
+    ),
+    # Hida families: the fit's checks across weights and the unit root
+    Mutant(
+        "family fit without its rank-constancy check",
+        "src/padicforms/hida.py",
+        "    if len(rank_set) != 1:\n"
+        "        raise VerificationError(\n"
+        '            f"ordinary rank is not constant across weights: {ranks} "\n'
+        '            "(control theorem violation)"\n'
+        "        )\n",
+        "",
+        ("tests/test_hida.py::test_fit_family_catches_each_mismatch_across_weights[rank]",),
+    ),
+    Mutant(
+        "family fit without its key-matching check",
+        "src/padicforms/hida.py",
+        "    if primes and len(set(keys_per_weight)) > 1:\n"
+        "        raise VerificationError(\n"
+        '            "eigensystem keys do not match across weights; family matching failed"\n'
+        "        )\n",
+        "",
+        ("tests/test_hida.py::test_fit_family_catches_each_mismatch_across_weights[key]",),
+    ),
+    Mutant(
+        "family fit without its congruence check",
+        "src/padicforms/hida.py",
+        '                if not entry["holds"]:\n'
+        "                    raise VerificationError(\n"
+        '                        f"interpolation congruence fails for a_{ell}: {entry}"\n'
+        "                    )\n",
+        "",
+        ("tests/test_hida.py::test_fit_family_catches_a_failed_congruence",),
+    ),
+    Mutant(
+        "eigensystem without its block-size check",
+        "src/padicforms/hida.py",
+        "        if mat.size != 1:\n"
+        '            raise VerificationError("eigensystem block is not one-dimensional")\n',
+        "",
+        ("tests/test_hida.py::test_fit_family_refuses_an_eigensystem_block_that_is_not_a_line",),
+    ),
+    Mutant(
+        "unit root without its Hensel check",
+        "src/padicforms/hida.py",
+        "    if (x * x - t_p * x + c) % modulus != 0:\n"
+        '        raise VerificationError("Hensel iteration for the unit root did not converge")\n',
+        "",
+        ("tests/test_hida.py::test_unit_root_checks_its_hensel_root",),
     ),
     # weight space and the disc series
     Mutant(
@@ -730,6 +783,17 @@ MUTANTS = (
         ("tests/test_coleman.py::test_katz_elements_mod_match_integral_blocks",),
     ),
     Mutant(
+        "Katz elements without their echelon check",
+        "src/padicforms/coleman.py",
+        "        for g, element in enumerate(out):\n"
+        "            if element.leading_index() != g or element.coeffs[g] != 1:\n"
+        "                raise VerificationError(\n"
+        '                    f"Katz element {g} is not in echelon position"\n'
+        "                )\n",
+        "",
+        ("tests/test_coleman.py::test_katz_elements_refuse_a_basis_out_of_echelon_form",),
+    ),
+    Mutant(
         "certified spectrum rebuilds its Katz elements at every step",
         "src/padicforms/coleman.py",
         "        if m_work > built:\n",
@@ -805,6 +869,38 @@ def _tail(result: subprocess.CompletedProcess, lines: int = 15) -> str:
     return "\n".join((result.stdout + result.stderr).splitlines()[-lines:])
 
 
+def _copy_tree(copy: Path) -> Path:
+    copy.mkdir()
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(source, copy / name)
+    return copy
+
+
+def _run_mutant(mutant: Mutant, copies: queue.SimpleQueue):
+    """Run ``mutant``'s tests on a free copy of the tree with the mutant
+    applied; the copy is restored and handed back.  Returns the pytest
+    result and its wall time."""
+    copy = copies.get()
+    try:
+        path = copy / mutant.file
+        original = mutated = path.read_text()
+        for old, new in mutant.edits:
+            mutated = mutated.replace(old, new)
+        path.write_text(mutated)
+        start = time.perf_counter()
+        try:
+            result = _pytest(copy, mutant.tests)
+        finally:
+            path.write_text(original)
+        return result, time.perf_counter() - start
+    finally:
+        copies.put(copy)
+
+
 def main() -> int:
     problems = []
     for mutant in MUTANTS:
@@ -816,39 +912,28 @@ def main() -> int:
     if problems:
         print("\n".join(problems))
         return 1
+    workers = os.cpu_count() or 1
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
-        copy = Path(tmp)
-        for name in COPIED:
-            source = ROOT / name
-            if source.is_dir():
-                shutil.copytree(source, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
-            else:
-                shutil.copy2(source, copy / name)
+        copies: queue.SimpleQueue = queue.SimpleQueue()
+        trees = [_copy_tree(Path(tmp) / str(i)) for i in range(workers)]
+        for tree in trees:
+            copies.put(tree)
         tests = sorted({t for mutant in MUTANTS for t in mutant.tests})
-        clean = _pytest(copy, tests)
+        clean = _pytest(trees[0], tests)
         if clean.returncode != 0:
             print(f"the named tests fail on the unchanged code:\n{_tail(clean)}")
             return 1
         failed = 0
-        for mutant in MUTANTS:
-            path = copy / mutant.file
-            original = mutated = path.read_text()
-            for old, new in mutant.edits:
-                mutated = mutated.replace(old, new)
-            path.write_text(mutated)
-            start = time.perf_counter()
-            try:
-                result = _pytest(copy, mutant.tests)
-            finally:
-                path.write_text(original)
-            seconds = time.perf_counter() - start
-            # pytest exits 1 when a test failed; other codes are errors
-            # of the entry itself (no such test id, a usage error)
-            verdict = {0: "SURVIVED", 1: "killed"}.get(result.returncode, "ERROR")
-            print(f"{verdict:8} {seconds:5.1f} s  {mutant.name}")
-            if verdict != "killed":
-                failed += 1
-                print(_tail(result))
+        with ThreadPoolExecutor(workers) as pool:
+            runs = pool.map(lambda mutant: _run_mutant(mutant, copies), MUTANTS)
+            for mutant, (result, seconds) in zip(MUTANTS, runs):
+                # pytest exits 1 when a test failed; other codes are errors
+                # of the entry itself (no such test id, a usage error)
+                verdict = {0: "SURVIVED", 1: "killed"}.get(result.returncode, "ERROR")
+                print(f"{verdict:8} {seconds:5.1f} s  {mutant.name}", flush=True)
+                if verdict != "killed":
+                    failed += 1
+                    print(_tail(result))
         print(f"{len(MUTANTS) - failed}/{len(MUTANTS)} mutants killed")
         return 1 if failed else 0
 
