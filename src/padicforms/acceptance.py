@@ -34,7 +34,7 @@ from .hida import (
     ordinary_projector,
 )
 from .linalg import rank_mod_p
-from .padic import PadicMatrix, power_from_base, product_rows, val_p
+from .padic import PadicMatrix, power_from_base, product_rows
 from .qexp import ModRing, QSeries, ZZ
 from .weights import WeightDisc
 
@@ -306,17 +306,20 @@ def criterion_5(seed: int = 0) -> CriterionResult:
     ok = ok and exact
     if exact:
         details.append("a_5 = 1 and a_2 = 1 + 2^(k-1) exactly at every sample weight")
-    # the abstract congruence a_2(k) = a_2(k') mod 5^m when k = k' mod 4*5^(m-1)
-    for m in (1, 2, 3):
-        step = 4 * 5 ** (m - 1)
-        for k in (4, 8, 12, 16):
-            diff = (1 + 2 ** (k + step - 1)) - (1 + 2 ** (k - 1))
-            if val_p(diff, 5) < m:
-                ok = False
-                details.append(f"congruence fails at m={m}, k={k}")
-    details.append("a_2 congruences hold mod 5^m for k = k' mod 4*5^(m-1), m <= 3")
-    # the fitted polynomial predicts a held-out weight to the disc distance
+    # the fit's congruence a_2(k) = a_2(k') mod 5^m for k' = k + 4*5^(m-1):
+    # it claims m digits at k' and agrees there with its value at k
     fit2 = family.fitted[2][family.keys[0]]
+    congruent = True
+    for m in (1, 2, 3):
+        for k in weights:
+            far = k + 4 * 5 ** (m - 1)
+            if fit2.precision_at(far) < m or (fit2.specialize(far) - fit2.specialize(k)) % 5**m:
+                congruent = False
+                details.append(f"congruence fails at m={m}, k={k}")
+    ok = ok and congruent
+    if congruent:
+        details.append("a_2 congruences hold mod 5^m for k = k' mod 4*5^(m-1), m <= 3")
+    # the fitted polynomial predicts a held-out weight to the disc distance
     predicted = fit2.specialize(24)
     if (predicted - (1 + 2**23)) % 5**2 != 0:
         ok = False

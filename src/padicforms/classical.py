@@ -7,7 +7,9 @@ Gamma_0(p) dimension formulas, the old factor det(1 - T.B) of U_p on
 the p-stabilized level-1 forms, the classical U_p slope multiset, and
 ``compare``, the one comparison of certified overconvergent slopes
 against classical ones.  ``compare`` decides the comparison bound
-min(k - 1, m - 2) and the boundary class at k - 1 for every caller.
+min(k - 1, m - 2) and the boundary class at k - 1 for every caller, and
+the ``Comparison`` it returns owns the verdicts: ``verdict`` for the
+whole range and ``classes`` for each slope class in it.
 """
 
 from __future__ import annotations
@@ -143,6 +145,24 @@ class Comparison:
     def classical(self) -> tuple:
         """The classical slopes below the bound."""
         return tuple(s for s in self.spectrum if s < self.bound)
+
+    @property
+    def classes(self) -> tuple:
+        """One entry per slope class below the bound: the slope, its count
+        on each side and the verdict "match", "extra-overconvergent" or
+        "missing-overconvergent"; one indeterminate entry when the
+        polygon does not certify that range."""
+        over, classical = self.overconvergent, self.classical
+        if over is None:
+            return ({"slope": None, "verdict": "indeterminate"},)
+        out = []
+        for s in sorted(set(over) | set(classical)):
+            o, c = over.count(s), classical.count(s)
+            verdict = "match" if o == c else (
+                "extra-overconvergent" if o > c else "missing-overconvergent"
+            )
+            out.append({"slope": s, "overconvergent": o, "classical": c, "verdict": verdict})
+        return tuple(out)
 
     @property
     def verdict(self) -> str:

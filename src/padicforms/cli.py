@@ -27,7 +27,7 @@ from .coleman import classicality_check, katz_basis, slope_spectrum, up_matrix
 from .duality import charseries_duality_check
 from .eigencurve import local_piece_report, two_var_charseries
 from .errors import ConfigError, PrecisionError, VerificationError
-from .forms import basis_dimension, check_level1_weight, miller_basis
+from .forms import basis_dimension, miller_basis
 from .hecke import NORMALIZATIONS
 from .hida import control_check_h0, fit_family, ordinary_rank_mod_p, tp_matrix
 from .padic import PadicMatrix, is_prime
@@ -61,13 +61,13 @@ _LIST_FLAGS = {
 
 def _validate(args: argparse.Namespace) -> None:
     """Refuse a configuration before any computation starts; the
-    commands that certify slopes default ``--m`` to 8, so m is set."""
+    commands that certify slopes default ``--m`` to 8, so m is set.  An
+    odd ``--k`` is left to the library entry of its command, which
+    refuses it before any work."""
     get = vars(args).get
     p, k, m, twist_depth, qprec = (get(name) for name in ("p", "k", "m", "twist_depth", "qprec"))
     if p is not None and not is_prime(p):
         raise ConfigError(f"--p {p} is not prime")
-    if k is not None:
-        check_level1_weight(k)
     if args.command == "basis" and (p is None) != (m is None):
         raise ConfigError("basis: --p and --m must be given together")
     if m is not None and m < 1:

@@ -153,29 +153,20 @@ def theta_probe(k: int, p: int, m: int) -> ThetaProbeReport:
     remaining = list(target)
     for s in sorted(source):
         image = s + shift
-        if image in remaining:
-            remaining.remove(image)
-            classes.append(ThetaProbeClass(s, image, True, False))
-        elif kernel_budget and s == 0:
+        present = _take(remaining, image)
+        excluded = not present and kernel_budget > 0 and s == 0
+        if excluded:
             kernel_budget -= 1
-            classes.append(ThetaProbeClass(s, image, False, True))
-        else:
-            classes.append(ThetaProbeClass(s, image, False, False))
+        classes.append(ThetaProbeClass(s, image, present, excluded))
 
     if all(c.kernel_excluded for c in classes):
         raise PrecisionError(
             "theta probe is vacuous: no non-kernel source classes below the bound"
         )
     control_pool = list(target)
-    control_ok = True
-    for cls in classes:
-        if cls.kernel_excluded:
-            continue
-        image = cls.source_qslope + k
-        if image in control_pool:
-            control_pool.remove(image)
-        else:
-            control_ok = False
+    control_ok = all(
+        _take(control_pool, c.source_qslope + k) for c in classes if not c.kernel_excluded
+    )
     return ThetaProbeReport(
         p=p,
         weight=k,
@@ -185,6 +176,16 @@ def theta_probe(k: int, p: int, m: int) -> ThetaProbeReport:
         control_shift=k,
         control_contained=control_ok,
     )
+
+
+def _take(pool: list, value) -> bool:
+    """Remove one ``value`` from the multiset ``pool``: False, and the pool
+    unchanged, when it holds none.  The probe's image match and its
+    negative control both match slopes by it."""
+    if value in pool:
+        pool.remove(value)
+        return True
+    return False
 
 
 def _default_depth(k: int, p: int, min_dim: int) -> int:

@@ -57,8 +57,10 @@ class TwoVarCharSeries:
 
     @property
     def qprec(self) -> int:
-        """q-precision p*(D+4) of every per-weight Katz basis."""
-        return self.disc.p * (self.degree + 4)
+        """The ``KatzBasis.qprec`` of every per-weight Katz basis: each has
+        the dimension D = dim M_top of the basis at the top weight and
+        depth 0, so it has that basis' q-precision."""
+        return katz_basis(self.top_weight, self.disc.p, 0).qprec
 
     def specialize(self, k: int) -> CharSeries:
         """CharSeries at classical weight k of the disc's component.

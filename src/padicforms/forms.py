@@ -25,7 +25,7 @@ from typing import List, Sequence
 
 from .errors import ConfigError, PrecisionError
 from .padic import product_rows
-from .qexp import ModRing, QSeries, Ring, ZZ
+from .qexp import ModRing, QSeries, Ring, ZZ, _check_qprec
 
 SUPPORTED_PRIMES = (5, 7, 11, 13)
 
@@ -73,8 +73,7 @@ def eisenstein(k: int, qprec: int, ring: Ring = ZZ) -> QSeries:
     """
     if k < 4 or k % 2 != 0:
         raise ValueError(f"E_k needs even k >= 4, got {k}")
-    if qprec < 1:
-        raise ValueError(f"a q-expansion needs q-precision >= 1, got {qprec}")
+    _check_qprec(qprec)
     factor = Fraction(-2 * k) / bernoulli(k)
     sig = sigma_series(k - 1, qprec)
     if isinstance(ring, ModRing):
@@ -111,8 +110,7 @@ def delta(qprec: int, ring: Ring = ZZ) -> QSeries:
     The product route avoids the large cancellations of (E4^3 - E6^2)/1728
     in small moduli.
     """
-    if qprec < 1:
-        raise ValueError(f"a q-expansion needs q-precision >= 1, got {qprec}")
+    _check_qprec(qprec)
     tail = eta_power_24(qprec - 1) if qprec > 1 else []
     return QSeries(ring, tuple([0] + tail))
 

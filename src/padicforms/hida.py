@@ -198,10 +198,9 @@ def control_check_h0(k: int, p: int, n: int) -> ControlReport:
 
     The report is ``HasseTower.report(n)`` of the tower up to level n
     (level 1 at least under the twist): every level at the top level's
-    q-precision, each inclusion checked.
+    q-precision, each inclusion checked.  ``build_hasse_tower`` refuses
+    the prime and an odd weight before any work.
     """
-    check_theory_prime(p)
-    check_level1_weight(k)
     if k < 2:
         raise ConfigError(f"control check needs k >= 2, got {k}")
     if n < 0:

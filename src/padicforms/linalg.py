@@ -4,8 +4,9 @@ and the ordinary projector.
 One forward elimination, ``_eliminate``, serves the solves.  It takes
 in each column the first unused row whose entry is a unit mod p, swaps
 nothing, and clears whole augmented rows, so right-hand sides ride
-along.  ``solve_in_basis`` eliminates [B | v...] over Z/p^m and
-back-substitutes; ``restrict_to_image`` eliminates [C | images] and
+along.  ``_solve`` is the one solve over Z/p^m: it eliminates and
+back-substitutes, for ``solve_in_basis`` on [B | v...], for the
+projector's core and for ``restrict_to_image`` on [C | images], which
 reads the span check off the rows left without a pivot.  A unit pivot
 loses no digit, so every solve is exact over the Z/p^m its inputs live
 in, and a basis that is not unimodular is refused.
@@ -126,10 +127,12 @@ def _eliminate(rows: List[List[int]], p: int, modulus: int, width: int) -> List[
     return pivots
 
 
-def _back_substitute(rows, pivots, modulus: int, width: int) -> List[List[int]]:
-    """Coordinates from rows [B | v...] eliminated by ``_eliminate``:
-    entry [c][k] is coordinate c of vector k.  The first column of B
-    with no unit pivot raises ``PrecisionError``."""
+def _solve(rows, p: int, modulus: int, width: int):
+    """Solve the rows [B | v...] over Z/modulus in place: ``_eliminate``,
+    then back substitution.  Returns the coordinates, entry [c][k] being
+    coordinate c of vector k, and the (column, row) pivot pairs.  The
+    first column of B with no unit pivot raises ``PrecisionError``."""
+    pivots = _eliminate(rows, p, modulus, width)
     missing = set(range(width)).difference(c for c, _ in pivots)
     if missing:
         raise PrecisionError(f"basis is not unimodular: column {min(missing)} has no unit pivot")
@@ -142,7 +145,7 @@ def _back_substitute(rows, pivots, modulus: int, width: int) -> List[List[int]]:
             if e:
                 x = [(a - e * b) % modulus for a, b in zip(x, coords[t])]
         coords[c] = x
-    return coords
+    return coords, pivots
 
 
 def solve_in_basis(
@@ -150,7 +153,7 @@ def solve_in_basis(
 ) -> SolveResult:
     """Solve B x = v over Z/p^m for each column v, B unimodular.
 
-    ``_eliminate`` reduces [B | v...] with a unit pivot in every column,
+    ``_solve`` reduces [B | v...] with a unit pivot in every column,
     so no digit is lost, and back substitution reads off x; a column with
     no unit pivot (B not invertible mod p) raises ``PrecisionError``.
     Zero entries are skipped, so on a lower unitriangular B the solve is
@@ -163,7 +166,7 @@ def solve_in_basis(
     modulus = p**m
     cols = _columns_to_lists(vectors, basis)
     rows = [list(row) + [col[i] for col in cols] for i, row in enumerate(basis.rows)]
-    coords = _back_substitute(rows, _eliminate(rows, p, modulus, n), modulus, n)
+    coords, _ = _solve(rows, p, modulus, n)
     return SolveResult(
         tuple(tuple(x[j] % modulus for x in coords) for j in range(len(cols))), p, m
     )
@@ -272,7 +275,7 @@ def restrict_to_image(op_mat: PadicMatrix, columns: Sequence[Sequence[int]]) -> 
     image of an idempotent, from ``independent_columns``); operators
     commuting with the idempotent preserve that span.
 
-    ``_eliminate`` reduces [C | images] over Z/p^m with a unit pivot in
+    ``_solve`` reduces [C | images] over Z/p^m with a unit pivot in
     each of the r columns of C, exactly.  The rows left without a pivot
     then read 0 in C, so an image that leaves a nonzero residue there is
     outside the span, and ``VerificationError`` is raised; otherwise back
@@ -283,8 +286,7 @@ def restrict_to_image(op_mat: PadicMatrix, columns: Sequence[Sequence[int]]) -> 
     r = len(columns)
     images = [op_mat.apply(c) for c in columns]
     rows = [[v[i] for v in (*columns, *images)] for i in range(op_mat.size)]
-    pivots = _eliminate(rows, p, modulus, r)
-    coords = _back_substitute(rows, pivots, modulus, r)
+    coords, pivots = _solve(rows, p, modulus, r)
     pivot_rows = {i for _, i in pivots}
     if any(x % modulus for i, row in enumerate(rows) if i not in pivot_rows for x in row[r:]):
         raise VerificationError("operator does not preserve the ordinary image")
@@ -340,10 +342,10 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
 
         e = C S^-1 X = C (A_P C)^-1 A_P:
 
-    the r x r core A_P C is built, ``_eliminate`` reduces [A_P C | A_P]
-    over Z/p^m and back substitution reads off the rows of
-    Y = (A_P C)^-1 A_P, and e = C Y.  The core and e are made by
-    ``padic.product_rows``, the same kernel as every ``@``.
+    the r x r core A_P C is built, ``_solve`` reduces [A_P C | A_P]
+    over Z/p^m and reads off the rows of Y = (A_P C)^-1 A_P, and
+    e = C Y.  The core and e are made by ``padic.product_rows``, the
+    same kernel as every ``@``.
 
     The cost is one elimination mod p, then, when T is singular mod p,
     O(log(km)) matrix products, O(log k) more eliminations mod p and one
@@ -386,10 +388,9 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
     head = [power.rows[i] for i in pivot_rows]  # A_P
     c_rows = [[c[i] for c in columns] for i in range(n)]  # C, n x r
     core = product_rows(head, c_rows, r, modulus)
-    # eliminating [A_P C | A_P] and back substitution give the rows of
-    # Y = (A_P C)^-1 A_P, and e = C Y
+    # solving [A_P C | A_P] gives the rows of Y = (A_P C)^-1 A_P, and e = C Y
     rows = [list(a) + list(b) for a, b in zip(core, head)]
-    y = _back_substitute(rows, _eliminate(rows, p, modulus, r), modulus, r)
+    y, _ = _solve(rows, p, modulus, r)
     idem = PadicMatrix._reduced(product_rows(c_rows, y, n, modulus), p, m, modulus)
     # e T^N, e^2 and e T are the three blocks of one product e [T^N | e | T]
     wide = [a + e + t for a, e, t in zip(power.rows, idem.rows, matrix.rows)]

@@ -12,7 +12,12 @@ one ``map(operator.index, ...)`` over all of them and one ``% modulus``
 list comprehension, with no method call per coefficient.  Results the
 class computes itself (products, sums, scales, truncations, inverses)
 are built already reduced, with one ``% modulus`` per coefficient, and
-skip that validation.
+skip that validation.  Two refusals have one owner each:
+``_check_qprec`` refuses a q-precision below 1 wherever one is asked
+for (``QSeries.constant``, ``QSeries.truncate``, ``forms.eisenstein``,
+``forms.delta``), and ``_check_indices`` a coefficient index out of
+range wherever one is read (``coefficient``, ``select``,
+``product_at``).
 
 ``f * g`` computes the first Q = min(f.qprec, g.qprec) coefficients of
 the product.  It first skips the factors' leading zeros: with f = q^s f'
@@ -208,6 +213,12 @@ def _packed_product(a: tuple, b: tuple, bits: int, signed: bool) -> Sequence[int
     return list(map(sub, out, repeat(half, q))) if signed else out
 
 
+def _check_qprec(qprec: int) -> None:
+    """Refuse a q-precision below 1: a series needs its constant term."""
+    if qprec < 1:
+        raise ValueError(f"a q-expansion needs q-precision >= 1, got {qprec}")
+
+
 def _check_indices(indices: Sequence[int], qprec: int) -> None:
     """Refuse an empty index list (a series needs its constant term), a
     negative index (ValueError) and one at or beyond ``qprec``
@@ -258,8 +269,7 @@ class QSeries:
 
     @classmethod
     def constant(cls, value: int, qprec: int, ring: Ring = ZZ) -> "QSeries":
-        if qprec < 1:
-            raise ValueError(f"a q-expansion needs q-precision >= 1, got {qprec}")
+        _check_qprec(qprec)
         return cls(ring, (value,) + (0,) * (qprec - 1))
 
     @property
@@ -267,10 +277,7 @@ class QSeries:
         return len(self.coeffs)
 
     def coefficient(self, n: int) -> int:
-        if n < 0:
-            raise ValueError(f"negative coefficient index {n}")
-        if n >= self.qprec:
-            raise PrecisionError(f"coefficient a_{n} beyond q-precision {self.qprec}")
+        _check_indices((n,), self.qprec)
         return self.coeffs[n]
 
     def _common(self, other: "QSeries") -> int:
@@ -363,8 +370,7 @@ class QSeries:
         return QSeries._reduced(self.ring, tuple(out))
 
     def truncate(self, qprec: int) -> "QSeries":
-        if qprec < 1:
-            raise ValueError(f"a q-expansion needs q-precision >= 1, got {qprec}")
+        _check_qprec(qprec)
         if qprec > self.qprec:
             raise PrecisionError(
                 f"cannot extend q-precision {self.qprec} to {qprec}"

@@ -6,8 +6,11 @@ becomes an exact decimal string (an int as "12", a Fraction as "1/2"),
 dictionary keys become strings.  A number that is not an integer or a
 Fraction, such as a float, raises ``TypeError`` instead of being
 rounded.  The ``*_json`` builders only pick and name the fields of a
-report; the CLI encodes each payload once and emits it with sorted
-keys, so identical inputs give byte-identical output.
+report, and decide no verdict: a "pass" or "fail" names the report's
+own ``passed``, and the per-class verdicts of a slope comparison are
+``classical.Comparison.classes``.  The CLI encodes each payload once
+and emits it with sorted keys, so identical inputs give byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from operator import index
 from typing import Any, Dict
 
 from .charseries import CharSeries, NewtonPolygon, newton_polygon
-from .classical import Comparison
 from .coleman import ClassicalityReport, SlopeReport
 from .duality import DualityReport, ThetaProbeReport
 from .eigencurve import TwoVarCharSeries
@@ -75,22 +77,6 @@ def polygon_json(poly: NewtonPolygon) -> Dict[str, Any]:
     return out
 
 
-def _slope_classes(comparison: Comparison) -> list:
-    """One verdict per slope class below the comparison bound, or one
-    indeterminate entry when the polygon does not certify that range."""
-    over, classical = comparison.overconvergent, comparison.classical
-    if over is None:
-        return [{"slope": None, "verdict": "indeterminate"}]
-    out = []
-    for s in sorted(set(over) | set(classical)):
-        o, c = over.count(s), classical.count(s)
-        verdict = "match" if o == c else (
-            "extra-overconvergent" if o > c else "missing-overconvergent"
-        )
-        out.append({"slope": s, "overconvergent": o, "classical": c, "verdict": verdict})
-    return out
-
-
 def slope_report_json(report: SlopeReport) -> Dict[str, Any]:
     """Returned already encoded: ``perfbench`` digests it with
     ``json.dumps`` alone, without the CLI."""
@@ -109,7 +95,7 @@ def slope_report_json(report: SlopeReport) -> Dict[str, Any]:
             "naive_slopes": polygon_json(report.naive_slopes),
             "threshold": report.weight - 1,
             "classical": comparison.spectrum if comparison else None,
-            "verdict": _slope_classes(comparison) if comparison else (),
+            "verdict": comparison.classes if comparison else (),
             "naive_shift_checked": report.naive_shift_checked,
         }
     )

@@ -9,7 +9,10 @@ specialization all call it.  A ``WeightDisc`` is the one description of
 a disc of sample weights: the local eigencurve (``eigencurve``) and Hida
 families (``hida``) both take theirs from it.  A point of the disc that
 is not a classical weight is read through its coordinate alone
-(``IwasawaTruncation.evaluate_at_w``).
+(``IwasawaTruncation.evaluate_at_w``).  ``_weight_distance`` is the one
+owner of v_p(w_k - w_k'), saturated at m: the precision a fit claims off
+its samples (``IwasawaTruncation.precision_at``) and the required side of
+``congruence_table`` both read it.
 Interpolation across a weight disc is done by Newton divided
 differences over Z/p^m; every division by (w_j - w_i) = p^v * unit
 checks the required divisibility (the Lambda-interpolation congruence)
@@ -35,6 +38,12 @@ def w_coordinate(k: int, p: int, m: int) -> int:
     """(1+p)^k - 1 reduced mod p^m; valid for any integer k."""
     _check_pm(p, m)
     return (pow(1 + p, k, p**m) - 1) % p**m
+
+
+def _weight_distance(k1: int, k2: int, p: int, m: int) -> int:
+    """v_p(w_k1 - w_k2), saturated at m: m when the coordinates agree mod
+    p^m, as at k1 = k2."""
+    return val_p(w_coordinate(k1, p, m) - w_coordinate(k2, p, m), p, saturate=m)
 
 
 def check_component(k: int, p: int, component: int) -> None:
@@ -134,8 +143,7 @@ class IwasawaTruncation:
         """
         check_component(k, self.p, self.component)
         p, m = self.p, self.m
-        w = w_coordinate(k, p, m)
-        terms = [val_p(w - w_coordinate(s, p, m), p, saturate=m) for s in self.sample_weights]
+        terms = [_weight_distance(k, s, p, m) for s in self.sample_weights]
         return min(m, sum(terms)) if terms else m
 
 
@@ -230,7 +238,7 @@ def congruence_table(
         for j in range(i + 1, len(samples)):
             k1, a1 = samples[i]
             k2, a2 = samples[j]
-            wv = val_p((w_coordinate(k2, p, m) - w_coordinate(k1, p, m)) % modulus, p, saturate=m)
+            wv = _weight_distance(k2, k1, p, m)
             av = val_p((a2 - a1) % modulus, p, saturate=m)
             out.append(
                 {

@@ -317,6 +317,14 @@ def _with_a_5_moved_at_8(family):
     return replace(family, eigen_data=data)
 
 
+def _with_a_2_fit_of_2_digits(family):
+    """The family with its fitted a_2 cut to 2 digits: it agrees with
+    itself mod 5^2 wherever w agrees, but claims no 3 digits anywhere."""
+    key = family.keys[0]
+    fit = family.fitted[2][key]
+    return replace(family, fitted={**family.fitted, 2: {key: replace(fit, m=2)}})
+
+
 def _with_one_congruence_failed(family):
     first, *rest = family.congruence_checks
     return replace(family, congruence_checks=({**first, "holds": False}, *rest))
@@ -363,14 +371,25 @@ _C5_HELD_OUT = "fitted a_2 predicts weight 24 mod 5^2"
                 "recorded interpolation congruences fail",
             ],
         ),
+        (
+            _with_a_2_fit_of_2_digits,
+            [
+                _C5_RANK,
+                _C5_EXACT,
+                *(f"congruence fails at m=3, k={k}" for k in (4, 8, 12, 16)),
+                _C5_HELD_OUT,
+            ],
+        ),
     ],
-    ids=["rank_0", "a_5", "held_out_24", "recorded_congruence"],
+    ids=["rank_0", "a_5", "held_out_24", "recorded_congruence", "fit_congruence"],
 )
 def test_criterion_5_catches_each_wrong_family(monkeypatch, corrupt, details):
     """Criterion 5 fails on a family of rank 0, on a_5 = 2 at the sample
     weight 8, on a fitted a_2 whose constant term is moved by 1 (it
-    misses weight 24 mod 5^2; the sample data stay right), and on one
-    recorded interpolation congruence that does not hold."""
+    misses weight 24 mod 5^2; the sample data stay right), on one
+    recorded interpolation congruence that does not hold, and on a
+    fitted a_2 of 2 digits, which cannot claim a_2(k) = a_2(k + 100)
+    mod 5^3; its line that the congruences hold is then left out."""
     real = acceptance.fit_family
     monkeypatch.setattr(acceptance, "fit_family", lambda *args, **kw: corrupt(real(*args, **kw)))
     result = acceptance.criterion_5(SEED)

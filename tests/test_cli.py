@@ -172,9 +172,14 @@ def test_config_errors_exit_2(capsys):
         ["ordinary-rank", "--k", "5", "--p", "5"],
         ["control-check", "--k", "5", "--p", "5", "--n", "1"],
         ["family-fit", "--p", "5", "--component", "1", "--weights", "5,9", "--m", "4"],
+        # the library entry of each --k command refuses an odd weight
+        *(
+            [command, "--k", "5", "--p", "5", "--I", "2"]
+            for command in ("up-matrix", "charseries", "slopes", "classicality", "duality")
+        ),
     ):
         code, _, err = run_cli(capsys, *argv)
-        assert code == EXIT_CONFIG and "odd" in err
+        assert (code, err) == (EXIT_CONFIG, "configuration error: odd weight 5 has no level-1 forms\n")
     # the weight-2 control check at n = -1 would compare against an empty space
     code, _, err = run_cli(capsys, "control-check", "--k", "2", "--p", "5", "--n", "-1")
     assert code == EXIT_CONFIG and "n must be >= 0" in err

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from padicforms import classical, coleman
 from padicforms.charseries import char_series, newton_polygon
 from padicforms.classical import (
+    Comparison,
     classical_up_spectrum,
+    compare,
     dim_cusp_forms_gamma0_prime,
     dim_new_cusp_forms_gamma0_prime,
     genus_x0,
@@ -478,6 +480,26 @@ def test_classical_spectrum_delta_pair():
     slopes = classical_up_spectrum(12, 5)
     assert F(0) in slopes and F(11) in slopes
     assert F(1) in slopes and F(10) in slopes
+
+
+def test_comparison_classes_give_each_slope_its_verdict():
+    """One entry per slope on either side below the bound, with both
+    counts, in slope order; the whole verdict is a pass only when every
+    class matches.  An uncertified polygon gives the one indeterminate
+    entry."""
+    half = Fraction(1, 2)
+    spectrum = (Fraction(0), half, half, Fraction(2), Fraction(3))
+    comparison = Comparison(Fraction(3), spectrum, (0, half, 2, 2), None, 1)
+    assert comparison.classes == (
+        {"slope": 0, "overconvergent": 1, "classical": 1, "verdict": "match"},
+        {"slope": half, "overconvergent": 1, "classical": 2, "verdict": "missing-overconvergent"},
+        {"slope": 2, "overconvergent": 2, "classical": 1, "verdict": "extra-overconvergent"},
+    )
+    assert comparison.verdict == "fail"
+    matched = replace(comparison, overconvergent=(0, half, half, 2))
+    assert [c["verdict"] for c in matched.classes] == ["match"] * 3
+    assert matched.verdict == "pass"
+    assert compare(4, 8, spectrum, None).classes == ({"slope": None, "verdict": "indeterminate"},)
 
 
 def test_classicality_pass_weight4():

@@ -55,9 +55,19 @@ def test_eisenstein_small_weights():
 
 @pytest.mark.parametrize("qprec", [0, -1])
 def test_eisenstein_refuses_empty_precision(qprec):
-    # like QSeries.constant: no q-expansion without its constant term
-    with pytest.raises(ValueError, match="q-precision >= 1"):
-        eisenstein(4, qprec)
+    """No q-expansion without its constant term: E_k, Delta,
+    ``QSeries.constant`` and ``QSeries.truncate`` refuse it with the one
+    message of ``qexp._check_qprec``."""
+    message = f"^a q-expansion needs q-precision >= 1, got {qprec}$"
+    for refuse in (
+        lambda: eisenstein(4, qprec),
+        lambda: eisenstein(6, qprec, ModRing(7, 2)),
+        lambda: delta(qprec),
+        lambda: QSeries.constant(1, qprec),
+        lambda: QSeries.from_coeffs([1, 2]).truncate(qprec),
+    ):
+        with pytest.raises(ValueError, match=message):
+            refuse()
 
 
 def test_eisenstein_nonintegral_weight_needs_padic_ring():

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from padicforms.errors import PrecisionError, VerificationError
+from padicforms.forms import SUPPORTED_PRIMES
 from padicforms.weights import (
     IwasawaTruncation,
+    _weight_distance,
     congruence_table,
     interpolate_iwasawa,
     w_coordinate,
@@ -16,6 +18,29 @@ def test_w_coordinate():
     assert w_coordinate(1, 5, 4) == 5
     assert w_coordinate(4, 5, 4) == (6**4 - 1) % 5**4  # 1295 mod 625 = 45
     assert w_coordinate(-1, 5, 3) == (pow(6, -1, 125) - 1) % 125
+
+
+def _valuation(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_weight_distance_is_the_closed_form(p):
+    """v_p(w_k - w_k') = v_p((1+p)^(k-k') - 1) = 1 + v_p(k - k') for odd p
+    and k != k', saturated at m: the grid holds pairs of every distance
+    from 0 to 5 and both signs, and m up to 5, so some pairs agree mod
+    p^m and read m only by the saturation."""
+    ks = sorted({k0 + j * p**e for k0 in (-6, 0, 4) for e in range(6) for j in (0, 1, -2)})
+    for m in (1, 2, 3, 5):
+        for k in ks:
+            assert _weight_distance(k, k, p, m) == m
+            for k2 in ks:
+                if k2 != k:
+                    assert _weight_distance(k, k2, p, m) == min(m, 1 + _valuation(k - k2, p))
 
 
 def test_specialize_constant_and_linear():
@@ -40,7 +65,7 @@ def test_interpolation_round_trip():
     # held-out specialization agrees to the p-adic distance bound
     target = 1 + 2**23
     predicted = int(fit.specialize(24))
-    bound = sum(1 + _v5(24 - k) for k in weights)
+    bound = sum(1 + _valuation(24 - k, 5) for k in weights)
     bound = min(bound, fit.m)
     assert fit.precision_at(24) == bound
     assert (predicted - target) % 5**bound == 0
@@ -63,14 +88,6 @@ def test_interpolation_respecializes_its_fit(monkeypatch):
     monkeypatch.setattr(IwasawaTruncation, "specialize", lambda self, k: -1)
     with pytest.raises(VerificationError, match="reproduce the weight-4 sample"):
         interpolate_iwasawa(samples, 5, 8)
-
-
-def _v5(n):
-    v = 0
-    while n % 5 == 0:
-        n //= 5
-        v += 1
-    return v
 
 
 def test_interpolation_of_polynomial_is_exact():

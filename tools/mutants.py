@@ -277,6 +277,13 @@ MUTANTS = (
         ("tests/test_acceptance.py::test_criterion_5_catches_a_wrong_sample_eigenvalue",),
     ),
     Mutant(
+        "criterion 5 states its a_2 congruences hold after one failed",
+        "src/padicforms/acceptance.py",
+        "    if congruent:\n",
+        "    if True:\n",
+        ("tests/test_acceptance.py::test_criterion_5_catches_each_wrong_family[fit_congruence]",),
+    ),
+    Mutant(
         "criterion 6 without its naive-shift check",
         "src/padicforms/acceptance.py",
         "        if naive[: len(shifted)] != shifted or not report.naive_shift_checked:\n",
@@ -332,9 +339,16 @@ MUTANTS = (
     Mutant(
         "theta probe never records a missing class",
         "src/padicforms/duality.py",
-        "            classes.append(ThetaProbeClass(s, image, False, False))\n",
-        "            classes.append(ThetaProbeClass(s, image, True, False))\n",
+        "        classes.append(ThetaProbeClass(s, image, present, excluded))\n",
+        "        classes.append(ThetaProbeClass(s, image, present or not excluded, excluded))\n",
         ("tests/test_duality.py::test_theta_probe_records_a_missing_image",),
+    ),
+    Mutant(
+        "theta probe's multiset take leaves what it took in the pool",
+        "src/padicforms/duality.py",
+        "        pool.remove(value)\n",
+        "",
+        ("tests/test_duality.py::test_theta_probe_control_with_repeated_source_slope",),
     ),
     # Hida families: the fit's checks across weights and the unit root
     Mutant(
@@ -396,6 +410,13 @@ MUTANTS = (
             "tests/test_eigencurve.py::test_held_out_weight_prediction",
             "tests/test_eigencurve.py::test_specialization_holds_to_the_precision_it_claims",
         ),
+    ),
+    Mutant(
+        "weight distance not saturated at m",
+        "src/padicforms/weights.py",
+        "    return val_p(w_coordinate(k1, p, m) - w_coordinate(k2, p, m), p, saturate=m)\n",
+        "    return val_p(w_coordinate(k1, p, m) - w_coordinate(k2, p, m), p)\n",
+        ("tests/test_weights.py::test_weight_distance_is_the_closed_form[5]",),
     ),
     Mutant(
         "component rule returns without a check",
@@ -554,6 +575,13 @@ MUTANTS = (
         ("tests/test_qexp.py::test_product_matches_plain_product",),
     ),
     Mutant(
+        "q-precision check off by one: qprec 0 accepted",
+        "src/padicforms/qexp.py",
+        "    if qprec < 1:\n",
+        "    if qprec < 0:\n",
+        ("tests/test_forms.py::test_eisenstein_refuses_empty_precision[0]",),
+    ),
+    Mutant(
         "series reads accept a negative index",
         "src/padicforms/qexp.py",
         "    if low < 0:\n",
@@ -588,6 +616,14 @@ MUTANTS = (
         "        lo = c + 1\n",
         "        lo = c + 2\n",
         ("tests/test_linalg.py::test_solve_unimodular_round_trip",),
+    ),
+    Mutant(
+        "solve without its missing-pivot refusal",
+        "src/padicforms/linalg.py",
+        "    if missing:\n"
+        '        raise PrecisionError(f"basis is not unimodular: column {min(missing)} has no unit pivot")\n',
+        "",
+        ("tests/test_linalg.py::test_solve_non_integral",),
     ),
     Mutant(
         "back substitution without the later coordinates",
@@ -840,6 +876,13 @@ MUTANTS = (
             "tests/test_coleman.py::test_spectrum_core_matches_a_direct_solve"
             "[14-5-34-10-bound0-91]",
         ),
+    ),
+    Mutant(
+        "slope classes swap the extra and missing verdicts",
+        "src/padicforms/classical.py",
+        '"extra-overconvergent" if o > c else "missing-overconvergent"',
+        '"extra-overconvergent" if o < c else "missing-overconvergent"',
+        ("tests/test_coleman.py::test_comparison_classes_give_each_slope_its_verdict",),
     ),
     # output encoding and the source scans
     Mutant(
