@@ -10,10 +10,9 @@ runs are reproducible byte for byte.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 from .coleman import classicality_check, katz_basis, slope_spectrum, up_matrix
 from .duality import (
@@ -39,12 +38,11 @@ from .qexp import ModRing, QSeries, ZZ
 from .weights import WeightDisc
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool
-    details: List[str] = field(default_factory=list)
+    details: List[str]
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

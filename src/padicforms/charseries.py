@@ -20,43 +20,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import index, mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConfigError
-from .padic import PadicMatrix, _check_pm, val_p
+from .padic import PadicMatrix, _check_pm, unit_inverse, val_p
 
 
 def _hessenberg(matrix: PadicMatrix) -> List[List[int]]:
     """Rows of an upper Hessenberg matrix similar to ``matrix`` over Z/p^m.
 
-    Column j is cleared below the subdiagonal against the row of minimal
-    valuation p^v.u among rows j+1..n-1, swapped into row j+1 (with the
-    matching column swap).  Row i then loses t_i times that row, t_i =
+    Column j is cleared below the subdiagonal against the first row of
+    minimal valuation p^v.u among rows j+1..n-1, swapped into row j+1
+    (with the matching column swap): p^v is the gcd of p^m and the
+    column's entries there, and the pivot is the first entry that is not
+    0 mod p^(v+1).  Row i then loses t_i times that row, t_i =
     (a_ij / p^v).u^-1, and column j+1 gains sum_i t_i times column i, the
     inverse operations batched into one pass.  A column with no nonzero
     entry there needs nothing.
     """
-    p, n, modulus = matrix.p, matrix.size, matrix.modulus
+    p, m, n, modulus = matrix.p, matrix.m, matrix.size, matrix.modulus
     a = [list(row) for row in matrix.rows]
     for j in range(n - 2):
-        best, best_v = None, matrix.m
-        for i in range(j + 1, n):
-            if a[i][j]:
-                v = val_p(a[i][j], p)
-                if v < best_v:
-                    best, best_v = i, v
-                    if v == 0:
-                        break
-        if best is None:
+        column = [row[j] for row in a[j + 1 :]]
+        pk = gcd(modulus, *column)  # p^v, or p^m when the column is 0
+        if pk == modulus:
             continue
         k = j + 1
+        best = k + next(i for i, x in enumerate(column) if x % (pk * p))
         if best != k:
             a[k], a[best] = a[best], a[k]
             for row in a:
                 row[k], row[best] = row[best], row[k]
-        pk = p**best_v
-        inv = pow(a[k][j] // pk, -1, modulus)
+        inv = unit_inverse(a[k][j] // pk, p, m)
         pivot = a[k][j:]
         mults = []
         for i in range(k + 1, n):
@@ -147,8 +144,7 @@ def char_series(matrix: PadicMatrix) -> CharSeries:
 ALL_SATURATED = "all-coefficients-saturated"
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     """Certified lower hull of a characteristic series.
 
     Slopes are the p-adic valuations of the eigenvalues, in increasing

@@ -14,9 +14,8 @@ whole range and ``classes`` for each slope class in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .charseries import CharSeries, NewtonPolygon, char_series, newton_polygon
 from .errors import ConfigError, VerificationError
@@ -123,8 +122,7 @@ def comparison_bound(k: int, m: int) -> Fraction:
     return min(Fraction(k - 1), Fraction(m - 2))
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
     """Certified overconvergent U_p slopes against classical ones.
 
     ``spectrum`` is the whole classical slope multiset.  Slopes are

@@ -23,9 +23,8 @@ shift is still cross-checked against an independently assembled matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .charseries import (
     CharSeries,
@@ -51,8 +50,7 @@ from .padic import PadicMatrix
 from .qexp import ZZ, ModRing, QSeries
 
 
-@dataclass(frozen=True)
-class KatzBasis:
+class KatzBasis(NamedTuple):
     """Basis of the weight-k overconvergent model up to twist depth I.
 
     ``ladder`` holds the dimensions dim M_{k + i(p-1)}, i = 0..I.  Block
@@ -218,8 +216,7 @@ def shift_polygon(poly: NewtonPolygon, shift: int) -> NewtonPolygon:
     )
 
 
-@dataclass(frozen=True)
-class SlopeReport:
+class SlopeReport(NamedTuple):
     """Certified slope data of U_p at one weight, with the classical
     comparison attached for k >= 2 (None when not asked for)."""
 
@@ -393,8 +390,7 @@ def _scaled_series(series: CharSeries, shift: int, p: int, m: int) -> CharSeries
     return CharSeries(coeffs, p, m)
 
 
-@dataclass(frozen=True)
-class ClassicalityReport:
+class ClassicalityReport(NamedTuple):
     p: int
     weight: int
     twist_depth: int

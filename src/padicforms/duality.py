@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .charseries import char_series
 from .coleman import katz_basis, slope_spectrum, up_matrix
@@ -100,16 +100,14 @@ def rank_duality_check(matrix: PadicMatrix) -> dict:
     return {"rank_source": r_source, "rank_dual": r_dual, "equal": r_source == r_dual}
 
 
-@dataclass(frozen=True)
-class ThetaProbeClass:
+class ThetaProbeClass(NamedTuple):
     source_qslope: Fraction
     target_qslope: Fraction
     present: bool
     kernel_excluded: bool
 
 
-@dataclass(frozen=True)
-class ThetaProbeReport:
+class ThetaProbeReport(NamedTuple):
     p: int
     weight: int  # k; the source lives at weight 2-k
     shift: int
@@ -195,8 +193,7 @@ def _default_depth(k: int, p: int, min_dim: int) -> int:
     return depth
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     p: int
     weight: int
     structural_equal: bool

@@ -20,9 +20,8 @@ off-sample claim rests on that assumption, not on a recomputation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, NamedTuple
 
 from .charseries import CharSeries, char_series, check_slope_bound, newton_polygon
 from .coleman import katz_basis, up_matrix
@@ -36,8 +35,7 @@ from .weights import (
 )
 
 
-@dataclass(frozen=True)
-class TwoVarCharSeries:
+class TwoVarCharSeries(NamedTuple):
     """Characteristic series of U_p over a weight disc.
 
     ``coeffs[j]`` is c_j(w) as an Iwasawa truncation; specialization at
@@ -137,8 +135,7 @@ def _fit(disc: WeightDisc, top: int, twist_depth: int, samples: tuple) -> TwoVar
     )
 
 
-@dataclass(frozen=True)
-class LocalPieceReport:
+class LocalPieceReport(NamedTuple):
     slope_bound: Fraction
     degrees: dict  # weight -> slope-<=h factor degree
     constant: bool

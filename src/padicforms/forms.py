@@ -24,7 +24,7 @@ from operator import index, mul
 from typing import List, Sequence
 
 from .errors import ConfigError, PrecisionError
-from .padic import product_rows
+from .padic import product_rows, unit_inverse
 from .qexp import ModRing, QSeries, Ring, ZZ, _check_qprec
 
 SUPPORTED_PRIMES = (5, 7, 11, 13)
@@ -79,7 +79,7 @@ def eisenstein(k: int, qprec: int, ring: Ring = ZZ) -> QSeries:
     if isinstance(ring, ModRing):
         if factor.denominator % ring.p == 0:
             raise ValueError(f"E_{k} is not {ring.p}-integral")
-        c = factor.numerator * pow(factor.denominator, -1, ring.modulus)
+        c = factor.numerator * unit_inverse(factor.denominator, ring.p, ring.m)
     else:
         if factor.denominator != 1:
             raise ValueError(

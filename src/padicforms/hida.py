@@ -28,8 +28,7 @@ Miller basis is in echelon form, so nothing is re-echelonized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .charseries import char_series
 from .errors import ConfigError, VerificationError
@@ -49,7 +48,7 @@ from .linalg import (
     rank_mod_p,
     restrict_to_image,
 )
-from .padic import PadicMatrix, _check_pm, is_prime
+from .padic import PadicMatrix, _check_pm, is_prime, unit_inverse
 from .qexp import ModRing
 from .weights import IwasawaTruncation, WeightDisc, congruence_table, interpolate_iwasawa
 
@@ -96,8 +95,7 @@ def ordinary_rank_mod_p(k: int, p: int) -> int:
     return build_hasse_tower(k, p, 0).projectors[0].rank
 
 
-@dataclass(frozen=True)
-class ControlReport:
+class ControlReport(NamedTuple):
     p: int
     k: int
     n: int
@@ -112,8 +110,7 @@ class ControlReport:
         return self.contained
 
 
-@dataclass(frozen=True)
-class HasseTower:
+class HasseTower(NamedTuple):
     """Mod-p spaces at weights k, k+(p-1), ..., k+n(p-1), every level at
     the q-precision of the top level of the tower ``build_hasse_tower``
     built (a sub-tower from ``above`` keeps it), with e(T_p) on each
@@ -228,22 +225,20 @@ def unit_root_of_stabilization(t_p: int, k: int, p: int, m: int) -> int:
         if fx == 0:
             break
         dfx = (2 * x - t_p) % modulus
-        x = (x - fx * pow(dfx, -1, modulus)) % modulus
+        x = (x - fx * unit_inverse(dfx, p, m)) % modulus
     if (x * x - t_p * x + c) % modulus != 0:
         raise VerificationError("Hensel iteration for the unit root did not converge")
     return x
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(NamedTuple):
     """A rank-1 ordinary eigensystem over Z/p^m at one weight."""
 
     key: tuple  # mod-p eigenvalue tuple over the configured primes
     eigenvalues: dict  # prime -> eigenvalue mod p^m (a_p = U_p unit root)
 
 
-@dataclass(frozen=True)
-class OrdinaryFamily:
+class OrdinaryFamily(NamedTuple):
     """Ordinary eigen-data at the sample weights of a disc, with fitted
     Iwasawa polynomials; rank is constant across the sample weights."""
 

@@ -50,14 +50,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from operator import index
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import PrecisionError, VerificationError
-from .padic import PadicMatrix, product_rows
+from .padic import PadicMatrix, product_rows, unit_inverse
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Coordinates of vectors in a basis over Z/p^m.
 
     ``columns[j]`` are the coordinates of the j-th input vector.  No
@@ -90,8 +89,8 @@ def _columns_to_lists(vectors, basis: PadicMatrix) -> List[List[int]]:
     return cols
 
 
-def _eliminate(rows: List[List[int]], p: int, modulus: int, width: int) -> List[Tuple[int, int]]:
-    """Forward elimination with unit pivots over Z/modulus, in place.
+def _eliminate(rows: List[List[int]], p: int, m: int, width: int) -> List[Tuple[int, int]]:
+    """Forward elimination with unit pivots over Z/p^m, in place.
 
     In each of columns 0..width-1, the first row that is not yet a pivot
     row and whose entry is a unit mod p becomes the pivot row; nothing is
@@ -102,6 +101,7 @@ def _eliminate(rows: List[List[int]], p: int, modulus: int, width: int) -> List[
     lower unitriangular block only the right-hand sides are touched.
     Returns the (column, row) pivot pairs in column order.
     """
+    modulus = p**m
     pivots = []
     free = list(range(len(rows)))
     for c in range(width):
@@ -111,7 +111,7 @@ def _eliminate(rows: List[List[int]], p: int, modulus: int, width: int) -> List[
         free.remove(i)
         pivot = rows[i]
         if pivot[c] != 1:
-            inv = pow(pivot[c], -1, modulus)
+            inv = unit_inverse(pivot[c], p, m)
             pivot = rows[i] = [(x * inv) % modulus for x in pivot]
         lo = c + 1
         while lo < len(pivot) and not pivot[lo]:
@@ -127,12 +127,13 @@ def _eliminate(rows: List[List[int]], p: int, modulus: int, width: int) -> List[
     return pivots
 
 
-def _solve(rows, p: int, modulus: int, width: int):
-    """Solve the rows [B | v...] over Z/modulus in place: ``_eliminate``,
+def _solve(rows, p: int, m: int, width: int):
+    """Solve the rows [B | v...] over Z/p^m in place: ``_eliminate``,
     then back substitution.  Returns the coordinates, entry [c][k] being
     coordinate c of vector k, and the (column, row) pivot pairs.  The
     first column of B with no unit pivot raises ``PrecisionError``."""
-    pivots = _eliminate(rows, p, modulus, width)
+    modulus = p**m
+    pivots = _eliminate(rows, p, m, width)
     missing = set(range(width)).difference(c for c, _ in pivots)
     if missing:
         raise PrecisionError(f"basis is not unimodular: column {min(missing)} has no unit pivot")
@@ -166,7 +167,7 @@ def solve_in_basis(
     modulus = p**m
     cols = _columns_to_lists(vectors, basis)
     rows = [list(row) + [col[i] for col in cols] for i, row in enumerate(basis.rows)]
-    coords, _ = _solve(rows, p, modulus, n)
+    coords, _ = _solve(rows, p, m, n)
     return SolveResult(
         tuple(tuple(x[j] % modulus for x in coords) for j in range(len(cols))), p, m
     )
@@ -236,7 +237,7 @@ def _pivots_mod_p(rows: Sequence[Sequence[int]], p: int) -> List[Tuple[int, int]
         # bytes() takes only integers: a float or Fraction residue raises
         return _fp_pivots(bytes([x % p for row in rows for x in row]), p, len(rows), width)
     work = [[x % p for x in map(index, row)] for row in rows]
-    return _eliminate(work, p, p, width)
+    return _eliminate(work, p, 1, width)
 
 
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
@@ -286,7 +287,7 @@ def restrict_to_image(op_mat: PadicMatrix, columns: Sequence[Sequence[int]]) -> 
     r = len(columns)
     images = [op_mat.apply(c) for c in columns]
     rows = [[v[i] for v in (*columns, *images)] for i in range(op_mat.size)]
-    coords, pivots = _solve(rows, p, modulus, r)
+    coords, pivots = _solve(rows, p, m, r)
     pivot_rows = {i for _, i in pivots}
     if any(x % modulus for i, row in enumerate(rows) if i not in pivot_rows for x in row[r:]):
         raise VerificationError("operator does not preserve the ordinary image")
@@ -390,7 +391,7 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
     core = product_rows(head, c_rows, r, modulus)
     # solving [A_P C | A_P] gives the rows of Y = (A_P C)^-1 A_P, and e = C Y
     rows = [list(a) + list(b) for a, b in zip(core, head)]
-    y, _ = _solve(rows, p, modulus, r)
+    y, _ = _solve(rows, p, m, r)
     idem = PadicMatrix._reduced(product_rows(c_rows, y, n, modulus), p, m, modulus)
     # e T^N, e^2 and e T are the three blocks of one product e [T^N | e | T]
     wide = [a + e + t for a, e, t in zip(power.rows, idem.rows, matrix.rows)]

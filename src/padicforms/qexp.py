@@ -95,7 +95,7 @@ from operator import add, index, mul, sub
 from typing import Sequence, Union
 
 from .errors import PrecisionError
-from .padic import _check_pm, pack_slots, power_from_base, slot_size, unpack_slots
+from .padic import _check_pm, pack_slots, power_from_base, slot_size, unit_inverse, unpack_slots
 
 
 @dataclass(frozen=True)
@@ -357,7 +357,7 @@ class QSeries:
         if isinstance(self.ring, ModRing):
             if a[0] % self.ring.p == 0:
                 raise ZeroDivisionError("constant term is not a unit")
-            inv0 = pow(a[0], -1, self.ring.modulus)
+            inv0 = unit_inverse(a[0], self.ring.p, self.ring.m)
         else:
             if a[0] not in (1, -1):
                 raise ZeroDivisionError("constant term is not a unit in Z")

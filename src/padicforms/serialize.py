@@ -5,7 +5,9 @@ becomes an exact decimal string (an int as "12", a Fraction as "1/2"),
 ``None``, booleans and strings pass through, tuples become lists and
 dictionary keys become strings.  A number that is not an integer or a
 Fraction, such as a float, raises ``TypeError`` instead of being
-rounded.  The ``*_json`` builders only pick and name the fields of a
+rounded.  A record, a ``NamedTuple`` such as ``SlopeReport``, raises
+``TypeError`` as well: it is a tuple, but its fields are never written
+as a list.  The ``*_json`` builders only pick and name the fields of a
 report, and decide no verdict: a "pass" or "fail" names the report's
 own ``passed``, and the per-class verdicts of a slope comparison are
 ``classical.Comparison.classes``.  The CLI encodes each payload once
@@ -35,6 +37,8 @@ def encode(value) -> Any:
         return value
     if isinstance(value, Fraction):
         return str(value)
+    if hasattr(value, "_fields"):
+        raise TypeError(f"a {type(value).__name__} record is encoded by its fields, not whole")
     if isinstance(value, (tuple, list)):
         return [encode(x) for x in value]
     if isinstance(value, dict):

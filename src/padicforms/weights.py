@@ -9,10 +9,13 @@ specialization all call it.  A ``WeightDisc`` is the one description of
 a disc of sample weights: the local eigencurve (``eigencurve``) and Hida
 families (``hida``) both take theirs from it.  A point of the disc that
 is not a classical weight is read through its coordinate alone
-(``IwasawaTruncation.evaluate_at_w``).  ``_weight_distance`` is the one
-owner of v_p(w_k - w_k'), saturated at m: the precision a fit claims off
-its samples (``IwasawaTruncation.precision_at``) and the required side of
-``congruence_table`` both read it.
+(``IwasawaTruncation.evaluate_at_w``).  ``_coordinate_distance`` is the
+one owner of v_p(w_k - w_k'), saturated at m, on the coordinates: the
+divided differences of ``interpolate_iwasawa`` read it on the sample
+coordinates they hold, and through ``_weight_distance`` so do the
+precision a fit claims off its samples
+(``IwasawaTruncation.precision_at``) and the required side of
+``congruence_table``.
 Interpolation across a weight disc is done by Newton divided
 differences over Z/p^m; every division by (w_j - w_i) = p^v * unit
 checks the required divisibility (the Lambda-interpolation congruence)
@@ -31,7 +34,7 @@ from typing import List, Sequence, Tuple
 
 from .errors import ConfigError, PrecisionError, VerificationError
 from .forms import check_level1_weight, check_theory_prime
-from .padic import _check_pm, val_p
+from .padic import _check_pm, unit_inverse, val_p
 
 
 def w_coordinate(k: int, p: int, m: int) -> int:
@@ -40,10 +43,16 @@ def w_coordinate(k: int, p: int, m: int) -> int:
     return (pow(1 + p, k, p**m) - 1) % p**m
 
 
+def _coordinate_distance(w1: int, w2: int, p: int, m: int) -> int:
+    """v_p(w1 - w2) for coordinates w1, w2 reduced mod p^m, saturated at
+    m: m when they agree."""
+    return val_p(w1 - w2, p, saturate=m)
+
+
 def _weight_distance(k1: int, k2: int, p: int, m: int) -> int:
-    """v_p(w_k1 - w_k2), saturated at m: m when the coordinates agree mod
-    p^m, as at k1 = k2."""
-    return val_p(w_coordinate(k1, p, m) - w_coordinate(k2, p, m), p, saturate=m)
+    """v_p(w_k1 - w_k2), saturated at m, by ``_coordinate_distance``: m
+    when the coordinates agree mod p^m, as at k1 = k2."""
+    return _coordinate_distance(w_coordinate(k1, p, m), w_coordinate(k2, p, m), p, m)
 
 
 def check_component(k: int, p: int, component: int) -> None:
@@ -188,8 +197,7 @@ def interpolate_iwasawa(
         for i in range(n - level):
             (hi, prec_hi), (lo, prec_lo) = table[i + 1], table[i]
             prec = min(prec_hi, prec_lo)
-            delta = (ws[i + level] - ws[i]) % modulus
-            v = val_p(delta, p, saturate=m)
+            v = _coordinate_distance(ws[i + level], ws[i], p, m)
             if v >= prec:
                 raise PrecisionError(
                     f"weights {ks[i]} and {ks[i + level]} are too close p-adically "
@@ -202,7 +210,7 @@ def interpolate_iwasawa(
                     f"{ks[i]} and {ks[i + level]}: value difference has valuation "
                     f"< {v}"
                 )
-            unit_inv = pow(delta // p**v, -1, p ** (prec - v))
+            unit_inv = unit_inverse((ws[i + level] - ws[i]) // p**v, p, prec - v)
             nxt.append((((num // p**v) * unit_inv) % p ** (prec - v), prec - v))
         table = nxt
         newton.append(table[0])

@@ -171,11 +171,11 @@ def test_projector_algebra_reads_each_identity(t, e, holds):
     "corrupt, detail",
     [
         (
-            lambda r: replace(r, rank_low=r.rank_low + 1),
+            lambda r: r._replace(rank_low=r.rank_low + 1),
             lambda rank: f"rank not constant at (k,p)=(8,7): {[rank + 1, rank, rank, rank]}",
         ),
         (
-            lambda r: replace(r, contained=False) if r.n == 2 else r,
+            lambda r: r._replace(contained=False) if r.n == 2 else r,
             lambda rank: "containment FAILS at (k,p,n)=(8,7,2)",
         ),
     ],
@@ -210,7 +210,7 @@ def test_criterion_8_catches_a_moved_slope(monkeypatch):
     def spectrum(k, p, twist_depth, m, **kwargs):
         report = real(k, p, twist_depth, m, **kwargs)
         deeper = twist_depth == acceptance.SLOPE_CONFIGS[(k, p)]["I"] + 2
-        return replace(report, slopes=moved) if (k, p) == (4, 7) and deeper else report
+        return report._replace(slopes=moved) if (k, p) == (4, 7) and deeper else report
 
     monkeypatch.setattr(acceptance, "slope_spectrum", spectrum)
     result = acceptance.criterion_8(SEED)
@@ -290,7 +290,7 @@ def test_criterion_5_catches_a_wrong_sample_eigenvalue(monkeypatch):
         family = real(*args, **kwargs)
         data = {k: dict(eigen) for k, eigen in family.eigen_data.items()}
         data[12][2] = (data[12][2][0] + 1,)
-        return replace(family, eigen_data=data)
+        return family._replace(eigen_data=data)
 
     monkeypatch.setattr(acceptance, "fit_family", fit)
     result = acceptance.criterion_5(SEED)
@@ -308,13 +308,13 @@ def _with_a_2_fit_moved(family):
     key = family.keys[0]
     fit = family.fitted[2][key]
     moved = replace(fit, poly_coeffs=(fit.poly_coeffs[0] + 1,) + fit.poly_coeffs[1:])
-    return replace(family, fitted={**family.fitted, 2: {key: moved}})
+    return family._replace(fitted={**family.fitted, 2: {key: moved}})
 
 
 def _with_a_5_moved_at_8(family):
     data = {k: dict(eigen) for k, eigen in family.eigen_data.items()}
     data[8][5] = (2,)
-    return replace(family, eigen_data=data)
+    return family._replace(eigen_data=data)
 
 
 def _with_a_2_fit_of_2_digits(family):
@@ -322,12 +322,12 @@ def _with_a_2_fit_of_2_digits(family):
     itself mod 5^2 wherever w agrees, but claims no 3 digits anywhere."""
     key = family.keys[0]
     fit = family.fitted[2][key]
-    return replace(family, fitted={**family.fitted, 2: {key: replace(fit, m=2)}})
+    return family._replace(fitted={**family.fitted, 2: {key: replace(fit, m=2)}})
 
 
 def _with_one_congruence_failed(family):
     first, *rest = family.congruence_checks
-    return replace(family, congruence_checks=({**first, "holds": False}, *rest))
+    return family._replace(congruence_checks=({**first, "holds": False}, *rest))
 
 
 _C5_RANK = "rank 1 constant across weights (4, 8, 12, 16)"
@@ -340,7 +340,7 @@ _C5_HELD_OUT = "fitted a_2 predicts weight 24 mod 5^2"
     "corrupt, details",
     [
         (
-            lambda family: replace(family, rank=0),
+            lambda family: family._replace(rank=0),
             [
                 "rank 0 constant across weights (4, 8, 12, 16)",
                 _C5_EXACT,
@@ -406,7 +406,7 @@ def test_criterion_6_catches_a_naive_polygon_off_by_one(monkeypatch):
         report = real(k, p, twist_depth, m, **kwargs)
         if (k, p) != (4, 7):
             return report
-        return replace(report, naive_slopes=shift_polygon(report.naive_slopes, 1))
+        return report._replace(naive_slopes=shift_polygon(report.naive_slopes, 1))
 
     monkeypatch.setattr(acceptance, "slope_spectrum", spectrum)
     result = acceptance.criterion_6(SEED)
@@ -426,8 +426,7 @@ def test_criterion_6_catches_a_negative_slope(monkeypatch):
         report = real(k, p, twist_depth, m, **kwargs)
         if (k, p) != (2, 5):
             return report
-        return replace(
-            report,
+        return report._replace(
             slopes=shift_polygon(report.slopes, -1),
             naive_slopes=shift_polygon(report.naive_slopes, -1),
         )
@@ -453,7 +452,7 @@ def test_criterion_7_catches_a_wrong_comparison(monkeypatch):
         if (k, p) != (12, 5):
             return report
         over = report.comparison.overconvergent[:-1]
-        return replace(report, comparison=replace(report.comparison, overconvergent=over))
+        return report._replace(comparison=report.comparison._replace(overconvergent=over))
 
     monkeypatch.setattr(acceptance, "classicality_check", check)
     result = acceptance.criterion_7(SEED)
@@ -476,7 +475,7 @@ def test_criterion_9_catches_a_wrong_held_out_prediction(monkeypatch):
             return found
         c1 = found.coeffs[1]
         moved = replace(c1, poly_coeffs=(c1.poly_coeffs[0] + 1,) + c1.poly_coeffs[1:])
-        return replace(found, coeffs=(found.coeffs[0], moved) + found.coeffs[2:])
+        return found._replace(coeffs=(found.coeffs[0], moved) + found.coeffs[2:])
 
     monkeypatch.setattr(TwoVarCharSeries, "refit", refit)
     result = acceptance.criterion_9(SEED)
@@ -495,7 +494,7 @@ def _one_theta_class_missing(probe):
     if (probe.weight, probe.p) != (4, 7):
         return probe
     first, *rest = probe.classes
-    return replace(probe, classes=(replace(first, present=False), *rest))
+    return probe._replace(classes=(first._replace(present=False), *rest))
 
 
 def _katz_call_corrupted(real, nth):

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from padicforms.charseries import (
     ALL_SATURATED,
     CharSeries,
+    _hessenberg,
     char_series,
     newton_polygon,
     newton_polygon_from_points,
 )
-from padicforms.padic import PadicMatrix
+from padicforms.padic import PadicMatrix, val_p
 
 from test_linalg import random_matrix, random_unimodular
 
@@ -334,3 +335,29 @@ def test_char_series_validation():
     with pytest.raises(TypeError):
         CharSeries((1, 2.5, Fraction(5, 2)), 5, 3)
     assert CharSeries((126, -1), 5, 3).coeffs == (1, 124)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        (0, 25, 10, 5, 35),  # three of valuation 1, not the first entry
+        (50, 0, 250, 75, 25),  # all of valuation 2 or more
+        (5, 25, 0, 7, 3),  # a unit after entries of valuation 1 and 2
+        (125, 375, 0, 625, 250),  # least valuation 3, first at once
+        (0, 0, 0, 0, 0),  # nothing to clear
+    ],
+)
+def test_hessenberg_pivot_is_the_first_row_of_least_valuation(column):
+    """The row swapped under the diagonal of column 0 is the first below
+    it of least valuation, also when several rows share that valuation:
+    the gcd of p^m and the column gives p^v, and the pivot is the first
+    entry not 0 mod p^(v+1).  The pivot stays at [1][0], which the row
+    operations and the column swap leave alone."""
+    p, m = 5, 6
+    rng = random.Random(sum(column))
+    rows = [[rng.randrange(p**m) for _ in range(6)] for _ in range(6)]
+    for i, x in enumerate(column, start=1):
+        rows[i][0] = x
+    least = min((val_p(x, p) for x in column if x), default=None)
+    first = next((x for x in column if x and val_p(x, p) == least), 0)
+    assert _hessenberg(PadicMatrix.from_rows(rows, p, m))[1][0] == first

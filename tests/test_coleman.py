@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -377,7 +376,7 @@ def test_a_spectrum_uncertified_at_its_plan_rebuilds_at_the_cap(monkeypatch):
 
     def uncertified_to_59(series):
         poly = real(series)
-        return poly if series.m > 59 else replace(poly, next_slope_floor=F(0))
+        return poly if series.m > 59 else poly._replace(next_slope_floor=F(0))
 
     monkeypatch.setattr(coleman, "newton_polygon", uncertified_to_59)
     calls, _ = _count_builds(monkeypatch)
@@ -496,7 +495,7 @@ def test_comparison_classes_give_each_slope_its_verdict():
         {"slope": 2, "overconvergent": 2, "classical": 1, "verdict": "extra-overconvergent"},
     )
     assert comparison.verdict == "fail"
-    matched = replace(comparison, overconvergent=(0, half, half, 2))
+    matched = comparison._replace(overconvergent=(0, half, half, 2))
     assert [c["verdict"] for c in matched.classes] == ["match"] * 3
     assert matched.verdict == "pass"
     assert compare(4, 8, spectrum, None).classes == ({"slope": None, "verdict": "indeterminate"},)
@@ -552,7 +551,7 @@ def test_an_uncertified_spectrum_gives_up_at_the_cap(monkeypatch):
     returns the indeterminate comparison at the requested modulus."""
     real = coleman.newton_polygon
     monkeypatch.setattr(
-        coleman, "newton_polygon", lambda series: replace(real(series), next_slope_floor=F(0))
+        coleman, "newton_polygon", lambda series: real(series)._replace(next_slope_floor=F(0))
     )
     cap = 8 + 3 * katz_basis(4, 5, 12).dimension + 16
     with pytest.raises(PrecisionError) as exc:

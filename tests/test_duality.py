@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -155,7 +154,7 @@ def test_theta_probe_records_a_missing_image(monkeypatch):
 
     def spectrum(k, p, twist_depth, m, **kwargs):
         report = real(k, p, twist_depth, m, **kwargs)
-        return replace(report, qexp_polygon=target) if k == 4 else report
+        return report._replace(qexp_polygon=target) if k == 4 else report
 
     monkeypatch.setattr(duality, "slope_spectrum", spectrum)
     probe = theta_probe(4, 5, m=10)
@@ -177,7 +176,7 @@ def test_theta_probe_refuses_a_vacuous_probe(monkeypatch):
 
     def spectrum(k, p, twist_depth, m, **kwargs):
         report = real(k, p, twist_depth, m, **kwargs)
-        return replace(report, qexp_polygon=source) if k == 0 else report
+        return report._replace(qexp_polygon=source) if k == 0 else report
 
     monkeypatch.setattr(duality, "slope_spectrum", spectrum)
     with pytest.raises(PrecisionError) as exc:

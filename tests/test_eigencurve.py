@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -137,7 +136,7 @@ def test_held_out_weight_prediction():
 )
 def test_refit_is_the_direct_disc_of_its_samples(disc, depth):
     """For every leave-one-out subset, the refit equals the disc series
-    of those weights at the same top weight, as a dataclass: the same
+    of those weights at the same top weight, as a record: the same
     disc, twist depth, fitted coefficients and per-weight series.  The
     twist depth grows when the largest sample is held out."""
     full = two_var_charseries(disc, depth)
@@ -203,7 +202,7 @@ def test_local_piece_report_refuses_an_uncertified_floor():
         (k, CharSeries(s.coeffs, 5, 1) if k == 12 else s) for k, s in series.samples
     )
     with pytest.raises(PrecisionError) as exc:
-        local_piece_report(replace(series, samples=samples), Fraction(1, 2))
+        local_piece_report(series._replace(samples=samples), Fraction(1, 2))
     assert str(exc.value) == "slopes near 1/2 not certified at weight 12 (polygon floor 1/3)"
 
 

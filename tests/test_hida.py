@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -291,10 +290,7 @@ def test_unit_root():
 def test_unit_root_checks_its_hensel_root(monkeypatch):
     # with every modular inverse read as 0, x stays t_p, and f(t_p) =
     # p^(k-1) is not 0 mod p^m when k - 1 < m
-    def no_inverse(base, exponent, modulus):
-        return 0 if exponent == -1 else pow(base, exponent, modulus)
-
-    monkeypatch.setattr(hida, "pow", no_inverse, raising=False)
+    monkeypatch.setattr(hida, "unit_inverse", lambda x, p, e: 0)
     with pytest.raises(VerificationError, match="^Hensel iteration for the unit root did not converge$"):
         unit_root_of_stabilization(126, 4, 5, 6)
 
@@ -365,7 +361,7 @@ def test_fit_family_validation():
             "(control theorem violation)",
         ),
         (
-            lambda systems, rank: ([replace(s, key=s.key + (0,)) for s in systems], rank),
+            lambda systems, rank: ([s._replace(key=s.key + (0,)) for s in systems], rank),
             "eigensystem keys do not match across weights; family matching failed",
         ),
     ],

@@ -3,7 +3,10 @@ class of the package, and every method and property of its classes, is
 referenced: stdlib ``ast`` scans of the package modules (re-exports in
 ``__init__.py`` excepted), of the tests and of the benchmark harness.
 No package module holds a float literal or a ``float(...)`` call, or an
-``import`` inside a function body."""
+``import`` inside a function body.  A ``@dataclass`` of the package is a
+value type that validates in ``__post_init__``, or one of the listed
+exceptions: a record that only carries what its builder computed is a
+``typing.NamedTuple``, whose class costs no generated code to create."""
 
 import ast
 from collections import Counter
@@ -96,6 +99,53 @@ def function_imports(source: str):
                 if isinstance(inner, (ast.Import, ast.ImportFrom)):
                     found.add((inner.lineno, node.name))
     return sorted(found)
+
+
+# the package's dataclasses without ``__post_init__``, each with its reason
+PLAIN_DATACLASSES = {
+    "IntegerRing": "fieldless: as a NamedTuple, ZZ would be (), falsy and equal to ()",
+    "ProjectorResult": "the benchmark's tests edit it with dataclasses.replace",
+}
+
+
+def plain_dataclasses(source: str):
+    """Name of each ``@dataclass`` class that defines no ``__post_init__``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+            methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+            if "__post_init__" not in methods:
+                found.append(node.name)
+    return found
+
+
+def test_dataclasses_validate_or_are_listed():
+    found = [name for path in PACKAGE for name in plain_dataclasses(path.read_text())]
+    assert sorted(found) == sorted(PLAIN_DATACLASSES)
+
+
+def test_scan_catches_plain_dataclasses():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    p: int\n"
+        "    def passed(self): return True\n"
+        "@dataclasses.dataclass\n"
+        "class Tally:\n"
+        "    n: int\n"
+        "@dataclass(frozen=True)\n"
+        "class Value:\n"
+        "    p: int\n"
+        "    def __post_init__(self): pass\n"
+        "class Record:\n"
+        "    p: int\n"
+    )
+    assert plain_dataclasses(source) == ["Report", "Tally"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")

@@ -761,7 +761,7 @@ def residue_rows(draw):
 @given(residue_rows())
 def test_byte_pivots_match_elimination(case):
     p, width, rows = case
-    expected = linalg._eliminate([list(r) for r in rows], p, p, width)
+    expected = linalg._eliminate([list(r) for r in rows], p, 1, width)
     mat = bytes([x for r in rows for x in r])
     assert linalg._fp_pivots(mat, p, len(rows), width) == expected
     assert rank_mod_p(rows, p) == len(expected)
@@ -774,9 +774,9 @@ def test_byte_pivots_follow_elimination_on_composite_moduli():
     # outside F_p the kernel still takes _eliminate's pivots while they
     # are units, and refuses a pivot that is not, as _eliminate does
     for p, rows in ((4, [[1, 2], [3, 1]]), (9, [[0, 1], [1, 3], [2, 1]])):
-        assert rank_mod_p(rows, p) == len(linalg._eliminate(rows, p, p, 2)) == 2
+        assert rank_mod_p(rows, p) == len(linalg._eliminate(rows, p, 1, 2)) == 2
     for p, rows in ((4, [[2, 1]]), (9, [[1, 0], [0, 3]])):
-        for kernel in (linalg._pivots_mod_p, lambda rows, p: linalg._eliminate(rows, p, p, 2)):
+        for kernel in (linalg._pivots_mod_p, lambda rows, p: linalg._eliminate(rows, p, 1, 2)):
             with pytest.raises(ValueError):
                 kernel([list(r) for r in rows], p)
 

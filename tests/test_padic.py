@@ -16,6 +16,7 @@ from padicforms.padic import (
     pack_slots,
     product_rows,
     slot_size,
+    unit_inverse,
     unpack_slots,
     val_p,
 )
@@ -33,6 +34,27 @@ def test_val_p():
     assert val_p(3, 7, saturate=2) == 0
     with pytest.raises(ValueError):
         val_p(0, 5)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.sampled_from((3, 5, 7, 11, 13)),
+    st.integers(1, 200),
+    st.integers(-(13**201), 13**201),
+)
+@example(5, 1, 2)
+@example(5, 2, -7)
+@example(5, 3, 5**3 + 1)
+@example(13, 200, 12)
+def test_unit_inverse_matches_pow(p, e, x):
+    """The inverse mod p, lifted to p^e, is ``pow``'s: every e from 1 to
+    200, so every number of lifting steps and a short last step, and x
+    negative or far beyond p^e."""
+    if x % p == 0:
+        with pytest.raises(ValueError):
+            unit_inverse(x, p, e)
+    else:
+        assert unit_inverse(x, p, e) == pow(x, -1, p**e)
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,17 @@ def test_encode_rejects_non_integers(value):
         encode(value)
 
 
+def test_encode_refuses_a_record():
+    """A record is a tuple, but ``encode`` refuses it rather than writing
+    its fields as a list, as it refuses any object that is not a number."""
+    report = slope_spectrum(4, 5, 12, 8, classical=False)
+    for record in (report, report.slopes):
+        with pytest.raises(TypeError, match="record"):
+            encode(record)
+        with pytest.raises(TypeError, match="record"):
+            encode({"report": [record]})
+
+
 def test_encode_numbers_as_decimal_strings():
     assert encode(12) == "12"
     assert encode(-3) == "-3"

@@ -414,8 +414,8 @@ MUTANTS = (
     Mutant(
         "weight distance not saturated at m",
         "src/padicforms/weights.py",
-        "    return val_p(w_coordinate(k1, p, m) - w_coordinate(k2, p, m), p, saturate=m)\n",
-        "    return val_p(w_coordinate(k1, p, m) - w_coordinate(k2, p, m), p)\n",
+        "    return val_p(w1 - w2, p, saturate=m)\n",
+        "    return val_p(w1 - w2, p)\n",
         ("tests/test_weights.py::test_weight_distance_is_the_closed_form[5]",),
     ),
     Mutant(
@@ -447,6 +447,13 @@ MUTANTS = (
         ("tests/test_eigencurve.py::test_refit_is_the_direct_disc_of_its_samples[criterion_9]",),
     ),
     # Z/p^m matrices: the product kernel, the slot codec, canonical results
+    Mutant(
+        "unit inverse lifted from p^2, one Newton step dropped",
+        "src/padicforms/padic.py",
+        "    modulus, top = p, p**e\n",
+        "    modulus, top = p * p, p**e\n",
+        ("tests/test_padic.py::test_unit_inverse_matches_pow",),
+    ),
     Mutant(
         "matrix product slots one bit narrower",
         "src/padicforms/padic.py",
@@ -724,9 +731,19 @@ MUTANTS = (
     Mutant(
         "Hessenberg pivot is the first nonzero entry, not the least valuation",
         "src/padicforms/charseries.py",
-        "                    if v == 0:\n                        break\n",
-        "                    break\n",
+        "        best = k + next(i for i, x in enumerate(column) if x % (pk * p))\n",
+        "        best = k + next(i for i, x in enumerate(column) if x)\n",
         ("tests/test_charseries.py::test_char_series_matches_the_berkowitz_oracle",),
+    ),
+    Mutant(
+        "Hessenberg gcd pivot tested mod p^v, not mod p^(v+1)",
+        "src/padicforms/charseries.py",
+        "        best = k + next(i for i, x in enumerate(column) if x % (pk * p))\n",
+        "        best = k + next(i for i, x in enumerate(column) if x % pk)\n",
+        (
+            "tests/test_charseries.py::"
+            "test_hessenberg_pivot_is_the_first_row_of_least_valuation[column0]",
+        ),
     ),
     Mutant(
         "Hessenberg reduction without its column operation",
@@ -886,11 +903,26 @@ MUTANTS = (
     ),
     # output encoding and the source scans
     Mutant(
+        "encoder writes a record as the list of its fields",
+        "src/padicforms/serialize.py",
+        '    if hasattr(value, "_fields"):\n'
+        '        raise TypeError(f"a {type(value).__name__} record is encoded by its fields, not whole")\n',
+        "",
+        ("tests/test_serialize.py::test_encode_refuses_a_record",),
+    ),
+    Mutant(
         "encoder reads a bool as an integer",
         "src/padicforms/serialize.py",
         "    if value is None or isinstance(value, (bool, str)):\n",
         "    if value is None or isinstance(value, str):\n",
         ("tests/test_serialize.py::test_encode_passes_booleans_none_and_strings",),
+    ),
+    Mutant(
+        "a result record generated by @dataclass again",
+        "src/padicforms/duality.py",
+        "class ThetaProbeClass(NamedTuple):\n",
+        "@dataclass(frozen=True)\nclass ThetaProbeClass:\n",
+        ("tests/test_imports.py::test_dataclasses_validate_or_are_listed",),
     ),
     Mutant(
         "a float constant in weights.py",
