@@ -147,21 +147,33 @@ ALL_SATURATED = "all-coefficients-saturated"
 class NewtonPolygon(NamedTuple):
     """Certified lower hull of a characteristic series.
 
-    Slopes are the p-adic valuations of the eigenvalues, in increasing
-    order with multiplicities.  ``certified_degree`` is the abscissa of
-    the last hull vertex that is provably exact; beyond it the series
-    coefficients are saturated (or absent) and slopes are unknown.
-    ``next_slope_floor`` is a proven lower bound for any further slope
-    (None means the series is exhausted: no further eigenvalue in the
-    underlying matrix).
+    ``vertices`` are the hull vertices that are provably exact, from
+    (0, v_0) on; the slopes, their multiplicities and the certified
+    degree are read off them.  Slopes are the p-adic valuations of the
+    eigenvalues, in increasing order with multiplicities.
+    ``certified_degree`` is the abscissa of the last vertex; beyond it
+    the series coefficients are saturated (or absent) and slopes are
+    unknown.  ``next_slope_floor`` is a proven lower bound for any
+    further slope (None means the series is exhausted: no further
+    eigenvalue in the underlying matrix).
     """
 
-    slopes: tuple
-    multiplicities: tuple
     vertices: tuple
-    certified_degree: int
     next_slope_floor: Optional[Fraction]
     warning: Optional[str] = None
+
+    @property
+    def slopes(self) -> tuple:
+        pairs = zip(self.vertices, self.vertices[1:])
+        return tuple(Fraction(y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in pairs)
+
+    @property
+    def multiplicities(self) -> tuple:
+        return tuple(x2 - x1 for (x1, _), (x2, _) in zip(self.vertices, self.vertices[1:]))
+
+    @property
+    def certified_degree(self) -> int:
+        return self.vertices[-1][0]
 
     def slope_multiset(self) -> List[Fraction]:
         out: List[Fraction] = []
@@ -223,20 +235,11 @@ def newton_polygon_from_points(
             certified.append(vert)
         else:
             break
-
-    slopes: List[Fraction] = []
-    mults: List[int] = []
-    for (x1, y1), (x2, y2) in zip(certified, certified[1:]):
-        slopes.append(Fraction(y2 - y1, x2 - x1))
-        mults.append(x2 - x1)
-
     jstar, vstar = certified[-1]
     later = [(j, v) for j, v in heights if j > jstar]
     floor = min((Fraction(v - vstar, j - jstar) for j, v in later), default=None)
     warning = ALL_SATURATED if len(known) == 1 and later else None
-    return NewtonPolygon(
-        tuple(slopes), tuple(mults), tuple(certified), jstar, floor, warning
-    )
+    return NewtonPolygon(tuple(certified), floor, warning)
 
 
 def newton_polygon(series: CharSeries) -> NewtonPolygon:

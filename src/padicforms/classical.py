@@ -97,7 +97,7 @@ def classical_up_spectrum(k: int, p: int) -> List[Fraction]:
     new_mult = dim_new_cusp_forms_gamma0_prime(k, p)  # ConfigError for p < 5 first
     series = old_factor(k, p)
     poly = newton_polygon(series)
-    if poly.certified_degree != series.degree or poly.next_slope_floor is not None:
+    if poly.next_slope_floor is not None:  # None only once certified through the degree
         raise VerificationError(
             f"classical polygon at weight {k} not certified through degree {series.degree}"
         )
@@ -173,21 +173,21 @@ class Comparison(NamedTuple):
         return self.verdict == "pass"
 
 
-def compare(
-    k: int, m: int, spectrum: Sequence[Fraction], polygon: Optional[NewtonPolygon]
-) -> Comparison:
+def compare(k: int, m: int, spectrum: Sequence[Fraction], polygon: NewtonPolygon) -> Comparison:
     """Compare the weight-normalized polygon of U_p at weight k, requested
     modulus p^m, with ``spectrum``, the ``classical_up_spectrum`` of
     weight k at level Gamma_0(p), which the caller builds once.
 
-    ``polygon`` None stands for a spectrum that could not be certified.
+    A polygon that does not certify through the bound min(k - 1, m - 2)
+    gives the indeterminate comparison, and one that does not certify
+    the boundary class at k - 1 leaves its count None.
     """
     bound = comparison_bound(k, m)
     spectrum = tuple(spectrum)
     edge = Fraction(k - 1)
     over = boundary = None
-    if polygon is not None and polygon.certifies_through(bound):
+    if polygon.certifies_through(bound):
         over = tuple(polygon.slopes_below(bound))
-    if polygon is not None and polygon.certifies_through(edge + Fraction(1, 2)):
+    if polygon.certifies_through(edge + Fraction(1, 2)):
         boundary = polygon.slope_multiset().count(edge)
     return Comparison(bound, spectrum, over, boundary, spectrum.count(edge))

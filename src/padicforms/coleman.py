@@ -24,6 +24,7 @@ shift is still cross-checked against an independently assembled matrix.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil
 from typing import List, NamedTuple, Optional, Sequence
 
 from .charseries import (
@@ -34,7 +35,7 @@ from .charseries import (
     newton_polygon,
 )
 from .classical import Comparison, classical_up_spectrum, compare, comparison_bound
-from .errors import ConfigError, PrecisionError, VerificationError
+from .errors import ConfigError, VerificationError
 from .forms import (
     MillerPowers,
     PowerTable,
@@ -204,15 +205,10 @@ def _solve_up(basis: KatzBasis, elements: Sequence[QSeries], m: int, shift: int)
 
 def shift_polygon(poly: NewtonPolygon, shift: int) -> NewtonPolygon:
     """Polygon of the operator scaled by p^shift: every slope moves by shift."""
-    if shift == 0:
-        return poly
-    return NewtonPolygon(
-        tuple(s + shift for s in poly.slopes),
-        poly.multiplicities,
-        tuple((j, v + shift * j) for j, v in poly.vertices),
-        poly.certified_degree,
-        None if poly.next_slope_floor is None else poly.next_slope_floor + shift,
-        poly.warning,
+    floor = poly.next_slope_floor
+    return poly._replace(
+        vertices=tuple((j, v + shift * j) for j, v in poly.vertices),
+        next_slope_floor=None if floor is None else floor + shift,
     )
 
 
@@ -235,50 +231,60 @@ class SlopeReport(NamedTuple):
 
 
 def _spectrum_core(
-    k: int,
-    p: int,
-    twist_depth: int,
+    basis: KatzBasis,
     m: int,
     bound: Optional[Fraction],
     classical_slopes: Sequence[Fraction] = (),
 ):
-    """q-expansion-operator series and polygon, raising the working
-    modulus until the polygon certifies through the requested bound.
+    """q-expansion-operator series and polygon of ``basis``, raising the
+    working modulus until the polygon certifies through the requested
+    bound.
 
     This is the library's one certify-by-raising-m loop, and its rule
-    of grid, plan and cap is stated here only.  The grid: with bound b,
-    m_work runs from max(m, floor(b) + 3) in steps of max(4, floor(b))
-    up to the cap m + floor(b) * max(D, 2) + 16, D the Katz dimension,
-    and past the cap the loop gives up with ``PrecisionError``; without
-    a bound it runs once at m.  The Katz element readouts, the
+    of grid, plan and cap is stated here only.  The grid
+    (``_spectrum_grid``): with bound b, m_work runs from
+    max(m, floor(b) + 3) in steps of max(4, floor(b)) up to the cap
+    m + ceil(b * max(D, 2)) + 16, D the Katz dimension; without a bound
+    it is the one step m.  The loop returns at the first step whose
+    polygon certifies through b, or at the cap, its last step, which
+    always certifies.  The Katz element readouts, the
     U_p matrix and its characteristic series are built at one step M of
     the grid, and each step up to M reads the Newton polygon of that
     series reduced to Z/p^m_work.  This is exact: the solve has unit
     pivots and the series is computed by integral similarities and a
     division-free recurrence, so both commute with reduction.  The step
-    that certifies returns the readouts as built, over Z/p^M with
-    M >= m_work; ``_solve_up`` reduces them when it reads them.
+    that returns gives the readouts as built, over Z/p^M with
+    M >= m_work; ``_solve_up`` reduces them when they are read.
+
+    Why the cap certifies: the operator is integral and c_0 = 1, so the
+    exact polygon of its series starts at (0, 0) with slopes >= 0.  Say
+    j of its slopes lie below b, with sum v <= b * j.  Its vertices up
+    to (j, v) lie no higher than v <= b * D < cap, so they read exactly
+    mod p^cap, and a coefficient that reads saturated there, at height
+    cap, lies above the polygon.  After j every known point lies on or
+    above the slope-b line from (j, v), which reaches
+    v + b(D - j) <= b * D < cap at D, so every saturated one does too.
+    So the polygon at the cap is certified through (j, v), and its floor
+    for any further slope is at least b.
 
     The plan: M is first the step ``_planned_modulus`` picks, the first
-    at or past v + b(D - j), with j slopes known to lie below b, of sum
-    v; the polygon certifies through b once its certified part ends at
-    (j, v) and the point at D, saturated at height m_work, lies on the
-    slope-b line from there.  ``classical_slopes`` are the slopes known
-    below b: ``slope_spectrum`` passes the classical U_p slopes of
-    weight k when k >= 2 and b <= k - 1, since slopes below k - 1 are
-    classical (Coleman), whether or not it compares them, and none
-    otherwise (j = v = 0, a target of b * D).  The cap: if no step up
-    to the plan certifies, the elements are built once more, at the
-    cap, and the walk goes on.  The plan chooses a cost, never a
-    result: every step reads the same reduced series either way.
+    at or past v + b(D - j), j and v as above for the slopes known to
+    lie below b; the polygon certifies through b once its certified
+    part ends at (j, v) and the point at D, saturated at height m_work,
+    lies on the slope-b line from there.  ``classical_slopes`` are the
+    slopes known below b: ``slope_spectrum`` passes the classical U_p
+    slopes of weight k when k >= 2 and b <= k - 1, since slopes below
+    k - 1 are classical (Coleman), whether or not it compares them, and
+    none otherwise (j = v = 0, a target of b * D).  If no step up to the
+    plan certifies, the elements are built once more, at the cap, and
+    the walk goes on.  The plan chooses a cost, never a result: every
+    step reads the same reduced series either way.
     """
-    basis = katz_basis(k, p, twist_depth)
     d = basis.dimension
     if bound is None:
         grid, planned = [m], m
     else:
-        cap = m + int(bound) * max(d, 2) + 16
-        grid = [*range(max(m, int(bound) + 3), cap, max(4, int(bound))), cap]
+        grid = _spectrum_grid(m, d, bound)
         planned = _planned_modulus(grid, d, bound, classical_slopes)
     built = 0
     for m_work in grid:
@@ -286,16 +292,19 @@ def _spectrum_core(
             built = grid[-1] if built else planned
             top = basis.elements_mod(built)
             top_series = char_series(
-                _solve_up(basis, top, built, normalization_shift(k, "qexp"))
+                _solve_up(basis, top, built, normalization_shift(basis.weight, "qexp"))
             )
-        series = CharSeries(top_series.coeffs, p, m_work)
+        series = CharSeries(top_series.coeffs, basis.p, m_work)
         poly = newton_polygon(series)
-        if bound is None or poly.certifies_through(bound):
-            return basis, top, series, poly, m_work
-    raise PrecisionError(
-        f"slopes below {bound} not certified at modulus {p}^{m_work} "
-        f"(indeterminate at requested precision)"
-    )
+        if m_work == grid[-1] or poly.certifies_through(bound):
+            return top, series, poly, m_work
+
+
+def _spectrum_grid(m: int, d: int, bound: Fraction) -> List[int]:
+    """The working moduli of ``_spectrum_core`` at requested modulus m,
+    Katz dimension D and bound b, the last of them the cap."""
+    cap = m + ceil(bound * max(d, 2)) + 16
+    return [*range(max(m, int(bound) + 3), cap, max(4, int(bound))), cap]
 
 
 def _planned_modulus(
@@ -328,11 +337,14 @@ def slope_spectrum(
     compared with the classical spectrum by ``classical.compare``, the
     one comparison, below min(k - 1, m - 2); m < 3 then raises
     ``ConfigError`` before any work, as do a negative ``certify_below``,
-    a prime refused by ``forms.check_theory_prime`` and an odd weight.
+    a prime refused by ``forms.check_theory_prime``, an odd weight and a
+    negative twist depth, which ``katz_basis`` refuses before the
+    classical spectrum is built.
 
     With ``certify_below`` = b the working modulus is raised until the
     q-expansion polygon certifies every slope below b, by the grid,
-    plan and cap that ``_spectrum_core`` states.  This is the library's
+    plan and cap that ``_spectrum_core`` states; the cap certifies every
+    b, so a certified report is always returned.  This is the library's
     one entry to a certified spectrum (``classicality_check`` and the
     theta probe call it).  The checks above run once, at the final
     modulus, and the classical spectrum is built once for the plan and
@@ -346,11 +358,10 @@ def slope_spectrum(
     compared = classical and k >= 2
     if compared:
         comparison_bound(k, m)  # refuses m < 3 before any work
+    basis = katz_basis(k, p, twist_depth)
     plans = bound is not None and 2 <= k and bound <= k - 1
     spectrum = classical_up_spectrum(k, p) if compared or plans else None
-    basis, elements, series, qpoly, m_work = _spectrum_core(
-        k, p, twist_depth, m, bound, spectrum if plans else ()
-    )
+    elements, series, qpoly, m_work = _spectrum_core(basis, m, bound, spectrum if plans else ())
     shift = normalization_shift(k, "weight")
     norm_poly = shift_polygon(qpoly, shift)
     for s in norm_poly.slope_multiset():
@@ -409,15 +420,10 @@ def classicality_check(k: int, p: int, twist_depth: int, m: int) -> Classicality
     is checked first (k >= 2 and m >= 3 are required: below them
     nothing is compared), then ``slope_spectrum`` checks p and k and
     certifies the comparison range by the rule that ``_spectrum_core``
-    states.  If that fails within the cap the verdict is indeterminate.
-    The classical spectrum is built once for a pass or a fail; the
-    indeterminate report builds it a second time, a path that no
-    supported input reaches.
+    states, whose cap always certifies it.  The verdict is the one
+    ``classical.compare`` reads from that polygon, and the classical
+    spectrum is built once.
     """
     bound = comparison_bound(k, m)
-    try:
-        report = slope_spectrum(k, p, twist_depth, m, certify_below=bound)
-    except PrecisionError:
-        spectrum = classical_up_spectrum(k, p)
-        return ClassicalityReport(p, k, twist_depth, m, m, compare(k, m, spectrum, None))
+    report = slope_spectrum(k, p, twist_depth, m, certify_below=bound)
     return ClassicalityReport(p, k, twist_depth, m, report.m_working, report.comparison)

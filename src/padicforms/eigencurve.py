@@ -107,14 +107,14 @@ def two_var_charseries(disc: WeightDisc, twist_depth: int) -> TwoVarCharSeries:
     dimension D = dim M_T.  ``samples`` holds each sample's series, that
     of ``up_matrix`` on ``katz_basis(k, p, (T - k)/(p - 1))`` over
     Z/p^m; the fit through them is the one ``TwoVarCharSeries.refit``
-    makes through a subset.
+    makes through a subset.  Every sample's Katz basis is made before any
+    matrix is built, so a depth that ``katz_basis`` refuses (a negative
+    ``twist_depth``) is refused before any work.
     """
     p = disc.p
     top = max(disc.sample_weights) + twist_depth * (p - 1)
-    samples = tuple(
-        (k, char_series(up_matrix(katz_basis(k, p, (top - k) // (p - 1)), disc.m)))
-        for k in disc.sample_weights
-    )
+    bases = [katz_basis(k, p, (top - k) // (p - 1)) for k in disc.sample_weights]
+    samples = tuple((basis.weight, char_series(up_matrix(basis, disc.m))) for basis in bases)
     return _fit(disc, top, twist_depth, samples)
 
 

@@ -7,11 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicforms import classical, coleman
-from padicforms.charseries import char_series, newton_polygon
+from padicforms.charseries import CharSeries, char_series, newton_polygon
 from padicforms.classical import (
     Comparison,
     classical_up_spectrum,
-    compare,
     dim_cusp_forms_gamma0_prime,
     dim_new_cusp_forms_gamma0_prime,
     genus_x0,
@@ -20,10 +19,11 @@ from padicforms.coleman import (
     KatzBasis,
     classicality_check,
     katz_basis,
+    shift_polygon,
     slope_spectrum,
     up_matrix,
 )
-from padicforms.errors import ConfigError, PrecisionError, VerificationError
+from padicforms.errors import ConfigError, VerificationError
 from padicforms.forms import SUPPORTED_PRIMES, basis_dimension, eisenstein, miller_basis
 from padicforms.hecke import NORMALIZATIONS, normalization_shift, up
 from padicforms.hida import ordinary_rank_mod_p
@@ -285,12 +285,8 @@ def _plan_the_cap(monkeypatch):
 
 
 def _spectrum_fields(k, p, twist_depth, m, bound, classical_side):
-    """The fields of a spectrum that the classical side must not change,
-    or the ``PrecisionError`` message when it does not certify."""
-    try:
-        rep = slope_spectrum(k, p, twist_depth, m, certify_below=bound, classical=classical_side)
-    except PrecisionError as err:
-        return str(err)
+    """The fields of a spectrum that the classical side must not change."""
+    rep = slope_spectrum(k, p, twist_depth, m, certify_below=bound, classical=classical_side)
     return tuple(getattr(rep, name) for name in SPECTRUM_FIELDS)
 
 
@@ -395,10 +391,87 @@ def test_a_spectrum_uncertified_at_its_plan_rebuilds_at_the_cap(monkeypatch):
 )
 def test_spectrum_core_matches_a_direct_solve(k, p, twist_depth, m, bound, m_working):
     # reducing the cap's series equals solving at m_working
-    _, _, series, _, m_work = coleman._spectrum_core(k, p, twist_depth, m, bound)
+    basis = katz_basis(k, p, twist_depth)
+    _, series, _, m_work = coleman._spectrum_core(basis, m, bound)
     assert m_work == m_working
-    direct = up_matrix(katz_basis(k, p, twist_depth), m_work, "qexp")
+    direct = up_matrix(basis, m_work, "qexp")
     assert series == char_series(direct)
+
+
+def test_the_grid_of_an_integer_bound_is_unchanged():
+    # the cap m + ceil(b * max(D, 2)) + 16 reads b where it read floor(b):
+    # for an integer b it is the same cap, and so the same grid and plan
+    for b in range(21):
+        for d in range(91):
+            for m in range(1, 13):
+                cap = m + b * max(d, 2) + 16
+                want = [*range(max(m, b + 3), cap, max(4, b)), cap]
+                assert coleman._spectrum_grid(m, d, F(b)) == want, (b, d, m)
+
+
+# the two fractional bounds whose cap, read at floor(b) = 0, did not
+# certify: the series at the caps 24 and 19 stop short of b = 1/2
+@example(4, 5, 150, 8, Fraction(1, 2))
+@example(0, 5, 120, 3, Fraction(1, 2))
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    st.integers(-2, 12).map(lambda h: 2 * h),
+    st.sampled_from(SUPPORTED_PRIMES),
+    st.integers(0, 12),
+    st.integers(1, 12),
+    st.builds(Fraction, st.integers(0, 24), st.sampled_from([1, 2, 3])),
+)
+def test_the_cap_certifies_every_bound(k, p, twist_depth, m, b):
+    # the series built at the last step of the grid certifies every
+    # slope below b, so the loop never runs out of steps
+    basis = katz_basis(k, p, twist_depth)
+    cap = coleman._spectrum_grid(m, basis.dimension, b)[-1]
+    assert newton_polygon(char_series(up_matrix(basis, cap, "qexp"))).certifies_through(b)
+
+
+@pytest.mark.parametrize(
+    "k, p, twist_depth, m, m_working", [(4, 5, 150, 8, 28), (0, 5, 120, 3, 23)]
+)
+def test_a_fractional_bound_certifies(k, p, twist_depth, m, m_working):
+    half = Fraction(1, 2)
+    report = slope_spectrum(k, p, twist_depth, m, certify_below=half)
+    assert report.m_working == m_working
+    assert report.qexp_polygon.certifies_through(half)
+    assert report.slopes.certifies_through(half + normalization_shift(k, "weight"))
+
+
+def test_a_negative_depth_is_refused_before_any_work(monkeypatch):
+    built = []
+    monkeypatch.setattr(coleman, "classical_up_spectrum", lambda k, p: built.append(k))
+    monkeypatch.setattr(KatzBasis, "elements_mod", lambda self, m: built.append(m))
+    with pytest.raises(ConfigError, match="twist depth must be >= 0"):
+        slope_spectrum(12, 5, -1, 10)
+    assert built == []
+
+
+# slopes 0 and 1 (twice) through degree 3, c_4 saturated: floor 4;
+# slopes 0 and 2 to the end: no floor; all saturated: floor 3/2, warned
+SHIFT_CASES = [
+    (CharSeries((1, 1, 0, 25, 0), 5, 6), (F(0), F(1)), (1, 2), 3, F(4)),
+    (CharSeries((1, 1, 25), 5, 6), (F(0), F(2)), (1, 1), 2, None),
+    (CharSeries((1, 0, 0), 5, 3), (), (), 0, Fraction(3, 2)),
+]
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1, 3])
+@pytest.mark.parametrize(
+    "series, slopes, mults, degree, floor", SHIFT_CASES, ids=["floor_4", "no_floor", "saturated"]
+)
+def test_shift_polygon_moves_the_slopes_and_the_floor(series, slopes, mults, degree, floor, shift):
+    poly = newton_polygon(series)
+    assert (poly.slopes, poly.multiplicities) == (slopes, mults)
+    assert (poly.certified_degree, poly.next_slope_floor) == (degree, floor)
+    moved = shift_polygon(poly, shift)
+    assert moved.slopes == tuple(s + shift for s in slopes)
+    assert moved.multiplicities == mults
+    assert moved.certified_degree == degree
+    assert moved.next_slope_floor == (None if floor is None else floor + shift)
+    assert moved.warning == poly.warning
 
 
 def test_slope_spectrum_weight_zero():
@@ -498,7 +571,9 @@ def test_comparison_classes_give_each_slope_its_verdict():
     matched = comparison._replace(overconvergent=(0, half, half, 2))
     assert [c["verdict"] for c in matched.classes] == ["match"] * 3
     assert matched.verdict == "pass"
-    assert compare(4, 8, spectrum, None).classes == ({"slope": None, "verdict": "indeterminate"},)
+    uncertified = comparison._replace(overconvergent=None)
+    assert uncertified.classes == ({"slope": None, "verdict": "indeterminate"},)
+    assert uncertified.verdict == "indeterminate"
 
 
 def test_classicality_pass_weight4():
@@ -545,25 +620,30 @@ def test_slope_spectrum_refuses_a_negative_bound_first(monkeypatch):
             slope_spectrum(4, 5, 6, 8, certify_below=Fraction(-1, 2), classical=classical_side)
 
 
-def test_an_uncertified_spectrum_gives_up_at_the_cap(monkeypatch):
-    """When no step of the grid certifies, ``slope_spectrum`` raises at
-    the cap m + floor(b) * max(D, 2) + 16, and ``classicality_check``
-    returns the indeterminate comparison at the requested modulus."""
+def test_an_uncertified_spectrum_reports_the_cap(monkeypatch):
+    """When no step of the grid certifies, ``slope_spectrum`` returns the
+    report of its last step, the cap m + ceil(b * max(D, 2)) + 16, and
+    ``classicality_check`` reads the indeterminate comparison from it,
+    at the cap, with the classical spectrum built once."""
     real = coleman.newton_polygon
     monkeypatch.setattr(
         coleman, "newton_polygon", lambda series: real(series)._replace(next_slope_floor=F(0))
     )
-    cap = 8 + 3 * katz_basis(4, 5, 12).dimension + 16
-    with pytest.raises(PrecisionError) as exc:
-        slope_spectrum(4, 5, 12, 8, certify_below=F(3))
-    assert str(exc.value) == (
-        f"slopes below 3 not certified at modulus 5^{cap} (indeterminate at requested precision)"
+    built = []
+    real_spectrum = coleman.classical_up_spectrum
+    monkeypatch.setattr(
+        coleman, "classical_up_spectrum", lambda k, p: built.append(k) or real_spectrum(k, p)
     )
+    cap = 8 + 3 * katz_basis(4, 5, 12).dimension + 16
+    report = slope_spectrum(4, 5, 12, 8, certify_below=F(3), classical=False)
+    assert report.m_working == cap
+    assert not report.qexp_polygon.certifies_through(F(3))
     report = classicality_check(4, 5, 12, 8)
-    assert report.m_working == 8
+    assert report.m_working == cap
     assert report.comparison.verdict == "indeterminate"
     assert report.comparison.overconvergent is None
     assert report.comparison.classical == (F(0), F(1))
+    assert built == [4, 4]  # once for the plan of each call, the comparison reusing it
 
 
 def test_slope_spectrum_refuses_a_negative_normalized_slope(monkeypatch):

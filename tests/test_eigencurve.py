@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from padicforms import acceptance, eigencurve
 from padicforms.charseries import CharSeries, char_series, newton_polygon
-from padicforms.coleman import katz_basis, slope_spectrum, up_matrix
+from padicforms.coleman import KatzBasis, katz_basis, slope_spectrum, up_matrix
 from padicforms.eigencurve import (
     LocalPieceReport,
     WeightDisc,
@@ -170,6 +170,17 @@ def test_criterion_9_builds_one_katz_model_per_sample(monkeypatch):
     monkeypatch.setattr(eigencurve, "katz_basis", katz_basis_spy)
     assert acceptance.criterion_9(0).passed
     assert built == [(4, 14), (8, 13), (12, 12), (16, 11), (20, 10)]
+
+
+def test_a_negative_depth_is_refused_before_any_katz_element(monkeypatch):
+    # depth -1 at the top sample 16 leaves samples 4, 8 and 12 at depths
+    # 2, 1 and 0: every Katz basis is made, and sample 16's refused,
+    # before any sample's elements or U_p matrix
+    built = []
+    monkeypatch.setattr(KatzBasis, "elements_mod", lambda self, m: built.append(m))
+    with pytest.raises(ConfigError, match="twist depth must be >= 0"):
+        two_var_charseries(WeightDisc(5, 0, (4, 8, 12, 16), 8), -1)
+    assert built == []
 
 
 def test_local_piece_report_ordinary_degree():

@@ -5,7 +5,6 @@ import pytest
 from padicforms import coleman
 from padicforms.charseries import CharSeries, newton_polygon
 from padicforms.coleman import classicality_check, slope_spectrum
-from padicforms.errors import PrecisionError
 from padicforms.serialize import classicality_json, encode, polygon_json, slope_report_json
 
 
@@ -102,17 +101,20 @@ def test_slope_report_json_when_the_comparison_is_not_certified():
 
 
 def test_classicality_json_when_the_spectrum_is_not_certified(monkeypatch):
-    def uncertified(*args, **kwargs):
-        raise PrecisionError("not certified")
-
-    monkeypatch.setattr(coleman, "_spectrum_core", uncertified)
+    # a polygon that never certifies: the report of the cap
+    # 8 + 3 * max(D, 2) + 16 = 39, D = 5, with no slope compared
+    real = coleman.newton_polygon
+    floor_0 = Fraction(0)
+    monkeypatch.setattr(
+        coleman, "newton_polygon", lambda series: real(series)._replace(next_slope_floor=floor_0)
+    )
     report = classicality_check(4, 5, 12, 8)
     assert encode(classicality_json(report)) == {
         "p": "5",
         "k": "4",
         "I": "12",
         "m": "8",
-        "m_working": "8",
+        "m_working": "39",
         "compared_below": "3",
         "overconvergent": [],
         "classical": ["0", "1"],

@@ -887,12 +887,40 @@ MUTANTS = (
     Mutant(
         "certified spectrum returns the series unreduced",
         "src/padicforms/coleman.py",
-        "        series = CharSeries(top_series.coeffs, p, m_work)\n",
+        "        series = CharSeries(top_series.coeffs, basis.p, m_work)\n",
         "        series = top_series\n",
         (
             "tests/test_coleman.py::test_spectrum_core_matches_a_direct_solve"
             "[14-5-34-10-bound0-91]",
         ),
+    ),
+    Mutant(
+        "spectrum cap read at floor(b): m + floor(b) * max(D, 2) + 16",
+        "src/padicforms/coleman.py",
+        "    cap = m + ceil(bound * max(d, 2)) + 16\n",
+        "    cap = m + int(bound) * max(d, 2) + 16\n",
+        ("tests/test_coleman.py::test_the_cap_certifies_every_bound",),
+    ),
+    Mutant(
+        "certified spectrum does not return at the cap",
+        "src/padicforms/coleman.py",
+        "        if m_work == grid[-1] or poly.certifies_through(bound):\n",
+        "        if poly.certifies_through(bound):\n",
+        ("tests/test_coleman.py::test_an_uncertified_spectrum_reports_the_cap",),
+    ),
+    Mutant(
+        "certified degree read from the first vertex",
+        "src/padicforms/charseries.py",
+        "        return self.vertices[-1][0]\n",
+        "        return self.vertices[0][0]\n",
+        ("tests/test_coleman.py::test_shift_polygon_moves_the_slopes_and_the_floor[floor_4-0]",),
+    ),
+    Mutant(
+        "slope multiplicities one too high",
+        "src/padicforms/charseries.py",
+        "        return tuple(x2 - x1 for (x1, _), (x2, _) in zip(",
+        "        return tuple(x2 - x1 + 1 for (x1, _), (x2, _) in zip(",
+        ("tests/test_coleman.py::test_shift_polygon_moves_the_slopes_and_the_floor[floor_4-0]",),
     ),
     Mutant(
         "slope classes swap the extra and missing verdicts",
