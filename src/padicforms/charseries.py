@@ -18,14 +18,13 @@ where such coefficients could cut below the hull.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import index, mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConfigError
-from .padic import PadicMatrix, _check_pm, unit_inverse, val_p
+from .padic import PadicMatrix, Value, _check_pm, unit_inverse, val_p
 
 
 def _hessenberg(matrix: PadicMatrix) -> List[List[int]]:
@@ -98,8 +97,7 @@ def _hessenberg_series(h: Sequence[Sequence[int]], modulus: int) -> List[int]:
     return chis[-1]
 
 
-@dataclass(frozen=True)
-class CharSeries:
+class CharSeries(Value):
     """det(1 - T.U) as a polynomial of degree <= D over Z/p^m.
 
     ``coeffs`` are plain ints, reduced mod p^m on construction; each must
@@ -107,19 +105,17 @@ class CharSeries:
     ``TypeError`` instead of being truncated).
     """
 
-    coeffs: tuple
-    p: int
-    m: int
+    __match_args__ = ("coeffs", "p", "m")
 
-    def __post_init__(self) -> None:
-        _check_pm(self.p, self.m)
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple, p: int, m: int) -> None:
+        _check_pm(p, m)
+        if not coeffs:
             raise ValueError("characteristic series needs at least c_0")
-        modulus = self.p**self.m
-        coeffs = tuple(index(c) % modulus for c in self.coeffs)
+        modulus = p**m
+        coeffs = tuple(index(c) % modulus for c in coeffs)
         if coeffs[0] != 1:
             raise ValueError("c_0 must be exactly 1")
-        object.__setattr__(self, "coeffs", coeffs)
+        vars(self).update(coeffs=coeffs, p=p, m=m)
 
     @property
     def degree(self) -> int:

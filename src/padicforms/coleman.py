@@ -335,11 +335,12 @@ def slope_spectrum(
     is cross-checked to sit exactly inf{1,k} above the normalized one.
     For k >= 2 (unless ``classical`` is False) the normalized polygon is
     compared with the classical spectrum by ``classical.compare``, the
-    one comparison, below min(k - 1, m - 2); m < 3 then raises
-    ``ConfigError`` before any work, as do a negative ``certify_below``,
-    a prime refused by ``forms.check_theory_prime``, an odd weight and a
-    negative twist depth, which ``katz_basis`` refuses before the
-    classical spectrum is built.
+    one comparison, below min(k - 1, m - 2).  Bad input raises
+    ``ConfigError`` before any work, in this order: a prime refused by
+    ``forms.check_theory_prime``, an odd weight and a negative twist
+    depth, which ``katz_basis`` refuses (it computes only the dimension
+    ladder), then a negative ``certify_below``, then m < 3 when the
+    spectra are compared.
 
     With ``certify_below`` = b the working modulus is raised until the
     q-expansion polygon certifies every slope below b, by the grid,
@@ -352,13 +353,11 @@ def slope_spectrum(
     independently from the element readouts as built, by a solve over
     Z/p^m_work that reduces what it reads.
     """
-    check_theory_prime(p)
-    check_level1_weight(k)
+    basis = katz_basis(k, p, twist_depth)
     bound = None if certify_below is None else check_slope_bound(certify_below)
     compared = classical and k >= 2
     if compared:
         comparison_bound(k, m)  # refuses m < 3 before any work
-    basis = katz_basis(k, p, twist_depth)
     plans = bound is not None and 2 <= k and bound <= k - 1
     spectrum = classical_up_spectrum(k, p) if compared or plans else None
     elements, series, qpoly, m_work = _spectrum_core(basis, m, bound, spectrum if plans else ())

@@ -26,7 +26,6 @@ side is built from H^1 itself rather than the transpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import List, NamedTuple, Optional, Sequence
@@ -36,21 +35,19 @@ from .coleman import katz_basis, slope_spectrum, up_matrix
 from .errors import ConfigError, PrecisionError
 from .forms import basis_dimension
 from .linalg import invert_unimodular, ordinary_projector
-from .padic import PadicMatrix
+from .padic import PadicMatrix, Value
 
 
-@dataclass(frozen=True)
-class DualFamily:
+class DualFamily(Value):
     """Dual of an ordinary block: the pairing matrix and the operator
     acting on the dual side (transpose in gram-dual coordinates)."""
 
-    rank: int
-    gram: PadicMatrix
-    operator_on_dual: PadicMatrix
+    __match_args__ = ("rank", "gram", "operator_on_dual")
 
-    def __post_init__(self) -> None:
-        if self.gram.size != self.rank:
+    def __init__(self, rank: int, gram: PadicMatrix, operator_on_dual: PadicMatrix) -> None:
+        if gram.size != rank:
             raise ValueError("gram matrix size must equal the source rank")
+        vars(self).update(rank=rank, gram=gram, operator_on_dual=operator_on_dual)
 
 
 def dual_module(up_matrix_block: PadicMatrix, gram: Optional[PadicMatrix] = None) -> DualFamily:

@@ -16,7 +16,6 @@ ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -24,7 +23,7 @@ from operator import index, mul
 from typing import List, Sequence
 
 from .errors import ConfigError, PrecisionError
-from .padic import product_rows, unit_inverse
+from .padic import Value, product_rows, unit_inverse
 from .qexp import ModRing, QSeries, Ring, ZZ, _check_qprec
 
 SUPPORTED_PRIMES = (5, 7, 11, 13)
@@ -124,8 +123,7 @@ def basis_dimension(k: int) -> int:
     return k // 12 + 1
 
 
-@dataclass(frozen=True)
-class SpaceBasis:
+class SpaceBasis(Value):
     """Echelon basis of the weight-k level-1 space: form j is q^j + O(q^dim).
 
     So the first dim coefficients of a series are its echelon
@@ -133,16 +131,16 @@ class SpaceBasis:
     spaces, of any number of series at once.
     """
 
-    weight: int
-    forms: tuple
+    __match_args__ = ("weight", "forms")
 
-    def __post_init__(self) -> None:
-        d = len(self.forms)
-        for j, f in enumerate(self.forms):
+    def __init__(self, weight: int, forms: tuple) -> None:
+        d = len(forms)
+        for j, f in enumerate(forms):
             if f.qprec < d:
                 raise ValueError(f"basis form {j} has q-precision {f.qprec} below dimension {d}")
             if f.coeffs[:d] != tuple(int(i == j) for i in range(d)):
                 raise ValueError(f"basis form {j} is not q^{j} + O(q^{d})")
+        vars(self).update(weight=weight, forms=forms)
 
     def combination(self, coords) -> QSeries:
         """sum_j coords[j] * form j, at this basis's q-precision."""

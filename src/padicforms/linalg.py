@@ -294,6 +294,8 @@ def restrict_to_image(op_mat: PadicMatrix, columns: Sequence[Sequence[int]]) -> 
     return PadicMatrix.from_rows(coords, p, m)
 
 
+# the package's one dataclass: the benchmark's tests edit a result by
+# dataclasses.replace
 @dataclass(frozen=True)
 class ProjectorResult:
     """The ordinary projector e(T) = lim T^(n!) and its rank.

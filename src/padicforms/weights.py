@@ -28,13 +28,12 @@ must be integers (``operator.index``: a float or Fraction raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 from typing import List, Sequence, Tuple
 
 from .errors import ConfigError, PrecisionError, VerificationError
 from .forms import check_level1_weight, check_theory_prime
-from .padic import _check_pm, unit_inverse, val_p
+from .padic import Value, _check_pm, unit_inverse, val_p
 
 
 def w_coordinate(k: int, p: int, m: int) -> int:
@@ -62,8 +61,7 @@ def check_component(k: int, p: int, component: int) -> None:
         raise ConfigError(f"weight {k} is not on component {component % (p - 1)} mod {p - 1}")
 
 
-@dataclass(frozen=True)
-class WeightDisc:
+class WeightDisc(Value):
     """A residue disc of weight space with integer sample weights, read
     over Z/p^m.
 
@@ -74,49 +72,41 @@ class WeightDisc:
     and a prime, weight, component or m that is not an integer ``TypeError``.
     """
 
-    p: int
-    component: int
-    sample_weights: tuple
-    m: int
+    __match_args__ = ("p", "component", "sample_weights", "m")
 
-    def __post_init__(self) -> None:
-        p = index(self.p)
+    def __init__(self, p: int, component: int, sample_weights: tuple, m: int) -> None:
+        p = index(p)
         check_theory_prime(p)
-        m = index(self.m)
+        m = index(m)
         if m < 1:
             raise ConfigError(f"precision exponent must be >= 1, got {m}")
-        weights = tuple(sorted(set(map(index, self.sample_weights))))
+        weights = tuple(sorted(set(map(index, sample_weights))))
         if not weights:
             raise ConfigError("a weight disc needs at least one sample weight")
-        comp = index(self.component) % (p - 1)
+        comp = index(component) % (p - 1)
         for k in weights:
             check_component(k, p, comp)
             check_level1_weight(k)
         if weights[0] < 1:
             raise ConfigError("disc samples must be >= 1 (uniform U_p normalization)")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "sample_weights", weights)
-        object.__setattr__(self, "component", comp)
-        object.__setattr__(self, "m", m)
+        vars(self).update(p=p, component=comp, sample_weights=weights, m=m)
 
 
-@dataclass(frozen=True)
-class IwasawaTruncation:
+class IwasawaTruncation(Value):
     """A polynomial in the disc coordinate w, over Z/p^m, on one
     component of weight space; a fit of ``interpolate_iwasawa`` records
     the weights of its samples, which bound its precision elsewhere
     (``precision_at``)."""
 
-    p: int
-    component: int
-    poly_coeffs: tuple
-    m: int
-    sample_weights: tuple = ()
+    __match_args__ = ("p", "component", "poly_coeffs", "m", "sample_weights")
 
-    def __post_init__(self) -> None:
-        _check_pm(self.p, self.m)
-        object.__setattr__(
-            self, "poly_coeffs", tuple(index(c) % self.p**self.m for c in self.poly_coeffs)
+    def __init__(
+        self, p: int, component: int, poly_coeffs: tuple, m: int, sample_weights: tuple = ()
+    ) -> None:
+        _check_pm(p, m)
+        poly_coeffs = tuple(index(c) % p**m for c in poly_coeffs)
+        vars(self).update(
+            p=p, component=component, poly_coeffs=poly_coeffs, m=m, sample_weights=sample_weights
         )
 
     def evaluate_at_w(self, w: int) -> int:

@@ -4,8 +4,6 @@ Each test prints one pass/fail line (visible with -s and in the CLI's
 ``acceptance`` command, which runs the same engine).
 """
 
-from dataclasses import replace
-
 import pytest
 
 from padicforms import acceptance, hecke, hida
@@ -16,6 +14,7 @@ from padicforms.errors import ConfigError
 from padicforms.linalg import ProjectorResult, rank_mod_p
 from padicforms.padic import PadicMatrix
 from padicforms.qexp import QSeries
+from padicforms.weights import IwasawaTruncation
 
 SEED = 0
 
@@ -303,11 +302,16 @@ def test_criterion_5_catches_a_wrong_sample_eigenvalue(monkeypatch):
     ]
 
 
+def _constant_moved(fit):
+    """The ``IwasawaTruncation`` ``fit`` with its constant term moved by 1."""
+    coeffs = (fit.poly_coeffs[0] + 1,) + fit.poly_coeffs[1:]
+    return IwasawaTruncation(fit.p, fit.component, coeffs, fit.m, fit.sample_weights)
+
+
 def _with_a_2_fit_moved(family):
     """The family with the constant term of its fitted a_2 moved by 1."""
     key = family.keys[0]
-    fit = family.fitted[2][key]
-    moved = replace(fit, poly_coeffs=(fit.poly_coeffs[0] + 1,) + fit.poly_coeffs[1:])
+    moved = _constant_moved(family.fitted[2][key])
     return family._replace(fitted={**family.fitted, 2: {key: moved}})
 
 
@@ -322,7 +326,8 @@ def _with_a_2_fit_of_2_digits(family):
     itself mod 5^2 wherever w agrees, but claims no 3 digits anywhere."""
     key = family.keys[0]
     fit = family.fitted[2][key]
-    return family._replace(fitted={**family.fitted, 2: {key: replace(fit, m=2)}})
+    cut = IwasawaTruncation(fit.p, fit.component, fit.poly_coeffs, 2, fit.sample_weights)
+    return family._replace(fitted={**family.fitted, 2: {key: cut}})
 
 
 def _with_one_congruence_failed(family):
@@ -473,8 +478,7 @@ def test_criterion_9_catches_a_wrong_held_out_prediction(monkeypatch):
         found = real(full, weights)
         if 12 in found.disc.sample_weights:
             return found
-        c1 = found.coeffs[1]
-        moved = replace(c1, poly_coeffs=(c1.poly_coeffs[0] + 1,) + c1.poly_coeffs[1:])
+        moved = _constant_moved(found.coeffs[1])
         return found._replace(coeffs=(found.coeffs[0], moved) + found.coeffs[2:])
 
     monkeypatch.setattr(TwoVarCharSeries, "refit", refit)

@@ -598,15 +598,22 @@ def test_classicality_refuses_m_below_3():
             classicality_check(4, 5, 6, m)
 
 
-def _refuse_katz_basis(*args):
-    raise AssertionError("the Katz basis was built before the input was checked")
+def _refuse_work(monkeypatch):
+    """Fail the test if the Katz elements or the classical spectrum are
+    built: ``katz_basis`` computes only the dimension ladder."""
+
+    def refuse(*args):
+        raise AssertionError("work was done before the input was checked")
+
+    monkeypatch.setattr(KatzBasis, "elements_mod", refuse)
+    monkeypatch.setattr(coleman, "classical_up_spectrum", refuse)
 
 
 def test_slope_spectrum_comparison_refuses_m_below_3(monkeypatch):
     # at m = 2 the bound min(k - 1, m - 2) is 0: a comparison below it
     # compares nothing and must not read as all-match.  Refused up front,
     # with the message classicality_check gives
-    monkeypatch.setattr(coleman, "katz_basis", _refuse_katz_basis)
+    _refuse_work(monkeypatch)
     with pytest.raises(ConfigError, match="m must be >= 3"):
         slope_spectrum(12, 5, 12, 2)
     with pytest.raises(ConfigError, match="m must be >= 3"):
@@ -614,10 +621,30 @@ def test_slope_spectrum_comparison_refuses_m_below_3(monkeypatch):
 
 
 def test_slope_spectrum_refuses_a_negative_bound_first(monkeypatch):
-    monkeypatch.setattr(coleman, "katz_basis", _refuse_katz_basis)
+    _refuse_work(monkeypatch)
     for classical_side in (True, False):
         with pytest.raises(ConfigError, match="slope bound must be >= 0"):
             slope_spectrum(4, 5, 6, 8, certify_below=Fraction(-1, 2), classical=classical_side)
+
+
+# (k, p, twist depth, m, certify_below) with two bad inputs each: p, k and
+# the depth are refused by katz_basis, then the bound, then m
+TWO_BAD_INPUTS = [
+    ((3, 2, 6, 8, None), "p-adic theory is configured for p in"),
+    ((3, 5, -1, 8, None), "odd weight 3 has no level-1 forms"),
+    ((3, 5, 6, 2, None), "odd weight 3 has no level-1 forms"),
+    ((4, 5, -1, 8, F(-1)), "twist depth must be >= 0"),
+    ((4, 5, -1, 2, None), "twist depth must be >= 0"),
+    ((4, 5, 6, 2, F(-1)), "slope bound must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("args, message", TWO_BAD_INPUTS)
+def test_slope_spectrum_refuses_p_k_depth_bound_then_m(monkeypatch, args, message):
+    _refuse_work(monkeypatch)
+    k, p, twist_depth, m, bound = args
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        slope_spectrum(k, p, twist_depth, m, certify_below=bound)
 
 
 def test_an_uncertified_spectrum_reports_the_cap(monkeypatch):

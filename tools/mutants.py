@@ -929,6 +929,28 @@ MUTANTS = (
         '"extra-overconvergent" if o < c else "missing-overconvergent"',
         ("tests/test_coleman.py::test_comparison_classes_give_each_slope_its_verdict",),
     ),
+    # value semantics of padic.Value
+    Mutant(
+        "values of another class compared by their fields",
+        "src/padicforms/padic.py",
+        "        if type(other) is not type(self):\n            return NotImplemented\n",
+        "        if not isinstance(other, Value):\n            return NotImplemented\n",
+        ("tests/test_values.py::test_values_of_another_class_differ",),
+    ),
+    Mutant(
+        "value hash reads one field fewer than equality",
+        "src/padicforms/padic.py",
+        "        return hash(tuple(map(vars(self).__getitem__, self.__match_args__)))\n",
+        "        return hash(tuple(map(vars(self).__getitem__, self.__match_args__[1:])))\n",
+        ("tests/test_values.py::test_each_field_is_compared_and_hashed",),
+    ),
+    Mutant(
+        "values accept assignment",
+        "src/padicforms/padic.py",
+        '        raise AttributeError(f"cannot assign to field {name!r} of an immutable value")\n',
+        "        vars(self)[name] = value\n",
+        ("tests/test_values.py::test_values_are_immutable",),
+    ),
     # output encoding and the source scans
     Mutant(
         "encoder writes a record as the list of its fields",
@@ -950,7 +972,18 @@ MUTANTS = (
         "src/padicforms/duality.py",
         "class ThetaProbeClass(NamedTuple):\n",
         "@dataclass(frozen=True)\nclass ThetaProbeClass:\n",
-        ("tests/test_imports.py::test_dataclasses_validate_or_are_listed",),
+        ("tests/test_imports.py::test_projector_result_is_the_only_dataclass",),
+        also=(("from fractions import", "from dataclasses import dataclass\nfrom fractions import"),),
+    ),
+    Mutant(
+        "QSeries a frozen dataclass again",
+        "src/padicforms/qexp.py",
+        'class QSeries(Value):\n    """A q-expansion known through q^(qprec-1)."""\n\n'
+        '    __match_args__ = ("ring", "coeffs")\n',
+        '@dataclass(frozen=True)\nclass QSeries:\n    """A q-expansion known through q^(qprec-1)."""\n\n'
+        "    ring: Ring\n    coeffs: tuple\n",
+        ("tests/test_imports.py::test_projector_result_is_the_only_dataclass",),
+        also=(("from itertools import", "from dataclasses import dataclass\nfrom itertools import"),),
     ),
     Mutant(
         "a float constant in weights.py",
