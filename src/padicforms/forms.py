@@ -19,12 +19,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import index, mul
+from operator import index
 from typing import List, Sequence
 
 from .errors import ConfigError, PrecisionError
-from .padic import Value, product_rows, unit_inverse
-from .qexp import ModRing, QSeries, Ring, ZZ, _check_qprec
+from .padic import Value
+from .qexp import QSeries, Ring, ZZ, _check_qprec
 
 SUPPORTED_PRIMES = (5, 7, 11, 13)
 
@@ -75,16 +75,10 @@ def eisenstein(k: int, qprec: int, ring: Ring = ZZ) -> QSeries:
     _check_qprec(qprec)
     factor = Fraction(-2 * k) / bernoulli(k)
     sig = sigma_series(k - 1, qprec)
-    if isinstance(ring, ModRing):
-        if factor.denominator % ring.p == 0:
-            raise ValueError(f"E_{k} is not {ring.p}-integral")
-        c = factor.numerator * unit_inverse(factor.denominator, ring.p, ring.m)
-    else:
-        if factor.denominator != 1:
-            raise ValueError(
-                f"E_{k} is not integral over Z (factor {factor}); use a p-adic ring"
-            )
-        c = factor.numerator
+    try:
+        c = factor.numerator * ring.unit_inverse(factor.denominator)
+    except ZeroDivisionError:
+        raise ValueError(f"E_{k} is not {ring.integral}") from None
     coeffs = [1] + [c * s for s in sig[1:]]
     return QSeries(ring, tuple(coeffs))
 
@@ -143,37 +137,37 @@ class SpaceBasis(Value):
         vars(self).update(weight=weight, forms=forms)
 
     def combination(self, coords) -> QSeries:
-        """sum_j coords[j] * form j, at this basis's q-precision."""
-        coords = [index(c) for c in coords]
+        """sum_j coords[j] * form j, at this basis's q-precision; an empty
+        basis, which has no q-precision, raises ``ValueError``."""
+        if not self.forms:
+            raise ValueError("an empty basis has no q-precision to combine at")
+        q, ring = self.qprec, self.ring
+        coords = ring.reduce(map(index, coords))
         if len(coords) != self.dim:
             raise ValueError(f"{len(coords)} coordinates for a basis of dimension {self.dim}")
-        q = self.qprec
-        by_degree = zip(*(f.coeffs[:q] for f in self.forms))
-        return QSeries._from_ints(self.ring, [sum(map(mul, coords, c)) for c in by_degree])
+        (combination,) = ring.product_rows([coords], [f.coeffs[:q] for f in self.forms], q)
+        return QSeries._reduced(ring, combination)
 
     def contains_each(self, series: Sequence[QSeries]) -> tuple:
         """Whether each of ``series`` lies in the span, on the q-precision
         it and the basis both carry: the combination of its echelon
-        coordinates (its first dim coefficients) must equal it.  Over
-        Z/p^m all the combinations come from one ``padic.product_rows``
-        call, which packs from 4 series on; over Z each is a dot product
-        per degree.  A series over another ring raises ``ValueError``,
-        one known to fewer than dim coefficients ``PrecisionError``."""
+        coordinates (its first dim coefficients) must equal it.  All the
+        combinations come from one call of the ring's ``product_rows``,
+        the kernel ``combination`` calls too, which packs from 4 series
+        on over Z/p^m.  A series over another ring raises ``ValueError``,
+        one known to fewer than dim coefficients ``PrecisionError``.  An
+        empty basis checks no ring: a series lies in its span when it is
+        zero."""
+        if not self.forms:
+            return tuple(g.is_zero() for g in series)
         d, q, ring = self.dim, self.qprec, self.ring
         for g in series:
             if g.qprec < d:
                 raise PrecisionError(f"q-precision {g.qprec} below dimension {d}")
-            if d and g.ring != ring:
+            if g.ring != ring:
                 raise ValueError(f"ring mismatch: {ring} vs {g.ring}")
-        if d == 0:
-            return tuple(g.is_zero() for g in series)
         coords = [g.coeffs[:d] for g in series]
-        rows = [f.coeffs[:q] for f in self.forms]
-        if ring.modulus is None:
-            columns = list(zip(*rows))
-            combinations = [tuple([sum(map(mul, c, col)) for col in columns]) for c in coords]
-        else:
-            combinations = product_rows(coords, rows, q, ring.modulus)
+        combinations = ring.product_rows(coords, [f.coeffs[:q] for f in self.forms], q)
         return tuple([c[: g.qprec] == g.coeffs[:q] for c, g in zip(combinations, series)])
 
     @property
@@ -185,8 +179,8 @@ class SpaceBasis(Value):
         return min((f.qprec for f in self.forms), default=0)
 
     @property
-    def ring(self):
-        return self.forms[0].ring if self.forms else ZZ
+    def ring(self) -> Ring:
+        return self.forms[0].ring
 
 
 class PowerTable:

@@ -4,15 +4,38 @@ A ``QSeries`` holds coefficients a_0, ..., a_{Q-1} of a formal series
 sum a_n q^n, either over Z or over Z/p^m.  Arithmetic requires equal
 ring tags; the q-precision of a result is the minimum of the inputs.
 
+The ring, ``ZZ`` (an ``IntegerRing``) or a ``ModRing``, owns every rule
+in which Z and Z/p^m differ, so that no caller asks which ring it holds
+and a new ring, such as (Z/p^m)[w]/(w^n), is one more class with the
+same members:
+
+- ``reduce(ints)``: the canonical tuple of a whole series, ints as they
+  are over Z and residues in [0, p^m) over Z/p^m.  It is called once per
+  series, never once per coefficient, except by ``inverse``, whose
+  steps each read the ones before;
+- ``unit_inverse(a)``: the inverse of a unit, raising
+  ``ZeroDivisionError`` for a non-unit (any a but +-1 over Z, a with
+  p | a over Z/p^m); ``QSeries.inverse`` and ``forms.eisenstein``
+  divide by it, the latter naming the ring's ``integral`` when it
+  refuses;
+- ``bits(a, b)`` and ``signed``: the width and sign of the coefficients
+  the packed product lays into slots, bits(p^m - 1) unsigned over
+  Z/p^m, and over Z bits(max |a_i|) of the two factors, signed, since
+  only the ring knows how large its coefficients can be;
+- ``product_rows(a, b, s)``: the rows of a matrix product, by
+  ``padic.product_rows`` over Z/p^m and by plain dot products over Z,
+  the one kernel of ``forms.SpaceBasis``'s span test and combinations;
+- ``json()``: the ring's name in JSON output, "Z" or {"p": p, "m": m}.
+
 A ``QSeries`` validates its coefficients once, when a public entry
 point builds it (``QSeries(...)``, ``from_coeffs``, ``constant``):
 each must be an integer (``operator.index``; a float or Fraction raises
 ``TypeError`` instead of being truncated), reduced mod p^m over Z/p^m:
-one ``map(operator.index, ...)`` over all of them and one ``% modulus``
-list comprehension, with no method call per coefficient.  Results the
+one ``map(operator.index, ...)`` over all of them and one
+``ring.reduce`` call, with no method call per coefficient.  Results the
 class computes itself (products, sums, scales, truncations, inverses)
-are built already reduced, with one ``% modulus`` per coefficient, and
-skip that validation.  Two refusals have one owner each:
+are built already reduced, by one ``ring.reduce`` call each, and skip
+that validation.  Two refusals have one owner each:
 ``_check_qprec`` refuses a q-precision below 1 wherever one is asked
 for (``QSeries.constant``, ``QSeries.truncate``, ``forms.eisenstein``,
 ``forms.delta``), and ``_check_indices`` a coefficient index out of
@@ -25,9 +48,9 @@ and g = q^t g', fg = q^(s+t) f'g', so f'g' is needed to n = Q - s - t
 coefficients only, and not at all when n <= 0 (the product is then 0).
 The running products of ``coleman.KatzBasis.elements_mod`` and the powers
 of Delta, which start at q^c, multiply so at length Q - c.  Then one of
-three exact kernels runs, chosen from n and the coefficient size alone:
-bits = bits(p^m - 1) over Z/p^m, and bits(max |a_i|) over the n
-coefficients of both factors that are used, over Z.
+three exact kernels runs, chosen from n and the coefficient size alone,
+the ring's ``bits``: bits(p^m - 1) over Z/p^m, and bits(max |a_i|) over
+the n coefficients of both factors that are used, over Z.
 
 When n >= 16 and bits <= 4*n, the product is packed (Kronecker
 substitution, as in ``padic.product_rows``): big integers with one slot
@@ -99,6 +122,7 @@ from .padic import (
     _check_pm,
     pack_slots,
     power_from_base,
+    product_rows,
     slot_size,
     unit_inverse,
     unpack_slots,
@@ -106,25 +130,65 @@ from .padic import (
 
 
 class IntegerRing(Value):
-    """The exact integers; the tag for classical integral q-expansions."""
+    """The exact integers; the tag for classical integral q-expansions.
+    Its members are the ring's rules, listed in the module docstring."""
 
     modulus = None  # nothing to reduce by
+    signed = True  # packed coefficients take both signs
+    integral = "integral over Z"
 
     def __str__(self) -> str:
         return "Z"
 
+    def json(self) -> str:
+        return "Z"
+
+    def reduce(self, ints) -> tuple:
+        return tuple(ints)
+
+    def unit_inverse(self, a: int) -> int:
+        if a not in (1, -1):
+            raise ZeroDivisionError(f"{a} is not a unit in Z")
+        return a
+
+    def bits(self, a: Sequence[int], b: Sequence[int]) -> int:
+        return max(max(map(abs, a)), max(map(abs, b))).bit_length()
+
+    def product_rows(self, a, b, s: int) -> tuple:
+        columns = list(zip(*b)) or [()] * s
+        return tuple([tuple([sum(map(mul, row, col)) for col in columns]) for row in a])
+
 
 class ModRing(Value):
-    """The ring Z/p^m."""
+    """The ring Z/p^m, with the members of ``IntegerRing``."""
 
     __match_args__ = ("p", "m")
+    signed = False  # packed coefficients are residues in [0, p^m)
 
     def __init__(self, p: int, m: int) -> None:
         _check_pm(p, m)
-        vars(self).update(p=p, m=m, modulus=p**m)
+        vars(self).update(p=p, m=m, modulus=p**m, integral=f"{p}-integral")
 
     def __str__(self) -> str:
         return f"Z/{self.p}^{self.m}"
+
+    def json(self) -> dict:
+        return {"p": self.p, "m": self.m}
+
+    def reduce(self, ints) -> tuple:
+        modulus = self.modulus
+        return tuple([c % modulus for c in ints])
+
+    def unit_inverse(self, a: int) -> int:
+        if a % self.p == 0:
+            raise ZeroDivisionError(f"{a} is not a unit mod {self.p}")
+        return unit_inverse(a, self.p, self.m)
+
+    def bits(self, a: Sequence[int], b: Sequence[int]) -> int:
+        return (self.modulus - 1).bit_length()
+
+    def product_rows(self, a, b, s: int) -> tuple:
+        return product_rows(a, b, s, self.modulus)
 
 
 ZZ = IntegerRing()
@@ -246,8 +310,7 @@ class QSeries(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        coeffs, modulus = map(index, self.coeffs), self.ring.modulus
-        coeffs = tuple(coeffs) if modulus is None else tuple([c % modulus for c in coeffs])
+        coeffs = self.ring.reduce(map(index, self.coeffs))
         vars(self)["coeffs"] = coeffs
         if not coeffs:
             raise ValueError("a q-expansion needs at least the constant term")
@@ -262,12 +325,8 @@ class QSeries(Value):
 
     @classmethod
     def _from_ints(cls, ring: Ring, coeffs) -> "QSeries":
-        """A series from computed ints, reduced by one ``% modulus`` each
-        (kept as they are over Z)."""
-        modulus = ring.modulus
-        if modulus is None:
-            return cls._reduced(ring, tuple(coeffs))
-        return cls._reduced(ring, tuple([c % modulus for c in coeffs]))
+        """A series from computed ints, by one ``ring.reduce`` call."""
+        return cls._reduced(ring, ring.reduce(coeffs))
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[int], ring: Ring = ZZ) -> "QSeries":
@@ -321,21 +380,14 @@ class QSeries(Value):
             square = b is a
             a = a[s : s + n]
             b = a if square else b[t : t + n]
-        modulus = self.ring.modulus
-        if n < _PACKED_MIN_Q:
-            product = _schoolbook_product(a, b)
+        ring = self.ring
+        if n >= _PACKED_MIN_Q and (bits := ring.bits(a, b)) <= _PACKED_BITS_PER_Q * n:
+            product = _packed_product(a, b, bits, ring.signed)
         else:
-            if modulus is None:
-                bits = max(max(map(abs, a)), max(map(abs, b))).bit_length()
-            else:
-                bits = (modulus - 1).bit_length()
-            if bits <= _PACKED_BITS_PER_Q * n:
-                product = _packed_product(a, b, bits, modulus is None)
-            else:
-                product = _schoolbook_product(a, b)
+            product = _schoolbook_product(a, b)
         if n < q:
             product = chain(repeat(0, q - n), product)
-        return QSeries._from_ints(self.ring, product)
+        return QSeries._from_ints(ring, product)
 
     def product_at(self, other: "QSeries", indices: Sequence[int]) -> "QSeries":
         """The coefficients of ``self * other`` at ``indices`` only, as the
@@ -359,21 +411,13 @@ class QSeries(Value):
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse; the constant term must be a unit."""
-        a = self.coeffs
-        if isinstance(self.ring, ModRing):
-            if a[0] % self.ring.p == 0:
-                raise ZeroDivisionError("constant term is not a unit")
-            inv0 = unit_inverse(a[0], self.ring.p, self.ring.m)
-        else:
-            if a[0] not in (1, -1):
-                raise ZeroDivisionError("constant term is not a unit in Z")
-            inv0 = a[0]
-        modulus = self.ring.modulus
+        a, ring = self.coeffs, self.ring
+        inv0 = ring.unit_inverse(a[0])
         out = [inv0]
         for n in range(1, self.qprec):
-            c = -inv0 * sum(map(mul, a[1 : n + 1], reversed(out)))
-            out.append(c if modulus is None else c % modulus)
-        return QSeries._reduced(self.ring, tuple(out))
+            # each step reads the ones before it, so each is reduced alone
+            out += ring.reduce((-inv0 * sum(map(mul, a[1 : n + 1], reversed(out))),))
+        return QSeries._reduced(ring, tuple(out))
 
     def truncate(self, qprec: int) -> "QSeries":
         _check_qprec(qprec)

@@ -27,7 +27,7 @@ from .duality import DualityReport, ThetaProbeReport
 from .eigencurve import TwoVarCharSeries
 from .hida import ControlReport, OrdinaryFamily
 from .padic import PadicMatrix
-from .qexp import IntegerRing, QSeries
+from .qexp import QSeries
 from .weights import IwasawaTruncation
 
 
@@ -48,7 +48,7 @@ def encode(value) -> Any:
 
 def qseries_json(f: QSeries) -> Dict[str, Any]:
     return {
-        "ring": "Z" if isinstance(f.ring, IntegerRing) else {"p": f.ring.p, "m": f.ring.m},
+        "ring": f.ring.json(),
         "qprec": f.qprec,
         "coeffs": f.coeffs,
     }

@@ -215,6 +215,16 @@ def test_space_basis_checks_echelon_form():
     assert not SpaceBasis(2, ()).contains_each((QSeries.from_coeffs([0, 1]),))[0]
 
 
+def test_combination_refuses_an_empty_basis():
+    # the weight-2 space is zero: its basis has no forms, so no ring and
+    # no q-precision to build a series at
+    for ring in (ZZ, ModRing(5, 2)):
+        basis = miller_basis(2, 5, ring)
+        assert basis.dim == 0
+        with pytest.raises(ValueError, match="^an empty basis has no q-precision to combine at$"):
+            basis.combination([])
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(
     k=st.integers(0, 20).map(lambda h: 2 * h),

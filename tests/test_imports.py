@@ -3,7 +3,8 @@ class of the package, and every method and property of its classes, is
 referenced: stdlib ``ast`` scans of the package modules (re-exports in
 ``__init__.py`` excepted), of the tests and of the benchmark harness.
 No package module holds a float literal or a ``float(...)`` call, or an
-``import`` inside a function body.  ``linalg.ProjectorResult`` is the
+``import`` inside a function body, nor a test of the coefficient ring's
+kind (``ring_branches``).  ``linalg.ProjectorResult`` is the
 package's only ``@dataclass``: a value type is a plain ``padic.Value``
 subclass and a record that only carries what its builder computed a
 ``typing.NamedTuple``, neither of whose classes costs generated code to
@@ -112,6 +113,60 @@ def dataclasses_in(source: str):
         if any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
             found.append(node.name)
     return found
+
+
+def ring_branches(source: str):
+    """(line, text) of each test of the coefficient ring's kind: an
+    ``isinstance`` call or a comparison naming ``IntegerRing`` or
+    ``ModRing``, and a comparison of a ``modulus`` with ``None``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            operands, text = node.args[1:], "isinstance"
+        elif isinstance(node, ast.Compare):
+            operands, text = [node.left, *node.comparators], "comparison"
+            names = {getattr(x, "id", getattr(x, "attr", None)) for x in operands}
+            nones = [x for x in operands if isinstance(x, ast.Constant) and x.value is None]
+            if "modulus" in names and nones:
+                found.append((node.lineno, "modulus is None"))
+        else:
+            continue
+        kinds = {getattr(x, "id", getattr(x, "attr", None)) for o in operands for x in ast.walk(o)}
+        if kinds & {"IntegerRing", "ModRing"}:
+            found.append((node.lineno, text))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_ring_kind_branches(path):
+    # each coefficient ring of qexp owns its reduction, unit inverse,
+    # packing width and sign, rows kernel and JSON name; a module that
+    # asked which ring it holds would decide one of them a second time
+    assert ring_branches(path.read_text()) == []
+
+
+def test_scan_catches_ring_branches():
+    source = (
+        "from .qexp import IntegerRing, ModRing, ZZ\n"
+        "def f(ring, g, modulus):\n"
+        "    if isinstance(ring, ModRing):\n"
+        "        return 1\n"
+        "    if isinstance(g.ring, (qexp.IntegerRing, tuple)):\n"
+        "        return 2\n"
+        "    if ring.modulus is None or None is not g.ring.modulus:\n"
+        "        return 3\n"
+        "    x = 0 if modulus == None else type(ring) is IntegerRing\n"
+        "    y = isinstance(ring, int) or ring.modulus is 7 or ring.p is None\n"
+        "    return ring == ZZ or isinstance(ZZ, type(ring))\n"
+    )
+    assert ring_branches(source) == [
+        (3, "isinstance"),
+        (5, "isinstance"),
+        (7, "modulus is None"),
+        (7, "modulus is None"),
+        (9, "comparison"),
+        (9, "modulus is None"),
+    ]
 
 
 def test_projector_result_is_the_only_dataclass():

@@ -416,3 +416,67 @@ def test_product_matches_plain_product(case):
     _assert_canonical(result, QSeries(ring, tuple(_plain_product(x, x))))
     assert square_kernel == _expected_kernel(x, x, ring.modulus)[0]
     event(f"{square_kernel} kernel (square)")
+
+
+def _plain_rows(a, b, s):
+    """The rows of A B by one dot product per entry."""
+    return tuple(tuple(sum(row[k] * b[k][j] for k in range(len(b))) for j in range(s)) for row in a)
+
+
+# Both rings' members on the same integers: each ModRing result is the
+# IntegerRing one reduced mod p^m.  Shapes reach 6 x 6, past the 4 rows
+# and columns from which padic.product_rows packs.
+@example(p=3, m=1, ints=[1, -1, 0, 3], shape=(4, 3, 4), seed=0)
+@example(p=691, m=2, ints=[691, -691, 2**100, -(2**100)], shape=(6, 6, 6), seed=1)
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from((3, 5, 7, 11, 13, 691)),
+    m=st.integers(1, 40),
+    ints=st.lists(
+        st.one_of(st.integers(-(2**200), 2**200), st.sampled_from((-1, 0, 1))), min_size=1, max_size=12
+    ),
+    shape=st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rings_agree_mod_p_m(p, m, ints, shape, seed):
+    ring = ModRing(p, m)
+    modulus = ring.modulus
+
+    def down(values):
+        return tuple(v % modulus for v in values)
+
+    # reduce: one call per series, a tuple of residues
+    assert ZZ.reduce(iter(ints)) == tuple(ints)
+    assert ring.reduce(iter(ints)) == down(ints)
+    # the rows kernel: plain dot products over Z, reduced over Z/p^m
+    rng = random.Random(seed)
+    r, n, s = shape
+    a = [[rng.choice(ints) for _ in range(n)] for _ in range(r)]
+    b = [[rng.choice(ints) for _ in range(s)] for _ in range(n)]
+    plain = _plain_rows(a, b, s)
+    assert ZZ.product_rows(a, b, s) == plain
+    assert ring.product_rows([down(row) for row in a], [down(row) for row in b], s) == tuple(
+        down(row) for row in plain
+    )
+    # unit_inverse: a refusal exactly when p | a, over Z unless a = +-1
+    for x in ints + [p * x for x in ints]:
+        if x % p == 0:
+            with pytest.raises(ZeroDivisionError):
+                ring.unit_inverse(x)
+        else:
+            inverse = ring.unit_inverse(x)
+            assert 0 <= inverse < modulus and inverse * x % modulus == 1
+        if x in (1, -1):
+            assert ZZ.unit_inverse(x) * x == 1 and ZZ.unit_inverse(x) % modulus == inverse
+        else:
+            with pytest.raises(ZeroDivisionError):
+                ZZ.unit_inverse(x)
+    # bits covers every coefficient, signed over Z and unsigned over Z/p^m
+    reduced = ring.reduce(ints)
+    assert not ring.signed and all(0 <= c < 2 ** ring.bits(reduced, reduced) for c in reduced)
+    assert ring.bits(reduced, reduced) == (modulus - 1).bit_length()
+    half = len(ints) // 2
+    x, y = ints[: half or 1], ints[half:] or ints
+    top = ZZ.bits(x, y)
+    assert ZZ.signed and all(abs(c) < 2**top for c in x + y)
+    assert top == max(map(abs, x + y)).bit_length()

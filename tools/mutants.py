@@ -598,16 +598,39 @@ MUTANTS = (
     Mutant(
         "computed series left unreduced",
         "src/padicforms/qexp.py",
-        "        return cls._reduced(ring, tuple([c % modulus for c in coeffs]))\n",
+        "        return cls._reduced(ring, ring.reduce(coeffs))\n",
         "        return cls._reduced(ring, tuple(coeffs))\n",
         ("tests/test_qexp.py::test_internal_results_are_canonical",),
     ),
     Mutant(
         "public series build without reduction",
         "src/padicforms/qexp.py",
-        "        coeffs = tuple(coeffs) if modulus is None else tuple([c % modulus for c in coeffs])\n",
-        "        coeffs = tuple(coeffs)\n",
+        "        coeffs = self.ring.reduce(map(index, self.coeffs))\n",
+        "        coeffs = tuple(map(index, self.coeffs))\n",
         ("tests/test_qexp.py::test_public_builds_reduce_every_coefficient",),
+    ),
+    # the coefficient rings' members
+    Mutant(
+        "IntegerRing packs its coefficients unsigned",
+        "src/padicforms/qexp.py",
+        "    signed = True  # packed coefficients take both signs\n",
+        "    signed = False  # packed coefficients take both signs\n",
+        ("tests/test_qexp.py::test_packed_kernel_over_z_handles_every_sign_pattern[24-17]",),
+    ),
+    Mutant(
+        "ModRing.unit_inverse without its unit refusal",
+        "src/padicforms/qexp.py",
+        "        if a % self.p == 0:\n"
+        '            raise ZeroDivisionError(f"{a} is not a unit mod {self.p}")\n',
+        "",
+        ("tests/test_qexp.py::test_pow_and_inverse",),
+    ),
+    Mutant(
+        "IntegerRing.unit_inverse accepts any constant",
+        "src/padicforms/qexp.py",
+        "        if a not in (1, -1):\n",
+        "        if False:\n",
+        ("tests/test_forms.py::test_eisenstein_nonintegral_weight_needs_padic_ring",),
     ),
     # eliminations: Z/p^m, F_p bytes, and the image restriction
     Mutant(
@@ -807,6 +830,14 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "combination over an empty basis accepted",
+        "src/padicforms/forms.py",
+        "        if not self.forms:\n"
+        '            raise ValueError("an empty basis has no q-precision to combine at")\n',
+        "",
+        ("tests/test_forms.py::test_combination_refuses_an_empty_basis",),
+    ),
+    Mutant(
         "span test compares only the first dim coefficients",
         "src/padicforms/forms.py",
         "        return tuple([c[: g.qprec] == g.coeffs[:q] for c, g in zip(combinations, series)])\n",
@@ -966,6 +997,21 @@ MUTANTS = (
         "    if value is None or isinstance(value, (bool, str)):\n",
         "    if value is None or isinstance(value, str):\n",
         ("tests/test_serialize.py::test_encode_passes_booleans_none_and_strings",),
+    ),
+    Mutant(
+        "ring JSON name written as str(ring)",
+        "src/padicforms/serialize.py",
+        '        "ring": f.ring.json(),\n',
+        '        "ring": str(f.ring),\n',
+        ("tests/test_cli.py::test_golden_outputs[basis_k24_p5_m3.json]",),
+    ),
+    Mutant(
+        "serialize asks the ring kind again",
+        "src/padicforms/serialize.py",
+        '        "ring": f.ring.json(),\n',
+        '        "ring": "Z" if isinstance(f.ring, IntegerRing) else f.ring.json(),\n',
+        ("tests/test_imports.py::test_no_ring_kind_branches[serialize.py]",),
+        also=(("from .qexp import QSeries\n", "from .qexp import IntegerRing, QSeries\n"),),
     ),
     Mutant(
         "a result record generated by @dataclass again",
