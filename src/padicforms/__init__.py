@@ -15,7 +15,6 @@ from .charseries import (
 )
 from .classical import classical_up_spectrum
 from .coleman import (
-    ClassicalityReport,
     KatzBasis,
     SlopeReport,
     classicality_check,

@@ -25,14 +25,8 @@ from .eigencurve import local_piece_report, two_var_charseries
 from .errors import ConfigError
 from .forms import MillerPowers, SpaceBasis, delta, eisenstein, miller_rows
 from .hecke import frobenius, hecke_tp, up
-from .hida import (
-    build_hasse_tower,
-    default_qprec,
-    fit_family,
-    operator_matrix,
-    ordinary_projector,
-)
-from .linalg import rank_mod_p
+from .hida import build_hasse_tower, default_qprec, fit_family, operator_matrix
+from .linalg import ordinary_projector, rank_mod_p
 from .padic import PadicMatrix, power_from_base, product_rows
 from .qexp import ModRing, QSeries, ZZ
 from .weights import WeightDisc
@@ -367,7 +361,7 @@ def criterion_7(seed: int = 0) -> CriterionResult:
     details = []
     for (k, p), cfg in CLASSICALITY_CONFIGS.items():
         comparison = classicality_check(k, p, cfg["I"], cfg["m"]).comparison
-        over = comparison.overconvergent or ()
+        over = comparison.overconvergent
         want = expected[(k, p)]
         good = comparison.passed and list(over) == want and list(comparison.classical) == want
         ok = ok and good

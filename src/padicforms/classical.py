@@ -4,12 +4,15 @@ Coleman ("Classical and overconvergent modular forms", Invent. Math. 124,
 1996) shows that overconvergent U_p eigenforms of weight k and slope
 < k - 1 are classical.  This module holds the classical side: the
 Gamma_0(p) dimension formulas, the old factor det(1 - T.B) of U_p on
-the p-stabilized level-1 forms, the classical U_p slope multiset, and
-``compare``, the one comparison of certified overconvergent slopes
-against classical ones.  ``compare`` decides the comparison bound
-min(k - 1, m - 2) and the boundary class at k - 1 for every caller, and
-the ``Comparison`` it returns owns the verdicts: ``verdict`` for the
-whole range and ``classes`` for each slope class in it.
+the p-stabilized level-1 forms, the classical U_p slope multiset,
+``comparison_bound``, the bound min(k - 1, m - 2) below which slopes
+are compared, and ``compare``, the one comparison of certified
+overconvergent slopes against classical ones.  ``coleman.slope_spectrum``
+certifies the polygon through that bound before it compares, so a
+comparison always covers its whole range.  ``compare`` decides the
+boundary class at k - 1 for every caller, and the ``Comparison`` it
+returns owns the verdicts: ``verdict`` for the whole range and
+``classes`` for each slope class in it.
 """
 
 from __future__ import annotations
@@ -125,17 +128,16 @@ def comparison_bound(k: int, m: int) -> Fraction:
 class Comparison(NamedTuple):
     """Certified overconvergent U_p slopes against classical ones.
 
-    ``spectrum`` is the whole classical slope multiset.  Slopes are
-    compared strictly below ``bound``; ``overconvergent`` is None when
-    the polygon does not certify that range.  Slope classes at exactly
-    k - 1 sit on the classicality boundary and are counted apart, never
-    on either side; ``boundary_overconvergent`` is None when the polygon
-    does not certify them.
+    ``spectrum`` is the whole classical slope multiset, and
+    ``overconvergent`` the certified slopes strictly below ``bound``.
+    Slope classes at exactly k - 1 sit on the classicality boundary and
+    are counted apart, never on either side; ``boundary_overconvergent``
+    is None when the polygon does not certify them.
     """
 
     bound: Fraction
     spectrum: tuple
-    overconvergent: Optional[tuple]
+    overconvergent: tuple
     boundary_overconvergent: Optional[int]
     boundary_classical: int
 
@@ -148,11 +150,8 @@ class Comparison(NamedTuple):
     def classes(self) -> tuple:
         """One entry per slope class below the bound: the slope, its count
         on each side and the verdict "match", "extra-overconvergent" or
-        "missing-overconvergent"; one indeterminate entry when the
-        polygon does not certify that range."""
+        "missing-overconvergent"."""
         over, classical = self.overconvergent, self.classical
-        if over is None:
-            return ({"slope": None, "verdict": "indeterminate"},)
         out = []
         for s in sorted(set(over) | set(classical)):
             o, c = over.count(s), classical.count(s)
@@ -164,8 +163,6 @@ class Comparison(NamedTuple):
 
     @property
     def verdict(self) -> str:
-        if self.overconvergent is None:
-            return "indeterminate"
         return "pass" if self.overconvergent == self.classical else "fail"
 
     @property
@@ -173,21 +170,29 @@ class Comparison(NamedTuple):
         return self.verdict == "pass"
 
 
-def compare(k: int, m: int, spectrum: Sequence[Fraction], polygon: NewtonPolygon) -> Comparison:
-    """Compare the weight-normalized polygon of U_p at weight k, requested
-    modulus p^m, with ``spectrum``, the ``classical_up_spectrum`` of
-    weight k at level Gamma_0(p), which the caller builds once.
+def compare(
+    k: int, bound: Fraction, spectrum: Sequence[Fraction], polygon: NewtonPolygon
+) -> Comparison:
+    """Compare the weight-normalized polygon of U_p at weight k with
+    ``spectrum``, the ``classical_up_spectrum`` of weight k at level
+    Gamma_0(p), strictly below ``bound``, the ``comparison_bound`` of
+    weight k at the requested modulus.  The caller builds the spectrum
+    once and certifies the polygon through the bound.
 
-    A polygon that does not certify through the bound min(k - 1, m - 2)
-    gives the indeterminate comparison, and one that does not certify
-    the boundary class at k - 1 leaves its count None.
+    A polygon that does not certify through the bound raises
+    ``VerificationError``: ``coleman.slope_spectrum`` certifies it by
+    the cap argument of ``coleman._spectrum_core``, so only a broken
+    argument gets here.  One that does not certify the boundary class
+    at k - 1 leaves its count None.
     """
-    bound = comparison_bound(k, m)
+    if not polygon.certifies_through(bound):
+        raise VerificationError(
+            f"polygon at weight {k} not certified below the comparison bound {bound}"
+        )
     spectrum = tuple(spectrum)
     edge = Fraction(k - 1)
-    over = boundary = None
-    if polygon.certifies_through(bound):
-        over = tuple(polygon.slopes_below(bound))
+    boundary = None
     if polygon.certifies_through(edge + Fraction(1, 2)):
         boundary = polygon.slope_multiset().count(edge)
+    over = tuple(polygon.slopes_below(bound))
     return Comparison(bound, spectrum, over, boundary, spectrum.count(edge))

@@ -22,7 +22,6 @@ from typing import Callable, NamedTuple
 from . import acceptance as acceptance_mod
 from . import serialize
 from .charseries import check_slope_bound
-from .classical import comparison_bound
 from .coleman import classicality_check, katz_basis, slope_spectrum, up_matrix
 from .duality import charseries_duality_check
 from .eigencurve import local_piece_report, two_var_charseries
@@ -162,8 +161,7 @@ def _charseries(args):
 
 
 def _slopes(args):
-    bound = comparison_bound(args.k, args.m) if args.k >= 2 else None
-    report = slope_spectrum(args.k, args.p, args.twist_depth, args.m, certify_below=bound)
+    report = slope_spectrum(args.k, args.p, args.twist_depth, args.m)
     comparison = report.comparison
     return serialize.slope_report_json(report), comparison is None or comparison.passed
 

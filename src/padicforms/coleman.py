@@ -185,8 +185,7 @@ def up_matrix(basis: KatzBasis, m: int, normalization: str = "weight") -> PadicM
     the basis, which loses no digit.
     """
     shift = normalization_shift(basis.weight, normalization)
-    elements = basis.elements_mod(m) if basis.dimension else []
-    return _solve_up(basis, elements, m, shift)
+    return _solve_up(basis, basis.elements_mod(m), m, shift)
 
 
 def _solve_up(basis: KatzBasis, elements: Sequence[QSeries], m: int, shift: int) -> PadicMatrix:
@@ -335,29 +334,33 @@ def slope_spectrum(
     is cross-checked to sit exactly inf{1,k} above the normalized one.
     For k >= 2 (unless ``classical`` is False) the normalized polygon is
     compared with the classical spectrum by ``classical.compare``, the
-    one comparison, below min(k - 1, m - 2).  Bad input raises
-    ``ConfigError`` before any work, in this order: a prime refused by
-    ``forms.check_theory_prime``, an odd weight and a negative twist
-    depth, which ``katz_basis`` refuses (it computes only the dimension
-    ladder), then a negative ``certify_below``, then m < 3 when the
-    spectra are compared.
+    one comparison, below ``classical.comparison_bound`` min(k - 1, m - 2).
+    Bad input raises ``ConfigError`` before any work, in this order: a
+    prime refused by ``forms.check_theory_prime``, an odd weight and a
+    negative twist depth, which ``katz_basis`` refuses (it computes only
+    the dimension ladder), then a negative ``certify_below``, then m < 3
+    when the spectra are compared.
 
-    With ``certify_below`` = b the working modulus is raised until the
-    q-expansion polygon certifies every slope below b, by the grid,
-    plan and cap that ``_spectrum_core`` states; the cap certifies every
-    b, so a certified report is always returned.  This is the library's
-    one entry to a certified spectrum (``classicality_check`` and the
-    theta probe call it).  The checks above run once, at the final
-    modulus, and the classical spectrum is built once for the plan and
-    the comparison both.  The naive cross-check is assembled
-    independently from the element readouts as built, by a solve over
-    Z/p^m_work that reduces what it reads.
+    The working modulus is raised until the q-expansion polygon
+    certifies every slope below b, by the grid, plan and cap that
+    ``_spectrum_core`` states, where b is ``certify_below`` or, when the
+    spectra are compared, the larger of it and the comparison bound:
+    this function is the one owner of the rule that a comparison covers
+    its whole range.  The cap certifies every b, so a certified report
+    is always returned; with no b the polygon is read at m.  This is
+    the library's one entry to a certified spectrum
+    (``classicality_check`` and the theta probe call it).  The checks
+    above run once, at the final modulus, and the classical spectrum is
+    built once for the plan and the comparison both.  The naive
+    cross-check is assembled independently from the element readouts as
+    built, by a solve over Z/p^m_work that reduces what it reads.
     """
     basis = katz_basis(k, p, twist_depth)
     bound = None if certify_below is None else check_slope_bound(certify_below)
     compared = classical and k >= 2
     if compared:
-        comparison_bound(k, m)  # refuses m < 3 before any work
+        below = comparison_bound(k, m)  # refuses m < 3 before any work
+        bound = below if bound is None else max(bound, below)
     plans = bound is not None and 2 <= k and bound <= k - 1
     spectrum = classical_up_spectrum(k, p) if compared or plans else None
     elements, series, qpoly, m_work = _spectrum_core(basis, m, bound, spectrum if plans else ())
@@ -390,7 +393,7 @@ def slope_spectrum(
         qexp_polygon=qpoly,
         slopes=norm_poly,
         naive_slopes=naive_poly,
-        comparison=compare(k, m, spectrum, norm_poly) if compared else None,
+        comparison=compare(k, below, spectrum, norm_poly) if compared else None,
         naive_shift_checked=naive_checked,
     )
 
@@ -400,29 +403,16 @@ def _scaled_series(series: CharSeries, shift: int, p: int, m: int) -> CharSeries
     return CharSeries(coeffs, p, m)
 
 
-class ClassicalityReport(NamedTuple):
-    p: int
-    weight: int
-    twist_depth: int
-    m_requested: int
-    m_working: int
-    comparison: Comparison
-
-
-def classicality_check(k: int, p: int, twist_depth: int, m: int) -> ClassicalityReport:
-    """Compare overconvergent and classical slopes strictly below
-    min(k-1, m-2): the comparison that ``slope_spectrum`` attaches when
-    it certifies through that bound.
+def classicality_check(k: int, p: int, twist_depth: int, m: int) -> SlopeReport:
+    """The certified spectrum of weight k with its comparison of
+    overconvergent and classical slopes strictly below min(k-1, m-2).
 
     Slope classes at exactly k-1 sit on the classicality boundary and
     are reported separately, never counted on either side.  The bound
     is checked first (k >= 2 and m >= 3 are required: below them
-    nothing is compared), then ``slope_spectrum`` checks p and k and
-    certifies the comparison range by the rule that ``_spectrum_core``
-    states, whose cap always certifies it.  The verdict is the one
-    ``classical.compare`` reads from that polygon, and the classical
-    spectrum is built once.
+    nothing is compared), then ``slope_spectrum`` checks p and k,
+    certifies the comparison range and compares; the verdict is the one
+    ``classical.compare`` reads from that polygon.
     """
-    bound = comparison_bound(k, m)
-    report = slope_spectrum(k, p, twist_depth, m, certify_below=bound)
-    return ClassicalityReport(p, k, twist_depth, m, report.m_working, report.comparison)
+    comparison_bound(k, m)  # refuses k < 2, where nothing is compared
+    return slope_spectrum(k, p, twist_depth, m)

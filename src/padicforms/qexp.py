@@ -133,7 +133,6 @@ class IntegerRing(Value):
     """The exact integers; the tag for classical integral q-expansions.
     Its members are the ring's rules, listed in the module docstring."""
 
-    modulus = None  # nothing to reduce by
     signed = True  # packed coefficients take both signs
     integral = "integral over Z"
 

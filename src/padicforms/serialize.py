@@ -22,7 +22,7 @@ from operator import index
 from typing import Any, Dict
 
 from .charseries import CharSeries, NewtonPolygon, newton_polygon
-from .coleman import ClassicalityReport, SlopeReport
+from .coleman import SlopeReport
 from .duality import DualityReport, ThetaProbeReport
 from .eigencurve import TwoVarCharSeries
 from .hida import ControlReport, OrdinaryFamily
@@ -105,7 +105,7 @@ def slope_report_json(report: SlopeReport) -> Dict[str, Any]:
     )
 
 
-def classicality_json(report: ClassicalityReport) -> Dict[str, Any]:
+def classicality_json(report: SlopeReport) -> Dict[str, Any]:
     comparison = report.comparison
     return {
         "p": report.p,
@@ -114,7 +114,7 @@ def classicality_json(report: ClassicalityReport) -> Dict[str, Any]:
         "m": report.m_requested,
         "m_working": report.m_working,
         "compared_below": comparison.bound,
-        "overconvergent": comparison.overconvergent or (),
+        "overconvergent": comparison.overconvergent,
         "classical": comparison.classical,
         "boundary": {
             "overconvergent": comparison.boundary_overconvergent,

@@ -11,6 +11,7 @@ from padicforms.charseries import CharSeries, char_series, newton_polygon
 from padicforms.classical import (
     Comparison,
     classical_up_spectrum,
+    compare,
     dim_cusp_forms_gamma0_prime,
     dim_new_cusp_forms_gamma0_prime,
     genus_x0,
@@ -185,6 +186,15 @@ def test_up_matrix_weight_zero_constant():
     b = katz_basis(0, 5, 0)
     assert up_matrix(b, 6, normalization="qexp").rows == ((1,),)
     assert up_matrix(b, 6).rows == ((5,),)
+
+
+@pytest.mark.parametrize("kind", NORMALIZATIONS)
+def test_up_matrix_of_an_empty_basis(kind):
+    # M_2 = 0 and depth 0 adds no rung: D = 0, no element, the 0 x 0 matrix
+    basis = katz_basis(2, 5, 0)
+    assert basis.dimension == 0 and basis.elements_mod(4) == []
+    matrix = up_matrix(basis, 4, kind)
+    assert (matrix.rows, matrix.p, matrix.m) == ((), 5, 4)
 
 
 def test_up_matrix_ordinary_multiplicity_weight4():
@@ -433,8 +443,9 @@ def test_the_cap_certifies_every_bound(k, p, twist_depth, m, b):
     "k, p, twist_depth, m, m_working", [(4, 5, 150, 8, 28), (0, 5, 120, 3, 23)]
 )
 def test_a_fractional_bound_certifies(k, p, twist_depth, m, m_working):
+    # without a comparison, which would certify through min(k - 1, m - 2)
     half = Fraction(1, 2)
-    report = slope_spectrum(k, p, twist_depth, m, certify_below=half)
+    report = slope_spectrum(k, p, twist_depth, m, certify_below=half, classical=False)
     assert report.m_working == m_working
     assert report.qexp_polygon.certifies_through(half)
     assert report.slopes.certifies_through(half + normalization_shift(k, "weight"))
@@ -557,8 +568,7 @@ def test_classical_spectrum_delta_pair():
 def test_comparison_classes_give_each_slope_its_verdict():
     """One entry per slope on either side below the bound, with both
     counts, in slope order; the whole verdict is a pass only when every
-    class matches.  An uncertified polygon gives the one indeterminate
-    entry."""
+    class matches."""
     half = Fraction(1, 2)
     spectrum = (Fraction(0), half, half, Fraction(2), Fraction(3))
     comparison = Comparison(Fraction(3), spectrum, (0, half, 2, 2), None, 1)
@@ -571,9 +581,31 @@ def test_comparison_classes_give_each_slope_its_verdict():
     matched = comparison._replace(overconvergent=(0, half, half, 2))
     assert [c["verdict"] for c in matched.classes] == ["match"] * 3
     assert matched.verdict == "pass"
-    uncertified = comparison._replace(overconvergent=None)
-    assert uncertified.classes == ({"slope": None, "verdict": "indeterminate"},)
-    assert uncertified.verdict == "indeterminate"
+
+
+def test_compare_refuses_an_uncertified_range():
+    """A polygon whose floor for a further slope lies below the bound
+    does not know every slope below it: ``compare`` refuses it rather
+    than read a verdict.  Up to the floor it compares, and no slope
+    against the classical ones is a fail."""
+    polygon = newton_polygon(CharSeries((1, 0, 0), 5, 3))  # no slope, floor 3/2
+    spectrum = (F(0), F(1), F(3))
+    message = "^polygon at weight 4 not certified below the comparison bound 3$"
+    with pytest.raises(VerificationError, match=message):
+        compare(4, F(3), spectrum, polygon)
+    comparison = compare(4, Fraction(3, 2), spectrum, polygon)
+    assert comparison.overconvergent == ()
+    assert comparison.classical == (F(0), F(1))
+    assert comparison.verdict == "fail"
+
+
+def test_a_comparison_certifies_its_whole_range():
+    # certify_below 1/2 lies below the comparison bound min(k - 1, m - 2) = 3:
+    # the spectrum is certified through 3 all the same, as with no bound
+    report = slope_spectrum(4, 5, 12, 8, certify_below=Fraction(1, 2))
+    assert report.comparison.verdict == "pass"
+    assert report.qexp_polygon.certifies_through(F(3))
+    assert report == slope_spectrum(4, 5, 12, 8)
 
 
 def test_classicality_pass_weight4():
@@ -648,10 +680,11 @@ def test_slope_spectrum_refuses_p_k_depth_bound_then_m(monkeypatch, args, messag
 
 
 def test_an_uncertified_spectrum_reports_the_cap(monkeypatch):
-    """When no step of the grid certifies, ``slope_spectrum`` returns the
-    report of its last step, the cap m + ceil(b * max(D, 2)) + 16, and
-    ``classicality_check`` reads the indeterminate comparison from it,
-    at the cap, with the classical spectrum built once."""
+    """When no step of the grid certifies, ``slope_spectrum`` without a
+    comparison returns the report of its last step, the cap
+    m + ceil(b * max(D, 2)) + 16.  A comparison refuses the uncertified
+    range, in ``classicality_check`` and in ``slope_spectrum`` alike,
+    each having built the classical spectrum once, for its plan."""
     real = coleman.newton_polygon
     monkeypatch.setattr(
         coleman, "newton_polygon", lambda series: real(series)._replace(next_slope_floor=F(0))
@@ -665,12 +698,12 @@ def test_an_uncertified_spectrum_reports_the_cap(monkeypatch):
     report = slope_spectrum(4, 5, 12, 8, certify_below=F(3), classical=False)
     assert report.m_working == cap
     assert not report.qexp_polygon.certifies_through(F(3))
-    report = classicality_check(4, 5, 12, 8)
-    assert report.m_working == cap
-    assert report.comparison.verdict == "indeterminate"
-    assert report.comparison.overconvergent is None
-    assert report.comparison.classical == (F(0), F(1))
-    assert built == [4, 4]  # once for the plan of each call, the comparison reusing it
+    message = "^polygon at weight 4 not certified below the comparison bound 3$"
+    with pytest.raises(VerificationError, match=message):
+        classicality_check(4, 5, 12, 8)
+    with pytest.raises(VerificationError, match=message):
+        slope_spectrum(4, 5, 12, 8)
+    assert built == [4, 4, 4]  # once for the plan of each call
 
 
 def test_slope_spectrum_refuses_a_negative_normalized_slope(monkeypatch):

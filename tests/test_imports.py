@@ -4,7 +4,9 @@ referenced: stdlib ``ast`` scans of the package modules (re-exports in
 ``__init__.py`` excepted), of the tests and of the benchmark harness.
 No package module holds a float literal or a ``float(...)`` call, or an
 ``import`` inside a function body, nor a test of the coefficient ring's
-kind (``ring_branches``).  ``linalg.ProjectorResult`` is the
+kind (``ring_branches``), and each imports every package name from the
+module that defines it (``indirect_imports``; re-exports in
+``__init__.py`` excepted).  ``linalg.ProjectorResult`` is the
 package's only ``@dataclass``: a value type is a plain ``padic.Value``
 subclass and a record that only carries what its builder computed a
 ``typing.NamedTuple``, neither of whose classes costs generated code to
@@ -135,6 +137,71 @@ def ring_branches(source: str):
         if kinds & {"IntegerRing", "ModRing"}:
             found.append((node.lineno, text))
     return sorted(found)
+
+
+def _defined_names(tree):
+    """Each name a module binds at its top level by a ``def``, a
+    ``class`` or an assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def indirect_imports(package_sources):
+    """(module, line, name, source) of each name that a package module
+    (module -> source; ``__init__`` excepted) imports by
+    ``from .source import name`` when ``source`` does not define it."""
+    trees = {name: ast.parse(source) for name, source in package_sources.items()}
+    defined = {name: set(_defined_names(tree)) for name, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in defined:
+                found.extend(
+                    (module, node.lineno, alias.name, node.module)
+                    for alias in node.names
+                    if alias.name not in defined[node.module]
+                )
+    return sorted(found)
+
+
+def test_names_come_from_the_module_that_defines_them():
+    # a name taken through a module that only imports it ties the importer
+    # to that module's imports, and hides where the name is defined
+    package = {path.stem: path.read_text() for path in PACKAGE}
+    assert indirect_imports(package) == []
+
+
+def test_scan_catches_indirect_imports():
+    package = {
+        "a": (
+            "from typing import List\n"
+            "X = 1\n"
+            "Y: int = 2\n"
+            "P, (Q, R) = 1, (2, 3)\n"
+            "def f(): pass\n"
+            "class C: pass\n"
+        ),
+        "b": (
+            "from .a import C, P, R, X, Y, f\n"
+            "from .a import List\n"
+            "from . import a\n"
+            "import os\n"
+        ),
+        "c": "from .a import C\nfrom .b import X as x, f\nfrom os import path\n",
+        "__init__": "from .b import f\n",
+    }
+    assert indirect_imports(package) == [
+        ("b", 2, "List", "a"),
+        ("c", 2, "X", "b"),
+        ("c", 2, "f", "b"),
+    ]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)

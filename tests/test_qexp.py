@@ -124,13 +124,12 @@ def test_public_builds_reduce_every_coefficient(ring):
     bools, negatives and coefficients at or beyond p^m alike, to plain
     ints."""
     raw = [True, -1, False, -126, 125, 126, 10**40 + 7, 0, 3]
-    modulus = ring.modulus
-    want = tuple(c if modulus is None else c % modulus for c in map(operator.index, raw))
+    want = ring.reduce(map(operator.index, raw))
     for series in (QSeries(ring, tuple(raw)), QSeries.from_coeffs(raw, ring)):
         assert series.coeffs == want
         assert all(type(c) is int for c in series.coeffs)
     assert QSeries.constant(True, 3, ring).coeffs == (1, 0, 0)
-    assert QSeries.constant(-1, 2, ring).coeffs == (-1 if modulus is None else modulus - 1, 0)
+    assert QSeries.constant(-1, 2, ring).coeffs == ring.reduce((-1, 0))
     for bad in (2.0, Fraction(1), Fraction(1, 2)):
         with pytest.raises(TypeError):
             QSeries.from_coeffs([1, bad], ring)
@@ -159,8 +158,8 @@ def _plain_product(x, y):
     return [sum(x[i] * y[n - i] for i in range(n + 1)) for n in range(q)]
 
 
-def _plain_inverse(x, modulus):
-    inv0 = x[0] if modulus is None else pow(x[0], -1, modulus)
+def _plain_inverse(x, ring):
+    inv0 = ring.unit_inverse(x[0])
     out = [inv0]
     for n in range(1, len(x)):
         out.append(-inv0 * sum(x[i] * out[n - i] for i in range(1, n + 1)))
@@ -173,18 +172,17 @@ def _assert_canonical(result, expected):
     assert result == expected and hash(result) == hash(expected)
     assert result.ring == expected.ring
     assert type(result.coeffs) is tuple and len(result.coeffs) >= 1
-    modulus = result.ring.modulus
-    for c in result.coeffs:
-        assert type(c) is int
-        assert modulus is None or 0 <= c < modulus
+    assert all(type(c) is int for c in result.coeffs)
+    assert result.ring.reduce(result.coeffs) == result.coeffs
 
 
-def _expected_kernel(x, y, modulus):
+def _expected_kernel(x, y, ring):
     """The kernel ``f * g`` runs by the documented rule, thresholds written
     out.  The s and t leading zeros of the first Q = min(len) coefficients
     are skipped, leaving n = Q - s - t: no kernel at all when n <= 0, else
-    packed when n >= 16 and bits <= 4 * n (bits of p^m - 1, or over Z of
-    the largest |coefficient| the skipped factors keep), in one-point slots
+    packed when n >= 16 and bits <= 4 * n (``ring.bits`` of the
+    coefficients the skipped zeros keep: the bits of p^m - 1, or over Z
+    of the largest |coefficient|), in one-point slots
     when 2 * bits + bits(n) + 2 bits fit 8 bytes and two-point beyond;
     else schoolbook.  Returns the kernel and n."""
     q = min(len(x), len(y))
@@ -193,10 +191,7 @@ def _expected_kernel(x, y, modulus):
     n = q - s - t
     if n <= 0:
         return None, n
-    if modulus is None:
-        bits = max(map(abs, x[s : s + n] + y[t : t + n])).bit_length()
-    else:
-        bits = (modulus - 1).bit_length()
+    bits = ring.bits(x[s : s + n], y[t : t + n])
     if n < 16 or bits > 4 * n:
         return "schoolbook", n
     return ("one-point" if 2 * bits + n.bit_length() + 2 <= 64 else "two-point"), n
@@ -225,7 +220,7 @@ def _check_product(x, y, ring):
     f, g = QSeries.from_coeffs(x, ring), QSeries.from_coeffs(y, ring)
     result, kernel, n = _observed_product(f, g)
     _assert_canonical(result, QSeries(ring, tuple(_plain_product(x, y))))
-    expected, expected_n = _expected_kernel(x, y, ring.modulus)
+    expected, expected_n = _expected_kernel(x, y, ring)
     assert kernel == expected
     assert n == (expected_n if expected else None)
     return expected
@@ -289,7 +284,7 @@ def test_internal_results_are_canonical(p, m, q1, q2, seed, k, zbits, zero):
         power = _plain_product(power, x)
     _assert_canonical(f**k, ref(power))
     unit = [rng.choice((1, -1)) if m is None else rng.randrange(1, p)] + x[1:]
-    _assert_canonical(QSeries.from_coeffs(unit, ring).inverse(), ref(_plain_inverse(unit, ring.modulus)))
+    _assert_canonical(QSeries.from_coeffs(unit, ring).inverse(), ref(_plain_inverse(unit, ring)))
 
 
 # Q = 24 packs at every width up to 4 * 24 = 96 bits: one-point slots up to
@@ -335,10 +330,9 @@ def _fill(rng, length, ring, bits, fill, lead):
     """``lead`` zeros, then coefficients: uniform, all zero, or the worst
     case for the slots, every one p^m - 1 over Z/p^m, or +-(2^bits - 1)
     over Z (all + or random signs)."""
-    modulus = ring.modulus
-    top = 2**bits - 1 if modulus is None else modulus - 1
+    top = 2**bits - 1 if ring.signed else ring.reduce([-1])[0]
     if fill == "uniform":
-        body = [rng.randint(-top if modulus is None else 0, top) for _ in range(length)]
+        body = [rng.randint(-top if ring.signed else 0, top) for _ in range(length)]
     elif fill == "zero":
         body = [0] * length
     elif fill == "top":
@@ -414,7 +408,7 @@ def test_product_matches_plain_product(case):
     f = QSeries.from_coeffs(x, ring)
     result, square_kernel, _ = _observed_product(f, f)
     _assert_canonical(result, QSeries(ring, tuple(_plain_product(x, x))))
-    assert square_kernel == _expected_kernel(x, x, ring.modulus)[0]
+    assert square_kernel == _expected_kernel(x, x, ring)[0]
     event(f"{square_kernel} kernel (square)")
 
 

@@ -4,7 +4,9 @@ import pytest
 
 from padicforms import coleman
 from padicforms.charseries import CharSeries, newton_polygon
+from padicforms.cli import EXIT_VERIFICATION, main
 from padicforms.coleman import classicality_check, slope_spectrum
+from padicforms.errors import VerificationError
 from padicforms.serialize import classicality_json, encode, polygon_json, slope_report_json
 
 
@@ -66,21 +68,30 @@ def test_polygon_json_warns_when_every_coefficient_is_saturated():
     }
 
 
-def test_slope_report_json_when_the_comparison_is_not_certified():
-    # certified below 1/2 only, the polygon's floor 7/3 stops short of the
-    # comparison bound min(k - 1, m - 2) = 3: one indeterminate entry
+def test_slope_report_json_certifies_the_whole_comparison():
+    # certify_below 1/2 lies below the comparison bound min(k - 1, m - 2)
+    # = 3, through which the spectrum is certified all the same: the bytes
+    # of `padicforms slopes --k 4 --p 5 --I 12 --m 8`
     report = slope_spectrum(4, 5, 12, 8, certify_below=Fraction(1, 2))
     polygon = {
-        "slopes": [{"slope": "0", "mult": "1"}, {"slope": "1", "mult": "1"}],
-        "vertices": [["0", "0"], ["1", "0"], ["2", "1"]],
-        "certified_degree": "2",
-        "next_slope_floor": "7/3",
+        "slopes": [
+            {"slope": "0", "mult": "1"},
+            {"slope": "1", "mult": "1"},
+            {"slope": "3", "mult": "1"},
+        ],
+        "vertices": [["0", "0"], ["1", "0"], ["2", "1"], ["3", "4"]],
+        "certified_degree": "3",
+        "next_slope_floor": "4",
     }
     naive = {
-        "slopes": [{"slope": "1", "mult": "1"}, {"slope": "2", "mult": "1"}],
-        "vertices": [["0", "0"], ["1", "1"], ["2", "3"]],
-        "certified_degree": "2",
-        "next_slope_floor": "10/3",
+        "slopes": [
+            {"slope": "1", "mult": "1"},
+            {"slope": "2", "mult": "1"},
+            {"slope": "4", "mult": "1"},
+        ],
+        "vertices": [["0", "0"], ["1", "1"], ["2", "3"], ["3", "7"]],
+        "certified_degree": "3",
+        "next_slope_floor": "5",
     }
     assert slope_report_json(report) == {
         "p": "5",
@@ -88,36 +99,37 @@ def test_slope_report_json_when_the_comparison_is_not_certified():
         "I": "12",
         "qprec": "45",
         "m": "8",
-        "m_working": "8",
-        "m_effective": "8",
-        "charseries": ["1", "324879", "127620", "328750", "0", "0"],
+        "m_working": "12",
+        "m_effective": "12",
+        "charseries": ["1", "38606129", "64971370", "181578750", "203125000", "0"],
         "slopes": polygon,
         "naive_slopes": naive,
         "threshold": "3",
         "classical": ["0", "1", "3"],
-        "verdict": [{"slope": None, "verdict": "indeterminate"}],
+        "verdict": [
+            {"slope": "0", "overconvergent": "1", "classical": "1", "verdict": "match"},
+            {"slope": "1", "overconvergent": "1", "classical": "1", "verdict": "match"},
+        ],
         "naive_shift_checked": True,
     }
 
 
-def test_classicality_json_when_the_spectrum_is_not_certified(monkeypatch):
-    # a polygon that never certifies: the report of the cap
-    # 8 + 3 * max(D, 2) + 16 = 39, D = 5, with no slope compared
+def test_classicality_json_when_the_spectrum_is_not_certified(monkeypatch, capsys):
+    # a polygon that never certifies: the cap 8 + 3 * max(D, 2) + 16 = 39,
+    # D = 5, leaves the comparison range uncertified, which is refused
+    # rather than serialized, and the command exits 1
     real = coleman.newton_polygon
     floor_0 = Fraction(0)
     monkeypatch.setattr(
         coleman, "newton_polygon", lambda series: real(series)._replace(next_slope_floor=floor_0)
     )
-    report = classicality_check(4, 5, 12, 8)
-    assert encode(classicality_json(report)) == {
-        "p": "5",
-        "k": "4",
-        "I": "12",
-        "m": "8",
-        "m_working": "39",
-        "compared_below": "3",
-        "overconvergent": [],
-        "classical": ["0", "1"],
-        "boundary": {"overconvergent": None, "classical": "1"},
-        "verdict": "indeterminate",
-    }
+    message = "polygon at weight 4 not certified below the comparison bound 3"
+    with pytest.raises(VerificationError, match=f"^{message}$"):
+        classicality_json(classicality_check(4, 5, 12, 8))
+    code = main(["classicality", "--k", "4", "--p", "5", "--I", "12", "--m", "8"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        EXIT_VERIFICATION,
+        "",
+        f"verification failure: {message}\n",
+    )

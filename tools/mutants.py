@@ -855,8 +855,8 @@ MUTANTS = (
     Mutant(
         "Katz elements built one digit short",
         "src/padicforms/coleman.py",
-        "    elements = basis.elements_mod(m) if basis.dimension else []\n",
-        "    elements = basis.elements_mod(max(m - 1, 1)) if basis.dimension else []\n",
+        "    return _solve_up(basis, basis.elements_mod(m), m, shift)\n",
+        "    return _solve_up(basis, basis.elements_mod(max(m - 1, 1)), m, shift)\n",
         ("tests/test_precision.py::test_up_matrix_commutes_with_reduction",),
     ),
     Mutant(
@@ -940,6 +940,13 @@ MUTANTS = (
         ("tests/test_coleman.py::test_an_uncertified_spectrum_reports_the_cap",),
     ),
     Mutant(
+        "comparison certifies only certify_below, not the comparison bound",
+        "src/padicforms/coleman.py",
+        "        bound = below if bound is None else max(bound, below)\n",
+        "        bound = below if bound is None else bound\n",
+        ("tests/test_coleman.py::test_a_comparison_certifies_its_whole_range",),
+    ),
+    Mutant(
         "certified degree read from the first vertex",
         "src/padicforms/charseries.py",
         "        return self.vertices[-1][0]\n",
@@ -959,6 +966,16 @@ MUTANTS = (
         '"extra-overconvergent" if o > c else "missing-overconvergent"',
         '"extra-overconvergent" if o < c else "missing-overconvergent"',
         ("tests/test_coleman.py::test_comparison_classes_give_each_slope_its_verdict",),
+    ),
+    Mutant(
+        "comparison over a range the polygon does not certify",
+        "src/padicforms/classical.py",
+        "    if not polygon.certifies_through(bound):\n"
+        "        raise VerificationError(\n"
+        '            f"polygon at weight {k} not certified below the comparison bound {bound}"\n'
+        "        )\n",
+        "",
+        ("tests/test_coleman.py::test_compare_refuses_an_uncertified_range",),
     ),
     # value semantics of padic.Value
     Mutant(
