@@ -1,11 +1,14 @@
 """Command-line surface.
 
-Every command validates its configuration up front, emits deterministic
-JSON (encoded once by ``serialize.encode``, sorted keys) to stdout or a
-file, and exits 0 on success, 1 on a failed verification, 2 on a
-configuration error.  The output follows from the command line alone:
---m defaults to 8 where a command needs a working precision, and no
-environment variable is read.
+Every command refuses a bad configuration before any computation,
+emits deterministic JSON (encoded once by ``serialize.encode``, sorted
+keys) to stdout or a file, and exits 0 on success, 1 on a failed
+verification, 2 on a configuration error.  The CLI owns only the rules
+that no library entry point sees (``_validate``); the range of p, m, I,
+k and n is refused, with the library's message, by the entry point
+each command calls, which checks it before any work.  The output
+follows from the command line alone: --m defaults to 8 where a command
+needs a working precision, and no environment variable is read.
 
 Each command is one entry of ``COMMANDS``: its help text, its flags and
 a runner that maps the parsed arguments to ``(payload, passed)``.
@@ -29,7 +32,7 @@ from .errors import ConfigError, PrecisionError, VerificationError
 from .forms import basis_dimension, miller_basis
 from .hecke import NORMALIZATIONS
 from .hida import control_check_h0, fit_family, ordinary_rank_mod_p, tp_matrix
-from .padic import PadicMatrix, is_prime
+from .padic import PadicMatrix, _check_pm
 from .qexp import ModRing, ZZ
 from .weights import WeightDisc
 
@@ -59,22 +62,18 @@ _LIST_FLAGS = {
 
 
 def _validate(args: argparse.Namespace) -> None:
-    """Refuse a configuration before any computation starts; the
-    commands that certify slopes default ``--m`` to 8, so m is set.  An
-    odd ``--k`` is left to the library entry of its command, which
+    """Refuse what no library entry point sees, before any computation
+    starts: a ``basis --p`` without ``--m`` or the reverse, a ``--Q``
+    short of the dimension, a ``--bounds`` value (checked before the
+    disc is built), and m < 3 for the commands that compare or certify
+    slopes, which the library accepts for duality and uncompared
+    spectra (those commands default ``--m`` to 8, so m is set).  The
+    range of p, m, I and k is the library's: the entry of each command
     refuses it before any work."""
     get = vars(args).get
-    p, k, m, twist_depth, qprec = (get(name) for name in ("p", "k", "m", "twist_depth", "qprec"))
-    if p is not None and not is_prime(p):
-        raise ConfigError(f"--p {p} is not prime")
+    p, k, m, qprec = (get(name) for name in ("p", "k", "m", "qprec"))
     if args.command == "basis" and (p is None) != (m is None):
         raise ConfigError("basis: --p and --m must be given together")
-    if m is not None and m < 1:
-        raise ConfigError("--m must be >= 1")
-    if m is not None and p == 2:
-        raise ConfigError("Z/2^m is not supported: --p must be an odd prime")
-    if twist_depth is not None and twist_depth < 0:
-        raise ConfigError("--I must be >= 0")
     for bound in get("bounds") or ():
         check_slope_bound(bound)
     if qprec is not None:
@@ -115,6 +114,8 @@ def _basis(args):
 
 
 def _tp_matrix(args):
+    if args.m is not None:
+        _check_pm(args.p, args.m)  # the ring, before T_p is computed
     rows = tp_matrix(args.k, args.p)
     payload = {"p": args.p, "k": args.k, "ring": "Z", "rows": rows}
     if args.m is not None:

@@ -47,7 +47,7 @@ from .forms import (
 )
 from .hecke import normalization_shift
 from .linalg import solve_in_basis
-from .padic import PadicMatrix
+from .padic import PadicMatrix, _check_pm
 from .qexp import ZZ, ModRing, QSeries
 
 
@@ -338,8 +338,8 @@ def slope_spectrum(
     Bad input raises ``ConfigError`` before any work, in this order: a
     prime refused by ``forms.check_theory_prime``, an odd weight and a
     negative twist depth, which ``katz_basis`` refuses (it computes only
-    the dimension ladder), then a negative ``certify_below``, then m < 3
-    when the spectra are compared.
+    the dimension ladder), then a negative ``certify_below``, then m < 1
+    (``padic._check_pm``), then m < 3 when the spectra are compared.
 
     The working modulus is raised until the q-expansion polygon
     certifies every slope below b, by the grid, plan and cap that
@@ -357,6 +357,7 @@ def slope_spectrum(
     """
     basis = katz_basis(k, p, twist_depth)
     bound = None if certify_below is None else check_slope_bound(certify_below)
+    _check_pm(p, m)
     compared = classical and k >= 2
     if compared:
         below = comparison_bound(k, m)  # refuses m < 3 before any work

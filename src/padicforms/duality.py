@@ -218,14 +218,13 @@ def charseries_duality_check(
     (a) structural: char series of the weight-k U_p matrix equals that
     of its transpose, exactly; (b) ordinary rank agrees on both sides;
     (c) the theta probe relates the weight 2-k and weight k spectra by
-    the slope shift k-1, with the wrong shift failing.  k >= 2 is
-    checked before any matrix is built.
+    the slope shift k-1, with the wrong shift failing.  ``katz_basis``
+    refuses p, an odd weight and a negative depth, and the theta probe
+    k < 2, before any Katz element is built.
     """
-    if k < 2:
-        raise ConfigError("theta probe needs k >= 2")
     basis = katz_basis(k, p, twist_depth)
+    probe = theta_probe(k, p, m)
     matrix = up_matrix(basis, m)
     structural = transpose_charseries_equal(matrix)
     ranks = rank_duality_check(matrix)
-    probe = theta_probe(k, p, m)
     return DualityReport(p, k, structural, ranks, probe)

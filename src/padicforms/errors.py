@@ -5,6 +5,13 @@ The split matters for the CLI exit codes: configuration problems are
 ``VerificationError`` (exit 1), and precision exhaustion is
 ``PrecisionError`` (a computation that cannot be completed honestly at
 the requested modulus / q-precision).
+
+Each range rule has one owner, which raises ``ConfigError``: among
+them ``padic._check_pm`` for the ring Z/p^m (m >= 1, p a prime >= 3),
+``hecke.check_prime`` for a Hecke prime, ``forms.check_theory_prime``
+for the primes of the p-adic theory and ``coleman.katz_basis`` for the
+twist depth.  ``ConfigError`` is a ``ValueError``, so a caller that
+catches ``ValueError`` sees every refusal.
 """
 
 

@@ -47,15 +47,17 @@ def normalization_shift(k: int, kind: str) -> int:
     return NORMALIZATIONS[kind](k)
 
 
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+def check_prime(ell: int) -> None:
+    """Refuse, by ``ConfigError``, an ell that is not prime: the one owner
+    of that rule for every Hecke operator T_ell or U_ell."""
+    if not is_prime(ell):
+        raise ConfigError(f"{ell} is not prime")
 
 
 def _hecke_map(f: QSeries, p: int, u_shift: int, f_shift: Optional[int]) -> QSeries:
     """p^u_shift U f, plus p^f_shift F f unless f_shift is None, to
     q-precision floor(Q/p)."""
-    _check_prime(p)
+    check_prime(p)
     q = f.qprec // p
     if q < 1:
         raise PrecisionError(f"q-precision {f.qprec} too small for level-{p} operators")
@@ -85,7 +87,7 @@ def up(f: QSeries, k: int, p: int) -> QSeries:
 
 def frobenius(f: QSeries, p: int) -> QSeries:
     """F: q -> q^p on expansions; weight independent, precision preserving."""
-    _check_prime(p)
+    check_prime(p)
     out = [0] * f.qprec
     out[::p] = f.coeffs[: (f.qprec + p - 1) // p]
     return QSeries(f.ring, tuple(out))

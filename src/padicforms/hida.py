@@ -41,14 +41,14 @@ from .forms import (
     miller_basis,
     miller_rows,
 )
-from .hecke import hecke_tp
+from .hecke import check_prime, hecke_tp
 from .linalg import (
     independent_columns,
     ordinary_projector,
     rank_mod_p,
     restrict_to_image,
 )
-from .padic import PadicMatrix, _check_pm, is_prime, unit_inverse
+from .padic import PadicMatrix, _check_pm, unit_inverse
 from .qexp import ModRing
 from .weights import IwasawaTruncation, WeightDisc, congruence_table, interpolate_iwasawa
 
@@ -80,16 +80,16 @@ def operator_matrix(basis: SpaceBasis, op, ell: int) -> Tuple[Tuple[int, ...], .
 
 
 def tp_matrix(k: int, p: int):
-    """Matrix of T_p on the Miller basis of M_k, exact over Z."""
-    if not is_prime(p):
-        raise ConfigError(f"{p} is not prime")
+    """Matrix of T_p on the Miller basis of M_k, exact over Z; p is
+    checked before any work."""
+    check_prime(p)
     basis = miller_basis(k, default_qprec(k, [p]))
     return operator_matrix(basis, hecke_tp, p)
 
 
 def ordinary_rank_mod_p(k: int, p: int) -> int:
     """Rank of e(T_p) on the mod-p weight-k space (T_p = U_p here, k >= 2),
-    read from a one-level Hasse tower."""
+    read from level 0 of a Hasse tower."""
     if k < 2:
         raise ConfigError(f"ordinary rank needs k >= 2, got {k}")
     return build_hasse_tower(k, p, 0).projectors[0].rank
@@ -108,6 +108,12 @@ class ControlReport(NamedTuple):
     @property
     def passed(self) -> bool:
         return self.contained
+
+
+def _target_level(k: int) -> int:
+    """The level of the control target in a Hasse tower over weight k:
+    level 1, one Hasse twist, at the k = 2 boundary, else level 0."""
+    return 1 if k == 2 else 0
 
 
 class HasseTower(NamedTuple):
@@ -143,8 +149,7 @@ class HasseTower(NamedTuple):
         target level by one ``SpaceBasis.contains_each`` call.  The
         target is level 0, or level 1 at k = 2 (one Hasse twist), and
         ``rank_low`` is the rank of its e(T_p)."""
-        twist = self.base_weight == 2
-        target = 1 if twist else 0
+        target = _target_level(self.base_weight)
         if n < 0 or max(n, target) >= len(self.levels):
             raise ConfigError(f"a report of level {n} needs levels 0..{max(n, target)}")
         high, low = self.levels[n], self.levels[target]
@@ -152,14 +157,15 @@ class HasseTower(NamedTuple):
         contained = all(low.contains_each([high.combination(c) for c in columns]))
         rank_low = self.projectors[target].rank
         return ControlReport(
-            self.p, self.base_weight, n, low.weight, len(columns), rank_low, contained, twist
+            self.p, self.base_weight, n, low.weight, len(columns), rank_low, contained, target == 1
         )
 
 
 def build_hasse_tower(k: int, p: int, n: int) -> HasseTower:
-    """The tower of levels 0..n over weight k at p, the one route that
+    """The tower of levels 0..n over weight k at p, and at k = 2 up to
+    level 1 at least, the control target there; the one route that
     builds the mod-p spaces and ordinary projectors of the control check
-    and the ordinary rank.
+    and the ordinary rank, and the one refusal of n < 0.
 
     Every level is at the top level's q-precision, its Miller rows
     (``forms.miller_rows``) taken from one table of E4, E6 and Delta mod
@@ -172,7 +178,7 @@ def build_hasse_tower(k: int, p: int, n: int) -> HasseTower:
     check_level1_weight(k)
     if n < 0:
         raise ConfigError("n must be >= 0")
-    top = k + n * (p - 1)
+    top = k + max(n, _target_level(k)) * (p - 1)
     powers = MillerPowers(default_qprec(top, [p]), ModRing(p, 1))
     levels = [SpaceBasis(w, miller_rows(w, 0, powers)) for w in range(k, top + 1, p - 1)]
     for lower, upper in zip(levels, levels[1:]):
@@ -194,15 +200,14 @@ def control_check_h0(k: int, p: int, n: int) -> ControlReport:
     so containment is tested in M_{2+(p-1)}(F_p).
 
     The report is ``HasseTower.report(n)`` of the tower up to level n
-    (level 1 at least under the twist): every level at the top level's
-    q-precision, each inclusion checked.  ``build_hasse_tower`` refuses
-    the prime and an odd weight before any work.
+    (level 1 at least under the twist, which ``build_hasse_tower``
+    builds): every level at the top level's q-precision, each inclusion
+    checked.  ``build_hasse_tower`` refuses the prime, an odd weight and
+    n < 0 before any work.
     """
     if k < 2:
         raise ConfigError(f"control check needs k >= 2, got {k}")
-    if n < 0:
-        raise ConfigError("n must be >= 0")
-    return build_hasse_tower(k, p, max(n, 1 if k == 2 else 0)).report(n)
+    return build_hasse_tower(k, p, n).report(n)
 
 
 def unit_root_of_stabilization(t_p: int, k: int, p: int, m: int) -> int:
@@ -349,8 +354,7 @@ def fit_family(
         raise ConfigError("sample weights must be >= 3 for the control theorem")
     primes = list(dict.fromkeys(hecke_primes))
     for ell in primes:
-        if not is_prime(ell):
-            raise ConfigError(f"Hecke prime {ell} is not prime")
+        check_prime(ell)
 
     per_weight_systems: Dict[int, List[EigenSystem]] = {}
     unsplit = []

@@ -97,6 +97,8 @@ from operator import index, matmul, mul, sub
 from struct import iter_unpack, pack, unpack
 from typing import Callable, Iterable, Optional, Sequence
 
+from .errors import ConfigError
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -113,11 +115,12 @@ def is_prime(n: int) -> bool:
 
 def _check_pm(p: int, m: int) -> None:
     """Refuse a p or m that is not an integer (``operator.index``: a float
-    raises ``TypeError``), m < 1, and p not a prime >= 3."""
+    raises ``TypeError``), then, by ``ConfigError``, m < 1 and p not a
+    prime >= 3: the one owner of both rules for every ring Z/p^m."""
     if index(m) < 1:
-        raise ValueError(f"precision exponent must be >= 1, got {m}")
+        raise ConfigError(f"precision exponent must be >= 1, got {m}")
     if index(p) < 3 or not is_prime(p):
-        raise ValueError(f"p must be a prime >= 3, got {p}")
+        raise ConfigError(f"p must be a prime >= 3, got {p}")
 
 
 def power_from_base(x, n: int, product: Callable):

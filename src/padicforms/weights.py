@@ -65,9 +65,10 @@ class WeightDisc(Value):
     """A residue disc of weight space with integer sample weights, read
     over Z/p^m.
 
-    The prime passes ``forms.check_theory_prime``, m >= 1, and the sample
-    weights, stored sorted and distinct, are at least one, at least 1
-    (the uniform U_p normalization), on the component mod p-1 and even
+    The prime passes ``forms.check_theory_prime`` and m passes
+    ``padic._check_pm`` (m >= 1), and the sample weights, stored sorted
+    and distinct, are at least one, at least 1 (the uniform U_p
+    normalization), on the component mod p-1 and even
     (``forms.check_level1_weight``); anything else raises ``ConfigError``,
     and a prime, weight, component or m that is not an integer ``TypeError``.
     """
@@ -78,8 +79,7 @@ class WeightDisc(Value):
         p = index(p)
         check_theory_prime(p)
         m = index(m)
-        if m < 1:
-            raise ConfigError(f"precision exponent must be >= 1, got {m}")
+        _check_pm(p, m)
         weights = tuple(sorted(set(map(index, sample_weights))))
         if not weights:
             raise ConfigError("a weight disc needs at least one sample weight")

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import padicforms
-from padicforms import cli, coleman
+from padicforms import cli, coleman, forms
 from padicforms.cli import COMMANDS, EXIT_CONFIG, EXIT_OK, EXIT_VERIFICATION, main
 from padicforms.errors import PrecisionError, VerificationError
 
@@ -151,7 +151,7 @@ def test_up_matrix_normalizations(capsys):
 
 def test_config_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "slopes", "--p", "6", "--k", "4", "--I", "2", "--m", "8")
-    assert code == EXIT_CONFIG and "not prime" in err
+    assert code == EXIT_CONFIG and "configured for p in (5, 7, 11, 13), got 6" in err
     code, _, err = run_cli(capsys, "slopes", "--p", "5", "--k", "4", "--I", "2", "--m", "1")
     assert code == EXIT_CONFIG
     code, out, err = run_cli(capsys, "classicality", "--k", "0", "--p", "5", "--I", "4")
@@ -162,10 +162,10 @@ def test_config_errors_exit_2(capsys):
     assert code == EXIT_CONFIG and "below 3" in err
     code, _, _ = run_cli(capsys, "basis", "--k", "24", "--Q", "3")
     assert code == EXIT_OK
-    # Z/2^m is refused up front, not by a traceback from the ring
+    # Z/2^m is refused by the ring, not by a traceback
     for argv in (["basis", "--k", "12"], ["tp-matrix", "--k", "12"]):
         code, _, err = run_cli(capsys, *argv, "--p", "2", "--m", "3")
-        assert code == EXIT_CONFIG and "Z/2^m" in err
+        assert code == EXIT_CONFIG and "p must be a prime >= 3, got 2" in err
     for argv in (
         ["basis", "--k", "5"],
         ["tp-matrix", "--k", "5", "--p", "5"],
@@ -202,13 +202,97 @@ def test_list_and_range_errors_exit_2(capsys):
         (["acceptance", "--criteria", "x"], "comma-separated integer list"),
         ([*disc, "--bounds", "x"], "bad --bounds value"),
         ([*disc, "--bounds", "1/0"], "bad --bounds value"),
-        (["charseries", "--k", "4", "--p", "5", "--I", "-1", "--m", "6"], "--I must be >= 0"),
-        (["charseries", "--k", "4", "--p", "5", "--I", "4", "--m", "0"], "--m must be >= 1"),
+        (["charseries", "--k", "4", "--p", "5", "--I", "-1", "--m", "6"], "twist depth must be >= 0"),
+        (["charseries", "--k", "4", "--p", "5", "--I", "4", "--m", "0"],
+         "precision exponent must be >= 1"),
         (["acceptance", "--criteria", "0"], "unknown acceptance criteria [0]"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG and out == ""
         assert err.startswith("configuration error: ") and message in err
+
+
+# a valid command line of each command that takes --p, --m or --I
+VALID = {
+    "basis": ["--k", "12", "--p", "5", "--m", "3"],
+    "tp-matrix": ["--k", "12", "--p", "5"],
+    "ordinary-rank": ["--k", "12", "--p", "5"],
+    "control-check": ["--k", "4", "--p", "5", "--n", "1"],
+    "family-fit": ["--p", "5", "--component", "0", "--weights", "4,8", "--m", "4"],
+    **{
+        name: ["--k", "4", "--p", "5", "--I", "2", "--m", "4"]
+        for name in ("up-matrix", "charseries", "slopes", "classicality", "duality")
+    },
+    "disc": ["--p", "5", "--component", "0", "--samples", "4,8", "--I", "2", "--m", "4"],
+}
+RING = "p must be a prime >= 3, got {}"
+THEORY_PRIMES = "p-adic theory is configured for p in (5, 7, 11, 13), got {}"
+# the owner of "p is prime" at a composite p: the ring Z/p^m at basis,
+# whose --p comes with --m, the Hecke prime check at tp-matrix and the
+# theory primes elsewhere; at p = 2 with --m, the ring at both
+COMPOSITE = {"basis": RING, "tp-matrix": "{} is not prime"}
+CERTIFIES = ("slopes", "classicality", "duality")
+
+
+def _set(argv, flag, value):
+    """``argv`` with ``flag`` set to ``value``, appended when absent."""
+    if flag not in argv:
+        return [*argv, flag, value]
+    at = argv.index(flag) + 1
+    return [*argv[:at], value, *argv[at + 1 :]]
+
+
+def _range_refusals():
+    """(command line, message) for a composite --p, --p 2 with --m,
+    --m 0 and --I -1, on every command that takes the flag, each with
+    its owner's message: --m 0 is refused by the ring
+    (``padic._check_pm``) or, where slopes are certified, by the CLI's
+    m >= 3 floor, and --I -1 by ``katz_basis``."""
+    for name, command in COMMANDS.items():
+        flags = {flag for flag, _ in command.flags}
+        argv = [name, *VALID.get(name, ())]
+        if "--p" in flags:
+            yield _set(argv, "--p", "9"), COMPOSITE.get(name, THEORY_PRIMES).format(9)
+        if "--m" in flags:
+            owner = RING if name in COMPOSITE else THEORY_PRIMES
+            yield _set(_set(argv, "--p", "2"), "--m", "4"), owner.format(2)
+            yield _set(argv, "--m", "0"), (
+                "--m must be >= 3 to certify any slope (ceiling is m - 2)"
+                if name in CERTIFIES
+                else "precision exponent must be >= 1, got 0"
+            )
+        if "--I" in flags:
+            yield _set(argv, "--I", "-1"), "twist depth must be >= 0"
+
+
+RANGE_REFUSALS = list(_range_refusals())
+
+
+@pytest.mark.parametrize(
+    "argv, message", RANGE_REFUSALS, ids=[" ".join(argv) for argv, _ in RANGE_REFUSALS]
+)
+def test_range_refusals_have_one_owner(capsys, monkeypatch, argv, message):
+    """The library entry of each command refuses p, m and I before any
+    Miller table or Katz element is built.  ``elements_mod`` builds its
+    ring first, so it refuses a bad m before any element: an element
+    counts as built when ``elements_mod`` returns."""
+    built = []
+    real_init, real_elements_mod = forms.MillerPowers.__init__, coleman.KatzBasis.elements_mod
+
+    def counting_init(self, *args):
+        built.append("MillerPowers")
+        real_init(self, *args)
+
+    def counting_elements_mod(self, m):
+        elements = real_elements_mod(self, m)
+        built.append("elements_mod")
+        return elements
+
+    monkeypatch.setattr(forms.MillerPowers, "__init__", counting_init)
+    monkeypatch.setattr(coleman.KatzBasis, "elements_mod", counting_elements_mod)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (EXIT_CONFIG, "", f"configuration error: {message}\n")
+    assert built == []
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):
@@ -234,7 +318,7 @@ def test_module_entry_point():
     assert done.stdout == (GOLDEN_DIR / "ordinary_rank_k12_p5.json").read_bytes()
     done = run("ordinary-rank", "--k", "12", "--p", "6")
     assert done.returncode == EXIT_CONFIG
-    assert done.stdout == b"" and b"configuration error: --p 6 is not prime" in done.stderr
+    assert done.stdout == b"" and b"configured for p in (5, 7, 11, 13), got 6" in done.stderr
 
 
 def test_unknown_flags_rejected():

@@ -212,7 +212,7 @@ def test_charseries_duality_check_refuses_low_weight_first(monkeypatch):
 
     monkeypatch.setattr(coleman.KatzBasis, "elements_mod", counting_elements_mod)
     for k in (0, -2):
-        with pytest.raises(ConfigError, match="k >= 2"):
+        with pytest.raises(ConfigError, match="^theta probe needs k >= 2$"):
             charseries_duality_check(k, 5, twist_depth=4, m=8)
     assert calls == []
 

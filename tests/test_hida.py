@@ -98,9 +98,13 @@ def test_hasse_tower_reports_only_levels_it_holds():
     for n in (-1, 2):
         with pytest.raises(ConfigError, match=f"a report of level {n} needs"):
             tower.report(n)
-    # at k = 2 the target is level 1, which a one-level tower lacks
+    # at k = 2 the target is level 1, which the tower over 2 holds at any
+    # n, but the tower above level 1 of one over weight -2 lacks
+    tower = build_hasse_tower(2, 5, 0)
+    assert [b.weight for b in tower.levels] == [2, 6]
+    assert tower.report(0).target_weight == 6
     with pytest.raises(ConfigError, match="needs levels 0..1"):
-        build_hasse_tower(2, 5, 0).report(0)
+        build_hasse_tower(-2, 5, 1).above(1).report(0)
 
 
 def test_control_check_examples():
@@ -348,7 +352,7 @@ def test_fit_family_validation():
         fit_family(5, 1, [5, 9], [2], m=4)
     with pytest.raises(ConfigError, match=">= 3 for the control theorem"):
         fit_family(5, 2, [2, 6], [2], m=4)
-    with pytest.raises(ConfigError, match="^Hecke prime 4 is not prime$"):
+    with pytest.raises(ConfigError, match="^4 is not prime$"):
         fit_family(5, 0, [4, 8], [4], 6)
 
 

@@ -178,7 +178,7 @@ MUTANTS = (
     Mutant(
         "control target read at level 0 under the k = 2 twist",
         "src/padicforms/hida.py",
-        "        target = 1 if twist else 0\n",
+        "        target = _target_level(self.base_weight)\n",
         "        target = 0\n",
         ("tests/test_hida.py::test_control_check_weight2",),
     ),
@@ -976,6 +976,35 @@ MUTANTS = (
         "        )\n",
         "",
         ("tests/test_coleman.py::test_compare_refuses_an_uncertified_range",),
+    ),
+    # the one owner of each range refusal, reached through the CLI
+    Mutant(
+        "ring refusals raised as a plain ValueError, not a configuration error",
+        "src/padicforms/padic.py",
+        '        raise ConfigError(f"p must be a prime >= 3, got {p}")\n',
+        '        raise ValueError(f"p must be a prime >= 3, got {p}")\n',
+        ("tests/test_cli.py::test_range_refusals_have_one_owner[basis --k 12 --p 9 --m 3]",),
+        also=(
+            (
+                '        raise ConfigError(f"precision exponent must be >= 1, got {m}")\n',
+                '        raise ValueError(f"precision exponent must be >= 1, got {m}")\n',
+            ),
+        ),
+    ),
+    Mutant(
+        "Katz basis accepts a negative twist depth",
+        "src/padicforms/coleman.py",
+        "    if twist_depth < 0:\n"
+        '        raise ConfigError("twist depth must be >= 0")\n',
+        "",
+        ("tests/test_cli.py::test_range_refusals_have_one_owner[up-matrix --k 4 --p 5 --I -1 --m 4]",),
+    ),
+    Mutant(
+        "the Hecke prime check accepts an odd composite",
+        "src/padicforms/hecke.py",
+        "    if not is_prime(ell):\n",
+        "    if not is_prime(ell) and ell % 2 == 0:\n",
+        ("tests/test_cli.py::test_range_refusals_have_one_owner[tp-matrix --k 12 --p 9]",),
     ),
     # value semantics of padic.Value
     Mutant(

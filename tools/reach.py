@@ -18,7 +18,10 @@ The report prints each line of ``src/`` in one of three groups, by
 module and function: reached by the system runs, reached only by unit
 tests, never reached.  A unit-only line is code that only a test needs:
 an argument refusal, or surface that should go.  Tracing makes the
-tests about three times slower; the two runs take a few minutes.
+tests about three times slower; the two runs take a few minutes.  The
+exit status is 1 when any line is never reached or a traced run
+fails, so CI runs the report as the check that ``src/`` holds no code
+that nothing runs.
 
 Usage, from any directory, with pytest and hypothesis installed:
 
@@ -181,7 +184,7 @@ def main() -> int:
             for function, lines in sorted(functions.items(), key=lambda item: min(item[1])):
                 print(f"    {function}: {_ranges(lines)}")
     print("executable lines of src/: " + ", ".join(totals))
-    return 0
+    return 1 if groups[names[2]] else 0
 
 
 if __name__ == "__main__":
