@@ -89,9 +89,7 @@ def tp_matrix(k: int, p: int):
 
 def ordinary_rank_mod_p(k: int, p: int) -> int:
     """Rank of e(T_p) on the mod-p weight-k space (T_p = U_p here, k >= 2),
-    read from level 0 of a Hasse tower."""
-    if k < 2:
-        raise ConfigError(f"ordinary rank needs k >= 2, got {k}")
+    read from a Hasse tower of the one level it needs (n = 0)."""
     return build_hasse_tower(k, p, 0).projectors[0].rank
 
 
@@ -162,10 +160,9 @@ class HasseTower(NamedTuple):
 
 
 def build_hasse_tower(k: int, p: int, n: int) -> HasseTower:
-    """The tower of levels 0..n over weight k at p, and at k = 2 up to
-    level 1 at least, the control target there; the one route that
+    """The tower of levels 0..n over weight k at p; the one route that
     builds the mod-p spaces and ordinary projectors of the control check
-    and the ordinary rank, and the one refusal of n < 0.
+    and the ordinary rank, and the one refusal of k < 2 and of n < 0.
 
     Every level is at the top level's q-precision, its Miller rows
     (``forms.miller_rows``) taken from one table of E4, E6 and Delta mod
@@ -176,9 +173,11 @@ def build_hasse_tower(k: int, p: int, n: int) -> HasseTower:
     """
     check_theory_prime(p)
     check_level1_weight(k)
+    if k < 2:
+        raise ConfigError(f"a Hasse tower needs k >= 2, got {k}")
     if n < 0:
         raise ConfigError("n must be >= 0")
-    top = k + max(n, _target_level(k)) * (p - 1)
+    top = k + n * (p - 1)
     powers = MillerPowers(default_qprec(top, [p]), ModRing(p, 1))
     levels = [SpaceBasis(w, miller_rows(w, 0, powers)) for w in range(k, top + 1, p - 1)]
     for lower, upper in zip(levels, levels[1:]):
@@ -199,15 +198,15 @@ def control_check_h0(k: int, p: int, n: int) -> ControlReport:
     the k = 2 boundary the classical side allows one extra Hasse twist,
     so containment is tested in M_{2+(p-1)}(F_p).
 
-    The report is ``HasseTower.report(n)`` of the tower up to level n
-    (level 1 at least under the twist, which ``build_hasse_tower``
-    builds): every level at the top level's q-precision, each inclusion
-    checked.  ``build_hasse_tower`` refuses the prime, an odd weight and
+    The report is ``HasseTower.report(n)`` of the tower up to level n,
+    or up to the target's level 1 under the twist at n = 0: every level
+    at the top level's q-precision, each inclusion checked.
+    ``build_hasse_tower`` refuses the prime, an odd weight, k < 2 and
     n < 0 before any work.
     """
-    if k < 2:
-        raise ConfigError(f"control check needs k >= 2, got {k}")
-    return build_hasse_tower(k, p, n).report(n)
+    # n or the target's level: the greater of the two when n >= 0, and a
+    # negative n still reaches the tower's refusal
+    return build_hasse_tower(k, p, n or _target_level(k)).report(n)
 
 
 def unit_root_of_stabilization(t_p: int, k: int, p: int, m: int) -> int:

@@ -98,13 +98,15 @@ def test_hasse_tower_reports_only_levels_it_holds():
     for n in (-1, 2):
         with pytest.raises(ConfigError, match=f"a report of level {n} needs"):
             tower.report(n)
-    # at k = 2 the target is level 1, which the tower over 2 holds at any
-    # n, but the tower above level 1 of one over weight -2 lacks
+    # at k = 2 the target is level 1, which a tower over 2 holds from n = 1
     tower = build_hasse_tower(2, 5, 0)
-    assert [b.weight for b in tower.levels] == [2, 6]
-    assert tower.report(0).target_weight == 6
+    assert [b.weight for b in tower.levels] == [2]
     with pytest.raises(ConfigError, match="needs levels 0..1"):
-        build_hasse_tower(-2, 5, 1).above(1).report(0)
+        tower.report(0)
+    assert build_hasse_tower(2, 5, 1).report(0).target_weight == 6
+    # the tower is the one owner of k >= 2: no tower over weight -2
+    with pytest.raises(ConfigError, match="a Hasse tower needs k >= 2, got -2"):
+        build_hasse_tower(-2, 5, 1)
 
 
 def test_control_check_examples():
@@ -187,6 +189,13 @@ def test_control_check_builds_each_space_once(miller_tables, k, p, n):
     top = max(k + n * (p - 1), report.target_weight)
     assert miller_tables == [default_qprec(top, [p])]
     assert report.rank_low == ordinary_rank_mod_p(report.target_weight, p)
+
+
+def test_ordinary_rank_builds_one_level(miller_tables):
+    """The rank reads level 0 alone, so its tower holds that level only,
+    at k = 2 too, where the control check's target is level 1."""
+    assert ordinary_rank_mod_p(2, 5) == 0  # M_2 = 0
+    assert miller_tables == [default_qprec(2, [5])]
 
 
 def test_criterion_4_builds_each_tower_once(monkeypatch, miller_tables):

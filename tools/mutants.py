@@ -5,14 +5,12 @@ replace, which must occur exactly once in that file, the text put in
 its place, and the ids of the tests that must fail with it.  A fault
 that needs more than one edit lists the further (old, new) pairs of
 the same file in ``also``; each old text there must occur exactly once
-too, and the edits are applied in order.  The script
-copies ``src/``, ``tests/`` and ``pyproject.toml`` to one temporary
-directory per CPU (``os.cpu_count()``) and runs every named test once
-on the unchanged code of the first, where all must pass.  Then each
-copy takes the next mutant in turn: it applies the mutant, runs that
-mutant's tests with ``-x`` and restores the file.  Most of an entry's
-time is pytest's start-up, so the copies run side by side, and the
-results are printed in registry order.
+too, and the edits are applied in order.  Every named test runs once on
+the unchanged code, where all must pass, and each mutant's tests run
+with ``-x`` on a fresh copy of ``COPIED`` with its edits applied, each
+run in a child of ``forked``.  This process imports pytest and
+hypothesis once, where an interpreter per run imports them each time,
+and never padicforms.  ``fork`` is POSIX-only, as CI's runner is.
 
 The run fails if an entry's old texts are missing or occur more than
 once (a refactor moved it: update the entry, do not drop it), if a
@@ -24,21 +22,29 @@ Usage, from any directory, with pytest and hypothesis installed:
     python tools/mutants.py
 """
 
-from __future__ import annotations
-
 import os
-import queue
 import shutil
-import subprocess
+import signal
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
+from contextlib import closing
+from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple, Tuple
 
+import hypothesis  # noqa: F401  imported once here, not in every child
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml")
+# what the tests read: the tests of the benchmark's goldens read perfbench/
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+# seconds a job may run: the longest, reach.py's traced unit run, takes 80
+LIMIT = 300
+# pytest exits 1 when a test failed; any other status, a signal's too, is an ERROR
+VERDICTS = {0: "SURVIVED", 1: "killed"}
 
 
 class Mutant(NamedTuple):
@@ -1084,52 +1090,85 @@ MUTANTS = (
         "\n\nHALF = 0.5\n\n\ndef w_coordinate(",
         ("tests/test_imports.py::test_no_floating_point[weights.py]",),
     ),
+    # the benchmark's own reads of the library
+    Mutant(
+        "QSeries checks its fields in __init__, with no __post_init__ for the benchmark to wrap",
+        "src/padicforms/qexp.py",
+        "        # the checks stay in __post_init__, where perfbench/spans.py counts public builds\n"
+        "        self.__post_init__()\n\n"
+        "    def __post_init__(self) -> None:\n",
+        "",
+        ("tests/test_bench_targets.py::test_bench_target_resolves[qexp.QSeries.new-qexp-QSeries.__post_init__]",),
+    ),
 )
 
 
-def _pytest(copy: Path, tests) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True)
-
-
-def _tail(result: subprocess.CompletedProcess, lines: int = 15) -> str:
-    return "\n".join((result.stdout + result.stderr).splitlines()[-lines:])
-
-
-def _copy_tree(copy: Path) -> Path:
-    copy.mkdir()
-    for name in COPIED:
-        source = ROOT / name
-        if source.is_dir():
-            shutil.copytree(source, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
-        else:
-            shutil.copy2(source, copy / name)
-    return copy
-
-
-def _run_mutant(mutant: Mutant, copies: queue.SimpleQueue):
-    """Run ``mutant``'s tests on a free copy of the tree with the mutant
-    applied; the copy is restored and handed back.  Returns the pytest
-    result and its wall time."""
-    copy = copies.get()
+def forked(jobs: list, logs: Path):
+    """Run each of ``jobs``, callables that return an exit status, in a
+    child forked from this process, one per CPU at a time: job i writes
+    its output to ``logs / f"{i}.log"``, exits ``os.EX_SOFTWARE`` if it
+    raises and is ended by SIGALRM after ``LIMIT`` seconds.  Yields, in
+    order, each job's status, wall time and last 15 lines of output;
+    closed early, it kills the children still running."""
+    pending = enumerate(jobs)
+    children, done = {}, {}  # pid -> (job, start); job -> what it yields
     try:
-        path = copy / mutant.file
-        original = mutated = path.read_text()
-        for old, new in mutant.edits:
-            mutated = mutated.replace(old, new)
-        path.write_text(mutated)
-        start = time.perf_counter()
-        try:
-            result = _pytest(copy, mutant.tests)
-        finally:
-            path.write_text(original)
-        return result, time.perf_counter() - start
+        for i in range(len(jobs)):
+            while i not in done:
+                for job, run in islice(pending, (os.cpu_count() or 1) - len(children)):
+                    children[_fork(run, logs / f"{job}.log")] = job, time.perf_counter()
+                pid, status = os.wait()
+                job, start = children.pop(pid)
+                output = "\n".join((logs / f"{job}.log").read_text().splitlines()[-15:])
+                done[job] = os.waitstatus_to_exitcode(status), time.perf_counter() - start, output
+            yield done.pop(i)
     finally:
-        copies.put(copy)
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork(run, log: Path) -> int:
+    if pid := os.fork():
+        return pid
+    # the child must never return into the caller's stack: every way out
+    # of the job, an exception or SystemExit included, ends in os._exit
+    status = os.EX_SOFTWARE
+    try:
+        sys.stdout = sys.stderr = open(log, "w", buffering=1)  # os._exit flushes nothing
+        os.dup2(sys.stdout.fileno(), 1)
+        os.dup2(sys.stdout.fileno(), 2)
+        sys.dont_write_bytecode = True  # into a throwaway copy, or the checkout
+        signal.alarm(LIMIT)
+        status = int(run())
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(status)
+
+
+def run_pytest(tree: Path, args) -> int:
+    """pytest on ``args`` in ``tree``, importing padicforms from its src/, with
+    no warning that hypothesis, imported before the fork, is not rewritten."""
+    os.chdir(tree)
+    sys.path.insert(0, str(tree / "src"))
+    return pytest.main(["-q", "-p", "no:cacheprovider", "-Wignore:Module already imported", *args])
+
+
+def _run_mutant(tree: Path, mutant: Mutant) -> int:
+    shutil.copytree(ROOT, tree, ignore=lambda directory, names: [
+        n for n in names if n == "__pycache__" or directory == str(ROOT) and n not in COPIED
+    ])
+    path = tree / mutant.file
+    text = path.read_text()
+    for old, new in mutant.edits:
+        text = text.replace(old, new)
+    path.write_text(text)
+    return run_pytest(tree, ["-x", *mutant.tests])
 
 
 def main() -> int:
+    t0 = time.monotonic()
     problems = []
     for mutant in MUTANTS:
         text = (ROOT / mutant.file).read_text()
@@ -1140,30 +1179,25 @@ def main() -> int:
     if problems:
         print("\n".join(problems))
         return 1
-    workers = os.cpu_count() or 1
+    tests = tuple(sorted({t for mutant in MUTANTS for t in mutant.tests}))
+    # job 0 is the clean run: an entry of every named test whose one edit changes nothing
+    entries = (Mutant("", MUTANTS[0].file, "", "", tests),) + MUTANTS
+    failed = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
-        copies: queue.SimpleQueue = queue.SimpleQueue()
-        trees = [_copy_tree(Path(tmp) / str(i)) for i in range(workers)]
-        for tree in trees:
-            copies.put(tree)
-        tests = sorted({t for mutant in MUTANTS for t in mutant.tests})
-        clean = _pytest(trees[0], tests)
-        if clean.returncode != 0:
-            print(f"the named tests fail on the unchanged code:\n{_tail(clean)}")
-            return 1
-        failed = 0
-        with ThreadPoolExecutor(workers) as pool:
-            runs = pool.map(lambda mutant: _run_mutant(mutant, copies), MUTANTS)
-            for mutant, (result, seconds) in zip(MUTANTS, runs):
-                # pytest exits 1 when a test failed; other codes are errors
-                # of the entry itself (no such test id, a usage error)
-                verdict = {0: "SURVIVED", 1: "killed"}.get(result.returncode, "ERROR")
+        jobs = [partial(_run_mutant, Path(tmp, str(i)), entry) for i, entry in enumerate(entries)]
+        with closing(forked(jobs, Path(tmp))) as runs:
+            status, _, output = next(runs)
+            if status != 0:
+                print(f"the named tests fail on the unchanged code:\n{output}")
+                return 1
+            for mutant, (status, seconds, output) in zip(MUTANTS, runs):
+                verdict = VERDICTS.get(status, "ERROR")
                 print(f"{verdict:8} {seconds:5.1f} s  {mutant.name}", flush=True)
                 if verdict != "killed":
                     failed += 1
-                    print(_tail(result))
-        print(f"{len(MUTANTS) - failed}/{len(MUTANTS)} mutants killed")
-        return 1 if failed else 0
+                    print(output)
+    print(f"{len(MUTANTS) - failed}/{len(MUTANTS)} mutants killed in {time.monotonic() - t0:.0f} s")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -5,9 +5,9 @@ The executable lines of ``src/padicforms`` are the lines of every
 function body, read from the compiled code by ``co_lines``; the lines of
 a comprehension count toward the function that encloses it, and
 module-level and class-level code, which runs at import, is not counted.
-Two pytest runs are traced, each in a child process of its own (so that
-no cache of the one warms the other), by ``sys.settrace`` over the code
-of ``src/padicforms`` only:
+Two pytest runs are traced, each in a child of ``mutants.forked`` (so
+that no cache of the one warms the other), by ``sys.settrace`` over the
+code of ``src/padicforms`` only:
 
 - the system runs: every CLI golden and help screen of
   ``tests/test_cli.py`` (``test_golden_outputs``, ``test_help_goldens``)
@@ -28,16 +28,16 @@ Usage, from any directory, with pytest and hypothesis installed:
     python tools/reach.py
 """
 
-from __future__ import annotations
-
 import json
 import os
-import subprocess
 import sys
 import tempfile
+from functools import partial
 from inspect import CO_OPTIMIZED
 from pathlib import Path
 from types import CodeType
+
+from mutants import forked, run_pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "padicforms"
@@ -52,8 +52,6 @@ UNIT_TESTS = (
     f"--ignore={SYSTEM_TESTS[2]}",
 )
 COMPREHENSIONS = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"}
-# the child process traces pytest and writes the lines it ran here
-OUTPUT_VARIABLE = "PADICFORMS_REACH_OUTPUT"
 
 
 def function_lines(path: Path) -> dict:
@@ -85,15 +83,12 @@ def function_lines(path: Path) -> dict:
     return out
 
 
-def trace_pytest(args) -> int:
+def trace_pytest(args, output: Path) -> int:
     """Run pytest with ``args`` in this process, recording every line of
     ``src/padicforms`` it executes with the code object that ran it, and
-    write them as JSON to the file that ``OUTPUT_VARIABLE`` names.  A
-    call runs the first line of its code: the def line, which the module
-    also runs at import, counts as reached only when the function is
-    called."""
-    import pytest
-
+    write them as JSON to ``output``.  A call runs the first line of its
+    code: the def line, which the module also runs at import, counts as
+    reached only when the function is called."""
     prefix = str(PACKAGE) + os.sep
     ran: set = set()
     ours: dict = {}
@@ -115,12 +110,10 @@ def trace_pytest(args) -> int:
         return local
 
     sys.settrace(tracer)
-    try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", *args])
-    finally:
-        sys.settrace(None)
-    Path(os.environ[OUTPUT_VARIABLE]).write_text(json.dumps(sorted(ran)))
-    return int(status)
+    status = run_pytest(ROOT, args)
+    sys.settrace(None)
+    output.write_text(json.dumps(sorted(ran)))
+    return status
 
 
 def _ranges(lines) -> str:
@@ -134,29 +127,16 @@ def _ranges(lines) -> str:
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
 
 
-def _traced(tests, directory: Path, label: str) -> subprocess.Popen:
-    env = dict(
-        os.environ,
-        PYTHONPATH=str(ROOT / "src"),
-        PYTHONDONTWRITEBYTECODE="1",
-        **{OUTPUT_VARIABLE: str(directory / f"{label}.json")},
-    )
-    command = [sys.executable, __file__, *tests]
-    with open(directory / f"{label}.log", "w") as log:
-        return subprocess.Popen(command, cwd=ROOT, env=env, stdout=log, stderr=log)
-
-
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
         directory = Path(tmp)
         runs = {"system": SYSTEM_TESTS, "unit": UNIT_TESTS}
         # the two runs share nothing, so they run side by side
-        children = {label: _traced(tests, directory, label) for label, tests in runs.items()}
+        jobs = [partial(trace_pytest, runs[label], directory / f"{label}.json") for label in runs]
         reached = {}
-        for label, child in children.items():
-            if child.wait() != 0:
-                log = (directory / f"{label}.log").read_text().splitlines()
-                print(f"the {label} run failed:\n" + "\n".join(log[-15:]))
+        for label, (status, _, output) in zip(runs, forked(jobs, directory)):
+            if status != 0:
+                print(f"the {label} run failed:\n{output}")
                 return 1
             ran = json.loads((directory / f"{label}.json").read_text())
             reached[label] = {(Path(f).name, *rest) for f, *rest in ran}
@@ -188,8 +168,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    if OUTPUT_VARIABLE in os.environ:
-        sys.exit(trace_pytest(sys.argv[1:]))
-    if len(sys.argv) > 1:
-        sys.exit("usage: python tools/reach.py (it takes no options)")
-    sys.exit(main())
+    sys.exit("usage: python tools/reach.py (it takes no options)" if sys.argv[1:] else main())
