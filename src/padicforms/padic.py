@@ -44,11 +44,10 @@ slot of many such integers back in one call, one integer after
 another.  Slots of 1, 2, 4 or 8 bytes pack one row per
 ``struct.pack`` and read back with one ``struct.unpack`` for all the
 integers.  Wider slots pack through one ``int.to_bytes`` per value and
-read back by shift and mask from integers of up to 1024 bytes, by byte
-slices beyond: each shift copies the rest of the integer, so shift and
-mask costs grow with the square of its length, while a slice costs
-about the same for every slot.  The packed rows of a matrix product
-at n <= 24 stay within 1024 bytes while p^m < 2^165.
+read back by byte slices: the integers are written out as bytes once,
+and each slot is one ``int.from_bytes`` of its slice, which costs about
+the same for every slot at every length.  These are the codec's two
+read-backs.
 
 Speed-up of the packed kernel over plain dot products, for n x n
 products with random residues; best of 25, interleaved, CPython 3.11 on
@@ -73,18 +72,6 @@ A_P C (r x n by n x r) / for e = C Y (n x r by r x n); same host.
      4   0.32/0.94  0.53/1.08  0.81/1.13
      8   0.25/2.53  0.51/1.92  0.80/1.91  1.05/1.95  1.61/2.18
     16   0.25/2.88  0.44/2.82  0.69/3.10  1.02/3.18  1.59/3.39  2.16/3.48
-
-Read-back of one integer of wide slots: time by shift and mask over
-time by byte slices, by the integer's length in bytes (rows) and the
-slot size in bytes (columns); best of 15, interleaved, same host.
-
-    bytes     9     16     24     36     47     64     80
-      512   0.66   0.67   0.64   0.63   0.58   0.57   0.56
-     1024   1.04   0.97   0.92   0.87   0.76   0.71   0.69
-     1280   1.36   1.58   1.14   0.99   0.91   0.85   0.80
-     1536   1.39   1.36   1.35   1.26   1.11   1.05   0.87
-     2048   1.79   1.66   1.58   1.44   1.34   1.24   1.09
-     4096   3.31   3.69   2.69   2.66   2.30   2.02   1.88
 
 All values are immutable after construction, so they can be shared
 freely between threads.
@@ -186,11 +173,6 @@ def unit_inverse(x: int, p: int, e: int) -> int:
 # (standard sizes), so a run of such slots packs and unpacks in one call.
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
-# ``unpack_slots`` reads wider slots by shift and mask from integers of up to
-# this many bytes and by byte slices from longer ones: each shift copies the
-# rest of the integer (see the module docstring for the measurements).
-_SHIFT_READ_MAX_BYTES = 1024
-
 # ``product_rows`` packs when the product has at least this many rows and
 # columns (see the module docstring for the measurements behind it).
 _PACKED_MIN_SIDE = 4
@@ -218,12 +200,8 @@ def pack_slots(rows: Iterable[Iterable[int]], count: int, size: int) -> list:
 def unpack_slots(values: Sequence[int], count: int, size: int) -> Sequence[int]:
     """The ``count`` slots of ``size`` bytes of each of ``values``, each in
     [0, 2^(8*size*count)): lowest slot first, one value after another."""
-    length, code = count * size, _STRUCT_CODES.get(size)
-    if not code and length <= _SHIFT_READ_MAX_BYTES:
-        mask = (1 << 8 * size) - 1
-        shifts = range(0, 8 * length, 8 * size)
-        return [v >> t & mask for v in values for t in shifts]
-    data = b"".join([v.to_bytes(length, "little") for v in values])
+    code = _STRUCT_CODES.get(size)
+    data = b"".join([v.to_bytes(count * size, "little") for v in values])
     if code:
         return unpack(f"<{len(values) * count}{code}", data)
     return [int.from_bytes(c, "little") for c, in iter_unpack(f"{size}s", data)]
@@ -325,7 +303,7 @@ class PadicMatrix(Value):
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], p: int, m: int) -> "PadicMatrix":
-        return cls(tuple(tuple(r) for r in rows), p, m)
+        return cls(tuple(rows), p, m)
 
     @classmethod
     def identity(cls, n: int, p: int, m: int) -> "PadicMatrix":

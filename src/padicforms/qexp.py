@@ -47,67 +47,47 @@ the product.  It first skips the factors' leading zeros: with f = q^s f'
 and g = q^t g', fg = q^(s+t) f'g', so f'g' is needed to n = Q - s - t
 coefficients only, and not at all when n <= 0 (the product is then 0).
 The running products of ``coleman.KatzBasis.elements_mod`` and the powers
-of Delta, which start at q^c, multiply so at length Q - c.  Then one of
-three exact kernels runs, chosen from n and the coefficient size alone,
-the ring's ``bits``: bits(p^m - 1) over Z/p^m, and bits(max |a_i|) over
-the n coefficients of both factors that are used, over Z.
+of Delta, which start at q^c, multiply so at length Q - c.  Then the one
+series kernel, ``_packed_product``, runs at every n and every
+coefficient size: Kronecker substitution, as in ``padic.product_rows``,
+on big integers with one slot of at least 2*bits + bits(n) + 2 bits per
+coefficient, sized, packed and read back by the slot codec of ``padic``.
+``bits`` is the ring's: bits(p^m - 1) over Z/p^m, and bits(max |a_i|)
+over the n coefficients of both factors that are used, over Z.
 
-When n >= 16 and bits <= 4*n, the product is packed (Kronecker
-substitution, as in ``padic.product_rows``): big integers with one slot
-of at least 2*bits + bits(n) + 2 bits per coefficient, sized, packed and
-read back by the slot codec of ``padic``.  Up to 8-byte slots (1, 2, 4
-or 8 bytes, a whole series packed and read back in one call) each factor
-is one integer, evaluated at one point, and one product (a square when f
-is g) holds the n coefficients in its low slots.  Wider slots take two
-points, X = 2^N and -X, N half the slot width (Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", J. Symbolic
-Comput. 44, 2009): each factor's even- and odd-index coefficients are
-packed apart, E and O, evaluated as E + O X and E - O X, and two products
-of these half-length integers give the even coefficients, as
-(P+ + P-)/2, and the odd ones, as (P+ - P-)/2^(N+1).  CPython multiplies
-long integers by Karatsuba, so two products of half the length cost
-about 2/3 of one.  Otherwise the schoolbook double loop runs, one integer
-product per pair of indices below n; it wins on short series, where
-packing costs more than it saves, and on wide coefficients, where a
-packed product computes all 2n - 1 coefficients of the full product in
-slots twice the coefficient size.  Every kernel gives the same integers.
+The slot width alone picks the number of points.  Up to 8-byte slots
+(1, 2, 4 or 8 bytes, each series packed by one ``struct.pack`` and the
+product read back by one ``struct.unpack``) each factor is one integer,
+evaluated at one point, and one product (a square when f is g) holds the
+n coefficients in its low slots.  Wider slots take two points, X = 2^N
+and -X, N half the slot width (Harvey, "Faster polynomial multiplication
+via multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009):
+each factor's even- and odd-index coefficients are packed apart, E and
+O, evaluated as E + O X and E - O X, and two products of these
+half-length integers give the even coefficients, as (P+ + P-)/2, and the
+odd ones, as (P+ - P-)/2^(N+1).  CPython multiplies long integers by
+Karatsuba, so two products of half the length cost about 2/3 of one,
+while one point reads its slots back by ``struct`` up to 8 bytes.  Short
+series and wide coefficients take the same kernel.  A schoolbook loop is
+up to 7 times faster at n <= 8, but without one no end-to-end median of
+the slopes-deep and acceptance benchmarks moved by more than 5 % (30
+alternated pairs each).
 
-Packed speed-up (schoolbook time / packed time), one point / two points,
-for distinct factors with random coefficients; best of seven,
-interleaved, CPython 3.11 on a 2-CPU Intel Xeon host.  Both columns are
-measured at every width; ``f * g`` packs at one point up to 8-byte slots
-(bits <= 28 at Q = 16-31) and at two beyond.  On the line bits = 4*Q,
-in a run of its own, two points read 1.20-1.57 over Z/p^m and 1.02-1.54
-over Z at Q = 16-128, and at 6*Q 0.87-1.48 and 0.90-1.39, below 1 at
-some Q.  Squaring (f * f) gains a further 1.4x at one or two points; it
-has no threshold of its own.
+One-point time / two-point time, with the bytes per slot, for distinct
+factors of n coefficients of the given bits, unsigned; best of seven,
+interleaved, CPython 3.11 on a 2-CPU Intel Xeon host.  The ratio crosses
+1 at the 8-byte line at n = 61; one point wins further at n <= 32, and
+two points on most widths from 8 bytes at n >= 89.  Two points at every
+width took the series products of a traced acceptance round 28 % longer,
+and criteria 3, 4 and 9 26 %, 15 % and 7 % longer (six alternated
+benchmark pairs, same host).
 
-  over Z/p^m
-    Q  bits: 3            16           48           96           192          384
-        8    0.72/0.47    0.92/0.53    0.66/0.44    0.68/0.55    0.56/0.51    0.44/0.48
-       12    1.82/1.04    1.69/0.98    1.06/0.86    0.82/0.82    0.60/0.65    0.45/0.53
-       16    2.10/1.27    2.10/1.55    1.34/1.17    1.12/1.18    0.52/0.73    0.51/0.64
-       24    3.11/2.32    3.08/2.64    1.84/1.76    1.41/1.67    0.75/1.05    0.67/0.72
-       32    3.68/3.30    4.47/3.94    2.73/3.06    1.48/1.79    0.90/1.20    0.55/0.77
-       48    7.38/4.91    6.44/6.09    3.00/3.52    1.89/2.50    1.13/1.45    0.82/1.07
-       64   12.88/9.41    6.70/6.95    3.30/4.10    2.01/2.63    1.15/1.58    0.84/1.14
-       96   18.57/15.16   9.61/10.40   4.17/5.30    2.47/3.30    1.38/1.99    1.01/1.43
-      128   28.20/24.20  10.70/12.79   5.03/6.09    2.96/4.03    1.57/2.22    1.12/1.68
-
-  over Z, coefficients of both signs
-    Q  bits: 3            16           48           96           192          384
-        8    0.49/0.33    0.47/0.34    0.48/0.40    0.45/0.39    0.39/0.37    0.31/0.36
-       12    0.82/0.58    0.79/0.61    0.72/0.65    0.66/0.64    0.46/0.53    0.35/0.42
-       16    0.98/0.70    1.13/0.88    1.05/0.95    0.85/0.86    0.60/0.70    0.41/0.55
-       24    1.71/1.35    1.89/1.57    1.43/1.48    1.10/1.20    0.76/0.91    0.53/0.71
-       32    2.94/2.54    2.35/2.38    1.75/1.78    1.32/1.52    0.82/1.07    0.53/0.75
-       48    4.42/3.67    3.81/3.97    1.92/2.40    1.72/2.08    1.10/1.69    0.70/0.96
-       64    6.55/5.60    4.70/5.01    2.82/3.27    1.60/2.08    1.21/1.58    0.87/1.16
-       96   12.19/11.13   7.48/8.32    3.67/4.61    2.58/3.10    1.43/1.83    0.98/1.62
-      128   16.69/14.62   9.43/11.20   3.95/5.00    2.56/3.46    1.56/2.06    1.15/1.60
-
-Schoolbook time at 96 bits over Z/p^m: 10.5, 25, 72, 460 and 1890 us at
-Q = 8, 16, 32, 64 and 128.
+      n  bits: 12       28       29       44       60       120
+     16    0.52  4  0.61  8  0.77  9  0.92 12  0.78 16  1.17 31
+     32    0.63  4  0.84  8  0.91  9  0.94 12  1.00 16  1.19 31
+     61    0.78  4  0.99  8  1.03  9  1.08 12  1.16 16  1.30 31
+     89    1.09  8  1.10  9  1.07  9  0.97 13  1.08 17  1.32 32
+    128    1.20  8  1.14  9  1.15  9  1.19 13  1.27 17  1.28 32
 """
 
 from __future__ import annotations
@@ -194,25 +174,6 @@ ZZ = IntegerRing()
 
 Ring = Union[IntegerRing, ModRing]
 
-# A packed kernel runs when n >= _PACKED_MIN_Q and bits <= _PACKED_BITS_PER_Q * n
-# (see the module docstring for the measurements behind both numbers).
-_PACKED_MIN_Q = 16
-_PACKED_BITS_PER_Q = 4
-
-
-def _schoolbook_product(a: tuple, b: tuple) -> list:
-    """The first len(a) coefficients of a*b, for len(b) == len(a): one
-    integer product per pair of indices summing below len(a)."""
-    q = len(a)
-    out = [0] * q
-    for i in range(q):
-        ai = a[i]
-        if ai == 0:
-            continue
-        for j in range(q - i):
-            out[i + j] += ai * b[j]
-    return out
-
 
 def _packed_product(a: tuple, b: tuple, bits: int, signed: bool) -> Sequence[int]:
     """The first len(a) coefficients of a*b, for len(b) == len(a) = Q and
@@ -239,7 +200,8 @@ def _packed_product(a: tuple, b: tuple, bits: int, signed: bool) -> Sequence[int
     q = len(a)
     width = slot_size(2 * bits + q.bit_length() + 2)  # bytes per slot
     rows, count = ([a] if b is a else [a, b]), q  # a square packs once
-    if width > 8:
+    two_points = width > 8  # one point up to the struct codec's 8-byte slots
+    if two_points:
         # two points: each factor's even- and odd-index coefficients, one
         # row each, the odd row padded to the length of the even one
         count, pad = (q + 1) // 2, (0,) * (q & 1)
@@ -258,9 +220,7 @@ def _packed_product(a: tuple, b: tuple, bits: int, signed: bool) -> Sequence[int
     # when signed; x * x when squaring: CPython multiplies one object by
     # itself faster
     mask, lift = (1 << 8 * width * count) - 1, half * ones
-    if width <= 8:
-        sums = [(packed[0] * packed[-1] + lift) & mask]
-    else:
+    if two_points:
         shift = 4 * width  # X = 2^shift
         plus, minus = [], []  # each factor at X and at -X
         for even, odd in zip(packed[::2], packed[1::2]):
@@ -270,8 +230,10 @@ def _packed_product(a: tuple, b: tuple, bits: int, signed: bool) -> Sequence[int
         high, low = plus[0] * plus[-1], minus[0] * minus[-1]
         evens, odds = (high + low) >> 1, (high - low) >> (shift + 1)
         sums = [(evens + lift) & mask, (odds + lift) & mask]
+    else:
+        sums = [(packed[0] * packed[-1] + lift) & mask]
     out = unpack_slots(sums, count, width)
-    if width > 8:
+    if two_points:
         # even-index coefficients, then odd: interleave them
         merged = [0] * (2 * count)
         merged[::2], merged[1::2] = out[:count], out[count:]
@@ -380,10 +342,7 @@ class QSeries(Value):
             a = a[s : s + n]
             b = a if square else b[t : t + n]
         ring = self.ring
-        if n >= _PACKED_MIN_Q and (bits := ring.bits(a, b)) <= _PACKED_BITS_PER_Q * n:
-            product = _packed_product(a, b, bits, ring.signed)
-        else:
-            product = _schoolbook_product(a, b)
+        product = _packed_product(a, b, ring.bits(a, b), ring.signed)
         if n < q:
             product = chain(repeat(0, q - n), product)
         return QSeries._from_ints(ring, product)

@@ -151,6 +151,23 @@ def test_public_builds_reduce_every_entry(p, m):
             PadicMatrix.from_rows(shape, p, m)
 
 
+def test_from_rows_takes_any_iterable_of_rows():
+    """List rows, tuple rows and a generator of generators give equal
+    matrices, each row read once; a ragged row and a float entry are
+    refused as from every other build."""
+    rows = [[1, -2, 30], [4, 5, 6], [7, 8, 126]]
+    want = PadicMatrix(tuple(map(tuple, rows)), 5, 3)
+    assert want.rows == ((1, 123, 30), (4, 5, 6), (7, 8, 1))
+    for given_rows in (rows, tuple(map(tuple, rows)), ((x for x in row) for row in rows)):
+        built = PadicMatrix.from_rows(given_rows, 5, 3)
+        assert built == want and built.rows == want.rows
+        assert type(built.rows) is tuple and all(type(row) is tuple for row in built.rows)
+    with pytest.raises(ValueError, match="square"):
+        PadicMatrix.from_rows(((x for x in row) for row in [[1, 2], [3]]), 5, 3)
+    with pytest.raises(TypeError):
+        PadicMatrix.from_rows(((x for x in row) for row in [[1, 2], [3, 4.0]]), 5, 3)
+
+
 def test_non_integer_entries_are_rejected():
     with pytest.raises(TypeError):
         PadicMatrix.from_rows([[2.5, Fraction(7, 2)], [1, 1]], 5, 3)
@@ -223,10 +240,10 @@ def _assert_canonical(result, expected):
         assert all(type(x) is int and 0 <= x < modulus for x in row)
 
 
-@example(p=13, m=10, n=5, seed=1, k=2)  # 79 bits: 10-byte slots, shift and mask
+@example(p=13, m=10, n=5, seed=1, k=2)  # 79 bits: 10-byte slots, byte slices
 @example(p=7, m=10, n=8, seed=2, k=2)  # 62 bits, 8-byte slots
 @example(p=5, m=1, n=4, seed=3, k=2)  # 9 bits, 2-byte slots
-@example(p=13, m=60, n=16, seed=5, k=1)  # 57-byte slots, 912-byte rows: shift and mask
+@example(p=13, m=60, n=16, seed=5, k=1)  # 57-byte slots, 912-byte rows: byte slices
 @example(p=13, m=60, n=24, seed=4, k=2)  # 57-byte slots, 1368-byte rows: byte slices
 @example(p=7, m=3, n=3, seed=6, k=2)  # 3 rows: plain dot products
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -257,11 +274,10 @@ def test_internal_results_are_canonical(p, m, n, seed, k):
     # the choice the padic docstring states, written out so that changing it
     # means changing this test: plain dot products below n = 4, then slots
     # of 2 bits(p^m) + bits(n) bits in 1, 2, 4 or 8 bytes, whole bytes
-    # beyond; read back by struct up to 8 bytes a slot, by shift and mask
-    # up to 1024 bytes a packed row, by byte slices beyond
+    # beyond; read back by struct up to 8 bytes a slot, by byte slices beyond
     bits = 2 * modulus.bit_length() + n.bit_length()
     size = next(w for w in (1, 2, 4, 8) if bits <= 8 * w) if bits <= 64 else -(-bits // 8)
-    read = "struct" if size <= 8 else "shift" if n * size <= 1024 else "slices"
+    read = "struct" if size <= 8 else "slices"
     if n < 4:
         read = "plain"
     assert packer.called == (read != "plain")
@@ -297,7 +313,7 @@ def _triple_loop(x, y, s, modulus):
 
 @example(p=7, m=10, shape=(16, 16, 16), fills=("top", "top"), seed=0)  # 63-bit slots
 @example(p=7, m=10, shape=(4, 16, 5), fills=("top", "top"), seed=0)
-@example(p=13, m=60, shape=(5, 24, 7), fills=("top", "uniform"), seed=1)  # shift and mask
+@example(p=13, m=60, shape=(5, 24, 7), fills=("top", "uniform"), seed=1)  # byte slices
 @example(p=13, m=60, shape=(5, 24, 24), fills=("top", "top"), seed=4)  # byte slices
 @example(p=5, m=3, shape=(4, 0, 6), fills=("uniform", "uniform"), seed=2)  # inner 0
 @example(p=11, m=9, shape=(3, 16, 12), fills=("top", "top"), seed=3)  # plain, r < 4
@@ -370,8 +386,9 @@ def test_slot_size_rule():
             assert 8 * (size - 1) < bits <= 8 * size, bits
 
 
-# Each side of the 1024-byte read-back threshold for 1-byte, 11-byte and
-# 80-byte slots, with the largest slot values.
+# Packed rows of about 1 KB on both sides of the 8-byte struct line:
+# 1024 and 1025 1-byte slots, read by struct, and 93 and 94 11-byte or 12
+# and 13 80-byte slots, read by byte slices, with the largest slot values.
 @example(size=1, count=1024, rows=2, fill="top", seed=0)
 @example(size=1, count=1025, rows=2, fill="top", seed=0)
 @example(size=11, count=93, rows=3, fill="top", seed=0)
@@ -389,10 +406,10 @@ def test_slot_size_rule():
 def test_slot_codec_round_trip(size, count, rows, fill, seed):
     """``pack_slots`` puts value i of a row at bit 8 * size * i of one
     integer per row, and ``unpack_slots`` reads every slot back, each row
-    after the one before, whichever read-back the packed size selects;
-    "mixed" draws each value from 0, the largest slot value 2^(8 size) - 1
-    and uniform ones."""
-    count = min(count, 2048 // size)  # packed rows up to twice the threshold
+    after the one before, by struct up to 8-byte slots and by byte slices
+    beyond; "mixed" draws each value from 0, the largest slot value
+    2^(8 size) - 1 and uniform ones."""
+    count = min(count, 2048 // size)  # packed rows up to 2048 bytes
     rng = random.Random(seed)
     top = 2 ** (8 * size) - 1
     draw = {
@@ -405,4 +422,4 @@ def test_slot_codec_round_trip(size, count, rows, fill, seed):
     packed = pack_slots(values, count, size)
     assert packed == [sum(v << 8 * size * i for i, v in enumerate(row)) for row in values]
     assert list(unpack_slots(packed, count, size)) == [v for row in values for v in row]
-    event("struct" if size in (1, 2, 4, 8) else "shift" if count * size <= 1024 else "slices")
+    event("struct" if size in (1, 2, 4, 8) else "slices")

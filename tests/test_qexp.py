@@ -177,14 +177,14 @@ def _assert_canonical(result, expected):
 
 
 def _expected_kernel(x, y, ring):
-    """The kernel ``f * g`` runs by the documented rule, thresholds written
-    out.  The s and t leading zeros of the first Q = min(len) coefficients
-    are skipped, leaving n = Q - s - t: no kernel at all when n <= 0, else
-    packed when n >= 16 and bits <= 4 * n (``ring.bits`` of the
-    coefficients the skipped zeros keep: the bits of p^m - 1, or over Z
-    of the largest |coefficient|), in one-point slots
-    when 2 * bits + bits(n) + 2 bits fit 8 bytes and two-point beyond;
-    else schoolbook.  Returns the kernel and n."""
+    """The kernel ``f * g`` runs by the documented rule, the slot line
+    written out.  The s and t leading zeros of the first Q = min(len)
+    coefficients are skipped, leaving n = Q - s - t: no kernel at all when
+    n <= 0, else the packed product, in one-point slots when
+    2 * bits + bits(n) + 2 bits fit 8 bytes and two-point beyond
+    (``ring.bits`` of the coefficients the skipped zeros keep: the bits of
+    p^m - 1, or over Z of the largest |coefficient|).  Returns the kernel
+    and n."""
     q = min(len(x), len(y))
     s = next((i for i in range(q) if x[i]), q)
     t = next((i for i in range(q) if y[i]), q)
@@ -192,27 +192,26 @@ def _expected_kernel(x, y, ring):
     if n <= 0:
         return None, n
     bits = ring.bits(x[s : s + n], y[t : t + n])
-    if n < 16 or bits > 4 * n:
-        return "schoolbook", n
     return ("one-point" if 2 * bits + n.bit_length() + 2 <= 64 else "two-point"), n
 
 
 def _observed_product(f, g):
-    """f * g, and the kernel it ran with the slots per packed integer: n
-    for one point, ceil(n/2) for two."""
+    """f * g, and the kernel it ran, by the number of products it read
+    back, with the slots per packed integer: n for one point, ceil(n/2)
+    for two."""
     with patch.object(qexp, "_packed_product", wraps=qexp._packed_product) as packed, patch.object(
-        qexp, "_schoolbook_product", wraps=qexp._schoolbook_product
-    ) as school, patch.object(qexp, "pack_slots", wraps=qexp.pack_slots) as pack:
+        qexp, "pack_slots", wraps=qexp.pack_slots
+    ) as pack, patch.object(qexp, "unpack_slots", wraps=qexp.unpack_slots) as unpack:
         result = f * g
-    assert packed.call_count + school.call_count <= 1
-    if school.called:
-        return result, "schoolbook", len(school.call_args.args[0])
+    assert packed.call_count <= 1
     if not packed.called:
         return result, None, None
     n, (_, count, size) = len(packed.call_args.args[0]), pack.call_args.args
     assert size == slot_size(2 * packed.call_args.args[2] + n.bit_length() + 2)
     assert count == (n if size <= 8 else (n + 1) // 2)
-    return result, ("one-point" if count == n else "two-point"), n
+    assert unpack.call_args.args[1:] == (count, size)
+    points = len(unpack.call_args.args[0])
+    return result, ("one-point" if points == 1 else "two-point"), n
 
 
 def _check_product(x, y, ring):
@@ -226,14 +225,13 @@ def _check_product(x, y, ring):
     return expected
 
 
-# Targeted examples on both sides of each kernel line: over Z/7^22 the
-# coefficients have 62 <= 4 * 16 bits, so Q = 16 packs and Z/7^23, with
-# 65 bits, does not; Q = 15 never packs; over Z, zbits 64 and 65 at
-# Q = 16; all-zero factors, which need no kernel.  Then both sides of the
-# slot codec's 1024-byte read-back threshold: Z/13^10 at Q = 61 packs two
-# integers of 31 slots of 10 bytes, 310 bytes, read by shift and mask;
+# Targeted examples: two-point products at Q = 15 and 16 whose slots
+# take 13 to 18 bytes, over Z/7^17, Z/7^22 (62 bits) and Z/7^23 (65 bits)
+# and over Z with zbits 64 and 65; all-zero factors, which need no
+# kernel.  Then wide slots of every length, all read back by byte slices:
+# Z/13^10 at Q = 61 packs two integers of 31 slots of 11 bytes, 341 bytes;
 # Z/13^60 at Q = 80 into 40 slots of 57 bytes and Z at 200 bits into 40
-# slots of 52 bytes, 2280 and 2080 bytes, read by byte slices.
+# slots of 52 bytes, 2280 and 2080 bytes.
 @example(p=7, m=22, q1=16, q2=20, seed=1, k=2, zbits=0, zero=False)
 @example(p=7, m=17, q1=15, q2=20, seed=2, k=2, zbits=0, zero=False)
 @example(p=7, m=23, q1=16, q2=16, seed=3, k=2, zbits=0, zero=False)
@@ -287,15 +285,15 @@ def test_internal_results_are_canonical(p, m, q1, q2, seed, k, zbits, zero):
     _assert_canonical(QSeries.from_coeffs(unit, ring).inverse(), ref(_plain_inverse(unit, ring)))
 
 
-# Q = 24 packs at every width up to 4 * 24 = 96 bits: one-point slots up to
-# 28 bits (2 * 28 + bits(24) + 2 = 63 bits in 8 bytes), two-point from 29.
-# At Q = 40 and 65 bits, 2 * 65 + bits(40) = 136 bits fill 17 whole bytes,
-# and c_39 = 40 * (2^65 - 1)^2 of two equal-sign series exceeds half of
-# such a slot: the 2 bits the slot adds beyond that round it up to 18.
-# Q = 80 at 200 bits packs two integers of 40 slots of 52 bytes, 2080
-# bytes, beyond the codec's 1024-byte threshold for reading by shift and
-# mask.  A pattern with leading zeros multiplies at n = Q - s - t, which
-# may fall below the line, so each product is held to the rule.
+# Q = 24 packs one-point slots up to 28 bits (2 * 28 + bits(24) + 2 = 63
+# bits in 8 bytes) and two-point slots from 29, on both sides of the
+# 8-byte line.  At Q = 40 and 65 bits, 2 * 65 + bits(40) = 136 bits fill
+# 17 whole bytes, and c_39 = 40 * (2^65 - 1)^2 of two equal-sign series
+# exceeds half of such a slot: the 2 bits the slot adds beyond that round
+# it up to 18.  Q = 80 at 200 bits packs two integers of 40 slots of 52
+# bytes, 2080 bytes, read back by byte slices as every slot wider than 8
+# bytes is.  A pattern with leading zeros multiplies at n = Q - s - t, so
+# each product is held to the rule.
 @pytest.mark.parametrize(
     "q, bits",
     [(24, 1), (24, 2), (24, 17), (24, 28), (24, 29), (24, 64), (24, 72), (24, 96)]
@@ -319,8 +317,8 @@ def test_packed_kernel_over_z_handles_every_sign_pattern(q, bits):
             kernels.add(_check_product(x, y, ZZ))
         f = QSeries.from_coeffs(x)
         assert list((f * f).coeffs) == _plain_product(x, x)
-    # the patterns without leading zeros take the packed kernel
-    assert kernels - {"schoolbook"} == {"one-point" if bits <= 28 else "two-point"}
+    # every pattern takes the packed kernel, on one side of the 8-byte line
+    assert kernels == {"one-point" if bits <= 28 else "two-point"}
 
 
 _MAX_BITS = 420  # the widest coefficients the product test draws
@@ -346,7 +344,7 @@ def _fill(rng, length, ring, bits, fill, lead):
 def product_cases(draw):
     q = draw(st.integers(1, 120))
     if draw(st.booleans()):
-        # half of the widths near or below the line bits = 4Q
+        # half of the widths at most 4Q + 8 bits, the rest up to _MAX_BITS
         bits = draw(st.one_of(st.integers(0, min(4 * q + 8, _MAX_BITS)), st.integers(0, _MAX_BITS)))
         ring = ZZ
     else:
@@ -373,13 +371,14 @@ def _product_case(q, ring, bits, f_spec, g_spec, seed):
     return x, y
 
 
-# Explicit cases on both sides of each kernel line, at the worst fill:
-# Q = 15 / 16 at 5^2 (the packed kernel's least Q, one-point); Z at Q = 16
+# Explicit cases on both sides of each slot line, at the worst fill:
+# Q = 15 / 16 at 5^2, one-point in 2-byte / 4-byte slots; Z at Q = 16
 # with 28 / 29 bits and Z/5^12 (28 bits) at Q = 32 / 64, across the
-# one-point / two-point line (63 / 65 slot bits); Z/5^52 (121 bits) at
-# Q = 31 / 30, and Z at Q = 105 / 104 with 420 bits, across bits = 4Q;
+# one-point / two-point line (63 and 64 / 65 slot bits); Z/5^52 (121
+# bits) at Q = 31 / 30, and Z at Q = 105 / 104 with 420 bits, two-point
+# at odd and even Q, whose odd-index row is padded only when Q is odd;
 # Q = 120 at 420 bits, the widest two-point product drawn; leading zeros
-# that take n below 16 (20 - 3 - 2 = 15), to 1, to exactly 0 and past it.
+# that take n to 15 (20 - 3 - 2), to 1, to exactly 0 and past it.
 @example(case=(15, ModRing(5, 2), None, ("top", 0), ("top", 0, 0), 1))
 @example(case=(16, ModRing(5, 2), None, ("top", 0), ("top", 0, 0), 1))
 @example(case=(16, ZZ, 28, ("signed top", 0), ("top", 0, 1), 2))
