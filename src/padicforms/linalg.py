@@ -34,9 +34,12 @@ squares of T show k: they stop falling once the nilpotent part is 0
 mod p, and at k = 1 a single squaring shows it.  When T is invertible
 mod p, that part is 0 and e is ``PadicMatrix.identity``: one rank test
 over F_p detects it, and no power is taken.
-Otherwise ``independent_columns`` picks a basis C of im(A) and the rows
-P where it is unimodular, and e = C (A_P C)^-1 A_P costs one r x r
-elimination; one product e [T^N | e | T] and one T e check it.
+Otherwise the pivots mod p of the first square read whose rank equals
+that of the one before it pick a basis C of im(A) and the rows P where
+it is unimodular; A itself is eliminated only when no read settled.
+e = C (A_P C)^-1 A_P costs one r x r elimination; one product
+e [T^N | e | T] and one T e check it.  The squarings, too, are
+``padic.product_rows`` on row tuples, so the projector never calls ``@``.
 ``hida`` restricts Hecke operators to ordinary images with
 ``independent_columns`` and ``restrict_to_image``.  The projector is
 also the eigenspace splitter: for a residue a, 1 - e(T - a) projects
@@ -254,20 +257,11 @@ def independent_columns(matrix: PadicMatrix) -> Tuple[List[Tuple[int, ...]], Lis
     pivot rows, sorted, are the rows independent of the ones above them
     in the chosen columns (a row is only ever cleared by pivot rows above
     it).  When the column span is a free direct summand whose rank is the
-    mod-p rank (the image of an idempotent, or of T^N in
-    ``ordinary_projector``), the chosen columns are a basis of it by
-    Nakayama's lemma.
+    mod-p rank (the image of an idempotent), the chosen columns are a
+    basis of it by Nakayama's lemma.
     """
-    return _columns_at(matrix, _pivots_mod_p(matrix.rows, matrix.p))
-
-
-def _columns_at(
-    matrix: PadicMatrix, pivots: List[Tuple[int, int]]
-) -> Tuple[List[Tuple[int, ...]], List[int]]:
-    """``independent_columns`` from the (column, row) pivot pairs of the
-    matrix mod p, ``_pivots_mod_p(matrix.rows, matrix.p)``."""
-    n = matrix.size
-    columns = [tuple(matrix.rows[i][j] for i in range(n)) for j, _ in pivots]
+    pivots = _pivots_mod_p(matrix.rows, matrix.p)
+    columns = [tuple(row[j] for row in matrix.rows) for j, _ in pivots]
     return columns, sorted(i for _, i in pivots)
 
 
@@ -334,37 +328,43 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
     there, or at 2^s >= n*m, whichever comes first; a rank is read after
     a squaring only while it can still save one.  At k = 1, the common
     case, that is max(1, ceil(log2 m)) squarings and at most one rank
-    mod p beyond the first.
+    mod p beyond the first.  The squares are row tuples, each made by
+    ``padic.product_rows``, the kernel of every ``@``.
 
-    The pivot columns C of A mod p are a basis of the free module U, and
-    their rows P make C_P unimodular (``independent_columns``'s choice,
-    read off the pivots of A mod p, which the rank check that ended the
-    squaring has already found when it read A itself).  So
-    A = C X with X = C_P^-1 A_P, and the matrix of A on U in the basis C
-    is S = X C = C_P^-1 (A_P C), invertible.  Hence
+    The read that settles, of B = T^(2^(t+1)), also gives A its image
+    basis.  As T^(2^t) K lies in pK, B mod p has image U mod p, and
+    A = T^(N - 2^(t+1)) B with T invertible on U.  So the pivot columns J
+    of B mod p, r = dim(U mod p) of them, give columns C = A[:, J] that
+    are independent mod p and lie in U: a basis of the free module U, by
+    Nakayama's lemma.  And A[:, J] = B[:, J] R mod p with R invertible,
+    so the pivot rows P of B mod p, where B[:, J] is unimodular, make
+    C_P unimodular too.  A mod p is eliminated only when no read settled
+    (the squaring ran to 2^s >= n*m); at n*m = 1, A = T and its first read
+    serves.  Then A = C X with X = C_P^-1 A_P, and the matrix of A on U
+    in the basis C is S = X C = C_P^-1 (A_P C), invertible.  Hence
 
-        e = C S^-1 X = C (A_P C)^-1 A_P:
+        e = C S^-1 X = C (A_P C)^-1 A_P,
 
-    the r x r core A_P C is built, ``_solve`` reduces [A_P C | A_P]
-    over Z/p^m and reads off the rows of Y = (A_P C)^-1 A_P, and
-    e = C Y.  The core and e are made by ``padic.product_rows``, the
-    same kernel as every ``@``.
+    the projection onto im(A) along ker(A) whichever basis and rows are
+    taken: the r x r core A_P C is built, ``_solve`` reduces
+    [A_P C | A_P] over Z/p^m and reads off the rows of
+    Y = (A_P C)^-1 A_P, and e = C Y, both by ``padic.product_rows``.
 
     The cost is one elimination mod p, then, when T is singular mod p,
-    O(log(km)) matrix products, O(log k) more eliminations mod p and one
-    r x r elimination, whatever the multiplicative order of T's unit
-    part.  The result is checked: e A = A (every column of A lies in
-    span C, since e C = C and im e lies in span C; a too small N would
-    fail here), e^2 = e and eT = Te, where e A, e^2 and e T are the
-    blocks of one product e [A | e | T] and T e is one more; and its
-    trace equals its mod-p rank.
+    O(log(km)) squarings, O(log k) more eliminations mod p (one more
+    only when no read settled) and one r x r elimination, whatever the
+    multiplicative order of T's unit part.  The result is checked: e A = A
+    (every column of A lies in span C, since e C = C and im e lies in
+    span C; a too small N would fail here), e^2 = e and eT = Te, where
+    e A, e^2 and e T are the blocks of one product e [A | e | T] and T e
+    is one more; and its trace equals its mod-p rank.
 
     ``max_iterations`` capped the factorial-power loop this replaced.  It
     is ignored, and kept only while callers (the benchmark's
     ``projector-random`` workload) still pass it.
     """
     n, p, m = matrix.size, matrix.p, matrix.m
-    pivots = _pivots_mod_p(matrix.rows, p)  # of ``power``; None once it is squared
+    pivots = _pivots_mod_p(matrix.rows, p)  # of the last power read
     rank = len(pivots)
     if rank == n:
         # T is invertible mod p: K = 0 and e = 1, so nothing is squared
@@ -372,34 +372,34 @@ def ordinary_projector(matrix: PadicMatrix, max_iterations: Optional[int] = None
     modulus = matrix.modulus
     cap = (n * m - 1).bit_length()  # 2^cap >= n m >= k m
     lift = max((m - 1).bit_length(), 1)  # 2^lift >= m; one squaring shows k = 1
-    power, s, target = matrix, 0, cap
+    power, s, target = matrix.rows, 0, cap
     while s < target:
-        power, pivots = power @ power, None
+        power = product_rows(power, power, n, modulus)
         s += 1
         if s - 1 + lift < target:
-            pivots = _pivots_mod_p(power.rows, p)
+            pivots = _pivots_mod_p(power, p)
             previous, rank = rank, len(pivots)
             if rank == previous:
                 # the mod-p rank stopped falling at T^(2^(s-1)), so
                 # k <= 2^(s-1) and N = 2^(s-1+lift) >= k m
                 target = s - 1 + lift
-    # a rank read that ended the loop (lift = 1) was of T^N itself
-    if pivots is None:
-        pivots = _pivots_mod_p(power.rows, p)
-    columns, pivot_rows = _columns_at(power, pivots)
-    r = len(columns)
-    head = [power.rows[i] for i in pivot_rows]  # A_P
-    c_rows = [[c[i] for c in columns] for i in range(n)]  # C, n x r
+    # only a read that settles stops the squaring short of 2^cap; else
+    # T^N is read here, unless it is T itself (n m = 1)
+    if s == cap > 0:
+        pivots = _pivots_mod_p(power, p)
+    r = len(pivots)
+    head = [power[i] for _, i in pivots]  # A_P
+    c_rows = [[row[j] for j, _ in pivots] for row in power]  # C, n x r
     core = product_rows(head, c_rows, r, modulus)
     # solving [A_P C | A_P] gives the rows of Y = (A_P C)^-1 A_P, and e = C Y
     rows = [list(a) + list(b) for a, b in zip(core, head)]
     y, _ = _solve(rows, p, m, r)
     idem = PadicMatrix._reduced(product_rows(c_rows, y, n, modulus), p, m, modulus)
     # e T^N, e^2 and e T are the three blocks of one product e [T^N | e | T]
-    wide = [a + e + t for a, e, t in zip(power.rows, idem.rows, matrix.rows)]
+    wide = [a + e + t for a, e, t in zip(power, idem.rows, matrix.rows)]
     checks = product_rows(idem.rows, wide, 3 * n, modulus)
     e_power, e_idem, e_matrix = (tuple(row[j * n : (j + 1) * n] for row in checks) for j in range(3))
-    if e_power != power.rows:
+    if e_power != power:
         raise VerificationError("T^N has a column outside the span of its image basis")
     if e_idem != idem.rows or e_matrix != product_rows(matrix.rows, idem.rows, n, modulus):
         raise VerificationError("ordinary projector is not an idempotent commuting with T")

@@ -380,29 +380,79 @@ def test_projector_matmul_count_is_logarithmic(monkeypatch):
     assert len(calls) <= (16 * 10 - 1).bit_length() + 4
 
 
-@pytest.mark.parametrize("m, eliminations", [(1, 3), (2, 3), (3, 4), (10, 4)])
+def _recording_pivots(monkeypatch):
+    """Patch ``linalg._pivots_mod_p`` to record the rows of each matrix it
+    eliminates; returns the list of them."""
+    calls = []
+    real_pivots = linalg._pivots_mod_p
+
+    def recording_pivots(rows, p):
+        calls.append(tuple(map(tuple, rows)))
+        return real_pivots(rows, p)
+
+    monkeypatch.setattr(linalg, "_pivots_mod_p", recording_pivots)
+    return calls
+
+
+def square_powers(t, count):
+    """T, T^2, T^4, ..., T^(2^count) by ``naive_matmul``, keyed by exponent."""
+    powers = {1: t}
+    for j in range(count):
+        powers[2 ** (j + 1)] = naive_matmul(powers[2**j], powers[2**j])
+    return powers
+
+
+@pytest.mark.parametrize("m, eliminations", [(1, 3), (2, 3), (3, 3), (10, 3)])
 def test_projector_eliminates_each_matrix_once(monkeypatch, m, eliminations):
     # T singular mod p with k = 1 takes the pivots mod p of T, of T^2 (the
-    # rank check that shows k = 1), of T^N (the image basis) and of e (its
-    # rank check).  At m <= 2, N = 2 and the rank check already read T^N:
-    # its pivots give the image basis, so T^2 is eliminated once, not twice
+    # rank read that shows k = 1) and of e (its rank check).  The pivots
+    # of T^2 give T^N its image basis, N = 2^s >= m, so T^N is never
+    # eliminated; at m <= 2 it is T^2 itself, eliminated once
     rng = random.Random(m)
     t = block_conjugate(rng, 8, 4, 5, m)
     while rank_mod_p(t.rows, 5) != 4:  # A invertible mod p, so k = 1
         t = block_conjugate(rng, 8, 4, 5, m)
-    calls = []
-    real_pivots = linalg._pivots_mod_p
-
-    def counting_pivots(rows, p):
-        calls.append(tuple(map(tuple, rows)))
-        return real_pivots(rows, p)
-
-    monkeypatch.setattr(linalg, "_pivots_mod_p", counting_pivots)
+    lift = max((m - 1).bit_length(), 1)
+    powers = square_powers(t, lift)
+    calls = _recording_pivots(monkeypatch)
     res = ordinary_projector(t)
     assert len(calls) == eliminations
-    assert len(set(calls)) == eliminations
+    assert calls == [t.rows, powers[2].rows, res.idempotent.rows]
+    assert (powers[2**lift].rows in calls) == (m <= 2)
     idem, rank = reference_projector(t)
     assert (res.idempotent.rows, res.rank) == (idem.rows, rank)
+
+
+@pytest.mark.parametrize(
+    "n, r, m, read, power",
+    [
+        # n = 8 over Z/5^4: reads while N = 2^(s - 1 + 2) < 2^5, so up to T^8
+        pytest.param(8, 6, 4, (1, 2, 4), 8, id="index-2"),
+        pytest.param(8, 5, 4, (1, 2, 4, 8), 16, id="index-3"),
+        pytest.param(8, 4, 4, (1, 2, 4, 8), 16, id="index-4"),
+        # n = 6 over Z/5^5: reads up to T^4, where J^4 is not yet 0 mod p
+        pytest.param(6, 0, 5, (1, 2, 4, 32), 32, id="jordan-block"),
+    ],
+)
+def test_projector_reads_the_image_basis_where_the_rank_settles(monkeypatch, n, r, m, read, power):
+    # T = U (A + pB) U^-1 with A invertible mod p of size r and, below, the
+    # shift J + pB of size n - r, nilpotent mod p of index k = n - r.  The
+    # mod-p rank of T^(2^s) settles at the first s with 2^(s-1) >= k, and
+    # that read's pivots give T^N, N = 2^(s-1+lift) past it, its image
+    # basis: T^N is not eliminated.  One Jordan block of size n has k = n,
+    # no read can settle before the squaring reaches 2^s >= n m, and T^N is
+    # eliminated after the last square
+    rng = random.Random(n * 100 + r)
+    t = block_conjugate(rng, n, r, 5, m, shift=True)
+    while rank_mod_p(t.rows, 5) != n - 1:
+        t = block_conjugate(rng, n, r, 5, m, shift=True)
+    powers = square_powers(t, power.bit_length() - 1)
+    calls = _recording_pivots(monkeypatch)
+    res = ordinary_projector(t)
+    assert calls == [powers[j].rows for j in read] + [res.idempotent.rows]
+    assert (power in read) == (r == 0)
+    idem, rank = reference_projector(t)
+    assert (res.idempotent.rows, res.rank) == (idem.rows, rank) and rank == r
 
 
 def test_projector_checks_every_block_of_the_fused_product(monkeypatch):
@@ -415,7 +465,7 @@ def test_projector_checks_every_block_of_the_fused_product(monkeypatch):
     def corrupting(column, fused):
         def product_rows(a, b, s, modulus):
             rows = real_product_rows(a, b, s, modulus)
-            if (s == 3 * n) if fused else (a is t.rows):
+            if (s == 3 * n) if fused else (a is t.rows is not b):
                 first = list(rows[0])
                 first[column] = (first[column] + 1) % modulus
                 rows = (tuple(first), *rows[1:])
@@ -539,30 +589,36 @@ def test_projector_rejects_an_image_basis_missing_a_column(monkeypatch):
     # With the last image column dropped, e = C (A_P C)^-1 A_P is still an
     # idempotent, but of rank r - 1, so it cannot fix every column of A.
     # T is an idempotent or diagonal, so A_P C stays unimodular and the
-    # solve goes through to the checks.  An invertible T (r = n) returns
-    # the identity before any image basis is chosen.  The projector picks
-    # the basis by ``_columns_at``, from the pivots of A mod p, as
-    # ``independent_columns`` does.
-    real_columns_at = linalg._columns_at
+    # solve goes through to the checks.  The projector reads the basis
+    # off the pivots mod p of the power whose rank read settled, or of
+    # T^N when none did (n = 2, m = 1 reads no rank before N = 2); each
+    # read of a singular matrix loses its last pivot, so the ranks still
+    # settle where they do, one lower.  An invertible T (r = n) returns
+    # the identity after its first read, which is not cut.
+    real_pivots = linalg._pivots_mod_p
     calls = []
 
-    def drop_last_column(matrix, pivots):
-        calls.append(matrix.size)
-        columns, _ = real_columns_at(matrix, pivots)
-        return columns[:-1], greedy_rows(columns[:-1], matrix.p)
+    def drop_last_pivot(rows, p):
+        pivots = real_pivots(rows, p)
+        if len(pivots) == len(rows):
+            return pivots
+        calls.append(len(rows))
+        return pivots[:-1]
 
-    monkeypatch.setattr(linalg, "_columns_at", drop_last_column)
+    monkeypatch.setattr(linalg, "_pivots_mod_p", drop_last_pivot)
     rng = random.Random(8)
     cases = [PadicMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 5]], 5, 4)]
     sizes = [(1, 1, 5, 3), (2, 1, 5, 3), (4, 2, 7, 2), (9, 5, 5, 10), (16, 16, 13, 4), (16, 15, 13, 4)]
+    sizes.append((2, 1, 5, 1))  # no rank read before N = 2: T^N itself is read
     for n, r, p, m in sizes:
         diag = [[int(i == j and i < r) for j in range(n)] for i in range(n)]
         u = random_unimodular(rng, n, p, m)
         cases.append(u @ PadicMatrix.from_rows(diag, p, m) @ invert_unimodular(u))
     invertible = []
     for t in cases:
+        full = rank_mod_p(t.rows, t.p) == t.size
         calls.clear()
-        if rank_mod_p(t.rows, t.p) == t.size:
+        if full:
             invertible.append(t.size)
             identity = PadicMatrix.identity(t.size, t.p, t.m)
             assert ordinary_projector(t) == linalg.ProjectorResult(identity, t.size)
@@ -570,7 +626,8 @@ def test_projector_rejects_an_image_basis_missing_a_column(monkeypatch):
             continue
         with pytest.raises(VerificationError, match="outside the span of its image basis"):
             ordinary_projector(t)
-        assert calls == [t.size]
+        # T itself, then the one power the basis is read from
+        assert calls == [t.size, t.size]
     assert invertible == [1, 16]
 
 

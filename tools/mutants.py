@@ -61,9 +61,10 @@ class Mutant(NamedTuple):
 
 
 _CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_catches_each_wrong_projector"
+_SETTLES = "tests/test_linalg.py::test_projector_reads_the_image_basis_where_the_rank_settles"
 # the projector's own checks of its result, deleted
 _NO_PROJECTOR_CHECKS = (
-    "    if e_power != power.rows:\n"
+    "    if e_power != power:\n"
     '        raise VerificationError("T^N has a column outside the span of its image basis")\n'
     "    if e_idem != idem.rows or e_matrix != product_rows(matrix.rows, idem.rows, n, modulus):\n"
     '        raise VerificationError("ordinary projector is not an idempotent commuting with T")\n'
@@ -711,6 +712,21 @@ MUTANTS = (
         "                target = s - 1 + lift\n",
         "                target = lift\n",
         ("tests/test_linalg.py::test_projector_exactness_block_triangular",),
+    ),
+    Mutant(
+        "settled pivots kept from a read whose rank still fell",
+        "src/padicforms/linalg.py",
+        "            pivots = _pivots_mod_p(power, p)\n"
+        "            previous, rank = rank, len(pivots)\n",
+        "            previous, rank = rank, len(_pivots_mod_p(power, p))\n",
+        (f"{_SETTLES}[index-2]",),
+    ),
+    Mutant(
+        "T^N left unread when no read settled",
+        "src/padicforms/linalg.py",
+        "    if s == cap > 0:\n",
+        "    if False:\n",
+        (f"{_SETTLES}[jordan-block]",),
     ),
     Mutant(
         "projector core rows reversed",
