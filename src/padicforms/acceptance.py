@@ -66,7 +66,7 @@ def _random_unimodular(rng, n, p, m):
 SLOPE_CONFIGS = {
     (2, 5): {"I": 12, "m": 10},
     (4, 5): {"I": 12, "m": 10},
-    (12, 5): {"I": 24, "m": 10},
+    (12, 5): {"I": 23, "m": 10},
     (4, 7): {"I": 10, "m": 10},
 }
 

@@ -1,15 +1,16 @@
 """Exact linear algebra over Z/p^m: solving in a basis, image bases,
 and the ordinary projector.
 
-One forward elimination, ``_eliminate``, serves the solves.  It takes
+One Gauss-Jordan pass, ``_eliminate``, serves the solves.  It takes
 in each column the first unused row whose entry is a unit mod p, swaps
-nothing, and clears whole augmented rows, so right-hand sides ride
-along.  ``_solve`` is the one solve over Z/p^m: it eliminates and
-back-substitutes, for ``solve_in_basis`` on [B | v...], for the
-projector's core and for ``restrict_to_image`` on [C | images], which
-reads the span check off the rows left without a pivot.  A unit pivot
-loses no digit, so every solve is exact over the Z/p^m its inputs live
-in, and a basis that is not unimodular is refused.
+nothing, and clears that column from every other row, whole augmented
+rows, so right-hand sides ride along.  ``_solve`` is the one solve over
+Z/p^m: it eliminates and reads the coordinates off the pivot rows, for
+``solve_in_basis`` on [B | v...], for the projector's core and for
+``restrict_to_image`` on [C | images], which reads the span check off
+the rows left without a pivot.  A unit pivot loses no digit, so every
+solve is exact over the Z/p^m its inputs live in, and a basis that is
+not unimodular is refused.
 
 ``rank_mod_p`` and ``independent_columns`` ask only for the pivots of
 that elimination over F_p.  For p < 16 ``_fp_pivots`` finds them on the
@@ -93,16 +94,17 @@ def _columns_to_lists(vectors, basis: PadicMatrix) -> List[List[int]]:
 
 
 def _eliminate(rows: List[List[int]], p: int, m: int, width: int) -> List[Tuple[int, int]]:
-    """Forward elimination with unit pivots over Z/p^m, in place.
+    """Gauss-Jordan elimination with unit pivots over Z/p^m, in place.
 
     In each of columns 0..width-1, the first row that is not yet a pivot
     row and whose entry is a unit mod p becomes the pivot row; nothing is
-    swapped.  It is scaled to 1 and cleared from the other non-pivot
-    rows along its whole length, so right-hand sides stored from column
-    ``width`` on follow along.  Zero entries are skipped: rows that read
-    0 in the column, and the pivot row's run of zeros after it, so on a
-    lower unitriangular block only the right-hand sides are touched.
-    Returns the (column, row) pivot pairs in column order.
+    swapped.  It is scaled to 1 and cleared from every other row, earlier
+    pivot rows too, along its whole length, so right-hand sides stored
+    from column ``width`` on follow along.  Zero entries are skipped:
+    rows that read 0 in the column, and the pivot row's run of zeros
+    after it, so on a lower unitriangular block only the right-hand
+    sides are touched.  Returns the (column, row) pivot pairs in column
+    order.
     """
     modulus = p**m
     pivots = []
@@ -120,10 +122,9 @@ def _eliminate(rows: List[List[int]], p: int, m: int, width: int) -> List[Tuple[
         while lo < len(pivot) and not pivot[lo]:
             lo += 1
         tail = pivot[lo:]
-        for j in free:
-            row = rows[j]
+        for j, row in enumerate(rows):
             e = row[c]
-            if e:
+            if e and j != i:
                 row[c] = 0
                 row[lo:] = [(x - e * y) % modulus for x, y in zip(row[lo:], tail)]
         pivots.append((c, i))
@@ -131,25 +132,17 @@ def _eliminate(rows: List[List[int]], p: int, m: int, width: int) -> List[Tuple[
 
 
 def _solve(rows, p: int, m: int, width: int):
-    """Solve the rows [B | v...] over Z/p^m in place: ``_eliminate``,
-    then back substitution.  Returns the coordinates, entry [c][k] being
-    coordinate c of vector k, and the (column, row) pivot pairs.  The
-    first column of B with no unit pivot raises ``PrecisionError``."""
-    modulus = p**m
+    """Solve the rows [B | v...] over Z/p^m in place by ``_eliminate``.
+    Each pivot row then reads 1 at its column and 0 at every other
+    column of B, so its right-hand sides are that column's coordinates.
+    Returns them read off the pivot rows in column order, entry [c][k]
+    being coordinate c of vector k, and the (column, row) pivot pairs.
+    The first column of B with no unit pivot raises ``PrecisionError``."""
     pivots = _eliminate(rows, p, m, width)
     missing = set(range(width)).difference(c for c, _ in pivots)
     if missing:
         raise PrecisionError(f"basis is not unimodular: column {min(missing)} has no unit pivot")
-    coords: List[List[int]] = [[]] * width
-    for c, i in reversed(pivots):
-        row = rows[i]
-        x = row[width:]
-        for t in range(c + 1, width):
-            e = row[t]
-            if e:
-                x = [(a - e * b) % modulus for a, b in zip(x, coords[t])]
-        coords[c] = x
-    return coords, pivots
+    return [rows[i][width:] for _, i in pivots], pivots
 
 
 def solve_in_basis(
@@ -157,11 +150,11 @@ def solve_in_basis(
 ) -> SolveResult:
     """Solve B x = v over Z/p^m for each column v, B unimodular.
 
-    ``_solve`` reduces [B | v...] with a unit pivot in every column,
-    so no digit is lost, and back substitution reads off x; a column with
-    no unit pivot (B not invertible mod p) raises ``PrecisionError``.
-    Zero entries are skipped, so on a lower unitriangular B the solve is
-    a single forward substitution on the vectors.  Vectors given as a
+    ``_solve`` reduces [B | v...] with a unit pivot in every column, so
+    no digit is lost, and reads x off the pivot rows; a column with no
+    unit pivot (B not invertible mod p) raises ``PrecisionError``.  Zero
+    entries are skipped, so on a lower unitriangular B the solve is a
+    single forward substitution on the vectors.  Vectors given as a
     ``PadicMatrix`` (its columns) must live over the basis' ring and
     size, or ``ValueError`` is raised.
     """
@@ -273,8 +266,8 @@ def restrict_to_image(op_mat: PadicMatrix, columns: Sequence[Sequence[int]]) -> 
     ``_solve`` reduces [C | images] over Z/p^m with a unit pivot in
     each of the r columns of C, exactly.  The rows left without a pivot
     then read 0 in C, so an image that leaves a nonzero residue there is
-    outside the span, and ``VerificationError`` is raised; otherwise back
-    substitution gives the coordinates.
+    outside the span, and ``VerificationError`` is raised; otherwise the
+    pivot rows hold the coordinates.
     """
     p, m = op_mat.p, op_mat.m
     modulus = p**m

@@ -8,7 +8,7 @@ import pytest
 
 from padicforms import acceptance, hecke, hida
 from padicforms.charseries import CharSeries, newton_polygon
-from padicforms.coleman import shift_polygon
+from padicforms.coleman import katz_basis, shift_polygon
 from padicforms.eigencurve import TwoVarCharSeries
 from padicforms.errors import ConfigError
 from padicforms.linalg import ProjectorResult, rank_mod_p
@@ -217,6 +217,15 @@ def test_criterion_8_catches_a_moved_slope(monkeypatch):
     assert [d for d in result.details if "!=" in d] == [
         "(k,p)=(4,7) below 4: ['0', '1', '3'] != ['0', '2', '3']"
     ]
+
+
+@pytest.mark.parametrize("k, p", list(acceptance.SLOPE_CONFIGS))
+def test_criterion_8_compares_two_katz_dimensions(k, p):
+    """Criterion 8 compares the spectra at depths I and I + 2: unless the
+    Katz dimension grows between them, both are one computation and the
+    comparison cannot fail."""
+    depth = acceptance.SLOPE_CONFIGS[(k, p)]["I"]
+    assert katz_basis(k, p, depth + 2).dimension > katz_basis(k, p, depth).dimension
 
 
 def _first_call_corrupted(real, corrupt):

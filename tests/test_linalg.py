@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -106,16 +107,18 @@ def test_solve_rejects_vectors_over_another_ring():
             solve_in_basis(vectors, b)
 
 
-def pivot_below_top(rng, n, p, m):
-    """A row-permuted unimodular basis whose leading entry is divisible
-    by p: L U with L, U unitriangular has first column L[:, 0], so making
-    L's last leading entry a multiple of p and moving that row to the top
-    leaves the first unit pivot below it."""
+def pivot_below_top(rng, n, p, m, skipped=1):
+    """A row-permuted unimodular basis whose first ``skipped`` leading
+    entries are divisible by p: L U with L, U unitriangular has first
+    column L[:, 0], so making L's last ``skipped`` leading entries
+    multiples of p and moving those rows to the top leaves the first unit
+    pivot below them, at row ``skipped``."""
     lower = [list(row) for row in random_lower_unitriangular(rng, n, p, m).rows]
-    lower[-1][0] = p * rng.randrange(p ** (m - 1))
+    for row in lower[n - skipped :]:
+        row[0] = p * rng.randrange(p ** (m - 1))
     upper = random_lower_unitriangular(rng, n, p, m).transpose()
     b = PadicMatrix.from_rows(lower, p, m) @ upper
-    return PadicMatrix.from_rows([b.rows[-1], *b.rows[:-1]], p, m)
+    return PadicMatrix.from_rows([*b.rows[n - skipped :], *b.rows[: n - skipped]], p, m)
 
 
 def test_solve_unimodular_round_trip():
@@ -128,6 +131,38 @@ def test_solve_unimodular_round_trip():
         res = solve_in_basis(v, b)
         assert res.precision_loss == 0
         assert b @ res.as_matrix() == v
+
+
+@st.composite
+def skipping_systems(draw):
+    """[B | V] over Z/p^m with B from ``pivot_below_top``, so the pivot
+    search in column 0 must pass the first ``skipped`` rows."""
+    p = draw(st.sampled_from((5, 7, 17)))
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 9))
+    skipped = draw(st.integers(1, n - 1))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    b = pivot_below_top(rng, n, p, m, skipped).rows
+    width = rng.randint(1, 4)
+    v = [[rng.randrange(p**m) for _ in range(width)] for _ in range(n)]
+    return p, m, b, v, skipped
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(skipping_systems())
+def test_solve_skips_rows_without_a_unit_pivot(case):
+    """``_solve`` returns X with B X = V over Z/p^m, and its pivots are
+    those of the rule mod p: the first row that is not yet a pivot row
+    and reads a unit, which ``_fp_pivots`` finds for p < 16."""
+    p, m, b, v, skipped = case
+    n, modulus = len(b), p**m
+    x, pivots = linalg._solve([list(row) + rhs for row, rhs in zip(b, v)], p, m, n)
+    assert pivots[0] == (0, skipped)
+    assert [c for c, _ in pivots] == list(range(n))
+    columns = list(zip(*x))
+    assert [[sum(map(mul, row, col)) % modulus for col in columns] for row in b] == v
+    if p < 16:
+        assert pivots == linalg._fp_pivots(bytes(a % p for row in b for a in row), p, n, n)
 
 
 def test_solve_with_pivoting_needed():
@@ -847,3 +882,23 @@ def test_restrict_to_image():
     n = PadicMatrix.from_rows([[1, 0, 0], [0, 1, 0], [25, 0, 0]], 5, 3)
     with pytest.raises(VerificationError, match="does not preserve"):
         restrict_to_image(n, columns)
+    # a dense image basis, conjugated by a unimodular U: the pivot rows
+    # clear each other's columns, and an operator that moves im(e) by
+    # 25 times a kernel direction is still refused
+    rng = random.Random(5)
+    for _ in range(10):
+        u = random_unimodular(rng, 4, 5, 3)
+        u_inv = invert_unimodular(u)
+        diag = PadicMatrix.from_rows([[int(i == j and i < 2) for j in range(4)] for i in range(4)], 5, 3)
+        columns, _ = independent_columns(u @ diag @ u_inv)
+        block = [[rng.randrange(125) if (i < 2) == (j < 2) else 0 for j in range(4)] for i in range(4)]
+        t = u @ PadicMatrix.from_rows(block, 5, 3) @ u_inv
+        r = restrict_to_image(t, columns).rows
+        spanned = [
+            tuple(sum(col[i] * r[c][k] for c, col in enumerate(columns)) % 125 for i in range(4))
+            for k in range(2)
+        ]
+        assert [t.apply(col) for col in columns] == spanned
+        leak = [[int(i == j) + 25 * ((i, j) == (2, 0)) for j in range(4)] for i in range(4)]
+        with pytest.raises(VerificationError, match="does not preserve"):
+            restrict_to_image(u @ PadicMatrix.from_rows(leak, 5, 3) @ u_inv, columns)

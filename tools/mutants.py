@@ -649,11 +649,18 @@ MUTANTS = (
         ("tests/test_linalg.py::test_solve_non_integral",),
     ),
     Mutant(
-        "back substitution without the later coordinates",
+        "pivot rows left out of the clearing",
         "src/padicforms/linalg.py",
-        "        for t in range(c + 1, width):\n",
-        "        for t in range(0):\n",
-        ("tests/test_linalg.py::test_solve_unimodular_round_trip",),
+        "            if e and j != i:\n",
+        "            if e and j in free:\n",
+        ("tests/test_linalg.py::test_solve_skips_rows_without_a_unit_pivot",),
+    ),
+    Mutant(
+        "coordinates read in row order, not column order",
+        "src/padicforms/linalg.py",
+        "    return [rows[i][width:] for _, i in pivots], pivots\n",
+        "    return [rows[i][width:] for i in sorted(i for _, i in pivots)], pivots\n",
+        ("tests/test_linalg.py::test_solve_with_pivoting_needed",),
     ),
     Mutant(
         "F_p pivots without the final mod-p translate",
